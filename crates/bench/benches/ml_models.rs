@@ -16,7 +16,7 @@ fn make_dataset(n: usize, seed: u64) -> Dataset {
         } else {
             30.0 - row[2]
         } + rng.normal(0.0, 0.3);
-        d.push(row, y);
+        d.push(&row, y);
     }
     d
 }

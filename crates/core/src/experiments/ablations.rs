@@ -161,7 +161,6 @@ pub fn sla_direct_vs_via_rt(
     let truth: Vec<f64> = sla_test.targets().to_vec();
     let via_rt: Vec<f64> = rt_test
         .rows()
-        .iter()
         .map(|row| {
             let rt = rt_model.predict(row).max(0.0);
             let transport = row[6];

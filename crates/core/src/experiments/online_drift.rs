@@ -175,7 +175,7 @@ pub fn run(cfg: &OnlineDriftConfig) -> OnlineDriftResult {
     let features: Vec<&str> = vec!["rps", "kb_in", "kb_out", "cpu_ms", "backlog"];
     let mut pretrain = Dataset::new(features.iter().map(|s| s.to_string()).collect::<Vec<_>>());
     for (x, y) in &stream[..boundary] {
-        pretrain.push(x.clone(), *y);
+        pretrain.push(x, *y);
     }
     let frozen_model = LinearRegression::fit(&pretrain);
 

@@ -129,7 +129,6 @@ pub fn collect_training_data(
     hours_per_scale: u64,
     seed: u64,
 ) -> TrainingCollector {
-    let mut merged = TrainingCollector::new();
     let jobs: Vec<(usize, f64)> = scales.iter().copied().enumerate().collect();
     let results: Vec<TrainingCollector> = pamdc_simcore::par::parallel_map(jobs, |(i, scale)| {
         let scenario = ScenarioBuilder::paper_intra_dc()
@@ -138,15 +137,30 @@ pub fn collect_training_data(
             .seed(seed.wrapping_add(i as u64 * 7919))
             .build();
         let policy = Box::new(RandomPolicy::new(seed ^ (i as u64)));
+        let config = RunConfig {
+            keep_series: false,
+            ..Default::default()
+        };
+        let duration = SimDuration::from_hours(hours_per_scale);
+        // At most one sample per VM and tick: reserved up front, so the
+        // buffer is never regrown and copied.
+        let mut collector = TrainingCollector::new();
+        collector
+            .vm_ticks
+            .reserve_exact(vms * duration.ticks(config.tick) as usize);
         let runner = SimulationRunner::new(scenario, policy)
-            .config(RunConfig {
-                keep_series: false,
-                ..Default::default()
-            })
-            .collect_into(TrainingCollector::new());
-        let (_, collector) = runner.run(SimDuration::from_hours(hours_per_scale));
+            .config(config)
+            .collect_into(collector);
+        let (_, collector) = runner.run(duration);
         collector.expect("collector attached")
     });
+    let mut merged = TrainingCollector::new();
+    merged
+        .vm_ticks
+        .reserve_exact(results.iter().map(|c| c.vm_ticks.len()).sum());
+    merged
+        .pm_ticks
+        .reserve_exact(results.iter().map(|c| c.pm_ticks.len()).sum());
     for c in results {
         merged.merge(c);
     }
@@ -163,26 +177,26 @@ const LOAD_FEATURES: [&str; 5] = [
 ];
 
 /// Builds the four demand datasets (from unsaturated ticks only) and the
-/// PM CPU dataset.
+/// PM CPU dataset. The four demand datasets share one feature matrix.
 pub fn build_stage1_datasets(collector: &TrainingCollector) -> Vec<(PredictionTarget, Dataset)> {
+    // A starved VM's usage is not its demand.
+    let unsaturated = collector.vm_ticks.iter().filter(|s| !s.saturated);
+    let rows = unsaturated.clone().count();
     let mut cpu = Dataset::with_features(&LOAD_FEATURES);
-    let mut mem = Dataset::with_features(&LOAD_FEATURES);
-    let mut nin = Dataset::with_features(&LOAD_FEATURES);
-    let mut nout = Dataset::with_features(&LOAD_FEATURES);
-    for s in &collector.vm_ticks {
-        if s.saturated {
-            continue; // a starved VM's usage is not its demand
-        }
-        let f = s.load.to_vec();
-        cpu.push(f.clone(), s.observed.cpu);
-        mem.push(f.clone(), s.observed.mem_mb);
-        nin.push(f.clone(), s.observed.net_in_kbps);
-        nout.push(f, s.observed.net_out_kbps);
+    cpu.reserve(rows);
+    let [mut mem, mut nin, mut nout] = [(); 3].map(|_| Vec::with_capacity(rows));
+    for s in unsaturated {
+        cpu.push(&s.load, s.observed.cpu);
+        mem.push(s.observed.mem_mb);
+        nin.push(s.observed.net_in_kbps);
+        nout.push(s.observed.net_out_kbps);
     }
     let mut pm = Dataset::with_features(&["n_vms", "sum_vm_cpu", "sum_rps"]);
+    pm.reserve(collector.pm_ticks.len());
     for s in &collector.pm_ticks {
-        pm.push(vec![s.n_vms as f64, s.sum_vm_cpu, s.sum_rps], s.pm_cpu);
+        pm.push(&[s.n_vms as f64, s.sum_vm_cpu, s.sum_rps], s.pm_cpu);
     }
+    let [mem, nin, nout] = [mem, nin, nout].map(|targets| cpu.with_targets(targets));
     vec![
         (PredictionTarget::VmCpu, cpu),
         (PredictionTarget::VmMem, mem),
@@ -193,17 +207,18 @@ pub fn build_stage1_datasets(collector: &TrainingCollector) -> Vec<(PredictionTa
 }
 
 /// Builds the RT and SLA datasets, injecting the stage-1 CPU prediction
-/// as the `required_cpu` feature.
+/// as the `required_cpu` feature. The two share one feature matrix.
 pub fn build_stage2_datasets(
     collector: &TrainingCollector,
     cpu_model: &TrainedPredictor,
 ) -> Vec<(PredictionTarget, Dataset)> {
-    let names = PredictionTarget::VmRt.feature_names();
-    let mut rt = Dataset::with_features(names);
-    let mut sla = Dataset::with_features(names);
+    let n = collector.vm_ticks.len();
+    let mut rt = Dataset::with_features(PredictionTarget::VmRt.feature_names());
+    rt.reserve(n);
+    let mut sla = Vec::with_capacity(n);
     for s in &collector.vm_ticks {
         let required_cpu = cpu_model.predict(&s.load);
-        let f = vec![
+        let f = [
             s.load[0], // rps
             s.load[3], // cpu_ms_per_req
             required_cpu,
@@ -212,9 +227,10 @@ pub fn build_stage2_datasets(
             s.load[4], // backlog
             s.transport_secs,
         ];
-        rt.push(f.clone(), s.rt_secs);
-        sla.push(f, s.sla);
+        rt.push(&f, s.rt_secs);
+        sla.push(s.sla);
     }
+    let sla = rt.with_targets(sla);
     vec![(PredictionTarget::VmRt, rt), (PredictionTarget::VmSla, sla)]
 }
 
@@ -233,32 +249,20 @@ pub struct TrainingOutcome {
 /// parallel (one thread each); stage 2 depends on the CPU model and runs
 /// after.
 pub fn train_suite(collector: &TrainingCollector, seed: u64) -> TrainingOutcome {
-    let stage1 = build_stage1_datasets(collector);
-    let stage1_jobs: Vec<_> = stage1
-        .iter()
-        .map(|(target, data)| (*target, data))
-        .collect();
-    let mut predictors: Vec<TrainedPredictor> =
-        pamdc_simcore::par::parallel_map(stage1_jobs, |(target, data)| {
-            let mut rng = RngStream::root(seed).derive(target.paper_name());
-            TrainedPredictor::train(target, data, &mut rng)
-        });
-
+    // Each job owns its dataset, so its rows are freed once the last
+    // model trained on them is done: stage 1's are gone before stage 2
+    // builds.
+    let train = |(target, data): (PredictionTarget, Dataset)| {
+        let mut rng = RngStream::root(seed).derive(target.paper_name());
+        TrainedPredictor::train(target, &data, &mut rng)
+    };
+    let mut predictors = pamdc_simcore::par::parallel_map(build_stage1_datasets(collector), train);
     let cpu_model = predictors
         .iter()
         .find(|p| p.target == PredictionTarget::VmCpu)
         .expect("stage 1 trains the CPU model");
     let stage2 = build_stage2_datasets(collector, cpu_model);
-    let stage2_jobs: Vec<_> = stage2
-        .iter()
-        .map(|(target, data)| (*target, data))
-        .collect();
-    let stage2_models: Vec<TrainedPredictor> =
-        pamdc_simcore::par::parallel_map(stage2_jobs, |(target, data)| {
-            let mut rng = RngStream::root(seed).derive(target.paper_name());
-            TrainedPredictor::train(target, data, &mut rng)
-        });
-    predictors.extend(stage2_models);
+    predictors.extend(pamdc_simcore::par::parallel_map(stage2, train));
 
     let sample_counts = (collector.vm_ticks.len(), collector.pm_ticks.len());
     let suite = Arc::new(PredictorSuite::from_predictors(predictors));

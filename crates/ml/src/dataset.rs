@@ -6,12 +6,18 @@
 
 use pamdc_simcore::rng::RngStream;
 use pamdc_simcore::stats::OnlineStats;
+use std::sync::Arc;
 
 /// A tabular dataset: rows of features plus one numeric target each.
+///
+/// Features are stored row-major in one flat buffer, so a row is a
+/// plain `&[f64]` slice and a dataset costs one allocation, not one per
+/// row. Datasets that differ only in their targets share that buffer
+/// ([`Dataset::with_targets`]); pushing to a shared one copies it first.
 #[derive(Clone, Debug, Default)]
 pub struct Dataset {
     feature_names: Vec<String>,
-    rows: Vec<Vec<f64>>,
+    values: Arc<Vec<f64>>,
     targets: Vec<f64>,
 }
 
@@ -20,7 +26,7 @@ impl Dataset {
     pub fn new(feature_names: Vec<String>) -> Self {
         Dataset {
             feature_names,
-            rows: Vec::new(),
+            values: Arc::default(),
             targets: Vec::new(),
         }
     }
@@ -30,8 +36,15 @@ impl Dataset {
         Self::new(names.iter().map(|s| s.to_string()).collect())
     }
 
+    /// Reserves room for `rows` more examples.
+    pub fn reserve(&mut self, rows: usize) {
+        let nf = self.n_features();
+        Arc::make_mut(&mut self.values).reserve_exact(rows * nf);
+        self.targets.reserve_exact(rows);
+    }
+
     /// Adds one example. Panics on arity mismatch.
-    pub fn push(&mut self, features: Vec<f64>, target: f64) {
+    pub fn push(&mut self, features: &[f64], target: f64) {
         assert_eq!(
             features.len(),
             self.feature_names.len(),
@@ -41,18 +54,29 @@ impl Dataset {
             features.iter().all(|v| v.is_finite()) && target.is_finite(),
             "non-finite training value"
         );
-        self.rows.push(features);
+        Arc::make_mut(&mut self.values).extend_from_slice(features);
         self.targets.push(target);
+    }
+
+    /// The same feature rows with other targets, one per row. The
+    /// features are shared, not copied.
+    pub fn with_targets(&self, targets: Vec<f64>) -> Dataset {
+        assert_eq!(targets.len(), self.len(), "one target per row");
+        Dataset {
+            feature_names: self.feature_names.clone(),
+            values: Arc::clone(&self.values),
+            targets,
+        }
     }
 
     /// Number of examples.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.targets.len()
     }
 
     /// True when no examples are present.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.targets.is_empty()
     }
 
     /// Number of features.
@@ -65,9 +89,15 @@ impl Dataset {
         &self.feature_names
     }
 
-    /// Feature rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
+    /// Feature rows, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + Clone + '_ {
+        (0..self.len()).map(move |i| self.features(i))
+    }
+
+    /// The features of row `i`.
+    pub fn features(&self, i: usize) -> &[f64] {
+        let nf = self.n_features();
+        &self.values[i * nf..(i + 1) * nf]
     }
 
     /// Targets.
@@ -77,7 +107,7 @@ impl Dataset {
 
     /// One row.
     pub fn row(&self, i: usize) -> (&[f64], f64) {
-        (&self.rows[i], self.targets[i])
+        (self.features(i), self.targets[i])
     }
 
     /// `(min, max)` of the target column — the "Data Range" column of the
@@ -99,29 +129,29 @@ impl Dataset {
         s.std_dev()
     }
 
-    /// Shuffled split into `(train, test)` with `train_frac` of the rows
-    /// in the first part. The paper uses 66%/34%.
-    pub fn split(&self, train_frac: f64, rng: &mut RngStream) -> (Dataset, Dataset) {
+    /// The paper's shuffled 66/34 split as row indices: a permutation of
+    /// `0..len` whose first `cut` entries are the training rows.
+    pub fn split_indices(&self, train_frac: f64, rng: &mut RngStream) -> (Vec<usize>, usize) {
         assert!((0.0..=1.0).contains(&train_frac), "train_frac in [0,1]");
         let mut idx: Vec<usize> = (0..self.len()).collect();
         rng.shuffle(&mut idx);
         let cut = (self.len() as f64 * train_frac).round() as usize;
-        let mut train = Dataset::new(self.feature_names.clone());
-        let mut test = Dataset::new(self.feature_names.clone());
-        for (k, &i) in idx.iter().enumerate() {
-            let part = if k < cut { &mut train } else { &mut test };
-            part.rows.push(self.rows[i].clone());
-            part.targets.push(self.targets[i]);
-        }
-        (train, test)
+        (idx, cut)
+    }
+
+    /// Shuffled split into `(train, test)` with `train_frac` of the rows
+    /// in the first part. The paper uses 66%/34%.
+    pub fn split(&self, train_frac: f64, rng: &mut RngStream) -> (Dataset, Dataset) {
+        let (idx, cut) = self.split_indices(train_frac, rng);
+        (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
     }
 
     /// Sub-dataset of the given row indices (used by tree induction).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         let mut d = Dataset::new(self.feature_names.clone());
+        d.reserve(indices.len());
         for &i in indices {
-            d.rows.push(self.rows[i].clone());
-            d.targets.push(self.targets[i]);
+            d.push(self.features(i), self.targets[i]);
         }
         d
     }
@@ -162,22 +192,22 @@ impl Standardizer {
 
     /// Scales one row into a fresh vector.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.means.len(), "feature arity mismatch");
-        row.iter()
-            .zip(self.means.iter().zip(&self.stds))
-            .map(|(&v, (&m, &s))| (v - m) / s)
-            .collect()
+        let mut out = vec![0.0; row.len()];
+        self.transform_into(row, &mut out);
+        out
     }
 
-    /// Scales one row in place into a preallocated buffer (hot path for
-    /// k-NN prediction).
-    pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            row.iter()
-                .zip(self.means.iter().zip(&self.stds))
-                .map(|(&v, (&m, &s))| (v - m) / s),
-        );
+    /// Scales one row into `out` (same length): the allocation-free
+    /// path k-NN prediction uses.
+    pub fn transform_into(&self, row: &[f64], out: &mut [f64]) {
+        assert_eq!(row.len(), self.means.len(), "feature arity mismatch");
+        assert_eq!(out.len(), self.means.len(), "output arity mismatch");
+        for (o, (&v, (&m, &s))) in out
+            .iter_mut()
+            .zip(row.iter().zip(self.means.iter().zip(&self.stds)))
+        {
+            *o = (v - m) / s;
+        }
     }
 }
 
@@ -189,7 +219,7 @@ mod tests {
         let mut d = Dataset::with_features(&["a", "b"]);
         for i in 0..100 {
             let x = i as f64;
-            d.push(vec![x, 2.0 * x], 3.0 * x + 1.0);
+            d.push(&[x, 2.0 * x], 3.0 * x + 1.0);
         }
         d
     }
@@ -209,7 +239,7 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_checked() {
         let mut d = Dataset::with_features(&["a"]);
-        d.push(vec![1.0, 2.0], 0.0);
+        d.push(&[1.0, 2.0], 0.0);
     }
 
     #[test]
@@ -249,10 +279,22 @@ mod tests {
     }
 
     #[test]
+    fn with_targets_shares_features_until_pushed() {
+        let d = toy();
+        let mut e = d.with_targets(d.targets().iter().map(|y| -y).collect());
+        assert_eq!(e.row(3), (&[3.0, 6.0][..], -10.0));
+        assert!(Arc::ptr_eq(&d.values, &e.values));
+        // Copy on write: the original keeps its rows.
+        e.push(&[1.0, 1.0], 0.0);
+        assert_eq!((d.len(), e.len()), (100, 101));
+        assert!(!Arc::ptr_eq(&d.values, &e.values));
+    }
+
+    #[test]
     fn standardizer_zero_mean_unit_var() {
         let d = toy();
         let sc = Standardizer::fit(&d);
-        let transformed: Vec<Vec<f64>> = d.rows().iter().map(|r| sc.transform(r)).collect();
+        let transformed: Vec<Vec<f64>> = d.rows().map(|r| sc.transform(r)).collect();
         let mut s0 = OnlineStats::new();
         for r in &transformed {
             s0.push(r[0]);
@@ -265,18 +307,22 @@ mod tests {
     fn standardizer_handles_constant_feature() {
         let mut d = Dataset::with_features(&["c"]);
         for _ in 0..10 {
-            d.push(vec![5.0], 1.0);
+            d.push(&[5.0], 1.0);
         }
         let sc = Standardizer::fit(&d);
         assert_eq!(sc.transform(&[5.0]), vec![0.0]);
     }
 
     #[test]
-    fn transform_into_matches_transform() {
+    fn transform_into_writes_caller_buffer() {
         let d = toy();
         let sc = Standardizer::fit(&d);
-        let mut buf = Vec::new();
-        sc.transform_into(&[3.0, 6.0], &mut buf);
-        assert_eq!(buf, sc.transform(&[3.0, 6.0]));
+        // The column means map to the origin; a larger value to a
+        // positive score, into a caller-owned buffer.
+        let mut buf = [f64::NAN; 2];
+        sc.transform_into(&[49.5, 99.0], &mut buf);
+        assert_eq!(buf, [0.0, 0.0]);
+        sc.transform_into(&[60.0, 99.0], &mut buf);
+        assert!(buf[0] > 0.0 && buf[1] == 0.0, "{buf:?}");
     }
 }

@@ -10,13 +10,19 @@
 use crate::dataset::{Dataset, Standardizer};
 use crate::Regressor;
 
+/// Query dimensions scaled into a stack buffer; wider queries use the
+/// heap.
+const STACK_DIMS: usize = 16;
+
 /// A fitted k-NN regressor (stores its training set, as k-NN does).
 #[derive(Clone, Debug)]
 pub struct KnnRegressor {
     k: usize,
     distance_weighted: bool,
     scaler: Standardizer,
-    points: Vec<Vec<f64>>,
+    dims: usize,
+    /// Standardized training rows, row-major, `dims` values each.
+    points: Vec<f64>,
     targets: Vec<f64>,
 }
 
@@ -32,11 +38,16 @@ impl KnnRegressor {
         assert!(k >= 1, "k must be at least 1");
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         let scaler = Standardizer::fit(data);
-        let points: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
+        let dims = data.n_features();
+        let mut points = vec![0.0; data.len() * dims];
+        for (i, row) in data.rows().enumerate() {
+            scaler.transform_into(row, &mut points[i * dims..(i + 1) * dims]);
+        }
         KnnRegressor {
             k,
             distance_weighted,
             scaler,
+            dims,
             points,
             targets: data.targets().to_vec(),
         }
@@ -49,38 +60,67 @@ impl KnnRegressor {
 
     /// Number of memorized examples.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.targets.len()
     }
 
     /// True when no examples are stored (cannot happen after `fit`).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.targets.is_empty()
     }
 }
 
 impl Regressor for KnnRegressor {
     fn predict(&self, features: &[f64]) -> f64 {
-        let q = self.scaler.transform(features);
-        let k = self.k.min(self.points.len());
-        // Max-heap of (distance², index) capped at k — O(n log k).
-        let mut heap: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
-        for (i, p) in self.points.iter().enumerate() {
-            let d2: f64 = p.iter().zip(&q).map(|(a, b)| (a - b) * (a - b)).sum();
+        let dims = self.dims;
+        let (mut q_stack, mut q_heap) = ([0.0; STACK_DIMS], Vec::new());
+        let q: &mut [f64] = if dims <= STACK_DIMS {
+            &mut q_stack[..dims]
+        } else {
+            q_heap.resize(dims, 0.0);
+            &mut q_heap
+        };
+        self.scaler.transform_into(features, q);
+        let q: &[f64] = q;
+
+        // The k nearest so far as (distance², index), kept sorted by
+        // descending distance once full, so `heap[0]` is the k-th best.
+        let k = self.k.min(self.len());
+        let mut heap: Vec<(f64, usize)> = Vec::with_capacity(k);
+        'points: for i in 0..self.len() {
+            let p = &self.points[i * dims..(i + 1) * dims];
             if heap.len() < k {
-                heap.push((d2, i));
+                heap.push((p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum(), i));
                 if heap.len() == k {
                     heap.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite distances"));
                 }
-            } else if d2 < heap[0].0 {
-                heap[0] = (d2, i);
-                // Re-sink the head (small k: simple sort is fine).
-                heap.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite distances"));
+                continue;
+            }
+            // Every term is >= 0, so partial sums never decrease: once one
+            // reaches the k-th best, the full distance cannot beat it.
+            let worst = heap[0].0;
+            let mut d2 = 0.0;
+            for (a, b) in p.iter().zip(q) {
+                d2 += (a - b) * (a - b);
+                if d2 >= worst {
+                    continue 'points;
+                }
+            }
+            // (Not below `worst` only when the distance is NaN.)
+            if d2 < worst {
+                // Sink the new k-th best past every strictly farther
+                // neighbour: the order a stable re-sort would give.
+                let mut j = 0;
+                while j + 1 < k && heap[j + 1].0 > d2 {
+                    heap[j] = heap[j + 1];
+                    j += 1;
+                }
+                heap[j] = (d2, i);
             }
         }
         if self.distance_weighted {
             let mut wsum = 0.0;
             let mut acc = 0.0;
-            for &(d2, i) in &heap {
+            for &(d2, i) in heap.iter() {
                 let w = 1.0 / (d2.sqrt() + 1e-9);
                 wsum += w;
                 acc += w * self.targets[i];
@@ -110,7 +150,7 @@ mod tests {
         for i in 0..20 {
             for j in 0..20 {
                 let (x, y) = (i as f64, j as f64);
-                d.push(vec![x, y], x + 10.0 * y);
+                d.push(&[x, y], x + 10.0 * y);
             }
         }
         d
@@ -137,8 +177,8 @@ mod tests {
     #[test]
     fn k_larger_than_dataset_uses_all() {
         let mut d = Dataset::with_features(&["x"]);
-        d.push(vec![0.0], 1.0);
-        d.push(vec![1.0], 3.0);
+        d.push(&[0.0], 1.0);
+        d.push(&[1.0], 3.0);
         let m = KnnRegressor::fit(&d, 10);
         assert!((m.predict(&[0.5]) - 2.0).abs() < 1e-9);
     }
@@ -153,7 +193,7 @@ mod tests {
         for _ in 0..600 {
             let s = rng.uniform_range(0.0, 1.0);
             let b = rng.uniform_range(0.0, 1000.0);
-            d.push(vec![s, b], if s > 0.5 { 1.0 } else { 0.0 });
+            d.push(&[s, b], if s > 0.5 { 1.0 } else { 0.0 });
         }
         let m = KnnRegressor::fit(&d, 5);
         assert!(m.predict(&[0.9, 500.0]) > 0.7);
@@ -163,8 +203,8 @@ mod tests {
     #[test]
     fn distance_weighting_prefers_closer() {
         let mut d = Dataset::with_features(&["x"]);
-        d.push(vec![0.0], 0.0);
-        d.push(vec![1.0], 100.0);
+        d.push(&[0.0], 0.0);
+        d.push(&[1.0], 100.0);
         let plain = KnnRegressor::fit_weighted(&d, 2, false);
         let weighted = KnnRegressor::fit_weighted(&d, 2, true);
         // Query near 0: plain averages to 50, weighted leans to 0.
@@ -178,7 +218,7 @@ mod tests {
         let mut d = Dataset::with_features(&["x"]);
         for _ in 0..200 {
             let x = rng.uniform_range(0.0, 1.0);
-            d.push(vec![x], x.clamp(0.0, 1.0));
+            d.push(&[x], x.clamp(0.0, 1.0));
         }
         let m = KnnRegressor::fit(&d, 4);
         for i in 0..50 {

@@ -62,25 +62,24 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 
 /// Builds the normal-equation system for ridge regression
 /// (`XᵀX + λI`, `Xᵀy`) with an intercept column appended, and solves it.
-/// Returns `(weights, intercept)`; the ridge term is not applied to the
-/// intercept. `None` when singular even with the ridge term.
-pub fn ridge_normal_equations(
-    rows: &[Vec<f64>],
-    targets: &[f64],
+/// `rows` yields each example's `p` features and its target. Returns
+/// `(weights, intercept)`; the ridge term is not applied to the
+/// intercept. `None` when there are no rows, or when the system is
+/// singular even with the ridge term.
+pub fn ridge_normal_equations<'a>(
+    rows: impl IntoIterator<Item = (&'a [f64], f64)>,
+    p: usize,
     lambda: f64,
 ) -> Option<(Vec<f64>, f64)> {
-    let n = rows.len();
-    if n == 0 {
-        return None;
-    }
-    let p = rows[0].len();
     let dim = p + 1; // + intercept
 
     // XᵀX and Xᵀy with the implicit trailing 1-column.
     let mut ata = vec![vec![0.0; dim]; dim];
     let mut aty = vec![0.0; dim];
-    for (row, &y) in rows.iter().zip(targets) {
+    let mut n = 0usize;
+    for (row, y) in rows {
         debug_assert_eq!(row.len(), p);
+        n += 1;
         for i in 0..p {
             for j in i..p {
                 ata[i][j] += row[i] * row[j];
@@ -90,6 +89,9 @@ pub fn ridge_normal_equations(
         }
         ata[p][p] += 1.0;
         aty[p] += y;
+    }
+    if n == 0 {
+        return None;
     }
     // Mirror the upper triangle.
     for i in 0..dim {
@@ -110,6 +112,13 @@ pub fn ridge_normal_equations(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pairs<'a>(
+        rows: &'a [Vec<f64>],
+        targets: &'a [f64],
+    ) -> impl Iterator<Item = (&'a [f64], f64)> {
+        rows.iter().map(Vec::as_slice).zip(targets.iter().copied())
+    }
 
     #[test]
     fn solves_identity() {
@@ -152,7 +161,7 @@ mod tests {
             .map(|i| vec![i as f64, (i * i) as f64 % 7.0])
             .collect();
         let targets: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] - 0.5 * r[1] + 4.0).collect();
-        let (w, b) = ridge_normal_equations(&rows, &targets, 1e-9).unwrap();
+        let (w, b) = ridge_normal_equations(pairs(&rows, &targets), 2, 1e-9).unwrap();
         assert!((w[0] - 2.0).abs() < 1e-6);
         assert!((w[1] + 0.5).abs() < 1e-6);
         assert!((b - 4.0).abs() < 1e-6);
@@ -163,7 +172,7 @@ mod tests {
         // Second feature is an exact copy: OLS is singular; ridge is not.
         let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, i as f64]).collect();
         let targets: Vec<f64> = rows.iter().map(|r| 3.0 * r[0] + 1.0).collect();
-        let (w, b) = ridge_normal_equations(&rows, &targets, 1e-4).unwrap();
+        let (w, b) = ridge_normal_equations(pairs(&rows, &targets), 2, 1e-4).unwrap();
         // Weights split the slope between the clones.
         assert!((w[0] + w[1] - 3.0).abs() < 1e-2, "w {w:?}");
         assert!((b - 1.0).abs() < 0.2);
@@ -171,6 +180,6 @@ mod tests {
 
     #[test]
     fn ridge_empty_returns_none() {
-        assert!(ridge_normal_equations(&[], &[], 1e-6).is_none());
+        assert!(ridge_normal_equations(std::iter::empty(), 2, 1e-6).is_none());
     }
 }

@@ -21,14 +21,24 @@ impl LinearRegression {
     /// term when the normal equations are singular, and to a constant
     /// (mean) model as the last resort.
     pub fn fit(data: &Dataset) -> Self {
-        Self::fit_rows(data.rows(), data.targets(), data.n_features())
+        Self::fit_rows(
+            data.rows().zip(data.targets().iter().copied()),
+            data.n_features(),
+        )
     }
 
-    /// Fits directly on rows/targets (used by M5 leaf models).
-    pub fn fit_rows(rows: &[Vec<f64>], targets: &[f64], n_features: usize) -> Self {
+    /// Fits directly on `(features, target)` pairs (used by M5 node
+    /// models, which fit on a subset of a dataset's rows without
+    /// copying them).
+    pub fn fit_rows<'a, I>(rows: I, n_features: usize) -> Self
+    where
+        I: ExactSizeIterator<Item = (&'a [f64], f64)> + Clone,
+    {
         for lambda in [0.0, 1e-8, 1e-4, 1e-1] {
             if rows.len() > n_features {
-                if let Some((weights, intercept)) = ridge_normal_equations(rows, targets, lambda) {
+                if let Some((weights, intercept)) =
+                    ridge_normal_equations(rows.clone(), n_features, lambda)
+                {
                     if weights.iter().all(|w| w.is_finite()) && intercept.is_finite() {
                         return LinearRegression { weights, intercept };
                     }
@@ -36,10 +46,10 @@ impl LinearRegression {
             }
         }
         // Constant model: the target mean.
-        let mean = if targets.is_empty() {
+        let mean = if rows.len() == 0 {
             0.0
         } else {
-            targets.iter().sum::<f64>() / targets.len() as f64
+            rows.clone().map(|(_, y)| y).sum::<f64>() / rows.len() as f64
         };
         LinearRegression {
             weights: vec![0.0; n_features],
@@ -100,7 +110,7 @@ mod tests {
         for i in 0..60 {
             let a = i as f64;
             let b = ((i * 13) % 11) as f64;
-            d.push(vec![a, b], 5.0 * a - 2.0 * b + 7.0);
+            d.push(&[a, b], 5.0 * a - 2.0 * b + 7.0);
         }
         let m = LinearRegression::fit(&d);
         assert!((m.weights()[0] - 5.0).abs() < 1e-6);
@@ -115,7 +125,7 @@ mod tests {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..500 {
             let x = i as f64 / 10.0;
-            d.push(vec![x], 2.0 * x + 1.0 + rng.normal(0.0, 0.5));
+            d.push(&[x], 2.0 * x + 1.0 + rng.normal(0.0, 0.5));
         }
         let m = LinearRegression::fit(&d);
         assert!((m.weights()[0] - 2.0).abs() < 0.05);
@@ -125,7 +135,7 @@ mod tests {
     #[test]
     fn degenerate_data_falls_back_to_mean() {
         let mut d = Dataset::with_features(&["x"]);
-        d.push(vec![1.0], 4.0);
+        d.push(&[1.0], 4.0);
         // One sample for one feature: cannot fit a line; mean model.
         let m = LinearRegression::fit(&d);
         assert_eq!(m.predict(&[99.0]), 4.0);
@@ -143,7 +153,7 @@ mod tests {
         let mut d = Dataset::with_features(&["a", "b"]);
         for i in 0..50 {
             let x = i as f64;
-            d.push(vec![x, 0.0], 2.0 * x); // feature b constant -> weight 0
+            d.push(&[x, 0.0], 2.0 * x); // feature b constant -> weight 0
         }
         let m = LinearRegression::fit(&d);
         assert!(

@@ -145,50 +145,42 @@ impl M5Tree {
 
 impl Regressor for M5Tree {
     fn predict(&self, features: &[f64]) -> f64 {
-        // Descend, remembering the path for smoothing.
-        let mut path: Vec<&Node> = Vec::with_capacity(self.root.depth());
-        let mut node = &self.root;
-        loop {
-            path.push(node);
-            match node {
-                Node::Leaf { .. } => break,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    node = if features[*feature] <= *threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-        // Leaf prediction, then smooth back up the path.
-        let leaf = path.last().expect("path never empty");
-        let mut p = match leaf {
-            Node::Leaf { model, .. } => model.predict(features),
-            Node::Split { .. } => unreachable!("descent ends at a leaf"),
-        };
-        if self.params.smoothing_k > 0.0 {
-            let k = self.params.smoothing_k;
-            let mut n_below = leaf.n() as f64;
-            for node in path.iter().rev().skip(1) {
-                let model = match node {
-                    Node::Leaf { model, .. } | Node::Split { model, .. } => model,
-                };
-                p = (n_below * p + k * model.predict(features)) / (n_below + k);
-                n_below = node.n() as f64;
-            }
-        }
-        p
+        smoothed(&self.root, features, self.params.smoothing_k)
     }
 
     fn name(&self) -> &'static str {
         "M5P"
+    }
+}
+
+/// The prediction of the subtree under `node`: the leaf model's,
+/// smoothed on the way back up by every node on the path,
+/// `p ← (n·p + k·p_node)/(n + k)` with `n` the population of the child
+/// the path came from. `k = 0` skips smoothing.
+fn smoothed(node: &Node, features: &[f64], k: f64) -> f64 {
+    match node {
+        Node::Leaf { model, .. } => model.predict(features),
+        Node::Split {
+            feature,
+            threshold,
+            model,
+            left,
+            right,
+            ..
+        } => {
+            let child = if features[*feature] <= *threshold {
+                left
+            } else {
+                right
+            };
+            let p = smoothed(child, features, k);
+            if k > 0.0 {
+                let n_below = child.n() as f64;
+                (n_below * p + k * model.predict(features)) / (n_below + k)
+            } else {
+                p
+            }
+        }
     }
 }
 
@@ -202,9 +194,7 @@ fn sd_of(data: &Dataset, indices: &[usize]) -> f64 {
 }
 
 fn fit_node_model(data: &Dataset, indices: &[usize]) -> LinearRegression {
-    let rows: Vec<Vec<f64>> = indices.iter().map(|&i| data.rows()[i].clone()).collect();
-    let targets: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
-    LinearRegression::fit_rows(&rows, &targets, data.n_features())
+    LinearRegression::fit_rows(indices.iter().map(|&i| data.row(i)), data.n_features())
 }
 
 /// The best `(feature, threshold, sdr)` split, or `None` when no split
@@ -231,7 +221,7 @@ fn best_split(
         pairs.extend(
             indices
                 .iter()
-                .map(|&i| (data.rows()[i][feature], data.targets()[i])),
+                .map(|&i| (data.features(i)[feature], data.targets()[i])),
         );
         pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
 
@@ -294,8 +284,8 @@ mod adjacent_float_tests {
         // Enough rows on each side of the adjacent pair to force the
         // splitter to consider the (a, b) boundary.
         for i in 0..8 {
-            d.push(vec![a], i as f64);
-            d.push(vec![b], 100.0 + i as f64);
+            d.push(&[a], i as f64);
+            d.push(&[b], 100.0 + i as f64);
         }
         let tree = M5Tree::fit(
             &d,
@@ -325,7 +315,7 @@ fn build(data: &Dataset, indices: &[usize], params: &M5Params, root_sd: f64, dep
         Some((feature, threshold, _)) => {
             let (mut li, mut ri) = (Vec::new(), Vec::new());
             for &i in indices {
-                if data.rows()[i][feature] <= threshold {
+                if data.features(i)[feature] <= threshold {
                     li.push(i);
                 } else {
                     ri.push(i);
@@ -379,7 +369,7 @@ fn subtree_error(node: &Node, data: &Dataset, indices: &[usize]) -> f64 {
         } => {
             let (mut li, mut ri) = (Vec::new(), Vec::new());
             for &i in indices {
-                if data.rows()[i][*feature] <= *threshold {
+                if data.features(i)[*feature] <= *threshold {
                     li.push(i);
                 } else {
                     ri.push(i);
@@ -416,7 +406,7 @@ fn prune(node: &mut Node, data: &Dataset, indices: &[usize]) {
         } => {
             let (mut li, mut ri) = (Vec::new(), Vec::new());
             for &i in indices {
-                if data.rows()[i][*feature] <= *threshold {
+                if data.features(i)[*feature] <= *threshold {
                     li.push(i);
                 } else {
                     ri.push(i);
@@ -456,6 +446,98 @@ fn prune(node: &mut Node, data: &Dataset, indices: &[usize]) {
 mod tests {
     use super::*;
     use pamdc_simcore::rng::RngStream;
+    use proptest::prelude::*;
+
+    /// Test-only reference: the original predict, which records the
+    /// root-to-leaf path in a vector and smooths back along it.
+    fn path_reference(t: &M5Tree, features: &[f64]) -> f64 {
+        let mut path: Vec<&Node> = Vec::with_capacity(t.root.depth());
+        let mut node = &t.root;
+        loop {
+            path.push(node);
+            match node {
+                Node::Leaf { .. } => break,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => {
+                    node = if features[*feature] <= *threshold {
+                        left
+                    } else {
+                        right
+                    };
+                }
+            }
+        }
+        let leaf = path.last().expect("path never empty");
+        let mut p = match leaf {
+            Node::Leaf { model, .. } => model.predict(features),
+            Node::Split { .. } => unreachable!("descent ends at a leaf"),
+        };
+        if t.params.smoothing_k > 0.0 {
+            let k = t.params.smoothing_k;
+            let mut n_below = leaf.n() as f64;
+            for node in path.iter().rev().skip(1) {
+                let model = match node {
+                    Node::Leaf { model, .. } | Node::Split { model, .. } => model,
+                };
+                p = (n_below * p + k * model.predict(features)) / (n_below + k);
+                n_below = node.n() as f64;
+            }
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The recursive predict matches the path reference bit for bit
+        /// on random trees (duplicated rows, smoothing and pruning on and
+        /// off) and queries inside and outside the training range.
+        #[test]
+        fn predict_matches_path_reference(
+            seed in 0u64..100_000,
+            dims in 1usize..5,
+            n in 1usize..400,
+            min_instances in 1usize..6,
+            smooth in 0u8..2,
+            prune in 0u8..2,
+        ) {
+            let mut rng = RngStream::root(seed);
+            let names: Vec<String> = (0..dims).map(|j| format!("x{j}")).collect();
+            let mut d = Dataset::new(names);
+            let mut row = vec![0.0; dims];
+            for i in 0..n {
+                if i == 0 || rng.uniform() > 0.2 {
+                    for v in row.iter_mut() {
+                        *v = rng.uniform_range(-5.0, 5.0);
+                    }
+                }
+                let y = if row[0] < 0.0 { 3.0 * row[0] } else { 10.0 - row[dims - 1] };
+                d.push(&row, y + rng.normal(0.0, 0.5));
+            }
+            let t = M5Tree::fit(
+                &d,
+                M5Params {
+                    min_instances,
+                    smoothing_k: if smooth == 1 { 15.0 } else { 0.0 },
+                    prune: prune == 1,
+                    ..M5Params::default()
+                },
+            );
+            for _ in 0..40 {
+                let q: Vec<f64> = (0..dims).map(|_| rng.uniform_range(-8.0, 8.0)).collect();
+                prop_assert_eq!(t.predict(&q).to_bits(), path_reference(&t, &q).to_bits());
+            }
+            for i in (0..n).step_by(7) {
+                let (q, _) = d.row(i);
+                prop_assert_eq!(t.predict(q).to_bits(), path_reference(&t, q).to_bits());
+            }
+        }
+    }
 
     /// A piecewise-linear target: the exact hypothesis class of M5.
     fn piecewise_dataset(n: usize, noise: f64, seed: u64) -> Dataset {
@@ -465,7 +547,7 @@ mod tests {
             let x = rng.uniform_range(0.0, 10.0);
             let z = rng.uniform_range(0.0, 1.0);
             let y = if x < 5.0 { 2.0 * x + 1.0 } else { 20.0 - x } + noise * rng.normal_std();
-            d.push(vec![x, z], y);
+            d.push(&[x, z], y);
         }
         d
     }
@@ -488,7 +570,6 @@ mod tests {
         let lin = LinearRegression::fit(&train);
         let mae = |m: &dyn Regressor| {
             test.rows()
-                .iter()
                 .zip(test.targets())
                 .map(|(r, &y)| (m.predict(r) - y).abs())
                 .sum::<f64>()
@@ -508,7 +589,7 @@ mod tests {
         let mut rng = RngStream::root(4);
         for _ in 0..400 {
             let x = rng.uniform_range(0.0, 10.0);
-            d.push(vec![x], 3.0 * x - 2.0);
+            d.push(&[x], 3.0 * x - 2.0);
         }
         let t = M5Tree::fit(&d, M5Params::m4());
         assert!(
@@ -545,7 +626,7 @@ mod tests {
     #[test]
     fn single_example_is_a_leaf() {
         let mut d = Dataset::with_features(&["x"]);
-        d.push(vec![1.0], 2.0);
+        d.push(&[1.0], 2.0);
         let t = M5Tree::fit(&d, M5Params::default());
         assert_eq!(t.leaf_count(), 1);
         assert_eq!(t.predict(&[7.0]), 2.0);
@@ -555,7 +636,7 @@ mod tests {
     fn constant_target_is_a_leaf() {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..100 {
-            d.push(vec![i as f64], 5.0);
+            d.push(&[i as f64], 5.0);
         }
         let t = M5Tree::fit(&d, M5Params::default());
         assert_eq!(t.leaf_count(), 1);

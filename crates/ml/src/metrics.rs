@@ -39,16 +39,28 @@ impl EvalReport {
         test: &Dataset,
         full_range: (f64, f64),
     ) -> Self {
-        let truth: Vec<f64> = test.targets().to_vec();
-        let pred: Vec<f64> = test.rows().iter().map(|r| model.predict(r)).collect();
+        let held_out = test.rows().zip(test.targets().iter().copied());
+        Self::on_rows(model, train.len(), held_out, full_range)
+    }
+
+    /// Evaluates a fitted model trained on `n_train` examples against
+    /// held-out `(features, truth)` pairs, read in place.
+    pub fn on_rows<'a>(
+        model: &dyn Regressor,
+        n_train: usize,
+        held_out: impl Iterator<Item = (&'a [f64], f64)>,
+        full_range: (f64, f64),
+    ) -> Self {
+        let (pred, truth): (Vec<f64>, Vec<f64>) =
+            held_out.map(|(row, y)| (model.predict(row), y)).unzip();
         EvalReport {
             method: model.name().to_string(),
             correlation: pearson(&pred, &truth),
             mae: mean_absolute_error(&pred, &truth),
             err_std_dev: error_std_dev(&pred, &truth),
             rmse: root_mean_squared_error(&pred, &truth),
-            n_train: train.len(),
-            n_test: test.len(),
+            n_train,
+            n_test: truth.len(),
             target_range: full_range,
         }
     }
@@ -87,7 +99,7 @@ mod tests {
     fn perfect_model_scores_perfectly() {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..100 {
-            d.push(vec![i as f64], 2.0 * i as f64);
+            d.push(&[i as f64], 2.0 * i as f64);
         }
         let (train, test) = d.split(0.66, &mut RngStream::root(1));
         let m = LinearRegression::fit(&train);
@@ -105,7 +117,7 @@ mod tests {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..600 {
             let x = i as f64 / 10.0;
-            d.push(vec![x], 3.0 * x + rng.normal(0.0, 2.0));
+            d.push(&[x], 3.0 * x + rng.normal(0.0, 2.0));
         }
         let (train, test) = d.split(0.66, &mut rng);
         let m = LinearRegression::fit(&train);
@@ -119,7 +131,7 @@ mod tests {
     fn row_renders() {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..30 {
-            d.push(vec![i as f64], i as f64);
+            d.push(&[i as f64], i as f64);
         }
         let m = LinearRegression::fit(&d);
         let rep = EvalReport::compute(&m, &d, &d, d.target_range());

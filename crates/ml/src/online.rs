@@ -156,7 +156,7 @@ where
     fn refit(&mut self) {
         let mut d = Dataset::new(self.feature_names.clone());
         for (x, y) in &self.buffer {
-            d.push(x.clone(), *y);
+            d.push(x, *y);
         }
         self.model = Some((self.fit_fn)(&d));
         self.since_refit = 0;

@@ -131,9 +131,10 @@ impl TrainedPredictor {
             target.paper_name(),
             data.len()
         );
-        let (train, test) = data.split(0.66, rng);
-        let model = target.fit(&train);
-        let report = EvalReport::compute(model.as_ref(), &train, &test, data.target_range());
+        let (idx, cut) = data.split_indices(0.66, rng);
+        let model = target.fit(&data.subset(&idx[..cut]));
+        let held_out = idx[cut..].iter().map(|&i| data.row(i));
+        let report = EvalReport::on_rows(model.as_ref(), cut, held_out, data.target_range());
         TrainedPredictor {
             target,
             model,
@@ -234,7 +235,7 @@ mod tests {
                     }
                 }
             };
-            d.push(row, y + rng.normal(0.0, 0.1));
+            d.push(&row, y + rng.normal(0.0, 0.1));
         }
         d
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 fn linear_dataset(a: f64, b: f64, c: f64, rows: &[(f64, f64)]) -> Dataset {
     let mut d = Dataset::with_features(&["x0", "x1"]);
     for &(x0, x1) in rows {
-        d.push(vec![x0, x1], a * x0 + b * x1 + c);
+        d.push(&[x0, x1], a * x0 + b * x1 + c);
     }
     d
 }
@@ -45,7 +45,7 @@ proptest! {
         let mut d = Dataset::with_features(&["x"]);
         for _ in 0..300 {
             let x = rng.uniform_range(0.0, 10.0);
-            d.push(vec![x], (x * 1.3).sin() * 5.0 + 10.0);
+            d.push(&[x], (x * 1.3).sin() * 5.0 + 10.0);
         }
         let t = M5Tree::fit(&d, M5Params::m4());
         let (lo, hi) = d.target_range();
@@ -68,7 +68,7 @@ proptest! {
             let x = i as f64; // distinct
             let y = rng.uniform_range(0.0, 1.0);
             used.insert(i);
-            d.push(vec![x, y], (i * 3) as f64);
+            d.push(&[x, y], (i * 3) as f64);
         }
         let m = KnnRegressor::fit(&d, 1);
         for i in (0..100).step_by(7) {
@@ -84,7 +84,7 @@ proptest! {
         let mut rng = RngStream::root(seed);
         let mut d = Dataset::with_features(&["x"]);
         for _ in 0..60 {
-            d.push(vec![rng.uniform_range(0.0, 1.0)], rng.uniform_range(-3.0, 7.0));
+            d.push(&[rng.uniform_range(0.0, 1.0)], rng.uniform_range(-3.0, 7.0));
         }
         let (lo, hi) = d.target_range();
         let m = KnnRegressor::fit(&d, k);
@@ -99,7 +99,7 @@ proptest! {
     fn split_conserves(n in 10usize..300, seed in 0u64..1000) {
         let mut d = Dataset::with_features(&["x"]);
         for i in 0..n {
-            d.push(vec![i as f64], i as f64);
+            d.push(&[i as f64], i as f64);
         }
         let (tr, te) = d.split(0.66, &mut RngStream::root(seed));
         prop_assert_eq!(tr.len() + te.len(), n);

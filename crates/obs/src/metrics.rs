@@ -383,6 +383,12 @@ pub fn current() -> Option<Arc<Collector>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// Runs `f` on the collector installed on this thread, if any, without
+/// cloning its handle (the span hot path).
+pub(crate) fn with_current<R>(f: impl FnOnce(&Collector) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_deref().map(f))
+}
+
 /// Bumps `c` on the current thread's collector; no-op without one.
 pub fn add(c: Counter, delta: u64) {
     CURRENT.with(|cell| {

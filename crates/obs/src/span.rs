@@ -32,27 +32,29 @@ thread_local! {
 /// with timing on). Callers formatting dynamic span names check this
 /// first so untraced runs never pay for the `format!`.
 pub fn timing_enabled() -> bool {
-    crate::metrics::current().is_some_and(|c| c.timing())
+    crate::metrics::with_current(|c| c.timing()).unwrap_or(false)
 }
 
 /// Opens a span with a static name.
 pub fn enter(name: &'static str) -> SpanGuard {
     if !timing_enabled() {
-        return SpanGuard::disabled();
+        return SpanGuard { open: None };
     }
-    enter_owned(name.to_string())
+    let start = Instant::now();
+    enter_owned(name.to_string(), start)
 }
 
 /// Opens a span with a lazily formatted name (per-DC shards and other
 /// data-dependent spans); `f` runs only when timing is enabled.
 pub fn enter_dyn(f: impl FnOnce() -> String) -> SpanGuard {
     if !timing_enabled() {
-        return SpanGuard::disabled();
+        return SpanGuard { open: None };
     }
-    enter_owned(f())
+    let start = Instant::now();
+    enter_owned(f(), start)
 }
 
-fn enter_owned(name: String) -> SpanGuard {
+fn enter_owned(name: String, start: Instant) -> SpanGuard {
     debug_assert!(
         !name.contains('/'),
         "span names are path segments; '/' is the separator: {name:?}"
@@ -63,8 +65,7 @@ fn enter_owned(name: String) -> SpanGuard {
         s.len() - 1
     });
     SpanGuard {
-        depth: Some(depth),
-        start: Instant::now(),
+        open: Some((depth, start)),
     }
 }
 
@@ -95,24 +96,21 @@ pub fn seed_prefix(prefix: Option<String>) {
 
 /// Closes its span on drop. Obtain via [`crate::span!`], [`enter`] or
 /// [`enter_dyn`].
+///
+/// A span's interval covers its own bookkeeping (naming, the stack push
+/// and the path join) but not the wait for the collector's span map, so
+/// a parent's time splits into its children's with little left between
+/// them.
 pub struct SpanGuard {
-    depth: Option<usize>,
-    start: Instant,
-}
-
-impl SpanGuard {
-    fn disabled() -> Self {
-        SpanGuard {
-            depth: None,
-            start: Instant::now(),
-        }
-    }
+    /// Stack depth and start time; `None` when timing is off.
+    open: Option<(usize, Instant)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(depth) = self.depth else { return };
-        let elapsed_ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let Some((depth, start)) = self.open else {
+            return;
+        };
         let path = STACK.with(|s| {
             let mut s = s.borrow_mut();
             if depth >= s.len() {
@@ -124,10 +122,11 @@ impl Drop for SpanGuard {
             s.truncate(depth);
             Some(path)
         });
+        // Read before the collector's span map is locked: the map is
+        // shared with worker threads, and waiting for it is not the span's.
+        let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(path) = path {
-            if let Some(collector) = crate::metrics::current() {
-                collector.record_span(path, elapsed_ns);
-            }
+            crate::metrics::with_current(|c| c.record_span(path, elapsed_ns));
         }
     }
 }

@@ -20,7 +20,7 @@ use pamdc_ml::predictors::{PredictionTarget, PredictorSuite};
 use pamdc_perf::contention::{share_proportionally, share_work_conserving};
 use pamdc_perf::demand::required_resources;
 use pamdc_perf::rt::{evaluate, RtModelConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A scheduler's belief system: demand estimates and SLA forecasts.
 pub trait QosOracle: Send + Sync {
@@ -105,24 +105,70 @@ impl QosOracle for MonitorOracle {
 /// BF-OB: the overbooking variant (type alias of convenience).
 pub type OverbookOracle = MonitorOracle;
 
+/// Slots in [`MlOracle`]'s SLA memo (a power of two).
+const SLA_MEMO_SLOTS: usize = 4096;
+
+/// Every input [`MlOracle::sla`]'s answer depends on, as exact bit
+/// patterns: the five load features, the CPU and memory grant factors
+/// and the transport latency.
+type SlaKey = [u64; 8];
+
+/// A direct-mapped memo of SLA answers: one entry per slot, a new key
+/// evicts the old one. A hit returns the value the suite computed for
+/// bit-identical inputs, so it is exact.
+struct SlaMemo {
+    slots: Box<[Option<(SlaKey, f64)>]>,
+}
+
+impl SlaMemo {
+    fn new() -> Self {
+        SlaMemo {
+            slots: vec![None; SLA_MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    fn slot(key: &SlaKey) -> usize {
+        let mut h = 0u64;
+        for &w in key {
+            h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> (64 - SLA_MEMO_SLOTS.trailing_zeros())) as usize
+    }
+}
+
 /// ML-driven beliefs: the Table-I predictor suite.
-#[derive(Clone)]
+///
+/// `sla` memoizes its answers. The k-NN SLA query is a pure function of
+/// the key's inputs and the suite is immutable, and on a healthy fleet
+/// every host under capacity asks the same question about a VM, so most
+/// queries in a round repeat. The memo sits behind a mutex taken with
+/// `try_lock`: a caller that finds it busy (parallel shards sharing the
+/// oracle) computes the answer instead of waiting.
 pub struct MlOracle {
     suite: Arc<PredictorSuite>,
+    memo: Mutex<SlaMemo>,
+}
+
+impl Clone for MlOracle {
+    /// Shares the suite; the clone starts with an empty memo.
+    fn clone(&self) -> Self {
+        MlOracle::new(self.suite.clone())
+    }
 }
 
 impl MlOracle {
     /// Wraps a trained suite (shared: cloning the oracle shares the
     /// models, which is what parallel experiment arms want).
     pub fn new(suite: Arc<PredictorSuite>) -> Self {
-        MlOracle { suite }
+        MlOracle {
+            suite,
+            memo: Mutex::new(SlaMemo::new()),
+        }
     }
 
     /// Wraps an owned suite.
     pub fn from_suite(suite: PredictorSuite) -> Self {
-        MlOracle {
-            suite: Arc::new(suite),
-        }
+        MlOracle::new(Arc::new(suite))
     }
 
     /// Borrow the underlying suite (e.g. to print Table I).
@@ -138,6 +184,30 @@ impl MlOracle {
             vm.load.cpu_ms_per_req,
             vm.load.backlog,
         ]
+    }
+
+    /// The k-NN SLA prediction, uncached. Of the demand models only the
+    /// CPU one feeds it.
+    fn predict_sla(
+        &self,
+        load: &[f64; 5],
+        cpu_factor: f64,
+        mem_factor: f64,
+        transport_secs: f64,
+    ) -> f64 {
+        let [rps, _, _, cpu_ms_per_req, backlog] = *load;
+        let demand_cpu = self.suite.predict(PredictionTarget::VmCpu, load);
+        let granted_cpu = demand_cpu * cpu_factor;
+        let features = [
+            rps,
+            cpu_ms_per_req,
+            demand_cpu,
+            granted_cpu,
+            mem_factor,
+            backlog,
+            transport_secs,
+        ];
+        self.suite.predict(PredictionTarget::VmSla, &features)
     }
 }
 
@@ -159,7 +229,6 @@ impl QosOracle for MlOracle {
         host_total_demand: &Resources,
         transport_secs: f64,
     ) -> f64 {
-        let demand = self.demand(vm);
         // Predicted grant: proportional share of the host under the
         // tentative total demand.
         let cpu_factor = if host_total_demand.cpu > host.capacity.cpu && host_total_demand.cpu > 0.0
@@ -174,17 +243,30 @@ impl QosOracle for MlOracle {
             } else {
                 1.0
             };
-        let granted_cpu = demand.cpu * cpu_factor;
-        let features = [
-            vm.load.rps,
-            vm.load.cpu_ms_per_req,
-            demand.cpu,
-            granted_cpu,
-            mem_factor,
-            vm.load.backlog,
-            transport_secs,
+        let load = Self::load_features(vm);
+        let key: SlaKey = [
+            load[0].to_bits(),
+            load[1].to_bits(),
+            load[2].to_bits(),
+            load[3].to_bits(),
+            load[4].to_bits(),
+            cpu_factor.to_bits(),
+            mem_factor.to_bits(),
+            transport_secs.to_bits(),
         ];
-        self.suite.predict(PredictionTarget::VmSla, &features)
+        let slot = SlaMemo::slot(&key);
+        if let Ok(memo) = self.memo.try_lock() {
+            if let Some((k, sla)) = memo.slots[slot] {
+                if k == key {
+                    return sla;
+                }
+            }
+        }
+        let sla = self.predict_sla(&load, cpu_factor, mem_factor, transport_secs);
+        if let Ok(mut memo) = self.memo.try_lock() {
+            memo.slots[slot] = Some((key, sla));
+        }
+        sla
     }
 
     fn name(&self) -> &'static str {
@@ -301,6 +383,200 @@ mod tests {
         let crushed = Resources::new(1600.0, 8192.0, 100.0, 400.0);
         let bad = o.sla(&p.vms[0], host, &crushed, 0.01);
         assert!(bad < good, "contention must reduce SLA: {bad} vs {good}");
+    }
+
+    /// A Table-I suite trained on synthetic data over the ranges
+    /// `queries` uses, with targets that depend on every feature, so a
+    /// change in any input of `sla` can change its answer.
+    fn synthetic_suite() -> Arc<PredictorSuite> {
+        use pamdc_ml::dataset::Dataset;
+        use pamdc_ml::predictors::TrainedPredictor;
+        use pamdc_simcore::rng::RngStream;
+        let mut rng = RngStream::root(5);
+        let predictors = PredictionTarget::ALL
+            .iter()
+            .map(|&target| {
+                let ranges: &[f64] = match target {
+                    PredictionTarget::VmRt | PredictionTarget::VmSla => {
+                        &[300.0, 12.0, 200.0, 200.0, 1.0, 5.0, 1.0]
+                    }
+                    PredictionTarget::PmCpu => &[10.0, 400.0, 400.0],
+                    _ => &[300.0, 4.0, 14.0, 12.0, 5.0],
+                };
+                let mut d = Dataset::with_features(target.feature_names());
+                let mut row = vec![0.0; ranges.len()];
+                for _ in 0..400 {
+                    for (v, &hi) in row.iter_mut().zip(ranges) {
+                        *v = rng.uniform_range(0.0, hi);
+                    }
+                    let y = match target {
+                        PredictionTarget::VmRt | PredictionTarget::VmSla => {
+                            (row[3] / (row[2] + 1.0)).min(1.0) * row[4] * (1.0 - 0.5 * row[6])
+                                - 0.0005 * row[0]
+                                - 0.01 * row[1]
+                                - 0.02 * row[5]
+                        }
+                        _ => row
+                            .iter()
+                            .enumerate()
+                            .map(|(j, v)| (j + 1) as f64 * v)
+                            .sum(),
+                    };
+                    d.push(&row, y);
+                }
+                TrainedPredictor::train(target, &d, &mut rng)
+            })
+            .collect();
+        Arc::new(PredictorSuite::from_predictors(predictors))
+    }
+
+    /// The SLA answer as `MlOracle::sla` computed it before the memo:
+    /// all four demand predictions, then the k-NN query.
+    fn uncached_sla(
+        oracle: &MlOracle,
+        vm: &VmInfo,
+        host: &HostInfo,
+        total: &Resources,
+        transport_secs: f64,
+    ) -> f64 {
+        let demand = oracle.demand(vm);
+        let cpu_factor = if total.cpu > host.capacity.cpu && total.cpu > 0.0 {
+            host.capacity.cpu / total.cpu
+        } else {
+            1.0
+        };
+        let mem_factor = if total.mem_mb > host.capacity.mem_mb && total.mem_mb > 0.0 {
+            host.capacity.mem_mb / total.mem_mb
+        } else {
+            1.0
+        };
+        let features = [
+            vm.load.rps,
+            vm.load.cpu_ms_per_req,
+            demand.cpu,
+            demand.cpu * cpu_factor,
+            mem_factor,
+            vm.load.backlog,
+            transport_secs,
+        ];
+        oracle.suite().predict(PredictionTarget::VmSla, &features)
+    }
+
+    /// Queries that repeat, on hosts under capacity and overcommitted in
+    /// CPU, memory or both, with more distinct keys than memo slots. For
+    /// each of `sla`'s inputs, some queries differ in that input alone.
+    fn queries() -> (crate::problem::Problem, Vec<(usize, usize, Resources, f64)>) {
+        let mut p = problem(40, 3, 50.0);
+        // Groups of five VMs: the first is the group's base load, each
+        // other changes one load feature.
+        for (i, vm) in p.vms.iter_mut().enumerate() {
+            let l = &mut vm.load;
+            l.rps = 10.0 + 30.0 * (i / 5) as f64;
+            l.backlog = 1.0;
+            match i % 5 {
+                1 => l.kb_in_per_req += 2.0,
+                2 => l.kb_out_per_req += 8.0,
+                3 => l.cpu_ms_per_req += 5.0,
+                4 => l.backlog += 3.0,
+                _ => {}
+            }
+        }
+        let cap = p.hosts[0].capacity;
+        let totals = [
+            Resources::new(0.5 * cap.cpu, 0.5 * cap.mem_mb, 10.0, 10.0),
+            Resources::new(1.7 * cap.cpu, 0.5 * cap.mem_mb, 10.0, 10.0),
+            Resources::new(0.5 * cap.cpu, 2.5 * cap.mem_mb, 10.0, 10.0),
+            Resources::new(3.0 * cap.cpu, 1.2 * cap.mem_mb, 10.0, 10.0),
+        ];
+        let mut q = Vec::new();
+        for round in 0..3 {
+            for vm in 0..p.vms.len() {
+                for host in 0..p.hosts.len() {
+                    for total in totals {
+                        let transport = 0.1 + 0.2 * (vm % 3) as f64;
+                        q.push((vm, host, total, transport));
+                        if round == 0 && host == 0 {
+                            // One distinct key per (vm, total, e): more
+                            // than the memo has slots.
+                            for e in 1..=32 {
+                                q.push((vm, host, total, transport + e as f64 * 0.02));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (p, q)
+    }
+
+    #[test]
+    fn ml_oracle_memo_matches_uncached_bit_for_bit() {
+        let oracle = MlOracle::new(synthetic_suite());
+        let (p, q) = queries();
+        const { assert!(40 * 4 * 32 > SLA_MEMO_SLOTS) };
+        let mut overcommitted = 0;
+        for &(vm, host, total, transport) in &q {
+            let (vm, host) = (&p.vms[vm], &p.hosts[host]);
+            let want = uncached_sla(&oracle, vm, host, &total, transport);
+            let got = oracle.sla(vm, host, &total, transport);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "vm {:?} total {total:?}",
+                vm.id
+            );
+            overcommitted += usize::from(total.cpu > host.capacity.cpu);
+        }
+        assert!(overcommitted > 0);
+        // A clone shares the suite and starts with an empty memo.
+        let clone = oracle.clone();
+        let (vm, host, total, transport) = q[0];
+        assert_eq!(
+            clone
+                .sla(&p.vms[vm], &p.hosts[host], &total, transport)
+                .to_bits(),
+            oracle
+                .sla(&p.vms[vm], &p.hosts[host], &total, transport)
+                .to_bits()
+        );
+    }
+
+    #[test]
+    fn ml_oracle_memo_is_exact_under_concurrent_callers() {
+        let oracle = MlOracle::new(synthetic_suite());
+        let (p, q) = queries();
+        let want: Vec<u64> = q
+            .iter()
+            .map(|&(vm, host, total, t)| {
+                uncached_sla(&oracle, &p.vms[vm], &p.hosts[host], &total, t).to_bits()
+            })
+            .collect();
+        // Every worker walks the whole query list, so callers meet on
+        // the memo's lock.
+        let got = pamdc_simcore::par::parallel_map((0..8).collect(), |shift: usize| {
+            (0..q.len())
+                .map(|i| {
+                    let j = (i + shift * 37) % q.len();
+                    let (vm, host, total, t) = q[j];
+                    (
+                        j,
+                        oracle.sla(&p.vms[vm], &p.hosts[host], &total, t).to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        for (i, bits) in got.into_iter().flatten() {
+            assert_eq!(bits, want[i], "query {i}");
+        }
+        // A caller that finds the memo taken computes the answer itself.
+        let held = oracle.memo.lock().expect("memo lock");
+        for (&(vm, host, total, t), &bits) in q.iter().zip(&want).step_by(13) {
+            assert_eq!(
+                oracle.sla(&p.vms[vm], &p.hosts[host], &total, t).to_bits(),
+                bits
+            );
+        }
+        drop(held);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn online_learner_tracks_drift() {
         let rps = (i % 50) as f64 * 4.0;
         let cpu = 0.6 * rps;
         online.observe(vec![rps], cpu);
-        batch_data.push(vec![rps], cpu);
+        batch_data.push(&[rps], cpu);
     }
     let batch = LinearRegression::fit(&batch_data);
 
