@@ -16,11 +16,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pamdc_infra::ids::PmId;
-use pamdc_infra::resources::Resources;
-use pamdc_sched::bestfit::{best_fit_full_scan, best_fit_indexed};
+use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::hierarchical::{hierarchical_round, HierarchicalConfig};
-use pamdc_sched::oracle::{QosOracle, TrueOracle};
+use pamdc_sched::index::IndexMode;
+use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::{synthetic, Problem};
+use pamdc_sched::reference::best_fit_full_scan;
 use std::hint::black_box;
 
 /// A large fleet the synthetic fixture cannot express on its own:
@@ -52,7 +53,6 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("bestfit_scale");
     for (vms, hosts) in [(2000usize, 200usize), (10000, 1000)] {
         let p = fleet(vms, hosts);
-        let demands: Vec<Resources> = p.vms.iter().map(|vm| oracle.demand(vm)).collect();
         let tier = format!("{vms}x{hosts}");
         let big = vms >= 10000;
 
@@ -60,8 +60,8 @@ fn bench(c: &mut Criterion) {
         // is timed. On the big tier this is the one full-scan pass quick
         // mode still pays; it doubles as the equality check.
         if !quick || !big {
-            let full = best_fit_full_scan(&p, &oracle, &demands);
-            let indexed = best_fit_indexed(&p, &oracle, &demands);
+            let full = best_fit_full_scan(&p, &oracle);
+            let indexed = best_fit(&p, &oracle, IndexMode::Exact);
             assert_eq!(full.schedule, indexed.schedule, "{tier}: diverged");
             assert_eq!(full.overflow_count, indexed.overflow_count);
             assert_eq!(full.overflow_count, 0, "{tier}: tier must not overflow");
@@ -73,35 +73,20 @@ fn bench(c: &mut Criterion) {
             );
         }
 
-        g.bench_with_input(
-            BenchmarkId::new("indexed", &tier),
-            &(&p, &demands),
-            |b, (p, demands)| {
-                b.iter(|| {
-                    black_box(
-                        best_fit_indexed(p, &oracle, demands)
-                            .schedule
-                            .assignment
-                            .len(),
-                    )
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::new("indexed", &tier), &p, |b, p| {
+            b.iter(|| {
+                black_box(
+                    best_fit(p, &oracle, IndexMode::Exact)
+                        .schedule
+                        .assignment
+                        .len(),
+                )
+            })
+        });
         if !quick || !big {
-            g.bench_with_input(
-                BenchmarkId::new("full_scan", &tier),
-                &(&p, &demands),
-                |b, (p, demands)| {
-                    b.iter(|| {
-                        black_box(
-                            best_fit_full_scan(p, &oracle, demands)
-                                .schedule
-                                .assignment
-                                .len(),
-                        )
-                    })
-                },
-            );
+            g.bench_with_input(BenchmarkId::new("full_scan", &tier), &p, |b, p| {
+                b.iter(|| black_box(best_fit_full_scan(p, &oracle).schedule.assignment.len()))
+            });
         }
     }
     g.finish();

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pamdc_core::experiments::scaling;
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::hierarchical::{hierarchical_round, HierarchicalConfig};
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::synthetic;
 use std::hint::black_box;
@@ -20,7 +21,14 @@ fn bench(c: &mut Criterion) {
     for (vms, hosts) in [(20usize, 16usize), (80, 64), (320, 256)] {
         let problem = synthetic::problem(vms, hosts, 60.0);
         g.bench_with_input(BenchmarkId::new("flat_bestfit", vms), &problem, |b, p| {
-            b.iter(|| black_box(best_fit(p, &oracle).schedule.assignment.len()))
+            b.iter(|| {
+                black_box(
+                    best_fit(p, &oracle, IndexMode::Exact)
+                        .schedule
+                        .assignment
+                        .len(),
+                )
+            })
         });
         g.bench_with_input(BenchmarkId::new("hierarchical", vms), &problem, |b, p| {
             b.iter(|| black_box(hierarchical_round(p, &oracle, &cfg).0.assignment.len()))

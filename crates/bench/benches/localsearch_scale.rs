@@ -17,11 +17,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pamdc_infra::ids::PmId;
 use pamdc_sched::hierarchical::{hierarchical_round, HierarchicalConfig};
-use pamdc_sched::localsearch::{
-    improve_schedule_incremental, improve_schedule_reference, LocalSearchConfig,
-};
+use pamdc_sched::index::IndexMode;
+use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
+use pamdc_sched::reference::improve_schedule_reference;
 use std::hint::black_box;
 
 /// The same large single-flavor fleet as `bestfit_scale`: residency
@@ -87,7 +87,7 @@ fn bench(c: &mut Criterion) {
             let (ref_sched, ref_moves) =
                 improve_schedule_reference(&p, &oracle, start.clone(), &cfg);
             let (inc_sched, inc_moves) =
-                improve_schedule_incremental(&p, &oracle, start.clone(), &cfg);
+                improve_schedule(&p, &oracle, start.clone(), &cfg, IndexMode::Exact);
             assert_eq!(ref_moves, inc_moves, "{tier}: move counts diverged");
             assert_eq!(ref_sched, inc_sched, "{tier}: schedules diverged");
             assert!(
@@ -102,7 +102,9 @@ fn bench(c: &mut Criterion) {
             &(&p, &start),
             |b, (p, start)| {
                 b.iter(|| {
-                    black_box(improve_schedule_incremental(p, &oracle, (*start).clone(), &cfg).1)
+                    black_box(
+                        improve_schedule(p, &oracle, (*start).clone(), &cfg, IndexMode::Exact).1,
+                    )
                 })
             },
         );

@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pamdc_core::experiments::solver_scaling;
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::exact::branch_and_bound;
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
 use pamdc_sched::oracle::{QosOracle, TrueOracle};
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
@@ -94,7 +95,16 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("bestfit", format!("{vms}x{hosts}")),
             &p,
-            |b, p| b.iter(|| black_box(best_fit(p, &oracle).schedule.assignment.len())),
+            |b, p| {
+                b.iter(|| {
+                    black_box(
+                        best_fit(p, &oracle, IndexMode::Exact)
+                            .schedule
+                            .assignment
+                            .len(),
+                    )
+                })
+            },
         );
         if vms <= 6 {
             g.bench_with_input(
@@ -115,7 +125,7 @@ fn bench(c: &mut Criterion) {
         let start = pamdc_sched::baselines::round_robin(&p);
         // Both searches must agree on the result before we time them.
         let (a, moves_a) = improve_schedule_full_reference(&p, &oracle, start.clone(), &cfg);
-        let (b, moves_b) = improve_schedule(&p, &oracle, start.clone(), &cfg);
+        let (b, moves_b) = improve_schedule(&p, &oracle, start.clone(), &cfg, IndexMode::Exact);
         assert_eq!(
             moves_a, moves_b,
             "reference and incremental must accept the same moves"
@@ -137,7 +147,11 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("incremental", format!("{vms}x{hosts}")),
             &(&p, &start),
             |bench, (p, start)| {
-                bench.iter(|| black_box(improve_schedule(p, &oracle, (*start).clone(), &cfg).1))
+                bench.iter(|| {
+                    black_box(
+                        improve_schedule(p, &oracle, (*start).clone(), &cfg, IndexMode::Exact).1,
+                    )
+                })
             },
         );
     }

@@ -403,20 +403,6 @@ impl Controller {
         self.step_with_fidelity(demand, RoundFidelity::Full)
     }
 
-    /// Advances one tick; `degraded = true` plans a scheduling round
-    /// falling on this tick at the ladder's bottom rung (bestfit-only).
-    /// Binary shorthand for [`Controller::step_with_fidelity`], kept
-    /// for callers that only know the legacy two-level flag (recorded
-    /// pre-ladder sessions replay through it).
-    pub fn step_with(&mut self, demand: StepDemand<'_>, degraded: bool) -> TickOutcome {
-        let fidelity = if degraded {
-            RoundFidelity::BestFitOnly
-        } else {
-            RoundFidelity::Full
-        };
-        self.step_with_fidelity(demand, fidelity)
-    }
-
     /// Advances one tick; a scheduling round falling on this tick plans
     /// at `fidelity` — the serve daemon's deadline escape hatch (see
     /// [`RoundFidelity`] for the ladder). Placement itself is never
@@ -1246,7 +1232,12 @@ mod tests {
             let mut rounds = 0;
             for _ in 0..60 {
                 let is_round = ctl.next_step_is_round();
-                let out = ctl.step_with(StepDemand::Source, degraded);
+                let fidelity = if degraded {
+                    RoundFidelity::BestFitOnly
+                } else {
+                    RoundFidelity::Full
+                };
+                let out = ctl.step_with_fidelity(StepDemand::Source, fidelity);
                 if is_round {
                     let r = out.round.expect("round tick must report a round");
                     assert_eq!(r.degraded, degraded);
@@ -1292,7 +1283,7 @@ mod tests {
             Box::new(HierarchicalPolicy::new(TrueOracle::new())),
         );
         for _ in 0..60 {
-            ctl.step_with(StepDemand::Source, true);
+            ctl.step_with_fidelity(StepDemand::Source, RoundFidelity::BestFitOnly);
         }
         let (outcome, _) = ctl.finish(SimDuration::from_mins(60));
         let metric = |key: &str| -> f64 {

@@ -18,6 +18,7 @@ use crate::report::TextTable;
 use pamdc_obs::clock::Stopwatch;
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::hierarchical::{hierarchical_round, HierarchicalConfig};
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::synthetic;
 use pamdc_sched::profit::evaluate_schedule;
@@ -100,7 +101,7 @@ pub fn run(cfg: &ScalingConfig) -> Vec<ScalingCell> {
             let mut flat_schedule = None;
             for _ in 0..cfg.reps {
                 let t0 = Stopwatch::start();
-                let result = best_fit(&problem, &oracle);
+                let result = best_fit(&problem, &oracle, IndexMode::Exact);
                 flat_times.push(t0.elapsed_us());
                 flat_schedule = Some(result.schedule);
             }

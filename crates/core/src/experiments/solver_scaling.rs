@@ -11,6 +11,7 @@ use crate::report::TextTable;
 use pamdc_obs::clock::Stopwatch;
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::exact::{branch_and_bound_with_budget, ExactOutcome};
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::synthetic;
 
@@ -83,7 +84,7 @@ pub fn run(cfg: &ScalingConfig) -> Vec<ScalingPoint> {
             let problem = synthetic::problem(vms, hosts, cfg.rps);
 
             let t0 = Stopwatch::start();
-            let heur = best_fit(&problem, &oracle);
+            let heur = best_fit(&problem, &oracle, IndexMode::Exact);
             let bestfit_us = t0.elapsed_us();
             let heur_profit =
                 pamdc_sched::profit::evaluate_schedule(&problem, &oracle, &heur.schedule)

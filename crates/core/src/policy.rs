@@ -5,9 +5,11 @@
 //! compares against) is expressed through this one trait, so experiment
 //! drivers swap policies without touching the simulation loop.
 
+use crate::engine::RoundFidelity;
 use pamdc_sched::baselines;
-use pamdc_sched::bestfit::{best_fit_with_demands_tuned, SchedTuning};
+use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::hierarchical::{hierarchical_round, HierarchicalConfig};
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
 use pamdc_sched::oracle::QosOracle;
 use pamdc_sched::problem::{Problem, Schedule};
@@ -17,10 +19,30 @@ use std::sync::Mutex;
 /// Report-name suffix for the opt-in approximate index: policies running
 /// with near-equivalence shortlists relax the bit-identity guarantee, so
 /// every report naming them says so loudly.
-fn near_label(tuning: &SchedTuning) -> String {
-    match tuning.near_top_k {
-        Some(k) => format!("+NEAR-EQUIV(top{k})"),
-        None => String::new(),
+fn near_label(mode: IndexMode) -> String {
+    match mode {
+        IndexMode::Near { top_k } => format!("+NEAR-EQUIV(top{top_k})"),
+        IndexMode::Exact => String::new(),
+    }
+}
+
+/// The consolidation pass a ladder rung keeps: the configured one at
+/// full fidelity, a quarter of its move budget (floor 1) on the middle
+/// rung — most of the gain comes from the first few moves — and none at
+/// the bottom. Shared by every policy with a local-search pass so the
+/// ladder trims uniformly.
+fn local_search_at(
+    cfg: Option<&LocalSearchConfig>,
+    rung: RoundFidelity,
+) -> Option<LocalSearchConfig> {
+    let cfg = cfg?;
+    match rung {
+        RoundFidelity::Full => Some(cfg.clone()),
+        RoundFidelity::Trimmed => Some(LocalSearchConfig {
+            max_moves: (cfg.max_moves / 4).max(1),
+            ..cfg.clone()
+        }),
+        RoundFidelity::BestFitOnly => None,
     }
 }
 
@@ -85,8 +107,9 @@ pub struct BestFitPolicy<O: QosOracle> {
     pub oracle: O,
     /// Consolidation pass configuration (None = raw Algorithm 1 only).
     pub refine: Option<LocalSearchConfig>,
-    /// Solver tuning (dispatch threshold, opt-in near-equivalence).
-    pub tuning: SchedTuning,
+    /// Candidate-index grouping for placement and consolidation (exact
+    /// by default; near mode is the opt-in approximation).
+    pub index_mode: IndexMode,
 }
 
 impl<O: QosOracle> BestFitPolicy<O> {
@@ -95,7 +118,7 @@ impl<O: QosOracle> BestFitPolicy<O> {
         BestFitPolicy {
             oracle,
             refine: Some(LocalSearchConfig::default()),
-            tuning: SchedTuning::default(),
+            index_mode: IndexMode::Exact,
         }
     }
 
@@ -104,69 +127,36 @@ impl<O: QosOracle> BestFitPolicy<O> {
         BestFitPolicy {
             oracle,
             refine: None,
-            tuning: SchedTuning::default(),
+            index_mode: IndexMode::Exact,
+        }
+    }
+
+    /// Best-Fit, then the consolidation pass `rung` keeps.
+    fn plan(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
+        let schedule = best_fit(problem, &self.oracle, self.index_mode).schedule;
+        match local_search_at(self.refine.as_ref(), rung) {
+            Some(cfg) => improve_schedule(problem, &self.oracle, schedule, &cfg, self.index_mode).0,
+            None => schedule,
         }
     }
 }
 
 impl<O: QosOracle> PlacementPolicy for BestFitPolicy<O> {
     fn decide(&self, problem: &Problem) -> Schedule {
-        let demands: Vec<_> = problem
-            .vms
-            .iter()
-            .map(|vm| self.oracle.demand(vm))
-            .collect();
-        let schedule =
-            best_fit_with_demands_tuned(problem, &self.oracle, &demands, &self.tuning).schedule;
-        match &self.refine {
-            Some(cfg) => improve_schedule(problem, &self.oracle, schedule, cfg).0,
-            None => schedule,
-        }
+        self.plan(problem, RoundFidelity::Full)
     }
     fn decide_trimmed(&self, problem: &Problem) -> Schedule {
-        // Middle rung: consolidate, but on a quarter of the move
-        // budget — most of the gain comes from the first few moves.
-        let demands: Vec<_> = problem
-            .vms
-            .iter()
-            .map(|vm| self.oracle.demand(vm))
-            .collect();
-        let schedule =
-            best_fit_with_demands_tuned(problem, &self.oracle, &demands, &self.tuning).schedule;
-        match &self.refine {
-            Some(cfg) => {
-                let trimmed = trim_local_search(cfg);
-                improve_schedule(problem, &self.oracle, schedule, &trimmed).0
-            }
-            None => schedule,
-        }
+        self.plan(problem, RoundFidelity::Trimmed)
     }
     fn decide_degraded(&self, problem: &Problem) -> Schedule {
-        // Raw Algorithm 1: keep the placement, drop the consolidation
-        // pass (the part whose cost scales with occupied hosts).
-        let demands: Vec<_> = problem
-            .vms
-            .iter()
-            .map(|vm| self.oracle.demand(vm))
-            .collect();
-        best_fit_with_demands_tuned(problem, &self.oracle, &demands, &self.tuning).schedule
+        self.plan(problem, RoundFidelity::BestFitOnly)
     }
     fn name(&self) -> String {
         format!(
             "bestfit[{}]{}",
             self.oracle.name(),
-            near_label(&self.tuning)
+            near_label(self.index_mode)
         )
-    }
-}
-
-/// The middle-rung consolidation budget: a quarter of the configured
-/// moves (floor 1). Shared by every policy with a local-search pass so
-/// the ladder trims uniformly.
-fn trim_local_search(cfg: &LocalSearchConfig) -> LocalSearchConfig {
-    LocalSearchConfig {
-        max_moves: (cfg.max_moves / 4).max(1),
-        ..cfg.clone()
     }
 }
 
@@ -186,34 +176,33 @@ impl<O: QosOracle> HierarchicalPolicy<O> {
             config: HierarchicalConfig::default(),
         }
     }
+
+    /// Both layers place at every rung; only the consolidation pass
+    /// shrinks.
+    fn plan(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
+        let cfg = HierarchicalConfig {
+            local_search: local_search_at(self.config.local_search.as_ref(), rung),
+            ..self.config.clone()
+        };
+        hierarchical_round(problem, &self.oracle, &cfg).0
+    }
 }
 
 impl<O: QosOracle> PlacementPolicy for HierarchicalPolicy<O> {
     fn decide(&self, problem: &Problem) -> Schedule {
-        hierarchical_round(problem, &self.oracle, &self.config).0
+        self.plan(problem, RoundFidelity::Full)
     }
     fn decide_trimmed(&self, problem: &Problem) -> Schedule {
-        // Both layers still place; consolidation survives on a
-        // quarter of its move budget.
-        let cfg = HierarchicalConfig {
-            local_search: self.config.local_search.as_ref().map(trim_local_search),
-            ..self.config.clone()
-        };
-        hierarchical_round(problem, &self.oracle, &cfg).0
+        self.plan(problem, RoundFidelity::Trimmed)
     }
     fn decide_degraded(&self, problem: &Problem) -> Schedule {
-        // Both layers still place; only the consolidation pass drops.
-        let cfg = HierarchicalConfig {
-            local_search: None,
-            ..self.config.clone()
-        };
-        hierarchical_round(problem, &self.oracle, &cfg).0
+        self.plan(problem, RoundFidelity::BestFitOnly)
     }
     fn name(&self) -> String {
         format!(
             "hierarchical[{}]{}",
             self.oracle.name(),
-            near_label(&self.config.tuning)
+            near_label(self.config.index_mode)
         )
     }
 }

@@ -41,12 +41,8 @@ pub enum Counter {
     SimMigrations,
     /// VM-ticks whose satisfaction fell below 1 (any SLA shortfall).
     SimSlaViolations,
-    /// `best_fit_with_demands` invocations.
+    /// `best_fit` invocations.
     BestfitCalls,
-    /// Dispatches that took the full-scan path (< `INDEX_MIN_HOSTS`).
-    BestfitDispatchScan,
-    /// Dispatches that took the candidate-index shortlist path.
-    BestfitDispatchIndex,
     /// VMs no host could take at nonnegative marginal profit.
     BestfitOverflow,
     /// Overflow placements that still found a RAM-fitting host (the
@@ -101,14 +97,12 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::SimTicks,
         Counter::SimRounds,
         Counter::SimMigrations,
         Counter::SimSlaViolations,
         Counter::BestfitCalls,
-        Counter::BestfitDispatchScan,
-        Counter::BestfitDispatchIndex,
         Counter::BestfitOverflow,
         Counter::BestfitMemTierFallback,
         Counter::LocalsearchMovesAccepted,
@@ -138,8 +132,6 @@ impl Counter {
             Counter::SimMigrations => "sim.migrations",
             Counter::SimSlaViolations => "sim.sla_violations",
             Counter::BestfitCalls => "sched.bestfit.calls",
-            Counter::BestfitDispatchScan => "sched.bestfit.dispatch_scan",
-            Counter::BestfitDispatchIndex => "sched.bestfit.dispatch_index",
             Counter::BestfitOverflow => "sched.bestfit.overflow",
             Counter::BestfitMemTierFallback => "sched.bestfit.mem_tier_fallback",
             Counter::LocalsearchMovesAccepted => "sched.localsearch.moves_accepted",

@@ -21,7 +21,7 @@ use pamdc_green::tariff::Tariff;
 use pamdc_infra::pm::MachineSpec;
 use pamdc_infra::vm::VmSpec;
 use pamdc_ml::predictors::PredictorSuite;
-use pamdc_sched::bestfit::SchedTuning;
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::oracle::{MlOracle, MonitorOracle, TrueOracle};
 use pamdc_simcore::time::{SimDuration, SimTime};
 use pamdc_workload::import::{self, ImportOptions, TraceFormat};
@@ -269,13 +269,10 @@ pub fn build_policy(
     suite: Option<Arc<PredictorSuite>>,
 ) -> Result<Box<dyn PlacementPolicy>, SpecError> {
     let p = &spec.policy;
-    // Solver tuning: both knobs default to the compiled constants, so a
-    // spec that says nothing gets bit-identical behavior.
-    let tuning = SchedTuning {
-        index_min_hosts: p
-            .index_min_hosts
-            .unwrap_or(SchedTuning::default().index_min_hosts),
-        near_top_k: p.near_equivalence_top_k,
+    // Exact index unless the spec opts into the approximate one.
+    let index_mode = match p.near_equivalence_top_k {
+        None => IndexMode::Exact,
+        Some(top_k) => IndexMode::Near { top_k },
     };
     macro_rules! with_oracle {
         ($ctor:expr) => {
@@ -296,23 +293,17 @@ pub fn build_policy(
         PolicyKind::Static => with_oracle!(|o| Box::new(StaticPolicy(o))),
         PolicyKind::BestFit => with_oracle!(|o| {
             let mut policy = BestFitPolicy::new(o);
-            policy.tuning = tuning;
-            if let Some(refine) = policy.refine.as_mut() {
-                refine.tuning = tuning;
-            }
+            policy.index_mode = index_mode;
             Box::new(policy)
         }),
         PolicyKind::BestFitRaw => with_oracle!(|o| {
             let mut policy = BestFitPolicy::raw(o);
-            policy.tuning = tuning;
+            policy.index_mode = index_mode;
             Box::new(policy)
         }),
         PolicyKind::Hierarchical => with_oracle!(|o| {
             let mut policy = HierarchicalPolicy::new(o);
-            policy.config.tuning = tuning;
-            if let Some(ls) = policy.config.local_search.as_mut() {
-                ls.tuning = tuning;
-            }
+            policy.config.index_mode = index_mode;
             Box::new(policy)
         }),
         PolicyKind::FollowLoad => with_oracle!(|o| Box::new(FollowLoadPolicy(o))),

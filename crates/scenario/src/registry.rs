@@ -393,10 +393,9 @@ pub fn builtins() -> Vec<BuiltinSpec> {
     });
 
     // Near-equivalence index — `[policy] near_equivalence_top_k` end to
-    // end (generic path): the candidate index is forced on for this
-    // 16-host fleet (`index_min_hosts = 8`, well under the compiled
-    // default of 64) and its opt-in approximate mode scores only the
-    // top-3 hosts per coarse group. Approximation relaxes the
+    // end (generic path): on this 16-host fleet the candidate index's
+    // opt-in approximate mode scores only the top-3 hosts per coarse
+    // group. Approximation relaxes the
     // bit-identity guarantee, so the policy name in every report this
     // spec produces carries the `+NEAR-EQUIV(top3)` marker — the golden
     // snapshot pins both the label and the shortlist-hit counters.
@@ -411,7 +410,6 @@ pub fn builtins() -> Vec<BuiltinSpec> {
     near.workload.vms = 8;
     near.workload.load_scale = 0.8;
     near.policy.kind = PolicyKind::BestFit;
-    near.policy.index_min_hosts = Some(8);
     near.policy.near_equivalence_top_k = Some(3);
     near.run.hours = 8;
     out.push(BuiltinSpec {

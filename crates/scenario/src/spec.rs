@@ -456,10 +456,6 @@ pub struct PolicySpec {
     /// Planning horizon in ticks (`None` = one round, the paper's
     /// myopic choice; energy-chasing scenarios want ~60).
     pub plan_horizon_ticks: Option<u64>,
-    /// Fleet size at which the solvers switch from the exact full scan
-    /// to the candidate-index shortlist (`None` = compiled default;
-    /// either side of the switch is bit-identical).
-    pub index_min_hosts: Option<usize>,
     /// Opt into the approximate near-equivalence index, scoring up to
     /// this many hosts per coarse group. **Relaxes the bit-identity
     /// guarantee** — policies carrying it are loudly labeled in reports.
@@ -691,7 +687,6 @@ impl Default for ScenarioSpec {
                 kind: PolicyKind::Hierarchical,
                 oracle: OracleKind::True,
                 plan_horizon_ticks: None,
-                index_min_hosts: None,
                 near_equivalence_top_k: None,
             },
             run: RunSpec::default(),
@@ -1095,10 +1090,6 @@ impl ScenarioSpec {
                 spec.policy.oracle = OracleKind::from_name(&oracle)?;
             }
             spec.policy.plan_horizon_ticks = t.take_u64("plan_horizon_ticks")?;
-            spec.policy.index_min_hosts = t.take_usize("index_min_hosts")?;
-            if spec.policy.index_min_hosts == Some(0) {
-                return Err(bad("policy.index_min_hosts must be >= 1"));
-            }
             spec.policy.near_equivalence_top_k = t.take_usize("near_equivalence_top_k")?;
             if spec.policy.near_equivalence_top_k == Some(0) {
                 return Err(bad("policy.near_equivalence_top_k must be >= 1"));
@@ -1649,9 +1640,6 @@ impl ScenarioSpec {
         if let Some(h) = self.policy.plan_horizon_ticks {
             policy.insert("plan_horizon_ticks".into(), Value::Int(h as i64));
         }
-        if let Some(m) = self.policy.index_min_hosts {
-            policy.insert("index_min_hosts".into(), Value::Int(m as i64));
-        }
         if let Some(k) = self.policy.near_equivalence_top_k {
             policy.insert("near_equivalence_top_k".into(), Value::Int(k as i64));
         }
@@ -1850,10 +1838,6 @@ pub fn sweepable_params() -> BTreeMap<&'static str, &'static str> {
         ("policy.kind", "placement policy"),
         ("policy.oracle", "belief source"),
         (
-            "policy.index_min_hosts",
-            "candidate-index dispatch threshold",
-        ),
-        (
             "policy.near_equivalence_top_k",
             "approximate shortlist width (opt-in)",
         ),
@@ -1901,7 +1885,6 @@ mod tests {
         spec.policy.kind = PolicyKind::BestFit;
         spec.policy.oracle = OracleKind::Ml;
         spec.policy.plan_horizon_ticks = Some(60);
-        spec.policy.index_min_hosts = Some(32);
         spec.policy.near_equivalence_top_k = Some(3);
         spec.run.hours = 6;
         spec.profile = ProfileSpec {
@@ -2192,6 +2175,20 @@ mod tests {
         assert!(ScenarioSpec::parse("nam = \"typo\"").is_err());
         assert!(ScenarioSpec::parse("[workload]\nvmz = 3").is_err());
         assert!(ScenarioSpec::parse("[experiment]\nkind = \"fig99\"").is_err());
+    }
+
+    #[test]
+    fn retired_index_min_hosts_is_rejected_by_name() {
+        // The candidate index serves every fleet size, so the old
+        // dispatch threshold has nothing left to tune: a spec still
+        // setting it must fail loudly, not run as if it were honored.
+        let err = ScenarioSpec::parse("[policy]\nindex_min_hosts = 8").unwrap_err();
+        assert!(
+            err.0
+                .contains("unknown key \"index_min_hosts\" in [policy]"),
+            "{}",
+            err.0
+        );
     }
 
     #[test]

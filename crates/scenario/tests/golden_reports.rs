@@ -17,6 +17,7 @@
 
 use pamdc_scenario::registry;
 use pamdc_scenario::runner::{run_spec, SpecReport};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -57,9 +58,65 @@ fn check(name: &str) {
     });
     assert!(
         encoded == want,
-        "{name}: quick-mode report diverged from the golden snapshot.\n\
-         --- got ---\n{encoded}\n--- want ---\n{want}"
+        "{name}: quick-mode report diverged from the golden snapshot.\n{}",
+        diff(&encoded, &want)
     );
+}
+
+/// Lines of `a` that `b` lacks, counted as a multiset, in `a`'s order.
+fn only_in<'a>(a: &'a str, b: &str) -> Vec<&'a str> {
+    let mut pool: BTreeMap<&str, usize> = BTreeMap::new();
+    for line in b.lines() {
+        *pool.entry(line).or_default() += 1;
+    }
+    a.lines()
+        .filter(|line| match pool.get_mut(line) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
+            }
+            _ => true,
+        })
+        .collect()
+}
+
+/// Whether a metric row or report-text line carries an `obs.*` metric,
+/// bare or behind an arm prefix (`dynamic_obs.sim.ticks`).
+fn is_obs(line: &str) -> bool {
+    let key = line.split_whitespace().next().unwrap_or_default();
+    key.starts_with("obs.") || key.contains("_obs.")
+}
+
+/// The differing lines of two encoded reports, `obs.*` rows apart from
+/// domain rows (every other metric and the report text), each with its
+/// count — so a change that only touches observability reads as such at
+/// a glance. The `metrics` count header follows from the row lists and
+/// is left out.
+fn diff(got: &str, want: &str) -> String {
+    let (removed, added) = (only_in(want, got), only_in(got, want));
+    let mut out = String::new();
+    for (label, obs) in [("obs.*", true), ("domain", false)] {
+        let pick = |lines: &[&'_ str]| -> Vec<String> {
+            lines
+                .iter()
+                .filter(|l| is_obs(l) == obs && !l.starts_with("metrics\t"))
+                .map(|l| l.to_string())
+                .collect()
+        };
+        let (gone, new) = (pick(&removed), pick(&added));
+        out.push_str(&format!(
+            "{label} rows: {} only in the golden, {} only in this run\n",
+            gone.len(),
+            new.len()
+        ));
+        for line in gone {
+            out.push_str(&format!("- {line}\n"));
+        }
+        for line in new {
+            out.push_str(&format!("+ {line}\n"));
+        }
+    }
+    out
 }
 
 macro_rules! golden {

@@ -76,9 +76,6 @@ fn assemble(
     if hours % 2 == 0 {
         spec.policy.plan_horizon_ticks = Some(hours % 90);
     }
-    if hours % 5 == 0 {
-        spec.policy.index_min_hosts = Some(1 + (hours as usize % 512));
-    }
     if hours % 7 == 0 {
         spec.policy.near_equivalence_top_k = Some(1 + (oracle_i % 8));
     }

@@ -16,66 +16,19 @@
 //! RAM-overcommitted one, because CPU/network contention degrades
 //! gracefully while memory exhaustion does not.
 //!
-//! ## Two implementations, one answer
-//!
-//! [`best_fit_full_scan`] is the literal Algorithm 1 inner loop: score
-//! every (VM, host) pair. [`best_fit_indexed`] consults the bucketed
-//! free-capacity [`CandidateIndex`](crate::index::CandidateIndex)
-//! instead, scoring one representative per host-equivalence group — the
-//! shortlist contains *all* hosts that fit (plus the overflow tiers when
-//! nothing does), so the two produce **bit-identical** schedules (see
-//! `tests/shortlist_equivalence.rs`). [`best_fit_with_demands`]
-//! dispatches on fleet size: paper-scale problems (every golden report)
-//! take the full scan verbatim; fleets of [`INDEX_MIN_HOSTS`] hosts or
-//! more take the index.
+//! Candidates come from the bucketed free-capacity
+//! [`CandidateIndex`](crate::index::CandidateIndex): one representative
+//! is scored per host-equivalence group, which is the paper's §IV-C
+//! "considering only once identical empty host machines" made exact.
+//! The literal Algorithm 1 scan lives in [`crate::reference`], the
+//! oracle `tests/shortlist_equivalence.rs` holds this module to.
 
 use crate::index::IndexMode;
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
-use crate::profit::{marginal_profit, marginal_profit_hoisted, PlacementScore, PlacementState};
+use crate::profit::{marginal_profit_hoisted, PlacementScore, PlacementState};
 use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::resources::Resources;
-
-/// Fleets at least this large take the indexed shortlist path; smaller
-/// ones keep the exact full scan (same answers either way — the
-/// threshold trades index upkeep against scan width).
-pub const INDEX_MIN_HOSTS: usize = 64;
-
-/// Shared solver tuning, threaded from the `[policy]` spec table down
-/// into Best-Fit and the consolidation pass. The defaults reproduce the
-/// untuned entry points bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchedTuning {
-    /// Fleet size at which the solvers switch from the exact full scan
-    /// to the candidate index (both sides of the switch produce the
-    /// same schedule).
-    pub index_min_hosts: usize,
-    /// `Some(k)`: opt into the approximate near-equivalence index —
-    /// demand bits leave the group key, so heterogeneous fleets bucket
-    /// into few groups, and up to `k` members per group are scored.
-    /// **Relaxes the bit-identity guarantee**; policies carrying it are
-    /// loudly labeled in reports. `None` (default) keeps exact mode.
-    pub near_top_k: Option<usize>,
-}
-
-impl Default for SchedTuning {
-    fn default() -> Self {
-        SchedTuning {
-            index_min_hosts: INDEX_MIN_HOSTS,
-            near_top_k: None,
-        }
-    }
-}
-
-impl SchedTuning {
-    /// The index mode these knobs select.
-    pub fn index_mode(&self) -> IndexMode {
-        match self.near_top_k {
-            None => IndexMode::Exact,
-            Some(k) => IndexMode::Near { top_k: k.max(1) },
-        }
-    }
-}
 
 /// Outcome of one Best-Fit run.
 #[derive(Clone, Debug)]
@@ -92,50 +45,10 @@ pub struct BestFitResult {
     pub scored_candidates: usize,
 }
 
-/// Runs descending Best-Fit over the problem under the oracle's beliefs.
-pub fn best_fit(problem: &Problem, oracle: &dyn QosOracle) -> BestFitResult {
-    let demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
-    best_fit_with_demands(problem, oracle, &demands)
-}
-
-/// [`best_fit`] over shared precomputed believed demands — callers that
-/// already queried the oracle once per VM this round (the hierarchical
-/// scheduler, the consolidation pass) pass them through instead of
-/// paying the oracle again. Dispatches between the exact full scan and
-/// the indexed shortlist on [`INDEX_MIN_HOSTS`].
-pub fn best_fit_with_demands(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-) -> BestFitResult {
-    best_fit_with_demands_tuned(problem, oracle, demands, &SchedTuning::default())
-}
-
-/// [`best_fit_with_demands`] under explicit [`SchedTuning`]: the
-/// dispatch threshold and the (opt-in, approximate) near-equivalence
-/// index come from the knobs instead of the compiled defaults. The
-/// default tuning is bit-identical to [`best_fit_with_demands`].
-pub fn best_fit_with_demands_tuned(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-    tuning: &SchedTuning,
-) -> BestFitResult {
-    pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitCalls, 1);
-    if problem.hosts.len() >= tuning.index_min_hosts {
-        pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitDispatchIndex, 1);
-        best_fit_indexed_mode(problem, oracle, demands, tuning.index_mode())
-    } else {
-        pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitDispatchScan, 1);
-        best_fit_full_scan(problem, oracle, demands)
-    }
-}
-
-/// Shared prologue: input checks and Algorithm 1's
-/// `order_by_demand(..., desc)` — VMs by decreasing believed demand,
-/// normalized against the largest host so the components are
-/// commensurable.
-fn descending_order(problem: &Problem, demands: &[Resources]) -> Vec<usize> {
+/// Algorithm 1's `order_by_demand(..., desc)` — VMs by decreasing
+/// believed demand, normalized against the largest host so the
+/// components are commensurable — after the input checks.
+pub(crate) fn descending_order(problem: &Problem, demands: &[Resources]) -> Vec<usize> {
     assert!(
         !problem.hosts.is_empty(),
         "best-fit needs at least one candidate host"
@@ -159,7 +72,7 @@ fn descending_order(problem: &Problem, demands: &[Resources]) -> Vec<usize> {
     order
 }
 
-fn zero_scores(n: usize) -> Vec<PlacementScore> {
+pub(crate) fn zero_scores(n: usize) -> Vec<PlacementScore> {
     vec![
         PlacementScore {
             sla: 0.0,
@@ -172,111 +85,9 @@ fn zero_scores(n: usize) -> Vec<PlacementScore> {
     ]
 }
 
-/// The reference implementation: Algorithm 1 with its literal
-/// O(VMs × hosts) inner loop. Kept callable at any size — it is the
-/// oracle the indexed path is property-tested against and the baseline
-/// the scaling bench times.
-pub fn best_fit_full_scan(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-) -> BestFitResult {
-    let _span = pamdc_obs::span!("bestfit_scan");
-    let order = descending_order(problem, demands);
-
-    let mut state = PlacementState::new(problem);
-    let mut assignment = vec![problem.hosts[0].id; problem.vms.len()];
-    let mut scores = zero_scores(problem.vms.len());
-    let mut overflow_count = 0;
-    let mut mem_tier_hits: u64 = 0;
-    let mut scored_candidates = 0;
-
-    let current_host_idx: Vec<Option<usize>> = problem
-        .vms
-        .iter()
-        .map(|vm| vm.current_pm.and_then(|pm| problem.host_index(pm)))
-        .collect();
-
-    for &vm_idx in &order {
-        let mut best_fit_choice: Option<(usize, PlacementScore)> = None;
-        let mut best_any: Option<(usize, PlacementScore)> = None;
-        let mut best_mem_ok: Option<(usize, PlacementScore)> = None;
-        let mut stay_choice: Option<(usize, PlacementScore)> = None;
-        for host_idx in 0..problem.hosts.len() {
-            let score = marginal_profit(problem, oracle, &state, vm_idx, host_idx);
-            scored_candidates += 1;
-            let fits = state.fits(problem, host_idx, &demands[vm_idx]);
-            if fits && current_host_idx[vm_idx] == Some(host_idx) {
-                stay_choice = Some((host_idx, score));
-            }
-            if fits
-                && best_fit_choice
-                    .as_ref()
-                    .is_none_or(|(_, b)| score.profit() > b.profit())
-            {
-                best_fit_choice = Some((host_idx, score));
-            }
-            // Overflow fallback tiers: a host whose RAM still holds the
-            // VM beats any RAM-overcommitted one — memory is the one
-            // resource contention cannot stretch. On memory-unconstrained
-            // rounds every host passes this test, so the tiering changes
-            // nothing (same scan order, same comparisons).
-            if state.fits_memory(problem, host_idx, &demands[vm_idx])
-                && best_mem_ok
-                    .as_ref()
-                    .is_none_or(|(_, b)| score.profit() > b.profit())
-            {
-                best_mem_ok = Some((host_idx, score));
-            }
-            if best_any
-                .as_ref()
-                .is_none_or(|(_, b)| score.profit() > b.profit())
-            {
-                best_any = Some((host_idx, score));
-            }
-        }
-        // Hysteresis: staying put wins unless the challenger clears the
-        // stickiness margin. Without it, per-tick load noise flips
-        // near-tied profit comparisons and the fleet churns (migrations
-        // are far more expensive in reality than in expectation).
-        if let (Some((stay_hi, stay_score)), Some((best_hi, best_score))) =
-            (&stay_choice, &best_fit_choice)
-        {
-            if best_hi != stay_hi
-                && best_score.profit() - stay_score.profit() <= problem.stickiness_eur
-            {
-                best_fit_choice = stay_choice;
-            }
-        }
-        let (host_idx, score) = match best_fit_choice {
-            Some(choice) => choice,
-            None => {
-                overflow_count += 1;
-                if best_mem_ok.is_some() {
-                    mem_tier_hits += 1;
-                }
-                best_mem_ok.or(best_any).expect("at least one host")
-            }
-        };
-        state.assign(problem, host_idx, demands[vm_idx]);
-        assignment[vm_idx] = problem.hosts[host_idx].id;
-        scores[vm_idx] = score;
-    }
-
-    flush_overflow_counters(overflow_count, mem_tier_hits);
-    let schedule = Schedule { assignment };
-    schedule.validate(problem);
-    BestFitResult {
-        schedule,
-        scores,
-        overflow_count,
-        scored_candidates,
-    }
-}
-
 /// Tallied per call, flushed once — overflow is rare, but the counters
 /// stay off the placement hot path entirely.
-fn flush_overflow_counters(overflow_count: usize, mem_tier_hits: u64) {
+pub(crate) fn flush_overflow_counters(overflow_count: usize, mem_tier_hits: u64) {
     if overflow_count > 0 {
         pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitOverflow, overflow_count as u64);
         pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitMemTierFallback, mem_tier_hits);
@@ -298,53 +109,30 @@ fn take_better(best: &mut Option<(usize, PlacementScore)>, cand: (usize, Placeme
     }
 }
 
-/// Descending Best-Fit over the bucketed free-capacity index: per VM,
-/// candidate groups come from a range scan instead of the full fleet,
-/// and each group is scored once through its lowest-indexed member not
-/// currently hosting the VM (all members share the score bit-for-bit;
-/// the current host is scored individually because its profit carries no
-/// migration term). Produces the same schedule, scores and overflow
-/// count as [`best_fit_full_scan`] on any input.
-pub fn best_fit_indexed(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-) -> BestFitResult {
-    best_fit_indexed_mode(problem, oracle, demands, IndexMode::Exact)
-}
-
-/// [`best_fit_indexed`] over the coarse near-equivalence index: demand
-/// bits leave the group key, so heterogeneous fleets still bucket into
-/// few groups, and up to `top_k` members per group are checked and
-/// scored individually. **Approximate** — the scored shortlist may miss
-/// the true best host, so the bit-identity guarantee of the exact index
-/// does not hold. Opt-in via [`SchedTuning::near_top_k`].
-pub fn best_fit_indexed_near(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-    top_k: usize,
-) -> BestFitResult {
-    best_fit_indexed_mode(
-        problem,
-        oracle,
-        demands,
-        IndexMode::Near {
-            top_k: top_k.max(1),
-        },
-    )
-}
-
-fn best_fit_indexed_mode(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    demands: &[Resources],
-    mode: IndexMode,
-) -> BestFitResult {
+/// Runs descending Best-Fit over the problem under the oracle's beliefs.
+///
+/// Per VM, candidate groups come from a range scan of the index instead
+/// of the full fleet. In [`IndexMode::Exact`] each group is scored once
+/// through its lowest-indexed member not currently hosting the VM (all
+/// members share the score bit-for-bit; the current host is scored
+/// individually because its profit carries no migration term), so the
+/// schedule, scores and overflow count equal those of
+/// [`crate::reference::best_fit_full_scan`] on any input. [`IndexMode::Near`] scores up to `top_k` members of each
+/// coarse group instead — **approximate**: the shortlist may miss the
+/// true best host.
+pub fn best_fit(problem: &Problem, oracle: &dyn QosOracle, mode: IndexMode) -> BestFitResult {
+    pamdc_obs::metrics::add(pamdc_obs::Counter::BestfitCalls, 1);
     let _span = pamdc_obs::span!("bestfit_index");
-    let order = descending_order(problem, demands);
+    let demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
+    let order = descending_order(problem, &demands);
+    // Members scored per group: the exact index's groups are
+    // bit-identical, so one representative speaks for all of them.
+    let (near, per_group) = match mode {
+        IndexMode::Exact => (false, 1),
+        IndexMode::Near { top_k } => (true, top_k.max(1)),
+    };
 
-    let mut state = PlacementState::with_candidate_index_mode(problem, mode);
+    let mut state = PlacementState::with_candidate_index(problem, mode);
     let mut near_groups: u64 = 0;
     let mut assignment = vec![problem.hosts[0].id; problem.vms.len()];
     let mut scores = zero_scores(problem.vms.len());
@@ -352,16 +140,14 @@ fn best_fit_indexed_mode(
     let mut mem_tier_hits: u64 = 0;
     let mut scored_candidates = 0;
 
-    // Hot per-VM placement state, hoisted as struct-of-arrays: the full
-    // scan re-derives the current-host index, the oracle demand and the
-    // per-location transport inside its pair loop; here each is computed
-    // once per VM (or per location) and read by every candidate.
+    // Hot per-VM placement state, hoisted: the current-host index and
+    // the per-location transport are computed once per VM (or per
+    // location) and read by every candidate.
     let current_host_idx: Vec<Option<usize>> = problem
         .vms
         .iter()
         .map(|vm| vm.current_pm.and_then(|pm| problem.host_index(pm)))
         .collect();
-    let oracle_demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
     let max_loc = problem
         .hosts
         .iter()
@@ -370,100 +156,52 @@ fn best_fit_indexed_mode(
         .expect("at least one host");
     // Per-location transport scratch, refilled lazily per VM.
     let mut transport: Vec<f64> = vec![f64::NAN; max_loc + 1];
-    let mut transport_vm = usize::MAX;
 
     for &vm_idx in &order {
-        let fit_demand = &demands[vm_idx];
-        let score_demand = oracle_demands[vm_idx];
+        let demand = demands[vm_idx];
         let cur = current_host_idx[vm_idx];
-        if transport_vm != vm_idx {
-            transport.iter_mut().for_each(|t| *t = f64::NAN);
-            transport_vm = vm_idx;
-        }
-        let mut transport_to = |host_idx: usize| -> f64 {
+        transport.iter_mut().for_each(|t| *t = f64::NAN);
+        let mut score = |state: &PlacementState, host_idx: usize| -> PlacementScore {
             let loc = problem.hosts[host_idx].location;
-            let cached = transport[loc.index()];
-            if cached.is_nan() {
-                let t = weighted_transport_secs(&problem.vms[vm_idx].flows, loc, &problem.net);
+            let mut t = transport[loc.index()];
+            if t.is_nan() {
+                t = weighted_transport_secs(&problem.vms[vm_idx].flows, loc, &problem.net);
                 transport[loc.index()] = t;
-                t
-            } else {
-                cached
             }
+            scored_candidates += 1;
+            marginal_profit_hoisted(problem, oracle, state, vm_idx, host_idx, demand, t)
         };
 
         let mut best_fit_choice: Option<(usize, PlacementScore)> = None;
         let mut stay_choice: Option<(usize, PlacementScore)> = None;
 
         // Phase 1: hosts that fit. The range scan may yield groups that
-        // only bucket-fit; one exact check per group settles it (fitting
-        // is uniform within a group).
-        {
-            let index = state.candidate_index().expect("index enabled");
-            for members in index.fitting_groups(fit_demand) {
-                match mode {
-                    IndexMode::Exact => {
-                        let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != cur) else {
-                            continue; // the VM's own host is scored below
-                        };
-                        if !state.fits(problem, rep, fit_demand) {
-                            continue;
-                        }
-                        let score = marginal_profit_hoisted(
-                            problem,
-                            oracle,
-                            &state,
-                            vm_idx,
-                            rep,
-                            score_demand,
-                            transport_to(rep),
-                        );
-                        scored_candidates += 1;
-                        take_better(&mut best_fit_choice, (rep, score));
-                    }
-                    IndexMode::Near { top_k } => {
-                        // Members only share coarse buckets, not exact
-                        // free capacity: check and score each of the
-                        // first `top_k` candidates individually.
-                        near_groups += 1;
-                        for &hi in members.iter().filter(|&&hi| Some(hi) != cur).take(top_k) {
-                            if !state.fits(problem, hi, fit_demand) {
-                                continue;
-                            }
-                            let score = marginal_profit_hoisted(
-                                problem,
-                                oracle,
-                                &state,
-                                vm_idx,
-                                hi,
-                                score_demand,
-                                transport_to(hi),
-                            );
-                            scored_candidates += 1;
-                            take_better(&mut best_fit_choice, (hi, score));
-                        }
-                    }
+        // only bucket-fit; each candidate's exact check settles it.
+        let index = state.candidate_index().expect("index enabled");
+        for members in index.fitting_groups(&demand) {
+            near_groups += u64::from(near);
+            for &hi in members
+                .iter()
+                .filter(|&&hi| Some(hi) != cur)
+                .take(per_group)
+            {
+                if state.fits(problem, hi, &demand) {
+                    take_better(&mut best_fit_choice, (hi, score(&state, hi)));
                 }
             }
         }
         if let Some(cur_hi) = cur {
-            if state.fits(problem, cur_hi, fit_demand) {
-                let score = marginal_profit_hoisted(
-                    problem,
-                    oracle,
-                    &state,
-                    vm_idx,
-                    cur_hi,
-                    score_demand,
-                    transport_to(cur_hi),
-                );
-                scored_candidates += 1;
-                stay_choice = Some((cur_hi, score));
-                take_better(&mut best_fit_choice, (cur_hi, score));
+            if state.fits(problem, cur_hi, &demand) {
+                let s = score(&state, cur_hi);
+                stay_choice = Some((cur_hi, s));
+                take_better(&mut best_fit_choice, (cur_hi, s));
             }
         }
 
-        // Hysteresis, identical to the full scan.
+        // Hysteresis: staying put wins unless the challenger clears the
+        // stickiness margin. Without it, per-tick load noise flips
+        // near-tied profit comparisons and the fleet churns (migrations
+        // are far more expensive in reality than in expectation).
         if let (Some((stay_hi, stay_score)), Some((best_hi, best_score))) =
             (&stay_choice, &best_fit_choice)
         {
@@ -474,74 +212,32 @@ fn best_fit_indexed_mode(
             }
         }
 
-        let (host_idx, score) = match best_fit_choice {
+        let (host_idx, chosen) = match best_fit_choice {
             Some(choice) => choice,
             None => {
-                // Overflow: nothing fits. Score every group once and
-                // keep the full scan's tiers — RAM-fitting hosts beat
-                // any RAM-overcommitted one.
+                // Overflow: nothing fits, so constraint 1 (every VM
+                // placed) outranks capacity. Score every group and keep
+                // two tiers: a host whose RAM still holds the VM beats
+                // any RAM-overcommitted one — memory is the one resource
+                // contention cannot stretch.
                 overflow_count += 1;
                 let mut best_mem_ok: Option<(usize, PlacementScore)> = None;
                 let mut best_any: Option<(usize, PlacementScore)> = None;
                 let index = state.candidate_index().expect("index enabled");
-                for members in index.all_groups() {
-                    match mode {
-                        IndexMode::Exact => {
-                            let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != cur)
-                            else {
-                                continue;
-                            };
-                            let score = marginal_profit_hoisted(
-                                problem,
-                                oracle,
-                                &state,
-                                vm_idx,
-                                rep,
-                                score_demand,
-                                transport_to(rep),
-                            );
-                            scored_candidates += 1;
-                            if state.fits_memory(problem, rep, fit_demand) {
-                                take_better(&mut best_mem_ok, (rep, score));
-                            }
-                            take_better(&mut best_any, (rep, score));
-                        }
-                        IndexMode::Near { top_k } => {
-                            near_groups += 1;
-                            for &hi in members.iter().filter(|&&hi| Some(hi) != cur).take(top_k) {
-                                let score = marginal_profit_hoisted(
-                                    problem,
-                                    oracle,
-                                    &state,
-                                    vm_idx,
-                                    hi,
-                                    score_demand,
-                                    transport_to(hi),
-                                );
-                                scored_candidates += 1;
-                                if state.fits_memory(problem, hi, fit_demand) {
-                                    take_better(&mut best_mem_ok, (hi, score));
-                                }
-                                take_better(&mut best_any, (hi, score));
-                            }
-                        }
+                let others = index.all_groups().flat_map(|members| {
+                    near_groups += u64::from(near);
+                    members
+                        .iter()
+                        .copied()
+                        .filter(|&hi| Some(hi) != cur)
+                        .take(per_group)
+                });
+                for hi in others.chain(cur) {
+                    let s = score(&state, hi);
+                    if state.fits_memory(problem, hi, &demand) {
+                        take_better(&mut best_mem_ok, (hi, s));
                     }
-                }
-                if let Some(cur_hi) = cur {
-                    let score = marginal_profit_hoisted(
-                        problem,
-                        oracle,
-                        &state,
-                        vm_idx,
-                        cur_hi,
-                        score_demand,
-                        transport_to(cur_hi),
-                    );
-                    scored_candidates += 1;
-                    if state.fits_memory(problem, cur_hi, fit_demand) {
-                        take_better(&mut best_mem_ok, (cur_hi, score));
-                    }
-                    take_better(&mut best_any, (cur_hi, score));
+                    take_better(&mut best_any, (hi, s));
                 }
                 if best_mem_ok.is_some() {
                     mem_tier_hits += 1;
@@ -549,9 +245,9 @@ fn best_fit_indexed_mode(
                 best_mem_ok.or(best_any).expect("at least one host")
             }
         };
-        state.assign(problem, host_idx, demands[vm_idx]);
+        state.assign(problem, host_idx, demand);
         assignment[vm_idx] = problem.hosts[host_idx].id;
-        scores[vm_idx] = score;
+        scores[vm_idx] = chosen;
     }
 
     flush_overflow_counters(overflow_count, mem_tier_hits);
@@ -576,6 +272,10 @@ mod tests {
     use crate::profit::evaluate_schedule;
     use pamdc_infra::ids::PmId;
 
+    fn exact(p: &Problem, o: &dyn QosOracle) -> BestFitResult {
+        best_fit(p, o, IndexMode::Exact)
+    }
+
     #[test]
     fn light_load_consolidates_onto_current_host() {
         // 3 light VMs already on host 0 with *local* clients; migrating
@@ -587,7 +287,7 @@ mod tests {
                 f.source = home;
             }
         }
-        let r = best_fit(&p, &TrueOracle::new());
+        let r = exact(&p, &TrueOracle::new());
         assert_eq!(r.schedule.assignment, vec![PmId(0); 3]);
         assert_eq!(r.schedule.migration_count(&p), 0);
         assert_eq!(r.overflow_count, 0);
@@ -597,7 +297,7 @@ mod tests {
     fn heavy_load_deconsolidates() {
         // 4 heavy VMs cannot share one Atom; the true oracle spreads them.
         let p = problem(4, 4, 500.0);
-        let r = best_fit(&p, &TrueOracle::new());
+        let r = exact(&p, &TrueOracle::new());
         let distinct: std::collections::BTreeSet<_> = r.schedule.assignment.iter().collect();
         assert!(
             distinct.len() >= 3,
@@ -610,7 +310,7 @@ mod tests {
     fn respects_capacity_when_possible() {
         let p = problem(6, 6, 300.0);
         let o = TrueOracle::new();
-        let r = best_fit(&p, &o);
+        let r = exact(&p, &o);
         assert_eq!(r.overflow_count, 0);
         // Believed demand per host fits capacity.
         let per_host = r.schedule.demand_per_host(&p, |vm| o.demand(vm));
@@ -623,7 +323,7 @@ mod tests {
     fn overflow_still_places_everyone() {
         // 10 giant VMs, 1 host: everything overflows but is placed.
         let p = problem(10, 1, 700.0);
-        let r = best_fit(&p, &TrueOracle::new());
+        let r = exact(&p, &TrueOracle::new());
         assert_eq!(r.schedule.assignment.len(), 10);
         assert!(r.overflow_count > 0);
     }
@@ -632,7 +332,7 @@ mod tests {
     fn beats_or_matches_naive_spread_on_profit() {
         let p = problem(4, 4, 120.0);
         let o = TrueOracle::new();
-        let bf = best_fit(&p, &o);
+        let bf = exact(&p, &o);
         let spread = Schedule {
             assignment: (0..4).map(PmId::from_index).collect(),
         };
@@ -654,8 +354,8 @@ mod tests {
         for vm in &mut p.vms {
             vm.observed_usage = vm.observed_usage * 0.4;
         }
-        let plain = best_fit(&p, &MonitorOracle::plain());
-        let truth = best_fit(&p, &TrueOracle::new());
+        let plain = exact(&p, &MonitorOracle::plain());
+        let truth = exact(&p, &TrueOracle::new());
         let hosts_plain: std::collections::BTreeSet<_> = plain.schedule.assignment.iter().collect();
         let hosts_truth: std::collections::BTreeSet<_> = truth.schedule.assignment.iter().collect();
         assert!(
@@ -672,21 +372,17 @@ mod tests {
     #[test]
     fn deterministic_given_same_input() {
         let p = problem(5, 4, 200.0);
-        let a = best_fit(&p, &TrueOracle::new());
-        let b = best_fit(&p, &TrueOracle::new());
+        let a = exact(&p, &TrueOracle::new());
+        let b = exact(&p, &TrueOracle::new());
         assert_eq!(a.schedule, b.schedule);
     }
 
     #[test]
-    fn large_fleets_dispatch_to_the_index_and_agree() {
-        // 80 hosts ≥ INDEX_MIN_HOSTS: best_fit takes the indexed path.
+    fn index_agrees_with_the_full_scan_and_scores_fewer_candidates() {
         let p = problem(30, 80, 180.0);
         let o = TrueOracle::new();
-        let demands: Vec<Resources> = p.vms.iter().map(|vm| o.demand(vm)).collect();
-        let dispatched = best_fit(&p, &o);
-        let indexed = best_fit_indexed(&p, &o, &demands);
-        let full = best_fit_full_scan(&p, &o, &demands);
-        assert_eq!(dispatched.schedule, indexed.schedule);
+        let indexed = exact(&p, &o);
+        let full = crate::reference::best_fit_full_scan(&p, &o);
         assert_eq!(indexed.schedule, full.schedule);
         assert_eq!(indexed.scores, full.scores);
         assert_eq!(indexed.overflow_count, full.overflow_count);
@@ -696,16 +392,5 @@ mod tests {
             indexed.scored_candidates,
             full.scored_candidates
         );
-    }
-
-    #[test]
-    fn small_fleets_keep_the_full_scan() {
-        let p = problem(4, 8, 200.0);
-        let o = TrueOracle::new();
-        let demands: Vec<Resources> = p.vms.iter().map(|vm| o.demand(vm)).collect();
-        let dispatched = best_fit(&p, &o);
-        let full = best_fit_full_scan(&p, &o, &demands);
-        assert_eq!(dispatched.scored_candidates, full.scored_candidates);
-        assert_eq!(dispatched.schedule, full.schedule);
     }
 }

@@ -432,7 +432,7 @@ mod tests {
         for (vms, hosts, rps) in [(1usize, 1usize, 30.0), (4, 4, 120.0), (6, 8, 400.0)] {
             let p = problem(vms, hosts, rps);
             let o = TrueOracle::new();
-            let s = crate::bestfit::best_fit(&p, &o).schedule;
+            let s = crate::bestfit::best_fit(&p, &o, crate::index::IndexMode::Exact).schedule;
             let full = evaluate_schedule(&p, &o, &s);
             let inc = ScheduleEvaluator::new(&p, &o, &s);
             assert!(

@@ -247,7 +247,7 @@ mod tests {
             let p = problem(vms, hosts, rps);
             let o = TrueOracle::new();
             let exact = branch_and_bound(&p, &o);
-            let heur = best_fit(&p, &o);
+            let heur = best_fit(&p, &o, crate::index::IndexMode::Exact);
             let heur_eval = evaluate_schedule(&p, &o, &heur.schedule);
             assert!(
                 exact.eval.profit_eur >= heur_eval.profit_eur - 1e-9,

@@ -47,37 +47,12 @@ impl Default for FilterConfig {
 
 /// VM indices whose estimated SLA *in place* is below the keep
 /// threshold — the candidates a DC offers to the global scheduler —
-/// plus every VM that has no current host.
+/// plus every VM with no host. `current_host` is the per-VM placement
+/// to judge (`None` = unplaced): the hierarchical round passes its
+/// post-local effective placement instead of cloning the whole
+/// `Problem` to rewrite `current_pm`. `believed` must describe the same
+/// placement.
 pub fn vms_needing_attention(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    cfg: &FilterConfig,
-) -> Vec<usize> {
-    let believed = BelievedTotals::from_current_placement(problem, oracle);
-    vms_needing_attention_with(problem, oracle, cfg, &believed)
-}
-
-/// [`vms_needing_attention`] over shared precomputed believed totals
-/// (the hierarchical round computes them once for both filters).
-pub fn vms_needing_attention_with(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    cfg: &FilterConfig,
-    believed: &BelievedTotals,
-) -> Vec<usize> {
-    let current_host: Vec<Option<usize>> = problem
-        .vms
-        .iter()
-        .map(|vm| vm.current_pm.and_then(|pm| problem.host_index(pm)))
-        .collect();
-    vms_needing_attention_placed(problem, oracle, cfg, believed, &current_host)
-}
-
-/// [`vms_needing_attention_with`] under an explicit per-VM placement
-/// (`None` = unplaced): the hierarchical round passes its post-local
-/// effective placement instead of cloning the whole `Problem` just to
-/// rewrite `current_pm`. `believed` must describe the same placement.
-pub fn vms_needing_attention_placed(
     problem: &Problem,
     oracle: &dyn QosOracle,
     cfg: &FilterConfig,
@@ -128,16 +103,6 @@ pub fn vms_needing_attention_placed(
 /// signature).
 pub fn hosts_worth_offering(
     problem: &Problem,
-    oracle: &dyn QosOracle,
-    cfg: &FilterConfig,
-) -> Vec<usize> {
-    let believed = BelievedTotals::from_current_placement(problem, oracle);
-    hosts_worth_offering_with(problem, cfg, &believed)
-}
-
-/// [`hosts_worth_offering`] over shared precomputed believed totals.
-pub fn hosts_worth_offering_with(
-    problem: &Problem,
     cfg: &FilterConfig,
     believed: &BelievedTotals,
 ) -> Vec<usize> {
@@ -149,7 +114,6 @@ pub fn hosts_worth_offering_with(
     let mut seen_empty: Vec<(u32, u64)> = Vec::new(); // (dc, capacity hash)
     let mut out = Vec::new();
     for (hi, host) in problem.hosts.iter().enumerate() {
-        let free = host.capacity.saturating_sub(&totals[hi]);
         let headroom = 1.0 - totals[hi].dominant_share(&host.capacity);
         if headroom < cfg.min_headroom_frac {
             continue; // almost full
@@ -162,7 +126,6 @@ pub fn hosts_worth_offering_with(
             }
             seen_empty.push((host.dc.0, sig));
         }
-        let _ = free;
         out.push(hi);
     }
     out
@@ -181,47 +144,14 @@ fn capacity_signature(host: &HostInfo) -> u64 {
         .wrapping_add(q(host.capacity.net_out_kbps))
 }
 
-/// Builds the reduced sub-problem over selected VMs and hosts. VMs *not*
-/// selected but currently residing on a selected host become part of that
-/// host's fixed demand.
-pub fn reduced_problem(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    vm_indices: &[usize],
-    host_indices: &[usize],
-) -> (Problem, Vec<usize>) {
-    let demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
-    reduced_problem_with_demands(problem, &demands, vm_indices, host_indices)
-}
-
-/// [`reduced_problem`] over shared precomputed believed demands (one
-/// oracle query per VM per round instead of per caller).
-pub fn reduced_problem_with_demands(
-    problem: &Problem,
-    demands: &[Resources],
-    vm_indices: &[usize],
-    host_indices: &[usize],
-) -> (Problem, Vec<usize>) {
-    let current_pm: Vec<Option<PmId>> = problem.vms.iter().map(|vm| vm.current_pm).collect();
-    let current_location: Vec<Option<LocationId>> =
-        problem.vms.iter().map(|vm| vm.current_location).collect();
-    reduced_problem_placed(
-        problem,
-        demands,
-        vm_indices,
-        host_indices,
-        &current_pm,
-        &current_location,
-    )
-}
-
-/// [`reduced_problem_with_demands`] under an explicit per-VM placement:
-/// unselected residents fold into fixed demand by their *effective*
-/// host, and the cloned round-VMs carry the effective `current_pm` /
+/// Builds the reduced sub-problem over selected VMs and hosts under an
+/// explicit per-VM placement. VMs *not* selected but residing on a
+/// selected host (by `current_pm`) fold into that host's fixed demand,
+/// and the cloned round-VMs carry the given `current_pm` /
 /// `current_location` — so the hierarchical round can build its global
 /// sub-problem from the post-local placement without cloning and
 /// rewriting the whole `Problem` first.
-pub fn reduced_problem_placed(
+pub fn reduced_problem(
     problem: &Problem,
     demands: &[Resources],
     vm_indices: &[usize],
@@ -282,6 +212,32 @@ mod tests {
     use crate::problem::synthetic::problem;
     use pamdc_infra::ids::PmId;
 
+    /// Believed totals under each VM's `current_pm`, and that placement.
+    fn in_place(p: &Problem) -> (BelievedTotals, Vec<Option<usize>>) {
+        let o = TrueOracle::new();
+        let demands = p.vms.iter().map(|vm| o.demand(vm)).collect();
+        let host_of: Vec<Option<usize>> = p
+            .vms
+            .iter()
+            .map(|vm| vm.current_pm.and_then(|pm| p.host_index(pm)))
+            .collect();
+        (
+            BelievedTotals::from_placement(p, demands, &host_of),
+            host_of,
+        )
+    }
+
+    fn attention(p: &Problem) -> Vec<usize> {
+        let (believed, host_of) = in_place(p);
+        vms_needing_attention(
+            p,
+            &TrueOracle::new(),
+            &FilterConfig::default(),
+            &believed,
+            &host_of,
+        )
+    }
+
     #[test]
     fn happy_vms_are_kept_out() {
         // Light load on host 0 with local clients: everything is fine,
@@ -293,7 +249,7 @@ mod tests {
                 f.source = home;
             }
         }
-        let need = vms_needing_attention(&p, &TrueOracle::new(), &FilterConfig::default());
+        let need = attention(&p);
         assert!(need.is_empty(), "light VMs should be left alone: {need:?}");
     }
 
@@ -302,7 +258,7 @@ mod tests {
         // 5 heavy VMs piled on host 0: SLA collapses, all become
         // candidates.
         let p = problem(5, 4, 400.0);
-        let need = vms_needing_attention(&p, &TrueOracle::new(), &FilterConfig::default());
+        let need = attention(&p);
         assert_eq!(need.len(), 5);
     }
 
@@ -310,7 +266,7 @@ mod tests {
     fn unplaced_vms_always_need_attention() {
         let mut p = problem(2, 4, 20.0);
         p.vms[1].current_pm = None;
-        let need = vms_needing_attention(&p, &TrueOracle::new(), &FilterConfig::default());
+        let need = attention(&p);
         assert_eq!(need, vec![1]);
     }
 
@@ -322,7 +278,7 @@ mod tests {
         for vm in &mut p.vms {
             vm.current_pm = Some(PmId(0));
         }
-        let offered = hosts_worth_offering(&p, &TrueOracle::new(), &FilterConfig::default());
+        let offered = hosts_worth_offering(&p, &FilterConfig::default(), &in_place(&p).0);
         assert!(!offered.contains(&0), "crushed host must not be offered");
         // Empty twins: host 4 shares DC0 with host 0; hosts 1..4 (powered
         // off, empty) each get one representative; their twins 5,6,7 are
@@ -343,10 +299,19 @@ mod tests {
     #[test]
     fn reduced_problem_folds_residents() {
         let p = problem(3, 2, 100.0);
-        let o = TrueOracle::new();
+        let (believed, _) = in_place(&p);
+        let current_pm: Vec<_> = p.vms.iter().map(|vm| vm.current_pm).collect();
+        let current_location: Vec<_> = p.vms.iter().map(|vm| vm.current_location).collect();
         // Keep only VM 1 in the round; hosts both. VMs 0 and 2 stay as
         // fixed demand on host 0.
-        let (sub, mapping) = reduced_problem(&p, &o, &[1], &[0, 1]);
+        let (sub, mapping) = reduced_problem(
+            &p,
+            &believed.demands,
+            &[1],
+            &[0, 1],
+            &current_pm,
+            &current_location,
+        );
         assert_eq!(sub.vms.len(), 1);
         assert_eq!(mapping, vec![1]);
         assert_eq!(sub.hosts[0].fixed_vm_count, 2);

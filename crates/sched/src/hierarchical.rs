@@ -27,11 +27,9 @@
 //! bit-identical at any worker count — cross-DC delocation still happens
 //! only in the global pass over the shard summaries, exactly as before.
 
-use crate::bestfit::{best_fit_with_demands_tuned, SchedTuning};
-use crate::filter::{
-    hosts_worth_offering_with, reduced_problem_placed, reduced_problem_with_demands,
-    vms_needing_attention_placed, FilterConfig,
-};
+use crate::bestfit::best_fit;
+use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention, FilterConfig};
+use crate::index::IndexMode;
 use crate::localsearch::{improve_schedule, LocalSearchConfig};
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
@@ -50,10 +48,9 @@ pub struct HierarchicalConfig {
     /// when the full objective — including idle hosts emptied and
     /// migration blackouts — strictly improves.
     pub local_search: Option<LocalSearchConfig>,
-    /// Solver tuning threaded into every Best-Fit pass of the round
-    /// (intra-DC shards, global pass, fallback). The consolidation pass
-    /// carries its own copy inside `local_search`.
-    pub tuning: SchedTuning,
+    /// Candidate-index grouping for every solver pass of the round
+    /// (intra-DC shards, global pass, fallback, consolidation).
+    pub index_mode: IndexMode,
 }
 
 impl Default for HierarchicalConfig {
@@ -61,7 +58,7 @@ impl Default for HierarchicalConfig {
         HierarchicalConfig {
             filter: FilterConfig::default(),
             local_search: Some(LocalSearchConfig::default()),
-            tuning: SchedTuning::default(),
+            index_mode: IndexMode::Exact,
         }
     }
 }
@@ -89,10 +86,10 @@ pub fn hierarchical_round(
     cfg: &HierarchicalConfig,
 ) -> (Schedule, RoundStats) {
     let _span = pamdc_obs::span!("hier");
-    // Believed demand per VM: queried once here, shared by the intra-DC
-    // passes, both filters, the global pass and the fallback. (A VM's
-    // believed demand does not depend on its placement, so the vector
-    // stays valid all round.)
+    // Believed demand per VM: queried once here, shared by both filters
+    // and by every sub-problem's fixed-demand folding. (A VM's believed
+    // demand does not depend on its placement, so the vector stays
+    // valid all round.)
     let demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
 
     // ------------------------------------------------------------------
@@ -113,7 +110,9 @@ pub fn hierarchical_round(
     // bit-identical to the old sequential loop at any worker count.
     let shards: Vec<(DcId, Vec<usize>)> = by_dc.into_iter().collect();
     let shard_count = shards.len();
-    let tuning = cfg.tuning;
+    let current_pm: Vec<Option<PmId>> = problem.vms.iter().map(|vm| vm.current_pm).collect();
+    let current_loc: Vec<Option<LocationId>> =
+        problem.vms.iter().map(|vm| vm.current_location).collect();
     let shard_results = {
         let _intra = pamdc_obs::span!("intra");
         pamdc_simcore::par::parallel_map(shards, |(dc, vm_indices)| {
@@ -123,10 +122,15 @@ pub fn hierarchical_round(
             let host_indices: Vec<usize> = (0..problem.hosts.len())
                 .filter(|&hi| problem.hosts[hi].dc == dc)
                 .collect();
-            let (sub, mapping) =
-                reduced_problem_with_demands(problem, &demands, &vm_indices, &host_indices);
-            let sub_demands: Vec<Resources> = mapping.iter().map(|&vi| demands[vi]).collect();
-            let result = best_fit_with_demands_tuned(&sub, oracle, &sub_demands, &tuning);
+            let (sub, mapping) = reduced_problem(
+                problem,
+                &demands,
+                &vm_indices,
+                &host_indices,
+                &current_pm,
+                &current_loc,
+            );
+            let result = best_fit(&sub, oracle, cfg.index_mode);
             (mapping, result.schedule.assignment)
         })
     };
@@ -142,9 +146,7 @@ pub fn hierarchical_round(
     // vectors — a placement-only snapshot — instead of cloning and
     // rewriting the whole `Problem` (hosts, VMs, profiles), which at
     // fleet scale cost more than the passes it fed.
-    let mut eff_pm: Vec<Option<PmId>> = problem.vms.iter().map(|vm| vm.current_pm).collect();
-    let mut eff_loc: Vec<Option<LocationId>> =
-        problem.vms.iter().map(|vm| vm.current_location).collect();
+    let (mut eff_pm, mut eff_loc) = (current_pm, current_loc);
     for (vi, slot) in assignment.iter().enumerate() {
         if let Some(pm) = slot {
             eff_pm[vi] = Some(*pm);
@@ -164,15 +166,14 @@ pub fn hierarchical_round(
     // ------------------------------------------------------------------
     let interface_span = pamdc_obs::span!("interface");
     let believed = BelievedTotals::from_placement(problem, demands.clone(), &eff_host);
-    let mut candidates =
-        vms_needing_attention_placed(problem, oracle, &cfg.filter, &believed, &eff_host);
+    let mut candidates = vms_needing_attention(problem, oracle, &cfg.filter, &believed, &eff_host);
     for vi in homeless {
         if !candidates.contains(&vi) {
             candidates.push(vi);
         }
     }
     candidates.sort_unstable();
-    let offers = hosts_worth_offering_with(problem, &cfg.filter, &believed);
+    let offers = hosts_worth_offering(problem, &cfg.filter, &believed);
     drop(interface_span);
 
     let stats = RoundStats {
@@ -189,9 +190,8 @@ pub fn hierarchical_round(
     if !candidates.is_empty() && !offers.is_empty() {
         let _global = pamdc_obs::span!("global");
         let (sub, mapping) =
-            reduced_problem_placed(problem, &demands, &candidates, &offers, &eff_pm, &eff_loc);
-        let sub_demands: Vec<Resources> = mapping.iter().map(|&vi| demands[vi]).collect();
-        let result = best_fit_with_demands_tuned(&sub, oracle, &sub_demands, &tuning);
+            reduced_problem(problem, &demands, &candidates, &offers, &eff_pm, &eff_loc);
+        let result = best_fit(&sub, oracle, cfg.index_mode);
         for (sub_vi, &orig_vi) in mapping.iter().enumerate() {
             assignment[orig_vi] = Some(result.schedule.assignment[sub_vi]);
         }
@@ -201,7 +201,7 @@ pub fn hierarchical_round(
     // to a plain global Best-Fit over everything.
     if assignment.iter().any(Option::is_none) {
         let _fallback = pamdc_obs::span!("fallback");
-        let fallback = best_fit_with_demands_tuned(problem, oracle, &demands, &tuning);
+        let fallback = best_fit(problem, oracle, cfg.index_mode);
         for (vi, slot) in assignment.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(fallback.schedule.assignment[vi]);
@@ -223,7 +223,7 @@ pub fn hierarchical_round(
     let mut stats = stats;
     if let Some(ls) = &cfg.local_search {
         let _consolidate = pamdc_obs::span!("consolidate");
-        let (improved, moves) = improve_schedule(problem, oracle, schedule, ls);
+        let (improved, moves) = improve_schedule(problem, oracle, schedule, ls, cfg.index_mode);
         schedule = improved;
         stats.consolidation_moves = moves;
     }

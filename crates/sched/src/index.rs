@@ -160,7 +160,7 @@ impl CandidateIndex {
     /// (`demand[hi]`, raw, excluding hypervisor overhead) and assigned-VM
     /// counts, grouping hosts per `mode`. Class ids are assigned
     /// first-seen in host order, so construction is deterministic.
-    pub(crate) fn new_with_mode(
+    pub(crate) fn new(
         problem: &Problem,
         demand: &[Resources],
         counts: &[usize],
@@ -309,7 +309,7 @@ mod tests {
         // boot-free, so: 4 locations × (on/off splits only host 0's
         // location) = 5 static classes, each one group while empty.
         let p = problem(1, 64, 50.0);
-        let state = PlacementState::with_candidate_index(&p);
+        let state = PlacementState::with_candidate_index(&p, IndexMode::Exact);
         let ix = state.candidate_index().expect("index enabled");
         assert_eq!(ix.class_count(), 5);
         assert_eq!(ix.group_count(), 5);
@@ -322,7 +322,7 @@ mod tests {
         // mode keeps them merged.
         let p = problem(2, 64, 50.0);
         let run = |mode: IndexMode| {
-            let mut state = PlacementState::with_candidate_index_mode(&p, mode);
+            let mut state = PlacementState::with_candidate_index(&p, mode);
             // Hosts 5 and 9 share a class (9 % 4 == 5 % 4); the demands
             // differ by far less than a bucket quantum.
             state.assign(&p, 5, Resources::new(3.0, 16.0, 1.0, 1.0));
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn assignment_splits_a_group() {
         let p = problem(2, 64, 50.0);
-        let mut state = PlacementState::with_candidate_index(&p);
+        let mut state = PlacementState::with_candidate_index(&p, IndexMode::Exact);
         let before = state.candidate_index().unwrap().group_count();
         let d = Resources::new(30.0, 256.0, 10.0, 10.0);
         // Host 5 leaves its empty-twin group.
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn fitting_groups_never_skip_a_fitting_host() {
         let p = problem(4, 64, 300.0);
-        let mut state = PlacementState::with_candidate_index(&p);
+        let mut state = PlacementState::with_candidate_index(&p, IndexMode::Exact);
         state.assign(&p, 0, Resources::new(350.0, 3000.0, 100.0, 100.0));
         state.assign(&p, 7, Resources::new(120.0, 512.0, 50.0, 50.0));
         for demand in [
@@ -382,7 +382,7 @@ mod tests {
         // Two near-identical but not bit-identical demands must land
         // their hosts in different groups.
         let p = problem(2, 64, 50.0);
-        let mut state = PlacementState::with_candidate_index(&p);
+        let mut state = PlacementState::with_candidate_index(&p, IndexMode::Exact);
         let before = state.candidate_index().unwrap().group_count();
         state.assign(&p, 5, Resources::new(30.0, 256.0, 10.0, 10.0));
         state.assign(&p, 9, Resources::new(30.0 + 1e-12, 256.0, 10.0, 10.0));

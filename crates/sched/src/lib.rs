@@ -9,9 +9,10 @@
 //! ([`filter`]), the incremental schedule evaluator that makes the
 //! consolidation pass cheap ([`evaluator`]), the bucketed free-capacity
 //! candidate index that keeps Best-Fit sub-linear on planet-scale fleets
-//! ([`index`]) and the two-layer
-//! hierarchical multi-DC scheduler that is the paper's headline
-//! contribution ([`hierarchical`]).
+//! ([`index`]), the two-layer hierarchical multi-DC scheduler that is
+//! the paper's headline contribution ([`hierarchical`]), and the literal
+//! reference loops the indexed solvers are tested against
+//! ([`reference`]).
 
 pub mod baselines;
 pub mod bestfit;
@@ -24,32 +25,24 @@ pub mod localsearch;
 pub mod oracle;
 pub mod problem;
 pub mod profit;
+pub mod reference;
 
 /// Common imports.
 pub mod prelude {
     pub use crate::baselines::{
         cheapest_energy, first_fit, follow_the_load, round_robin, static_schedule,
     };
-    pub use crate::bestfit::{
-        best_fit, best_fit_full_scan, best_fit_indexed, best_fit_indexed_near,
-        best_fit_with_demands, best_fit_with_demands_tuned, BestFitResult, SchedTuning,
-        INDEX_MIN_HOSTS,
-    };
+    pub use crate::bestfit::{best_fit, BestFitResult};
     pub use crate::evaluator::ScheduleEvaluator;
     pub use crate::exact::{
         branch_and_bound, branch_and_bound_with_budget, ExactOutcome, ExactResult,
     };
     pub use crate::filter::{
-        hosts_worth_offering, hosts_worth_offering_with, reduced_problem, reduced_problem_placed,
-        reduced_problem_with_demands, vms_needing_attention, vms_needing_attention_placed,
-        vms_needing_attention_with, FilterConfig,
+        hosts_worth_offering, reduced_problem, vms_needing_attention, FilterConfig,
     };
     pub use crate::hierarchical::{hierarchical_round, HierarchicalConfig, RoundStats};
     pub use crate::index::{CandidateIndex, IndexMode};
-    pub use crate::localsearch::{
-        improve_schedule, improve_schedule_incremental, improve_schedule_reference,
-        LocalSearchConfig,
-    };
+    pub use crate::localsearch::{improve_schedule, LocalSearchConfig};
     pub use crate::oracle::{MlOracle, MonitorOracle, QosOracle, TrueOracle};
     pub use crate::problem::{HostInfo, Problem, Schedule, VmInfo};
     pub use crate::profit::{

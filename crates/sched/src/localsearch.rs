@@ -15,31 +15,20 @@
 //! Because every accepted move must beat its own migration penalty, the
 //! pass is self-damping — no churn.
 //!
-//! ## Two implementations, one answer
-//!
-//! [`improve_schedule_reference`] is the literal steepest-ascent loop:
-//! after every accepted move it rescans all (VM, host) pairs. Each pair
-//! is cheap — the [`crate::evaluator::ScheduleEvaluator`] scores a move
-//! by visiting only the two touched hosts — but the rescan itself is
-//! O(V·H) per move, which is what kept consolidation disabled at the
-//! 10000×1000 bench tier.
-//!
-//! [`improve_schedule_incremental`] exploits the same locality one level
-//! up: a move from host `a` to host `b` only changes the gains of pairs
-//! *touching* `a` or `b`. It keeps, per VM, the best qualifying
-//! candidate move, and after an accepted move re-scores only (1) VMs
-//! resident on the two touched hosts (their cached revenue changed, so
-//! every gain of theirs is stale), (2) other VMs' candidates *toward*
-//! the touched hosts, and (3) VMs whose stored best aimed at a touched
-//! host. Per-VM rescans shortlist destinations through the bucketed
-//! [`crate::index::CandidateIndex`] instead of scanning all hosts:
-//! groups failing the (group-uniform) memory and headroom guards are
-//! skipped wholesale with one check, and empty groups are scored through
-//! one representative. The result is **bit-identical** to the reference
-//! loop (see `tests/localsearch_equivalence.rs`); [`improve_schedule`]
-//! dispatches on fleet size exactly like Best-Fit does.
+//! The pass is incremental: a move from host `a` to host `b` only
+//! changes the gains of pairs *touching* `a` or `b`. It keeps, per VM,
+//! the best qualifying candidate move, and after an accepted move
+//! re-scores only (1) VMs resident on the two touched hosts (their
+//! cached revenue changed, so every gain of theirs is stale), (2) other
+//! VMs' candidates *toward* the touched hosts, and (3) VMs whose stored
+//! best aimed at a touched host. Per-VM rescans shortlist destinations
+//! through the bucketed [`crate::index::CandidateIndex`] instead of
+//! scanning all hosts: groups failing the (group-uniform) memory and
+//! headroom guards are skipped wholesale with one check, and empty
+//! groups are scored through one representative. The literal
+//! full-rescan loop lives in [`crate::reference`], the oracle
+//! `tests/localsearch_equivalence.rs` holds this module to.
 
-use crate::bestfit::SchedTuning;
 use crate::evaluator::ScheduleEvaluator;
 use crate::index::{CandidateIndex, IndexMode};
 use crate::oracle::QosOracle;
@@ -60,11 +49,6 @@ pub struct LocalSearchConfig {
     /// packing to 100% of the *current* estimate trades real SLA for
     /// estimated energy.
     pub max_util_after_move: f64,
-    /// Shared placement tuning: `index_min_hosts` picks between the
-    /// reference rescan and the incremental indexed path (both produce
-    /// the same schedule), `near_top_k` opts the per-VM shortlist into
-    /// the approximate near-equivalence index.
-    pub tuning: SchedTuning,
 }
 
 impl Default for LocalSearchConfig {
@@ -73,94 +57,8 @@ impl Default for LocalSearchConfig {
             max_moves: 16,
             min_gain_eur: 1e-6,
             max_util_after_move: 0.45,
-            tuning: SchedTuning::default(),
         }
     }
-}
-
-/// Steepest-ascent single-VM relocation until no move clears the gain
-/// threshold. Returns the improved schedule and the number of moves
-/// applied. Dispatches on fleet size: paper-scale problems take the
-/// reference rescan loop verbatim, fleets of `tuning.index_min_hosts`
-/// hosts or more take the incremental candidate-maintenance path (same
-/// schedule either way).
-pub fn improve_schedule(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    schedule: Schedule,
-    cfg: &LocalSearchConfig,
-) -> (Schedule, usize) {
-    if problem.hosts.len() >= cfg.tuning.index_min_hosts {
-        improve_schedule_incremental(problem, oracle, schedule, cfg)
-    } else {
-        improve_schedule_reference(problem, oracle, schedule, cfg)
-    }
-}
-
-/// The reference implementation: full (VM, host) rescan after every
-/// accepted move. Kept callable at any size — it is the oracle the
-/// incremental path is property-tested against and the baseline the
-/// scaling bench times.
-pub fn improve_schedule_reference(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    schedule: Schedule,
-    cfg: &LocalSearchConfig,
-) -> (Schedule, usize) {
-    let _span = pamdc_obs::span!("localsearch");
-    let mut eval = ScheduleEvaluator::new(problem, oracle, &schedule);
-    let mut moves = 0;
-    // Candidates that cleared the gain threshold; all but the applied
-    // ones count as rejected. Tallied locally, flushed once — the inner
-    // loop pays one integer add.
-    let mut cleared: u64 = 0;
-
-    while moves < cfg.max_moves {
-        let mut best: Option<(usize, usize, f64)> = None; // (vm, host, gain)
-        for vi in 0..problem.vms.len() {
-            let from = eval.host_of(vi);
-            for (hi, host) in problem.hosts.iter().enumerate() {
-                if hi == from {
-                    continue;
-                }
-                // Hard feasibility: a move that overcommits the
-                // destination's RAM is not a candidate at any gain —
-                // memory does not contend, it evicts. (The headroom
-                // guard below subsumes this at its default 45%, but the
-                // constraint must hold under any configuration.)
-                if !eval.move_fits_memory(vi, hi) {
-                    continue;
-                }
-                // Headroom guard on the destination.
-                let mut after = eval.host_total(hi);
-                after += *eval.demand(vi);
-                after.cpu += host.virt_overhead_cpu_per_vm;
-                if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
-                    continue;
-                }
-                let gain = eval.move_gain(vi, hi);
-                if gain > cfg.min_gain_eur {
-                    cleared += 1;
-                    if best.as_ref().is_none_or(|&(_, _, bg)| gain > bg) {
-                        best = Some((vi, hi, gain));
-                    }
-                }
-            }
-        }
-        match best {
-            Some((vi, hi, _)) => {
-                eval.apply_move(vi, hi);
-                moves += 1;
-            }
-            None => break,
-        }
-    }
-    pamdc_obs::metrics::add(pamdc_obs::Counter::LocalsearchMovesAccepted, moves as u64);
-    pamdc_obs::metrics::add(
-        pamdc_obs::Counter::LocalsearchMovesRejected,
-        cleared.saturating_sub(moves as u64),
-    );
-    (eval.schedule(), moves)
 }
 
 /// Work tallies of one incremental run, flushed into the metrics
@@ -179,24 +77,24 @@ struct IncStats {
     near_groups: u64,
 }
 
-/// Incremental steepest ascent: per-VM best-candidate maintenance plus
-/// index-shortlisted rescans. Bit-identical to
-/// [`improve_schedule_reference`] on any input (property-tested); the
-/// work counters differ because the paths genuinely do different work.
-pub fn improve_schedule_incremental(
+/// Steepest-ascent single-VM relocation until no move clears the gain
+/// threshold. Returns the improved schedule and the number of moves
+/// applied. In [`IndexMode::Exact`] the result is bit-identical to
+/// [`crate::reference::improve_schedule_reference`] on any input
+/// (property-tested; the work counters differ because the paths do
+/// different work). [`IndexMode::Near`] shortlists up to `top_k`
+/// members per coarse group — approximate.
+pub fn improve_schedule(
     problem: &Problem,
     oracle: &dyn QosOracle,
     schedule: Schedule,
     cfg: &LocalSearchConfig,
+    mode: IndexMode,
 ) -> (Schedule, usize) {
     let _span = pamdc_obs::span!("localsearch");
     let mut eval = ScheduleEvaluator::new(problem, oracle, &schedule);
     let n_vms = problem.vms.len();
-    let mode = match cfg.tuning.near_top_k {
-        None => IndexMode::Exact,
-        Some(k) => IndexMode::Near { top_k: k.max(1) },
-    };
-    let mut index = CandidateIndex::new_with_mode(problem, eval.raw_demands(), eval.counts(), mode);
+    let mut index = CandidateIndex::new(problem, eval.raw_demands(), eval.counts(), mode);
     let mut stats = IncStats::default();
 
     // best[vi] = the VM's best qualifying move (destination, gain):
@@ -452,6 +350,7 @@ mod tests {
     use crate::oracle::TrueOracle;
     use crate::problem::synthetic::problem;
     use crate::profit::evaluate_schedule;
+    use crate::reference::improve_schedule_reference;
     use pamdc_infra::ids::PmId;
 
     #[test]
@@ -474,7 +373,13 @@ mod tests {
             assignment: vec![PmId(0), PmId(4)],
         };
         let before = evaluate_schedule(&p, &o, &spread);
-        let (improved, moves) = improve_schedule(&p, &o, spread, &LocalSearchConfig::default());
+        let (improved, moves) = improve_schedule(
+            &p,
+            &o,
+            spread,
+            &LocalSearchConfig::default(),
+            IndexMode::Exact,
+        );
         let after = evaluate_schedule(&p, &o, &improved);
         assert!(moves >= 1, "light VMs must consolidate");
         assert!(after.profit_eur > before.profit_eur);
@@ -486,9 +391,15 @@ mod tests {
         for rps in [20.0, 200.0, 500.0] {
             let p = problem(4, 8, rps);
             let o = TrueOracle::new();
-            let start = crate::bestfit::best_fit(&p, &o).schedule;
+            let start = crate::bestfit::best_fit(&p, &o, IndexMode::Exact).schedule;
             let before = evaluate_schedule(&p, &o, &start).profit_eur;
-            let (improved, _) = improve_schedule(&p, &o, start, &LocalSearchConfig::default());
+            let (improved, _) = improve_schedule(
+                &p,
+                &o,
+                start,
+                &LocalSearchConfig::default(),
+                IndexMode::Exact,
+            );
             let after = evaluate_schedule(&p, &o, &improved).profit_eur;
             assert!(after >= before - 1e-12, "{after} < {before} at rps {rps}");
         }
@@ -506,8 +417,13 @@ mod tests {
         let spread = Schedule {
             assignment: vec![PmId(0), PmId(1)],
         };
-        let (improved, moves) =
-            improve_schedule(&p, &o, spread.clone(), &LocalSearchConfig::default());
+        let (improved, moves) = improve_schedule(
+            &p,
+            &o,
+            spread.clone(),
+            &LocalSearchConfig::default(),
+            IndexMode::Exact,
+        );
         assert_eq!(moves, 0);
         assert_eq!(improved, spread);
     }
@@ -521,12 +437,12 @@ mod tests {
             max_moves: 1,
             ..Default::default()
         };
-        let (_, moves) = improve_schedule(&p, &o, start, &cfg);
+        let (_, moves) = improve_schedule(&p, &o, start, &cfg, IndexMode::Exact);
         assert!(moves <= 1);
     }
 
     #[test]
-    fn incremental_matches_reference_on_small_fleets() {
+    fn matches_reference_on_small_fleets() {
         for rps in [10.0, 120.0, 420.0] {
             let p = problem(6, 12, rps);
             let o = TrueOracle::new();
@@ -536,20 +452,24 @@ mod tests {
                 ..Default::default()
             };
             let (a, am) = improve_schedule_reference(&p, &o, start.clone(), &cfg);
-            let (b, bm) = improve_schedule_incremental(&p, &o, start, &cfg);
+            let (b, bm) = improve_schedule(&p, &o, start, &cfg, IndexMode::Exact);
             assert_eq!(am, bm, "move counts at rps {rps}");
             assert_eq!(a, b, "schedules at rps {rps}");
         }
     }
 
     #[test]
-    fn large_fleets_dispatch_to_the_incremental_path_and_agree() {
-        // 80 hosts ≥ the default index_min_hosts: improve_schedule takes
-        // the incremental path; the reference must agree bit-for-bit.
+    fn matches_reference_on_large_fleets() {
         let p = problem(24, 80, 25.0);
         let o = TrueOracle::new();
         let start = crate::baselines::round_robin(&p);
-        let (a, am) = improve_schedule(&p, &o, start.clone(), &LocalSearchConfig::default());
+        let (a, am) = improve_schedule(
+            &p,
+            &o,
+            start.clone(),
+            &LocalSearchConfig::default(),
+            IndexMode::Exact,
+        );
         let (b, bm) = improve_schedule_reference(&p, &o, start, &LocalSearchConfig::default());
         assert_eq!(am, bm);
         assert_eq!(a, b);

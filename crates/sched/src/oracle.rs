@@ -385,51 +385,6 @@ mod tests {
         assert!(bad < good, "contention must reduce SLA: {bad} vs {good}");
     }
 
-    /// A Table-I suite trained on synthetic data over the ranges
-    /// `queries` uses, with targets that depend on every feature, so a
-    /// change in any input of `sla` can change its answer.
-    fn synthetic_suite() -> Arc<PredictorSuite> {
-        use pamdc_ml::dataset::Dataset;
-        use pamdc_ml::predictors::TrainedPredictor;
-        use pamdc_simcore::rng::RngStream;
-        let mut rng = RngStream::root(5);
-        let predictors = PredictionTarget::ALL
-            .iter()
-            .map(|&target| {
-                let ranges: &[f64] = match target {
-                    PredictionTarget::VmRt | PredictionTarget::VmSla => {
-                        &[300.0, 12.0, 200.0, 200.0, 1.0, 5.0, 1.0]
-                    }
-                    PredictionTarget::PmCpu => &[10.0, 400.0, 400.0],
-                    _ => &[300.0, 4.0, 14.0, 12.0, 5.0],
-                };
-                let mut d = Dataset::with_features(target.feature_names());
-                let mut row = vec![0.0; ranges.len()];
-                for _ in 0..400 {
-                    for (v, &hi) in row.iter_mut().zip(ranges) {
-                        *v = rng.uniform_range(0.0, hi);
-                    }
-                    let y = match target {
-                        PredictionTarget::VmRt | PredictionTarget::VmSla => {
-                            (row[3] / (row[2] + 1.0)).min(1.0) * row[4] * (1.0 - 0.5 * row[6])
-                                - 0.0005 * row[0]
-                                - 0.01 * row[1]
-                                - 0.02 * row[5]
-                        }
-                        _ => row
-                            .iter()
-                            .enumerate()
-                            .map(|(j, v)| (j + 1) as f64 * v)
-                            .sum(),
-                    };
-                    d.push(&row, y);
-                }
-                TrainedPredictor::train(target, &d, &mut rng)
-            })
-            .collect();
-        Arc::new(PredictorSuite::from_predictors(predictors))
-    }
-
     /// The SLA answer as `MlOracle::sla` computed it before the memo:
     /// all four demand predictions, then the k-NN query.
     fn uncached_sla(
@@ -511,7 +466,7 @@ mod tests {
 
     #[test]
     fn ml_oracle_memo_matches_uncached_bit_for_bit() {
-        let oracle = MlOracle::new(synthetic_suite());
+        let oracle = MlOracle::new(crate::problem::synthetic::ml_suite());
         let (p, q) = queries();
         const { assert!(40 * 4 * 32 > SLA_MEMO_SLOTS) };
         let mut overcommitted = 0;
@@ -543,7 +498,7 @@ mod tests {
 
     #[test]
     fn ml_oracle_memo_is_exact_under_concurrent_callers() {
-        let oracle = MlOracle::new(synthetic_suite());
+        let oracle = MlOracle::new(crate::problem::synthetic::ml_suite());
         let (p, q) = queries();
         let want: Vec<u64> = q
             .iter()

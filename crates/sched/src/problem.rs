@@ -215,6 +215,7 @@ pub mod synthetic {
     use super::*;
     use pamdc_infra::network::City;
     use pamdc_infra::pm::MachineSpec;
+    use pamdc_ml::predictors::{PredictionTarget, PredictorSuite};
 
     /// A problem with `n_hosts` Atom hosts across the four paper DCs
     /// (round-robin, so hosts `i` and `i+4` are twins in one DC) and
@@ -285,6 +286,53 @@ pub mod synthetic {
             stickiness_eur: 0.0,
             host_index_cache: Default::default(),
         }
+    }
+
+    /// A Table-I suite trained on synthetic data, with targets that
+    /// depend on every feature, so a change in any input of
+    /// `MlOracle::sla` can change its answer. Deterministic (fixed
+    /// training seed): the stand-in wherever a test needs an `MlOracle`
+    /// without running the training pipeline.
+    pub fn ml_suite() -> Arc<PredictorSuite> {
+        use pamdc_ml::dataset::Dataset;
+        use pamdc_ml::predictors::TrainedPredictor;
+        use pamdc_simcore::rng::RngStream;
+        let mut rng = RngStream::root(5);
+        let predictors = PredictionTarget::ALL
+            .iter()
+            .map(|&target| {
+                let ranges: &[f64] = match target {
+                    PredictionTarget::VmRt | PredictionTarget::VmSla => {
+                        &[300.0, 12.0, 200.0, 200.0, 1.0, 5.0, 1.0]
+                    }
+                    PredictionTarget::PmCpu => &[10.0, 400.0, 400.0],
+                    _ => &[300.0, 4.0, 14.0, 12.0, 5.0],
+                };
+                let mut d = Dataset::with_features(target.feature_names());
+                let mut row = vec![0.0; ranges.len()];
+                for _ in 0..400 {
+                    for (v, &hi) in row.iter_mut().zip(ranges) {
+                        *v = rng.uniform_range(0.0, hi);
+                    }
+                    let y = match target {
+                        PredictionTarget::VmRt | PredictionTarget::VmSla => {
+                            (row[3] / (row[2] + 1.0)).min(1.0) * row[4] * (1.0 - 0.5 * row[6])
+                                - 0.0005 * row[0]
+                                - 0.01 * row[1]
+                                - 0.02 * row[5]
+                        }
+                        _ => row
+                            .iter()
+                            .enumerate()
+                            .map(|(j, v)| (j + 1) as f64 * v)
+                            .sum(),
+                    };
+                    d.push(&row, y);
+                }
+                TrainedPredictor::train(target, &d, &mut rng)
+            })
+            .collect();
+        Arc::new(PredictorSuite::from_predictors(predictors))
     }
 }
 

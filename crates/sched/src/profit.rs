@@ -59,9 +59,9 @@ pub struct PlacementState {
     pub(crate) demand: Vec<Resources>,
     pub(crate) vm_counts: Vec<usize>,
     /// Free-capacity candidate index, maintained incrementally by
-    /// [`PlacementState::assign`] when enabled (the indexed Best-Fit
-    /// path on large fleets). `None` keeps `assign` O(1) for consumers
-    /// that scan hosts anyway (exact search, schedule evaluation).
+    /// [`PlacementState::assign`] when enabled (Best-Fit). `None` keeps
+    /// `assign` O(1) for consumers that scan hosts anyway (exact search,
+    /// the reference full scan).
     index: Option<Box<CandidateIndex>>,
 }
 
@@ -77,18 +77,11 @@ impl PlacementState {
 
     /// Fresh state with the bucketed free-capacity [`CandidateIndex`]
     /// enabled: host equivalence groups are rebuilt incrementally on
-    /// every [`PlacementState::assign`].
-    pub fn with_candidate_index(problem: &Problem) -> Self {
-        Self::with_candidate_index_mode(problem, crate::index::IndexMode::Exact)
-    }
-
-    /// [`PlacementState::with_candidate_index`] under an explicit
-    /// [`IndexMode`](crate::index::IndexMode) — near mode buckets hosts
-    /// without their demand bits (coarser groups, approximate
-    /// shortlists).
-    pub fn with_candidate_index_mode(problem: &Problem, mode: crate::index::IndexMode) -> Self {
+    /// every [`PlacementState::assign`]. Near mode buckets hosts without
+    /// their demand bits (coarser groups, approximate shortlists).
+    pub fn with_candidate_index(problem: &Problem, mode: crate::index::IndexMode) -> Self {
         let mut state = Self::new(problem);
-        state.index = Some(Box::new(CandidateIndex::new_with_mode(
+        state.index = Some(Box::new(CandidateIndex::new(
             problem,
             &state.demand,
             &state.vm_counts,
@@ -173,25 +166,6 @@ pub struct BelievedTotals {
 }
 
 impl BelievedTotals {
-    /// Totals under each VM's `current_pm` placement.
-    pub fn from_current_placement(problem: &Problem, oracle: &dyn QosOracle) -> Self {
-        let demands: Vec<Resources> = problem.vms.iter().map(|vm| oracle.demand(vm)).collect();
-        Self::from_current_placement_with(problem, demands)
-    }
-
-    /// [`BelievedTotals::from_current_placement`] over an already-known
-    /// demand vector — callers holding the round's demands must not pay
-    /// a second O(V) oracle pass (demand is placement-independent, so a
-    /// vector computed before re-homing stays valid).
-    pub fn from_current_placement_with(problem: &Problem, demands: Vec<Resources>) -> Self {
-        let host_of: Vec<Option<usize>> = problem
-            .vms
-            .iter()
-            .map(|vm| vm.current_pm.and_then(|pm| problem.host_index(pm)))
-            .collect();
-        Self::from_placement(problem, demands, &host_of)
-    }
-
     /// Totals under an explicit per-VM host assignment (`None` = not
     /// placed on any in-problem host). This is the placement-only
     /// snapshot the hierarchical round uses after its per-DC passes: the
@@ -272,9 +246,10 @@ pub fn marginal_profit(
 
 /// [`marginal_profit`] with the per-pair invariants precomputed: the
 /// VM's oracle demand (identical for every host) and the transport
-/// latency (identical for every host at the same location). The indexed
-/// Best-Fit path hoists both out of its candidate loop; `marginal_profit`
-/// delegates here, so both paths share one code path and one float
+/// latency (identical for every host at the same location). Best-Fit
+/// hoists both out of its candidate loop; `marginal_profit` (the
+/// reference scan's per-pair call) delegates here, so both share one
+/// code path and one float
 /// evaluation order — the bit-identity guarantee the shortlist
 /// equivalence proptests rely on.
 pub fn marginal_profit_hoisted(

@@ -129,9 +129,9 @@ proptest! {
         use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
         let p = synthetic::problem(vms, hosts, rps);
         let o = TrueOracle::new();
-        let start = pamdc_sched::bestfit::best_fit(&p, &o).schedule;
+        let start = pamdc_sched::bestfit::best_fit(&p, &o, pamdc_sched::index::IndexMode::Exact).schedule;
         let before = evaluate_schedule(&p, &o, &start).profit_eur;
-        let (improved, _) = improve_schedule(&p, &o, start, &LocalSearchConfig::default());
+        let (improved, _) = improve_schedule(&p, &o, start, &LocalSearchConfig::default(), pamdc_sched::index::IndexMode::Exact);
         let after = evaluate_schedule(&p, &o, &improved).profit_eur;
         prop_assert!(after >= before - 1e-9, "{after} < {before}");
     }

@@ -6,23 +6,25 @@
 //! reference steepest ascent move for move on any fleet: mixed machine
 //! classes, memory-constrained profiles, scattered and homeless
 //! residency, loose and tight headroom caps (including caps above 1.0,
-//! which disable the bucket range prefilter), and long move sequences.
-//! The near-equivalence index is exercised at `top_k = usize::MAX`,
-//! where its shortlist provably covers every candidate and the answer
-//! must still be exact.
+//! which disable the bucket range prefilter), and long move sequences —
+//! each under every production oracle. The near-equivalence index is
+//! exercised at `top_k = usize::MAX`, where its shortlist provably
+//! covers every candidate and the answer must still be exact.
+
+mod common;
 
 use pamdc_infra::ids::PmId;
 use pamdc_infra::pm::MachineSpec;
-use pamdc_infra::resources::Resources;
 use pamdc_perf::demand::{required_resources, VmPerfProfile};
-use pamdc_sched::bestfit::{best_fit_full_scan, best_fit_indexed_near, SchedTuning};
-use pamdc_sched::localsearch::{
-    improve_schedule_incremental, improve_schedule_reference, LocalSearchConfig,
-};
-use pamdc_sched::oracle::{QosOracle, TrueOracle};
+use pamdc_sched::bestfit::best_fit;
+use pamdc_sched::index::IndexMode;
+use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
 use pamdc_sched::profit::evaluate_schedule;
+use pamdc_sched::reference::{best_fit_full_scan, improve_schedule_reference};
 use proptest::prelude::*;
+
+const UNBOUNDED_NEAR: IndexMode = IndexMode::Near { top_k: usize::MAX };
 
 /// Randomized heterogeneous fleet on the synthetic fixture: every third
 /// host a Xeon, some hosts pre-powered, residency scattered (every
@@ -75,11 +77,13 @@ fn spread_start(p: &Problem) -> Schedule {
 }
 
 fn assert_bit_identical(p: &Problem, cfg: &LocalSearchConfig, start: Schedule) {
-    let o = TrueOracle::new();
-    let (ref_sched, ref_moves) = improve_schedule_reference(p, &o, start.clone(), cfg);
-    let (inc_sched, inc_moves) = improve_schedule_incremental(p, &o, start, cfg);
-    assert_eq!(ref_moves, inc_moves, "move counts diverged");
-    assert_eq!(ref_sched, inc_sched, "schedules diverged");
+    for o in common::oracles() {
+        let o = o.as_ref();
+        let (ref_sched, ref_moves) = improve_schedule_reference(p, o, start.clone(), cfg);
+        let (inc_sched, inc_moves) = improve_schedule(p, o, start.clone(), cfg, IndexMode::Exact);
+        assert_eq!(ref_moves, inc_moves, "{}: move counts diverged", o.name());
+        assert_eq!(ref_sched, inc_sched, "{}: schedules diverged", o.name());
+    }
 }
 
 proptest! {
@@ -133,19 +137,23 @@ proptest! {
     ) {
         let p = mixed_fleet(vms, hosts, rps, false);
         let cfg = LocalSearchConfig { max_moves: 256, ..Default::default() };
-        let o = TrueOracle::new();
         let start = spread_start(&p);
-        let before = evaluate_schedule(&p, &o, &start).profit_eur;
-        let (ref_sched, ref_moves) = improve_schedule_reference(&p, &o, start.clone(), &cfg);
-        let (inc_sched, inc_moves) = improve_schedule_incremental(&p, &o, start, &cfg);
-        prop_assert_eq!(ref_moves, inc_moves);
-        prop_assert_eq!(&ref_sched, &inc_sched);
-        prop_assert!(
-            ref_moves < 256,
-            "search must converge, not hit the cap"
-        );
-        let after = evaluate_schedule(&p, &o, &inc_sched).profit_eur;
-        prop_assert!(after >= before - 1e-9, "{after} < {before}");
+        for o in common::oracles() {
+            let o = o.as_ref();
+            let before = evaluate_schedule(&p, o, &start).profit_eur;
+            let (ref_sched, ref_moves) = improve_schedule_reference(&p, o, start.clone(), &cfg);
+            let (inc_sched, inc_moves) =
+                improve_schedule(&p, o, start.clone(), &cfg, IndexMode::Exact);
+            prop_assert_eq!(ref_moves, inc_moves, "{}", o.name());
+            prop_assert_eq!(&ref_sched, &inc_sched, "{}", o.name());
+            prop_assert!(
+                ref_moves < 256,
+                "{}: search must converge, not hit the cap",
+                o.name()
+            );
+            let after = evaluate_schedule(&p, o, &inc_sched).profit_eur;
+            prop_assert!(after >= before - 1e-9, "{}: {after} < {before}", o.name());
+        }
     }
 
     /// Near-equivalence anchor: with `top_k = usize::MAX` the coarse
@@ -159,19 +167,16 @@ proptest! {
         mem_heavy_bit in 0usize..2,
     ) {
         let p = mixed_fleet(vms, hosts, rps, mem_heavy_bit == 1);
-        let cfg_near = LocalSearchConfig {
-            max_moves: 24,
-            tuning: SchedTuning { near_top_k: Some(usize::MAX), ..Default::default() },
-            ..Default::default()
-        };
-        let cfg_exact = LocalSearchConfig { max_moves: 24, ..Default::default() };
-        let o = TrueOracle::new();
+        let cfg = LocalSearchConfig { max_moves: 24, ..Default::default() };
         let start = spread_start(&p);
-        let (ref_sched, ref_moves) =
-            improve_schedule_reference(&p, &o, start.clone(), &cfg_exact);
-        let (near_sched, near_moves) = improve_schedule_incremental(&p, &o, start, &cfg_near);
-        prop_assert_eq!(ref_moves, near_moves);
-        prop_assert_eq!(ref_sched, near_sched);
+        for o in common::oracles() {
+            let o = o.as_ref();
+            let (ref_sched, ref_moves) = improve_schedule_reference(&p, o, start.clone(), &cfg);
+            let (near_sched, near_moves) =
+                improve_schedule(&p, o, start.clone(), &cfg, UNBOUNDED_NEAR);
+            prop_assert_eq!(ref_moves, near_moves, "{}", o.name());
+            prop_assert_eq!(ref_sched, near_sched, "{}", o.name());
+        }
     }
 
     /// Near-equivalence in Best-Fit: unbounded `top_k` covers every
@@ -184,12 +189,13 @@ proptest! {
         mem_heavy_bit in 0usize..2,
     ) {
         let p = mixed_fleet(vms, hosts, rps, mem_heavy_bit == 1);
-        let o = TrueOracle::new();
-        let demands: Vec<Resources> = p.vms.iter().map(|vm| o.demand(vm)).collect();
-        let full = best_fit_full_scan(&p, &o, &demands);
-        let near = best_fit_indexed_near(&p, &o, &demands, usize::MAX);
-        prop_assert_eq!(full.schedule, near.schedule);
-        prop_assert_eq!(full.overflow_count, near.overflow_count);
+        for o in common::oracles() {
+            let o = o.as_ref();
+            let full = best_fit_full_scan(&p, o);
+            let near = best_fit(&p, o, UNBOUNDED_NEAR);
+            prop_assert_eq!(full.schedule, near.schedule, "{}", o.name());
+            prop_assert_eq!(full.overflow_count, near.overflow_count, "{}", o.name());
+        }
     }
 
     /// Bounded near mode is approximate but must stay *sound*: a valid
@@ -202,17 +208,16 @@ proptest! {
         top_k in 1usize..4,
     ) {
         let p = mixed_fleet(vms, hosts, rps, false);
-        let cfg = LocalSearchConfig {
-            max_moves: 16,
-            tuning: SchedTuning { near_top_k: Some(top_k), ..Default::default() },
-            ..Default::default()
-        };
-        let o = TrueOracle::new();
+        let cfg = LocalSearchConfig { max_moves: 16, ..Default::default() };
         let start = spread_start(&p);
-        let before = evaluate_schedule(&p, &o, &start).profit_eur;
-        let (sched, _) = improve_schedule_incremental(&p, &o, start, &cfg);
-        sched.validate(&p);
-        let after = evaluate_schedule(&p, &o, &sched).profit_eur;
-        prop_assert!(after >= before - 1e-9, "{after} < {before}");
+        for o in common::oracles() {
+            let o = o.as_ref();
+            let before = evaluate_schedule(&p, o, &start).profit_eur;
+            let (sched, _) =
+                improve_schedule(&p, o, start.clone(), &cfg, IndexMode::Near { top_k });
+            sched.validate(&p);
+            let after = evaluate_schedule(&p, o, &sched).profit_eur;
+            prop_assert!(after >= before - 1e-9, "{}: {after} < {before}", o.name());
+        }
     }
 }

@@ -15,6 +15,7 @@
 use pamdc_perf::demand::{required_resources, VmPerfProfile};
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::evaluator::ScheduleEvaluator;
+use pamdc_sched::index::IndexMode;
 use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
 use pamdc_sched::oracle::{QosOracle, TrueOracle};
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
@@ -75,7 +76,7 @@ proptest! {
     ) {
         let p = mem_heavy_problem(vms, hosts, rps, base_mem_mb, mem_mb_per_inflight);
         let o = TrueOracle::new();
-        let r = best_fit(&p, &o);
+        let r = best_fit(&p, &o, IndexMode::Exact);
         if r.overflow_count != 0 {
             // No fully feasible placement exists for this instance; the
             // guarantee under test only applies when one does. (The
@@ -94,7 +95,7 @@ proptest! {
             max_util_after_move: 10.0,
             ..LocalSearchConfig::default()
         };
-        let (improved, _) = improve_schedule(&p, &o, r.schedule, &relaxed);
+        let (improved, _) = improve_schedule(&p, &o, r.schedule, &relaxed, IndexMode::Exact);
         for (m, h) in mem_per_host(&p, &o, &improved).iter().zip(&p.hosts) {
             prop_assert!(
                 *m <= h.capacity.mem_mb + 1e-6,
@@ -210,13 +211,15 @@ fn memory_bound_twin_stays_spread_where_cpu_bound_twin_consolidates() {
     let o = TrueOracle::new();
 
     let cpu_bound = build(256.0);
-    let (merged, moves) = improve_schedule(&cpu_bound, &o, spread.clone(), &relaxed);
+    let (merged, moves) =
+        improve_schedule(&cpu_bound, &o, spread.clone(), &relaxed, IndexMode::Exact);
     assert!(moves >= 1, "light identical VMs consolidate");
     assert_eq!(merged.assignment[0], merged.assignment[1]);
 
     // 2500 MB each: two do not share a 4096 MB Atom.
     let mem_bound = build(2500.0);
-    let (kept, moves) = improve_schedule(&mem_bound, &o, spread.clone(), &relaxed);
+    let (kept, moves) =
+        improve_schedule(&mem_bound, &o, spread.clone(), &relaxed, IndexMode::Exact);
     assert_eq!(moves, 0, "RAM-infeasible merge must be rejected");
     assert_eq!(kept, spread);
 }
@@ -249,7 +252,7 @@ fn overflow_prefers_memory_feasible_hosts() {
     p.vms[0].current_pm = Some(p.hosts[1].id);
     p.vms[0].current_location = Some(p.hosts[1].location);
 
-    let r = best_fit(&p, &o);
+    let r = best_fit(&p, &o, IndexMode::Exact);
     assert_eq!(r.overflow_count, 1, "nothing fits fully");
     assert_eq!(
         r.schedule.assignment[0], p.hosts[0].id,

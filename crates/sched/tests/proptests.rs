@@ -20,7 +20,7 @@ proptest! {
         let p = synthetic::problem(vms, hosts, rps);
         let oracle = TrueOracle::new();
         let schedules = vec![
-            best_fit(&p, &oracle).schedule,
+            best_fit(&p, &oracle, IndexMode::Exact).schedule,
             static_schedule(&p, &oracle),
             follow_the_load(&p, &oracle),
             first_fit(&p, &oracle),
@@ -40,7 +40,7 @@ proptest! {
     fn bestfit_respects_capacity_unless_overflowing((vms, hosts, rps) in arb_instance()) {
         let p = synthetic::problem(vms, hosts, rps);
         let oracle = TrueOracle::new();
-        let result = best_fit(&p, &oracle);
+        let result = best_fit(&p, &oracle, IndexMode::Exact);
         if result.overflow_count == 0 {
             let per_host = result.schedule.demand_per_host(&p, |vm| oracle.demand(vm));
             for (d, h) in per_host.iter().zip(&p.hosts) {
@@ -59,7 +59,7 @@ proptest! {
     fn profit_decomposition_consistent((vms, hosts, rps) in arb_instance()) {
         let p = synthetic::problem(vms, hosts, rps);
         let oracle = TrueOracle::new();
-        let s = best_fit(&p, &oracle).schedule;
+        let s = best_fit(&p, &oracle, IndexMode::Exact).schedule;
         let eval = evaluate_schedule(&p, &oracle, &s);
         prop_assert!(
             (eval.profit_eur - (eval.revenue_eur - eval.energy_eur - eval.migration_eur)).abs()
@@ -81,7 +81,7 @@ proptest! {
         let start = round_robin(&p);
         let before = evaluate_schedule(&p, &oracle, &start).profit_eur;
         let cfg = LocalSearchConfig::default();
-        let (improved, moves) = improve_schedule(&p, &oracle, start, &cfg);
+        let (improved, moves) = improve_schedule(&p, &oracle, start, &cfg, IndexMode::Exact);
         let after = evaluate_schedule(&p, &oracle, &improved).profit_eur;
         prop_assert!(after >= before - 1e-9, "{after} < {before}");
         prop_assert!(moves <= cfg.max_moves);
@@ -95,7 +95,7 @@ proptest! {
         let p = synthetic::problem(vms, hosts, rps);
         let oracle = TrueOracle::new();
         let exact = branch_and_bound(&p, &oracle);
-        let heur = best_fit(&p, &oracle).schedule;
+        let heur = best_fit(&p, &oracle, IndexMode::Exact).schedule;
         let heur_profit = evaluate_schedule(&p, &oracle, &heur).profit_eur;
         prop_assert!(
             exact.eval.profit_eur >= heur_profit - 1e-9,

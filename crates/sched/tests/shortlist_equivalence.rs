@@ -2,20 +2,24 @@
 //! to the full-scan reference.
 //!
 //! The candidate index is a pure performance structure — it must never
-//! change a single placement, score bit or overflow count, on any fleet.
-//! These properties drive both implementations directly (no size
-//! threshold involved) across randomized fleets: mixed machine classes,
+//! change a single placement, score bit or overflow count, on any fleet
+//! and under any belief source. These properties drive both
+//! implementations across randomized fleets — mixed machine classes,
 //! memory-constrained profiles, hysteresis margins, homeless VMs and
-//! overloaded (overflow) rounds.
+//! overloaded (overflow) rounds — each under every production oracle.
+
+mod common;
 
 use pamdc_infra::ids::PmId;
 use pamdc_infra::pm::MachineSpec;
 use pamdc_infra::resources::Resources;
 use pamdc_perf::demand::{required_resources, VmPerfProfile};
-use pamdc_sched::bestfit::{best_fit_full_scan, best_fit_indexed, BestFitResult};
-use pamdc_sched::oracle::{QosOracle, TrueOracle};
+use pamdc_sched::bestfit::{best_fit, BestFitResult};
+use pamdc_sched::index::IndexMode;
+use pamdc_sched::oracle::QosOracle;
 use pamdc_sched::problem::{synthetic, Problem};
 use pamdc_sched::profit::PlacementState;
+use pamdc_sched::reference::best_fit_full_scan;
 use proptest::prelude::*;
 
 /// A randomized heterogeneous fleet built on the synthetic fixture:
@@ -66,20 +70,20 @@ fn mixed_fleet(
     p
 }
 
-fn run_both(p: &Problem) -> (BestFitResult, BestFitResult) {
-    let o = TrueOracle::new();
-    let demands: Vec<Resources> = p.vms.iter().map(|vm| o.demand(vm)).collect();
-    let full = best_fit_full_scan(p, &o, &demands);
-    let indexed = best_fit_indexed(p, &o, &demands);
-    (full, indexed)
+fn run_both(p: &Problem, o: &dyn QosOracle) -> (BestFitResult, BestFitResult) {
+    (best_fit_full_scan(p, o), best_fit(p, o, IndexMode::Exact))
 }
 
 /// Bitwise agreement on everything the caller can observe.
-fn assert_identical(p: &Problem, full: &BestFitResult, indexed: &BestFitResult) {
-    assert_eq!(full.schedule, indexed.schedule, "placements diverged");
+fn assert_identical(o: &dyn QosOracle, full: &BestFitResult, indexed: &BestFitResult) {
+    let oracle = o.name();
+    assert_eq!(
+        full.schedule, indexed.schedule,
+        "{oracle}: placements diverged"
+    );
     assert_eq!(
         full.overflow_count, indexed.overflow_count,
-        "overflow accounting diverged"
+        "{oracle}: overflow accounting diverged"
     );
     for (vi, (a, b)) in full.scores.iter().zip(&indexed.scores).enumerate() {
         // Exact f64 bit equality, not an epsilon: the index scores one
@@ -88,13 +92,12 @@ fn assert_identical(p: &Problem, full: &BestFitResult, indexed: &BestFitResult) 
         assert_eq!(
             a.profit().to_bits(),
             b.profit().to_bits(),
-            "vm {vi}: profit {} vs {}",
+            "{oracle} vm {vi}: profit {} vs {}",
             a.profit(),
             b.profit()
         );
-        assert_eq!(a, b, "vm {vi}: score components diverged");
+        assert_eq!(a, b, "{oracle} vm {vi}: score components diverged");
     }
-    let _ = p;
 }
 
 proptest! {
@@ -111,8 +114,10 @@ proptest! {
         mem_heavy_bit in 0usize..2,
     ) {
         let p = mixed_fleet(vms, hosts, rps, stickiness, mem_heavy_bit == 1);
-        let (full, indexed) = run_both(&p);
-        assert_identical(&p, &full, &indexed);
+        for o in common::oracles() {
+            let (full, indexed) = run_both(&p, o.as_ref());
+            assert_identical(o.as_ref(), &full, &indexed);
+        }
     }
 
     /// Overloaded rounds: far more demand than capacity, forcing the
@@ -126,9 +131,11 @@ proptest! {
         mem_heavy_bit in 0usize..2,
     ) {
         let p = mixed_fleet(vms, hosts, rps, 0.0, mem_heavy_bit == 1);
-        let (full, indexed) = run_both(&p);
-        prop_assert!(full.overflow_count > 0, "instance meant to overload");
-        assert_identical(&p, &full, &indexed);
+        for o in common::oracles() {
+            let (full, indexed) = run_both(&p, o.as_ref());
+            prop_assert!(full.overflow_count > 0, "{}: instance meant to overload", o.name());
+            assert_identical(o.as_ref(), &full, &indexed);
+        }
     }
 
     /// The shortlist actually shrinks the scored-candidate count on
@@ -141,14 +148,17 @@ proptest! {
         rps in 20.0f64..120.0,
     ) {
         let p = mixed_fleet(vms, hosts, rps, 0.0, false);
-        let (full, indexed) = run_both(&p);
-        assert_identical(&p, &full, &indexed);
-        prop_assert!(
-            indexed.scored_candidates * 2 < full.scored_candidates,
-            "index scored {} of the full scan's {}",
-            indexed.scored_candidates,
-            full.scored_candidates
-        );
+        for o in common::oracles() {
+            let (full, indexed) = run_both(&p, o.as_ref());
+            assert_identical(o.as_ref(), &full, &indexed);
+            prop_assert!(
+                indexed.scored_candidates * 2 < full.scored_candidates,
+                "{}: index scored {} of the full scan's {}",
+                o.name(),
+                indexed.scored_candidates,
+                full.scored_candidates
+            );
+        }
     }
 
     /// The incremental index maintained across assignments stays equal
@@ -161,12 +171,12 @@ proptest! {
         mem_heavy_bit in 0usize..2,
     ) {
         let p = mixed_fleet(vms, hosts, rps, 0.0, mem_heavy_bit == 1);
-        let o = TrueOracle::new();
+        let o = pamdc_sched::oracle::TrueOracle::new();
         let demands: Vec<Resources> = p.vms.iter().map(|vm| o.demand(vm)).collect();
-        let result = best_fit_indexed(&p, &o, &demands);
+        let result = best_fit(&p, &o, IndexMode::Exact);
 
         // Replay the final placement into a fresh state+index.
-        let mut replay = PlacementState::with_candidate_index(&p);
+        let mut replay = PlacementState::with_candidate_index(&p, IndexMode::Exact);
         for (vi, pm) in result.schedule.assignment.iter().enumerate() {
             let hi = p.host_index(*pm).expect("valid schedule");
             replay.assign(&p, hi, demands[vi]);

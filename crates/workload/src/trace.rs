@@ -28,6 +28,13 @@ use pamdc_simcore::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+/// Furthest a data row's tick, or a declared `# ticks` count, may reach
+/// past the ticks stored so far: a week of one-minute ticks. Zero-demand
+/// ticks carry no rows, so gaps are legal, but every skipped tick costs
+/// one empty row per service — a corrupt tick index or header must be an
+/// error, not a request for terabytes.
+const MAX_TICK_GAP: usize = 7 * 24 * 60;
+
 /// Trace format errors (line-numbered where possible).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceError(pub String);
@@ -171,12 +178,15 @@ impl DemandTrace {
     /// marks the feed finished.
     pub fn parse_csv_tail(text: &str) -> Result<TraceParse, TraceError> {
         let (parser, flows, partial) = CsvParser::scan(text)?;
-        let partial_tick = partial
-            .map(|(_, line)| partial_tick_guess(&line, flows.len()) as u64)
-            .filter(|_| {
-                // A torn row before any data means nothing to withhold.
-                parser.saw_header_row || !flows.is_empty()
-            });
+        let mut partial_tick = None;
+        if let Some((lineno, line)) = partial {
+            let tick = partial_tick_guess(&line, flows.len());
+            parser.check_tick(lineno, tick, flows.len())?;
+            // A torn row before any data means nothing to withhold.
+            if parser.saw_header_row || !flows.is_empty() {
+                partial_tick = Some(tick as u64);
+            }
+        }
         parser.finalize(flows, true, partial_tick)
     }
 }
@@ -361,9 +371,18 @@ impl CsvParser {
         let region: usize = c_region
             .parse()
             .map_err(|_| err(format!("bad region {c_region:?}")))?;
-        let num = |text: &str| -> Result<f64, TraceError> {
-            text.parse()
-                .map_err(|_| err(format!("bad number {text:?}")))
+        // Demand must be a finite non-negative quantity: NaN or a negative
+        // rate would poison the engine's accounting downstream.
+        let num = |column: &str, text: &str| -> Result<f64, TraceError> {
+            let v: f64 = text
+                .parse()
+                .map_err(|_| err(format!("bad number {text:?}")))?;
+            if !(0.0..f64::INFINITY).contains(&v) {
+                return Err(err(format!(
+                    "{column} must be finite and non-negative, got {text:?}"
+                )));
+            }
+            Ok(v)
         };
         if service >= self.classes.len() {
             return Err(err(format!(
@@ -382,17 +401,48 @@ impl CsvParser {
             }
         }
         if flows.len() <= tick_idx {
+            // Growing is the one step an absurd tick makes dangerous; rows
+            // inside the store were bounded when it grew to hold them.
+            self.check_tick(lineno, tick_idx, flows.len())?;
             let services = self.classes.len();
             flows.resize_with(tick_idx + 1, || vec![Vec::new(); services]);
         }
         // pamdc-lint: allow(no-panic-parser) -- tick_idx/service are resized/range-checked just above
         flows[tick_idx][service].push(FlowSample {
             region,
-            rps: num(c_rps)?,
-            kb_in_per_req: num(c_kb_in)?,
-            kb_out_per_req: num(c_kb_out)?,
-            cpu_ms_per_req: num(c_cpu)?,
+            rps: num("rps", c_rps)?,
+            kb_in_per_req: num("kb_in", c_kb_in)?,
+            kb_out_per_req: num("kb_out", c_kb_out)?,
+            cpu_ms_per_req: num("cpu_ms", c_cpu)?,
         });
+        Ok(())
+    }
+
+    /// Rejects a row tick the store must not grow to, before anything is
+    /// resized: at or past a declared `# ticks` count, or more than
+    /// [`MAX_TICK_GAP`] ticks past the `stored` ones.
+    fn check_tick(&self, lineno: usize, tick: usize, stored: usize) -> Result<(), TraceError> {
+        let bad = match self.ticks {
+            Some(ticks) if tick >= ticks => {
+                format!("tick {tick} is past the declared ticks = {ticks}")
+            }
+            _ if tick > stored + MAX_TICK_GAP => format!(
+                "tick {tick} jumps more than {MAX_TICK_GAP} ticks past the {stored} read so far"
+            ),
+            _ => return Ok(()),
+        };
+        Err(TraceError(format!("line {lineno}: {bad}")))
+    }
+
+    /// Rejects a declared `# ticks` count whose rowless padding past the
+    /// `stored` ticks exceeds [`MAX_TICK_GAP`], before it is allocated.
+    fn check_padding(ticks: usize, stored: usize) -> Result<(), TraceError> {
+        if ticks > stored + MAX_TICK_GAP {
+            return Err(TraceError(format!(
+                "'# ticks = {ticks}' declares more than {MAX_TICK_GAP} rowless ticks past \
+                 the {stored} read"
+            )));
+        }
         Ok(())
     }
 
@@ -447,6 +497,7 @@ impl CsvParser {
                 )));
             }
             if !tail || partial_tick.is_none() {
+                Self::check_padding(ticks, flows.len())?;
                 let services = self.classes.len();
                 flows.resize_with(ticks, || vec![Vec::new(); services]);
                 is_complete = true;
@@ -637,11 +688,8 @@ impl TraceTail {
         let partial = (!torn.trim().is_empty())
             .then(|| partial_tick_guess(torn.trim(), self.trace.flows.len()));
         if let Some(p) = partial {
-            if let Some(ticks) = self.parser.ticks.filter(|&ticks| p > ticks) {
-                return Err(TraceError(format!(
-                    "data rows reach tick {p} but the header declares ticks = {ticks}"
-                )));
-            }
+            self.parser
+                .check_tick(self.lineno + 1, p, self.trace.flows.len())?;
             if self.trace.flows.len() < p {
                 self.trace
                     .flows
@@ -656,6 +704,7 @@ impl TraceTail {
                     self.trace.flows.len() - 1
                 )));
             }
+            CsvParser::check_padding(ticks, self.trace.flows.len())?;
             self.trace
                 .flows
                 .resize_with(ticks, || vec![Vec::new(); services]);
@@ -1126,6 +1175,105 @@ mod tests {
         assert_eq!(parsed.trace.tick_count(), 5);
         assert!(parsed.trace.flows[3][0].is_empty());
         assert_eq!(parsed.complete_ticks(), 5);
+    }
+
+    /// A trace with one good row at tick 0, then `row` as its last line.
+    fn ending_in(header: &str, row: &str) -> String {
+        format!(
+            "# tick_ms = 60000\n{header}# regions = 4\n# classes = blog\n\
+             tick,service,region,rps,kb_in_per_req,kb_out_per_req,cpu_ms_per_req\n\
+             0,0,1,1,1,1,1\n{row}\n"
+        )
+    }
+
+    /// Every parser — strict, tail-tolerant and the incremental tail
+    /// reader `pamdc serve` feeds — rejects `csv` with an error on its
+    /// last line that mentions `what`.
+    fn assert_rejected(csv: &str, what: &str) {
+        let line = format!("line {}: ", csv.lines().count());
+        let errors = [
+            DemandTrace::parse_csv(csv).map(|_| ()),
+            DemandTrace::parse_csv_tail(csv).map(|_| ()),
+            TraceTail::open(csv.as_bytes()).map(|_| ()),
+        ];
+        for e in errors {
+            let e = e.expect_err("must be rejected");
+            assert!(e.0.contains(&line) && e.0.contains(what), "{e}");
+        }
+    }
+
+    /// `value` in each demand column of the last row.
+    fn each_demand_column(value: &str) -> Vec<String> {
+        (3..7)
+            .map(|column| {
+                let mut cells = ["1", "0", "1", "1", "1", "1", "1"];
+                cells[column] = value;
+                ending_in("", &cells.join(","))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nan_demand_is_rejected() {
+        for csv in each_demand_column("NaN") {
+            assert_rejected(&csv, "must be finite and non-negative, got \"NaN\"");
+        }
+    }
+
+    #[test]
+    fn infinite_demand_is_rejected() {
+        for csv in each_demand_column("inf") {
+            assert_rejected(&csv, "must be finite and non-negative, got \"inf\"");
+        }
+    }
+
+    #[test]
+    fn negative_demand_is_rejected() {
+        for csv in each_demand_column("-1e9") {
+            assert_rejected(&csv, "must be finite and non-negative, got \"-1e9\"");
+        }
+    }
+
+    #[test]
+    fn a_tick_past_the_declared_count_is_rejected_before_growing() {
+        let csv = ending_in("# ticks = 2\n", "99999999999,0,1,1,1,1,1");
+        assert_rejected(&csv, "tick 99999999999 is past the declared ticks = 2");
+        assert_rejected(&ending_in("# ticks = 2\n", "2,0,1,1,1,1,1"), "past");
+        assert!(DemandTrace::parse_csv(&ending_in("# ticks = 2\n", "1,0,1,1,1,1,1")).is_ok());
+        // A huge header does not lift the gap bound on rows...
+        let huge = "# ticks = 99999999999\n";
+        assert_rejected(&ending_in(huge, "50000000000,0,1,1,1,1,1"), "jumps");
+        // ...nor may it pad that far past the rows itself.
+        let padded = ending_in(huge, "1,0,1,1,1,1,1");
+        let what = "'# ticks = 99999999999' declares more than 10080 rowless ticks";
+        for err in [
+            DemandTrace::parse_csv(&padded).map(|_| ()),
+            DemandTrace::parse_csv_tail(&padded).map(|_| ()),
+            TraceTail::open(padded.as_bytes()).and_then(|mut t| t.refresh().map(|_| ())),
+        ] {
+            let err = err.expect_err("must be rejected");
+            assert!(err.0.contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_huge_tick_gap_without_a_header_is_rejected_before_growing() {
+        let csv = ending_in("", "99999999999,0,1,1,1,1,1");
+        assert_rejected(&csv, "jumps more than 10080 ticks");
+        // The gap is measured from the ticks stored so far (1 here).
+        let far = format!("{},0,1,1,1,1,1", 2 + MAX_TICK_GAP);
+        assert_rejected(&ending_in("", &far), "jumps");
+        let edge = format!("{},0,1,1,1,1,1", 1 + MAX_TICK_GAP);
+        let parsed = DemandTrace::parse_csv(&ending_in("", &edge)).expect("at the limit");
+        assert_eq!(parsed.tick_count(), 2 + MAX_TICK_GAP);
+        // A torn row naming the tick is held to the same bound.
+        let torn = ending_in("", "").trim_end().to_string() + "\n99999999999,0";
+        let err = DemandTrace::parse_csv_tail(&torn).expect_err("torn tail");
+        assert!(err.0.contains("line 6: tick 99999999999 jumps"), "{err}");
+        let mut tail = TraceTail::open(ending_in("", "").trim_end().as_bytes()).expect("open");
+        tail.feed(b"\n99999999999,0").expect("feed");
+        let err = tail.refresh().expect_err("torn feed");
+        assert!(err.0.contains("line 6: tick 99999999999 jumps"), "{err}");
     }
 
     #[test]
