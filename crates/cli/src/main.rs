@@ -216,7 +216,9 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
                 opts.hours = Some(
                     value("--hours")?
                         .parse()
-                        .map_err(|_| "--hours needs an integer".to_string())?,
+                        .ok()
+                        .filter(|&h| h >= 1)
+                        .ok_or("--hours needs an integer >= 1")?,
                 )
             }
             "--param" => params.push(value("--param")?),
@@ -533,10 +535,7 @@ fn cartesian(
         for (suffix, spec) in &variants {
             for value in values {
                 let v = spec.with_param(key, value).map_err(|e| {
-                    let hints: Vec<&str> = pamdc_scenario::spec::sweepable_params()
-                        .keys()
-                        .copied()
-                        .collect();
+                    let hints = pamdc_scenario::spec::sweep_hints();
                     format!("{e}\nsweepable keys include: {}", hints.join(", "))
                 })?;
                 let suffix = if suffix.is_empty() {

@@ -9,7 +9,6 @@
 //! | `wall-clock`      | `Instant::now`/`SystemTime`/`thread::sleep` only in the allowlist |
 //! | `unordered-emit`  | no `HashMap`/`HashSet` in report/metric/spec-emit modules |
 //! | `no-panic-parser` | no `unwrap`/`expect`/`panic!`/indexing in streaming parsers |
-//! | `spec-docs`       | every parsed spec key appears in the scenario docs |
 //! | `obs-schema`      | `Counter::ALL` arithmetic matches the golden `obs.*` blocks |
 //!
 //! Violations are suppressed line-by-line with
@@ -90,13 +89,9 @@ pub struct Profile {
     pub emit_paths: Vec<&'static str>,
     /// Streaming-parser modules rule 3 scans.
     pub parser_paths: Vec<&'static str>,
-    /// The spec Reader file rule 4 anchors on.
-    pub spec_file: &'static str,
-    /// Docs allowed to satisfy rule 4.
-    pub doc_files: Vec<&'static str>,
-    /// The metrics registry rule 5 anchors on.
+    /// The metrics registry rule 4 anchors on.
     pub metrics_file: &'static str,
-    /// Directory of golden snapshots rule 5 cross-checks.
+    /// Directory of golden snapshots rule 4 cross-checks.
     pub golden_dir: &'static str,
 }
 
@@ -121,6 +116,7 @@ impl Profile {
                 "crates/scenario/src/output.rs",
                 "crates/scenario/src/toml.rs",
                 "crates/scenario/src/spec.rs",
+                "crates/scenario/src/schema.rs",
                 "crates/scenario/src/campaign.rs",
                 "crates/scenario/src/runner.rs",
             ],
@@ -130,8 +126,6 @@ impl Profile {
                 "crates/workload/src/tail.rs",
                 "crates/scenario/src/toml.rs",
             ],
-            spec_file: "crates/scenario/src/spec.rs",
-            doc_files: vec!["docs/SCENARIOS.md", "docs/SERVE.md"],
             metrics_file: "crates/obs/src/metrics.rs",
             golden_dir: "crates/scenario/tests/golden",
         }
@@ -163,14 +157,6 @@ pub fn run(root: &Path, profile: &Profile) -> Result<Report, String> {
     let mut allows: Vec<Allow> = Vec::new();
     let mut raw: Vec<Violation> = Vec::new();
 
-    let docs: Vec<(String, String)> = profile
-        .doc_files
-        .iter()
-        .map(|rel| {
-            let text = std::fs::read_to_string(root.join(rel)).unwrap_or_default();
-            (rel.to_string(), text)
-        })
-        .collect();
     let goldens = read_goldens(&root.join(profile.golden_dir))?;
 
     for rel in &files {
@@ -188,9 +174,6 @@ pub fn run(root: &Path, profile: &Profile) -> Result<Report, String> {
         }
         if profile.parser_paths.iter().any(|p| rel.starts_with(p)) {
             raw.extend(rules::no_panic_parser(&sf));
-        }
-        if rel == profile.spec_file {
-            raw.extend(rules::spec_docs(&sf, &docs));
         }
         if rel == profile.metrics_file {
             raw.extend(rules::obs_schema(&sf, &goldens));

@@ -3,9 +3,9 @@
 //! know about `allow` comments.
 //!
 //! Rules 1–3 are token scans over the blanked code channel of
-//! [`SourceFile`]; rules 4–5 are cross-file consistency checks that
-//! parse one anchor file and compare it against docs or golden
-//! snapshots. See `docs/LINTING.md` for the catalog rationale.
+//! [`SourceFile`]; rule 4 is a cross-file consistency check that
+//! parses one anchor file and compares it against golden snapshots.
+//! See `docs/LINTING.md` for the catalog rationale.
 
 use crate::source::SourceFile;
 use crate::Violation;
@@ -16,19 +16,11 @@ pub const WALL_CLOCK: &str = "wall-clock";
 pub const UNORDERED_EMIT: &str = "unordered-emit";
 /// Rule 3: no-panic parser contract.
 pub const NO_PANIC_PARSER: &str = "no-panic-parser";
-/// Rule 4: every parsed spec key is documented.
-pub const SPEC_DOCS: &str = "spec-docs";
-/// Rule 5: obs metric-count arithmetic matches the golden blocks.
+/// Rule 4: obs metric-count arithmetic matches the golden blocks.
 pub const OBS_SCHEMA: &str = "obs-schema";
 
 /// Every suppressible rule id.
-pub const ALL_RULES: [&str; 5] = [
-    WALL_CLOCK,
-    UNORDERED_EMIT,
-    NO_PANIC_PARSER,
-    SPEC_DOCS,
-    OBS_SCHEMA,
-];
+pub const ALL_RULES: [&str; 4] = [WALL_CLOCK, UNORDERED_EMIT, NO_PANIC_PARSER, OBS_SCHEMA];
 
 fn violation(file: &SourceFile, line: usize, rule: &'static str, message: String) -> Violation {
     Violation {
@@ -214,86 +206,7 @@ fn subscript_sites(code: &str) -> Vec<usize> {
     out
 }
 
-/// The `take_*` Reader methods whose first argument names a spec key.
-const TAKE_METHODS: [&str; 10] = [
-    "take_str",
-    "take_f64",
-    "take_u64",
-    "take_usize",
-    "take_bool",
-    "take_str_list",
-    "take_f64_list",
-    "take_usize_list",
-    "take_table",
-    "take_table_array",
-];
-
-/// Rule 4 — spec ↔ docs coverage: every key the spec Reader consumes
-/// (`.take_str("seed")`, `take_table("policy", …)`, …) must appear in at
-/// least one of the scenario docs, so no knob ships undocumented.
-/// `docs` is `(path, text)` of the files allowed to document keys.
-pub fn spec_docs(spec: &SourceFile, docs: &[(String, String)]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (i, line) in spec.lines.iter().enumerate() {
-        if spec.in_test[i] {
-            continue;
-        }
-        for key in take_keys(line) {
-            let documented = docs.iter().any(|(_, text)| word_in_text(text, &key));
-            if !documented {
-                let names: Vec<&str> = docs.iter().map(|(p, _)| p.as_str()).collect();
-                out.push(violation(
-                    spec,
-                    i + 1,
-                    SPEC_DOCS,
-                    format!("spec key \"{key}\" is parsed here but not documented in {names:?}"),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Spec keys consumed on this line: for each `.take_*(` call site in the
-/// code channel, the first string-literal argument from the raw line.
-/// Method *definitions* (`fn take_str(…)`) and forwarding calls with a
-/// non-literal first argument yield nothing.
-fn take_keys(line: &crate::source::Line) -> Vec<String> {
-    let mut keys = Vec::new();
-    for method in TAKE_METHODS {
-        let pat = format!(".{method}(");
-        let mut from = 0;
-        while let Some(pos) = line.code[from..].find(&pat) {
-            let open = from + pos + pat.len();
-            from = open;
-            // First argument must be a string literal — read it from
-            // the raw line (the code channel blanks its contents).
-            let rest = line.raw.get(open..).unwrap_or("");
-            let rest = rest.trim_start();
-            if let Some(lit) = rest.strip_prefix('"') {
-                if let Some(end) = lit.find('"') {
-                    keys.push(lit[..end].to_string());
-                }
-            }
-        }
-    }
-    keys
-}
-
-/// Word-boundary containment of `key` in free-form doc text.
-fn word_in_text(text: &str, key: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(key) {
-        let idx = from + pos;
-        if is_word(text, idx, key.len()) {
-            return true;
-        }
-        from = idx + key.len();
-    }
-    false
-}
-
-/// Everything rule 5 extracts from `crates/obs/src/metrics.rs`.
+/// Everything rule 4 extracts from `crates/obs/src/metrics.rs`.
 struct ObsSchema {
     /// (declared len, counted entries, decl line) for Counter/Gauge/Hist.
     arrays: Vec<(String, usize, usize, usize)>,
@@ -306,7 +219,7 @@ struct ObsSchema {
     run_metric_line: usize,
 }
 
-/// Rule 5 — obs schema drift: the `Counter::ALL` / `RUN_METRIC_COUNT`
+/// Rule 4 — obs schema drift: the `Counter::ALL` / `RUN_METRIC_COUNT`
 /// arithmetic in `metrics.rs` must stay internally consistent and must
 /// equal the number of distinct `obs.*` keys every golden snapshot
 /// actually pins. `goldens` is `(path, text)` per golden file.
@@ -529,24 +442,6 @@ mod tests {
         assert_eq!(subscript_sites("&body[start..]").len(), 1);
         assert!(subscript_sites("let [a, b] = cols.as_slice() else {").is_empty());
         assert!(subscript_sites("} else [0]; x in [1, 2]").is_empty());
-    }
-
-    #[test]
-    fn spec_docs_checks_take_keys() {
-        let spec = SourceFile::parse(
-            "crates/scenario/src/spec.rs".into(),
-            "let s = r.take_str(\"seed\")?;\nlet p = r.take_table(\"policy\", \"ctx\")?;\n\
-             fn take_str(&mut self, key: &str) {}\nlet d = r.take_f64(key)?;\n",
-        );
-        let docs = vec![("docs/S.md".to_string(), "The `seed` knob.".to_string())];
-        let v = spec_docs(&spec, &docs);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("\"policy\""));
-        let docs = vec![(
-            "docs/S.md".to_string(),
-            "`seed` and the [policy] table.".to_string(),
-        )];
-        assert!(spec_docs(&spec, &docs).is_empty());
     }
 
     #[test]

@@ -243,12 +243,12 @@ fn build_scenario_inner(
                 env = env.with_solar_at(cluster, dc, capacity, energy.min_sky, days, seed);
             }
             for t in &energy.tariffs {
-                let tariff = match t.step_at_hour {
-                    Some(h) => Tariff::Step {
+                let tariff = match (t.step_at_hour, t.step_eur_per_kwh) {
+                    (Some(h), Some(eur)) => Tariff::Step {
                         initial_eur: t.eur_per_kwh,
-                        steps: vec![(SimTime::from_hours(h), t.step_eur_per_kwh)],
+                        steps: vec![(SimTime::from_hours(h), eur)],
                     },
-                    None => Tariff::Flat(t.eur_per_kwh),
+                    _ => Tariff::Flat(t.eur_per_kwh),
                 };
                 env = env.with_tariff(t.dc, tariff);
             }
@@ -373,7 +373,7 @@ mod tests {
             dc: 1,
             eur_per_kwh: 0.5,
             step_at_hour: None,
-            step_eur_per_kwh: 0.5,
+            step_eur_per_kwh: None,
         });
         let s = build_scenario(&spec, Path::new(".")).expect("build");
         assert_eq!(s.faults.len(), 1);

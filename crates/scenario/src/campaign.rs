@@ -20,15 +20,12 @@
 //! registry name. `params` entries apply in order via
 //! [`ScenarioSpec::with_param`], so later overrides win.
 
-use crate::spec::{Reader, ScenarioSpec, SpecError};
+use crate::schema::{at_least, check_record, fields, read_record, Check, Field, Record, REQ};
+use crate::spec::{ScenarioSpec, SpecError};
 use crate::toml;
 
-fn bad(msg: impl Into<String>) -> SpecError {
-    SpecError(msg.into())
-}
-
 /// One entry of a campaign.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignRun {
     /// Spec reference: file path (campaign-relative) or built-in name.
     pub spec: String,
@@ -50,38 +47,41 @@ pub struct Campaign {
     pub runs: Vec<CampaignRun>,
 }
 
+impl Default for Campaign {
+    fn default() -> Self {
+        Campaign {
+            name: "campaign".into(),
+            runs: Vec::new(),
+        }
+    }
+}
+
+impl Record for Campaign {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "name" => name: Check::Any, 0, "Campaign name.";
+        "" "runs" => runs: Check::Any, 0, "The runs, in file order.";
+    };
+}
+
+impl Record for CampaignRun {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "spec" => spec: Check::Any, REQ, "Spec file (campaign-relative) or builtin name.";
+        "" "name" => name: Check::Any, 0, "Report-name override.";
+        "" "params" => params: Check::Text(|p| p.contains('='), "key=value"), 0, "Overrides, `--param` syntax, applied in order.";
+        "" "hours" => hours: at_least(1.0), 0, "Simulated-horizon override.";
+    };
+}
+
 impl Campaign {
     /// Parses a campaign document. Unknown keys are errors, same as
     /// spec parsing.
     pub fn parse(text: &str) -> Result<Campaign, SpecError> {
-        let mut root = Reader::new(toml::parse(text)?, "root");
-        let name = root.take_str("name")?.unwrap_or_else(|| "campaign".into());
-        let mut runs = Vec::new();
-        for mut r in root.take_table_array("runs", "runs")? {
-            let spec = r
-                .take_str("spec")?
-                .ok_or_else(|| bad("runs.spec is required"))?;
-            let run = CampaignRun {
-                spec,
-                name: r.take_str("name")?,
-                params: r.take_str_list("params")?.unwrap_or_default(),
-                hours: r.take_u64("hours")?,
-            };
-            for p in &run.params {
-                if !p.contains('=') {
-                    return Err(bad(format!(
-                        "runs.params entry {p:?} must look like key=value"
-                    )));
-                }
-            }
-            r.finish()?;
-            runs.push(run);
+        let campaign: Campaign = read_record(toml::parse(text)?, "")?;
+        check_record(&campaign, "")?;
+        if campaign.runs.is_empty() {
+            return Err(SpecError("campaign lists no [[runs]]".into()));
         }
-        root.finish()?;
-        if runs.is_empty() {
-            return Err(bad("campaign lists no [[runs]]"));
-        }
-        Ok(Campaign { name, runs })
+        Ok(campaign)
     }
 }
 
@@ -98,6 +98,7 @@ pub fn apply_overrides(base: &ScenarioSpec, run: &CampaignRun) -> Result<Scenari
     if let Some(name) = &run.name {
         spec.name = name.clone();
     }
+    spec.validate()?;
     Ok(spec)
 }
 

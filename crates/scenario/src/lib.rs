@@ -25,6 +25,7 @@ pub mod kinds;
 pub mod output;
 pub mod registry;
 pub mod runner;
+pub mod schema;
 pub mod spec;
 pub mod toml;
 

@@ -5,16 +5,22 @@
 //! (synthetic or a replayed trace), energy environment, billing, faults,
 //! profile changes, scheduler policy and horizon — as plain data. Specs
 //! parse from and emit to the [`crate::toml`] subset; emission is
-//! canonical (every field written, keys sorted), so
-//! `parse(emit(spec)) == spec` holds bit-for-bit and diffs of emitted
-//! specs are meaningful.
+//! canonical (keys sorted), so `parse(emit(spec)) == spec` holds
+//! bit-for-bit and diffs of emitted specs are meaningful.
+//!
+//! Every key is one row of a [`crate::schema`] field table (the
+//! `impl Record` blocks below): parsing, emission, range checks, the
+//! `--param` hints and the key table in `docs/SCENARIOS.md` all derive
+//! from it. [`ScenarioSpec::validate`] adds the rules that span keys.
 //!
 //! Field semantics cite the source paper where they reproduce it; see
 //! `PAPER.md` for the abstract and `docs/SCENARIOS.md` for the format
 //! walk-through with worked examples.
 
+use crate::schema::{
+    above, at_least, fields, named, within, Check, Field, Record, Slot, REQ, SPARSE, SWEEP,
+};
 use crate::toml::{self, Table, TomlError, Value};
-use std::collections::BTreeMap;
 
 /// Spec-level errors (syntax via [`TomlError`], or semantic).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,24 +53,10 @@ pub enum TopologyPreset {
     MultiDc,
 }
 
-impl TopologyPreset {
-    fn name(self) -> &'static str {
-        match self {
-            TopologyPreset::IntraDc => "intra-dc",
-            TopologyPreset::MultiDc => "multi-dc",
-        }
-    }
-
-    fn from_name(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "intra-dc" => Ok(TopologyPreset::IntraDc),
-            "multi-dc" => Ok(TopologyPreset::MultiDc),
-            _ => Err(bad(format!(
-                "unknown topology preset {s:?} (intra-dc | multi-dc)"
-            ))),
-        }
-    }
-}
+named!(TopologyPreset {
+    IntraDc = "intra-dc",
+    MultiDc = "multi-dc",
+});
 
 /// One host model a `[[topology.classes]]` entry can name.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,6 +88,16 @@ pub struct HostClassSpec {
     pub count: usize,
     /// Which machine model.
     pub machine: MachineClass,
+}
+
+impl Default for HostClassSpec {
+    /// One paper Atom host.
+    fn default() -> Self {
+        HostClassSpec {
+            count: 1,
+            machine: MachineClass::Atom,
+        }
+    }
 }
 
 /// `[topology]` — datacenters and hosts.
@@ -138,28 +140,12 @@ pub enum WorkloadPreset {
     Uniform,
 }
 
-impl WorkloadPreset {
-    fn name(self) -> &'static str {
-        match self {
-            WorkloadPreset::IntraDc => "intra-dc",
-            WorkloadPreset::MultiDc => "multi-dc",
-            WorkloadPreset::FollowTheSun => "follow-the-sun",
-            WorkloadPreset::Uniform => "uniform",
-        }
-    }
-
-    fn from_name(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "intra-dc" => Ok(WorkloadPreset::IntraDc),
-            "multi-dc" => Ok(WorkloadPreset::MultiDc),
-            "follow-the-sun" => Ok(WorkloadPreset::FollowTheSun),
-            "uniform" => Ok(WorkloadPreset::Uniform),
-            _ => Err(bad(format!(
-                "unknown workload preset {s:?} (intra-dc | multi-dc | follow-the-sun | uniform)"
-            ))),
-        }
-    }
-}
+named!(WorkloadPreset {
+    IntraDc = "intra-dc",
+    MultiDc = "multi-dc",
+    FollowTheSun = "follow-the-sun",
+    Uniform = "uniform",
+});
 
 /// Replay transforms for a trace-driven workload.
 #[derive(Clone, Debug, PartialEq)]
@@ -292,16 +278,17 @@ pub struct WorkloadSpec {
 }
 
 /// One flat- or step-tariff override for one DC.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TariffSpec {
     /// DC index.
     pub dc: usize,
     /// Flat €/kWh (before any step).
     pub eur_per_kwh: f64,
-    /// Optional step: at this hour the price becomes `step_eur_per_kwh`.
+    /// Optional step: at this hour the price becomes `step_eur_per_kwh`
+    /// (the two are set together or not at all).
     pub step_at_hour: Option<u64>,
-    /// Price after the step (only read when `step_at_hour` is set).
-    pub step_eur_per_kwh: f64,
+    /// Price after the step, €/kWh.
+    pub step_eur_per_kwh: Option<f64>,
 }
 
 /// `[energy]` — per-DC supply beyond the paper's flat Table II regime.
@@ -379,35 +366,15 @@ pub enum PolicyKind {
     Random,
 }
 
-impl PolicyKind {
-    fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Static => "static",
-            PolicyKind::BestFit => "bestfit",
-            PolicyKind::BestFitRaw => "bestfit-raw",
-            PolicyKind::Hierarchical => "hierarchical",
-            PolicyKind::FollowLoad => "follow-load",
-            PolicyKind::CheapestEnergy => "cheapest-energy",
-            PolicyKind::Random => "random",
-        }
-    }
-
-    fn from_name(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "static" => Ok(PolicyKind::Static),
-            "bestfit" => Ok(PolicyKind::BestFit),
-            "bestfit-raw" => Ok(PolicyKind::BestFitRaw),
-            "hierarchical" => Ok(PolicyKind::Hierarchical),
-            "follow-load" => Ok(PolicyKind::FollowLoad),
-            "cheapest-energy" => Ok(PolicyKind::CheapestEnergy),
-            "random" => Ok(PolicyKind::Random),
-            _ => Err(bad(format!(
-                "unknown policy kind {s:?} (static | bestfit | bestfit-raw | hierarchical | \
-                 follow-load | cheapest-energy | random)"
-            ))),
-        }
-    }
-}
+named!(PolicyKind {
+    Static = "static",
+    BestFit = "bestfit",
+    BestFitRaw = "bestfit-raw",
+    Hierarchical = "hierarchical",
+    FollowLoad = "follow-load",
+    CheapestEnergy = "cheapest-energy",
+    Random = "random",
+});
 
 /// The belief source behind a policy (the paper's BF / BF-OB / BF-ML /
 /// BF-True arms).
@@ -423,28 +390,12 @@ pub enum OracleKind {
     True,
 }
 
-impl OracleKind {
-    fn name(self) -> &'static str {
-        match self {
-            OracleKind::Monitor => "monitor",
-            OracleKind::Overbooked => "overbooked",
-            OracleKind::Ml => "ml",
-            OracleKind::True => "true",
-        }
-    }
-
-    fn from_name(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "monitor" => Ok(OracleKind::Monitor),
-            "overbooked" => Ok(OracleKind::Overbooked),
-            "ml" => Ok(OracleKind::Ml),
-            "true" => Ok(OracleKind::True),
-            _ => Err(bad(format!(
-                "unknown oracle {s:?} (monitor | overbooked | ml | true)"
-            ))),
-        }
-    }
-}
+named!(OracleKind {
+    Monitor = "monitor",
+    Overbooked = "overbooked",
+    Ml = "ml",
+    True = "true",
+});
 
 /// `[policy]` — the Plan stage.
 #[derive(Clone, Debug, PartialEq)]
@@ -534,7 +485,7 @@ impl Default for ServeSpec {
 }
 
 /// `[[faults]]` — one scheduled host crash.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSpec {
     /// PM index (global).
     pub pm: usize,
@@ -560,6 +511,19 @@ pub struct ProfileChangeSpec {
     pub io_wait_factor: f64,
     /// New idle CPU percentage.
     pub idle_cpu_pct: f64,
+}
+
+impl Default for ProfileChangeSpec {
+    fn default() -> Self {
+        ProfileChangeSpec {
+            vm: 0,
+            at_min: 0,
+            base_mem_mb: 512.0,
+            mem_mb_per_inflight: 2.0,
+            io_wait_factor: 0.6,
+            idle_cpu_pct: 2.0,
+        }
+    }
 }
 
 /// `[training]` — the Table-I collection/training pipeline (used when
@@ -701,605 +665,347 @@ impl Default for ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------
-// Typed readers over the parsed TOML tree. Each consumes keys from a
-// mutable copy of its table; leftovers are unknown keys and error out,
-// so typos fail loudly instead of silently running the default.
-// (`pub(crate)`: the campaign parser reads its files the same way.)
+// The field table: one row per key. Reading order is row order, so a
+// preset row comes before the keys whose defaults it shifts.
 // ---------------------------------------------------------------------
 
-pub(crate) struct Reader {
-    table: Table,
-    context: &'static str,
+/// A path key: any non-empty string.
+const PATH: Check = Check::Text(|s| !s.is_empty(), "a non-empty path");
+
+/// The paper's §V-B testbed has four Atom hosts.
+fn intra_dc_hosts(s: &mut ScenarioSpec) {
+    if s.topology.preset == TopologyPreset::IntraDc {
+        s.topology.pms_per_dc = 4;
+    }
 }
 
-impl Reader {
-    pub(crate) fn new(table: Table, context: &'static str) -> Self {
-        Reader { table, context }
+/// Intra-DC clients run the §V-B testbed's higher peak rate.
+fn intra_dc_peak(s: &mut ScenarioSpec) {
+    if s.workload.preset == WorkloadPreset::IntraDc {
+        s.workload.peak_rps = 240.0;
     }
+}
 
-    fn take(&mut self, key: &str) -> Option<Value> {
-        self.table.remove(key)
-    }
+impl Record for ScenarioSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "name" => name: Check::Any, 0, "Scenario name, also the report label.";
+        "" "description" => description: Check::Any, 0, "One-line description (`pamdc list`).";
+        "" "seed" => seed: Check::Any, SWEEP, "Master seed.";
+        "topology" "preset" => topology.preset: Check::Any, 0, then intra_dc_hosts, "City set: one DC (Barcelona) or four.";
+        "topology" "pms_per_dc" => topology.pms_per_dc: at_least(1.0), SWEEP, "Atom hosts per DC (4 under the intra-dc preset); ignored when classes are declared.";
+        "topology" "classes" => topology.classes: Check::Any, SPARSE, "Host-class mix of every DC, replacing the `pms_per_dc` Atoms.";
+        "topology" "deploy_all_in" => topology.deploy_all_in: Check::Any, 0, "Deploy every VM into this DC index first (unset = home region).";
+        "workload" "preset" => workload.preset: Check::Any, 0, then intra_dc_peak, "Synthetic demand (ignored under a trace or an import).";
+        "workload" "vms" => workload.vms: at_least(1.0), SWEEP, "Hosted services, one VM each.";
+        "workload" "peak_rps" => workload.peak_rps: above(0.0), SWEEP, "Nominal peak request rate per service (240 under the intra-dc preset).";
+        "workload" "load_scale" => workload.load_scale: at_least(0.0), SWEEP, "Global load multiplier (Figure 8's sweep axis).";
+        "workload" "flash_crowd" => workload.flash_crowd: at_least(0.0), SWEEP, "Minute 70-90 flash-crowd multiplier (Figure 6).";
+        "workload" "services" => workload.services: Check::Any, SPARSE, "Per-service VM sizing; counts sum to `vms`.";
+        "workload" "trace" => workload.trace: Check::Any, 0, "Replay a recorded demand trace.";
+        "workload" "import" => workload.import: Check::Any, 0, "Import a public dataset as the demand source.";
+        "energy" "price_blind" => energy.price_blind: Check::Any, 0, "Hide dynamic prices from the scheduler (control arm).";
+        "energy" "solar_dcs" => energy.solar_dcs: Check::Any, 0, "DC indices with on-site solar.";
+        "energy" "solar_per_pm_w" => energy.solar_per_pm_w: at_least(0.0), SWEEP, "Solar nameplate per host, W.";
+        "energy" "min_sky" => energy.min_sky: within(0.0, 1.0), 0, "Worst-day cloud attenuation.";
+        "energy" "tariffs" => energy.tariffs: Check::Any, SPARSE, "Per-DC electricity prices replacing Table II's.";
+        "billing" "vm_eur_per_hour" => billing.vm_eur_per_hour: at_least(0.0), SWEEP, "Revenue per VM-hour at SLA = 1, EUR.";
+        "billing" "sla_gamma" => billing.sla_gamma: at_least(0.0), 0, "Exponent of revenue in SLA fulfillment.";
+        "billing" "migration_fee_eur" => billing.migration_fee_eur: at_least(0.0), 0, "Fixed fee per migration, EUR.";
+        "policy" "kind" => policy.kind: Check::Any, SWEEP, "Placement policy.";
+        "policy" "oracle" => policy.oracle: Check::Any, SWEEP, "Belief source (the BF / BF-OB / BF-ML / BF-True arms).";
+        "policy" "plan_horizon_ticks" => policy.plan_horizon_ticks: Check::Any, 0, "Planning horizon in ticks (unset = one round).";
+        "policy" "near_equivalence_top_k" => policy.near_equivalence_top_k: at_least(1.0), SWEEP, "Opt-in approximate index: score the top-K host groups; tags the report `+NEAR-EQUIV(topK)`.";
+        "run" "hours" => run.hours: at_least(1.0), SWEEP, "Simulated hours.";
+        "run" "tick_secs" => run.tick_secs: at_least(1.0), 0, "Tick length, s.";
+        "run" "round_every_ticks" => run.round_every_ticks: Check::Any, SWEEP, "Scheduling round cadence, ticks (0 = never plan).";
+        "run" "migration_cooldown_ticks" => run.migration_cooldown_ticks: Check::Any, 0, "Anti-thrash cooldown, ticks.";
+        "run" "keep_series" => run.keep_series: Check::Any, 0, "Record full time series.";
+        "profile" "trace_out" => profile.trace_out: PATH, 0, "JSONL span/counter trace path (`--trace-out` overrides).";
+        "profile" "progress" => profile.progress: Check::Any, SPARSE, "Heartbeat to stderr every simulated hour.";
+        "serve" "budget_ms" => serve.budget_ms: Check::Any, SPARSE, "Wall-clock budget per `pamdc serve` round, ms (0 = unlimited).";
+        "serve" "snapshot_every" => serve.snapshot_every: at_least(1.0), SPARSE, "Restart-snapshot cadence, consumed ticks.";
+        "serve" "status_out" => serve.status_out: PATH, 0, "JSONL status-stream path (unset = `<session>/status.jsonl`).";
+        "" "faults" => faults: Check::Any, SPARSE, "Scheduled host crashes.";
+        "" "profile_changes" => profile_changes: Check::Any, SPARSE, "Scheduled ground-truth performance changes.";
+        "training" "vms" => training.vms: at_least(1.0), 0, "VMs in the Table-I collection runs.";
+        "training" "scales" => training.scales: at_least(0.0), 0, "Load scales the collection runs visit.";
+        "training" "hours_per_scale" => training.hours_per_scale: at_least(1.0), 0, "Simulated hours per scale.";
+        "training" "seed" => training.seed: Check::Any, 0, "Training seed.";
+        "" "experiment" => experiment: Check::Any, 0, "Bind the spec to a registered experiment driver.";
+    };
+}
 
-    pub(crate) fn take_str(&mut self, key: &str) -> Result<Option<String>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s)),
-            Some(v) => Err(bad(format!(
-                "{}.{key} must be a string, got {v:?}",
-                self.context
-            ))),
+/// A machine model a `[[topology.classes]]` entry can name.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum MachinePreset {
+    #[default]
+    Atom,
+    Xeon,
+}
+
+named!(MachinePreset {
+    Atom = "atom",
+    Xeon = "xeon",
+});
+
+/// The wire form of a [`HostClassSpec`]: a preset, or the four numbers
+/// of a custom class.
+struct ClassRow {
+    count: usize,
+    preset: Option<MachinePreset>,
+    cores: Option<usize>,
+    mem_mb: Option<f64>,
+    idle_watts: Option<f64>,
+    peak_watts: Option<f64>,
+}
+
+impl Default for ClassRow {
+    fn default() -> Self {
+        ClassRow {
+            count: 1,
+            preset: None,
+            cores: None,
+            mem_mb: None,
+            idle_watts: None,
+            peak_watts: None,
         }
     }
+}
 
-    pub(crate) fn take_f64(&mut self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| bad(format!("{}.{key} must be a number", self.context))),
+impl Record for ClassRow {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "count" => count: at_least(1.0), 0, "Hosts of this class in every DC.";
+        "" "preset" => preset: Check::Any, 0, "Machine model; or leave it out and give the four custom numbers.";
+        "" "cores" => cores: at_least(1.0), 0, "Custom class: cores (100 %CPU each).";
+        "" "mem_mb" => mem_mb: above(0.0), 0, "Custom class: memory, MB.";
+        "" "idle_watts" => idle_watts: above(0.0), 0, "Custom class: idle draw, W.";
+        "" "peak_watts" => peak_watts: above(0.0), 0, "Custom class: all-cores draw, W (>= idle_watts).";
+    };
+}
+
+impl From<&HostClassSpec> for ClassRow {
+    fn from(c: &HostClassSpec) -> Self {
+        let mut row = ClassRow {
+            count: c.count,
+            ..ClassRow::default()
+        };
+        match c.machine {
+            MachineClass::Atom => row.preset = Some(MachinePreset::Atom),
+            MachineClass::Xeon => row.preset = Some(MachinePreset::Xeon),
+            MachineClass::Custom {
+                cores,
+                mem_mb,
+                idle_watts,
+                peak_watts,
+            } => {
+                row.cores = Some(cores);
+                row.mem_mb = Some(mem_mb);
+                row.idle_watts = Some(idle_watts);
+                row.peak_watts = Some(peak_watts);
+            }
         }
+        row
+    }
+}
+
+impl Slot for HostClassSpec {
+    fn kind(&self) -> String {
+        ClassRow::from(self).kind()
     }
 
-    pub(crate) fn take_u64(&mut self, key: &str) -> Result<Option<u64>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => match v.as_int() {
-                Some(i) if i >= 0 => Ok(Some(i as u64)),
-                _ => Err(bad(format!(
-                    "{}.{key} must be a non-negative integer",
-                    self.context
-                ))),
-            },
-        }
-    }
-
-    pub(crate) fn take_usize(&mut self, key: &str) -> Result<Option<usize>, SpecError> {
-        Ok(self.take_u64(key)?.map(|v| v as usize))
-    }
-
-    pub(crate) fn take_bool(&mut self, key: &str) -> Result<Option<bool>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_bool()
-                .map(Some)
-                .ok_or_else(|| bad(format!("{}.{key} must be a boolean", self.context))),
-        }
-    }
-
-    pub(crate) fn take_str_list(&mut self, key: &str) -> Result<Option<Vec<String>>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => items
-                .into_iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s),
-                    _ => Err(bad(format!("{}.{key} must list strings", self.context))),
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-            Some(_) => Err(bad(format!("{}.{key} must be an array", self.context))),
-        }
-    }
-
-    pub(crate) fn take_f64_list(&mut self, key: &str) -> Result<Option<Vec<f64>>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|v| {
-                    v.as_float()
-                        .ok_or_else(|| bad(format!("{}.{key} must list numbers", self.context)))
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-            Some(_) => Err(bad(format!("{}.{key} must be an array", self.context))),
-        }
-    }
-
-    pub(crate) fn take_usize_list(&mut self, key: &str) -> Result<Option<Vec<usize>>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|v| match v.as_int() {
-                    Some(i) if i >= 0 => Ok(i as usize),
-                    _ => Err(bad(format!(
-                        "{}.{key} must list non-negative integers",
-                        self.context
-                    ))),
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-            Some(_) => Err(bad(format!("{}.{key} must be an array", self.context))),
-        }
-    }
-
-    pub(crate) fn take_table(
-        &mut self,
-        key: &str,
-        context: &'static str,
-    ) -> Result<Option<Reader>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Table(t)) => Ok(Some(Reader::new(t, context))),
-            Some(_) => Err(bad(format!("{}.{key} must be a [table]", self.context))),
-        }
-    }
-
-    pub(crate) fn take_table_array(
-        &mut self,
-        key: &str,
-        context: &'static str,
-    ) -> Result<Vec<Reader>, SpecError> {
-        match self.take(key) {
-            None => Ok(Vec::new()),
-            Some(Value::Array(items)) => items
-                .into_iter()
-                .map(|v| match v {
-                    Value::Table(t) => Ok(Reader::new(t, context)),
-                    _ => Err(bad(format!("{}.{key} must be [[tables]]", self.context))),
-                })
-                .collect(),
-            Some(_) => Err(bad(format!("{}.{key} must be [[tables]]", self.context))),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), SpecError> {
-        if let Some(key) = self.table.keys().next() {
-            return Err(bad(format!("unknown key {:?} in [{}]", key, self.context)));
-        }
+    fn read(&mut self, v: Value, path: &str) -> Result<(), SpecError> {
+        let mut r = ClassRow::default();
+        r.read(v, path)?;
+        let custom = (r.cores, r.mem_mb, r.idle_watts, r.peak_watts);
+        let machine = match (r.preset, custom) {
+            (Some(MachinePreset::Atom), (None, None, None, None)) => MachineClass::Atom,
+            (Some(MachinePreset::Xeon), (None, None, None, None)) => MachineClass::Xeon,
+            (Some(p), _) => {
+                return Err(bad(format!(
+                    "{path}: preset {:?} cannot be combined with custom \
+                     cores/mem_mb/idle_watts/peak_watts fields",
+                    p.name()
+                )))
+            }
+            (None, (Some(cores), Some(mem_mb), Some(idle_watts), Some(peak_watts))) => {
+                MachineClass::Custom {
+                    cores,
+                    mem_mb,
+                    idle_watts,
+                    peak_watts,
+                }
+            }
+            (None, _) => {
+                return Err(bad(format!(
+                    "{path}: a custom class needs cores, mem_mb, idle_watts and peak_watts \
+                     (or a preset)"
+                )))
+            }
+        };
+        *self = HostClassSpec {
+            count: r.count,
+            machine,
+        };
         Ok(())
     }
+
+    fn write(&self) -> Option<Value> {
+        ClassRow::from(self).write()
+    }
+
+    fn check(&self, check: Check, path: &str) -> Result<(), SpecError> {
+        ClassRow::from(self).check(check, path)?;
+        match self.machine {
+            MachineClass::Custom {
+                idle_watts,
+                peak_watts,
+                ..
+            } if idle_watts > peak_watts => {
+                Err(bad(format!("{path}: idle_watts cannot exceed peak_watts")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn nested(&self, path: &str) -> Vec<crate::schema::KeyDoc> {
+        ClassRow::from(self).nested(path)
+    }
+}
+
+impl Record for ServiceSpecEntry {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "count" => count: at_least(1.0), 0, "Consecutive services (VM indices, in table order) of this size.";
+        "" "image_size_mb" => image_size_mb: above(0.0), 0, "Disk image, MB (migration transfer cost).";
+        "" "base_mem_mb" => base_mem_mb: above(0.0), 0, "Memory floor, MB.";
+        "" "mem_mb_per_inflight" => mem_mb_per_inflight: above(0.0), 0, "MB per in-flight request (unset = the class constant or the imported profile).";
+        "" "rt0_secs" => rt0_secs: above(0.0), 0, "SLA: response time fully meeting the agreement, s.";
+        "" "alpha" => alpha: above(1.0), 0, "SLA: fulfillment reaches 0 at `alpha * rt0_secs`.";
+        "" "io_wait_factor" => io_wait_factor: at_least(0.0), 0, "Non-CPU fraction of service time.";
+        "" "idle_cpu_pct" => idle_cpu_pct: at_least(0.0), 0, "Idle CPU of the stack, percent of a core.";
+    };
+}
+
+impl Record for TraceReplaySpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "path" => path: PATH, REQ, "Trace CSV, relative to the spec file.";
+        "" "rate_scale" => rate_scale: at_least(0.0), 0, "Arrival-rate multiplier.";
+        "" "time_stretch" => time_stretch: above(0.0), 0, "Playback slowdown (2.0 = half speed).";
+        "" "region_map" => region_map: Check::Any, SPARSE, "Region relabelling, `map[recorded] = replayed` (empty = identity).";
+    };
+}
+
+/// The dataset formats `[workload.import]` reads.
+const FORMAT: Check = Check::Text(
+    |s| pamdc_workload::import::TraceFormat::from_name(s).is_some(),
+    "azure | alibaba",
+);
+
+impl Record for ImportSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "path" => path: PATH, REQ, "Dataset file, relative to the spec file.";
+        "" "format" => format: FORMAT, REQ, "Source schema.";
+        "" "tick_secs" => tick_secs: at_least(1.0), 0, "Normalization tick, s (unset = 300 Azure, 10 Alibaba).";
+        "" "regions" => regions: at_least(1.0), 0, "Client regions of the target world.";
+        "" "rate_scale" => rate_scale: at_least(0.0), 0, "Arrival-rate multiplier, baked in at import.";
+        "" "time_stretch" => time_stretch: above(0.0), 0, "Playback slowdown, baked in at import.";
+        "" "region_map" => region_map: Check::Any, SPARSE, "Home-region relabelling (empty = identity).";
+        "" "max_services" => max_services: at_least(1.0), 0, "Keep only the first N source ids.";
+        "" "max_ticks" => max_ticks: at_least(1.0), 0, "Keep only the first N ticks.";
+    };
+}
+
+impl Record for TariffSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "dc" => dc: Check::Any, REQ, "DC index.";
+        "" "eur_per_kwh" => eur_per_kwh: at_least(0.0), REQ, "Price, EUR/kWh (before any step).";
+        "" "step_at_hour" => step_at_hour: Check::Any, 0, "Hour the price steps (set with `step_eur_per_kwh`).";
+        "" "step_eur_per_kwh" => step_eur_per_kwh: at_least(0.0), 0, "Price after the step, EUR/kWh.";
+    };
+}
+
+impl Record for FaultSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "pm" => pm: Check::Any, REQ, "Global PM index.";
+        "" "at_min" => at_min: Check::Any, REQ, "Crash instant, minutes.";
+        "" "repair_after_min" => repair_after_min: Check::Any, REQ, "Repair delay, minutes.";
+    };
+}
+
+impl Record for ProfileChangeSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "vm" => vm: Check::Any, REQ, "VM index.";
+        "" "at_min" => at_min: Check::Any, REQ, "When the update lands, minutes.";
+        "" "base_mem_mb" => base_mem_mb: above(0.0), 0, "New memory floor, MB.";
+        "" "mem_mb_per_inflight" => mem_mb_per_inflight: at_least(0.0), 0, "New MB per in-flight request.";
+        "" "io_wait_factor" => io_wait_factor: at_least(0.0), 0, "New non-CPU fraction of service time.";
+        "" "idle_cpu_pct" => idle_cpu_pct: at_least(0.0), 0, "New idle CPU, percent of a core.";
+    };
+}
+
+impl Record for ExperimentSpec {
+    const FIELDS: &'static [Field<Self>] = fields! {
+        "" "kind" => kind: Check::Any, REQ, "Registered driver (`pamdc list`).";
+        "" "true_arm" => true_arm: Check::Any, 0, "Include the BF-True upper-bound arm (fig4).";
+        "" "load_scales" => load_scales: at_least(0.0), SPARSE, "Load-scale sweep axis (fig8).";
+        "" "pms_levels" => pms_levels: at_least(1.0), SPARSE, "Hosts-per-DC sweep axis (fig8).";
+        "" "spreads" => spreads: at_least(0.0), SPARSE, "Tariff-spread multipliers (heterogeneity; empty = driver default).";
+        "" "spike_factor" => spike_factor: above(0.0), SPARSE, "Midpoint tariff-spike multiplier (price-adaptation).";
+    };
 }
 
 impl ScenarioSpec {
     /// Parses a spec document. Missing sections/keys take the defaults
     /// of [`ScenarioSpec::default`]; unknown keys are errors.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut spec = ScenarioSpec::default();
-        let mut root = Reader::new(toml::parse(text)?, "root");
-
-        if let Some(name) = root.take_str("name")? {
-            spec.name = name;
-        }
-        if let Some(desc) = root.take_str("description")? {
-            spec.description = desc;
-        }
-        if let Some(seed) = root.take_u64("seed")? {
-            spec.seed = seed;
-        }
-
-        if let Some(mut t) = root.take_table("topology", "topology")? {
-            if let Some(preset) = t.take_str("preset")? {
-                spec.topology.preset = TopologyPreset::from_name(&preset)?;
-                // The intra-DC preset defaults follow the paper testbed.
-                if spec.topology.preset == TopologyPreset::IntraDc {
-                    spec.topology.pms_per_dc = 4;
-                }
-            }
-            if let Some(pms) = t.take_usize("pms_per_dc")? {
-                if pms == 0 {
-                    return Err(bad("topology.pms_per_dc must be >= 1"));
-                }
-                spec.topology.pms_per_dc = pms;
-            }
-            for mut c in t.take_table_array("classes", "topology.classes")? {
-                let count = c.take_usize("count")?.unwrap_or(1);
-                let preset = c.take_str("preset")?;
-                let cores = c.take_usize("cores")?;
-                let mem_mb = c.take_f64("mem_mb")?;
-                let idle_watts = c.take_f64("idle_watts")?;
-                let peak_watts = c.take_f64("peak_watts")?;
-                c.finish()?;
-                let machine = match preset.as_deref() {
-                    Some(name) => {
-                        if cores.is_some()
-                            || mem_mb.is_some()
-                            || idle_watts.is_some()
-                            || peak_watts.is_some()
-                        {
-                            return Err(bad(format!(
-                                "topology.classes: preset {name:?} cannot be combined with \
-                                 custom cores/mem_mb/idle_watts/peak_watts fields"
-                            )));
-                        }
-                        match name {
-                            "atom" => MachineClass::Atom,
-                            "xeon" => MachineClass::Xeon,
-                            _ => {
-                                return Err(bad(format!(
-                                    "unknown machine preset {name:?} (atom | xeon)"
-                                )))
-                            }
-                        }
-                    }
-                    None => MachineClass::Custom {
-                        cores: cores.ok_or_else(|| {
-                            bad("topology.classes: custom classes need cores (or a preset)")
-                        })?,
-                        mem_mb: mem_mb
-                            .ok_or_else(|| bad("topology.classes: custom classes need mem_mb"))?,
-                        idle_watts: idle_watts.ok_or_else(|| {
-                            bad("topology.classes: custom classes need idle_watts")
-                        })?,
-                        peak_watts: peak_watts.ok_or_else(|| {
-                            bad("topology.classes: custom classes need peak_watts")
-                        })?,
-                    },
-                };
-                spec.topology.classes.push(HostClassSpec { count, machine });
-            }
-            spec.topology.deploy_all_in = t.take_usize("deploy_all_in")?;
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("workload", "workload")? {
-            if let Some(preset) = t.take_str("preset")? {
-                spec.workload.preset = WorkloadPreset::from_name(&preset)?;
-                if spec.workload.preset == WorkloadPreset::IntraDc {
-                    spec.workload.peak_rps = 240.0;
-                }
-            }
-            if let Some(vms) = t.take_usize("vms")? {
-                if vms == 0 {
-                    return Err(bad("workload.vms must be >= 1"));
-                }
-                spec.workload.vms = vms;
-            }
-            if let Some(v) = t.take_f64("peak_rps")? {
-                spec.workload.peak_rps = v;
-            }
-            if let Some(v) = t.take_f64("load_scale")? {
-                spec.workload.load_scale = v;
-            }
-            spec.workload.flash_crowd = t.take_f64("flash_crowd")?;
-            for mut sv in t.take_table_array("services", "workload.services")? {
-                let mut entry = ServiceSpecEntry::default();
-                if let Some(v) = sv.take_usize("count")? {
-                    entry.count = v;
-                }
-                if let Some(v) = sv.take_f64("image_size_mb")? {
-                    entry.image_size_mb = v;
-                }
-                if let Some(v) = sv.take_f64("base_mem_mb")? {
-                    entry.base_mem_mb = v;
-                }
-                entry.mem_mb_per_inflight = sv.take_f64("mem_mb_per_inflight")?;
-                if let Some(v) = sv.take_f64("rt0_secs")? {
-                    entry.rt0_secs = v;
-                }
-                if let Some(v) = sv.take_f64("alpha")? {
-                    entry.alpha = v;
-                }
-                if let Some(v) = sv.take_f64("io_wait_factor")? {
-                    entry.io_wait_factor = v;
-                }
-                if let Some(v) = sv.take_f64("idle_cpu_pct")? {
-                    entry.idle_cpu_pct = v;
-                }
-                sv.finish()?;
-                spec.workload.services.push(entry);
-            }
-            if let Some(mut tr) = t.take_table("trace", "workload.trace")? {
-                let path = tr
-                    .take_str("path")?
-                    .ok_or_else(|| bad("workload.trace.path is required"))?;
-                let mut replay = TraceReplaySpec {
-                    path,
-                    ..TraceReplaySpec::default()
-                };
-                if let Some(v) = tr.take_f64("rate_scale")? {
-                    replay.rate_scale = v;
-                }
-                if let Some(v) = tr.take_f64("time_stretch")? {
-                    replay.time_stretch = v;
-                }
-                if let Some(map) = tr.take_usize_list("region_map")? {
-                    replay.region_map = map;
-                }
-                tr.finish()?;
-                spec.workload.trace = Some(replay);
-            }
-            if let Some(mut im) = t.take_table("import", "workload.import")? {
-                let path = im
-                    .take_str("path")?
-                    .ok_or_else(|| bad("workload.import.path is required"))?;
-                let format = im
-                    .take_str("format")?
-                    .ok_or_else(|| bad("workload.import.format is required (azure | alibaba)"))?;
-                let mut import = ImportSpec {
-                    path,
-                    format,
-                    ..ImportSpec::default()
-                };
-                import.tick_secs = im.take_u64("tick_secs")?;
-                if let Some(v) = im.take_usize("regions")? {
-                    import.regions = v;
-                }
-                if let Some(v) = im.take_f64("rate_scale")? {
-                    import.rate_scale = v;
-                }
-                if let Some(v) = im.take_f64("time_stretch")? {
-                    import.time_stretch = v;
-                }
-                if let Some(map) = im.take_usize_list("region_map")? {
-                    import.region_map = map;
-                }
-                import.max_services = im.take_usize("max_services")?;
-                import.max_ticks = im.take_usize("max_ticks")?;
-                im.finish()?;
-                spec.workload.import = Some(import);
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("energy", "energy")? {
-            if let Some(v) = t.take_bool("price_blind")? {
-                spec.energy.price_blind = v;
-            }
-            if let Some(v) = t.take_usize_list("solar_dcs")? {
-                spec.energy.solar_dcs = v;
-            }
-            if let Some(v) = t.take_f64("solar_per_pm_w")? {
-                spec.energy.solar_per_pm_w = v;
-            }
-            if let Some(v) = t.take_f64("min_sky")? {
-                spec.energy.min_sky = v;
-            }
-            for mut tr in t.take_table_array("tariffs", "energy.tariffs")? {
-                let dc = tr
-                    .take_usize("dc")?
-                    .ok_or_else(|| bad("energy.tariffs.dc is required"))?;
-                let eur = tr
-                    .take_f64("eur_per_kwh")?
-                    .ok_or_else(|| bad("energy.tariffs.eur_per_kwh is required"))?;
-                let step_at_hour = tr.take_u64("step_at_hour")?;
-                let step_eur = tr.take_f64("step_eur_per_kwh")?.unwrap_or(eur);
-                tr.finish()?;
-                spec.energy.tariffs.push(TariffSpec {
-                    dc,
-                    eur_per_kwh: eur,
-                    step_at_hour,
-                    step_eur_per_kwh: step_eur,
-                });
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("billing", "billing")? {
-            if let Some(v) = t.take_f64("vm_eur_per_hour")? {
-                spec.billing.vm_eur_per_hour = v;
-            }
-            if let Some(v) = t.take_f64("sla_gamma")? {
-                spec.billing.sla_gamma = v;
-            }
-            if let Some(v) = t.take_f64("migration_fee_eur")? {
-                spec.billing.migration_fee_eur = v;
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("policy", "policy")? {
-            if let Some(kind) = t.take_str("kind")? {
-                spec.policy.kind = PolicyKind::from_name(&kind)?;
-            }
-            if let Some(oracle) = t.take_str("oracle")? {
-                spec.policy.oracle = OracleKind::from_name(&oracle)?;
-            }
-            spec.policy.plan_horizon_ticks = t.take_u64("plan_horizon_ticks")?;
-            spec.policy.near_equivalence_top_k = t.take_usize("near_equivalence_top_k")?;
-            if spec.policy.near_equivalence_top_k == Some(0) {
-                return Err(bad("policy.near_equivalence_top_k must be >= 1"));
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("run", "run")? {
-            if let Some(v) = t.take_u64("hours")? {
-                spec.run.hours = v;
-            }
-            if let Some(v) = t.take_u64("tick_secs")? {
-                if v == 0 {
-                    return Err(bad("run.tick_secs must be >= 1"));
-                }
-                spec.run.tick_secs = v;
-            }
-            if let Some(v) = t.take_u64("round_every_ticks")? {
-                spec.run.round_every_ticks = v;
-            }
-            if let Some(v) = t.take_u64("migration_cooldown_ticks")? {
-                spec.run.migration_cooldown_ticks = v;
-            }
-            if let Some(v) = t.take_bool("keep_series")? {
-                spec.run.keep_series = v;
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("profile", "profile")? {
-            spec.profile.trace_out = t.take_str("trace_out")?;
-            if let Some(v) = t.take_bool("progress")? {
-                spec.profile.progress = v;
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("serve", "serve")? {
-            if let Some(v) = t.take_u64("budget_ms")? {
-                spec.serve.budget_ms = v;
-            }
-            if let Some(v) = t.take_u64("snapshot_every")? {
-                spec.serve.snapshot_every = v;
-            }
-            spec.serve.status_out = t.take_str("status_out")?;
-            t.finish()?;
-        }
-
-        for mut t in root.take_table_array("faults", "faults")? {
-            let pm = t
-                .take_usize("pm")?
-                .ok_or_else(|| bad("faults.pm is required"))?;
-            let at_min = t
-                .take_u64("at_min")?
-                .ok_or_else(|| bad("faults.at_min is required"))?;
-            let repair = t
-                .take_u64("repair_after_min")?
-                .ok_or_else(|| bad("faults.repair_after_min is required"))?;
-            t.finish()?;
-            spec.faults.push(FaultSpec {
-                pm,
-                at_min,
-                repair_after_min: repair,
-            });
-        }
-
-        for mut t in root.take_table_array("profile_changes", "profile_changes")? {
-            let vm = t
-                .take_usize("vm")?
-                .ok_or_else(|| bad("profile_changes.vm is required"))?;
-            let at_min = t
-                .take_u64("at_min")?
-                .ok_or_else(|| bad("profile_changes.at_min is required"))?;
-            let change = ProfileChangeSpec {
-                vm,
-                at_min,
-                base_mem_mb: t.take_f64("base_mem_mb")?.unwrap_or(512.0),
-                mem_mb_per_inflight: t.take_f64("mem_mb_per_inflight")?.unwrap_or(2.0),
-                io_wait_factor: t.take_f64("io_wait_factor")?.unwrap_or(0.6),
-                idle_cpu_pct: t.take_f64("idle_cpu_pct")?.unwrap_or(2.0),
-            };
-            t.finish()?;
-            spec.profile_changes.push(change);
-        }
-
-        if let Some(mut t) = root.take_table("training", "training")? {
-            if let Some(v) = t.take_usize("vms")? {
-                spec.training.vms = v;
-            }
-            if let Some(v) = t.take_f64_list("scales")? {
-                spec.training.scales = v;
-            }
-            if let Some(v) = t.take_u64("hours_per_scale")? {
-                spec.training.hours_per_scale = v;
-            }
-            if let Some(v) = t.take_u64("seed")? {
-                spec.training.seed = v;
-            }
-            t.finish()?;
-        }
-
-        if let Some(mut t) = root.take_table("experiment", "experiment")? {
-            let kind = t
-                .take_str("kind")?
-                .ok_or_else(|| bad("experiment.kind is required"))?;
-            let mut exp = ExperimentSpec {
-                kind,
-                ..ExperimentSpec::default()
-            };
-            if let Some(v) = t.take_bool("true_arm")? {
-                exp.true_arm = v;
-            }
-            if let Some(v) = t.take_f64_list("load_scales")? {
-                exp.load_scales = v;
-            }
-            if let Some(v) = t.take_usize_list("pms_levels")? {
-                exp.pms_levels = v;
-            }
-            if let Some(v) = t.take_f64_list("spreads")? {
-                exp.spreads = v;
-            }
-            if let Some(v) = t.take_f64("spike_factor")? {
-                exp.spike_factor = v;
-            }
-            t.finish()?;
-            spec.experiment = Some(exp);
-        }
-
-        root.finish()?;
+        let spec: ScenarioSpec = crate::schema::read_record(toml::parse(text)?, "")?;
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Semantic checks shared by parsing and hand-built specs.
+    /// Checks every key against its row's range, then the rules that
+    /// span keys. Parsing runs it; hand-built specs should too.
     pub fn validate(&self) -> Result<(), SpecError> {
+        crate::schema::check_record(self, "")?;
         let dcs = match self.topology.preset {
             TopologyPreset::IntraDc => 1,
             TopologyPreset::MultiDc => 4,
         };
-        if let Some(dc) = self.topology.deploy_all_in {
-            if dc >= dcs {
-                return Err(bad(format!(
-                    "topology.deploy_all_in {dc} out of range ({dcs} DCs)"
-                )));
-            }
-        }
-        for t in &self.energy.tariffs {
-            if t.dc >= dcs {
-                return Err(bad(format!(
-                    "energy.tariffs.dc {} out of range ({dcs} DCs)",
-                    t.dc
-                )));
-            }
-        }
-        for &dc in &self.energy.solar_dcs {
-            if dc >= dcs {
-                return Err(bad(format!(
-                    "energy.solar_dcs entry {dc} out of range ({dcs} DCs)"
-                )));
-            }
-        }
-        for c in &self.topology.classes {
-            if c.count == 0 {
-                return Err(bad("topology.classes count must be >= 1"));
-            }
-            if let MachineClass::Custom {
-                cores,
-                mem_mb,
-                idle_watts,
-                peak_watts,
-            } = &c.machine
-            {
-                if *cores == 0 {
-                    return Err(bad("topology.classes cores must be >= 1"));
-                }
-                if !(mem_mb.is_finite() && *mem_mb > 0.0) {
-                    return Err(bad("topology.classes mem_mb must be finite and > 0"));
-                }
-                if !(idle_watts.is_finite() && peak_watts.is_finite() && *idle_watts > 0.0) {
-                    return Err(bad(
-                        "topology.classes idle_watts/peak_watts must be finite and > 0",
-                    ));
-                }
-                if idle_watts > peak_watts {
-                    return Err(bad("topology.classes idle_watts cannot exceed peak_watts"));
-                }
-            }
-        }
-        if self.profile.trace_out.as_deref() == Some("") {
-            return Err(bad("profile.trace_out must be a non-empty path"));
-        }
-        if self.serve.status_out.as_deref() == Some("") {
-            return Err(bad("serve.status_out must be a non-empty path"));
-        }
-        if self.serve.snapshot_every == 0 {
-            return Err(bad("serve.snapshot_every must be at least 1 tick"));
-        }
         let pms = dcs * self.topology.hosts_per_dc();
-        for f in &self.faults {
-            if f.pm >= pms {
-                return Err(bad(format!("faults.pm {} out of range ({pms} PMs)", f.pm)));
-            }
-        }
-        for c in &self.profile_changes {
-            if c.vm >= self.workload.vms {
-                return Err(bad(format!(
-                    "profile_changes.vm {} out of range ({} VMs)",
-                    c.vm, self.workload.vms
-                )));
-            }
+        index_in(
+            "topology.deploy_all_in",
+            self.topology.deploy_all_in,
+            dcs,
+            "DCs",
+        )?;
+        index_in(
+            "energy.tariffs.dc",
+            self.energy.tariffs.iter().map(|t| t.dc),
+            dcs,
+            "DCs",
+        )?;
+        index_in(
+            "energy.solar_dcs",
+            self.energy.solar_dcs.iter().copied(),
+            dcs,
+            "DCs",
+        )?;
+        index_in("faults.pm", self.faults.iter().map(|f| f.pm), pms, "PMs")?;
+        let vms = self.workload.vms;
+        index_in(
+            "profile_changes.vm",
+            self.profile_changes.iter().map(|c| c.vm),
+            vms,
+            "VMs",
+        )?;
+        if self
+            .energy
+            .tariffs
+            .iter()
+            .any(|t| t.step_at_hour.is_some() != t.step_eur_per_kwh.is_some())
+        {
+            return Err(bad(
+                "energy.tariffs: step_at_hour and step_eur_per_kwh are set together or not at all",
+            ));
         }
         if !self.workload.services.is_empty() {
             let total: usize = self.workload.services.iter().map(|s| s.count).sum();
@@ -1309,34 +1015,6 @@ impl ScenarioSpec {
                      = {} — size every VM exactly once",
                     self.workload.vms
                 )));
-            }
-            for s in &self.workload.services {
-                if s.count == 0 {
-                    return Err(bad("workload.services count must be >= 1"));
-                }
-                let positive = |v: f64| v.is_finite() && v > 0.0;
-                if !positive(s.image_size_mb) || !positive(s.base_mem_mb) || !positive(s.rt0_secs) {
-                    return Err(bad(
-                        "workload.services image_size_mb/base_mem_mb/rt0_secs must be finite \
-                         and > 0",
-                    ));
-                }
-                if !(s.alpha.is_finite() && s.alpha > 1.0) {
-                    return Err(bad("workload.services alpha must be finite and > 1"));
-                }
-                if let Some(m) = s.mem_mb_per_inflight {
-                    if !positive(m) {
-                        return Err(bad(
-                            "workload.services mem_mb_per_inflight must be finite and > 0",
-                        ));
-                    }
-                }
-                let non_negative = |v: f64| v.is_finite() && v >= 0.0;
-                if !non_negative(s.io_wait_factor) || !non_negative(s.idle_cpu_pct) {
-                    return Err(bad(
-                        "workload.services io_wait_factor/idle_cpu_pct must be finite and >= 0",
-                    ));
-                }
             }
         }
         if self.workload.preset == WorkloadPreset::FollowTheSun {
@@ -1374,31 +1052,11 @@ impl ScenarioSpec {
             ));
         }
         if let Some(import) = &self.workload.import {
-            if import.path.is_empty() {
-                return Err(bad("workload.import.path must not be empty"));
-            }
-            if pamdc_workload::import::TraceFormat::from_name(&import.format).is_none() {
-                return Err(bad(format!(
-                    "unknown workload.import.format {:?} (azure | alibaba)",
-                    import.format
-                )));
-            }
             // The knob rules (regions, scales, region_map, tick, caps)
             // live with the importer — one source of truth.
             crate::build::import_options(import)
                 .validate()
                 .map_err(|e| bad(format!("workload.import: {}", e.0)))?;
-        }
-        if let Some(trace) = &self.workload.trace {
-            if trace.path.is_empty() {
-                return Err(bad("workload.trace.path must not be empty"));
-            }
-            if !(trace.time_stretch.is_finite() && trace.time_stretch > 0.0) {
-                return Err(bad("workload.trace.time_stretch must be finite and > 0"));
-            }
-            if !(trace.rate_scale.is_finite() && trace.rate_scale >= 0.0) {
-                return Err(bad("workload.trace.rate_scale must be finite and >= 0"));
-            }
         }
         if let Some(exp) = &self.experiment {
             // The kind registry is the single source of truth: a kind
@@ -1410,9 +1068,6 @@ impl ScenarioSpec {
                     crate::kinds::kind_names().join(" | ")
                 )));
             };
-            if !(exp.spike_factor.is_finite() && exp.spike_factor > 0.0) {
-                return Err(bad("experiment.spike_factor must be finite and > 0"));
-            }
             // Experiment drivers build their own worlds: a file-backed
             // demand source or an unhonored class mix would be silently
             // ignored, so reject the combination loudly instead.
@@ -1444,342 +1099,10 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Emits the canonical TOML form (every field written, keys sorted
-    /// by the emitter). `parse(emit(spec)) == spec`.
+    /// Emits the canonical TOML form (keys sorted by the emitter).
+    /// `parse(emit(spec)) == spec`.
     pub fn emit(&self) -> String {
-        let mut root = Table::new();
-        root.insert("name".into(), Value::Str(self.name.clone()));
-        root.insert("description".into(), Value::Str(self.description.clone()));
-        root.insert("seed".into(), Value::Int(self.seed as i64));
-
-        let mut topology = Table::new();
-        topology.insert(
-            "preset".into(),
-            Value::Str(self.topology.preset.name().into()),
-        );
-        topology.insert(
-            "pms_per_dc".into(),
-            Value::Int(self.topology.pms_per_dc as i64),
-        );
-        if !self.topology.classes.is_empty() {
-            let classes = self
-                .topology
-                .classes
-                .iter()
-                .map(|c| {
-                    let mut table = Table::new();
-                    table.insert("count".into(), Value::Int(c.count as i64));
-                    match &c.machine {
-                        MachineClass::Atom => {
-                            table.insert("preset".into(), Value::Str("atom".into()));
-                        }
-                        MachineClass::Xeon => {
-                            table.insert("preset".into(), Value::Str("xeon".into()));
-                        }
-                        MachineClass::Custom {
-                            cores,
-                            mem_mb,
-                            idle_watts,
-                            peak_watts,
-                        } => {
-                            table.insert("cores".into(), Value::Int(*cores as i64));
-                            table.insert("mem_mb".into(), Value::Float(*mem_mb));
-                            table.insert("idle_watts".into(), Value::Float(*idle_watts));
-                            table.insert("peak_watts".into(), Value::Float(*peak_watts));
-                        }
-                    }
-                    Value::Table(table)
-                })
-                .collect();
-            topology.insert("classes".into(), Value::Array(classes));
-        }
-        if let Some(dc) = self.topology.deploy_all_in {
-            topology.insert("deploy_all_in".into(), Value::Int(dc as i64));
-        }
-        root.insert("topology".into(), Value::Table(topology));
-
-        let mut workload = Table::new();
-        workload.insert(
-            "preset".into(),
-            Value::Str(self.workload.preset.name().into()),
-        );
-        workload.insert("vms".into(), Value::Int(self.workload.vms as i64));
-        workload.insert("peak_rps".into(), Value::Float(self.workload.peak_rps));
-        workload.insert("load_scale".into(), Value::Float(self.workload.load_scale));
-        if let Some(fc) = self.workload.flash_crowd {
-            workload.insert("flash_crowd".into(), Value::Float(fc));
-        }
-        if !self.workload.services.is_empty() {
-            let services = self
-                .workload
-                .services
-                .iter()
-                .map(|s| {
-                    let mut t = Table::new();
-                    t.insert("count".into(), Value::Int(s.count as i64));
-                    t.insert("image_size_mb".into(), Value::Float(s.image_size_mb));
-                    t.insert("base_mem_mb".into(), Value::Float(s.base_mem_mb));
-                    if let Some(m) = s.mem_mb_per_inflight {
-                        t.insert("mem_mb_per_inflight".into(), Value::Float(m));
-                    }
-                    t.insert("rt0_secs".into(), Value::Float(s.rt0_secs));
-                    t.insert("alpha".into(), Value::Float(s.alpha));
-                    t.insert("io_wait_factor".into(), Value::Float(s.io_wait_factor));
-                    t.insert("idle_cpu_pct".into(), Value::Float(s.idle_cpu_pct));
-                    Value::Table(t)
-                })
-                .collect();
-            workload.insert("services".into(), Value::Array(services));
-        }
-        if let Some(trace) = &self.workload.trace {
-            let mut t = Table::new();
-            t.insert("path".into(), Value::Str(trace.path.clone()));
-            t.insert("rate_scale".into(), Value::Float(trace.rate_scale));
-            t.insert("time_stretch".into(), Value::Float(trace.time_stretch));
-            if !trace.region_map.is_empty() {
-                t.insert(
-                    "region_map".into(),
-                    Value::Array(
-                        trace
-                            .region_map
-                            .iter()
-                            .map(|&r| Value::Int(r as i64))
-                            .collect(),
-                    ),
-                );
-            }
-            workload.insert("trace".into(), Value::Table(t));
-        }
-        if let Some(import) = &self.workload.import {
-            let mut t = Table::new();
-            t.insert("path".into(), Value::Str(import.path.clone()));
-            t.insert("format".into(), Value::Str(import.format.clone()));
-            if let Some(secs) = import.tick_secs {
-                t.insert("tick_secs".into(), Value::Int(secs as i64));
-            }
-            t.insert("regions".into(), Value::Int(import.regions as i64));
-            t.insert("rate_scale".into(), Value::Float(import.rate_scale));
-            t.insert("time_stretch".into(), Value::Float(import.time_stretch));
-            if !import.region_map.is_empty() {
-                t.insert(
-                    "region_map".into(),
-                    Value::Array(
-                        import
-                            .region_map
-                            .iter()
-                            .map(|&r| Value::Int(r as i64))
-                            .collect(),
-                    ),
-                );
-            }
-            if let Some(n) = import.max_services {
-                t.insert("max_services".into(), Value::Int(n as i64));
-            }
-            if let Some(n) = import.max_ticks {
-                t.insert("max_ticks".into(), Value::Int(n as i64));
-            }
-            workload.insert("import".into(), Value::Table(t));
-        }
-        root.insert("workload".into(), Value::Table(workload));
-
-        let mut energy = Table::new();
-        energy.insert("price_blind".into(), Value::Bool(self.energy.price_blind));
-        energy.insert(
-            "solar_dcs".into(),
-            Value::Array(
-                self.energy
-                    .solar_dcs
-                    .iter()
-                    .map(|&d| Value::Int(d as i64))
-                    .collect(),
-            ),
-        );
-        energy.insert(
-            "solar_per_pm_w".into(),
-            Value::Float(self.energy.solar_per_pm_w),
-        );
-        energy.insert("min_sky".into(), Value::Float(self.energy.min_sky));
-        if !self.energy.tariffs.is_empty() {
-            let tariffs = self
-                .energy
-                .tariffs
-                .iter()
-                .map(|t| {
-                    let mut table = Table::new();
-                    table.insert("dc".into(), Value::Int(t.dc as i64));
-                    table.insert("eur_per_kwh".into(), Value::Float(t.eur_per_kwh));
-                    if let Some(h) = t.step_at_hour {
-                        table.insert("step_at_hour".into(), Value::Int(h as i64));
-                        table.insert("step_eur_per_kwh".into(), Value::Float(t.step_eur_per_kwh));
-                    }
-                    Value::Table(table)
-                })
-                .collect();
-            energy.insert("tariffs".into(), Value::Array(tariffs));
-        }
-        root.insert("energy".into(), Value::Table(energy));
-
-        let mut billing = Table::new();
-        billing.insert(
-            "vm_eur_per_hour".into(),
-            Value::Float(self.billing.vm_eur_per_hour),
-        );
-        billing.insert("sla_gamma".into(), Value::Float(self.billing.sla_gamma));
-        billing.insert(
-            "migration_fee_eur".into(),
-            Value::Float(self.billing.migration_fee_eur),
-        );
-        root.insert("billing".into(), Value::Table(billing));
-
-        let mut policy = Table::new();
-        policy.insert("kind".into(), Value::Str(self.policy.kind.name().into()));
-        policy.insert(
-            "oracle".into(),
-            Value::Str(self.policy.oracle.name().into()),
-        );
-        if let Some(h) = self.policy.plan_horizon_ticks {
-            policy.insert("plan_horizon_ticks".into(), Value::Int(h as i64));
-        }
-        if let Some(k) = self.policy.near_equivalence_top_k {
-            policy.insert("near_equivalence_top_k".into(), Value::Int(k as i64));
-        }
-        root.insert("policy".into(), Value::Table(policy));
-
-        let mut run = Table::new();
-        run.insert("hours".into(), Value::Int(self.run.hours as i64));
-        run.insert("tick_secs".into(), Value::Int(self.run.tick_secs as i64));
-        run.insert(
-            "round_every_ticks".into(),
-            Value::Int(self.run.round_every_ticks as i64),
-        );
-        run.insert(
-            "migration_cooldown_ticks".into(),
-            Value::Int(self.run.migration_cooldown_ticks as i64),
-        );
-        run.insert("keep_series".into(), Value::Bool(self.run.keep_series));
-        root.insert("run".into(), Value::Table(run));
-
-        if self.profile != ProfileSpec::default() {
-            let mut profile = Table::new();
-            if let Some(path) = &self.profile.trace_out {
-                profile.insert("trace_out".into(), Value::Str(path.clone()));
-            }
-            if self.profile.progress {
-                profile.insert("progress".into(), Value::Bool(true));
-            }
-            root.insert("profile".into(), Value::Table(profile));
-        }
-
-        if self.serve != ServeSpec::default() {
-            let defaults = ServeSpec::default();
-            let mut serve = Table::new();
-            if self.serve.budget_ms != defaults.budget_ms {
-                serve.insert("budget_ms".into(), Value::Int(self.serve.budget_ms as i64));
-            }
-            if self.serve.snapshot_every != defaults.snapshot_every {
-                serve.insert(
-                    "snapshot_every".into(),
-                    Value::Int(self.serve.snapshot_every as i64),
-                );
-            }
-            if let Some(path) = &self.serve.status_out {
-                serve.insert("status_out".into(), Value::Str(path.clone()));
-            }
-            root.insert("serve".into(), Value::Table(serve));
-        }
-
-        if !self.faults.is_empty() {
-            let faults = self
-                .faults
-                .iter()
-                .map(|f| {
-                    let mut t = Table::new();
-                    t.insert("pm".into(), Value::Int(f.pm as i64));
-                    t.insert("at_min".into(), Value::Int(f.at_min as i64));
-                    t.insert(
-                        "repair_after_min".into(),
-                        Value::Int(f.repair_after_min as i64),
-                    );
-                    Value::Table(t)
-                })
-                .collect();
-            root.insert("faults".into(), Value::Array(faults));
-        }
-
-        if !self.profile_changes.is_empty() {
-            let changes = self
-                .profile_changes
-                .iter()
-                .map(|c| {
-                    let mut t = Table::new();
-                    t.insert("vm".into(), Value::Int(c.vm as i64));
-                    t.insert("at_min".into(), Value::Int(c.at_min as i64));
-                    t.insert("base_mem_mb".into(), Value::Float(c.base_mem_mb));
-                    t.insert(
-                        "mem_mb_per_inflight".into(),
-                        Value::Float(c.mem_mb_per_inflight),
-                    );
-                    t.insert("io_wait_factor".into(), Value::Float(c.io_wait_factor));
-                    t.insert("idle_cpu_pct".into(), Value::Float(c.idle_cpu_pct));
-                    Value::Table(t)
-                })
-                .collect();
-            root.insert("profile_changes".into(), Value::Array(changes));
-        }
-
-        let mut training = Table::new();
-        training.insert("vms".into(), Value::Int(self.training.vms as i64));
-        training.insert(
-            "scales".into(),
-            Value::Array(
-                self.training
-                    .scales
-                    .iter()
-                    .map(|&s| Value::Float(s))
-                    .collect(),
-            ),
-        );
-        training.insert(
-            "hours_per_scale".into(),
-            Value::Int(self.training.hours_per_scale as i64),
-        );
-        training.insert("seed".into(), Value::Int(self.training.seed as i64));
-        root.insert("training".into(), Value::Table(training));
-
-        if let Some(exp) = &self.experiment {
-            let mut t = Table::new();
-            t.insert("kind".into(), Value::Str(exp.kind.clone()));
-            t.insert("true_arm".into(), Value::Bool(exp.true_arm));
-            if !exp.load_scales.is_empty() {
-                t.insert(
-                    "load_scales".into(),
-                    Value::Array(exp.load_scales.iter().map(|&s| Value::Float(s)).collect()),
-                );
-            }
-            if !exp.pms_levels.is_empty() {
-                t.insert(
-                    "pms_levels".into(),
-                    Value::Array(
-                        exp.pms_levels
-                            .iter()
-                            .map(|&p| Value::Int(p as i64))
-                            .collect(),
-                    ),
-                );
-            }
-            if !exp.spreads.is_empty() {
-                t.insert(
-                    "spreads".into(),
-                    Value::Array(exp.spreads.iter().map(|&s| Value::Float(s)).collect()),
-                );
-            }
-            if exp.spike_factor != ExperimentSpec::default().spike_factor {
-                t.insert("spike_factor".into(), Value::Float(exp.spike_factor));
-            }
-            root.insert("experiment".into(), Value::Table(t));
-        }
-
-        toml::emit(&root)
+        toml::emit(&crate::schema::write_record(self))
     }
 
     /// Applies one `--param path.key=value` override to the spec by
@@ -1791,6 +1114,19 @@ impl ScenarioSpec {
         set_path(&mut root, path, value)?;
         let spec = ScenarioSpec::parse(&toml::emit(&root))?;
         Ok(spec)
+    }
+}
+
+/// Errors naming `path` when an index in `values` is not below `n`.
+fn index_in(
+    path: &str,
+    values: impl IntoIterator<Item = usize>,
+    n: usize,
+    what: &str,
+) -> Result<(), SpecError> {
+    match values.into_iter().find(|&i| i >= n) {
+        Some(i) => Err(bad(format!("{path} {i} out of range ({n} {what})"))),
+        None => Ok(()),
     }
 }
 
@@ -1824,26 +1160,14 @@ fn set_path(root: &mut Table, path: &str, value: &str) -> Result<(), SpecError> 
     Ok(())
 }
 
-/// The parameter paths `pamdc sweep --param` accepts, for error hints.
-pub fn sweepable_params() -> BTreeMap<&'static str, &'static str> {
-    BTreeMap::from([
-        ("seed", "master seed"),
-        ("topology.pms_per_dc", "hosts per DC"),
-        ("workload.vms", "hosted services"),
-        ("workload.peak_rps", "nominal peak rate"),
-        ("workload.load_scale", "global load multiplier"),
-        ("workload.flash_crowd", "flash-crowd multiplier"),
-        ("energy.solar_per_pm_w", "solar nameplate per host"),
-        ("billing.vm_eur_per_hour", "revenue per VM-hour"),
-        ("policy.kind", "placement policy"),
-        ("policy.oracle", "belief source"),
-        (
-            "policy.near_equivalence_top_k",
-            "approximate shortlist width (opt-in)",
-        ),
-        ("run.hours", "simulated hours"),
-        ("run.round_every_ticks", "scheduling cadence"),
-    ])
+/// The key paths suggested as `pamdc sweep --param` axes, for error
+/// hints.
+pub fn sweep_hints() -> Vec<String> {
+    crate::schema::keys::<ScenarioSpec>("")
+        .into_iter()
+        .filter(|k| k.flags & SWEEP != 0)
+        .map(|k| k.path)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1879,7 +1203,7 @@ mod tests {
             dc: 3,
             eur_per_kwh: 0.112,
             step_at_hour: Some(12),
-            step_eur_per_kwh: 0.448,
+            step_eur_per_kwh: Some(0.448),
         }];
         spec.billing.sla_gamma = 2.0;
         spec.policy.kind = PolicyKind::BestFit;
@@ -2175,6 +1499,59 @@ mod tests {
         assert!(ScenarioSpec::parse("nam = \"typo\"").is_err());
         assert!(ScenarioSpec::parse("[workload]\nvmz = 3").is_err());
         assert!(ScenarioSpec::parse("[experiment]\nkind = \"fig99\"").is_err());
+    }
+
+    #[test]
+    fn wrong_types_name_the_key() {
+        let err = ScenarioSpec::parse("[workload]\nvms = \"five\"").unwrap_err();
+        assert!(err.0.contains("workload.vms"), "{}", err.0);
+        let err = ScenarioSpec::parse("topology = 3").unwrap_err();
+        assert!(err.0.contains("topology must be a table"), "{}", err.0);
+        let err = ScenarioSpec::parse("[[faults]]\npm = 0\nat_min = 1\n").unwrap_err();
+        assert!(
+            err.0.contains("faults.repair_after_min is required"),
+            "{}",
+            err.0
+        );
+        let err = ScenarioSpec::parse("[energy]\nsolar_dcs = [0, -1]").unwrap_err();
+        assert!(err.0.contains("energy.solar_dcs"), "{}", err.0);
+    }
+
+    #[test]
+    fn tariff_step_keys_come_as_a_pair() {
+        // The after-step price alone used to parse and then vanish on
+        // the next emit; both halves of the step are now required.
+        let flat = "[[energy.tariffs]]\ndc = 0\neur_per_kwh = 0.1\n";
+        for half in ["step_eur_per_kwh = 0.3\n", "step_at_hour = 5\n"] {
+            let err = ScenarioSpec::parse(&format!("{flat}{half}")).unwrap_err();
+            assert!(
+                err.0.contains("step_at_hour and step_eur_per_kwh"),
+                "{}",
+                err.0
+            );
+        }
+        let stepped = format!("{flat}step_at_hour = 5\nstep_eur_per_kwh = 0.3\n");
+        let spec = ScenarioSpec::parse(&stepped).expect("parse");
+        assert_eq!(spec.energy.tariffs[0].step_eur_per_kwh, Some(0.3));
+        assert_eq!(ScenarioSpec::parse(&spec.emit()).expect("reparse"), spec);
+    }
+
+    #[test]
+    #[allow(clippy::field_reassign_with_default)]
+    fn validate_checks_hand_built_specs() {
+        let mut spec = ScenarioSpec::default();
+        spec.workload.vms = 0;
+        assert!(spec.validate().unwrap_err().0.contains("workload.vms"));
+        let mut spec = ScenarioSpec::default();
+        spec.run.tick_secs = 0;
+        assert!(spec.validate().unwrap_err().0.contains("run.tick_secs"));
+        let mut spec = ScenarioSpec::default();
+        spec.billing.vm_eur_per_hour = f64::INFINITY;
+        assert!(spec
+            .validate()
+            .unwrap_err()
+            .0
+            .contains("billing.vm_eur_per_hour"));
     }
 
     #[test]

@@ -429,7 +429,7 @@ fn emit_table(out: &mut String, table: &Table, path: &mut Vec<String>) {
     }
 }
 
-fn emit_scalar(value: &Value) -> String {
+pub(crate) fn emit_scalar(value: &Value) -> String {
     match value {
         Value::Str(s) => {
             let mut out = String::with_capacity(s.len() + 2);

@@ -192,19 +192,12 @@ fn assemble(
         spec.energy.solar_dcs = vec![seed as usize % 4];
         spec.energy.solar_per_pm_w = scalar * 400.0;
         spec.energy.min_sky = scalar.clamp(0.0, 1.0);
-        let eur = 0.01 + scalar;
-        let step_at_hour = (seed % 2 == 0).then_some(hours % 48);
+        let step = seed % 2 == 0;
         spec.energy.tariffs.push(TariffSpec {
             dc: (seed as usize + 1) % 4,
-            eur_per_kwh: eur,
-            step_at_hour,
-            // Without a step the after-step price is never emitted and
-            // parses back as the flat price — keep the value canonical.
-            step_eur_per_kwh: if step_at_hour.is_some() {
-                0.02 + scalar * 2.0
-            } else {
-                eur
-            },
+            eur_per_kwh: 0.01 + scalar,
+            step_at_hour: step.then_some(hours % 48),
+            step_eur_per_kwh: step.then_some(scalar * 2.0),
         });
     }
     spec.billing.vm_eur_per_hour = 0.01 + scalar;

@@ -26,7 +26,7 @@
 use crate::index::IndexMode;
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
-use crate::profit::{marginal_profit_hoisted, PlacementScore, PlacementState};
+use crate::profit::{marginal_profit, PlacementScore, PlacementState};
 use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::resources::Resources;
 
@@ -169,7 +169,7 @@ pub fn best_fit(problem: &Problem, oracle: &dyn QosOracle, mode: IndexMode) -> B
                 transport[loc.index()] = t;
             }
             scored_candidates += 1;
-            marginal_profit_hoisted(problem, oracle, state, vm_idx, host_idx, demand, t)
+            marginal_profit(problem, oracle, state, vm_idx, host_idx, demand, t)
         };
 
         let mut best_fit_choice: Option<(usize, PlacementScore)> = None;

@@ -16,6 +16,7 @@
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
 use crate::profit::{evaluate_schedule, marginal_profit, PlacementState, ScheduleEval};
+use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::resources::Resources;
 
 /// Result of an exact search.
@@ -164,7 +165,19 @@ pub fn branch_and_bound_with_budget(
                 if !fits && !self.allow_overflow {
                     continue;
                 }
-                let score = marginal_profit(self.problem, self.oracle, state, vm_idx, host_idx);
+                let host = &self.problem.hosts[host_idx];
+                let flows = &self.problem.vms[vm_idx].flows;
+                let transport = weighted_transport_secs(flows, host.location, &self.problem.net);
+                let demand = self.demands[vm_idx];
+                let score = marginal_profit(
+                    self.problem,
+                    self.oracle,
+                    state,
+                    vm_idx,
+                    host_idx,
+                    demand,
+                    transport,
+                );
                 let mut next = state.clone();
                 next.assign(self.problem, host_idx, self.demands[vm_idx]);
                 current.push(host_idx);

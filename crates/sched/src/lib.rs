@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::oracle::{MlOracle, MonitorOracle, QosOracle, TrueOracle};
     pub use crate::problem::{HostInfo, Problem, Schedule, VmInfo};
     pub use crate::profit::{
-        evaluate_schedule, marginal_profit, marginal_profit_hoisted, BelievedTotals,
-        PlacementScore, PlacementState, ScheduleEval,
+        evaluate_schedule, marginal_profit, BelievedTotals, PlacementScore, PlacementState,
+        ScheduleEval,
     };
 }

@@ -230,29 +230,15 @@ impl PlacementScore {
 
 /// Scores placing `vm_idx` on `host_idx` given the partial assignment in
 /// `state` — Algorithm 1's `profit(v, h, res_req, res_avail)`.
-pub fn marginal_profit(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    state: &PlacementState,
-    vm_idx: usize,
-    host_idx: usize,
-) -> PlacementScore {
-    let vm = &problem.vms[vm_idx];
-    let host = &problem.hosts[host_idx];
-    let demand = oracle.demand(vm);
-    let transport = weighted_transport_secs(&vm.flows, host.location, &problem.net);
-    marginal_profit_hoisted(problem, oracle, state, vm_idx, host_idx, demand, transport)
-}
-
-/// [`marginal_profit`] with the per-pair invariants precomputed: the
-/// VM's oracle demand (identical for every host) and the transport
-/// latency (identical for every host at the same location). Best-Fit
-/// hoists both out of its candidate loop; `marginal_profit` (the
-/// reference scan's per-pair call) delegates here, so both share one
-/// code path and one float
-/// evaluation order — the bit-identity guarantee the shortlist
+///
+/// The per-pair invariants come precomputed: `demand` is the VM's
+/// oracle demand (identical for every host) and `transport` the
+/// weighted transport latency from its clients to the host's location
+/// (identical for every host there), so a candidate loop hoists both.
+/// Every solver scores through this one function, so all share one
+/// float evaluation order — the bit-identity guarantee the shortlist
 /// equivalence proptests rely on.
-pub fn marginal_profit_hoisted(
+pub fn marginal_profit(
     problem: &Problem,
     oracle: &dyn QosOracle,
     state: &PlacementState,
@@ -450,6 +436,7 @@ mod tests {
     use super::*;
     use crate::oracle::{MonitorOracle, TrueOracle};
     use crate::problem::synthetic::problem;
+    use crate::reference::score_pair;
     use pamdc_infra::ids::PmId;
 
     #[test]
@@ -457,8 +444,8 @@ mod tests {
         let p = problem(1, 4, 50.0);
         let o = MonitorOracle::plain();
         let state = PlacementState::new(&p);
-        let stay = marginal_profit(&p, &o, &state, 0, 0);
-        let moveaway = marginal_profit(&p, &o, &state, 0, 1);
+        let stay = score_pair(&p, &o, &state, 0, 0);
+        let moveaway = score_pair(&p, &o, &state, 0, 1);
         assert_eq!(stay.migration_eur, 0.0);
         assert!(moveaway.migration_eur > 0.0);
     }
@@ -470,8 +457,8 @@ mod tests {
         let p = problem(1, 5, 50.0);
         let o = MonitorOracle::plain();
         let state = PlacementState::new(&p);
-        let local = marginal_profit(&p, &o, &state, 0, 4); // same DC as current
-        let remote = marginal_profit(&p, &o, &state, 0, 2);
+        let local = score_pair(&p, &o, &state, 0, 4); // same DC as current
+        let remote = score_pair(&p, &o, &state, 0, 2);
         assert!(remote.migration_eur > local.migration_eur);
     }
 
@@ -481,8 +468,8 @@ mod tests {
         let o = MonitorOracle::plain();
         let state = PlacementState::new(&p);
         // Host 0 is powered_on in the fixture; host 1 is cold.
-        let warm = marginal_profit(&p, &o, &state, 0, 0);
-        let cold = marginal_profit(&p, &o, &state, 0, 1);
+        let warm = score_pair(&p, &o, &state, 0, 0);
+        let cold = score_pair(&p, &o, &state, 0, 1);
         assert!(
             cold.energy_eur > warm.energy_eur,
             "cold start {} must exceed warm marginal {}",
@@ -566,10 +553,10 @@ mod tests {
         }
         let o = TrueOracle::new();
         let state = PlacementState::new(&p);
-        let stay = marginal_profit(&p, &o, &state, 0, 0);
+        let stay = score_pair(&p, &o, &state, 0, 0);
         assert_eq!(stay.revenue_eur, 0.0, "a dead host earns nothing");
         let best_alive = (1..4)
-            .map(|h| marginal_profit(&p, &o, &state, 0, h).profit())
+            .map(|h| score_pair(&p, &o, &state, 0, h).profit())
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(
             best_alive > stay.profit(),
@@ -587,8 +574,8 @@ mod tests {
         p.net = std::sync::Arc::new(pamdc_infra::network::NetworkModel::paper_priced(0.05));
         let o = TrueOracle::new();
         let state = PlacementState::new(&p);
-        let home = marginal_profit(&p, &o, &state, 0, 0);
-        let remote = marginal_profit(&p, &o, &state, 0, 2);
+        let home = score_pair(&p, &o, &state, 0, 0);
+        let remote = score_pair(&p, &o, &state, 0, 2);
         assert_eq!(home.network_eur, 0.0, "local clients ride free");
         assert!(
             remote.network_eur > 0.0,
@@ -597,7 +584,7 @@ mod tests {
         // Free network: both are zero.
         let mut free = problem(1, 4, 120.0);
         free.net = std::sync::Arc::new(pamdc_infra::network::NetworkModel::paper());
-        let r = marginal_profit(&free, &o, &PlacementState::new(&free), 0, 2);
+        let r = score_pair(&free, &o, &PlacementState::new(&free), 0, 2);
         assert_eq!(r.network_eur, 0.0);
     }
 
@@ -639,8 +626,8 @@ mod tests {
         let p = problem(1, 4, 120.0);
         let o = TrueOracle::new();
         let state = PlacementState::new(&p);
-        let brisbane = marginal_profit(&p, &o, &state, 0, 0);
-        let barcelona = marginal_profit(&p, &o, &state, 0, 2);
+        let brisbane = score_pair(&p, &o, &state, 0, 0);
+        let barcelona = score_pair(&p, &o, &state, 0, 2);
         assert!(brisbane.sla >= barcelona.sla);
     }
 }

@@ -16,7 +16,25 @@ use crate::localsearch::LocalSearchConfig;
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
 use crate::profit::{marginal_profit, PlacementScore, PlacementState};
+use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::resources::Resources;
+
+/// [`marginal_profit`] of one (VM, host) pair with nothing hoisted: the
+/// VM's oracle demand and its transport latency to the host are
+/// computed for this pair alone.
+pub fn score_pair(
+    problem: &Problem,
+    oracle: &dyn QosOracle,
+    state: &PlacementState,
+    vm_idx: usize,
+    host_idx: usize,
+) -> PlacementScore {
+    let vm = &problem.vms[vm_idx];
+    let host = &problem.hosts[host_idx];
+    let demand = oracle.demand(vm);
+    let transport = weighted_transport_secs(&vm.flows, host.location, &problem.net);
+    marginal_profit(problem, oracle, state, vm_idx, host_idx, demand, transport)
+}
 
 /// Algorithm 1 scoring every (VM, host) pair.
 pub fn best_fit_full_scan(problem: &Problem, oracle: &dyn QosOracle) -> BestFitResult {
@@ -43,7 +61,7 @@ pub fn best_fit_full_scan(problem: &Problem, oracle: &dyn QosOracle) -> BestFitR
         let mut best_mem_ok: Option<(usize, PlacementScore)> = None;
         let mut stay_choice: Option<(usize, PlacementScore)> = None;
         for host_idx in 0..problem.hosts.len() {
-            let score = marginal_profit(problem, oracle, &state, vm_idx, host_idx);
+            let score = score_pair(problem, oracle, &state, vm_idx, host_idx);
             scored_candidates += 1;
             let fits = state.fits(problem, host_idx, &demands[vm_idx]);
             if fits && current_host_idx[vm_idx] == Some(host_idx) {
