@@ -1,5 +1,6 @@
-//! Golden-report tests: every deterministic registry spec, run in quick
-//! mode at its fixed seed, must reproduce the committed snapshot of its
+//! Golden-report tests: every deterministic registry spec, run at its
+//! fixed seed in quick mode (`<name>.golden`) and in full mode
+//! (`<name>.full.golden`), must reproduce the committed snapshot of its
 //! rendered text and metrics **bit-for-bit** (metric values are compared
 //! via `f64::to_bits`).
 //!
@@ -39,11 +40,17 @@ fn encode(report: &SpecReport) -> String {
     out
 }
 
-fn check(name: &str) {
+fn check(name: &str, quick: bool) {
     let spec = registry::find(name).expect(name).spec;
-    let report = run_spec(&spec, Path::new("."), true).expect(name);
+    let report = run_spec(&spec, Path::new("."), quick).expect(name);
     let encoded = encode(&report);
-    let path = golden_dir().join(format!("{name}.golden"));
+    let mode = if quick { "quick" } else { "full" };
+    let file = if quick {
+        format!("{name}.golden")
+    } else {
+        format!("{name}.full.golden")
+    };
+    let path = golden_dir().join(file);
     if std::env::var("PAMDC_UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0") {
         std::fs::create_dir_all(golden_dir()).expect("golden dir");
         std::fs::write(&path, &encoded).expect("write golden");
@@ -58,7 +65,7 @@ fn check(name: &str) {
     });
     assert!(
         encoded == want,
-        "{name}: quick-mode report diverged from the golden snapshot.\n{}",
+        "{name}: {mode}-mode report diverged from the golden snapshot.\n{}",
         diff(&encoded, &want)
     );
 }
@@ -124,9 +131,19 @@ macro_rules! golden {
         $(
             #[test]
             fn $test() {
-                check($name);
+                check($name, true);
             }
         )*
+        /// The same reports in full mode: the spec's own horizons,
+        /// fleets and sweep axes.
+        mod full {
+            $(
+                #[test]
+                fn $test() {
+                    super::check($name, false);
+                }
+            )*
+        }
         /// The snapshotted names — emitted by the macro so the
         /// completeness guard below can never drift out of sync with
         /// the test list.
