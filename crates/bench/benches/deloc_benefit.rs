@@ -2,18 +2,16 @@
 //! arms.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::deloc;
+use pamdc_bench::run_builtin;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let cfg = deloc::DelocConfig::default();
-    let result = deloc::run(&cfg);
-    println!("\n{}", deloc::render(&result, cfg.vms));
+    println!("\n{}", run_builtin("deloc", false, &[]).text);
 
     let mut g = c.benchmark_group("deloc");
     g.sample_size(10);
     g.bench_function("both_arms_quick", |b| {
-        b.iter(|| black_box(deloc::run(&deloc::DelocConfig::quick(6)).sla_gain()))
+        b.iter(|| black_box(run_builtin("deloc", true, &[]).text.len()))
     });
     g.finish();
 }

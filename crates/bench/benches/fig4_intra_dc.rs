@@ -2,19 +2,23 @@
 //! times a simulated hour under each oracle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pamdc_bench::metric_id;
-use pamdc_core::experiments::{fig4, table1};
+use pamdc_bench::{metric_id, run_builtin};
+use pamdc_core::engine::Controller;
+use pamdc_core::experiments::table1;
 use pamdc_core::policy::{BestFitPolicy, PlacementPolicy};
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::SimulationRunner;
 use pamdc_sched::oracle::{MlOracle, MonitorOracle};
 use pamdc_simcore::time::SimDuration;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let training = table1::run(&table1::Table1Config::quick(2013));
-    let result = fig4::run(&fig4::Fig4Config::quick(4), &training);
-    println!("\n{}", fig4::render(&result));
+    println!("\n{}", run_builtin("fig4", true, &[]).text);
+    let training = table1::run(&table1::Table1Config {
+        vms: 4,
+        scales: vec![0.5, 1.0, 1.5],
+        hours_per_scale: 4,
+        seed: 2013,
+    });
 
     // Bench ids derive from the policies' display names through the
     // workspace-wide metric namer, same keys as the runner's reports.
@@ -28,8 +32,8 @@ fn bench(c: &mut Criterion) {
             let s = ScenarioBuilder::paper_intra_dc().vms(4).seed(1).build();
             let p = Box::new(BestFitPolicy::new(MonitorOracle::plain()));
             black_box(
-                SimulationRunner::new(s, p)
-                    .run(SimDuration::from_hours(1))
+                Controller::new(s, p)
+                    .run_for(SimDuration::from_hours(1))
                     .0
                     .mean_sla,
             )
@@ -40,8 +44,8 @@ fn bench(c: &mut Criterion) {
             let s = ScenarioBuilder::paper_intra_dc().vms(4).seed(1).build();
             let p = Box::new(BestFitPolicy::new(MlOracle::new(training.suite.clone())));
             black_box(
-                SimulationRunner::new(s, p)
-                    .run(SimDuration::from_hours(1))
+                Controller::new(s, p)
+                    .run_for(SimDuration::from_hours(1))
                     .0
                     .mean_sla,
             )

@@ -2,17 +2,21 @@
 //! follow-the-load run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::fig5;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let result = fig5::run(&fig5::Fig5Config::default());
-    println!("\n{}", fig5::render(&result));
+    println!("\n{}", run_builtin("fig5", false, &[]).text);
 
     let mut g = c.benchmark_group("fig5");
     g.sample_size(10);
     g.bench_function("follow_load_12h", |b| {
-        b.iter(|| black_box(fig5::run(&fig5::Fig5Config { hours: 12, seed: 5 }).dcs_visited))
+        b.iter(|| {
+            black_box(metric(
+                &run_builtin("fig5", false, &[("run.hours", "12")]),
+                "dcs_visited",
+            ))
+        })
     });
     g.finish();
 }

@@ -2,17 +2,16 @@
 //! crowd) and times the quick run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::fig6;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let result = fig6::run(&fig6::Fig6Config::default(), None);
-    println!("\n{}", fig6::render(&result));
+    println!("\n{}", run_builtin("fig6", false, &[]).text);
 
     let mut g = c.benchmark_group("fig6");
     g.sample_size(10);
     g.bench_function("flash_crowd_3h", |b| {
-        b.iter(|| black_box(fig6::run(&fig6::Fig6Config::quick(7), None).sla_during_crowd))
+        b.iter(|| black_box(metric(&run_builtin("fig6", true, &[]), "sla_during_crowd")))
     });
     g.finish();
 }

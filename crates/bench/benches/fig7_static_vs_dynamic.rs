@@ -2,20 +2,20 @@
 //! multi-DC) and times the paired comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::fig7_table3;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let result = fig7_table3::run(&fig7_table3::Table3Config::default(), None);
-    println!("\n{}", fig7_table3::render(&result));
+    println!("\n{}", run_builtin("fig7-table3", false, &[]).text);
 
     let mut g = c.benchmark_group("fig7_table3");
     g.sample_size(10);
     g.bench_function("both_arms_quick", |b| {
         b.iter(|| {
-            black_box(
-                fig7_table3::run(&fig7_table3::Table3Config::quick(8), None).energy_saving_frac(),
-            )
+            black_box(metric(
+                &run_builtin("fig7-table3", true, &[]),
+                "energy_saving_frac",
+            ))
         })
     });
     g.finish();

@@ -1,18 +1,17 @@
-//! E-F8 — regenerates Figure 8 (SLA vs energy vs load) and times one
-//! sweep point.
+//! E-F8 — regenerates Figure 8 (SLA vs energy vs load) and times the
+//! quick sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::fig8;
+use pamdc_bench::run_builtin;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let surface = fig8::run(&fig8::Fig8Config::default());
-    println!("\n{}", fig8::render(&surface));
+    println!("\n{}", run_builtin("fig8", false, &[]).text);
 
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
     g.bench_function("sweep_quick", |b| {
-        b.iter(|| black_box(fig8::run(&fig8::Fig8Config::quick(9)).points.len()))
+        b.iter(|| black_box(run_builtin("fig8", true, &[]).text.len()))
     });
     g.finish();
 }

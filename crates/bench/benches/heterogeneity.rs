@@ -1,21 +1,22 @@
 //! E-HET — regenerates the §V-C price-heterogeneity sweep ("the benefit
 //! of inter-DC optimization priming energy consumption should be more
-//! obvious" as prices diverge) and times one paired cell.
+//! obvious" as prices diverge) and times the quick two-cell sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::heterogeneity;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let cells = heterogeneity::run(&heterogeneity::HeterogeneityConfig::default());
-    println!("\n{}", heterogeneity::render(&cells));
+    println!("\n{}", run_builtin("heterogeneity", false, &[]).text);
 
     let mut g = c.benchmark_group("heterogeneity");
     g.sample_size(10);
-    g.bench_function("one_cell_quick", |b| {
+    g.bench_function("two_cells_quick", |b| {
         b.iter(|| {
-            let cells = heterogeneity::run(&heterogeneity::HeterogeneityConfig::quick(5));
-            black_box(cells[1].energy_cost_saving_frac())
+            black_box(metric(
+                &run_builtin("heterogeneity", true, &[("seed", "5")]),
+                "x6_energy_cost_saving_frac",
+            ))
         })
     });
     g.finish();

@@ -2,19 +2,20 @@
 //! and times the full prequential pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::online_drift;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let result = online_drift::run(&online_drift::OnlineDriftConfig::default());
-    println!("\n{}", online_drift::render(&result));
+    println!("\n{}", run_builtin("online-drift", false, &[]).text);
 
     let mut g = c.benchmark_group("online_drift");
     g.sample_size(10);
     g.bench_function("stream_and_three_models", |b| {
         b.iter(|| {
-            let r = online_drift::run(&online_drift::OnlineDriftConfig::quick(5));
-            black_box(r.drift_aware.recovered)
+            black_box(metric(
+                &run_builtin("online-drift", true, &[("seed", "5")]),
+                "drift_aware_mae_recovered",
+            ))
         })
     });
     g.finish();

@@ -4,9 +4,10 @@
 //! training pipeline affordable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::HierarchicalPolicy;
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::{RunConfig, SimulationRunner};
+use pamdc_core::simulation::RunConfig;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::par::parallel_map;
 use pamdc_simcore::time::SimDuration;
@@ -19,14 +20,18 @@ fn run_point(load_scale: f64) -> f64 {
         .seed(11)
         .build();
     let p = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-    SimulationRunner::new(s, p)
-        .config(RunConfig {
+    Controller::with(
+        s,
+        p,
+        RunConfig {
             keep_series: false,
             ..Default::default()
-        })
-        .run(SimDuration::from_hours(2))
-        .0
-        .mean_sla
+        },
+        None,
+    )
+    .run_for(SimDuration::from_hours(2))
+    .0
+    .mean_sla
 }
 
 const SCALES: [f64; 4] = [0.5, 1.0, 1.5, 2.0];

@@ -3,19 +3,20 @@
 //! times one paired comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::price_adaptation;
+use pamdc_bench::{metric, run_builtin};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let result = price_adaptation::run(&price_adaptation::PriceAdaptationConfig::default());
-    println!("\n{}", price_adaptation::render(&result));
+    println!("\n{}", run_builtin("price-adaptation", false, &[]).text);
 
     let mut g = c.benchmark_group("price_adaptation");
     g.sample_size(10);
     g.bench_function("both_arms_quick", |b| {
         b.iter(|| {
-            let r = price_adaptation::run(&price_adaptation::PriceAdaptationConfig::quick(7));
-            black_box(r.adaptive.boston_share_post)
+            black_box(metric(
+                &run_builtin("price-adaptation", true, &[("seed", "7")]),
+                "adaptive_boston_share_post",
+            ))
         })
     });
     g.finish();

@@ -4,9 +4,9 @@
 //! bandwidth path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::{BestFitPolicy, PlacementPolicy, StaticPolicy};
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::SimulationRunner;
 use pamdc_infra::network::{City, NetworkModel};
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::{SimDuration, SimTime};
@@ -39,8 +39,8 @@ fn failure_recovery_table() {
             .seed(5)
             .fault(0, SimTime::from_mins(30), SimDuration::from_hours(4))
             .build();
-        SimulationRunner::new(scenario, policy)
-            .run(SimDuration::from_hours(3))
+        Controller::new(scenario, policy)
+            .run_for(SimDuration::from_hours(3))
             .0
     };
     let dynamic = run(Box::new(BestFitPolicy::new(TrueOracle::new())));

@@ -2,9 +2,10 @@
 //! full MAPE loop, the event queue, and the RT ground-truth model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::{HierarchicalPolicy, StaticPolicy};
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::{RunConfig, SimulationRunner};
+use pamdc_core::simulation::RunConfig;
 use pamdc_perf::prelude::*;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::prelude::*;
@@ -17,11 +18,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let s = ScenarioBuilder::paper_multi_dc().vms(5).seed(3).build();
             let p = Box::new(StaticPolicy(TrueOracle::new()));
-            let runner = SimulationRunner::new(s, p).config(RunConfig {
+            let config = RunConfig {
                 keep_series: false,
                 ..Default::default()
-            });
-            black_box(runner.run(SimDuration::from_hours(6)).0.total_wh)
+            };
+            let controller = Controller::with(s, p, config, None);
+            black_box(controller.run_for(SimDuration::from_hours(6)).0.total_wh)
         })
     });
     // The full engine: every round runs the two-layer scheduler plus
@@ -35,11 +37,12 @@ fn bench(c: &mut Criterion) {
                 .seed(3)
                 .build();
             let p = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-            let runner = SimulationRunner::new(s, p).config(RunConfig {
+            let config = RunConfig {
                 keep_series: false,
                 ..Default::default()
-            });
-            black_box(runner.run(SimDuration::from_hours(6)).0.total_wh)
+            };
+            let controller = Controller::with(s, p, config, None);
+            black_box(controller.run_for(SimDuration::from_hours(6)).0.total_wh)
         })
     });
     g.finish();

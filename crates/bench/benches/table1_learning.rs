@@ -2,15 +2,13 @@
 //! predicted element) and times the training pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pamdc_core::experiments::table1;
+use pamdc_bench::run_builtin;
 use pamdc_core::training::{collect_training_data, train_suite};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     // Regenerate and print the table once.
-    let outcome = table1::run(&table1::Table1Config::quick(2013));
-    println!("\n{}", table1::render(&outcome));
-    println!("{}", table1::render_comparison(&outcome));
+    println!("\n{}", run_builtin("table1", true, &[]).text);
 
     // Time the two pipeline stages separately.
     let collector = collect_training_data(3, &[0.6, 1.2], 2, 99);

@@ -746,20 +746,15 @@ fn cmd_replay(
     }
     let scenario = pamdc_scenario::build::build_scenario_with_demand(&spec, source.into())
         .map_err(|e| e.to_string())?;
-    let suite = if pamdc_scenario::build::needs_training(&spec) {
-        Some(pamdc_scenario::build::train_for_spec(&spec.training).suite)
-    } else {
-        None
-    };
+    let suite = pamdc_scenario::build::trained_suite(&spec);
     let policy = pamdc_scenario::build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
     let trace_out = resolve_trace_out(opts, &spec);
     let tracing = install_trace(trace_out.as_ref())?;
     let mut cfg = pamdc_scenario::build::run_config(&spec);
     cfg.trace = tracing;
     cfg.progress = cfg.progress || opts.progress;
-    let (mut outcome, _) = pamdc_core::simulation::SimulationRunner::new(scenario, policy)
-        .config(cfg)
-        .run(SimDuration::from_hours(if opts.quick {
+    let (mut outcome, _) = pamdc_core::engine::Controller::with(scenario, policy, cfg, None)
+        .run_for(SimDuration::from_hours(if opts.quick {
             spec.run.hours.min(3)
         } else {
             spec.run.hours

@@ -91,11 +91,7 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
 
     let scenario =
         build::build_scenario_with_demand(&spec, tail.clone().into()).map_err(|e| e.to_string())?;
-    let suite = if build::needs_training(&spec) {
-        Some(build::train_for_spec(&spec.training).suite)
-    } else {
-        None
-    };
+    let suite = build::trained_suite(&spec);
     let policy = build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
     let run_cfg = build::run_config(&spec);
     let tick = run_cfg.tick;
@@ -278,11 +274,7 @@ pub fn cmd_replay_manifest(manifest_path: &Path) -> Result<SpecReport, String> {
     let source = TraceSource::new(trace.clone());
     let scenario =
         build::build_scenario_with_demand(&spec, source.into()).map_err(|e| e.to_string())?;
-    let suite = if build::needs_training(&spec) {
-        Some(build::train_for_spec(&spec.training).suite)
-    } else {
-        None
-    };
+    let suite = build::trained_suite(&spec);
     let policy = build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
     let run_cfg = build::run_config(&spec);
     let tick = run_cfg.tick;

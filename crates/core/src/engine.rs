@@ -5,11 +5,10 @@
 //! stepper: `step()` advances exactly one tick and returns a
 //! [`TickOutcome`], `snapshot()`/`restore()` freeze and resume the
 //! mutable state mid-run, and `finish()` folds everything into the same
-//! [`RunOutcome`] the batch path always produced. The batch
-//! [`SimulationRunner`](crate::simulation::SimulationRunner) is now a
-//! thin `for _ in 0..ticks { controller.step(..) }` shell, so every
-//! experiment driver and the `pamdc serve` daemon run the identical
-//! loop body — bit for bit.
+//! [`RunOutcome`] the batch path always produced. The batch path,
+//! [`Controller::run_for`], is a thin `for _ in 0..ticks {
+//! controller.step(..) }` loop, so every experiment arm and the `pamdc
+//! serve` daemon run the identical loop body — bit for bit.
 
 use crate::policy::PlacementPolicy;
 use crate::scenario::Scenario;
@@ -33,7 +32,7 @@ use std::sync::Arc;
 /// Where one tick's demand comes from.
 #[derive(Clone, Copy)]
 pub enum StepDemand<'a> {
-    /// Sample the scenario's own [`DemandSource`]
+    /// Sample the scenario's own [`DemandSource`](pamdc_workload::source::DemandSource)
     /// (`scenario.workload.sample(vm, now)`) — the batch path.
     Source,
     /// Explicit per-service flow samples for this tick (`flows[vm]`),
@@ -309,6 +308,18 @@ impl Controller {
             config,
             collector,
         }
+    }
+
+    /// Runs `duration` of ticks on the scenario's own demand and folds
+    /// the outcome (plus the training collector, when one was attached):
+    /// the batch path every experiment arm takes.
+    pub fn run_for(mut self, duration: SimDuration) -> (RunOutcome, Option<TrainingCollector>) {
+        let ticks = duration.ticks(self.config.tick);
+        self.set_progress_total(Some(ticks));
+        for _ in 0..ticks {
+            self.step(StepDemand::Source);
+        }
+        self.finish(duration)
     }
 
     /// Announce the planned run length (progress heartbeat only; an
@@ -1098,7 +1109,6 @@ mod tests {
     use super::*;
     use crate::policy::{BestFitPolicy, HierarchicalPolicy};
     use crate::scenario::ScenarioBuilder;
-    use crate::simulation::SimulationRunner;
     use pamdc_sched::oracle::TrueOracle;
 
     fn scenario() -> Scenario {
@@ -1123,7 +1133,7 @@ mod tests {
     fn stepper_matches_batch_runner_bit_for_bit() {
         let policy = || Box::new(BestFitPolicy::new(TrueOracle::new()));
         let hours = SimDuration::from_hours(2);
-        let (batch, _) = SimulationRunner::new(scenario(), policy()).run(hours);
+        let (batch, _) = Controller::new(scenario(), policy()).run_for(hours);
         let mut ctl = Controller::new(scenario(), policy());
         for _ in 0..hours.ticks(ctl.config().tick) {
             ctl.step(StepDemand::Source);

@@ -1,45 +1,32 @@
-//! The experiment pipeline: one engine, many declaratively-described
-//! studies.
+//! The experiment pipeline's shared half: arms and their execution,
+//! metric naming and the report type.
 //!
 //! Every evaluation in this workspace is the same MAPE loop measured
-//! under different worlds and policies. This module factors that shape
-//! into four shared stages so a driver module only declares what is
-//! actually specific to its experiment:
+//! under different worlds and policies. A study is a list of [`Arm`]s
+//! (built from a scenario spec by `pamdc-scenario`'s runner) plus a
+//! report function in [`crate::experiments`] that folds the
+//! [`ExperimentRun`] into an [`ExperimentReport`]:
 //!
-//! 1. **Training** — [`Experiment::training`] names a Table-I
-//!    configuration when the experiment needs the trained predictor
-//!    suite; the pipeline runs it exactly once.
-//! 2. **Arm enumeration** — [`Experiment::arms`] returns the
-//!    policy/world variants to measure as plain [`Arm`] values.
-//! 3. **Execution** — [`execute`] funnels every arm through
-//!    [`SimulationRunner`] via `simcore::par` (deterministic: each
+//! 1. **Execution** — [`execute`] runs every arm through
+//!    [`Controller::run_for`] via `simcore::par` (deterministic: each
 //!    arm's randomness derives from its own scenario seed, so the
 //!    fan-out is bit-identical to a sequential loop).
-//! 4. **Emission** — [`Experiment::emit`] folds the labelled outcomes
-//!    into an [`ExperimentReport`]; [`outcome_metrics`] and
-//!    [`metric_key`] keep metric naming consistent across drivers, the
-//!    CLI's CSV/JSON emitters and the bench harness.
-//!
-//! Analysis-style experiments that measure something other than
-//! simulation arms (solver timing studies, prequential learning streams)
-//! return no arms and implement everything in `emit` — they still share
-//! the registry, training and emission paths.
+//! 2. **Emission** — the study's report function; [`outcome_metrics`]
+//!    and [`metric_key`] keep metric naming consistent across studies,
+//!    the CLI's CSV/JSON emitters and the bench harness.
 
-use crate::experiments::table1::{self, Table1Config};
+use crate::engine::Controller;
 use crate::policy::PlacementPolicy;
 use crate::report::{metric_key, TextTable};
 use crate::scenario::Scenario;
-use crate::simulation::{RunConfig, RunOutcome, SimulationRunner};
-use crate::training::TrainingOutcome;
+use crate::simulation::{RunConfig, RunOutcome};
+use crate::training::TrainingCollector;
 use pamdc_simcore::time::SimDuration;
 
 /// One simulation arm: a world, a policy, and how long to run them.
-///
-/// The `label` prefixes the arm's metrics in reports (empty for
-/// single-arm experiments); it is sanitized through [`metric_key`] at
-/// construction so every downstream emitter sees the same key.
 pub struct Arm {
-    /// Metric prefix (already sanitized).
+    /// Metric prefix (empty for single-arm studies; sanitized through
+    /// [`metric_key`] when the metrics are flattened).
     pub label: String,
     /// The world to simulate.
     pub scenario: Scenario,
@@ -49,58 +36,19 @@ pub struct Arm {
     pub config: RunConfig,
     /// Simulated hours.
     pub hours: u64,
+    /// Attach a training-sample collector to the run.
+    pub collect: bool,
 }
 
-impl Arm {
-    /// An arm with the default [`RunConfig`].
-    pub fn new(
-        label: impl Into<String>,
-        scenario: Scenario,
-        policy: Box<dyn PlacementPolicy>,
-        hours: u64,
-    ) -> Self {
-        Arm {
-            label: metric_key(&label.into()),
-            scenario,
-            policy,
-            config: RunConfig::default(),
-            hours,
-        }
-    }
-
-    /// An arm labelled after its policy's display name.
-    pub fn named_after_policy(
-        scenario: Scenario,
-        policy: Box<dyn PlacementPolicy>,
-        hours: u64,
-    ) -> Self {
-        let label = policy.name();
-        Arm::new(label, scenario, policy, hours)
-    }
-
-    /// Overrides the run configuration.
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-}
-
-/// Everything the pipeline computed for [`Experiment::emit`].
+/// Everything [`execute`] computed, in arm order.
 pub struct ExperimentRun {
-    /// The Table-I outcome, when [`Experiment::training`] asked for one.
-    pub training: Option<TrainingOutcome>,
-    /// `(label, outcome)` per arm, in [`Experiment::arms`] order.
+    /// `(label, outcome)` per arm.
     pub outcomes: Vec<(String, RunOutcome)>,
+    /// The samples of every arm that collected them.
+    pub samples: Vec<TrainingCollector>,
 }
 
 impl ExperimentRun {
-    /// The training outcome (panics when the experiment declared none).
-    pub fn training(&self) -> &TrainingOutcome {
-        self.training
-            .as_ref()
-            .expect("experiment declared no training stage")
-    }
-
     /// Flattens every arm's [`outcome_metrics`], label-prefixed, in arm
     /// order — the shared emission path.
     pub fn arm_metrics(&self) -> Vec<(String, f64)> {
@@ -120,62 +68,40 @@ impl ExperimentRun {
 /// A finished experiment: rendered text plus flat metrics.
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
-    /// Human-readable report (the driver's table).
+    /// Human-readable report (the study's table).
     pub text: String,
     /// Flat `(key, value)` metrics for CSV/JSON emission.
     pub metrics: Vec<(String, f64)>,
 }
 
-/// A declaratively-described study: the pipeline runs training, executes
-/// the arms, and hands both to `emit`.
-pub trait Experiment: Send {
-    /// The Table-I training stage this experiment needs, if any.
-    fn training(&self) -> Option<Table1Config> {
-        None
-    }
-
-    /// The simulation arms to execute (empty for analysis-style
-    /// experiments that compute everything in [`Experiment::emit`]).
-    fn arms(&mut self, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        let _ = training;
-        Vec::new()
-    }
-
-    /// Folds the executed arms (and training outcome) into a report.
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport;
-}
-
-/// Stage 3: runs every arm through [`SimulationRunner`] in parallel,
-/// returning `(label, outcome)` pairs in input order.
+/// Runs every arm through [`Controller::run_for`] in parallel.
 ///
 /// When a trace sink is installed (`--trace-out`), each arm buffers its
 /// JSONL events inside its own run and this stage flushes them to the
 /// sink *in arm order* after the fan-out completes — parallel arms never
 /// interleave lines in the trace file.
-pub fn execute(arms: Vec<Arm>) -> Vec<(String, RunOutcome)> {
+pub fn execute(arms: Vec<Arm>) -> ExperimentRun {
     let trace = pamdc_obs::trace::enabled();
-    let mut outcomes = pamdc_simcore::par::parallel_map(arms, |mut arm| {
+    let results = pamdc_simcore::par::parallel_map(arms, |mut arm| {
         arm.config.trace = trace;
-        let outcome = SimulationRunner::new(arm.scenario, arm.policy)
-            .config(arm.config)
-            .run(SimDuration::from_hours(arm.hours))
-            .0;
-        (arm.label, outcome)
+        let collector = arm.collect.then(TrainingCollector::new);
+        let (outcome, samples) = Controller::with(arm.scenario, arm.policy, arm.config, collector)
+            .run_for(SimDuration::from_hours(arm.hours));
+        (arm.label, outcome, samples)
     });
-    if trace {
-        for (_, outcome) in &mut outcomes {
+    let mut run = ExperimentRun {
+        outcomes: Vec::with_capacity(results.len()),
+        samples: Vec::new(),
+    };
+    for (label, mut outcome, samples) in results {
+        if trace {
             pamdc_obs::trace::write_lines(&outcome.trace_lines);
             outcome.trace_lines.clear();
         }
+        run.outcomes.push((label, outcome));
+        run.samples.extend(samples);
     }
-    outcomes
-}
-
-/// Runs an experiment through all four stages.
-pub fn run_experiment(exp: &mut dyn Experiment) -> ExperimentReport {
-    let training = exp.training().map(|cfg| table1::run(&cfg));
-    let outcomes = execute(exp.arms(training.as_ref()));
-    exp.emit(ExperimentRun { training, outcomes })
+    run
 }
 
 /// Flattens a [`RunOutcome`] into report metrics. A non-empty `prefix`
@@ -237,45 +163,33 @@ mod tests {
     use crate::scenario::ScenarioBuilder;
     use pamdc_sched::oracle::TrueOracle;
 
-    struct TwoArm;
-
-    impl Experiment for TwoArm {
-        fn arms(&mut self, _training: Option<&TrainingOutcome>) -> Vec<Arm> {
-            let build = || ScenarioBuilder::paper_multi_dc().vms(2).seed(3).build();
-            vec![
-                Arm::new(
-                    "a[0]",
-                    build(),
-                    Box::new(StaticPolicy(TrueOracle::new())),
-                    1,
-                ),
-                Arm::new("b", build(), Box::new(StaticPolicy(TrueOracle::new())), 1),
-            ]
-        }
-
-        fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-            ExperimentReport {
-                text: format!("{} arms", run.outcomes.len()),
-                metrics: run.arm_metrics(),
-            }
-        }
+    fn two_arms() -> ExperimentRun {
+        let arm = |label: &str| Arm {
+            label: label.into(),
+            scenario: ScenarioBuilder::paper_multi_dc().vms(2).seed(3).build(),
+            policy: Box::new(StaticPolicy(TrueOracle::new())),
+            config: RunConfig::default(),
+            hours: 1,
+            collect: label == "b",
+        };
+        execute(vec![arm("a[0]"), arm("b")])
     }
 
     #[test]
     fn pipeline_labels_and_orders_arm_metrics() {
-        let report = run_experiment(&mut TwoArm);
-        assert_eq!(report.text, "2 arms");
-        // Labels are sanitized at Arm construction and prefix in order.
-        assert_eq!(report.metrics[0].0, "a_0__mean_sla");
-        let b_at = report
-            .metrics
+        let run = two_arms();
+        assert_eq!(run.samples.len(), 1, "only arm b collects");
+        let metrics = run.arm_metrics();
+        // Labels are sanitized and prefix in order.
+        assert_eq!(metrics[0].0, "a_0__mean_sla");
+        let b_at = metrics
             .iter()
             .position(|(k, _)| k == "b_mean_sla")
             .expect("second arm's metrics follow the first's");
         // 13 domain metrics + the fixed observability schema per arm.
         assert_eq!(b_at, 13 + pamdc_obs::metrics::RUN_METRIC_COUNT);
         // The obs block is present, prefixed, and sorted by key.
-        let obs_keys: Vec<&str> = report.metrics[..b_at]
+        let obs_keys: Vec<&str> = metrics[..b_at]
             .iter()
             .filter_map(|(k, _)| k.strip_prefix("a_0__obs."))
             .collect();
@@ -285,9 +199,9 @@ mod tests {
 
     #[test]
     fn identical_arms_produce_bit_identical_outcomes() {
-        let a = run_experiment(&mut TwoArm);
-        let b = run_experiment(&mut TwoArm);
-        for ((ka, va), (kb, vb)) in a.metrics.iter().zip(&b.metrics) {
+        let a = two_arms().arm_metrics();
+        let b = two_arms().arm_metrics();
+        for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
             assert_eq!(ka, kb);
             assert_eq!(va.to_bits(), vb.to_bits());
         }

@@ -8,7 +8,8 @@
 //!   demands. We quantify the observed/demanded CPU ratio in saturated
 //!   vs unsaturated ticks.
 
-use crate::experiment::{Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::ExperimentReport;
+use crate::experiments::table1::Table1Config;
 use crate::report::TextTable;
 use crate::training::{
     build_stage1_datasets, build_stage2_datasets, collect_training_data, TrainingCollector,
@@ -20,44 +21,6 @@ use pamdc_perf::sla::SlaFunction;
 use pamdc_simcore::rng::RngStream;
 use pamdc_simcore::stats::{mean_absolute_error, pearson, OnlineStats};
 
-/// Configuration of the combined ablation study: the collection runs
-/// mirror the Table-I exploration regime.
-#[derive(Clone, Debug)]
-pub struct AblationsConfig {
-    /// VMs in the collection scenario.
-    pub vms: usize,
-    /// Load scales visited by the exploration runs.
-    pub scales: Vec<f64>,
-    /// Simulated hours per scale.
-    pub hours_per_scale: u64,
-    /// Master seed (collection, splits, and model init).
-    pub seed: u64,
-}
-
-impl Default for AblationsConfig {
-    fn default() -> Self {
-        let t = crate::experiments::table1::Table1Config::default();
-        AblationsConfig {
-            vms: t.vms,
-            scales: t.scales,
-            hours_per_scale: t.hours_per_scale,
-            seed: t.seed,
-        }
-    }
-}
-
-impl AblationsConfig {
-    /// Reduced collection effort for tests and CI smoke.
-    pub fn quick(seed: u64) -> Self {
-        AblationsConfig {
-            vms: 4,
-            scales: vec![0.6, 1.2],
-            hours_per_scale: 4,
-            seed,
-        }
-    }
-}
-
 /// Both ablations' results.
 pub struct AblationsResult {
     /// E-AB1: direct-SLA vs RT-then-formula.
@@ -66,11 +29,12 @@ pub struct AblationsResult {
     pub bias: MonitorBiasResult,
 }
 
-/// Runs both ablations from one shared collection pass: trains the
-/// stage-1 CPU model the way [`crate::training::train_suite`] does
-/// (same derived RNG stream), then evaluates both prediction paths and
-/// the monitor-bias ratios.
-pub fn run(cfg: &AblationsConfig) -> AblationsResult {
+/// Runs both ablations from one shared collection pass — the Table-I
+/// exploration regime `cfg` describes — trains the stage-1 CPU model
+/// the way [`crate::training::train_suite`] does (same derived RNG
+/// stream), then evaluates both prediction paths and the monitor-bias
+/// ratios.
+pub fn run(cfg: &Table1Config) -> AblationsResult {
     let collector = collect_training_data(cfg.vms, &cfg.scales, cfg.hours_per_scale, cfg.seed);
     let stage1 = build_stage1_datasets(&collector);
     let (target, cpu_data) = stage1
@@ -85,39 +49,31 @@ pub fn run(cfg: &AblationsConfig) -> AblationsResult {
     }
 }
 
-/// The registry-facing experiment: an ML analysis over collected
-/// samples, so it runs entirely in the emission stage.
-pub struct Ablations {
-    /// Collection configuration.
-    pub cfg: AblationsConfig,
-}
-
-impl Experiment for Ablations {
-    fn emit(&self, _run: ExperimentRun) -> ExperimentReport {
-        let result = run(&self.cfg);
-        ExperimentReport {
-            metrics: vec![
-                (
-                    "sla_direct_correlation".to_string(),
-                    result.path.direct.correlation,
-                ),
-                ("sla_direct_mae".to_string(), result.path.direct.mae),
-                (
-                    "sla_via_rt_correlation".to_string(),
-                    result.path.via_rt_correlation,
-                ),
-                ("sla_via_rt_mae".to_string(), result.path.via_rt_mae),
-                (
-                    "bias_unsaturated_ratio".to_string(),
-                    result.bias.unsaturated_ratio,
-                ),
-                (
-                    "bias_saturated_ratio".to_string(),
-                    result.bias.saturated_ratio,
-                ),
-            ],
-            text: render(&result.path, &result.bias),
-        }
+/// The report over both ablations.
+pub fn report(cfg: &Table1Config) -> ExperimentReport {
+    let result = run(cfg);
+    ExperimentReport {
+        metrics: vec![
+            (
+                "sla_direct_correlation".to_string(),
+                result.path.direct.correlation,
+            ),
+            ("sla_direct_mae".to_string(), result.path.direct.mae),
+            (
+                "sla_via_rt_correlation".to_string(),
+                result.path.via_rt_correlation,
+            ),
+            ("sla_via_rt_mae".to_string(), result.path.via_rt_mae),
+            (
+                "bias_unsaturated_ratio".to_string(),
+                result.bias.unsaturated_ratio,
+            ),
+            (
+                "bias_saturated_ratio".to_string(),
+                result.bias.saturated_ratio,
+            ),
+        ],
+        text: render(&result.path, &result.bias),
     }
 }
 

@@ -8,57 +8,9 @@
 //! reproduce is "de-location buys several SLA points despite paying
 //! migration and latency".
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::{HierarchicalPolicy, PlacementPolicy, StaticPolicy};
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
 use crate::simulation::RunOutcome;
-use pamdc_sched::oracle::TrueOracle;
-
-/// Configuration of the de-location experiment.
-#[derive(Clone, Debug)]
-pub struct DelocConfig {
-    /// Simulated hours.
-    pub hours: u64,
-    /// VMs crammed into the home DC.
-    pub vms: usize,
-    /// Home DC index (2 = Barcelona, the paper's testbed home).
-    pub home_dc: usize,
-    /// Hosts per DC (the home DC has some intra-DC capacity; overload
-    /// comes from cramming every VM into it anyway).
-    pub pms_per_dc: usize,
-    /// Load multiplier (chosen to overload the home DC at peaks).
-    pub load_scale: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for DelocConfig {
-    fn default() -> Self {
-        DelocConfig {
-            hours: 24,
-            vms: 5,
-            home_dc: 2,
-            pms_per_dc: 2,
-            load_scale: 0.9,
-            seed: 6,
-        }
-    }
-}
-
-impl DelocConfig {
-    /// Short run for tests.
-    pub fn quick(seed: u64) -> Self {
-        DelocConfig {
-            hours: 5,
-            vms: 4,
-            home_dc: 2,
-            pms_per_dc: 2,
-            load_scale: 0.9,
-            seed,
-        }
-    }
-}
 
 /// Both arms' outcomes.
 pub struct DelocResult {
@@ -85,56 +37,18 @@ impl DelocResult {
     }
 }
 
-/// Stage 2: the pinned and de-locating arms.
-fn arms(cfg: &DelocConfig) -> Vec<Arm> {
-    let build = || {
-        ScenarioBuilder::paper_multi_dc()
-            .vms(cfg.vms)
-            .pms_per_dc(cfg.pms_per_dc)
-            .load_scale(cfg.load_scale)
-            .deploy_all_in(cfg.home_dc)
-            .seed(cfg.seed)
-            .build()
+/// The report over the `fixed` and `delocating` arms of a `vms`-VM
+/// fleet. The paper reports this one as a ΔSLA/benefit narrative, so
+/// the report stays table-only.
+pub fn report(run: ExperimentRun, vms: usize) -> ExperimentReport {
+    let mut outcomes = run.into_outcomes().into_iter();
+    let result = DelocResult {
+        fixed: outcomes.next().expect("fixed arm"),
+        delocating: outcomes.next().expect("de-locating arm"),
     };
-    let fixed: Box<dyn PlacementPolicy> = Box::new(StaticPolicy(TrueOracle::new()));
-    let delocating: Box<dyn PlacementPolicy> = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-    vec![
-        Arm::new("fixed", build(), fixed, cfg.hours),
-        Arm::new("delocating", build(), delocating, cfg.hours),
-    ]
-}
-
-/// Runs both arms in parallel.
-pub fn run(cfg: &DelocConfig) -> DelocResult {
-    let mut outcomes = experiment::execute(arms(cfg)).into_iter();
-    DelocResult {
-        fixed: outcomes.next().expect("fixed arm").1,
-        delocating: outcomes.next().expect("de-locating arm").1,
-    }
-}
-
-/// The registry-facing experiment. The paper reports this one as a
-/// ΔSLA/benefit narrative, so the report stays table-only.
-pub struct Deloc {
-    /// Arm configuration.
-    pub cfg: DelocConfig,
-}
-
-impl Experiment for Deloc {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let mut outcomes = run.into_outcomes().into_iter();
-        let result = DelocResult {
-            fixed: outcomes.next().expect("fixed arm"),
-            delocating: outcomes.next().expect("de-locating arm"),
-        };
-        ExperimentReport {
-            text: render(&result, self.cfg.vms),
-            metrics: Vec::new(),
-        }
+    ExperimentReport {
+        text: render(&result, vms),
+        metrics: Vec::new(),
     }
 }
 

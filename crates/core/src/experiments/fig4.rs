@@ -14,126 +14,25 @@
 //! BF-OB protects SLA at systematically higher power. A fourth
 //! ground-truth arm (**BF-True**) bounds what any predictor could do.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::experiments::table1::Table1Config;
-use crate::policy::BestFitPolicy;
+use crate::experiment::{outcome_metrics, ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
 use crate::simulation::RunOutcome;
-use crate::training::TrainingOutcome;
-use pamdc_sched::oracle::{MlOracle, MonitorOracle, TrueOracle};
 
-/// Configuration of the Figure-4 reproduction.
-#[derive(Clone, Debug)]
-pub struct Fig4Config {
-    /// Simulated hours (paper: 24).
-    pub hours: u64,
-    /// VM count (paper: 5).
-    pub vms: usize,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Include the BF-True upper-bound arm.
-    pub include_true_arm: bool,
-}
-
-impl Default for Fig4Config {
-    fn default() -> Self {
-        Fig4Config {
-            hours: 24,
-            vms: 5,
-            load_scale: 1.0,
-            seed: 4,
-            include_true_arm: true,
-        }
-    }
-}
-
-impl Fig4Config {
-    /// Short run for tests.
-    pub fn quick(seed: u64) -> Self {
-        Fig4Config {
-            hours: 14,
-            vms: 5,
-            load_scale: 1.0,
-            seed,
-            include_true_arm: false,
-        }
-    }
-}
-
-/// All arms' outcomes.
-pub struct Fig4Result {
-    /// One outcome per arm, in `[BF, BF-OB, BF-ML, (BF-True)]` order.
-    pub outcomes: Vec<RunOutcome>,
-}
-
-/// Stage 2: the comparison arms, labelled after their policies.
-fn arms(cfg: &Fig4Config, training: &TrainingOutcome) -> Vec<Arm> {
-    let scenario = || {
-        ScenarioBuilder::paper_intra_dc()
-            .vms(cfg.vms)
-            .load_scale(cfg.load_scale)
-            .seed(cfg.seed)
-            .build()
-    };
-    let mut policies: Vec<Box<dyn crate::policy::PlacementPolicy>> = vec![
-        Box::new(BestFitPolicy::new(MonitorOracle::plain())),
-        Box::new(BestFitPolicy::new(MonitorOracle::overbooked())),
-        Box::new(BestFitPolicy::new(MlOracle::new(training.suite.clone()))),
-    ];
-    if cfg.include_true_arm {
-        policies.push(Box::new(BestFitPolicy::new(TrueOracle::new())));
-    }
-    policies
-        .into_iter()
-        .map(|policy| Arm::named_after_policy(scenario(), policy, cfg.hours))
-        .collect()
-}
-
-/// Runs every arm (in parallel — the runs are independent).
-pub fn run(cfg: &Fig4Config, training: &TrainingOutcome) -> Fig4Result {
-    Fig4Result {
-        outcomes: experiment::execute(arms(cfg, training))
-            .into_iter()
-            .map(|(_, o)| o)
+/// The report over the arms, in `[BF, BF-OB, BF-ML, (BF-True)]` order:
+/// each arm's metrics are keyed by its policy's display name.
+pub fn report(run: ExperimentRun) -> ExperimentReport {
+    let outcomes = run.into_outcomes();
+    ExperimentReport {
+        metrics: outcomes
+            .iter()
+            .flat_map(|o| outcome_metrics(&o.policy_name, o))
             .collect(),
-    }
-}
-
-/// The registry-facing experiment: training is mandatory (the BF-ML arm
-/// needs the suite even when the spec's policy oracle is `true`).
-pub struct Fig4 {
-    /// Arm configuration.
-    pub cfg: Fig4Config,
-    /// Table-I training configuration.
-    pub training: Table1Config,
-}
-
-impl Experiment for Fig4 {
-    fn training(&self) -> Option<Table1Config> {
-        Some(self.training.clone())
-    }
-
-    fn arms(&mut self, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg, training.expect("fig4 declares training"))
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let metrics = run.arm_metrics();
-        let result = Fig4Result {
-            outcomes: run.into_outcomes(),
-        };
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+        text: render(&outcomes),
     }
 }
 
 /// Summary table matching the figure's aggregate panels.
-pub fn render(result: &Fig4Result) -> String {
+pub fn render(outcomes: &[RunOutcome]) -> String {
     let mut t = TextTable::new(&[
         "policy",
         "mean SLA",
@@ -143,7 +42,7 @@ pub fn render(result: &Fig4Result) -> String {
         "dropped req",
         "€/h",
     ]);
-    for o in &result.outcomes {
+    for o in outcomes {
         t.row(vec![
             o.policy_name.clone(),
             format!("{:.4}", o.mean_sla),

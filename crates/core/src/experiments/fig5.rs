@@ -7,28 +7,10 @@
 //! DCs tracking the globally dominant load source — BRS → BNG → BCN →
 //! BST over a simulated day.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::FollowLoadPolicy;
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
 use crate::simulation::RunOutcome;
-use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::SimTime;
-
-/// Configuration of the Figure-5 reproduction.
-#[derive(Clone, Debug)]
-pub struct Fig5Config {
-    /// Simulated hours (≥ 24 to see a full rotation).
-    pub hours: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Fig5Config {
-    fn default() -> Self {
-        Fig5Config { hours: 48, seed: 5 }
-    }
-}
 
 /// The run outcome plus the extracted placement trace.
 pub struct Fig5Result {
@@ -40,20 +22,7 @@ pub struct Fig5Result {
     pub dcs_visited: usize,
 }
 
-/// Stage 2: the single follow-the-load arm.
-fn arms(cfg: &Fig5Config) -> Vec<Arm> {
-    let scenario = ScenarioBuilder::follow_the_sun().seed(cfg.seed).build();
-    let policy = Box::new(FollowLoadPolicy(TrueOracle::new()));
-    vec![Arm::new("", scenario, policy, cfg.hours)]
-}
-
-/// Runs the experiment.
-pub fn run(cfg: &Fig5Config) -> Fig5Result {
-    let outcome = experiment::execute(arms(cfg)).remove(0).1;
-    result_from(outcome)
-}
-
-/// Stage 4: extracts the placement trace from the run.
+/// Extracts the placement trace from the run.
 fn result_from(outcome: RunOutcome) -> Fig5Result {
     let mut placement_changes = Vec::new();
     if let Some(trace) = outcome.series.get("vm0_dc") {
@@ -76,27 +45,16 @@ fn result_from(outcome: RunOutcome) -> Fig5Result {
     }
 }
 
-/// The registry-facing experiment.
-pub struct Fig5 {
-    /// Run configuration.
-    pub cfg: Fig5Config,
-}
-
-impl Experiment for Fig5 {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let result = result_from(run.into_outcomes().remove(0));
-        ExperimentReport {
-            metrics: vec![
-                ("dcs_visited".to_string(), result.dcs_visited as f64),
-                ("migrations".to_string(), result.outcome.migrations as f64),
-                ("mean_sla".to_string(), result.outcome.mean_sla),
-            ],
-            text: render(&result),
-        }
+/// The report over the single follow-the-load arm.
+pub fn report(run: ExperimentRun) -> ExperimentReport {
+    let result = result_from(run.into_outcomes().remove(0));
+    ExperimentReport {
+        metrics: vec![
+            ("dcs_visited".to_string(), result.dcs_visited as f64),
+            ("migrations".to_string(), result.outcome.migrations as f64),
+            ("mean_sla".to_string(), result.outcome.mean_sla),
+        ],
+        text: render(&result),
     }
 }
 

@@ -7,52 +7,10 @@
 //! consolidates toward cheap energy; the flash crowd dents SLA and the
 //! system recovers after it passes.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::experiments::table1::Table1Config;
-use crate::policy::{HierarchicalPolicy, PlacementPolicy};
+use crate::experiment::{outcome_metrics, ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
 use crate::simulation::RunOutcome;
-use crate::training::TrainingOutcome;
-use pamdc_sched::oracle::{MlOracle, TrueOracle};
 use pamdc_simcore::time::SimTime;
-
-/// Configuration of the Figure-6 reproduction.
-#[derive(Clone, Debug)]
-pub struct Fig6Config {
-    /// Simulated hours (paper's trace spans a few hours around the
-    /// crowd; a full day shows the consolidation cycles too).
-    pub hours: u64,
-    /// VMs (paper: 5).
-    pub vms: usize,
-    /// Flash-crowd multiplier.
-    pub flash_multiplier: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Fig6Config {
-    fn default() -> Self {
-        Fig6Config {
-            hours: 24,
-            vms: 5,
-            flash_multiplier: 8.0,
-            seed: 7,
-        }
-    }
-}
-
-impl Fig6Config {
-    /// Short run for tests (still covers the crowd window).
-    pub fn quick(seed: u64) -> Self {
-        Fig6Config {
-            hours: 3,
-            vms: 4,
-            flash_multiplier: 8.0,
-            seed,
-        }
-    }
-}
 
 /// Outcome plus flash-crowd window statistics.
 pub struct Fig6Result {
@@ -66,28 +24,7 @@ pub struct Fig6Result {
     pub sla_after_crowd: f64,
 }
 
-/// Stage 2: one arm, ML-believed when a suite is supplied.
-fn arms(cfg: &Fig6Config, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-    let scenario = ScenarioBuilder::paper_multi_dc()
-        .vms(cfg.vms)
-        .flash_crowd(cfg.flash_multiplier)
-        .seed(cfg.seed)
-        .build();
-    let policy: Box<dyn PlacementPolicy> = match training {
-        Some(t) => Box::new(HierarchicalPolicy::new(MlOracle::new(t.suite.clone()))),
-        None => Box::new(HierarchicalPolicy::new(TrueOracle::new())),
-    };
-    vec![Arm::new("", scenario, policy, cfg.hours)]
-}
-
-/// Runs the experiment with the ML oracle when a suite is supplied, the
-/// ground-truth oracle otherwise.
-pub fn run(cfg: &Fig6Config, training: Option<&TrainingOutcome>) -> Fig6Result {
-    let outcome = experiment::execute(arms(cfg, training)).remove(0).1;
-    result_from(outcome)
-}
-
-/// Stage 4: extracts the crowd-window statistics.
+/// Extracts the crowd-window statistics.
 fn result_from(outcome: RunOutcome) -> Fig6Result {
     let sla = outcome.series.get("sla").expect("sla series");
     let m = SimTime::from_mins;
@@ -99,36 +36,18 @@ fn result_from(outcome: RunOutcome) -> Fig6Result {
     }
 }
 
-/// The registry-facing experiment: trains only when the spec's oracle
-/// asks for ML beliefs.
-pub struct Fig6 {
-    /// Run configuration.
-    pub cfg: Fig6Config,
-    /// Table-I training configuration (`None` = ground-truth oracle).
-    pub training: Option<Table1Config>,
-}
-
-impl Experiment for Fig6 {
-    fn training(&self) -> Option<Table1Config> {
-        self.training.clone()
-    }
-
-    fn arms(&mut self, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg, training)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let result = result_from(run.into_outcomes().remove(0));
-        let mut metrics = vec![
-            ("sla_before_crowd".to_string(), result.sla_before_crowd),
-            ("sla_during_crowd".to_string(), result.sla_during_crowd),
-            ("sla_after_crowd".to_string(), result.sla_after_crowd),
-        ];
-        metrics.extend(experiment::outcome_metrics("", &result.outcome));
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+/// The report over the single hierarchical arm.
+pub fn report(run: ExperimentRun) -> ExperimentReport {
+    let result = result_from(run.into_outcomes().remove(0));
+    let mut metrics = vec![
+        ("sla_before_crowd".to_string(), result.sla_before_crowd),
+        ("sla_during_crowd".to_string(), result.sla_during_crowd),
+        ("sla_after_crowd".to_string(), result.sla_after_crowd),
+    ];
+    metrics.extend(outcome_metrics("", &result.outcome));
+    ExperimentReport {
+        text: render(&result),
+        metrics,
     }
 }
 

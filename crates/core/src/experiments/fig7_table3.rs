@@ -10,50 +10,9 @@
 //! consolidates across DCs, the static fleet cannot) while holding or
 //! slightly improving SLA and net €/h.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::experiments::table1::Table1Config;
-use crate::policy::{HierarchicalPolicy, PlacementPolicy, StaticPolicy};
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
 use crate::simulation::RunOutcome;
-use crate::training::TrainingOutcome;
-use pamdc_sched::oracle::{MlOracle, TrueOracle};
-
-/// Configuration of the Table-III reproduction.
-#[derive(Clone, Debug)]
-pub struct Table3Config {
-    /// Simulated hours (paper reports day-scale averages).
-    pub hours: u64,
-    /// VMs (paper: 5).
-    pub vms: usize,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Table3Config {
-    fn default() -> Self {
-        Table3Config {
-            hours: 24,
-            vms: 5,
-            load_scale: 1.15,
-            seed: 8,
-        }
-    }
-}
-
-impl Table3Config {
-    /// Short run for tests.
-    pub fn quick(seed: u64) -> Self {
-        Table3Config {
-            hours: 4,
-            vms: 5,
-            load_scale: 1.0,
-            seed,
-        }
-    }
-}
 
 /// Both arms.
 pub struct Table3Result {
@@ -73,71 +32,21 @@ impl Table3Result {
     }
 }
 
-/// Stage 2: the static and dynamic arms.
-fn arms(cfg: &Table3Config, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-    let build = || {
-        ScenarioBuilder::paper_multi_dc()
-            .vms(cfg.vms)
-            .load_scale(cfg.load_scale)
-            .seed(cfg.seed)
-            .build()
+/// The report over the `static` and `dynamic` arms.
+pub fn report(run: ExperimentRun) -> ExperimentReport {
+    let mut metrics = run.arm_metrics();
+    let mut outcomes = run.into_outcomes().into_iter();
+    let result = Table3Result {
+        static_global: outcomes.next().expect("static arm"),
+        dynamic: outcomes.next().expect("dynamic arm"),
     };
-    let dynamic: Box<dyn PlacementPolicy> = match training {
-        Some(t) => Box::new(HierarchicalPolicy::new(MlOracle::new(t.suite.clone()))),
-        None => Box::new(HierarchicalPolicy::new(TrueOracle::new())),
-    };
-    vec![
-        Arm::new(
-            "static",
-            build(),
-            Box::new(StaticPolicy(TrueOracle::new())),
-            cfg.hours,
-        ),
-        Arm::new("dynamic", build(), dynamic, cfg.hours),
-    ]
-}
-
-/// Runs both arms in parallel; uses the ML oracle when supplied.
-pub fn run(cfg: &Table3Config, training: Option<&TrainingOutcome>) -> Table3Result {
-    let mut outcomes = experiment::execute(arms(cfg, training)).into_iter();
-    Table3Result {
-        static_global: outcomes.next().expect("static arm").1,
-        dynamic: outcomes.next().expect("dynamic arm").1,
-    }
-}
-
-/// The registry-facing experiment.
-pub struct Fig7Table3 {
-    /// Arm configuration.
-    pub cfg: Table3Config,
-    /// Table-I training configuration (`None` = ground-truth oracle).
-    pub training: Option<Table1Config>,
-}
-
-impl Experiment for Fig7Table3 {
-    fn training(&self) -> Option<Table1Config> {
-        self.training.clone()
-    }
-
-    fn arms(&mut self, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg, training)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let mut metrics = run.arm_metrics();
-        let mut outcomes = run.into_outcomes().into_iter();
-        let result = Table3Result {
-            static_global: outcomes.next().expect("static arm"),
-            dynamic: outcomes.next().expect("dynamic arm"),
-        };
-        metrics.push((
-            "energy_saving_frac".to_string(),
-            result.energy_saving_frac(),
-        ));
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+    metrics.push((
+        "energy_saving_frac".to_string(),
+        result.energy_saving_frac(),
+    ));
+    ExperimentReport {
+        text: render(&result),
+        metrics,
     }
 }
 

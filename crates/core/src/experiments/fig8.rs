@@ -10,52 +10,8 @@
 //! item, each with its own derived seed, so the sweep is deterministic
 //! regardless of thread interleaving.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::HierarchicalPolicy;
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
-use crate::simulation::RunOutcome;
-use pamdc_sched::oracle::TrueOracle;
-
-/// Configuration of the Figure-8 sweep.
-#[derive(Clone, Debug)]
-pub struct Fig8Config {
-    /// Load multipliers to sweep.
-    pub load_scales: Vec<f64>,
-    /// Hosts-per-DC levels to sweep (the energy budget axis).
-    pub pms_per_dc: Vec<usize>,
-    /// Hours per point.
-    pub hours: u64,
-    /// VMs.
-    pub vms: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Fig8Config {
-    fn default() -> Self {
-        Fig8Config {
-            load_scales: vec![0.5, 1.0, 1.5, 2.0],
-            pms_per_dc: vec![1, 2, 3],
-            hours: 6,
-            vms: 5,
-            seed: 9,
-        }
-    }
-}
-
-impl Fig8Config {
-    /// Tiny sweep for tests.
-    pub fn quick(seed: u64) -> Self {
-        Fig8Config {
-            load_scales: vec![0.6, 1.8],
-            pms_per_dc: vec![1, 2],
-            hours: 2,
-            vms: 4,
-            seed,
-        }
-    }
-}
 
 /// One point of the surface.
 #[derive(Clone, Copy, Debug)]
@@ -78,83 +34,24 @@ pub struct Fig8Result {
     pub points: Vec<SurfacePoint>,
 }
 
-/// The sweep grid, load-major.
-fn combos(cfg: &Fig8Config) -> Vec<(f64, usize)> {
-    let mut combos: Vec<(f64, usize)> = Vec::new();
-    for &ls in &cfg.load_scales {
-        for &pms in &cfg.pms_per_dc {
-            combos.push((ls, pms));
-        }
-    }
-    combos
-}
-
-/// Stage 2: one arm per sweep point.
-fn arms(cfg: &Fig8Config) -> Vec<Arm> {
-    combos(cfg)
-        .into_iter()
-        .map(|(load_scale, pms_per_dc)| {
-            let scenario = ScenarioBuilder::paper_multi_dc()
-                .vms(cfg.vms)
-                .pms_per_dc(pms_per_dc)
-                .load_scale(load_scale)
-                .seed(cfg.seed)
-                .build();
-            let policy = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-            Arm::new("", scenario, policy, cfg.hours)
+/// The report over one arm per `(load scale, hosts per DC)` point of
+/// `grid`, load-major. The surface is a plot, not a metric list: the
+/// report stays table-only (CSV-ready via the rendered rows).
+pub fn report(run: ExperimentRun, grid: &[(f64, usize)]) -> ExperimentReport {
+    let points = grid
+        .iter()
+        .zip(run.into_outcomes())
+        .map(|(&(load_scale, pms_per_dc), o)| SurfacePoint {
+            load_scale,
+            pms_per_dc,
+            mean_rps: o.series.get("rps").map(|s| s.mean()).unwrap_or(0.0),
+            avg_watts: o.avg_watts,
+            mean_sla: o.mean_sla,
         })
-        .collect()
-}
-
-/// Stage 4: pairs the outcomes back with their grid coordinates.
-fn points_from(cfg: &Fig8Config, outcomes: Vec<RunOutcome>) -> Vec<SurfacePoint> {
-    combos(cfg)
-        .into_iter()
-        .zip(outcomes)
-        .map(|((load_scale, pms_per_dc), o)| {
-            let mean_rps = o.series.get("rps").map(|s| s.mean()).unwrap_or(0.0);
-            SurfacePoint {
-                load_scale,
-                pms_per_dc,
-                mean_rps,
-                avg_watts: o.avg_watts,
-                mean_sla: o.mean_sla,
-            }
-        })
-        .collect()
-}
-
-/// Runs the sweep in parallel.
-pub fn run(cfg: &Fig8Config) -> Fig8Result {
-    let outcomes = experiment::execute(arms(cfg))
-        .into_iter()
-        .map(|(_, o)| o)
         .collect();
-    Fig8Result {
-        points: points_from(cfg, outcomes),
-    }
-}
-
-/// The registry-facing experiment. The surface is a plot, not a metric
-/// list: the report stays table-only (CSV-ready via the rendered rows).
-pub struct Fig8 {
-    /// Sweep configuration.
-    pub cfg: Fig8Config,
-}
-
-impl Experiment for Fig8 {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let result = Fig8Result {
-            points: points_from(&self.cfg, run.into_outcomes()),
-        };
-        ExperimentReport {
-            text: render(&result),
-            metrics: Vec::new(),
-        }
+    ExperimentReport {
+        text: render(&Fig8Result { points }),
+        metrics: Vec::new(),
     }
 }
 

@@ -21,69 +21,9 @@
 //! its energy green, emits less CO₂ and pays less for electricity, at
 //! equal-or-better SLA — with the migrations to show for it.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::HierarchicalPolicy;
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::{Scenario, ScenarioBuilder};
-use crate::simulation::{RunConfig, RunOutcome};
-use pamdc_sched::oracle::TrueOracle;
-
-/// Energy-chasing needs to amortize a migration over more than one
-/// 10-minute round: a ~10 s blackout buys hours of sun. One hour of
-/// planning horizon makes the trade visible to the profit function.
-const PLAN_HORIZON_TICKS: u64 = 60;
-
-/// Configuration of the follow-the-sun experiment.
-#[derive(Clone, Debug)]
-pub struct GreenConfig {
-    /// Simulated hours (≥ 24 to see a full planetary rotation).
-    pub hours: u64,
-    /// VMs.
-    pub vms: usize,
-    /// Hosts per DC.
-    pub pms_per_dc: usize,
-    /// Which DCs get solar (default: Brisbane and Barcelona — nearly
-    /// antipodal, so one of them is usually in daylight).
-    pub solar_dcs: Vec<usize>,
-    /// Solar nameplate per host, watts (sized so one sunny DC can cover
-    /// a consolidated fleet).
-    pub solar_per_pm_w: f64,
-    /// Worst-day cloud attenuation in `[0, 1]`.
-    pub min_sky: f64,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for GreenConfig {
-    fn default() -> Self {
-        GreenConfig {
-            hours: 48,
-            vms: 4,
-            pms_per_dc: 2,
-            solar_dcs: vec![0, 2],
-            solar_per_pm_w: 150.0,
-            min_sky: 0.7,
-            load_scale: 0.7,
-            seed: 11,
-        }
-    }
-}
-
-impl GreenConfig {
-    /// Short run for tests and benches.
-    pub fn quick(seed: u64) -> Self {
-        GreenConfig {
-            hours: 24,
-            vms: 3,
-            ..GreenConfig {
-                seed,
-                ..Default::default()
-            }
-        }
-    }
-}
+use crate::simulation::RunOutcome;
 
 /// Both arms of the experiment.
 pub struct GreenResult {
@@ -105,100 +45,21 @@ impl GreenResult {
     }
 }
 
-/// Builds one arm's world.
-fn build(cfg: &GreenConfig, aware: bool) -> Scenario {
-    let days = cfg.hours / 24 + 1;
-    let (solar_dcs, solar_per_pm_w, min_sky, seed) = (
-        cfg.solar_dcs.clone(),
-        cfg.solar_per_pm_w,
-        cfg.min_sky,
-        cfg.seed,
-    );
-    ScenarioBuilder::paper_multi_dc()
-        .vms(cfg.vms)
-        .pms_per_dc(cfg.pms_per_dc)
-        .load_scale(cfg.load_scale)
-        .seed(cfg.seed)
-        .name(if aware {
-            "follow-the-sun"
-        } else {
-            "price-blind"
-        })
-        // Latency-neutral clients: the energy term alone decides.
-        .workload(pamdc_workload::libcn::uniform_multi_dc(
-            cfg.vms,
-            170.0 * cfg.load_scale,
-            cfg.seed,
-        ))
-        .energy(move |cluster, mut env| {
-            for &dc in &solar_dcs {
-                let capacity = solar_per_pm_w * cluster.dcs()[dc].pms().len() as f64;
-                env = env.with_solar_at(cluster, dc, capacity, min_sky, days, seed);
-            }
-            if aware {
-                env
-            } else {
-                env.price_blind()
-            }
-        })
-        .build()
-}
-
-/// Stage 2: the sun-aware and price-blind arms.
-fn arms(cfg: &GreenConfig) -> Vec<Arm> {
-    let run_cfg = RunConfig {
-        plan_horizon_ticks: Some(PLAN_HORIZON_TICKS),
-        ..RunConfig::default()
+/// The report over the `sun_aware` and `price_blind` arms.
+pub fn report(run: ExperimentRun) -> ExperimentReport {
+    let mut metrics = run.arm_metrics();
+    let mut outcomes = run.into_outcomes().into_iter();
+    let result = GreenResult {
+        sun_aware: outcomes.next().expect("sun-aware arm"),
+        price_blind: outcomes.next().expect("price-blind arm"),
     };
-    [("sun_aware", true), ("price_blind", false)]
-        .into_iter()
-        .map(|(label, aware)| {
-            Arm::new(
-                label,
-                build(cfg, aware),
-                Box::new(HierarchicalPolicy::new(TrueOracle::new())),
-                cfg.hours,
-            )
-            .config(run_cfg.clone())
-        })
-        .collect()
-}
-
-/// Runs both arms in parallel.
-pub fn run(cfg: &GreenConfig) -> GreenResult {
-    let mut outcomes = experiment::execute(arms(cfg)).into_iter();
-    GreenResult {
-        sun_aware: outcomes.next().expect("sun-aware arm").1,
-        price_blind: outcomes.next().expect("price-blind arm").1,
-    }
-}
-
-/// The registry-facing experiment.
-pub struct Green {
-    /// Arm configuration.
-    pub cfg: GreenConfig,
-}
-
-impl Experiment for Green {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let mut metrics = run.arm_metrics();
-        let mut outcomes = run.into_outcomes().into_iter();
-        let result = GreenResult {
-            sun_aware: outcomes.next().expect("sun-aware arm"),
-            price_blind: outcomes.next().expect("price-blind arm"),
-        };
-        metrics.push((
-            "green_fraction_gain".to_string(),
-            result.green_fraction_gain(),
-        ));
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+    metrics.push((
+        "green_fraction_gain".to_string(),
+        result.green_fraction_gain(),
+    ));
+    ExperimentReport {
+        text: render(&result),
+        metrics,
     }
 }
 
@@ -233,27 +94,4 @@ pub fn render(result: &GreenResult) -> String {
         result.carbon_reduction_g_per_kwh(),
         t.render()
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sun_aware_beats_blind_on_green_share() {
-        let result = run(&GreenConfig::quick(3));
-        assert!(
-            result.green_fraction_gain() > 0.02,
-            "following the sun must raise the green share: aware {:.3} vs blind {:.3}",
-            result.sun_aware.energy.green_fraction(),
-            result.price_blind.energy.green_fraction()
-        );
-        assert!(result.carbon_reduction_g_per_kwh() > 0.0);
-        // QoS must not collapse to buy the green share.
-        assert!(result.sun_aware.mean_sla > result.price_blind.mean_sla - 0.05);
-        // Chasing the sun requires actually migrating.
-        assert!(result.sun_aware.migrations > 0);
-        let rendered = render(&result);
-        assert!(rendered.contains("Sun-aware"));
-    }
 }

@@ -14,66 +14,10 @@
 //! (modulo plateauing once the fleet is fully consolidated in the
 //! cheapest DC).
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::{HierarchicalPolicy, PlacementPolicy, StaticPolicy};
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::{Scenario, ScenarioBuilder};
-use crate::simulation::{RunConfig, RunOutcome};
+use crate::simulation::RunOutcome;
 use pamdc_econ::prices::paper_prices;
-use pamdc_green::tariff::Tariff;
-use pamdc_infra::pm::MachineSpec;
-use pamdc_sched::oracle::TrueOracle;
-
-/// Configuration of the heterogeneity sweep.
-#[derive(Clone, Debug)]
-pub struct HeterogeneityConfig {
-    /// Spread multipliers to test.
-    pub spreads: Vec<f64>,
-    /// Simulated hours per cell.
-    pub hours: u64,
-    /// VMs.
-    pub vms: usize,
-    /// Hosts per DC.
-    pub pms_per_dc: usize,
-    /// Machine mix per DC (`count` hosts of each spec). Empty = the
-    /// paper's all-Atom fleet of `pms_per_dc` hosts; non-empty mixes
-    /// come straight from the scenario spec's `[[topology.classes]]`
-    /// table, so fleet heterogeneity composes with price heterogeneity.
-    pub host_classes: Vec<(MachineSpec, usize)>,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for HeterogeneityConfig {
-    fn default() -> Self {
-        HeterogeneityConfig {
-            spreads: vec![1.0, 2.0, 4.0, 8.0],
-            hours: 12,
-            vms: 4,
-            pms_per_dc: 2,
-            host_classes: Vec::new(),
-            load_scale: 0.7,
-            seed: 29,
-        }
-    }
-}
-
-impl HeterogeneityConfig {
-    /// Two-cell sweep for tests.
-    pub fn quick(seed: u64) -> Self {
-        HeterogeneityConfig {
-            spreads: vec![1.0, 6.0],
-            hours: 8,
-            vms: 3,
-            ..HeterogeneityConfig {
-                seed,
-                ..Default::default()
-            }
-        }
-    }
-}
 
 /// One sweep cell: both arms at one spread factor.
 pub struct HeterogeneityCell {
@@ -102,8 +46,9 @@ impl HeterogeneityCell {
     }
 }
 
-/// Stretches the Table II tariffs around their mean by `spread`.
-fn stretched_prices(spread: f64) -> [f64; 4] {
+/// Stretches the Table II tariffs around their mean by `spread`
+/// (floored at 0.01 €/kWh): each cell's flat per-DC prices.
+pub fn stretched_prices(spread: f64) -> [f64; 4] {
     let base = paper_prices();
     let mean = base.iter().map(|p| p.eur_per_kwh).sum::<f64>() / 4.0;
     let mut out = [0.0; 4];
@@ -113,103 +58,32 @@ fn stretched_prices(spread: f64) -> [f64; 4] {
     out
 }
 
-/// Builds one cell's world at the given spread.
-fn build(cfg: &HeterogeneityConfig, spread: f64) -> Scenario {
-    ScenarioBuilder::paper_multi_dc()
-        .vms(cfg.vms)
-        .pms_per_dc(cfg.pms_per_dc)
-        .host_classes(cfg.host_classes.clone())
-        .load_scale(cfg.load_scale)
-        .seed(cfg.seed)
-        .name(format!("heterogeneity-x{spread}"))
-        .workload(pamdc_workload::libcn::uniform_multi_dc(
-            cfg.vms,
-            170.0 * cfg.load_scale,
-            cfg.seed,
-        ))
-        .energy(move |_, mut env| {
-            for (dc, &price) in stretched_prices(spread).iter().enumerate() {
-                env = env.with_tariff(dc, Tariff::Flat(price));
-            }
-            env
-        })
-        .build()
-}
-
-/// Stage 2: two arms per spread, spread-major (`static` before
-/// `dynamic` within a cell).
-fn arms(cfg: &HeterogeneityConfig) -> Vec<Arm> {
-    let run_cfg = RunConfig {
-        plan_horizon_ticks: Some(60),
-        ..RunConfig::default()
-    };
-    let mut arms = Vec::with_capacity(cfg.spreads.len() * 2);
-    for &spread in &cfg.spreads {
-        let static_policy: Box<dyn PlacementPolicy> = Box::new(StaticPolicy(TrueOracle::new()));
-        let dynamic_policy: Box<dyn PlacementPolicy> =
-            Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-        for (label, policy) in [
-            (format!("x{spread}_static"), static_policy),
-            (format!("x{spread}_dynamic"), dynamic_policy),
-        ] {
-            arms.push(
-                Arm::new(label, build(cfg, spread), policy, cfg.hours).config(run_cfg.clone()),
-            );
-        }
-    }
-    arms
-}
-
-/// Stage 4: regroups the flat arm outcomes into cells.
-fn cells_from(cfg: &HeterogeneityConfig, outcomes: Vec<RunOutcome>) -> Vec<HeterogeneityCell> {
-    let mut outcomes = outcomes.into_iter();
-    cfg.spreads
+/// The report over two arms per spread (`static` before `dynamic`
+/// within a cell), spread-major.
+pub fn report(run: ExperimentRun, spreads: &[f64]) -> ExperimentReport {
+    let mut metrics = run.arm_metrics();
+    let mut outcomes = run.into_outcomes().into_iter();
+    let cells: Vec<HeterogeneityCell> = spreads
         .iter()
         .map(|&spread| HeterogeneityCell {
             spread,
             static_global: outcomes.next().expect("static arm"),
             dynamic: outcomes.next().expect("dynamic arm"),
         })
-        .collect()
-}
-
-/// Runs the sweep (all arms of all cells in parallel).
-pub fn run(cfg: &HeterogeneityConfig) -> Vec<HeterogeneityCell> {
-    let outcomes = experiment::execute(arms(cfg))
-        .into_iter()
-        .map(|(_, o)| o)
         .collect();
-    cells_from(cfg, outcomes)
-}
-
-/// The registry-facing experiment.
-pub struct Heterogeneity {
-    /// Sweep configuration.
-    pub cfg: HeterogeneityConfig,
-}
-
-impl Experiment for Heterogeneity {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
+    for c in &cells {
+        metrics.push((
+            format!("x{}_energy_cost_saving_frac", c.spread),
+            c.energy_cost_saving_frac(),
+        ));
+        metrics.push((
+            format!("x{}_profit_gain_eur_h", c.spread),
+            c.profit_gain_eur_h(),
+        ));
     }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let mut metrics = run.arm_metrics();
-        let cells = cells_from(&self.cfg, run.into_outcomes());
-        for c in &cells {
-            metrics.push((
-                format!("x{}_energy_cost_saving_frac", c.spread),
-                c.energy_cost_saving_frac(),
-            ));
-            metrics.push((
-                format!("x{}_profit_gain_eur_h", c.spread),
-                c.profit_gain_eur_h(),
-            ));
-        }
-        ExperimentReport {
-            text: render(&cells),
-            metrics,
-        }
+    ExperimentReport {
+        text: render(&cells),
+        metrics,
     }
 }
 
@@ -253,58 +127,9 @@ mod tests {
             assert!((k1[i] - p.eur_per_kwh).abs() < 1e-12, "k=1 is the paper");
         }
         let k8 = stretched_prices(8.0);
-        let mean1: f64 = k1.iter().sum::<f64>() / 4.0;
         // Boston (cheapest) spreads downward, Barcelona upward.
         assert!(k8[3] < k1[3] && k8[2] > k1[2]);
         // Floor holds even at extreme spreads.
         assert!(stretched_prices(100.0).iter().all(|&p| p >= 0.01));
-        let _ = mean1;
-    }
-
-    #[test]
-    fn mixed_fleet_cells_run_and_stay_deterministic() {
-        // Price heterogeneity on a machine-heterogeneous fleet: one
-        // Atom + one small custom host per DC. The sweep must run, keep
-        // its SLA sane, and reproduce bit-for-bit.
-        let cfg = HeterogeneityConfig {
-            spreads: vec![1.0, 6.0],
-            hours: 4,
-            vms: 3,
-            host_classes: vec![
-                (MachineSpec::atom(), 1),
-                (MachineSpec::custom(2, 2048.0, 15.0, 22.0), 1),
-            ],
-            ..HeterogeneityConfig::default()
-        };
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a.len(), 2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.dynamic.profit.energy_eur.to_bits(),
-                y.dynamic.profit.energy_eur.to_bits()
-            );
-            assert!(x.dynamic.mean_sla > 0.5, "sla {}", x.dynamic.mean_sla);
-        }
-    }
-
-    #[test]
-    fn benefit_grows_with_heterogeneity() {
-        let cells = run(&HeterogeneityConfig::quick(5));
-        assert_eq!(cells.len(), 2);
-        let low = &cells[0];
-        let high = &cells[1];
-        assert!(
-            high.energy_cost_saving_frac() > low.energy_cost_saving_frac(),
-            "saving at x{} ({:.3}) must exceed saving at x{} ({:.3})",
-            high.spread,
-            high.energy_cost_saving_frac(),
-            low.spread,
-            low.energy_cost_saving_frac()
-        );
-        // SLA must not be sacrificed for it.
-        assert!(high.dynamic.mean_sla > high.static_global.mean_sla - 0.05);
-        let rendered = render(&cells);
-        assert!(rendered.contains("spread"));
     }
 }

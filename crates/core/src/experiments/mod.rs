@@ -1,6 +1,8 @@
-//! Experiment drivers: one module per table/figure of the paper's
-//! evaluation — plus one per future-work extension — each returning a
-//! structured result that the benches and examples render.
+//! Report modules: one per table/figure of the paper's evaluation —
+//! plus one per future-work extension. A world study's module folds the
+//! arms `pamdc-scenario` built from its spec into a report; an analysis
+//! study's module (Table I/II, the ablations, the scaling studies) runs
+//! its own computation.
 
 pub mod ablations;
 pub mod deloc;

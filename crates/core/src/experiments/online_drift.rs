@@ -22,70 +22,31 @@
 //! error jumps and never recovers; the window model recovers after its
 //! buffer turns over; the drift-aware model recovers fastest.
 
-use crate::experiment::{Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::ScenarioBuilder;
-use crate::simulation::{RunConfig, SimulationRunner};
-use crate::training::TrainingCollector;
 use pamdc_ml::dataset::Dataset;
 use pamdc_ml::linreg::LinearRegression;
 use pamdc_ml::online::{DriftAwareLearner, OnlineLearner, PageHinkley};
 use pamdc_ml::Regressor;
 use pamdc_perf::demand::VmPerfProfile;
-use pamdc_simcore::time::{SimDuration, SimTime};
+use pamdc_simcore::time::SimTime;
 
-/// Configuration of the drift experiment.
-#[derive(Clone, Debug)]
-pub struct OnlineDriftConfig {
-    /// Simulated hours; the update lands at the midpoint.
-    pub hours: u64,
-    /// VMs.
-    pub vms: usize,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Sliding-window capacity of the online learners, samples.
-    pub window: usize,
-    /// Refit cadence, samples.
-    pub refit_every: usize,
-    /// Page–Hinkley slack (MB of absolute MEM error).
-    pub ph_delta: f64,
-    /// Page–Hinkley threshold (accumulated MB).
-    pub ph_lambda: f64,
-    /// Seed.
-    pub seed: u64,
-}
+/// Sliding-window capacity of the online learners, samples.
+const WINDOW: usize = 400;
+/// Refit cadence, samples.
+const REFIT_EVERY: usize = 50;
+/// Page–Hinkley slack (MB of absolute MEM error).
+const PH_DELTA: f64 = 10.0;
+/// Page–Hinkley threshold (accumulated MB).
+const PH_LAMBDA: f64 = 1500.0;
 
-impl Default for OnlineDriftConfig {
-    fn default() -> Self {
-        OnlineDriftConfig {
-            hours: 16,
-            vms: 5,
-            load_scale: 0.8,
-            window: 400,
-            refit_every: 50,
-            ph_delta: 10.0,
-            ph_lambda: 1500.0,
-            seed: 23,
-        }
-    }
-}
-
-impl OnlineDriftConfig {
-    /// Short run for tests and benches.
-    pub fn quick(seed: u64) -> Self {
-        OnlineDriftConfig {
-            hours: 8,
-            vms: 4,
-            ..OnlineDriftConfig {
-                seed,
-                ..Default::default()
-            }
-        }
-    }
-
-    /// The update instant.
-    pub fn update_at(&self) -> SimTime {
-        SimTime::from_hours(self.hours / 2)
+/// The fleet-wide software update: a bigger memory floor and more
+/// memory per in-flight request, everything else unchanged.
+pub fn bloated(p: VmPerfProfile) -> VmPerfProfile {
+    VmPerfProfile {
+        base_mem_mb: p.base_mem_mb * 1.8,
+        mem_mb_per_inflight: p.mem_mb_per_inflight * 2.5,
+        ..p
     }
 }
 
@@ -119,46 +80,13 @@ pub struct OnlineDriftResult {
 /// Transition window length, samples.
 const TRANSITION: usize = 300;
 
-/// Runs the experiment: one simulation with a mid-run fleet-wide memory
-/// regression, then three predictors evaluated prequentially on the
-/// captured stream.
-pub fn run(cfg: &OnlineDriftConfig) -> OnlineDriftResult {
-    // ---------------- Generate the stream ----------------
-    let update_at = cfg.update_at();
-    let mut builder = ScenarioBuilder::paper_intra_dc()
-        .vms(cfg.vms)
-        .load_scale(cfg.load_scale)
-        .seed(cfg.seed);
-    let bloated = |p: VmPerfProfile| VmPerfProfile {
-        base_mem_mb: p.base_mem_mb * 1.8,
-        mem_mb_per_inflight: p.mem_mb_per_inflight * 2.5,
-        ..p
-    };
-    // The scenario builder assigns per-class profiles at build time; we
-    // can only know them post-build, so build once to read them, then
-    // schedule the bloat per VM.
-    let probe = builder.clone().build();
-    for vm in 0..cfg.vms {
-        builder = builder.profile_change(vm, update_at, bloated(probe.perf_profiles[vm]));
-    }
-    let scenario = builder.build();
-
-    // Static placement, no migrations: every tick records exactly one
-    // sample per VM, so the stream boundary is exact.
-    let policy = Box::new(crate::policy::StaticPolicy(
-        pamdc_sched::oracle::TrueOracle::new(),
-    ));
-    let (_, collector) = SimulationRunner::new(scenario, policy)
-        .config(RunConfig {
-            keep_series: false,
-            round_every_ticks: 0,
-            ..Default::default()
-        })
-        .collect_into(TrainingCollector::new())
-        .run(SimDuration::from_hours(cfg.hours));
-    let collector = collector.expect("collector attached");
-
-    let boundary = update_at.as_mins() as usize * cfg.vms;
+/// Evaluates the three predictors prequentially on the samples of the
+/// collection arm: a static, never-planning run of `vms` VMs whose
+/// [`bloated`] update lands at `update_at` for every VM (every tick
+/// records exactly one sample per VM, so the stream boundary is exact).
+fn evaluate(run: &ExperimentRun, vms: usize, update_at: SimTime) -> OnlineDriftResult {
+    let collector = run.samples.first().expect("the collection arm's samples");
+    let boundary = update_at.as_mins() as usize * vms;
     let stream: Vec<(Vec<f64>, f64)> = collector
         .vm_ticks
         .iter()
@@ -180,11 +108,10 @@ pub fn run(cfg: &OnlineDriftConfig) -> OnlineDriftResult {
     let frozen_model = LinearRegression::fit(&pretrain);
 
     let fit = |d: &Dataset| Box::new(LinearRegression::fit(d)) as Box<dyn Regressor>;
-    let mut window_model =
-        OnlineLearner::new(&features, cfg.window, cfg.refit_every, cfg.refit_every, fit);
+    let mut window_model = OnlineLearner::new(&features, WINDOW, REFIT_EVERY, REFIT_EVERY, fit);
     let mut aware_model = DriftAwareLearner::new(
-        OnlineLearner::new(&features, cfg.window, cfg.refit_every, cfg.refit_every, fit),
-        PageHinkley::new(cfg.ph_delta, cfg.ph_lambda),
+        OnlineLearner::new(&features, WINDOW, REFIT_EVERY, REFIT_EVERY, fit),
+        PageHinkley::new(PH_DELTA, PH_LAMBDA),
     );
 
     // ---------------- Prequential evaluation ----------------
@@ -233,35 +160,27 @@ pub fn run(cfg: &OnlineDriftConfig) -> OnlineDriftResult {
     }
 }
 
-/// The registry-facing experiment: the prequential stream needs a
-/// collector-attached simulation, so everything runs in the emission
-/// stage rather than through shared arms.
-pub struct OnlineDrift {
-    /// Stream and learner configuration.
-    pub cfg: OnlineDriftConfig,
-}
-
-impl Experiment for OnlineDrift {
-    fn emit(&self, _run: ExperimentRun) -> ExperimentReport {
-        let result = run(&self.cfg);
-        let mut metrics = Vec::new();
-        for (label, m) in [
-            ("frozen", &result.frozen),
-            ("window", &result.window),
-            ("drift_aware", &result.drift_aware),
-        ] {
-            metrics.push((format!("{label}_mae_pre"), m.pre));
-            metrics.push((format!("{label}_mae_transition"), m.transition));
-            metrics.push((format!("{label}_mae_recovered"), m.recovered));
-        }
-        metrics.push((
-            "detected_after_samples".to_string(),
-            result.detected_after.map(|k| k as f64).unwrap_or(-1.0),
-        ));
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+/// The report over the collection arm: the three predictors scored
+/// prequentially on its samples.
+pub fn report(run: ExperimentRun, vms: usize, update_at: SimTime) -> ExperimentReport {
+    let result = evaluate(&run, vms, update_at);
+    let mut metrics = Vec::new();
+    for (label, m) in [
+        ("frozen", &result.frozen),
+        ("window", &result.window),
+        ("drift_aware", &result.drift_aware),
+    ] {
+        metrics.push((format!("{label}_mae_pre"), m.pre));
+        metrics.push((format!("{label}_mae_transition"), m.transition));
+        metrics.push((format!("{label}_mae_recovered"), m.recovered));
+    }
+    metrics.push((
+        "detected_after_samples".to_string(),
+        result.detected_after.map(|k| k as f64).unwrap_or(-1.0),
+    ));
+    ExperimentReport {
+        text: render(&result),
+        metrics,
     }
 }
 
@@ -288,41 +207,4 @@ pub fn render(result: &OnlineDriftResult) -> String {
         "On-line learning under a software update (future work 4) — {detection}\n{}",
         t.render()
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn online_models_survive_the_update() {
-        let r = run(&OnlineDriftConfig::quick(5));
-        // Pre-update: all models comparable (within 3x of each other).
-        assert!(r.frozen.pre < r.window.pre * 3.0 + 5.0);
-        // The update hurts the frozen model lastingly.
-        assert!(
-            r.frozen.recovered > r.frozen.pre * 3.0,
-            "frozen model must degrade: pre {} vs recovered {}",
-            r.frozen.pre,
-            r.frozen.recovered
-        );
-        // Online models recover to near their pre-update error.
-        assert!(
-            r.window.recovered < r.frozen.recovered * 0.5,
-            "window {} must beat frozen {}",
-            r.window.recovered,
-            r.frozen.recovered
-        );
-        assert!(
-            r.drift_aware.recovered < r.frozen.recovered * 0.5,
-            "drift-aware {} must beat frozen {}",
-            r.drift_aware.recovered,
-            r.frozen.recovered
-        );
-        // Detection fired, and quickly.
-        let k = r.detected_after.expect("Page-Hinkley must fire");
-        assert!(k < TRANSITION, "detection after {k} samples is too slow");
-        let rendered = render(&r);
-        assert!(rendered.contains("drift detected"));
-    }
 }

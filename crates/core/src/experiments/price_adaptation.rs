@@ -18,66 +18,13 @@
 //! adaptive arm's Boston occupancy drops after the spike and its energy
 //! bill undercuts the posted-price arm's.
 
-use crate::experiment::{self, Arm, Experiment, ExperimentReport, ExperimentRun};
-use crate::policy::HierarchicalPolicy;
+use crate::experiment::{ExperimentReport, ExperimentRun};
 use crate::report::TextTable;
-use crate::scenario::{Scenario, ScenarioBuilder};
-use crate::simulation::{RunConfig, RunOutcome};
-use pamdc_green::tariff::Tariff;
-use pamdc_sched::oracle::TrueOracle;
+use crate::simulation::RunOutcome;
 use pamdc_simcore::time::SimTime;
 
-/// Boston's index among the paper DCs.
-const BOSTON: usize = 3;
-
-/// Configuration of the price-shock experiment.
-#[derive(Clone, Debug)]
-pub struct PriceAdaptationConfig {
-    /// Simulated hours; the spike lands at the midpoint.
-    pub hours: u64,
-    /// VMs.
-    pub vms: usize,
-    /// Hosts per DC.
-    pub pms_per_dc: usize,
-    /// Multiplier applied to Boston's tariff at the midpoint.
-    pub spike_factor: f64,
-    /// Load multiplier.
-    pub load_scale: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for PriceAdaptationConfig {
-    fn default() -> Self {
-        PriceAdaptationConfig {
-            hours: 24,
-            vms: 4,
-            pms_per_dc: 2,
-            spike_factor: 4.0,
-            load_scale: 0.7,
-            seed: 17,
-        }
-    }
-}
-
-impl PriceAdaptationConfig {
-    /// Short run for tests and benches.
-    pub fn quick(seed: u64) -> Self {
-        PriceAdaptationConfig {
-            hours: 12,
-            vms: 3,
-            ..PriceAdaptationConfig {
-                seed,
-                ..Default::default()
-            }
-        }
-    }
-
-    /// The spike instant.
-    pub fn spike_at(&self) -> SimTime {
-        SimTime::from_hours(self.hours / 2)
-    }
-}
+/// Boston's index among the paper DCs: the DC whose tariff spikes.
+pub const BOSTON: usize = 3;
 
 /// One arm's outcome plus its Boston occupancy after the spike.
 pub struct ArmResult {
@@ -122,119 +69,33 @@ fn boston_share(outcome: &RunOutcome, vms: usize, spike_at: SimTime, post: bool)
     }
 }
 
-/// Builds one arm's world.
-///
-/// The fleet starts consolidated in Boston — the rational placement
-/// under the posted prices (it is the cheapest DC). The workload is
-/// latency-neutral (equal load from all regions), so the energy term
-/// alone decides where the fleet lives — exactly the regime the paper
-/// predicts for "larger variations of energy prices across the world".
-fn build(cfg: &PriceAdaptationConfig, adaptive: bool) -> Scenario {
-    let spike_factor = cfg.spike_factor;
-    let spike_at = cfg.spike_at();
-    ScenarioBuilder::paper_multi_dc()
-        .vms(cfg.vms)
-        .pms_per_dc(cfg.pms_per_dc)
-        .load_scale(cfg.load_scale)
-        .deploy_all_in(BOSTON)
-        .seed(cfg.seed)
-        .name(if adaptive {
-            "adaptive-pricing"
-        } else {
-            "posted-pricing"
-        })
-        .workload(pamdc_workload::libcn::uniform_multi_dc(
-            cfg.vms,
-            170.0 * cfg.load_scale,
-            cfg.seed,
-        ))
-        .energy(move |_, env| {
-            let base = pamdc_econ::prices::paper_prices()[BOSTON].eur_per_kwh;
-            let env = env.with_tariff(
-                BOSTON,
-                Tariff::Step {
-                    initial_eur: base,
-                    steps: vec![(spike_at, base * spike_factor)],
-                },
-            );
-            if adaptive {
-                env
-            } else {
-                env.price_blind()
-            }
-        })
-        .build()
-}
-
-/// Stage 2: the adaptive and posted-price arms. A one-hour planning
-/// horizon: fleeing a 4x tariff must pay for the migration out of more
-/// than ten minutes of savings.
-fn arms(cfg: &PriceAdaptationConfig) -> Vec<Arm> {
-    let run_cfg = RunConfig {
-        plan_horizon_ticks: Some(60),
-        ..RunConfig::default()
-    };
-    [("adaptive", true), ("posted", false)]
-        .into_iter()
-        .map(|(label, adaptive)| {
-            Arm::new(
-                label,
-                build(cfg, adaptive),
-                Box::new(HierarchicalPolicy::new(TrueOracle::new())),
-                cfg.hours,
-            )
-            .config(run_cfg.clone())
-        })
-        .collect()
-}
-
-/// Stage 4: wraps an outcome with its Boston-occupancy statistics.
-fn arm_result(cfg: &PriceAdaptationConfig, outcome: RunOutcome) -> ArmResult {
-    let spike_at = cfg.spike_at();
+/// Wraps an outcome with its Boston-occupancy statistics.
+fn arm_result(outcome: RunOutcome, vms: usize, spike_at: SimTime) -> ArmResult {
     ArmResult {
-        boston_share_pre: boston_share(&outcome, cfg.vms, spike_at, false),
-        boston_share_post: boston_share(&outcome, cfg.vms, spike_at, true),
+        boston_share_pre: boston_share(&outcome, vms, spike_at, false),
+        boston_share_post: boston_share(&outcome, vms, spike_at, true),
         outcome,
     }
 }
 
-/// Runs both arms in parallel.
-pub fn run(cfg: &PriceAdaptationConfig) -> PriceAdaptationResult {
-    let mut outcomes = experiment::execute(arms(cfg)).into_iter();
-    PriceAdaptationResult {
-        adaptive: arm_result(cfg, outcomes.next().expect("adaptive arm").1),
-        posted: arm_result(cfg, outcomes.next().expect("posted arm").1),
-        spike_at: cfg.spike_at(),
+/// The report over the `adaptive` and `posted` arms of a `vms`-VM
+/// fleet whose Boston tariff spikes at `spike_at`.
+pub fn report(run: ExperimentRun, vms: usize, spike_at: SimTime) -> ExperimentReport {
+    let mut metrics = run.arm_metrics();
+    let mut outcomes = run.into_outcomes().into_iter();
+    let mut next = |arm: &str| arm_result(outcomes.next().expect(arm), vms, spike_at);
+    let result = PriceAdaptationResult {
+        adaptive: next("adaptive arm"),
+        posted: next("posted arm"),
+        spike_at,
+    };
+    for (label, arm) in [("adaptive", &result.adaptive), ("posted", &result.posted)] {
+        metrics.push((format!("{label}_boston_share_pre"), arm.boston_share_pre));
+        metrics.push((format!("{label}_boston_share_post"), arm.boston_share_post));
     }
-}
-
-/// The registry-facing experiment.
-pub struct PriceAdaptation {
-    /// Arm configuration.
-    pub cfg: PriceAdaptationConfig,
-}
-
-impl Experiment for PriceAdaptation {
-    fn arms(&mut self, _training: Option<&crate::training::TrainingOutcome>) -> Vec<Arm> {
-        arms(&self.cfg)
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let mut metrics = run.arm_metrics();
-        let mut outcomes = run.into_outcomes().into_iter();
-        let result = PriceAdaptationResult {
-            adaptive: arm_result(&self.cfg, outcomes.next().expect("adaptive arm")),
-            posted: arm_result(&self.cfg, outcomes.next().expect("posted arm")),
-            spike_at: self.cfg.spike_at(),
-        };
-        for (label, arm) in [("adaptive", &result.adaptive), ("posted", &result.posted)] {
-            metrics.push((format!("{label}_boston_share_pre"), arm.boston_share_pre));
-            metrics.push((format!("{label}_boston_share_post"), arm.boston_share_post));
-        }
-        ExperimentReport {
-            text: render(&result),
-            metrics,
-        }
+    ExperimentReport {
+        text: render(&result),
+        metrics,
     }
 }
 
@@ -268,32 +129,4 @@ pub fn render(result: &PriceAdaptationResult) -> String {
         result.spike_at,
         t.render()
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn adaptive_arm_flees_the_spiked_tariff() {
-        let result = run(&PriceAdaptationConfig::quick(7));
-        // The adaptive arm must hold less of its fleet in Boston after
-        // the spike than the posted-price arm does.
-        assert!(
-            result.adaptive.boston_share_post < result.posted.boston_share_post,
-            "adaptive {} vs posted {}",
-            result.adaptive.boston_share_post,
-            result.posted.boston_share_post
-        );
-        // And its electricity bill must be no worse.
-        assert!(
-            result.adaptive.outcome.profit.energy_eur
-                <= result.posted.outcome.profit.energy_eur + 1e-9,
-            "adaptive energy {} vs posted {}",
-            result.adaptive.outcome.profit.energy_eur,
-            result.posted.outcome.profit.energy_eur
-        );
-        let rendered = render(&result);
-        assert!(rendered.contains("Adaptive"));
-    }
 }

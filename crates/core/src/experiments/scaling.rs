@@ -13,7 +13,7 @@
 //! so the answer to "how many VMs/PMs per round?" comes with the price
 //! paid in solution quality (expected: none to speak of).
 
-use crate::experiment::{Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::ExperimentReport;
 use crate::report::TextTable;
 use pamdc_obs::clock::Stopwatch;
 use pamdc_sched::bestfit::best_fit;
@@ -130,31 +130,23 @@ pub fn run(cfg: &ScalingConfig) -> Vec<ScalingCell> {
         .collect()
 }
 
-/// The registry-facing experiment: a wall-clock timing study (runs in
-/// the emission stage; reports are *not* run-to-run deterministic, so
-/// the kind registry excludes it from golden snapshots).
-pub struct Scaling {
-    /// Sweep configuration.
-    pub cfg: ScalingConfig,
-}
-
-impl Experiment for Scaling {
-    fn emit(&self, _run: ExperimentRun) -> ExperimentReport {
-        let cells = run(&self.cfg);
-        let mut metrics = Vec::new();
-        for c in &cells {
-            let key = |k: &str| format!("{}x{}_{k}", c.vms, c.hosts);
-            metrics.push((key("flat_us"), c.flat_us));
-            metrics.push((key("hier_us"), c.hier_us));
-            metrics.push((key("flat_profit"), c.flat_profit));
-            metrics.push((key("hier_profit"), c.hier_profit));
-            metrics.push((key("escalated_vms"), c.escalated_vms as f64));
-            metrics.push((key("offered_hosts"), c.offered_hosts as f64));
-        }
-        ExperimentReport {
-            text: render(&cells),
-            metrics,
-        }
+/// The report: a wall-clock timing study, so it is *not* run-to-run
+/// deterministic (the kind registry excludes it from golden snapshots).
+pub fn report(cfg: &ScalingConfig) -> ExperimentReport {
+    let cells = run(cfg);
+    let mut metrics = Vec::new();
+    for c in &cells {
+        let key = |k: &str| format!("{}x{}_{k}", c.vms, c.hosts);
+        metrics.push((key("flat_us"), c.flat_us));
+        metrics.push((key("hier_us"), c.hier_us));
+        metrics.push((key("flat_profit"), c.flat_profit));
+        metrics.push((key("hier_profit"), c.hier_profit));
+        metrics.push((key("escalated_vms"), c.escalated_vms as f64));
+        metrics.push((key("offered_hosts"), c.offered_hosts as f64));
+    }
+    ExperimentReport {
+        text: render(&cells),
+        metrics,
     }
 }
 

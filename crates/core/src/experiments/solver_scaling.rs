@@ -6,7 +6,7 @@
 //! for the exact solver, search nodes — reproducing the scaling gap that
 //! justifies Algorithm 1.
 
-use crate::experiment::{Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::ExperimentReport;
 use crate::report::TextTable;
 use pamdc_obs::clock::Stopwatch;
 use pamdc_sched::bestfit::best_fit;
@@ -137,38 +137,30 @@ pub fn run(cfg: &ScalingConfig) -> Vec<ScalingPoint> {
         .collect()
 }
 
-/// The registry-facing experiment: a wall-clock timing study (runs in
-/// the emission stage; reports are *not* run-to-run deterministic, so
-/// the kind registry excludes it from golden snapshots).
-pub struct SolverScaling {
-    /// Study configuration.
-    pub cfg: ScalingConfig,
-}
-
-impl Experiment for SolverScaling {
-    fn emit(&self, _run: ExperimentRun) -> ExperimentReport {
-        let points = run(&self.cfg);
-        let mut metrics = Vec::new();
-        for p in &points {
-            let key = |k: &str| format!("{}x{}_{k}", p.vms, p.hosts);
-            metrics.push((key("bestfit_us"), p.bestfit_us));
-            if let Some(us) = p.exact_us {
-                metrics.push((key("exact_us"), us));
-            }
-            if let Some(n) = p.exact_nodes {
-                metrics.push((key("exact_nodes"), n as f64));
-            }
-            if let Some(gap) = p.profit_gap {
-                metrics.push((key("profit_gap"), gap));
-            }
-            if p.exact_budget_exhausted {
-                metrics.push((key("exact_budget_exhausted"), 1.0));
-            }
+/// The report: a wall-clock timing study, so it is *not* run-to-run
+/// deterministic (the kind registry excludes it from golden snapshots).
+pub fn report(cfg: &ScalingConfig) -> ExperimentReport {
+    let points = run(cfg);
+    let mut metrics = Vec::new();
+    for p in &points {
+        let key = |k: &str| format!("{}x{}_{k}", p.vms, p.hosts);
+        metrics.push((key("bestfit_us"), p.bestfit_us));
+        if let Some(us) = p.exact_us {
+            metrics.push((key("exact_us"), us));
         }
-        ExperimentReport {
-            text: render(&points),
-            metrics,
+        if let Some(n) = p.exact_nodes {
+            metrics.push((key("exact_nodes"), n as f64));
         }
+        if let Some(gap) = p.profit_gap {
+            metrics.push((key("profit_gap"), gap));
+        }
+        if p.exact_budget_exhausted {
+            metrics.push((key("exact_budget_exhausted"), 1.0));
+        }
+    }
+    ExperimentReport {
+        text: render(&points),
+        metrics,
     }
 }
 

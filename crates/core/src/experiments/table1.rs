@@ -7,7 +7,7 @@
 //! and reports correlation, MAE, error σ, train/val sizes and target
 //! ranges — the exact columns of the paper's table.
 
-use crate::experiment::{Arm, Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::ExperimentReport;
 use crate::report::TextTable;
 use crate::training::{collect_training_data, train_suite, TrainingOutcome};
 use pamdc_ml::metrics::table_header;
@@ -36,56 +36,27 @@ impl Default for Table1Config {
     }
 }
 
-/// A faster configuration for tests/benches.
-impl Table1Config {
-    /// Reduced collection effort (seconds, not minutes, of wall time).
-    pub fn quick(seed: u64) -> Self {
-        Table1Config {
-            vms: 4,
-            scales: vec![0.5, 1.0, 1.5],
-            hours_per_scale: 4,
-            seed,
-        }
-    }
-}
-
 /// Runs the experiment.
 pub fn run(cfg: &Table1Config) -> TrainingOutcome {
     let collector = collect_training_data(cfg.vms, &cfg.scales, cfg.hours_per_scale, cfg.seed);
     train_suite(&collector, cfg.seed)
 }
 
-/// The registry-facing experiment: Table I *is* the pipeline's training
-/// stage, so it declares training, no arms, and renders the outcome.
-pub struct Table1 {
-    /// Collection/training configuration.
-    pub cfg: Table1Config,
-}
-
-impl Experiment for Table1 {
-    fn training(&self) -> Option<Table1Config> {
-        Some(self.cfg.clone())
-    }
-
-    fn arms(&mut self, _training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        Vec::new()
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let outcome = run.training();
-        ExperimentReport {
-            text: format!("{}\n{}", render(outcome), render_comparison(outcome)),
-            metrics: vec![
-                (
-                    "vm_tick_samples".to_string(),
-                    outcome.sample_counts.0 as f64,
-                ),
-                (
-                    "pm_tick_samples".to_string(),
-                    outcome.sample_counts.1 as f64,
-                ),
-            ],
-        }
+/// The report over a training outcome: the table, the comparison with
+/// the paper and the sample counts.
+pub fn report(outcome: &TrainingOutcome) -> ExperimentReport {
+    ExperimentReport {
+        text: format!("{}\n{}", render(outcome), render_comparison(outcome)),
+        metrics: vec![
+            (
+                "vm_tick_samples".to_string(),
+                outcome.sample_counts.0 as f64,
+            ),
+            (
+                "pm_tick_samples".to_string(),
+                outcome.sample_counts.1 as f64,
+            ),
+        ],
     }
 }
 
@@ -134,7 +105,12 @@ mod tests {
 
     #[test]
     fn quick_table1_reproduces_shape() {
-        let out = run(&Table1Config::quick(11));
+        let out = run(&Table1Config {
+            vms: 4,
+            scales: vec![0.5, 1.0, 1.5],
+            hours_per_scale: 4,
+            seed: 11,
+        });
         assert_eq!(out.reports.len(), 7);
         // Methods match the paper's choices.
         let methods: Vec<&str> = out.reports.iter().map(|(_, r)| r.method.as_str()).collect();

@@ -6,21 +6,17 @@
 //! experiment relies on: matrix symmetry, zero diagonal, and the
 //! cheapest/dearest tariff ordering that drives consolidation targets.
 
-use crate::experiment::{Experiment, ExperimentReport, ExperimentRun};
+use crate::experiment::ExperimentReport;
 use crate::report::TextTable;
 use pamdc_econ::prices::paper_prices;
 use pamdc_infra::network::{City, LatencyMatrix};
 
-/// The registry-facing experiment: echo and verify the model inputs.
-pub struct Table2;
-
-impl Experiment for Table2 {
-    fn emit(&self, _run: ExperimentRun) -> ExperimentReport {
-        verify();
-        ExperimentReport {
-            text: render(),
-            metrics: Vec::new(),
-        }
+/// The report: echo and verify the model inputs.
+pub fn report() -> ExperimentReport {
+    verify();
+    ExperimentReport {
+        text: render(),
+        metrics: Vec::new(),
     }
 }
 

@@ -3,10 +3,8 @@
 //! The paper's pieces assembled into a running system: experimental
 //! [`scenario`]s, the MAPE [`simulation`] loop, pluggable placement
 //! [`policy`] implementations, the Table-I [`training`] pipeline, report
-//! rendering ([`report`]), the shared [`experiment`] pipeline
-//! (training → arm enumeration → execution → emission) and one driver
-//! per table/figure of the evaluation ([`experiments`]), each a thin
-//! [`experiment::Experiment`] over that pipeline.
+//! rendering ([`report`]), the shared [`experiment`] arm runner and one
+//! report module per table/figure of the evaluation ([`experiments`]).
 
 pub mod energy;
 pub mod engine;
@@ -25,16 +23,14 @@ pub mod prelude {
         Controller, ControllerSnapshot, DeadlineGovernor, RoundFidelity, RoundOutcome, StepDemand,
         TickOutcome,
     };
-    pub use crate::experiment::{
-        outcome_metrics, run_experiment, Arm, Experiment, ExperimentReport, ExperimentRun,
-    };
+    pub use crate::experiment::{outcome_metrics, Arm, ExperimentReport, ExperimentRun};
     pub use crate::policy::{
         BestFitPolicy, CheapestEnergyPolicy, FollowLoadPolicy, HierarchicalPolicy, PlacementPolicy,
         RandomPolicy, StaticPolicy,
     };
     pub use crate::report::TextTable;
     pub use crate::scenario::{ProfileChange, Scenario, ScenarioBuilder};
-    pub use crate::simulation::{RunConfig, RunOutcome, SimulationRunner};
+    pub use crate::simulation::{RunConfig, RunOutcome};
     pub use crate::training::{
         collect_training_data, train_paper_suite, train_suite, TrainingCollector, TrainingOutcome,
     };

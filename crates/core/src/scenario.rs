@@ -28,7 +28,7 @@ use pamdc_workload::source::Demand;
 use std::sync::Arc;
 
 /// A fully built experimental world, ready for a
-/// [`crate::simulation::SimulationRunner`].
+/// [`crate::engine::Controller`].
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Human-readable label.

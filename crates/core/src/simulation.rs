@@ -4,19 +4,16 @@
 //! gateways, the ground-truth performance model resolves contention and
 //! response times per host, monitors record (noisily) what they can see,
 //! energy and revenue are billed, and every N ticks the configured
-//! [`PlacementPolicy`] re-plans placements, triggering migrations and
+//! [`PlacementPolicy`](crate::policy::PlacementPolicy) re-plans placements, triggering migrations and
 //! power management. This is the substrate on which every figure and
 //! table of the paper is regenerated.
 //!
 //! The loop body itself lives in [`crate::engine::Controller`] — a
-//! public, resumable stepper. [`SimulationRunner`] is the batch shell
-//! every experiment driver goes through: build a controller, step it
-//! `duration / tick` times, fold the outcome.
+//! public, resumable stepper whose
+//! [`run_for`](crate::engine::Controller::run_for) is the batch path
+//! every experiment arm goes through. This module holds the run knobs
+//! ([`RunConfig`]) and the folded result ([`RunOutcome`]).
 
-use crate::engine::{Controller, StepDemand};
-use crate::policy::PlacementPolicy;
-use crate::scenario::Scenario;
-use crate::training::TrainingCollector;
 use pamdc_econ::billing::ProfitSnapshot;
 use pamdc_green::carbon::EnergyBreakdown;
 use pamdc_simcore::prelude::*;
@@ -119,62 +116,17 @@ impl RunOutcome {
     }
 }
 
-/// Drives one scenario under one policy.
-pub struct SimulationRunner {
-    scenario: Scenario,
-    policy: Box<dyn PlacementPolicy>,
-    config: RunConfig,
-    collector: Option<TrainingCollector>,
-}
-
-impl SimulationRunner {
-    /// A runner over a scenario; attach a policy before running.
-    pub fn new(scenario: Scenario, policy: Box<dyn PlacementPolicy>) -> Self {
-        SimulationRunner {
-            scenario,
-            policy,
-            config: RunConfig::default(),
-            collector: None,
-        }
-    }
-
-    /// Overrides run configuration.
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attaches a training-sample collector (used by the Table-I
-    /// pipeline).
-    pub fn collect_into(mut self, collector: TrainingCollector) -> Self {
-        self.collector = Some(collector);
-        self
-    }
-
-    /// Runs for `duration` and returns the outcome (and the collector, if
-    /// one was attached).
-    pub fn run(self, duration: SimDuration) -> (RunOutcome, Option<TrainingCollector>) {
-        let ticks = duration.ticks(self.config.tick);
-        let mut controller =
-            Controller::with(self.scenario, self.policy, self.config, self.collector);
-        controller.set_progress_total(Some(ticks));
-        for _ in 0..ticks {
-            controller.step(StepDemand::Source);
-        }
-        controller.finish(duration)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BestFitPolicy, StaticPolicy};
+    use crate::engine::Controller;
+    use crate::policy::{BestFitPolicy, PlacementPolicy, StaticPolicy};
     use crate::scenario::ScenarioBuilder;
     use pamdc_sched::oracle::TrueOracle;
 
     fn short_run(policy: Box<dyn PlacementPolicy>) -> RunOutcome {
         let scenario = ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build();
-        let (outcome, _) = SimulationRunner::new(scenario, policy).run(SimDuration::from_hours(2));
+        let (outcome, _) = Controller::new(scenario, policy).run_for(SimDuration::from_hours(2));
         outcome
     }
 
@@ -242,8 +194,8 @@ mod tests {
             let scenario = builder.build();
             let policy = Box::new(StaticPolicy(TrueOracle::new()));
             // Run across local midday (Barcelona +1: 11:00 UTC = noon).
-            SimulationRunner::new(scenario, policy)
-                .run(SimDuration::from_hours(24))
+            Controller::new(scenario, policy)
+                .run_for(SimDuration::from_hours(24))
                 .0
         };
         let brown = run(false);
@@ -276,8 +228,8 @@ mod tests {
                 .seed(5)
                 .fault(0, SimTime::from_mins(30), SimDuration::from_hours(4))
                 .build();
-            SimulationRunner::new(scenario, policy)
-                .run(SimDuration::from_hours(3))
+            Controller::new(scenario, policy)
+                .run_for(SimDuration::from_hours(3))
                 .0
         };
         let dynamic = run(Box::new(BestFitPolicy::new(TrueOracle::new())));
@@ -298,16 +250,14 @@ mod tests {
         let a = short_run(Box::new(BestFitPolicy::new(TrueOracle::new())));
         let mut scenario = ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build();
         scenario.monitor.dropout_prob = 0.0;
-        let (b, _) =
-            SimulationRunner::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
-                .run(SimDuration::from_hours(2));
+        let (b, _) = Controller::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
+            .run_for(SimDuration::from_hours(2));
         assert_eq!(a.mean_sla.to_bits(), b.mean_sla.to_bits());
         // With heavy dropout the run still completes sanely.
         let mut scenario = ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build();
         scenario.monitor.dropout_prob = 0.5;
-        let (c, _) =
-            SimulationRunner::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
-                .run(SimDuration::from_hours(2));
+        let (c, _) = Controller::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
+            .run_for(SimDuration::from_hours(2));
         assert!(c.mean_sla > 0.0 && c.mean_sla <= 1.0);
     }
 
@@ -317,8 +267,8 @@ mod tests {
             let mut scenario = ScenarioBuilder::paper_multi_dc().vms(5).seed(5).build();
             scenario.cluster.net.eur_per_gb_interdc = eur_per_gb;
             let policy = Box::new(StaticPolicy(TrueOracle::new()));
-            SimulationRunner::new(scenario, policy)
-                .run(SimDuration::from_hours(2))
+            Controller::new(scenario, policy)
+                .run_for(SimDuration::from_hours(2))
                 .0
         };
         let free = run(0.0);

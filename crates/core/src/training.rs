@@ -11,9 +11,10 @@
 //! predicted values information on the current load ... to predict
 //! response time and/or SLA fulfillment level".
 
+use crate::engine::Controller;
 use crate::policy::RandomPolicy;
 use crate::scenario::ScenarioBuilder;
-use crate::simulation::{RunConfig, SimulationRunner};
+use crate::simulation::RunConfig;
 use pamdc_infra::resources::Resources;
 use pamdc_ml::dataset::Dataset;
 use pamdc_ml::metrics::EvalReport;
@@ -148,10 +149,8 @@ pub fn collect_training_data(
         collector
             .vm_ticks
             .reserve_exact(vms * duration.ticks(config.tick) as usize);
-        let runner = SimulationRunner::new(scenario, policy)
-            .config(config)
-            .collect_into(collector);
-        let (_, collector) = runner.run(duration);
+        let (_, collector) =
+            Controller::with(scenario, policy, config, Some(collector)).run_for(duration);
         collector.expect("collector attached")
     });
     let mut merged = TrainingCollector::new();

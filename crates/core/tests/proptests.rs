@@ -3,9 +3,10 @@
 //! hold under randomized fault plans, tariffs and dropout.
 
 use pamdc_core::energy::EnergyEnvironment;
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::BestFitPolicy;
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::{RunConfig, SimulationRunner};
+use pamdc_core::simulation::RunConfig;
 use pamdc_green::solar::SolarFarm;
 use pamdc_green::tariff::Tariff;
 use pamdc_sched::oracle::TrueOracle;
@@ -58,12 +59,8 @@ proptest! {
                 initial_eur: 0.1513,
                 steps: vec![(SimTime::from_mins(60), 0.1513 * spike)],
             });
-        let (o, _) = SimulationRunner::new(
-            scenario,
-            Box::new(BestFitPolicy::new(TrueOracle::new())),
-        )
-        .config(RunConfig { keep_series: false, ..RunConfig::default() })
-        .run(SimDuration::from_hours(2));
+        let (o, _) = Controller::with(scenario,
+            Box::new(BestFitPolicy::new(TrueOracle::new())), RunConfig { keep_series: false, ..RunConfig::default() }, None).run_for(SimDuration::from_hours(2));
 
         prop_assert!((0.0..=1.0).contains(&o.mean_sla), "sla {}", o.mean_sla);
         // Meter vs ledger.
@@ -97,12 +94,8 @@ proptest! {
         let farm_capacity: f64 = scenario.cluster.dcs().len() as f64
             * solar_w
             * scenario.cluster.pms().len() as f64;
-        let (o, _) = SimulationRunner::new(
-            scenario,
-            Box::new(BestFitPolicy::new(TrueOracle::new())),
-        )
-        .config(RunConfig { keep_series: false, ..RunConfig::default() })
-        .run(SimDuration::from_hours(24));
+        let (o, _) = Controller::with(scenario,
+            Box::new(BestFitPolicy::new(TrueOracle::new())), RunConfig { keep_series: false, ..RunConfig::default() }, None).run_for(SimDuration::from_hours(24));
         // 24 h at full nameplate is a generous upper bound (daylight is
         // 12 h and the bell is below 1 almost everywhere).
         prop_assert!(o.energy.green_wh <= farm_capacity * 24.0 + 1e-6);
@@ -125,13 +118,17 @@ fn zero_capacity_solar_is_identity() {
             );
             scenario.energy = env;
         }
-        SimulationRunner::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
-            .config(RunConfig {
+        Controller::with(
+            scenario,
+            Box::new(BestFitPolicy::new(TrueOracle::new())),
+            RunConfig {
                 keep_series: false,
                 ..RunConfig::default()
-            })
-            .run(SimDuration::from_hours(2))
-            .0
+            },
+            None,
+        )
+        .run_for(SimDuration::from_hours(2))
+        .0
     };
     let bare = run(false);
     let farmed = run(true);

@@ -5,11 +5,11 @@
 //!
 //! * [`metrics`] — a fixed **registry** of named counters, gauges and
 //!   fixed-bucket histograms, accumulated into a per-run [`Collector`]
-//!   that `SimulationRunner::run` installs thread-locally and flushes
+//!   that each run's `Controller` installs thread-locally and flushes
 //!   into the run's report metrics. Counter totals are pure functions
 //!   of the simulated world, so they are bit-identical at any `--jobs`
 //!   budget and pinnable by golden tests.
-//! * [`span`] — `span!("plan")`-style RAII guards recording nested
+//! * [`mod@span`] — `span!("plan")`-style RAII guards recording nested
 //!   wall-clock timings per MAPE phase, scheduler stage and DC shard.
 //!   Wall-clock never enters a report: span timings exist only in the
 //!   JSONL trace, and the guards are no-ops unless tracing is on, so

@@ -8,8 +8,8 @@
 //! installed on the current thread (or vanish, when none is — benches
 //! and unit tests pay nothing).
 //!
-//! A collector is **per run**: `SimulationRunner::run` creates a fresh
-//! one, installs it for the duration of the run via [`CollectorGuard`]
+//! A collector is **per run**: each run's `Controller` creates a fresh
+//! one, installs it for every step of the run via [`CollectorGuard`]
 //! (saving and restoring any outer collector, so nested training
 //! simulations don't pollute their parent), and flushes
 //! [`Collector::run_metrics`] into the run outcome. Parallel sweep and

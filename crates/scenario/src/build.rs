@@ -1,22 +1,22 @@
 //! Spec → world: build a [`Scenario`], a [`PlacementPolicy`] and a
 //! [`RunConfig`] from a [`ScenarioSpec`].
 //!
-//! The mapping is deliberately 1:1 with the `ScenarioBuilder` calls the
-//! hand-written experiment drivers make, so a spec-built world is
-//! **bit-identical** to the equivalent hand-built one (the integration
-//! tests assert this for the fig4 and fig6 setups).
+//! The spec is the only world builder: every experiment arm and every
+//! generic run is built here from its spec. `tests/spec_vs_builder.rs`
+//! pins spec-built worlds bit-identical to the equivalent
+//! `ScenarioBuilder` presets (the fig4 and fig6 setups).
 
 use crate::spec::{
     ImportSpec, MachineClass, OracleKind, PolicyKind, ScenarioSpec, SpecError, TopologyPreset,
     TrainingSpec, WorkloadPreset,
 };
+use pamdc_core::experiments::table1::{self, Table1Config};
 use pamdc_core::policy::{
     BestFitPolicy, CheapestEnergyPolicy, FollowLoadPolicy, HierarchicalPolicy, PlacementPolicy,
     RandomPolicy, StaticPolicy,
 };
 use pamdc_core::scenario::{Scenario, ScenarioBuilder, ServiceSpec};
 use pamdc_core::simulation::RunConfig;
-use pamdc_core::training::{collect_training_data, train_suite, TrainingOutcome};
 use pamdc_green::tariff::Tariff;
 use pamdc_infra::pm::MachineSpec;
 use pamdc_infra::vm::VmSpec;
@@ -201,8 +201,8 @@ fn build_scenario_inner(
         }
         builder = builder.demand(TraceSource::new(trace));
     } else if w.preset == WorkloadPreset::Uniform {
-        // Latency-neutral control workload (same construction as the
-        // green / price-adaptation drivers).
+        // Latency-neutral control workload (the green, heterogeneity
+        // and price-adaptation builtins use it).
         builder = builder.workload(libcn::uniform_multi_dc(
             w.vms,
             w.peak_rps * w.load_scale,
@@ -262,7 +262,7 @@ fn build_scenario_inner(
 }
 
 /// Builds the policy a spec names. `suite` must be provided when the
-/// oracle is `ml` (see [`train_for_spec`]); `seed` feeds the random
+/// oracle is `ml` (see [`training`]); `seed` feeds the random
 /// exploration policy.
 pub fn build_policy(
     spec: &ScenarioSpec,
@@ -329,19 +329,24 @@ pub fn run_config(spec: &ScenarioSpec) -> RunConfig {
     }
 }
 
-/// Runs the Table-I pipeline a `[training]` section describes (the same
-/// call chain as `experiments::table1::run`).
-pub fn train_for_spec(training: &TrainingSpec) -> TrainingOutcome {
-    let collector = collect_training_data(
-        training.vms,
-        &training.scales,
-        training.hours_per_scale,
-        training.seed,
-    );
-    train_suite(&collector, training.seed)
+/// The Table-I configuration a `[training]` section describes (run it
+/// with `experiments::table1::run`).
+pub fn training(t: &TrainingSpec) -> Table1Config {
+    Table1Config {
+        vms: t.vms,
+        scales: t.scales.clone(),
+        hours_per_scale: t.hours_per_scale,
+        seed: t.seed,
+    }
 }
 
-/// True when running this spec's generic path requires training first.
+/// The predictor suite this spec's policy needs: Table I trained as its
+/// `[training]` section says, or `None` when the oracle is not `ml`.
+pub fn trained_suite(spec: &ScenarioSpec) -> Option<Arc<PredictorSuite>> {
+    needs_training(spec).then(|| table1::run(&training(&spec.training)).suite)
+}
+
+/// True when running this spec's policy requires training first.
 pub fn needs_training(spec: &ScenarioSpec) -> bool {
     spec.policy.oracle == OracleKind::Ml && spec.policy.kind != PolicyKind::Random
 }

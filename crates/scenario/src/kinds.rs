@@ -1,27 +1,59 @@
-//! The experiment-kind registry: one entry per driver, mapping an
-//! `[experiment] kind = "..."` string to a constructor that builds the
-//! driver's [`Experiment`] from a spec.
+//! The experiment-kind registry: one entry per `[experiment] kind`.
 //!
-//! This table is the **only** place a new experiment kind is wired up:
-//! implement [`Experiment`] next to the driver in
-//! `pamdc_core::experiments`, add one [`KindEntry`] here, and `pamdc
-//! run/sweep/campaign`, spec validation and the golden tests all pick it
-//! up. `runner::run_spec` contains no per-experiment dispatch.
+//! A **world kind** is a list of arms over the spec plus the report
+//! function its module in `pamdc_core::experiments` provides. An arm is
+//! a label and the spec with that arm's overrides applied — the policy
+//! kind and oracle, and world keys such as `energy.price_blind`,
+//! `[[energy.tariffs]]` rows, `workload.load_scale` or
+//! `topology.pms_per_dc`. The runner builds every arm with the same
+//! `build_scenario` / `build_policy` / `run_config` calls, so every world
+//! kind honours every spec key. A spec without an `[experiment]` table
+//! runs [`GENERIC`], the one-arm case. An **analysis kind** builds no
+//! world of its own and is a single report function over the spec.
 //!
-//! Constructors receive the whole spec plus the quick flag and build the
-//! driver's config **from the spec's fields** (full mode) or from the
-//! driver's `quick()` preset (quick mode) — exactly the mapping the
-//! pre-registry `match` performed, so reports stay bit-identical.
+//! Quick mode is data: [`quick_spec`] applies the shared
+//! [`TRAINING_QUICK`] rows and then the entry's own `quick` rows
+//! through [`ScenarioSpec::with_param`]; every other value stays the
+//! spec's.
+//!
+//! This table is the **only** place a kind is wired up: `pamdc
+//! run/sweep/campaign`, spec validation and the golden tests read it.
 
-use crate::spec::{OracleKind, ScenarioSpec, SpecError, TrainingSpec};
-use pamdc_core::experiment::Experiment;
+use crate::build;
+use crate::spec::{OracleKind, PolicyKind, ProfileChangeSpec, ScenarioSpec, SpecError, TariffSpec};
+use pamdc_core::experiment::{outcome_metrics, render_outcome, ExperimentReport, ExperimentRun};
 use pamdc_core::experiments::{
     ablations, deloc, fig4, fig5, fig6, fig7_table3, fig8, green, heterogeneity, online_drift,
     price_adaptation, scaling, solver_scaling, table1, table2,
 };
+use pamdc_core::scenario::Scenario;
+use pamdc_simcore::time::SimTime;
 
-/// An experiment constructor: spec + quick flag → boxed [`Experiment`].
-pub type BuildFn = fn(&ScenarioSpec, bool) -> Result<Box<dyn Experiment>, SpecError>;
+/// One arm of a world kind.
+pub struct SpecArm {
+    /// Metric prefix (empty for single-arm kinds).
+    pub label: String,
+    /// The spec this arm runs: the kind's spec with the arm's overrides.
+    pub spec: ScenarioSpec,
+    /// Collect training samples during the run (the arm's report reads
+    /// them from [`ExperimentRun::samples`]).
+    pub collect: bool,
+}
+
+/// How a kind produces its report.
+pub enum Plan {
+    /// A world kind: the arms over the spec (the spec's own world is
+    /// passed in, built), then the report over their run.
+    Arms {
+        /// The arms, in report order.
+        arms: fn(&ScenarioSpec, &Scenario) -> Vec<SpecArm>,
+        /// Folds the executed arms into the report.
+        report: fn(&ScenarioSpec, ExperimentRun) -> ExperimentReport,
+    },
+    /// An analysis kind: no world, one report function. `quick` picks
+    /// the reduced study where its size is not a spec key.
+    Analysis(fn(&ScenarioSpec, bool) -> ExperimentReport),
+}
 
 /// One registered experiment kind.
 pub struct KindEntry {
@@ -30,373 +62,362 @@ pub struct KindEntry {
     /// False for wall-clock timing studies whose reports vary run to
     /// run (excluded from golden snapshots; still CI-smoked).
     pub deterministic: bool,
-    /// True when the driver honors `[[topology.classes]]`. Spec
-    /// validation rejects a class mix bound to any other kind — the
-    /// drivers build their own worlds, so the table would be silently
-    /// ignored otherwise.
-    pub uses_topology_classes: bool,
-    /// Builds the experiment from a spec (`quick` selects the driver's
-    /// test preset).
-    pub build: BuildFn,
+    /// `(key path, value)` rows quick mode applies after
+    /// [`TRAINING_QUICK`].
+    pub quick: &'static [(&'static str, &'static str)],
+    /// How the report is produced.
+    pub plan: Plan,
 }
 
-/// The [`table1::Table1Config`] a spec's `[training]` section describes.
-fn training_config(t: &TrainingSpec) -> table1::Table1Config {
-    table1::Table1Config {
-        vms: t.vms,
-        scales: t.scales.clone(),
-        hours_per_scale: t.hours_per_scale,
-        seed: t.seed,
+/// The Table-I collection every kind runs in quick mode.
+pub const TRAINING_QUICK: &[(&str, &str)] = &[
+    ("training.vms", "4"),
+    ("training.scales", "[0.5, 1.0, 1.5]"),
+    ("training.hours_per_scale", "4"),
+];
+
+/// The spec's quick-mode form under `entry`.
+pub fn quick_spec(spec: &ScenarioSpec, entry: &KindEntry) -> Result<ScenarioSpec, SpecError> {
+    TRAINING_QUICK
+        .iter()
+        .chain(entry.quick)
+        .try_fold(spec.clone(), |s, (key, value)| s.with_param(key, value))
+}
+
+/// An arm running `spec` under `kind` with `oracle`.
+fn arm(label: &str, spec: &ScenarioSpec, kind: PolicyKind, oracle: OracleKind) -> SpecArm {
+    let mut spec = spec.clone();
+    spec.policy.kind = kind;
+    spec.policy.oracle = oracle;
+    SpecArm {
+        label: label.into(),
+        spec,
+        collect: false,
     }
 }
 
-/// The training stage every experiment shares: the spec's `[training]`
-/// section in full mode, the Table-I quick preset (same seed) in quick
-/// mode.
-fn training(spec: &ScenarioSpec, quick: bool) -> table1::Table1Config {
-    if quick {
-        table1::Table1Config::quick(spec.training.seed)
+/// The `[experiment]` table of a dispatched spec.
+fn exp(spec: &ScenarioSpec) -> &crate::spec::ExperimentSpec {
+    spec.experiment.as_ref().expect("dispatched kind")
+}
+
+/// Half the horizon: when price-adaptation's spike and online-drift's
+/// update land.
+fn midpoint(spec: &ScenarioSpec) -> SimTime {
+    SimTime::from_hours(spec.run.hours / 2)
+}
+
+/// BF sizing by the monitor, BF-OB, BF-ML and (optionally) BF-True.
+fn fig4_arms(spec: &ScenarioSpec, _: &Scenario) -> Vec<SpecArm> {
+    let mut oracles = vec![OracleKind::Monitor, OracleKind::Overbooked, OracleKind::Ml];
+    if exp(spec).true_arm {
+        oracles.push(OracleKind::True);
+    }
+    oracles
+        .into_iter()
+        .map(|o| arm("", spec, PolicyKind::BestFit, o))
+        .collect()
+}
+
+/// The `(load scale, hosts per DC)` grid, load-major; an empty axis
+/// keeps the spec's own value.
+fn fig8_grid(spec: &ScenarioSpec) -> Vec<(f64, usize)> {
+    let e = exp(spec);
+    let loads = if e.load_scales.is_empty() {
+        vec![spec.workload.load_scale]
     } else {
-        training_config(&spec.training)
+        e.load_scales.clone()
+    };
+    let pms = if e.pms_levels.is_empty() {
+        vec![spec.topology.pms_per_dc]
+    } else {
+        e.pms_levels.clone()
+    };
+    loads
+        .iter()
+        .flat_map(|&l| pms.iter().map(move |&p| (l, p)))
+        .collect()
+}
+
+fn fig8_arms(spec: &ScenarioSpec, _: &Scenario) -> Vec<SpecArm> {
+    fig8_grid(spec)
+        .into_iter()
+        .map(|(load_scale, pms_per_dc)| {
+            let mut s = spec.clone();
+            s.workload.load_scale = load_scale;
+            s.topology.pms_per_dc = pms_per_dc;
+            arm("", &s, PolicyKind::Hierarchical, OracleKind::True)
+        })
+        .collect()
+}
+
+/// The same hierarchical scheduler seeing live prices, then only the
+/// posted ones.
+fn aware_and_blind(spec: &ScenarioSpec, labels: [&str; 2]) -> Vec<SpecArm> {
+    let mut blind = spec.clone();
+    blind.energy.price_blind = true;
+    vec![
+        arm(labels[0], spec, PolicyKind::Hierarchical, OracleKind::True),
+        arm(
+            labels[1],
+            &blind,
+            PolicyKind::Hierarchical,
+            OracleKind::True,
+        ),
+    ]
+}
+
+/// Pinned static placement, then the de-locating hierarchical scheduler.
+fn static_and_dynamic(spec: &ScenarioSpec, labels: [&str; 2], oracle: OracleKind) -> Vec<SpecArm> {
+    vec![
+        arm(labels[0], spec, PolicyKind::Static, OracleKind::True),
+        arm(labels[1], spec, PolicyKind::Hierarchical, oracle),
+    ]
+}
+
+/// The tariff-spread axis (empty = the paper's prices only).
+fn spreads(spec: &ScenarioSpec) -> Vec<f64> {
+    match exp(spec).spreads.as_slice() {
+        [] => vec![1.0],
+        s => s.to_vec(),
     }
 }
 
-/// Training is only attached when the spec asks for ML beliefs;
-/// `true`-oracle specs reproduce the ground-truth arms.
-fn training_if_ml(spec: &ScenarioSpec, quick: bool) -> Option<table1::Table1Config> {
-    (spec.policy.oracle == OracleKind::Ml).then(|| training(spec, quick))
+fn heterogeneity_arms(spec: &ScenarioSpec, _: &Scenario) -> Vec<SpecArm> {
+    spreads(spec)
+        .into_iter()
+        .flat_map(|spread| {
+            let mut s = spec.clone();
+            for (dc, &price) in heterogeneity::stretched_prices(spread).iter().enumerate() {
+                s.energy.tariffs.push(TariffSpec {
+                    dc,
+                    eur_per_kwh: price,
+                    step_at_hour: None,
+                    step_eur_per_kwh: None,
+                });
+            }
+            let labels = [format!("x{spread}_static"), format!("x{spread}_dynamic")];
+            static_and_dynamic(&s, [&labels[0], &labels[1]], OracleKind::True)
+        })
+        .collect()
 }
 
-fn build_fig4(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let exp = spec.experiment.as_ref().expect("dispatched kind");
-    let cfg = if quick {
-        fig4::Fig4Config::quick(spec.seed)
-    } else {
-        fig4::Fig4Config {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-            include_true_arm: exp.true_arm,
-        }
-    };
-    Ok(Box::new(fig4::Fig4 {
-        cfg,
-        training: training(spec, quick),
-    }))
+fn price_adaptation_arms(spec: &ScenarioSpec, _: &Scenario) -> Vec<SpecArm> {
+    let dc = price_adaptation::BOSTON;
+    let base = pamdc_econ::prices::paper_prices()[dc].eur_per_kwh;
+    let mut s = spec.clone();
+    s.energy.tariffs.push(TariffSpec {
+        dc,
+        eur_per_kwh: base,
+        step_at_hour: Some(spec.run.hours / 2),
+        step_eur_per_kwh: Some(base * exp(spec).spike_factor),
+    });
+    aware_and_blind(&s, ["adaptive", "posted"])
 }
 
-fn build_fig5(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = fig5::Fig5Config {
-        hours: if quick { 24 } else { spec.run.hours },
-        seed: spec.seed,
-    };
-    Ok(Box::new(fig5::Fig5 { cfg }))
+/// One static, never-planning collection run whose fleet-wide update
+/// lands at the midpoint as `[[profile_changes]]` rows.
+fn online_drift_arms(spec: &ScenarioSpec, world: &Scenario) -> Vec<SpecArm> {
+    let mut s = spec.clone();
+    let at_min = midpoint(spec).as_mins();
+    for (vm, &profile) in world.perf_profiles.iter().enumerate() {
+        let p = online_drift::bloated(profile);
+        s.profile_changes.push(ProfileChangeSpec {
+            vm,
+            at_min,
+            base_mem_mb: p.base_mem_mb,
+            mem_mb_per_inflight: p.mem_mb_per_inflight,
+            io_wait_factor: p.io_wait_factor,
+            idle_cpu_pct: p.idle_cpu_pct,
+        });
+    }
+    s.run.keep_series = false;
+    s.run.round_every_ticks = 0;
+    let mut collection = arm("", &s, PolicyKind::Static, OracleKind::True);
+    collection.collect = true;
+    vec![collection]
 }
 
-fn build_fig6(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        fig6::Fig6Config::quick(spec.seed)
-    } else {
-        fig6::Fig6Config {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            flash_multiplier: spec.workload.flash_crowd.unwrap_or(8.0),
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(fig6::Fig6 {
-        cfg,
-        training: training_if_ml(spec, quick),
-    }))
-}
-
-fn build_fig7_table3(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        fig7_table3::Table3Config::quick(spec.seed)
-    } else {
-        fig7_table3::Table3Config {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(fig7_table3::Fig7Table3 {
-        cfg,
-        training: training_if_ml(spec, quick),
-    }))
-}
-
-fn build_fig8(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let exp = spec.experiment.as_ref().expect("dispatched kind");
-    let cfg = if quick {
-        fig8::Fig8Config::quick(spec.seed)
-    } else {
-        let defaults = fig8::Fig8Config::default();
-        fig8::Fig8Config {
-            load_scales: if exp.load_scales.is_empty() {
-                defaults.load_scales
-            } else {
-                exp.load_scales.clone()
-            },
-            pms_per_dc: if exp.pms_levels.is_empty() {
-                defaults.pms_per_dc
-            } else {
-                exp.pms_levels.clone()
-            },
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(fig8::Fig8 { cfg }))
-}
-
-fn build_table1(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    Ok(Box::new(table1::Table1 {
-        cfg: training(spec, quick),
-    }))
-}
-
-fn build_table2(_spec: &ScenarioSpec, _quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    Ok(Box::new(table2::Table2))
-}
-
-fn build_green(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        green::GreenConfig::quick(spec.seed)
-    } else {
-        green::GreenConfig {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            pms_per_dc: spec.topology.pms_per_dc,
-            solar_dcs: spec.energy.solar_dcs.clone(),
-            solar_per_pm_w: spec.energy.solar_per_pm_w,
-            min_sky: spec.energy.min_sky,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(green::Green { cfg }))
-}
-
-fn build_deloc(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        deloc::DelocConfig::quick(spec.seed)
-    } else {
-        deloc::DelocConfig {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            home_dc: spec.topology.deploy_all_in.unwrap_or(2),
-            pms_per_dc: spec.topology.pms_per_dc,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(deloc::Deloc { cfg }))
-}
-
-/// The `[training]` section shapes the collection runs; the master
-/// `seed` drives them (so `--param seed=...` sweeps actually vary the
-/// ablation).
-fn build_ablations(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        ablations::AblationsConfig::quick(spec.seed)
-    } else {
-        let t = &spec.training;
-        ablations::AblationsConfig {
-            vms: t.vms,
-            scales: t.scales.clone(),
-            hours_per_scale: t.hours_per_scale,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(ablations::Ablations { cfg }))
-}
-
-fn build_heterogeneity(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let exp = spec.experiment.as_ref().expect("dispatched kind");
-    let mut cfg = if quick {
-        heterogeneity::HeterogeneityConfig::quick(spec.seed)
-    } else {
-        let defaults = heterogeneity::HeterogeneityConfig::default();
-        heterogeneity::HeterogeneityConfig {
-            spreads: if exp.spreads.is_empty() {
-                defaults.spreads.clone()
-            } else {
-                exp.spreads.clone()
-            },
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            pms_per_dc: spec.topology.pms_per_dc,
-            load_scale: spec.workload.load_scale,
-            ..defaults
-        }
-    };
-    // The machine mix rides the spec in both modes: price heterogeneity
-    // on exactly the fleet `[[topology.classes]]` declares (empty =
-    // the paper's all-Atom fleet, so the builtin report is unchanged).
-    cfg.host_classes = crate::build::host_classes(spec);
-    cfg.seed = spec.seed;
-    Ok(Box::new(heterogeneity::Heterogeneity { cfg }))
-}
-
-fn build_online_drift(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let cfg = if quick {
-        online_drift::OnlineDriftConfig::quick(spec.seed)
-    } else {
-        online_drift::OnlineDriftConfig {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-            ..online_drift::OnlineDriftConfig::default()
-        }
-    };
-    Ok(Box::new(online_drift::OnlineDrift { cfg }))
-}
-
-fn build_price_adaptation(
-    spec: &ScenarioSpec,
-    quick: bool,
-) -> Result<Box<dyn Experiment>, SpecError> {
-    let exp = spec.experiment.as_ref().expect("dispatched kind");
-    let cfg = if quick {
-        price_adaptation::PriceAdaptationConfig::quick(spec.seed)
-    } else {
-        price_adaptation::PriceAdaptationConfig {
-            hours: spec.run.hours,
-            vms: spec.workload.vms,
-            pms_per_dc: spec.topology.pms_per_dc,
-            spike_factor: exp.spike_factor,
-            load_scale: spec.workload.load_scale,
-            seed: spec.seed,
-        }
-    };
-    Ok(Box::new(price_adaptation::PriceAdaptation { cfg }))
-}
-
-/// Timing studies over synthetic single rounds: no world is built, so
-/// most spec sections don't apply. `workload.peak_rps` sets the
-/// per-VM offered load; the instance-size ladder and repetition counts
-/// stay the driver's (the builtins pin `peak_rps` to the driver
-/// defaults).
-fn build_scaling(spec: &ScenarioSpec, quick: bool) -> Result<Box<dyn Experiment>, SpecError> {
-    let mut cfg = if quick {
-        scaling::ScalingConfig::quick()
-    } else {
-        scaling::ScalingConfig::default()
-    };
-    cfg.rps = spec.workload.peak_rps;
-    Ok(Box::new(scaling::Scaling { cfg }))
-}
-
-/// See [`build_scaling`]: `workload.peak_rps` is the one live knob.
-fn build_solver_scaling(
-    spec: &ScenarioSpec,
-    quick: bool,
-) -> Result<Box<dyn Experiment>, SpecError> {
-    let mut cfg = if quick {
-        solver_scaling::ScalingConfig::quick()
-    } else {
-        solver_scaling::ScalingConfig::default()
-    };
-    cfg.rps = spec.workload.peak_rps;
-    Ok(Box::new(solver_scaling::SolverScaling { cfg }))
-}
+/// The spec without an `[experiment]` table: one arm, its own policy.
+pub const GENERIC: KindEntry = KindEntry {
+    kind: "",
+    deterministic: true,
+    quick: &[("run.hours", "3")],
+    plan: Plan::Arms {
+        arms: |spec, _| vec![arm("", spec, spec.policy.kind, spec.policy.oracle)],
+        report: |_, run| {
+            let outcome = &run.outcomes[0].1;
+            ExperimentReport {
+                text: render_outcome(outcome),
+                metrics: outcome_metrics("", outcome),
+            }
+        },
+    },
+};
 
 /// Every registered experiment kind, in paper order.
 pub const KINDS: &[KindEntry] = &[
     KindEntry {
         kind: "fig4",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_fig4,
+        quick: &[("run.hours", "14"), ("experiment.true_arm", "false")],
+        plan: Plan::Arms {
+            arms: fig4_arms,
+            report: |_, run| fig4::report(run),
+        },
     },
     KindEntry {
         kind: "fig5",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_fig5,
+        quick: &[("run.hours", "24")],
+        plan: Plan::Arms {
+            arms: |spec, _| vec![arm("", spec, PolicyKind::FollowLoad, OracleKind::True)],
+            report: |_, run| fig5::report(run),
+        },
     },
     KindEntry {
         kind: "fig6",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_fig6,
+        quick: &[("run.hours", "3"), ("workload.vms", "4")],
+        plan: Plan::Arms {
+            arms: |spec, _| vec![arm("", spec, PolicyKind::Hierarchical, spec.policy.oracle)],
+            report: |_, run| fig6::report(run),
+        },
     },
     KindEntry {
         kind: "fig7-table3",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_fig7_table3,
+        quick: &[("run.hours", "4"), ("workload.load_scale", "1.0")],
+        plan: Plan::Arms {
+            arms: |spec, _| static_and_dynamic(spec, ["static", "dynamic"], spec.policy.oracle),
+            report: |_, run| fig7_table3::report(run),
+        },
     },
     KindEntry {
         kind: "fig8",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_fig8,
+        quick: &[
+            ("experiment.load_scales", "[0.6, 1.8]"),
+            ("experiment.pms_levels", "[1, 2]"),
+            ("run.hours", "2"),
+            ("workload.vms", "4"),
+        ],
+        plan: Plan::Arms {
+            arms: fig8_arms,
+            report: |spec, run| fig8::report(run, &fig8_grid(spec)),
+        },
     },
     KindEntry {
         kind: "table1",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_table1,
+        quick: &[],
+        plan: Plan::Analysis(|spec, _| {
+            table1::report(&table1::run(&build::training(&spec.training)))
+        }),
     },
     KindEntry {
         kind: "table2",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_table2,
+        quick: &[],
+        plan: Plan::Analysis(|_, _| table2::report()),
     },
     KindEntry {
         kind: "green",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_green,
+        quick: &[("run.hours", "24"), ("workload.vms", "3")],
+        plan: Plan::Arms {
+            arms: |spec, _| aware_and_blind(spec, ["sun_aware", "price_blind"]),
+            report: |_, run| green::report(run),
+        },
     },
     KindEntry {
         kind: "deloc",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_deloc,
+        quick: &[("run.hours", "5"), ("workload.vms", "4")],
+        plan: Plan::Arms {
+            arms: |spec, _| static_and_dynamic(spec, ["fixed", "delocating"], OracleKind::True),
+            report: |spec, run| deloc::report(run, spec.workload.vms),
+        },
     },
+    // The `[training]` section shapes the collection runs; the master
+    // `seed` drives them (so `--param seed=...` sweeps vary the study).
     KindEntry {
         kind: "ablations",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_ablations,
+        quick: &[("training.scales", "[0.6, 1.2]")],
+        plan: Plan::Analysis(|spec, _| {
+            ablations::report(&table1::Table1Config {
+                seed: spec.seed,
+                ..build::training(&spec.training)
+            })
+        }),
     },
     KindEntry {
         kind: "heterogeneity",
         deterministic: true,
-        uses_topology_classes: true,
-        build: build_heterogeneity,
+        quick: &[
+            ("experiment.spreads", "[1.0, 6.0]"),
+            ("run.hours", "8"),
+            ("workload.vms", "3"),
+        ],
+        plan: Plan::Arms {
+            arms: heterogeneity_arms,
+            report: |spec, run| heterogeneity::report(run, &spreads(spec)),
+        },
     },
     KindEntry {
         kind: "online-drift",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_online_drift,
+        quick: &[("run.hours", "8"), ("workload.vms", "4")],
+        plan: Plan::Arms {
+            arms: online_drift_arms,
+            report: |spec, run| online_drift::report(run, spec.workload.vms, midpoint(spec)),
+        },
     },
     KindEntry {
         kind: "price-adaptation",
         deterministic: true,
-        uses_topology_classes: false,
-        build: build_price_adaptation,
+        quick: &[("run.hours", "12"), ("workload.vms", "3")],
+        plan: Plan::Arms {
+            arms: price_adaptation_arms,
+            report: |spec, run| price_adaptation::report(run, spec.workload.vms, midpoint(spec)),
+        },
     },
+    // Timing studies over synthetic single rounds: `workload.peak_rps`
+    // sets the per-VM offered load; the instance-size ladder and
+    // repetition counts stay the study's (the builtins pin `peak_rps`
+    // to the study defaults).
     KindEntry {
         kind: "scaling",
         deterministic: false,
-        uses_topology_classes: false,
-        build: build_scaling,
+        quick: &[],
+        plan: Plan::Analysis(|spec, quick| {
+            let base = if quick {
+                scaling::ScalingConfig::quick()
+            } else {
+                scaling::ScalingConfig::default()
+            };
+            scaling::report(&scaling::ScalingConfig {
+                rps: spec.workload.peak_rps,
+                ..base
+            })
+        }),
     },
     KindEntry {
         kind: "solver-scaling",
         deterministic: false,
-        uses_topology_classes: false,
-        build: build_solver_scaling,
+        quick: &[],
+        plan: Plan::Analysis(|spec, quick| {
+            let base = if quick {
+                solver_scaling::ScalingConfig::quick()
+            } else {
+                solver_scaling::ScalingConfig::default()
+            };
+            solver_scaling::report(&solver_scaling::ScalingConfig {
+                rps: spec.workload.peak_rps,
+                ..base
+            })
+        }),
     },
 ];
 
@@ -408,6 +429,20 @@ pub fn find(kind: &str) -> Option<&'static KindEntry> {
 /// All registered kind strings (spec validation and error hints).
 pub fn kind_names() -> Vec<&'static str> {
     KINDS.iter().map(|k| k.kind).collect()
+}
+
+/// The entry a spec runs under: its `[experiment]` kind, or [`GENERIC`].
+pub fn entry_for(spec: &ScenarioSpec) -> Result<&'static KindEntry, SpecError> {
+    let Some(exp) = &spec.experiment else {
+        return Ok(&GENERIC);
+    };
+    find(&exp.kind).ok_or_else(|| {
+        SpecError(format!(
+            "unknown experiment kind {:?} (expected one of {})",
+            exp.kind,
+            kind_names().join(" | ")
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -423,14 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_constructs_from_a_bound_spec() {
-        for entry in KINDS {
+    fn every_quick_row_applies_to_a_bound_spec() {
+        for entry in KINDS.iter().chain([&GENERIC]) {
             let mut spec = ScenarioSpec::default();
-            spec.experiment = Some(crate::spec::ExperimentSpec {
-                kind: entry.kind.into(),
-                ..crate::spec::ExperimentSpec::default()
-            });
-            (entry.build)(&spec, true).unwrap_or_else(|e| panic!("{}: {e}", entry.kind));
+            if !entry.kind.is_empty() {
+                spec.experiment = Some(crate::spec::ExperimentSpec {
+                    kind: entry.kind.into(),
+                    ..crate::spec::ExperimentSpec::default()
+                });
+            }
+            let quick = quick_spec(&spec, entry).unwrap_or_else(|e| panic!("{}: {e}", entry.kind));
+            assert_eq!(quick.training.vms, 4, "{}", entry.kind);
         }
     }
 }

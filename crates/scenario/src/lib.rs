@@ -1,14 +1,14 @@
 //! # pamdc-scenario — declarative scenario specs
 //!
-//! Moves evaluation from hard-coded Rust drivers to data: a
+//! Moves evaluation from hard-coded Rust worlds to data: a
 //! [`spec::ScenarioSpec`] describes topology, workload (synthetic or a
 //! replayed trace), energy environment, billing, faults, profile
 //! changes, scheduler policy and horizon; [`build`] turns a spec into a
 //! runnable world; [`registry`] names every paper experiment as a
-//! built-in spec; [`kinds`] registers each experiment driver's
-//! [`pamdc_core::experiment::Experiment`] constructor; [`runner`]
-//! executes specs through the shared experiment pipeline (bit-identical
-//! to the pre-pipeline drivers — `tests/golden_reports.rs` proves it);
+//! built-in spec; [`kinds`] registers each experiment kind as arms over
+//! its spec plus a report function; [`runner`] builds and runs every
+//! spec's arms through the shared pipeline (`tests/golden_reports.rs`
+//! pins every builtin's report bit for bit);
 //! [`campaign`] batches many specs into one run; [`output`] emits
 //! results as CSV/JSON.
 //!

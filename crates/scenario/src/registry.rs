@@ -1,10 +1,10 @@
 //! Built-in scenario specs: every paper experiment as data.
 //!
-//! Each entry mirrors the corresponding experiment driver's default
-//! configuration (same seeds, same knobs), so `pamdc run <name>`
-//! reproduces the driver's report numbers bit-for-bit. The specs also
-//! carry full generic `[topology]`/`[workload]`/`[policy]` sections, so
-//! `pamdc sweep` can vary them without the experiment binding.
+//! Each entry carries the paper's configuration of its experiment
+//! (seeds, fleet, horizon, sweep axes): the kinds build every arm's
+//! world from it. The specs carry full generic
+//! `[topology]`/`[workload]`/`[policy]` sections, so `pamdc sweep` can
+//! vary them.
 
 use crate::spec::{
     ExperimentSpec, FaultSpec, HostClassSpec, MachineClass, OracleKind, PolicyKind, ScenarioSpec,
@@ -268,7 +268,7 @@ pub fn builtins() -> Vec<BuiltinSpec> {
     scaling.name = "scaling".into();
     scaling.description =
         "Flat vs hierarchical scheduling-round scalability (paper future-work 1)".into();
-    scaling.workload.peak_rps = 60.0; // the driver's per-VM offered load
+    scaling.workload.peak_rps = 60.0; // the study's per-VM offered load
     scaling.experiment = experiment("scaling");
     out.push(BuiltinSpec {
         name: "scaling",
@@ -280,7 +280,7 @@ pub fn builtins() -> Vec<BuiltinSpec> {
     let mut solver = ScenarioSpec::default();
     solver.name = "solver-scaling".into();
     solver.description = "Exact branch-and-bound vs Best-Fit scaling gap (§IV-C)".into();
-    solver.workload.peak_rps = 250.0; // the driver's per-VM offered load
+    solver.workload.peak_rps = 250.0; // the study's per-VM offered load
     solver.experiment = experiment("solver-scaling");
     out.push(BuiltinSpec {
         name: "solver-scaling",

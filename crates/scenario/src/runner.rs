@@ -1,22 +1,19 @@
-//! The spec runner: one entry point that funnels **every** spec —
-//! experiment-bound or generic — through the shared
-//! [`pamdc_core::experiment`] pipeline.
+//! The spec runner: one entry point for **every** spec.
 //!
-//! Experiment-bound specs (`[experiment] kind = ...`) dispatch through
-//! the [`crate::kinds`] registry: no per-experiment `match` lives here,
-//! adding a kind means one [`crate::kinds::KindEntry`]. Generic specs
-//! run as a one-arm [`GenericExperiment`]. Either way the pipeline's
-//! four stages (training → arms → execution → emission) produce the
-//! report, bit-identical to the pre-registry drivers at the same seed
-//! (the golden tests assert this).
+//! The spec's [`crate::kinds`] entry (its `[experiment]` kind, or the
+//! one-arm generic entry) says how to run it. A world kind's arms are
+//! each built with the same [`build_scenario`] / [`build_policy`] /
+//! [`run_config`] calls, Table-I training runs once when some arm's
+//! oracle is `ml`, [`execute`] runs the arms in parallel, and the
+//! kind's report function folds them. Quick mode first applies the
+//! entry's quick rows ([`kinds::quick_spec`]).
 
-use crate::build::{build_policy, build_scenario, needs_training, run_config};
-use crate::kinds;
+use crate::build::{build_policy, build_scenario, needs_training, run_config, training};
+use crate::kinds::{self, Plan, SpecArm};
 use crate::spec::{ScenarioSpec, SpecError};
-use pamdc_core::experiment::{run_experiment, Arm, Experiment, ExperimentReport, ExperimentRun};
-use pamdc_core::experiments::table1::Table1Config;
+use pamdc_core::experiment::{execute, Arm, ExperimentRun};
+use pamdc_core::experiments::table1;
 use pamdc_core::scenario::Scenario;
-use pamdc_core::training::TrainingOutcome;
 use std::path::Path;
 
 // The shared emission helpers live with the pipeline; re-exported here
@@ -34,103 +31,89 @@ pub struct SpecReport {
     pub metrics: Vec<(String, f64)>,
 }
 
-/// The generic single-run path as a one-arm experiment: build the
-/// world, train if the oracle needs it, run the policy for `[run]`
-/// hours (quick mode caps at 3 h).
-struct GenericExperiment {
-    spec: ScenarioSpec,
-    /// Built eagerly so spec errors (bad presets, missing trace files)
-    /// surface before the pipeline starts; `arms` takes it.
-    scenario: Option<Scenario>,
-    quick: bool,
-}
-
-impl GenericExperiment {
-    fn new(spec: &ScenarioSpec, base_dir: &Path, quick: bool) -> Result<Self, SpecError> {
-        Ok(GenericExperiment {
-            scenario: Some(build_scenario(spec, base_dir)?),
-            spec: spec.clone(),
-            quick,
-        })
-    }
-}
-
-impl Experiment for GenericExperiment {
-    fn training(&self) -> Option<Table1Config> {
-        needs_training(&self.spec).then(|| {
-            if self.quick {
-                Table1Config::quick(self.spec.training.seed)
-            } else {
-                let t = &self.spec.training;
-                Table1Config {
-                    vms: t.vms,
-                    scales: t.scales.clone(),
-                    hours_per_scale: t.hours_per_scale,
-                    seed: t.seed,
-                }
-            }
-        })
-    }
-
-    fn arms(&mut self, training: Option<&TrainingOutcome>) -> Vec<Arm> {
-        let scenario = self.scenario.take().expect("arms enumerated once");
-        let suite = training.map(|t| t.suite.clone());
-        let policy = build_policy(&self.spec, suite)
-            .expect("training stage supplies the suite the policy needs");
-        let hours = if self.quick {
-            self.spec.run.hours.min(3)
-        } else {
-            self.spec.run.hours
-        };
-        vec![Arm::new("", scenario, policy, hours).config(run_config(&self.spec))]
-    }
-
-    fn emit(&self, run: ExperimentRun) -> ExperimentReport {
-        let outcome = &run.outcomes[0].1;
-        ExperimentReport {
-            text: render_outcome(outcome),
-            metrics: outcome_metrics("", outcome),
-        }
-    }
-}
-
-/// Builds the experiment a spec describes (registry dispatch, or the
-/// generic one-arm experiment when no kind is bound).
-fn experiment_for(
+/// Builds every arm's world and policy. The spec's own world is built
+/// first (so spec errors surface before training) and handed to the
+/// first arm whose spec it is.
+fn build_arms(
     spec: &ScenarioSpec,
     base_dir: &Path,
+    arms: fn(&ScenarioSpec, &Scenario) -> Vec<SpecArm>,
+) -> Result<Vec<Arm>, SpecError> {
+    let world = build_scenario(spec, base_dir)?;
+    let arms = arms(spec, &world);
+    let trained = arms
+        .iter()
+        .any(|a| needs_training(&a.spec))
+        .then(|| table1::run(&training(&spec.training)));
+    let mut world = Some(world);
+    arms.into_iter()
+        .map(|arm| {
+            let scenario = match world.take_if(|_| arm.spec == *spec) {
+                Some(world) => world,
+                None => build_scenario(&arm.spec, base_dir)?,
+            };
+            Ok(Arm {
+                label: arm.label,
+                scenario,
+                policy: build_policy(&arm.spec, trained.as_ref().map(|t| t.suite.clone()))?,
+                config: run_config(&arm.spec),
+                hours: arm.spec.run.hours,
+                collect: arm.collect,
+            })
+        })
+        .collect()
+}
+
+/// The spec's kind entry and the spec in the requested mode.
+fn prepare(
+    spec: &ScenarioSpec,
     quick: bool,
-) -> Result<Box<dyn Experiment>, SpecError> {
-    match &spec.experiment {
-        Some(exp) => {
-            let entry = kinds::find(&exp.kind).ok_or_else(|| {
-                SpecError(format!(
-                    "unknown experiment kind {:?} (expected one of {})",
-                    exp.kind,
-                    kinds::kind_names().join(" | ")
-                ))
-            })?;
-            (entry.build)(spec, quick)
-        }
-        None => Ok(Box::new(GenericExperiment::new(spec, base_dir, quick)?)),
-    }
+) -> Result<(&'static kinds::KindEntry, ScenarioSpec), SpecError> {
+    spec.validate()?;
+    let entry = kinds::entry_for(spec)?;
+    let spec = if quick {
+        kinds::quick_spec(spec, entry)?
+    } else {
+        spec.clone()
+    };
+    Ok((entry, spec))
 }
 
 /// Runs a spec. `base_dir` anchors relative trace paths; `quick`
-/// substitutes each driver's `quick()` preset (tests, CI smoke).
+/// applies the kind's quick rows (tests, CI smoke).
 pub fn run_spec(
     spec: &ScenarioSpec,
     base_dir: &Path,
     quick: bool,
 ) -> Result<SpecReport, SpecError> {
-    spec.validate()?;
-    let mut exp = experiment_for(spec, base_dir, quick)?;
-    let report = run_experiment(exp.as_mut());
+    let (entry, spec) = prepare(spec, quick)?;
+    let report = match entry.plan {
+        Plan::Analysis(report) => report(&spec, quick),
+        Plan::Arms { arms, report } => report(&spec, execute(build_arms(&spec, base_dir, arms)?)),
+    };
     Ok(SpecReport {
-        name: spec.name.clone(),
+        name: spec.name,
         text: report.text,
         metrics: report.metrics,
     })
+}
+
+/// Runs a spec's arms without folding them into a report: for callers
+/// that read the raw outcomes (time series, collected samples). An
+/// analysis kind has no arms and is an error.
+pub fn run_arms(
+    spec: &ScenarioSpec,
+    base_dir: &Path,
+    quick: bool,
+) -> Result<ExperimentRun, SpecError> {
+    let (entry, spec) = prepare(spec, quick)?;
+    match entry.plan {
+        Plan::Arms { arms, .. } => Ok(execute(build_arms(&spec, base_dir, arms)?)),
+        Plan::Analysis(_) => Err(SpecError(format!(
+            "[experiment] kind = {:?} builds no world, so it has no arms to run",
+            entry.kind
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -553,22 +553,19 @@ impl Default for TrainingSpec {
 }
 
 /// `[experiment]` — bind the spec to one of the registered experiment
-/// drivers instead of the generic single-run path. `pamdc run` then
-/// reproduces the driver's report bit-for-bit for the same seed. Valid
-/// kinds come from the [`crate::kinds`] registry (`pamdc list` shows
-/// them all).
+/// kinds instead of the generic single-run path. Valid kinds come from
+/// the [`crate::kinds`] registry (`pamdc list` shows them all).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentSpec {
-    /// Registered driver kind (see [`crate::kinds::kind_names`]).
+    /// Registered kind (see [`crate::kinds::kind_names`]).
     pub kind: String,
     /// Include the BF-True upper-bound arm (fig4).
     pub true_arm: bool,
-    /// Load-scale sweep axis (fig8).
+    /// Load-scale sweep axis (fig8; empty = the spec's `load_scale`).
     pub load_scales: Vec<f64>,
-    /// Hosts-per-DC sweep axis (fig8).
+    /// Hosts-per-DC sweep axis (fig8; empty = the spec's `pms_per_dc`).
     pub pms_levels: Vec<usize>,
-    /// Tariff-spread multipliers (heterogeneity; empty = driver
-    /// default).
+    /// Tariff-spread multipliers (heterogeneity; empty = x1 only).
     pub spreads: Vec<f64>,
     /// Midpoint tariff-spike multiplier (price-adaptation).
     pub spike_factor: f64,
@@ -618,7 +615,7 @@ pub struct ScenarioSpec {
     pub profile_changes: Vec<ProfileChangeSpec>,
     /// Table-I training pipeline configuration.
     pub training: TrainingSpec,
-    /// Optional experiment-driver binding.
+    /// Optional experiment-kind binding.
     pub experiment: Option<ExperimentSpec>,
 }
 
@@ -669,6 +666,15 @@ impl Default for ScenarioSpec {
 // preset row comes before the keys whose defaults it shifts.
 // ---------------------------------------------------------------------
 
+/// World sizes are bounded far above the largest fleet the repository
+/// runs (4,000 VMs on 800 hosts) and low enough that a typo cannot ask
+/// for an allocation no machine holds: VMs (or services) in a world.
+const VMS: Check = within(1.0, 100_000.0);
+/// Hosts per DC, or per host class in every DC.
+const HOSTS: Check = within(1.0, 10_000.0);
+/// Simulated hours: at most a year.
+const HOURS: Check = within(1.0, 8_760.0);
+
 /// A path key: any non-empty string.
 const PATH: Check = Check::Text(|s| !s.is_empty(), "a non-empty path");
 
@@ -692,11 +698,11 @@ impl Record for ScenarioSpec {
         "" "description" => description: Check::Any, 0, "One-line description (`pamdc list`).";
         "" "seed" => seed: Check::Any, SWEEP, "Master seed.";
         "topology" "preset" => topology.preset: Check::Any, 0, then intra_dc_hosts, "City set: one DC (Barcelona) or four.";
-        "topology" "pms_per_dc" => topology.pms_per_dc: at_least(1.0), SWEEP, "Atom hosts per DC (4 under the intra-dc preset); ignored when classes are declared.";
+        "topology" "pms_per_dc" => topology.pms_per_dc: HOSTS, SWEEP, "Atom hosts per DC (4 under the intra-dc preset); ignored when classes are declared.";
         "topology" "classes" => topology.classes: Check::Any, SPARSE, "Host-class mix of every DC, replacing the `pms_per_dc` Atoms.";
         "topology" "deploy_all_in" => topology.deploy_all_in: Check::Any, 0, "Deploy every VM into this DC index first (unset = home region).";
         "workload" "preset" => workload.preset: Check::Any, 0, then intra_dc_peak, "Synthetic demand (ignored under a trace or an import).";
-        "workload" "vms" => workload.vms: at_least(1.0), SWEEP, "Hosted services, one VM each.";
+        "workload" "vms" => workload.vms: VMS, SWEEP, "Hosted services, one VM each.";
         "workload" "peak_rps" => workload.peak_rps: above(0.0), SWEEP, "Nominal peak request rate per service (240 under the intra-dc preset).";
         "workload" "load_scale" => workload.load_scale: at_least(0.0), SWEEP, "Global load multiplier (Figure 8's sweep axis).";
         "workload" "flash_crowd" => workload.flash_crowd: at_least(0.0), SWEEP, "Minute 70-90 flash-crowd multiplier (Figure 6).";
@@ -715,7 +721,7 @@ impl Record for ScenarioSpec {
         "policy" "oracle" => policy.oracle: Check::Any, SWEEP, "Belief source (the BF / BF-OB / BF-ML / BF-True arms).";
         "policy" "plan_horizon_ticks" => policy.plan_horizon_ticks: Check::Any, 0, "Planning horizon in ticks (unset = one round).";
         "policy" "near_equivalence_top_k" => policy.near_equivalence_top_k: at_least(1.0), SWEEP, "Opt-in approximate index: score the top-K host groups; tags the report `+NEAR-EQUIV(topK)`.";
-        "run" "hours" => run.hours: at_least(1.0), SWEEP, "Simulated hours.";
+        "run" "hours" => run.hours: HOURS, SWEEP, "Simulated hours.";
         "run" "tick_secs" => run.tick_secs: at_least(1.0), 0, "Tick length, s.";
         "run" "round_every_ticks" => run.round_every_ticks: Check::Any, SWEEP, "Scheduling round cadence, ticks (0 = never plan).";
         "run" "migration_cooldown_ticks" => run.migration_cooldown_ticks: Check::Any, 0, "Anti-thrash cooldown, ticks.";
@@ -727,11 +733,11 @@ impl Record for ScenarioSpec {
         "serve" "status_out" => serve.status_out: PATH, 0, "JSONL status-stream path (unset = `<session>/status.jsonl`).";
         "" "faults" => faults: Check::Any, SPARSE, "Scheduled host crashes.";
         "" "profile_changes" => profile_changes: Check::Any, SPARSE, "Scheduled ground-truth performance changes.";
-        "training" "vms" => training.vms: at_least(1.0), 0, "VMs in the Table-I collection runs.";
+        "training" "vms" => training.vms: VMS, 0, "VMs in the Table-I collection runs.";
         "training" "scales" => training.scales: at_least(0.0), 0, "Load scales the collection runs visit.";
-        "training" "hours_per_scale" => training.hours_per_scale: at_least(1.0), 0, "Simulated hours per scale.";
+        "training" "hours_per_scale" => training.hours_per_scale: HOURS, 0, "Simulated hours per scale.";
         "training" "seed" => training.seed: Check::Any, 0, "Training seed.";
-        "" "experiment" => experiment: Check::Any, 0, "Bind the spec to a registered experiment driver.";
+        "" "experiment" => experiment: Check::Any, 0, "Bind the spec to a registered experiment kind.";
     };
 }
 
@@ -774,7 +780,7 @@ impl Default for ClassRow {
 
 impl Record for ClassRow {
     const FIELDS: &'static [Field<Self>] = fields! {
-        "" "count" => count: at_least(1.0), 0, "Hosts of this class in every DC.";
+        "" "count" => count: HOSTS, 0, "Hosts of this class in every DC.";
         "" "preset" => preset: Check::Any, 0, "Machine model; or leave it out and give the four custom numbers.";
         "" "cores" => cores: at_least(1.0), 0, "Custom class: cores (100 %CPU each).";
         "" "mem_mb" => mem_mb: above(0.0), 0, "Custom class: memory, MB.";
@@ -874,7 +880,7 @@ impl Slot for HostClassSpec {
 
 impl Record for ServiceSpecEntry {
     const FIELDS: &'static [Field<Self>] = fields! {
-        "" "count" => count: at_least(1.0), 0, "Consecutive services (VM indices, in table order) of this size.";
+        "" "count" => count: VMS, 0, "Consecutive services (VM indices, in table order) of this size.";
         "" "image_size_mb" => image_size_mb: above(0.0), 0, "Disk image, MB (migration transfer cost).";
         "" "base_mem_mb" => base_mem_mb: above(0.0), 0, "Memory floor, MB.";
         "" "mem_mb_per_inflight" => mem_mb_per_inflight: above(0.0), 0, "MB per in-flight request (unset = the class constant or the imported profile).";
@@ -944,11 +950,11 @@ impl Record for ProfileChangeSpec {
 
 impl Record for ExperimentSpec {
     const FIELDS: &'static [Field<Self>] = fields! {
-        "" "kind" => kind: Check::Any, REQ, "Registered driver (`pamdc list`).";
+        "" "kind" => kind: Check::Any, REQ, "Registered kind (`pamdc list`).";
         "" "true_arm" => true_arm: Check::Any, 0, "Include the BF-True upper-bound arm (fig4).";
-        "" "load_scales" => load_scales: at_least(0.0), SPARSE, "Load-scale sweep axis (fig8).";
-        "" "pms_levels" => pms_levels: at_least(1.0), SPARSE, "Hosts-per-DC sweep axis (fig8).";
-        "" "spreads" => spreads: at_least(0.0), SPARSE, "Tariff-spread multipliers (heterogeneity; empty = driver default).";
+        "" "load_scales" => load_scales: at_least(0.0), SPARSE, "Load-scale sweep axis (fig8; empty = the spec's `load_scale`).";
+        "" "pms_levels" => pms_levels: HOSTS, SPARSE, "Hosts-per-DC sweep axis (fig8; empty = the spec's `pms_per_dc`).";
+        "" "spreads" => spreads: at_least(0.0), SPARSE, "Tariff-spread multipliers (heterogeneity; empty = x1 only).";
         "" "spike_factor" => spike_factor: above(0.0), SPARSE, "Midpoint tariff-spike multiplier (price-adaptation).";
     };
 }
@@ -1058,41 +1064,24 @@ impl ScenarioSpec {
                 .validate()
                 .map_err(|e| bad(format!("workload.import: {}", e.0)))?;
         }
-        if let Some(exp) = &self.experiment {
-            // The kind registry is the single source of truth: a kind
-            // registered there is automatically valid here.
-            let Some(entry) = crate::kinds::find(&exp.kind) else {
+        // The kind registry is the single source of truth: a kind
+        // registered there is automatically valid here. Analysis kinds
+        // build no world, so a world table bound to one would be
+        // silently ignored: reject it loudly instead.
+        let entry = crate::kinds::entry_for(self)?;
+        if matches!(entry.plan, crate::kinds::Plan::Analysis(_)) {
+            let w = &self.workload;
+            let worlds = [
+                ("topology.classes", !self.topology.classes.is_empty()),
+                ("workload.services", !w.services.is_empty()),
+                ("workload.trace", w.trace.is_some()),
+                ("workload.import", w.import.is_some()),
+            ];
+            if let Some((key, _)) = worlds.iter().find(|(_, set)| *set) {
                 return Err(bad(format!(
-                    "unknown experiment kind {:?} (expected one of {})",
-                    exp.kind,
-                    crate::kinds::kind_names().join(" | ")
-                )));
-            };
-            // Experiment drivers build their own worlds: a file-backed
-            // demand source or an unhonored class mix would be silently
-            // ignored, so reject the combination loudly instead.
-            if self.workload.trace.is_some() || self.workload.import.is_some() {
-                return Err(bad(format!(
-                    "[experiment] kind = {:?} builds its own demand, so workload.trace/\
-                     workload.import would be ignored — drop the [experiment] table to run \
-                     the file-backed demand through the generic path",
-                    exp.kind
-                )));
-            }
-            if !self.topology.classes.is_empty() && !entry.uses_topology_classes {
-                return Err(bad(format!(
-                    "[experiment] kind = {:?} does not honor [[topology.classes]] (its driver \
-                     builds its own fleet) — drop the class table, or drop the [experiment] \
-                     binding to run the mixed fleet through the generic path",
-                    exp.kind
-                )));
-            }
-            if !self.workload.services.is_empty() {
-                return Err(bad(format!(
-                    "[experiment] kind = {:?} does not honor [[workload.services]] (its \
-                     driver sizes its own VMs) — drop the services table, or drop the \
-                     [experiment] binding to run the sized fleet through the generic path",
-                    exp.kind
+                    "[experiment] kind = {:?} builds no world, so {key} would be ignored — \
+                     drop it, or drop the [experiment] binding to run it through the generic path",
+                    entry.kind
                 )));
             }
         }
@@ -1388,14 +1377,15 @@ mod tests {
         assert!(ScenarioSpec::parse(doc).is_err());
         let doc = "[workload]\nvms = 1\n[[workload.services]]\nmem_mb_per_inflight = 0.0\n";
         assert!(ScenarioSpec::parse(doc).is_err());
-        // Experiment-bound specs reject the table loudly (their drivers
-        // size their own VMs).
-        let doc = "[experiment]\nkind = \"fig4\"\n\
+        // Analysis kinds build no world, so they reject the table loudly;
+        // world kinds size their arms' VMs from it.
+        let doc = "[experiment]\nkind = \"table1\"\n\
                    [workload]\nvms = 5\n[[workload.services]]\ncount = 5\n";
         assert!(ScenarioSpec::parse(doc)
             .unwrap_err()
             .0
             .contains("workload.services"));
+        assert!(ScenarioSpec::parse(&doc.replace("table1", "fig4")).is_ok());
     }
 
     #[test]
@@ -1430,22 +1420,36 @@ mod tests {
 
     #[test]
     fn experiment_bound_specs_reject_ignored_sections() {
-        // A driver-bound spec would silently drop a file-backed demand
-        // source or an unhonored class mix — both are hard errors.
-        let doc = "[experiment]\nkind = \"fig4\"\n\
+        // An analysis kind builds no world: a file-backed demand source
+        // or a class mix bound to it would be silently dropped, so both
+        // are hard errors naming the key.
+        let doc = "[experiment]\nkind = \"table1\"\n\
                    [workload.import]\npath = \"a.csv\"\nformat = \"azure\"\n";
-        assert!(ScenarioSpec::parse(doc).unwrap_err().0.contains("ignored"));
-        let doc = "[experiment]\nkind = \"fig4\"\n[workload.trace]\npath = \"t.csv\"\n";
-        assert!(ScenarioSpec::parse(doc).is_err());
-        let doc = "[[topology.classes]]\npreset = \"atom\"\n[experiment]\nkind = \"fig4\"\n";
+        let err = ScenarioSpec::parse(doc).unwrap_err().0;
+        assert!(
+            err.contains("ignored") && err.contains("workload.import"),
+            "{err}"
+        );
+        let doc = "[experiment]\nkind = \"scaling\"\n[workload.trace]\npath = \"t.csv\"\n";
+        assert!(ScenarioSpec::parse(doc)
+            .unwrap_err()
+            .0
+            .contains("workload.trace"));
+        let doc = "[[topology.classes]]\npreset = \"atom\"\n[experiment]\nkind = \"table2\"\n";
         assert!(ScenarioSpec::parse(doc)
             .unwrap_err()
             .0
             .contains("topology.classes"));
-        // ...but the heterogeneity driver honors the class table.
-        let doc =
-            "[[topology.classes]]\npreset = \"atom\"\n[experiment]\nkind = \"heterogeneity\"\n";
-        assert!(ScenarioSpec::parse(doc).is_ok());
+        // ...but every world kind honors them.
+        for kind in ["fig4", "heterogeneity"] {
+            let doc = format!(
+                "[[topology.classes]]\npreset = \"atom\"\n[experiment]\nkind = \"{kind}\"\n"
+            );
+            assert!(ScenarioSpec::parse(&doc).is_ok(), "{kind}");
+            let doc =
+                format!("[experiment]\nkind = \"{kind}\"\n[workload.trace]\npath = \"t.csv\"\n");
+            assert!(ScenarioSpec::parse(&doc).is_ok(), "{kind}");
+        }
     }
 
     #[test]
@@ -1470,6 +1474,19 @@ mod tests {
         let doc = "[workload.trace]\npath = \"t.csv\"\n\
                    [workload.import]\npath = \"a.csv\"\nformat = \"azure\"\n";
         assert!(ScenarioSpec::parse(doc).is_err());
+    }
+
+    #[test]
+    fn world_sizes_are_bounded() {
+        // A billion VMs would hang `pamdc run` while it allocates the
+        // world.
+        let err = ScenarioSpec::parse("[workload]\nvms = 1000000000\n").unwrap_err();
+        assert!(err.0.contains("workload.vms"), "{err}");
+        let err = ScenarioSpec::parse("[run]\nhours = 100000\n").unwrap_err();
+        assert!(err.0.contains("run.hours"), "{err}");
+        // The largest fleet the repository runs stays inside the bounds.
+        let spec = ScenarioSpec::parse("[topology]\npms_per_dc = 200\n[workload]\nvms = 4000\n");
+        assert!(spec.is_ok());
     }
 
     #[test]

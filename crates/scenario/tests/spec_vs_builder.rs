@@ -1,14 +1,13 @@
-//! Spec-built worlds are bit-identical to hand-built ones, and running
-//! the fig4/fig6 registry specs reproduces the experiment drivers'
-//! reports exactly (same seed, same numbers).
+//! Spec-built worlds are bit-identical to the hand-built `ScenarioBuilder`
+//! presets (same seed, same numbers). The reports of the kinds that run
+//! these worlds are pinned by the fig4/fig6 goldens.
 
-use pamdc_core::experiments::{fig4, fig6, table1};
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::{BestFitPolicy, PlacementPolicy};
 use pamdc_core::scenario::{Scenario, ScenarioBuilder};
-use pamdc_core::simulation::{RunOutcome, SimulationRunner};
+use pamdc_core::simulation::RunOutcome;
 use pamdc_scenario::build::build_scenario;
 use pamdc_scenario::registry;
-use pamdc_scenario::runner::run_spec;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::SimDuration;
 use std::path::Path;
@@ -16,8 +15,8 @@ use std::path::Path;
 /// Drives a scenario under a fixed reference policy for two hours.
 fn reference_run(scenario: Scenario) -> RunOutcome {
     let policy: Box<dyn PlacementPolicy> = Box::new(BestFitPolicy::new(TrueOracle::new()));
-    SimulationRunner::new(scenario, policy)
-        .run(SimDuration::from_hours(2))
+    Controller::new(scenario, policy)
+        .run_for(SimDuration::from_hours(2))
         .0
 }
 
@@ -80,31 +79,4 @@ fn fig6_spec_world_matches_hand_built() {
         .name("fig6")
         .build();
     assert_bit_identical(from_spec, hand_built, "fig6");
-}
-
-#[test]
-fn fig6_spec_run_reproduces_the_driver_report() {
-    let spec = registry::find("fig6").unwrap().spec;
-    let report = run_spec(&spec, Path::new("."), true).expect("run");
-    // The driver, called directly with the same quick preset and seed.
-    let direct = fig6::run(&fig6::Fig6Config::quick(spec.seed), None);
-    assert_eq!(report.text, fig6::render(&direct), "bit-identical report");
-    let sla = report
-        .metrics
-        .iter()
-        .find(|(k, _)| k == "mean_sla")
-        .unwrap()
-        .1;
-    assert_eq!(sla.to_bits(), direct.outcome.mean_sla.to_bits());
-}
-
-#[test]
-fn fig4_spec_run_reproduces_the_driver_report() {
-    let spec = registry::find("fig4").unwrap().spec;
-    let report = run_spec(&spec, Path::new("."), true).expect("run");
-    // Same quick presets the runner uses: training seeded by the spec's
-    // [training] section, the figure by the spec seed.
-    let training = table1::run(&table1::Table1Config::quick(spec.training.seed));
-    let direct = fig4::run(&fig4::Fig4Config::quick(spec.seed), &training);
-    assert_eq!(report.text, fig4::render(&direct), "bit-identical report");
 }

@@ -8,7 +8,7 @@
 //! the same class holding bit-identical committed demand produce
 //! **bit-identical** marginal profits for any VM not currently on them
 //! (every term of the profit function reads only the host's static
-//! fields and the accumulated [`PlacementState`] demand).
+//! fields and the accumulated [`PlacementState`](crate::profit::PlacementState) demand).
 //!
 //! The index therefore groups hosts into *equivalence groups* — same
 //! static class, same assigned-VM count, same exact committed demand —

@@ -12,7 +12,7 @@
 //! ([`index`]), the two-layer hierarchical multi-DC scheduler that is
 //! the paper's headline contribution ([`hierarchical`]), and the literal
 //! reference loops the indexed solvers are tested against
-//! ([`reference`]).
+//! ([`mod@reference`]).
 
 pub mod baselines;
 pub mod bestfit;

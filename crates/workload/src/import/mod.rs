@@ -12,7 +12,7 @@
 //!   net_out,...`, 10-second cadence).
 //!
 //! Both parsers are **streaming** (line-at-a-time over any
-//! [`BufRead`](std::io::BufRead), never materializing the raw file) and
+//! [`std::io::BufRead`], never materializing the raw file) and
 //! **total** (malformed or truncated rows return a line-numbered
 //! [`ImportError`], never a panic). They normalize into the exact same
 //! [`DemandTrace`] a `pamdc record` run produces, so an imported trace

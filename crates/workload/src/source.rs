@@ -2,8 +2,7 @@
 //!
 //! The simulation loop does not care where demand comes from: the
 //! synthetic Li-BCN-style [`Workload`] generator, a recorded
-//! [`TraceSource`](crate::trace::TraceSource) replayer and a live
-//! [`TailSource`](crate::tail::TailSource) feed tailer expose the same
+//! [`TraceSource`] replayer and a live [`TailSource`] feed tailer expose the same
 //! sampling surface through [`DemandSource`], and [`Demand`] is the
 //! concrete closed sum the rest of the workspace stores (scenarios must
 //! stay `Clone + Debug`, which a trait object would forfeit).

@@ -7,7 +7,7 @@
 //!
 //! Polling is **incremental**: the file is parsed exactly once. Each
 //! [`TailSource::poll`] reads only the bytes appended since the last
-//! look (the [`TraceTail`] engine keeps parser state, including a torn
+//! look (the `TraceTail` engine keeps parser state, including a torn
 //! final row, across polls), so tailing a multi-gigabyte feed costs
 //! the delta, not the history. Because consumed bytes are never
 //! re-read, the poll also re-verifies the pinned header block

@@ -1,7 +1,7 @@
 //! Demand traces: record any run's demand to CSV, replay it later.
 //!
 //! A [`DemandTrace`] is the materialized per-tick output of a
-//! [`DemandSource`](crate::source::DemandSource): every `(tick, service,
+//! [`DemandSource`]: every `(tick, service,
 //! region)` flow, plus the header metadata needed to rebuild performance
 //! profiles (service classes) and validate transforms (region count).
 //! The CSV form is deliberately dumb — one row per flow, floats printed

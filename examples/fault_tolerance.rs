@@ -18,7 +18,7 @@ fn run(label: &str, policy: Box<dyn PlacementPolicy>) -> RunOutcome {
         // Host 0 dies 45 minutes in; repair takes 5 hours.
         .fault(0, SimTime::from_mins(45), SimDuration::from_hours(5))
         .build();
-    let (outcome, _) = SimulationRunner::new(scenario, policy).run(SimDuration::from_hours(4));
+    let (outcome, _) = Controller::new(scenario, policy).run_for(SimDuration::from_hours(4));
     println!(
         "{label:<20} mean SLA {:.4}   migrations {:<3} dropped requests {:>8.0}",
         outcome.mean_sla, outcome.migrations, outcome.dropped_requests

@@ -7,24 +7,22 @@
 //! ```
 
 use pamdc::manager::experiments::fig5;
+use pamdc_scenario::registry;
+use pamdc_scenario::runner::run_arms;
+use std::path::Path;
 
 fn main() {
-    let cfg = fig5::Fig5Config { hours: 48, seed: 5 };
+    let spec = registry::find("fig5").expect("builtin").spec;
     println!(
         "Simulating {} h of follow-the-load scheduling...",
-        cfg.hours
+        spec.run.hours
     );
-    let result = fig5::run(&cfg);
-    println!("\n{}", fig5::render(&result));
-
-    println!(
-        "The VM visited {} of 4 DCs over {} simulated hours (paper: the VM \
-         \"follows the main source load to reduce the average latency\").",
-        result.dcs_visited, 48
-    );
+    let run = run_arms(&spec, Path::new("."), false).expect("fig5 runs");
+    let placements = run.outcomes[0].1.series.get("vm0_dc").cloned();
+    println!("\n{}", fig5::report(run).text);
 
     // Emit the raw placement series as CSV for plotting.
-    if let Some(trace) = result.outcome.series.get("vm0_dc") {
+    if let Some(trace) = placements {
         println!("\nminutes,dc_index");
         for (t, dc) in trace.resample(pamdc::simcore::time::SimDuration::from_mins(30)) {
             println!("{},{}", t.as_mins(), dc);

@@ -7,56 +7,36 @@
 //! cargo run --release --example intra_dc_ml -- --full  # paper scale
 //! ```
 
-use pamdc::manager::experiments::{fig4, table1};
+use pamdc_scenario::registry;
+use pamdc_scenario::runner::run_spec;
+use std::path::Path;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-
-    // ---- Table I: train and validate the seven predictors ----
-    let t1_cfg = if full {
-        table1::Table1Config::default()
-    } else {
-        table1::Table1Config::quick(2013)
+    let quick = !std::env::args().any(|a| a == "--full");
+    let run = |name: &str| {
+        let spec = registry::find(name).expect("builtin").spec;
+        println!("{name}: {}...", spec.description);
+        let report = run_spec(&spec, Path::new("."), quick).expect("builtin runs");
+        println!("\n{}", report.text);
+        report.metrics
     };
-    println!(
-        "Collecting monitored samples ({} load scales x {} h, {} VMs)...",
-        t1_cfg.scales.len(),
-        t1_cfg.hours_per_scale,
-        t1_cfg.vms
-    );
-    let training = table1::run(&t1_cfg);
-    println!("\n{}", table1::render(&training));
-    println!("{}", table1::render_comparison(&training));
-    println!(
-        "(collected {} VM-ticks, {} PM-ticks)\n",
-        training.sample_counts.0, training.sample_counts.1
-    );
+    run("table1");
+    let metrics = run("fig4");
 
-    // ---- Figure 4: the intra-DC comparatives ----
-    let f4_cfg = if full {
-        fig4::Fig4Config::default()
-    } else {
-        fig4::Fig4Config::quick(4)
+    // The paper's qualitative claim, checked live.
+    let sla = |arm: &str| {
+        metrics
+            .iter()
+            .find(|(k, _)| k == &format!("{arm}_mean_sla"))
+            .expect("arm metric")
+            .1
     };
-    println!(
-        "Running Figure 4 arms ({} h x {} VMs, round every 10 min)...",
-        f4_cfg.hours, f4_cfg.vms
-    );
-    let result = fig4::run(&f4_cfg, &training);
-    println!("\n{}", fig4::render(&result));
-
-    // The paper's qualitative claim, checked live:
-    let bf = &result.outcomes[0];
-    let ml = &result.outcomes[2];
-    if ml.mean_sla >= bf.mean_sla {
+    let (bf, ml) = (sla("bestfit_BF_"), sla("bestfit_BF-ML_"));
+    if ml >= bf {
         println!(
-            "BF-ML holds SLA at {:.4} vs plain BF {:.4} (paper: ML deconsolidates to protect QoS)",
-            ml.mean_sla, bf.mean_sla
+            "BF-ML holds SLA at {ml:.4} vs plain BF {bf:.4} (paper: ML deconsolidates to protect QoS)"
         );
     } else {
-        println!(
-            "note: BF-ML {:.4} vs BF {:.4} — shapes vary at short horizons; try --full",
-            ml.mean_sla, bf.mean_sla
-        );
+        println!("note: BF-ML {ml:.4} vs BF {bf:.4} — shapes vary at short horizons; try --full");
     }
 }

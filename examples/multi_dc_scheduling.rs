@@ -1,63 +1,33 @@
 //! The paper's headline evaluation (§V-C): full inter-DC scheduling.
 //!
-//! Runs three experiments against the 4-city scenario:
-//!  1. the de-location benefit (one overloaded home DC vs freedom),
-//!  2. Figure 6 — full scheduling through a flash crowd,
-//!  3. Figure 7 / Table III — Static-Global vs Dynamic.
+//! Runs three built-in scenarios against the 4-city world:
+//!  1. `deloc` — the de-location benefit (one overloaded home DC vs
+//!     freedom),
+//!  2. `fig6` — Figure 6, full scheduling through a flash crowd,
+//!  3. `fig7-table3` — Figure 7 / Table III, Static-Global vs Dynamic.
 //!
 //! ```sh
 //! cargo run --release --example multi_dc_scheduling            # quick
 //! cargo run --release --example multi_dc_scheduling -- --full  # 24 h arms
 //! ```
 
-use pamdc::manager::experiments::{deloc, fig6, fig7_table3};
+use pamdc_scenario::registry;
+use pamdc_scenario::runner::run_spec;
+use std::path::Path;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-
-    // ---- De-location benefit ----
-    let dl_cfg = if full {
-        deloc::DelocConfig::default()
-    } else {
-        deloc::DelocConfig::quick(6)
-    };
-    println!(
-        "De-location experiment: {} VMs pinned to DC {} vs free to move ({} h)...",
-        dl_cfg.vms, dl_cfg.home_dc, dl_cfg.hours
-    );
-    let dl = deloc::run(&dl_cfg);
-    println!("\n{}", deloc::render(&dl, dl_cfg.vms));
-
-    // ---- Figure 6: flash crowd ----
-    let f6_cfg = if full {
-        fig6::Fig6Config::default()
-    } else {
-        fig6::Fig6Config::quick(7)
-    };
-    println!(
-        "Figure 6: hierarchical scheduling with a {}x flash crowd at minutes 70-90 ({} h)...",
-        f6_cfg.flash_multiplier, f6_cfg.hours
-    );
-    let f6 = fig6::run(&f6_cfg, None);
-    println!("\n{}", fig6::render(&f6));
-
-    // ---- Figure 7 / Table III: static vs dynamic ----
-    let t3_cfg = if full {
-        fig7_table3::Table3Config::default()
-    } else {
-        fig7_table3::Table3Config::quick(8)
-    };
-    println!(
-        "Table III: Static-Global vs Dynamic for {} VMs ({} h)...",
-        t3_cfg.vms, t3_cfg.hours
-    );
-    let t3 = fig7_table3::run(&t3_cfg, None);
-    println!("\n{}", fig7_table3::render(&t3));
-
-    println!(
-        "Dynamic saves {:.1}% energy vs static while holding SLA ({:.4} -> {:.4}).",
-        100.0 * t3.energy_saving_frac(),
-        t3.static_global.mean_sla,
-        t3.dynamic.mean_sla
-    );
+    let quick = !std::env::args().any(|a| a == "--full");
+    for name in ["deloc", "fig6", "fig7-table3"] {
+        let spec = registry::find(name).expect("builtin").spec;
+        println!("{name}: {}...", spec.description);
+        let report = run_spec(&spec, Path::new("."), quick).expect("builtin runs");
+        println!("\n{}", report.text);
+        if let Some((_, saving)) = report
+            .metrics
+            .iter()
+            .find(|(k, _)| k == "energy_saving_frac")
+        {
+            println!("Dynamic saves {:.1}% energy vs static.", 100.0 * saving);
+        }
+    }
 }

@@ -8,28 +8,38 @@
 //! cargo run --release --example price_shock
 //! ```
 
-use pamdc::manager::experiments::price_adaptation::{render, run, PriceAdaptationConfig};
+use pamdc_scenario::registry;
+use pamdc_scenario::runner::run_spec;
+use std::path::Path;
 
 fn main() {
-    let cfg = PriceAdaptationConfig::default();
+    let spec = registry::find("price-adaptation").expect("builtin").spec;
+    let spike = spec.experiment.as_ref().expect("bound").spike_factor;
     println!(
         "Fleet of {} VMs starts consolidated in Boston (cheapest posted tariff).",
-        cfg.vms
+        spec.workload.vms
     );
     println!(
-        "At hour {} Boston's price spikes x{:.0}; run lasts {} h.\n",
-        cfg.hours / 2,
-        cfg.spike_factor,
-        cfg.hours
+        "At hour {} Boston's price spikes x{spike:.0}; run lasts {} h.\n",
+        spec.run.hours / 2,
+        spec.run.hours
     );
 
-    let result = run(&cfg);
-    println!("{}", render(&result));
+    let report = run_spec(&spec, Path::new("."), false).expect("price-adaptation runs");
+    println!("{}", report.text);
 
-    let saved = result.posted.outcome.profit.energy_eur - result.adaptive.outcome.profit.energy_eur;
+    let metric = |key: &str| {
+        report
+            .metrics
+            .iter()
+            .find(|(k, _)| k == key)
+            .expect("metric")
+            .1
+    };
+    let (posted, adaptive) = (metric("posted_energy_eur"), metric("adaptive_energy_eur"));
     println!(
         "\nAdaptive arm saved {:.4} EUR of electricity ({:.1}% of the posted arm's bill)",
-        saved,
-        100.0 * saved / result.posted.outcome.profit.energy_eur.max(1e-12)
+        posted - adaptive,
+        100.0 * (posted - adaptive) / posted.max(1e-12)
     );
 }

@@ -25,7 +25,7 @@ fn main() {
     // (`TrueOracle` = ground-truth beliefs; see `intra_dc_ml` for the
     // ML-trained variant.)
     let policy = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-    let (outcome, _) = SimulationRunner::new(scenario, policy).run(SimDuration::from_hours(6));
+    let (outcome, _) = Controller::new(scenario, policy).run_for(SimDuration::from_hours(6));
 
     println!("\nAfter {} simulated:", outcome.duration);
     println!("  mean SLA        : {:.4}", outcome.mean_sla);

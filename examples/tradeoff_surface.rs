@@ -6,49 +6,45 @@
 //! cargo run --release --example tradeoff_surface -- --full  # denser sweep
 //! ```
 
-use pamdc::manager::experiments::{fig8, solver_scaling};
+use pamdc::manager::experiments::solver_scaling;
+use pamdc_scenario::registry;
+use pamdc_scenario::runner::run_arms;
+use std::path::Path;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
 
     // ---- Figure 8 surface (parallel sweep) ----
-    let f8_cfg = if full {
-        fig8::Fig8Config {
-            load_scales: vec![0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5],
-            pms_per_dc: vec![1, 2, 3],
-            hours: 8,
-            vms: 5,
-            seed: 9,
-        }
-    } else {
-        fig8::Fig8Config::default()
-    };
-    let n_points = f8_cfg.load_scales.len() * f8_cfg.pms_per_dc.len();
+    let mut spec = registry::find("fig8").expect("builtin").spec;
+    if full {
+        spec = spec
+            .with_param(
+                "experiment.load_scales",
+                "[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]",
+            )
+            .and_then(|s| s.with_param("run.hours", "8"))
+            .expect("valid overrides");
+    }
+    let axes = spec.experiment.clone().expect("bound");
     println!(
         "Sweeping {} (load x energy-budget) points in parallel, {} h each...",
-        n_points, f8_cfg.hours
+        axes.load_scales.len() * axes.pms_levels.len(),
+        spec.run.hours
     );
-    let surface = fig8::run(&f8_cfg);
-    println!("\n{}", fig8::render(&surface));
+    let run = run_arms(&spec, Path::new("."), false).expect("fig8 runs");
 
     // For a fixed load, more energy (hosts) must buy equal-or-better SLA.
-    for &ls in &f8_cfg.load_scales {
-        let mut row: Vec<_> = surface
-            .points
-            .iter()
-            .filter(|p| p.load_scale == ls)
-            .collect();
-        row.sort_by_key(|p| p.pms_per_dc);
-        if row.len() >= 2 {
-            println!(
-                "load x{:.2}: SLA {:.3} @ {:.0} W  ->  SLA {:.3} @ {:.0} W",
-                ls,
-                row.first().unwrap().mean_sla,
-                row.first().unwrap().avg_watts,
-                row.last().unwrap().mean_sla,
-                row.last().unwrap().avg_watts,
-            );
-        }
+    // The arms run load-major over the two axes.
+    for (row, ls) in run
+        .outcomes
+        .chunks(axes.pms_levels.len())
+        .zip(&axes.load_scales)
+    {
+        let (first, last) = (&row[0].1, &row[row.len() - 1].1);
+        println!(
+            "load x{ls:.2}: SLA {:.3} @ {:.0} W  ->  SLA {:.3} @ {:.0} W",
+            first.mean_sla, first.avg_watts, last.mean_sla, last.avg_watts,
+        );
     }
 
     // ---- Solver scaling ----

@@ -25,8 +25,9 @@
 //!   an exact branch-and-bound solver, baselines, and the hierarchical
 //!   two-layer multi-DC scheduler.
 //! * [`manager`] — the Monitor-Analyze-Plan-Execute loop, the full multi-DC
-//!   simulation binding, the model-training pipeline and one experiment
-//!   driver per table/figure of the paper.
+//!   simulation binding, the model-training pipeline and one report
+//!   module per table/figure of the paper (the `pamdc-scenario` crate
+//!   runs them from scenario specs).
 //!
 //! ## Quickstart
 //!
@@ -38,8 +39,7 @@
 //! let scenario = ScenarioBuilder::paper_multi_dc().vms(5).seed(7).build();
 //! // Drive it for 2 simulated hours under the hierarchical scheduler.
 //! let policy = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-//! let (outcome, _) = SimulationRunner::new(scenario, policy)
-//!     .run(SimDuration::from_hours(2));
+//! let (outcome, _) = Controller::new(scenario, policy).run_for(SimDuration::from_hours(2));
 //! assert!(outcome.mean_sla > 0.0 && outcome.mean_sla <= 1.0);
 //! ```
 

@@ -6,11 +6,11 @@ use pamdc_sched::oracle::TrueOracle;
 
 fn run_once(seed: u64) -> RunOutcome {
     let scenario = ScenarioBuilder::paper_multi_dc().vms(4).seed(seed).build();
-    SimulationRunner::new(
+    Controller::new(
         scenario,
         Box::new(HierarchicalPolicy::new(TrueOracle::new())),
     )
-    .run(SimDuration::from_hours(3))
+    .run_for(SimDuration::from_hours(3))
     .0
 }
 

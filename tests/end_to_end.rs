@@ -1,18 +1,35 @@
 //! Cross-crate integration tests: the paper's headline claims, asserted
 //! against live (shortened) experiment runs.
 
-use pamdc::manager::experiments::{deloc, fig5, fig6, fig7_table3, solver_scaling, table1, table2};
+use pamdc::manager::experiments::{deloc, solver_scaling, table1, table2};
 use pamdc::prelude::*;
+use pamdc_scenario::runner::{run_arms, run_spec};
+use pamdc_scenario::{kinds, registry};
 use pamdc_sched::oracle::TrueOracle;
+use std::path::Path;
+
+/// A builtin's report metrics, looked up by key.
+fn builtin_metrics(name: &str, quick: bool) -> impl Fn(&str) -> f64 + '_ {
+    let spec = registry::find(name).expect("builtin").spec;
+    let report = run_spec(&spec, Path::new("."), quick).expect("builtin runs");
+    move |key| {
+        report
+            .metrics
+            .iter()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("{name} reports no {key}"))
+            .1
+    }
+}
 
 #[test]
 fn quickstart_shape() {
     let scenario = ScenarioBuilder::paper_multi_dc().vms(5).seed(7).build();
-    let outcome = SimulationRunner::new(
+    let outcome = Controller::new(
         scenario,
         Box::new(HierarchicalPolicy::new(TrueOracle::new())),
     )
-    .run(SimDuration::from_hours(2))
+    .run_for(SimDuration::from_hours(2))
     .0;
     assert!(
         outcome.mean_sla > 0.5 && outcome.mean_sla <= 1.0,
@@ -35,7 +52,12 @@ fn table2_constants_hold() {
 /// target, and the method assignments match the paper's choices.
 #[test]
 fn table1_learning_quality() {
-    let outcome = table1::run(&table1::Table1Config::quick(2013));
+    let outcome = table1::run(&table1::Table1Config {
+        vms: 4,
+        scales: vec![0.5, 1.0, 1.5],
+        hours_per_scale: 4,
+        seed: 2013,
+    });
     assert_eq!(outcome.reports.len(), 7);
     for (name, rep) in &outcome.reports {
         assert!(
@@ -59,44 +81,53 @@ fn table1_learning_quality() {
 /// simulated days.
 #[test]
 fn fig5_vm_follows_the_sun() {
-    let result = fig5::run(&fig5::Fig5Config { hours: 48, seed: 5 });
+    let metric = builtin_metrics("fig5", false);
     assert!(
-        result.dcs_visited >= 3,
+        metric("dcs_visited") >= 3.0,
         "VM should chase the load around the planet, visited {}",
-        result.dcs_visited
+        metric("dcs_visited")
     );
-    assert!(result.outcome.migrations >= 3);
+    assert!(metric("migrations") >= 3.0);
 }
 
 /// E-DL: allowing de-location from an overloaded home DC raises SLA.
 #[test]
 fn deloc_improves_sla() {
-    let cfg = deloc::DelocConfig::quick(6);
-    let result = deloc::run(&cfg);
+    let builtin = registry::find("deloc").expect("builtin").spec;
+    let spec = kinds::quick_spec(&builtin, kinds::find("deloc").expect("kind")).expect("quick");
+    let mut outcomes = run_arms(&spec, Path::new("."), false)
+        .expect("deloc runs")
+        .into_outcomes()
+        .into_iter();
+    let result = deloc::DelocResult {
+        fixed: outcomes.next().expect("fixed arm"),
+        delocating: outcomes.next().expect("de-locating arm"),
+    };
     assert!(
         result.sla_gain() > 0.02,
         "de-location must buy SLA: fixed {} vs deloc {}",
         result.fixed.mean_sla,
         result.delocating.mean_sla
     );
-    assert!(result.benefit_eur_per_vm_day(cfg.vms) > 0.0);
+    assert!(result.benefit_eur_per_vm_day(spec.workload.vms) > 0.0);
 }
 
 /// E-F6: the flash crowd dents SLA and the system recovers afterwards.
 #[test]
 fn fig6_flash_crowd_dents_and_recovers() {
-    let result = fig6::run(&fig6::Fig6Config::quick(7), None);
-    assert!(
-        result.sla_during_crowd < result.sla_before_crowd - 0.1,
-        "crowd must dent SLA: before {} during {}",
-        result.sla_before_crowd,
-        result.sla_during_crowd
+    let metric = builtin_metrics("fig6", true);
+    let (before, during, after) = (
+        metric("sla_before_crowd"),
+        metric("sla_during_crowd"),
+        metric("sla_after_crowd"),
     );
     assert!(
-        result.sla_after_crowd > result.sla_during_crowd,
-        "system must recover: during {} after {}",
-        result.sla_during_crowd,
-        result.sla_after_crowd
+        during < before - 0.1,
+        "crowd must dent SLA: before {before} during {during}"
+    );
+    assert!(
+        after > during,
+        "system must recover: during {during} after {after}"
     );
 }
 
@@ -104,20 +135,20 @@ fn fig6_flash_crowd_dents_and_recovers() {
 /// comparable SLA.
 #[test]
 fn table3_dynamic_saves_energy() {
-    let result = fig7_table3::run(&fig7_table3::Table3Config::quick(8), None);
+    let metric = builtin_metrics("fig7-table3", true);
     assert!(
-        result.energy_saving_frac() > 0.10,
+        metric("energy_saving_frac") > 0.10,
         "dynamic must save energy: static {} W vs dynamic {} W",
-        result.static_global.avg_watts,
-        result.dynamic.avg_watts
+        metric("static_avg_watts"),
+        metric("dynamic_avg_watts")
     );
     assert!(
-        result.dynamic.mean_sla > result.static_global.mean_sla - 0.05,
+        metric("dynamic_mean_sla") > metric("static_mean_sla") - 0.05,
         "SLA must stay comparable: static {} dynamic {}",
-        result.static_global.mean_sla,
-        result.dynamic.mean_sla
+        metric("static_mean_sla"),
+        metric("dynamic_mean_sla")
     );
-    assert_eq!(result.static_global.migrations, 0);
+    assert_eq!(metric("static_migrations"), 0.0);
 }
 
 /// E-SC: the exact solver's work explodes with instance size while

@@ -24,8 +24,8 @@ fn kitchen_sink(seed: u64) -> RunOutcome {
     scenario.monitor.dropout_prob = 0.05;
 
     let policy = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-    SimulationRunner::new(scenario, policy)
-        .run(SimDuration::from_hours(8))
+    Controller::new(scenario, policy)
+        .run_for(SimDuration::from_hours(8))
         .0
 }
 
@@ -97,12 +97,13 @@ fn green_quote_steers_hierarchical_scheduler() {
             plan_horizon_ticks: Some(60),
             ..RunConfig::default()
         };
-        SimulationRunner::new(
+        Controller::with(
             scenario,
             Box::new(HierarchicalPolicy::new(TrueOracle::new())),
+            cfg,
+            None,
         )
-        .config(cfg)
-        .run(SimDuration::from_hours(12))
+        .run_for(SimDuration::from_hours(12))
         .0
     };
     let aware = run(true);

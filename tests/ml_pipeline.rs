@@ -19,7 +19,7 @@ fn ml_suite_drives_the_multi_dc_scheduler() {
     let policy = Box::new(HierarchicalPolicy::new(MlOracle::new(
         training.suite.clone(),
     )));
-    let (outcome, _) = SimulationRunner::new(scenario, policy).run(SimDuration::from_hours(6));
+    let (outcome, _) = Controller::new(scenario, policy).run_for(SimDuration::from_hours(6));
     assert!(outcome.mean_sla > 0.6, "ML-driven SLA {}", outcome.mean_sla);
     assert!(
         outcome.avg_active_pms < 4.0,

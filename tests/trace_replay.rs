@@ -2,9 +2,10 @@
 //! reproduce the recorded run's demand series and scheduler decisions
 //! bit-for-bit (satellite acceptance of the scenario-engine PR).
 
+use pamdc_core::engine::Controller;
 use pamdc_core::policy::{BestFitPolicy, HierarchicalPolicy, PlacementPolicy};
 use pamdc_core::scenario::ScenarioBuilder;
-use pamdc_core::simulation::{RunOutcome, SimulationRunner};
+use pamdc_core::simulation::RunOutcome;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::SimDuration;
 use pamdc_workload::source::DemandSource;
@@ -16,8 +17,8 @@ fn run(scenario: pamdc_core::scenario::Scenario, hierarchical: bool) -> RunOutco
     } else {
         Box::new(BestFitPolicy::new(TrueOracle::new()))
     };
-    SimulationRunner::new(scenario, policy)
-        .run(SimDuration::from_hours(3))
+    Controller::new(scenario, policy)
+        .run_for(SimDuration::from_hours(3))
         .0
 }
 
