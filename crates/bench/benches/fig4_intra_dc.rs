@@ -7,18 +7,17 @@ use pamdc_core::engine::Controller;
 use pamdc_core::experiments::table1;
 use pamdc_core::policy::{BestFitPolicy, PlacementPolicy};
 use pamdc_core::scenario::ScenarioBuilder;
+use pamdc_scenario::{build, kinds, registry};
 use pamdc_sched::oracle::{MlOracle, MonitorOracle};
 use pamdc_simcore::time::SimDuration;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     println!("\n{}", run_builtin("fig4", true, &[]).text);
-    let training = table1::run(&table1::Table1Config {
-        vms: 4,
-        scales: vec![0.5, 1.0, 1.5],
-        hours_per_scale: 4,
-        seed: 2013,
-    });
+    // The fig4 kind's quick-mode training, for the BF-ML arm's oracle.
+    let spec = registry::find("fig4").expect("builtin").spec;
+    let spec = kinds::quick_spec(&spec, kinds::find("fig4").expect("kind")).expect("quick rows");
+    let training = table1::run(&build::training(&spec.training));
 
     // Bench ids derive from the policies' display names through the
     // workspace-wide metric namer, same keys as the runner's reports.

@@ -6,7 +6,7 @@
 //! cargo run --release --example tradeoff_surface -- --full  # denser sweep
 //! ```
 
-use pamdc::manager::experiments::solver_scaling;
+use pamdc::manager::experiments::{fig8, solver_scaling};
 use pamdc_scenario::registry;
 use pamdc_scenario::runner::run_arms;
 use std::path::Path;
@@ -33,19 +33,28 @@ fn main() {
     );
     let run = run_arms(&spec, Path::new("."), false).expect("fig8 runs");
 
-    // For a fixed load, more energy (hosts) must buy equal-or-better SLA.
     // The arms run load-major over the two axes.
+    let grid: Vec<(f64, usize)> = axes
+        .load_scales
+        .iter()
+        .flat_map(|&l| axes.pms_levels.iter().map(move |&p| (l, p)))
+        .collect();
+
+    // For a fixed load, more energy (hosts) must buy equal-or-better SLA.
+    let mut summary = Vec::new();
     for (row, ls) in run
         .outcomes
         .chunks(axes.pms_levels.len())
         .zip(&axes.load_scales)
     {
         let (first, last) = (&row[0].1, &row[row.len() - 1].1);
-        println!(
+        summary.push(format!(
             "load x{ls:.2}: SLA {:.3} @ {:.0} W  ->  SLA {:.3} @ {:.0} W",
             first.mean_sla, first.avg_watts, last.mean_sla, last.avg_watts,
-        );
+        ));
     }
+    println!("\n{}", fig8::report(run, &grid).text);
+    println!("{}", summary.join("\n"));
 
     // ---- Solver scaling ----
     let sc_cfg = if full {

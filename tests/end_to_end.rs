@@ -52,12 +52,9 @@ fn table2_constants_hold() {
 /// target, and the method assignments match the paper's choices.
 #[test]
 fn table1_learning_quality() {
-    let outcome = table1::run(&table1::Table1Config {
-        vms: 4,
-        scales: vec![0.5, 1.0, 1.5],
-        hours_per_scale: 4,
-        seed: 2013,
-    });
+    let spec = registry::find("table1").expect("builtin").spec;
+    let spec = kinds::quick_spec(&spec, kinds::find("table1").expect("kind")).expect("quick");
+    let outcome = table1::run(&pamdc_scenario::build::training(&spec.training));
     assert_eq!(outcome.reports.len(), 7);
     for (name, rep) in &outcome.reports {
         assert!(
