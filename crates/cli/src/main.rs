@@ -31,9 +31,10 @@ use pamdc_scenario::campaign::{self, Campaign};
 use pamdc_scenario::output::{reports_csv, reports_json};
 use pamdc_scenario::registry;
 use pamdc_scenario::runner::{run_spec, SpecReport};
-use pamdc_scenario::spec::ScenarioSpec;
+use pamdc_scenario::spec::{ScenarioSpec, TraceReplaySpec};
 use pamdc_simcore::time::SimDuration;
-use pamdc_workload::trace::{DemandTrace, TraceSource};
+use pamdc_workload::tail::TailSource;
+use pamdc_workload::trace::DemandTrace;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -683,19 +684,20 @@ fn cmd_replay(
     let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {}: {e}", trace_path.display()))?;
     // A torn final row (a recorder killed mid-append) degrades to a
-    // clean partial replay instead of a parse error.
+    // clean partial replay of the ticks the tail reader vouches for.
     let trace = match DemandTrace::parse_csv(&text) {
         Ok(trace) => trace,
-        Err(err) => match DemandTrace::parse_csv_tail(&text) {
-            Ok(parsed) if parsed.partial_tick.is_some() && parsed.trace.tick_count() > 0 => {
+        Err(err) => match TailSource::open(trace_path) {
+            Ok(tail) if tail.ready_ticks() > 0 => {
+                let ready = tail.ready_ticks();
                 pamdc_obs::warn!(
-                    "{}: tick {} is truncated mid-write; replaying the {} complete tick(s) \
-                     before it",
-                    trace_path.display(),
-                    parsed.partial_tick.expect("guard"),
-                    parsed.trace.tick_count()
+                    "{}: tick {ready} is truncated mid-write; replaying the {ready} complete \
+                     tick(s) before it",
+                    trace_path.display()
                 );
-                parsed.trace
+                let mut trace = tail.trace().clone();
+                trace.flows.truncate(ready);
+                trace
             }
             _ => return Err(format!("{}: {err}", trace_path.display())),
         },
@@ -711,22 +713,14 @@ fn cmd_replay(
     if !(stretch.is_finite() && stretch > 0.0) {
         return Err(format!("--stretch must be finite and > 0, got {stretch}"));
     }
-    if !remap.is_empty() {
-        if remap.len() != trace.regions {
-            return Err(format!(
-                "--remap lists {} regions but the trace records {} (need one target per \
-                 recorded region)",
-                remap.len(),
-                trace.regions
-            ));
-        }
-        if let Some(&bad) = remap.iter().find(|&&r| r >= trace.regions) {
-            return Err(format!(
-                "--remap target {bad} is out of range ({} regions)",
-                trace.regions
-            ));
-        }
-    }
+    let replay = TraceReplaySpec {
+        path: trace_path.display().to_string(),
+        rate_scale,
+        time_stretch: stretch,
+        region_map: remap.to_vec(),
+    };
+    let source =
+        pamdc_scenario::build::trace_source(trace, &replay, trace_path).map_err(|e| e.0)?;
 
     let (mut spec, base) = match spec_arg {
         Some(arg) => load_spec(arg)?,
@@ -738,12 +732,6 @@ fn cmd_replay(
         spec.run.hours = hours;
     }
     let _ = base; // the trace path is as-given (cwd-relative), not spec-relative
-    let mut source = TraceSource::new(trace)
-        .with_rate_scale(rate_scale)
-        .with_time_stretch(stretch);
-    if !remap.is_empty() {
-        source = source.with_region_map(remap.to_vec());
-    }
     let scenario = pamdc_scenario::build::build_scenario_with_demand(&spec, source.into())
         .map_err(|e| e.to_string())?;
     let suite = pamdc_scenario::build::trained_suite(&spec);
@@ -1316,6 +1304,40 @@ mod tests {
         );
         assert!(parse(&["trace"]).is_err());
         assert!(parse(&["trace", "frobnicate", "x"]).is_err());
+    }
+
+    #[test]
+    fn replaying_a_header_only_trace_is_an_error_naming_the_file() {
+        let dir = std::env::temp_dir().join("pamdc-cli-replay-test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("header-only.csv");
+        std::fs::write(
+            &path,
+            "# pamdc-trace v1\n# tick_ms = 60000\n# regions = 4\n# classes = blog\n\
+             tick,service,region,rps,kb_in_per_req,kb_out_per_req,cpu_ms_per_req\n",
+        )
+        .expect("fixture");
+        let opts = Opts {
+            quick: true,
+            ..Opts::default()
+        };
+        let err = cmd_replay(Some(&path), None, None, 1.0, 1.0, &[], &opts)
+            .expect_err("nothing to replay");
+        assert!(
+            err.contains("header-only.csv") && err.contains("no ticks"),
+            "{err}"
+        );
+        // A bad --remap is named by the same check, before any run.
+        std::fs::write(
+            &path,
+            "# tick_ms = 60000\n# regions = 4\n# classes = blog\n\
+             tick,service,region,rps,kb_in_per_req,kb_out_per_req,cpu_ms_per_req\n\
+             0,0,1,1,1,1,1\n",
+        )
+        .expect("fixture");
+        let err = cmd_replay(Some(&path), None, None, 1.0, 1.0, &[0, 1], &opts)
+            .expect_err("map covers 2 of 4 regions");
+        assert!(err.contains("region_map lists 2 regions"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::spec::{
     ImportSpec, MachineClass, OracleKind, PolicyKind, ScenarioSpec, SpecError, TopologyPreset,
-    TrainingSpec, WorkloadPreset,
+    TraceReplaySpec, TrainingSpec, WorkloadPreset,
 };
 use pamdc_core::experiments::table1::{self, Table1Config};
 use pamdc_core::policy::{
@@ -108,6 +108,47 @@ pub fn import_trace(import: &ImportSpec, base_dir: &Path) -> Result<DemandTrace,
         .map_err(|e| SpecError(format!("{}: {e}", path.display())))
 }
 
+/// Replays `trace` (read from `path`) under a `[workload.trace]`
+/// table's transforms. A trace with no ticks, or a region map that does
+/// not send every recorded region to a recorded region, is an error
+/// naming the file or the key rather than a replayer panic.
+pub fn trace_source(
+    trace: DemandTrace,
+    replay: &TraceReplaySpec,
+    path: &Path,
+) -> Result<TraceSource, SpecError> {
+    if trace.tick_count() == 0 {
+        return Err(SpecError(format!(
+            "{}: the trace holds no ticks; nothing to replay",
+            path.display()
+        )));
+    }
+    let (map, regions) = (&replay.region_map, trace.regions);
+    if !map.is_empty() && map.len() != regions {
+        return Err(SpecError(format!(
+            "workload.trace.region_map lists {} regions but {} records {regions} (need one \
+             target per recorded region)",
+            map.len(),
+            path.display()
+        )));
+    }
+    if let Some(bad) = map.iter().find(|&&r| r >= regions) {
+        return Err(SpecError(format!(
+            "workload.trace.region_map target {bad} is out of range ({} records {regions} \
+             regions)",
+            path.display()
+        )));
+    }
+    let source = TraceSource::new(trace)
+        .with_rate_scale(replay.rate_scale)
+        .with_time_stretch(replay.time_stretch);
+    Ok(if map.is_empty() {
+        source
+    } else {
+        source.with_region_map(map.clone())
+    })
+}
+
 /// Builds the scenario a spec describes. `base_dir` anchors relative
 /// trace paths (use the spec file's directory).
 pub fn build_scenario(spec: &ScenarioSpec, base_dir: &Path) -> Result<Scenario, SpecError> {
@@ -181,13 +222,7 @@ fn build_scenario_inner(
                 w.vms
             )));
         }
-        let mut source = TraceSource::new(trace)
-            .with_rate_scale(replay.rate_scale)
-            .with_time_stretch(replay.time_stretch);
-        if !replay.region_map.is_empty() {
-            source = source.with_region_map(replay.region_map.clone());
-        }
-        builder = builder.demand(source);
+        builder = builder.demand(trace_source(trace, replay, &path)?);
     } else if let Some(import) = &w.import {
         let trace = import_trace(import, base_dir)?;
         if trace.service_count() != w.vms {
@@ -465,6 +500,65 @@ mod tests {
         spec.workload.vms = 2;
         spec.workload.import.as_mut().unwrap().path = "nope.csv".into();
         assert!(build_scenario(&spec, &dir).is_err());
+    }
+
+    /// Writes `csv` to `name` under a test directory and returns a
+    /// default spec replaying it (4 VMs), plus the directory.
+    fn trace_spec(name: &str, csv: &str) -> (ScenarioSpec, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join("pamdc-trace-build-test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        std::fs::write(dir.join(name), csv).expect("fixture");
+        let mut spec = ScenarioSpec::default();
+        spec.workload.vms = 4;
+        spec.workload.trace = Some(TraceReplaySpec {
+            path: name.into(),
+            ..TraceReplaySpec::default()
+        });
+        (spec, dir)
+    }
+
+    /// The header block of a recorded 4-service, 4-region trace.
+    fn header_block() -> String {
+        let w = libcn::multi_dc(4, 100.0, 1);
+        DemandTrace::record(&w, SimDuration::from_mins(2), SimDuration::from_mins(1))
+            .to_csv()
+            .lines()
+            .filter(|l| (l.starts_with('#') && !l.starts_with("# ticks")) || l.starts_with("tick,"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn a_trace_spec_over_an_empty_trace_is_an_error_naming_the_file() {
+        let (spec, dir) = trace_spec("empty.csv", &header_block());
+        let err = build_scenario(&spec, &dir).expect_err("no ticks to replay");
+        assert!(
+            err.0.contains("empty.csv") && err.0.contains("no ticks"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_region_map_that_misses_recorded_regions_is_an_error_naming_the_key() {
+        let w = libcn::multi_dc(4, 100.0, 1);
+        let trace = DemandTrace::record(&w, SimDuration::from_mins(5), SimDuration::from_mins(1));
+        assert_eq!(trace.regions, 4);
+        let (mut spec, dir) = trace_spec("four-regions.csv", &trace.to_csv());
+        assert!(build_scenario(&spec, &dir).is_ok());
+        let replay = spec.workload.trace.as_mut().expect("trace table");
+        replay.region_map = vec![0, 1];
+        let err = build_scenario(&spec, &dir).expect_err("map covers 2 of 4 regions");
+        assert!(
+            err.0.contains("workload.trace.region_map lists 2 regions") && err.0.contains("4"),
+            "{err}"
+        );
+        let replay = spec.workload.trace.as_mut().expect("trace table");
+        replay.region_map = vec![0, 1, 2, 7];
+        let err = build_scenario(&spec, &dir).expect_err("target 7 of 4 regions");
+        assert!(
+            err.0.contains("workload.trace.region_map target 7"),
+            "{err}"
+        );
     }
 
     #[test]

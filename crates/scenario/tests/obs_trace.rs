@@ -8,12 +8,16 @@
 //!    root (`tick`) wall-clock, so `pamdc trace summarize` explains
 //!    where a run's time went instead of leaving an unattributed gap.
 //!
-//! The trace sink is process-global, so every test takes SINK_LOCK.
+//! The trace sink is process-global, so every test takes SINK_LOCK. A
+//! failed assertion poisons the lock, but the others still take it
+//! (`PoisonError::into_inner`): assertions run only after
+//! `trace::finish` has uninstalled the sink, so a failure leaves no
+//! sink for the next test to inherit.
 
 use pamdc_scenario::registry;
 use pamdc_scenario::runner::run_spec;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
@@ -45,7 +49,7 @@ fn mask_wall_ns(line: &str) -> String {
 
 #[test]
 fn reports_are_bit_identical_with_and_without_tracing() {
-    let _guard = SINK_LOCK.lock().unwrap();
+    let _guard = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = registry::find("fig4").expect("builtin").spec;
     let plain = run_spec(&spec, Path::new("."), true).expect("untraced run");
     let (traced, lines) = traced_run("fig4");
@@ -64,7 +68,7 @@ fn reports_are_bit_identical_with_and_without_tracing() {
 
 #[test]
 fn traces_are_byte_identical_modulo_wall_ns() {
-    let _guard = SINK_LOCK.lock().unwrap();
+    let _guard = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, a) = traced_run("fig4");
     let (_, b) = traced_run("fig4");
     assert_eq!(a.len(), b.len(), "event counts diverged");
@@ -75,7 +79,7 @@ fn traces_are_byte_identical_modulo_wall_ns() {
 
 #[test]
 fn named_phases_cover_95_percent_of_root_wall_clock() {
-    let _guard = SINK_LOCK.lock().unwrap();
+    let _guard = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, lines) = traced_run("fig4");
     let summary = pamdc_obs::trace::summarize(&lines).expect("summarize");
     assert!(summary.runs >= 1, "run_start recorded");

@@ -225,31 +225,18 @@ pub(crate) struct UsageRow {
     pub mem_util_pct: Option<f64>,
 }
 
-/// What a full [`for_each_line`] scan observed about the stream shape.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LineScan {
-    /// Whether the final line ended in `\n` (vacuously true for empty
-    /// input). An unterminated final line is the signature of a file
-    /// caught mid-append — a live writer flushed part of a row —
-    /// so tail-tolerant parsers treat that line's tick as partial
-    /// instead of failing on a half-written row.
-    pub last_line_terminated: bool,
-}
-
 /// Iterates `reader` line by line through a reused buffer, handing each
 /// line to `f` with its 1-based number. Trailing `\n` **and** `\r` are
 /// stripped, so CRLF-exported dataset files (Excel, Windows tooling)
 /// parse identically to LF ones — without this, the final field of
 /// every row keeps a `\r` that corrupts interned service names and the
-/// last numeric column. Returns what the scan saw of the stream's
-/// shape (notably whether the last line was `\n`-terminated).
+/// last numeric column.
 pub(crate) fn for_each_line<R: BufRead>(
     mut reader: R,
     mut f: impl FnMut(usize, &str) -> Result<(), ImportError>,
-) -> Result<LineScan, ImportError> {
+) -> Result<(), ImportError> {
     let mut buf = String::new();
     let mut lineno = 0usize;
-    let mut last_line_terminated = true;
     loop {
         buf.clear();
         lineno += 1;
@@ -257,11 +244,8 @@ pub(crate) fn for_each_line<R: BufRead>(
             .read_line(&mut buf)
             .map_err(|e| line_err(lineno, format!("read failed: {e}")))?;
         if n == 0 {
-            return Ok(LineScan {
-                last_line_terminated,
-            });
+            return Ok(());
         }
-        last_line_terminated = buf.ends_with('\n');
         let line = buf.strip_suffix('\n').unwrap_or(&buf);
         let line = line.strip_suffix('\r').unwrap_or(line);
         f(lineno, line)?;

@@ -36,5 +36,5 @@ pub mod prelude {
     pub use crate::service::ServiceClass;
     pub use crate::source::{Demand, DemandSource};
     pub use crate::tail::TailSource;
-    pub use crate::trace::{DemandTrace, TraceParse, TraceSource};
+    pub use crate::trace::{DemandTrace, TraceSource};
 }

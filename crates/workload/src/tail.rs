@@ -5,14 +5,16 @@
 //! the foreknowledge: a live writer cannot declare `# ticks` up front,
 //! appends rows tick by tick, and may be caught mid-row by a reader.
 //!
-//! Polling is **incremental**: the file is parsed exactly once. Each
+//! Polling is **incremental**: the file is parsed exactly once, by the
+//! same reader [`DemandTrace::parse_csv`] runs. Each
 //! [`TailSource::poll`] reads only the bytes appended since the last
-//! look (the `TraceTail` engine keeps parser state, including a torn
-//! final row, across polls), so tailing a multi-gigabyte feed costs
-//! the delta, not the history. Because consumed bytes are never
-//! re-read, the poll also re-verifies the pinned header block
-//! byte-for-byte and refuses files that shrink — a writer restarting
-//! into the same path is an error, not a silent rewind.
+//! look (the reader keeps parser state, including a torn final row,
+//! across polls), so tailing a multi-gigabyte feed costs the delta, not
+//! the history. A torn final row is withheld, not an error. Because
+//! consumed bytes are never re-read, the poll also re-verifies the
+//! pinned header block byte-for-byte and refuses files that shrink — a
+//! writer restarting into the same path is an error, not a silent
+//! rewind.
 //!
 //! Between polls a `TailSource` is a pure function of `(self, service,
 //! t)` like every other [`DemandSource`]: sampling beyond the ready
@@ -39,11 +41,10 @@ pub struct TailSource {
     /// in-place rewrite of the shape headers would otherwise escape
     /// the offset-based delta read entirely.
     probe: Vec<u8>,
-    /// Ticks safe to consume (see [`TraceParse::complete_ticks`]):
-    /// without an end marker the last ingested tick may still be
-    /// receiving rows, so it is not yet ready.
-    ///
-    /// [`TraceParse::complete_ticks`]: crate::trace::TraceParse::complete_ticks
+    /// Ticks safe to consume: every tick of a finished feed, or every
+    /// tick the writer provably moved past. Without an end marker the
+    /// last ingested tick may still be receiving rows, so it is not yet
+    /// ready, and neither is the tick a torn final row names.
     ready: usize,
     /// Whether the writer marked the feed finished (`# end`, or a
     /// declared `# ticks` count fully delivered).
@@ -354,16 +355,15 @@ mod tests {
             // The incremental reader ingested exactly the on-disk bytes
             // (each poll read only the delta past the last offset)...
             assert_eq!(tail.fed_bytes(), cut as u64);
-            // ...and its view is indistinguishable from re-parsing the
-            // whole file through the tail-tolerant one-shot path.
-            let text = std::str::from_utf8(&bytes[..cut]).expect("utf8");
-            let whole = DemandTrace::parse_csv_tail(text).expect("whole-file parse");
-            assert_eq!(tail.ready_ticks(), whole.complete_ticks());
-            assert_eq!(tail.is_complete(), whole.is_complete);
-            let ready = tail.ready_ticks();
+            // ...and its view is indistinguishable from reading the
+            // whole file at once.
+            let mut whole = TraceTail::open(&bytes[..cut]).expect("whole-file read");
+            let (ready, complete) = whole.refresh().expect("whole-file refresh");
+            assert_eq!(tail.ready_ticks(), ready);
+            assert_eq!(tail.is_complete(), complete);
             assert_eq!(
                 tail.trace().flows[..ready],
-                whole.trace.flows[..ready],
+                whole.trace().flows[..ready],
                 "ready prefix diverged at {cut} bytes"
             );
         }

@@ -9,6 +9,13 @@
 //! **bit-identical** and a replayed run reproduces the recorded run's
 //! scheduler decisions exactly.
 //!
+//! One incremental reader parses every trace CSV, whether a finished
+//! file or a live feed another process is still appending to.
+//! [`DemandTrace::parse_csv`] feeds it the whole text once and then
+//! finishes it strictly; [`TailSource`](crate::tail::TailSource) feeds it
+//! each poll's appended bytes and withholds a torn final row. Both see
+//! the same rows, checks and line-numbered errors.
+//!
 //! A [`TraceSource`] replays a trace, optionally transformed:
 //!
 //! * **rate-scale** — multiply every arrival rate by `k`;
@@ -21,7 +28,6 @@
 //! can drive arbitrarily long scenarios.
 
 use crate::generator::FlowSample;
-use crate::import::{for_each_line, ImportError};
 use crate::service::ServiceClass;
 use crate::source::DemandSource;
 use pamdc_simcore::time::{SimDuration, SimTime};
@@ -146,79 +152,18 @@ impl DemandTrace {
 
     /// Parses the CSV form back into a trace.
     ///
-    /// Strict: the whole file must be well-formed. A final row that
-    /// merely lacks its newline still parses (legacy tolerance for
-    /// editors that strip the trailing `\n`), but a row torn mid-write
-    /// errors with the tick it belongs to — use
-    /// [`DemandTrace::parse_csv_tail`] to recover the complete prefix
-    /// of a file caught mid-append.
+    /// Strict: the whole file must be well-formed. The text runs once
+    /// through the incremental reader behind
+    /// [`TailSource`](crate::tail::TailSource), which then finishes
+    /// it: a final row that merely lacks its newline still parses
+    /// (legacy tolerance for editors that strip the trailing `\n`), but
+    /// a row torn mid-write errors with the tick it belongs to. A
+    /// declared `# ticks` count pads trailing zero-demand ticks;
+    /// without one the trace ends at the last tick seen.
     pub fn parse_csv(text: &str) -> Result<Self, TraceError> {
-        let (mut parser, mut flows, partial) = CsvParser::scan(text)?;
-        if let Some((lineno, line)) = partial {
-            parser.line(lineno, &line, &mut flows).map_err(|e| {
-                let tick = partial_tick_guess(&line, flows.len());
-                TraceError(format!(
-                    "{} — file ends mid-row (truncated append?): tick {tick} is \
-                     partially written; parse_csv_tail() recovers the complete prefix",
-                    e.0
-                ))
-            })?;
-        }
-        Ok(parser.finalize(flows, false, None)?.trace)
-    }
-
-    /// Tail-tolerant parse for a file that may still be growing.
-    ///
-    /// Every `\n`-terminated line must be well-formed, but an
-    /// unterminated final line — the signature of catching a live
-    /// writer mid-append — is withheld instead of failing: its tick
-    /// becomes [`TraceParse::partial_tick`] and the returned trace is
-    /// truncated to the fully-written ticks before it. A terminated
-    /// `# end` line (or a declared `# ticks` count, for recorded files)
-    /// marks the feed finished.
-    pub fn parse_csv_tail(text: &str) -> Result<TraceParse, TraceError> {
-        let (parser, flows, partial) = CsvParser::scan(text)?;
-        let mut partial_tick = None;
-        if let Some((lineno, line)) = partial {
-            let tick = partial_tick_guess(&line, flows.len());
-            parser.check_tick(lineno, tick, flows.len())?;
-            // A torn row before any data means nothing to withhold.
-            if parser.saw_header_row || !flows.is_empty() {
-                partial_tick = Some(tick as u64);
-            }
-        }
-        parser.finalize(flows, true, partial_tick)
-    }
-}
-
-/// Outcome of a tail-tolerant parse ([`DemandTrace::parse_csv_tail`]):
-/// the complete-tick prefix of a file that may still be growing.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceParse {
-    /// The parsed trace, holding only fully-written ticks.
-    pub trace: DemandTrace,
-    /// The tick the torn (unterminated) final row belongs to, when the
-    /// file was caught mid-append. That tick's rows are withheld from
-    /// `trace`; a later re-read picks them up once the writer flushes.
-    pub partial_tick: Option<u64>,
-    /// Whether the feed is finished: it declared `# ticks` (recorded
-    /// files always do) or carries a terminated `# end` marker, and no
-    /// torn row follows.
-    pub is_complete: bool,
-}
-
-impl TraceParse {
-    /// Ticks safe to consume now: every tick of a finished feed, or —
-    /// while the feed is live — every tick the writer has provably
-    /// moved past. Without an explicit end the last tick seen may
-    /// still be receiving rows, so it only counts once a later tick
-    /// (or a torn row for one) appears.
-    pub fn complete_ticks(&self) -> usize {
-        if self.is_complete || self.partial_tick.is_some() {
-            self.trace.flows.len()
-        } else {
-            self.trace.flows.len().saturating_sub(1)
-        }
+        let mut reader = TraceTail::new();
+        reader.feed(text.as_bytes())?;
+        reader.finish()
     }
 }
 
@@ -233,17 +178,13 @@ fn partial_tick_guess(line: &str, ticks_seen: usize) -> usize {
         .unwrap_or_else(|| ticks_seen.saturating_sub(1))
 }
 
-/// The `flows[tick_idx][service]` store a [`CsvParser`] fills. Kept
-/// outside the parser so the incremental tail reader ([`TraceTail`])
-/// can park it inside the [`DemandTrace`] it hands out by reference
-/// while the parser keeps cracking appended lines into it.
+/// The `flows[tick_idx][service]` store a [`CsvParser`] fills. The
+/// [`TraceTail`] parks it inside the [`DemandTrace`] it hands out by
+/// reference while the parser keeps cracking appended lines into it.
 type Flows = Vec<Vec<Vec<FlowSample>>>;
 
-/// Line-by-line trace-CSV parser, shared by the strict and
-/// tail-tolerant entry points. Lines stream through the same
-/// [`for_each_line`] layer as the dataset importers, which reports
-/// whether the final line was `\n`-terminated — the signal the
-/// tail-tolerant path keys off.
+/// Line-by-line trace-CSV parser: the header state and row cracking
+/// of the [`TraceTail`] reader.
 #[derive(Clone, Debug, Default)]
 struct CsvParser {
     tick_ms: Option<u64>,
@@ -255,43 +196,7 @@ struct CsvParser {
     ended: bool,
 }
 
-/// A withheld unterminated final line: 1-based line number + content.
-type TornLine = (usize, String);
-
 impl CsvParser {
-    /// Runs every *terminated* line of `text` through the parser and
-    /// returns it, the flows it filled, and the withheld unterminated
-    /// final line (1-based line number and content), if any. The
-    /// one-line lookahead is what lets both entry points decide how to
-    /// treat a torn final row.
-    fn scan(text: &str) -> Result<(CsvParser, Flows, Option<TornLine>), TraceError> {
-        let mut parser = CsvParser::default();
-        let mut flows = Flows::new();
-        let mut pending: Option<usize> = None;
-        let mut pending_buf = String::new();
-        let scan = for_each_line(text.as_bytes(), |lineno, line| {
-            if let Some(n) = pending.take() {
-                parser
-                    .line(n, &pending_buf, &mut flows)
-                    .map_err(|e| ImportError(e.0))?;
-            }
-            pending_buf.clear();
-            pending_buf.push_str(line);
-            pending = Some(lineno);
-            Ok(())
-        })
-        .map_err(|e| TraceError(e.0))?;
-        let mut partial = None;
-        if let Some(n) = pending {
-            if scan.last_line_terminated || pending_buf.trim().is_empty() {
-                parser.line(n, &pending_buf, &mut flows)?;
-            } else {
-                partial = Some((n, pending_buf));
-            }
-        }
-        Ok((parser, flows, partial))
-    }
-
     fn line(&mut self, lineno: usize, raw: &str, flows: &mut Flows) -> Result<(), TraceError> {
         let line = raw.trim();
         if line.is_empty() {
@@ -358,9 +263,14 @@ impl CsvParser {
             self.saw_header_row = true;
             return Ok(());
         }
-        let cols: Vec<&str> = line.split(',').collect();
-        let [c_tick, c_service, c_region, c_rps, c_kb_in, c_kb_out, c_cpu] = cols.as_slice() else {
-            return Err(err(format!("expected 7 columns, got {}", cols.len())));
+        // Exactly seven cells: an eighth `next()` must come back empty.
+        let mut cells = line.split(',');
+        let cols: [Option<&str>; 8] = std::array::from_fn(|_| cells.next());
+        let [Some(c_tick), Some(c_service), Some(c_region), Some(c_rps), Some(c_kb_in), Some(c_kb_out), Some(c_cpu), None] =
+            cols
+        else {
+            let got = line.split(',').count();
+            return Err(err(format!("expected 7 columns, got {got}")));
         };
         let tick_idx: usize = c_tick
             .parse()
@@ -390,9 +300,8 @@ impl CsvParser {
                 self.classes.len()
             )));
         }
-        // Validate eagerly when the regions header already arrived (it
-        // always has on the incremental tail path, which never sees
-        // `finalize`'s deferred whole-store sweep).
+        // Validate eagerly once the regions header has arrived; rows
+        // read before it are swept when the shape freezes.
         if let Some(regions) = self.regions {
             if region >= regions {
                 return Err(err(format!(
@@ -434,35 +343,12 @@ impl CsvParser {
         Err(TraceError(format!("line {lineno}: {bad}")))
     }
 
-    /// Rejects a declared `# ticks` count whose rowless padding past the
-    /// `stored` ticks exceeds [`MAX_TICK_GAP`], before it is allocated.
-    fn check_padding(ticks: usize, stored: usize) -> Result<(), TraceError> {
-        if ticks > stored + MAX_TICK_GAP {
-            return Err(TraceError(format!(
-                "'# ticks = {ticks}' declares more than {MAX_TICK_GAP} rowless ticks past \
-                 the {stored} read"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Validates headers and assembles the trace. `tail` selects the
-    /// growing-file semantics: the partial tick's rows are dropped
-    /// (they will be re-read whole later) and a declared `# ticks`
-    /// count only pads — to cover trailing zero-demand ticks — when no
-    /// torn row contradicts it.
-    fn finalize(
-        self,
-        mut flows: Flows,
-        tail: bool,
-        partial_tick: Option<u64>,
-    ) -> Result<TraceParse, TraceError> {
-        if let Some(t) = partial_tick {
-            // Ticks before the torn row are fully written — including
-            // zero-demand ones the writer skipped rows for.
-            let services = self.classes.len();
-            flows.resize_with(t as usize, || vec![Vec::new(); services]);
-        }
+    /// The shape the header block declares — every header field of a
+    /// trace, no flows — once the column-header row and the `tick_ms`,
+    /// `regions` and `classes` headers have arrived and the memory
+    /// profile (absent = every service unmeasured) lists one cell per
+    /// class.
+    fn shape(&self) -> Result<DemandTrace, TraceError> {
         if !self.saw_header_row {
             return Err(TraceError("missing column header row".into()));
         }
@@ -472,101 +358,51 @@ impl CsvParser {
         let regions = self
             .regions
             .ok_or_else(|| TraceError("missing '# regions = ...'".into()))?;
-        if self.classes.is_empty() {
+        let services = self.classes.len();
+        if services == 0 {
             return Err(TraceError("missing '# classes = ...'".into()));
         }
-        let mut mem_mb_per_inflight = self.mem_mb_per_inflight;
-        if mem_mb_per_inflight.is_empty() {
-            mem_mb_per_inflight = vec![None; self.classes.len()];
-        } else if mem_mb_per_inflight.len() != self.classes.len() {
-            return Err(TraceError(format!(
-                "mem_mb_per_inflight header lists {} services but classes lists {}",
-                mem_mb_per_inflight.len(),
-                self.classes.len()
-            )));
-        }
-        // Honor the declared tick count so zero-demand ticks (no data
-        // rows) survive the round-trip; traces written before the
-        // header existed fall back to the max tick index seen.
-        let mut is_complete = false;
-        if let Some(ticks) = self.ticks {
-            if flows.len() > ticks {
+        let mem_mb_per_inflight = match self.mem_mb_per_inflight.len() {
+            0 => vec![None; services],
+            n if n == services => self.mem_mb_per_inflight.clone(),
+            n => {
                 return Err(TraceError(format!(
-                    "data rows reach tick {} but the header declares ticks = {ticks}",
-                    flows.len() - 1
-                )));
+                    "mem_mb_per_inflight header lists {n} services but classes lists {services}"
+                )))
             }
-            if !tail || partial_tick.is_none() {
-                Self::check_padding(ticks, flows.len())?;
-                let services = self.classes.len();
-                flows.resize_with(ticks, || vec![Vec::new(); services]);
-                is_complete = true;
-            }
-        }
-        if self.ended && partial_tick.is_none() {
-            is_complete = true;
-        }
-        // Deferred region sweep: rows parsed before the `# regions`
-        // header appeared were not range-checked in `line`.
-        for services in &flows {
-            for service_flows in services {
-                for f in service_flows {
-                    if f.region >= regions {
-                        return Err(TraceError(format!(
-                            "flow region {} out of range ({} regions)",
-                            f.region, regions
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(TraceParse {
-            trace: DemandTrace {
-                tick: SimDuration::from_millis(tick_ms),
-                regions,
-                classes: self.classes,
-                mem_mb_per_inflight,
-                flows,
-            },
-            partial_tick,
-            is_complete,
+        };
+        Ok(DemandTrace {
+            tick: SimDuration::from_millis(tick_ms),
+            regions,
+            classes: self.classes.clone(),
+            mem_mb_per_inflight,
+            flows: Flows::new(),
         })
-    }
-
-    /// The memory-profile header in its post-validation form (empty =
-    /// every service unmeasured), or `None` when its length disagrees
-    /// with the classes header.
-    fn normalized_mem(&self) -> Option<Vec<Option<f64>>> {
-        if self.mem_mb_per_inflight.is_empty() {
-            Some(vec![None; self.classes.len()])
-        } else if self.mem_mb_per_inflight.len() == self.classes.len() {
-            Some(self.mem_mb_per_inflight.clone())
-        } else {
-            None
-        }
     }
 }
 
-/// Incremental, tail-tolerant trace reader: the engine behind
-/// [`TailSource`](crate::tail::TailSource).
+/// The one trace-CSV reader, incremental and tail-tolerant. It backs
+/// [`DemandTrace::parse_csv`] (feed the whole text once, then
+/// [`TraceTail::finish`]) and [`TailSource`](crate::tail::TailSource)
+/// ([`TraceTail::open`] on the bytes on disk, then one
+/// [`TraceTail::feed`] per poll).
 ///
-/// Where [`DemandTrace::parse_csv_tail`] re-parses a whole file on
-/// every look, a `TraceTail` is fed only the bytes appended since the
-/// last feed. It keeps the parser state (headers, line number, a carry
-/// buffer holding the unterminated final line) across feeds and parks
-/// the growing flow store inside the [`DemandTrace`] it exposes by
+/// Each feed takes only the bytes appended since the last one. The
+/// reader keeps the parser state (headers, line number, a carry buffer
+/// holding the unterminated final line) across feeds and parks the
+/// growing flow store inside the [`DemandTrace`] it exposes by
 /// reference — so each poll of a multi-gigabyte feed costs only the
 /// delta.
 ///
-/// A torn final row never enters the store at all: it waits in the
-/// carry buffer as raw bytes until a later feed terminates it. The
+/// A torn final row never enters the store of a live feed: it waits in
+/// the carry buffer as raw bytes until a later feed terminates it. The
 /// rows of the tick it names that *are* already stored stay there,
-/// hidden behind the `ready` count [`TraceTail::refresh`] computes —
-/// the same visible view the whole-file parser produced by truncating
-/// and re-reading.
+/// hidden behind the `ready` count [`TraceTail::refresh`] computes.
 #[derive(Clone, Debug)]
 pub(crate) struct TraceTail {
     parser: CsvParser,
+    /// The shape [`TraceTail::freeze_shape`] validated (placeholders
+    /// before that) plus every fully-written row fed so far.
     trace: DemandTrace,
     /// Bytes of the last feed's unterminated final line.
     carry: Vec<u8>,
@@ -581,116 +417,167 @@ pub(crate) struct TraceTail {
 }
 
 impl TraceTail {
-    /// Parses the feed's current contents and validates that the full
-    /// header block has arrived (same requirements as
-    /// [`DemandTrace::parse_csv_tail`] + `finalize`); callers retry
-    /// while the writer has not flushed it yet.
-    pub(crate) fn open(bytes: &[u8]) -> Result<TraceTail, TraceError> {
-        let mut parser = CsvParser::default();
-        let mut flows = Flows::new();
-        let (mut carry, mut lineno, mut fed, mut header_end) = (Vec::new(), 0, 0, 0);
-        ingest_lines(
-            &mut parser,
-            &mut flows,
-            &mut carry,
-            &mut lineno,
-            &mut fed,
-            &mut header_end,
-            bytes,
-        )?;
-        if !parser.saw_header_row {
-            return Err(TraceError("missing column header row".into()));
-        }
-        let tick_ms = parser
-            .tick_ms
-            .ok_or_else(|| TraceError("missing '# tick_ms = ...'".into()))?;
-        let regions = parser
-            .regions
-            .ok_or_else(|| TraceError("missing '# regions = ...'".into()))?;
-        if parser.classes.is_empty() {
-            return Err(TraceError("missing '# classes = ...'".into()));
-        }
-        let mem_mb_per_inflight = parser.normalized_mem().ok_or_else(|| {
-            TraceError(format!(
-                "mem_mb_per_inflight header lists {} services but classes lists {}",
-                parser.mem_mb_per_inflight.len(),
-                parser.classes.len()
-            ))
-        })?;
-        // Rows fed before the regions header appeared dodged `line`'s
-        // eager range check; sweep them once here.
-        for services in &flows {
-            for service_flows in services {
-                for f in service_flows {
-                    if f.region >= regions {
-                        return Err(TraceError(format!(
-                            "flow region {} out of range ({} regions)",
-                            f.region, regions
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(TraceTail {
+    /// A reader fed nothing yet.
+    fn new() -> TraceTail {
+        TraceTail {
+            parser: CsvParser::default(),
             trace: DemandTrace {
-                tick: SimDuration::from_millis(tick_ms),
-                regions,
-                classes: parser.classes.clone(),
-                mem_mb_per_inflight,
-                flows,
+                tick: SimDuration::ZERO,
+                regions: 0,
+                classes: Vec::new(),
+                mem_mb_per_inflight: Vec::new(),
+                flows: Flows::new(),
             },
-            parser,
-            carry,
-            lineno,
-            fed,
-            header_end,
-        })
+            carry: Vec::new(),
+            lineno: 0,
+            fed: 0,
+            header_end: 0,
+        }
+    }
+
+    /// Reads the feed's current contents and requires the full header
+    /// block; callers retry while the writer has not flushed it yet.
+    pub(crate) fn open(bytes: &[u8]) -> Result<TraceTail, TraceError> {
+        let mut tail = TraceTail::new();
+        tail.feed(bytes)?;
+        tail.freeze_shape()?;
+        Ok(tail)
     }
 
     /// Parses the bytes appended since the last feed straight into the
-    /// store. Call [`TraceTail::refresh`] afterwards to recompute the
-    /// visible view.
+    /// store: every `\n`-terminated line (`line` trims, so CRLF parses
+    /// like LF), with the unterminated remainder left in the carry.
+    /// `header_end` is stamped when the column-header row goes past.
+    /// Call [`TraceTail::refresh`] afterwards to recompute the visible
+    /// view.
     pub(crate) fn feed(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        ingest_lines(
-            &mut self.parser,
-            &mut self.trace.flows,
-            &mut self.carry,
-            &mut self.lineno,
-            &mut self.fed,
-            &mut self.header_end,
-            bytes,
-        )
+        self.fed += bytes.len() as u64;
+        let joined: Vec<u8>;
+        let chunk: &[u8] = if self.carry.is_empty() {
+            bytes
+        } else {
+            joined = [self.carry.as_slice(), bytes].concat();
+            &joined
+        };
+        let (whole, rest) =
+            chunk.split_at(chunk.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+        // UTF-8 is checked once per feed; a bad byte fails its own line
+        // after the lines before it have parsed.
+        let valid = utf8_prefix(whole);
+        let text = if valid.len() == whole.len() {
+            valid
+        } else {
+            valid
+                .get(..valid.rfind('\n').map_or(0, |i| i + 1))
+                .unwrap_or_default()
+        };
+        let mut offset = self.fed - chunk.len() as u64;
+        for line in text.split_terminator('\n') {
+            self.lineno += 1;
+            offset += line.len() as u64 + 1;
+            let had_header = self.parser.saw_header_row;
+            self.parser.line(self.lineno, line, &mut self.trace.flows)?;
+            if self.parser.saw_header_row && !had_header {
+                self.header_end = offset;
+            }
+        }
+        if text.len() < whole.len() {
+            return Err(TraceError(format!(
+                "line {}: invalid UTF-8",
+                self.lineno + 1
+            )));
+        }
+        self.carry = rest.to_vec();
+        Ok(())
     }
 
-    /// Recomputes `(ready_ticks, is_complete)` from the current state:
-    /// the exact view [`DemandTrace::parse_csv_tail`] +
-    /// [`TraceParse::complete_ticks`] would report for the same bytes.
-    /// Errors when a header appended after `open` redeclares the feed's
-    /// shape, or data rows overrun a declared `# ticks` count.
+    /// Ends a one-shot read ([`DemandTrace::parse_csv`]): the
+    /// unterminated final line, if any, parses as the last row; then
+    /// the header block must be whole, and the trace takes every tick
+    /// seen, padded to a declared `# ticks` count.
+    fn finish(mut self) -> Result<DemandTrace, TraceError> {
+        let last = std::mem::take(&mut self.carry);
+        // `parse_csv` feeds a `&str`, so the carry is whole UTF-8.
+        let line = utf8_prefix(&last);
+        self.parser
+            .line(self.lineno + 1, line, &mut self.trace.flows)
+            .map_err(|e| {
+                let tick = partial_tick_guess(line, self.trace.flows.len());
+                TraceError(format!(
+                    "{} — file ends mid-row (truncated append?): tick {tick} is \
+                     partially written; `pamdc replay` recovers the ticks before it",
+                    e.0
+                ))
+            })?;
+        self.freeze_shape()?;
+        self.refresh()?;
+        Ok(self.trace)
+    }
+
+    /// Freezes the shape the header block declares into the store, then
+    /// range-checks the regions of rows fed before `# regions` arrived,
+    /// which dodged `line`'s eager check.
+    fn freeze_shape(&mut self) -> Result<(), TraceError> {
+        let shape = self.parser.shape()?;
+        self.trace = DemandTrace {
+            flows: std::mem::take(&mut self.trace.flows),
+            ..shape
+        };
+        let regions = self.trace.regions;
+        match self
+            .trace
+            .flows
+            .iter()
+            .flatten()
+            .flatten()
+            .find(|f| f.region >= regions)
+        {
+            Some(f) => Err(TraceError(format!(
+                "flow region {} out of range ({regions} regions)",
+                f.region
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Recomputes `(ready_ticks, is_complete)` from the current state.
+    /// Ready are every tick of a finished feed — one that declared
+    /// `# ticks` (recorded files always do) or carries a terminated
+    /// `# end` marker, with no torn row after it — or, while the feed
+    /// is live, every tick the writer has provably moved past: without
+    /// an explicit end the last tick seen may still be receiving rows,
+    /// so it only counts once a later tick (or a torn row for one)
+    /// appears. Errors when a header appended after `open` redeclares
+    /// the feed's shape, or data rows overrun a declared `# ticks`
+    /// count.
     pub(crate) fn refresh(&mut self) -> Result<(usize, bool), TraceError> {
         // Shape headers are frozen at open: a redefinition appended
         // later would silently fork the already-consumed prefix.
-        if self.parser.tick_ms != Some(self.trace.tick.as_millis())
-            || self.parser.regions != Some(self.trace.regions)
-            || self.parser.classes != self.trace.classes
-            || self.parser.normalized_mem().as_ref() != Some(&self.trace.mem_mb_per_inflight)
-        {
+        let frozen = &self.trace;
+        if !self.parser.shape().is_ok_and(|s| {
+            (s.tick, s.regions, &s.classes, &s.mem_mb_per_inflight)
+                == (
+                    frozen.tick,
+                    frozen.regions,
+                    &frozen.classes,
+                    &frozen.mem_mb_per_inflight,
+                )
+        }) {
             return Err(TraceError(
                 "shape headers (tick_ms/regions/classes/mem_mb_per_inflight) changed mid-stream"
                     .into(),
             ));
         }
         let services = self.trace.classes.len();
+        let stored = self.trace.flows.len();
         // A non-blank carry is a torn row: the writer provably moved
         // past every tick before the one it names (rowless zero-demand
         // ticks included — pad so the view can index them).
-        let torn = carry_str(&self.carry);
-        let partial = (!torn.trim().is_empty())
-            .then(|| partial_tick_guess(torn.trim(), self.trace.flows.len()));
-        if let Some(p) = partial {
-            self.parser
-                .check_tick(self.lineno + 1, p, self.trace.flows.len())?;
-            if self.trace.flows.len() < p {
+        let torn = utf8_prefix(&self.carry).trim();
+        if !torn.is_empty() {
+            let p = partial_tick_guess(torn, stored);
+            self.parser.check_tick(self.lineno + 1, p, stored)?;
+            if stored < p {
                 self.trace
                     .flows
                     .resize_with(p, || vec![Vec::new(); services]);
@@ -698,23 +585,29 @@ impl TraceTail {
             return Ok((p, false));
         }
         if let Some(ticks) = self.parser.ticks {
-            if self.trace.flows.len() > ticks {
+            if stored > ticks {
                 return Err(TraceError(format!(
                     "data rows reach tick {} but the header declares ticks = {ticks}",
-                    self.trace.flows.len() - 1
+                    stored - 1
                 )));
             }
-            CsvParser::check_padding(ticks, self.trace.flows.len())?;
+            // Rowless padding past the stored ticks is bounded like a
+            // row's tick gap, before it is allocated.
+            if ticks > stored + MAX_TICK_GAP {
+                return Err(TraceError(format!(
+                    "'# ticks = {ticks}' declares more than {MAX_TICK_GAP} rowless ticks past \
+                     the {stored} read"
+                )));
+            }
             self.trace
                 .flows
                 .resize_with(ticks, || vec![Vec::new(); services]);
             return Ok((ticks, true));
         }
         if self.parser.ended {
-            return Ok((self.trace.flows.len(), true));
+            return Ok((stored, true));
         }
-        // Without an end marker the newest tick may still be growing.
-        Ok((self.trace.flows.len().saturating_sub(1), false))
+        Ok((stored.saturating_sub(1), false))
     }
 
     /// The materialized store: headers plus every fully-written row fed
@@ -735,58 +628,18 @@ impl TraceTail {
     }
 }
 
-/// The valid-UTF-8 prefix of a carry buffer. A feed boundary can split
-/// a multi-byte character; the torn tail cannot affect the tick-field
-/// guess, which only reads ASCII digits before the first comma.
-fn carry_str(carry: &[u8]) -> &str {
-    match std::str::from_utf8(carry) {
+/// The valid-UTF-8 prefix of `bytes`. In a carry buffer, a feed
+/// boundary can split a multi-byte character; the torn tail cannot
+/// affect the tick-field guess, which only reads ASCII digits before
+/// the first comma.
+fn utf8_prefix(bytes: &[u8]) -> &str {
+    match std::str::from_utf8(bytes) {
         Ok(s) => s,
         Err(e) => {
-            let valid = carry.get(..e.valid_up_to()).unwrap_or_default();
+            let valid = bytes.get(..e.valid_up_to()).unwrap_or_default();
             std::str::from_utf8(valid).unwrap_or_default()
         }
     }
-}
-
-/// Splits `carry ++ bytes` into `\n`-terminated lines, runs each
-/// through the parser, and leaves the unterminated remainder in
-/// `carry`. `fed` advances by `bytes.len()` (the carry was counted
-/// when first fed); `header_end` is stamped when the column-header row
-/// goes past.
-fn ingest_lines(
-    parser: &mut CsvParser,
-    flows: &mut Flows,
-    carry: &mut Vec<u8>,
-    lineno: &mut usize,
-    fed: &mut u64,
-    header_end: &mut u64,
-    bytes: &[u8],
-) -> Result<(), TraceError> {
-    *fed += bytes.len() as u64;
-    let joined: Vec<u8>;
-    let mut rest: &[u8] = if carry.is_empty() {
-        bytes
-    } else {
-        joined = [carry.as_slice(), bytes].concat();
-        &joined
-    };
-    while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-        let mut line_bytes = rest.get(..pos).unwrap_or_default();
-        rest = rest.get(pos + 1..).unwrap_or_default();
-        if let Some(stripped) = line_bytes.strip_suffix(b"\r") {
-            line_bytes = stripped; // CRLF feeds parse like LF ones
-        }
-        *lineno += 1;
-        let line = std::str::from_utf8(line_bytes)
-            .map_err(|_| TraceError(format!("line {lineno}: invalid UTF-8")))?;
-        let had_header = parser.saw_header_row;
-        parser.line(*lineno, line, flows)?;
-        if parser.saw_header_row && !had_header {
-            *header_end = *fed - rest.len() as u64;
-        }
-    }
-    *carry = rest.to_vec();
-    Ok(())
 }
 
 /// Replays a [`DemandTrace`], optionally transformed.
@@ -1109,6 +962,33 @@ mod tests {
             .to_string()
     }
 
+    /// What a reader reports after a refresh: ready ticks, completeness
+    /// and the store cut to its ready prefix.
+    fn report(tail: &mut TraceTail) -> Result<(usize, bool, DemandTrace), TraceError> {
+        let (ready, complete) = tail.refresh()?;
+        let mut trace = tail.trace().clone();
+        trace.flows.truncate(ready);
+        Ok((ready, complete, trace))
+    }
+
+    /// What [`TailSource::open`](crate::tail::TailSource::open) reports
+    /// for a file holding exactly `bytes`.
+    fn one_shot(bytes: &[u8]) -> Result<(usize, bool, DemandTrace), TraceError> {
+        TraceTail::open(bytes).and_then(|mut tail| report(&mut tail))
+    }
+
+    /// Opens a fresh temp file holding `csv` through the public tail
+    /// entry point.
+    fn tail_source(csv: &str) -> Result<crate::tail::TailSource, TraceError> {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join("pamdc-trace-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("{}-{n}.csv", std::process::id()));
+        std::fs::write(&path, csv).expect("write feed");
+        crate::tail::TailSource::open(&path)
+    }
+
     #[test]
     fn torn_final_row_errors_name_the_partial_tick() {
         // Strict parsing of a file caught mid-append must say *which*
@@ -1117,40 +997,44 @@ mod tests {
         let err = DemandTrace::parse_csv(&torn_csv()).expect_err("torn row");
         assert!(err.0.contains("tick 2"), "names the partial tick: {err}");
         assert!(err.0.contains("mid-row"), "names the cause: {err}");
+        assert!(err.0.contains("pamdc replay"), "names the recovery: {err}");
     }
 
     #[test]
     fn tail_parse_withholds_the_partial_tick() {
-        let parsed = DemandTrace::parse_csv_tail(&torn_csv()).expect("tail parse");
-        assert_eq!(parsed.partial_tick, Some(2), "tick 2 caught mid-write");
-        assert!(!parsed.is_complete);
-        assert_eq!(parsed.trace.tick_count(), 2, "ticks 0-1 are whole");
-        assert_eq!(parsed.complete_ticks(), 2);
-        assert_eq!(parsed.trace.flows[1][0][0].rps, 11.0);
-        // Once the writer finishes the row, a re-read yields tick 2.
-        let healed = format!("{},1,2,3\n", torn_csv());
-        let parsed = DemandTrace::parse_csv_tail(&healed).expect("healed");
-        assert_eq!(parsed.partial_tick, None);
-        assert_eq!(parsed.trace.tick_count(), 3);
-        // ...but tick 2 may still be growing, so it is not complete yet.
-        assert_eq!(parsed.complete_ticks(), 2);
-        assert!(!parsed.is_complete);
+        let mut tail = TraceTail::open(torn_csv().as_bytes()).expect("open");
+        assert_eq!(
+            tail.refresh().expect("refresh"),
+            (2, false),
+            "tick 2 caught mid-write"
+        );
+        assert_eq!(tail.carry, b"2,0,1,12", "the torn row waits as raw bytes");
+        assert_eq!(tail.trace().tick_count(), 2, "ticks 0-1 are whole");
+        assert_eq!(tail.trace().flows[1][0][0].rps, 11.0);
+        // Once the writer finishes the row, the store holds tick 2...
+        tail.feed(b",1,2,3\n").expect("heal");
+        assert!(tail.carry.is_empty(), "no torn row left");
+        assert_eq!(tail.trace().tick_count(), 3);
+        // ...but tick 2 may still be growing, so it is not ready yet.
+        assert_eq!(tail.refresh().expect("refresh"), (2, false));
         // A terminated `# end` marker finishes the feed.
-        let ended = format!("{}# end\n", healed);
-        let parsed = DemandTrace::parse_csv_tail(&ended).expect("ended");
-        assert!(parsed.is_complete);
-        assert_eq!(parsed.complete_ticks(), 3);
+        tail.feed(b"# end\n").expect("end");
+        assert_eq!(tail.refresh().expect("refresh"), (3, true));
     }
 
     #[test]
     fn tail_parse_distrusts_a_commaless_torn_tick_field() {
         // `...\n12` could be tick 12 — or tick 120 half-written. The
-        // parser must fall back to "the highest tick seen may still be
+        // reader must fall back to "the highest tick seen may still be
         // growing" instead of trusting the bare number.
         let torn = format!("{},1,2,3\n12", torn_csv());
-        let parsed = DemandTrace::parse_csv_tail(&torn).expect("tail parse");
-        assert_eq!(parsed.partial_tick, Some(2));
-        assert_eq!(parsed.trace.tick_count(), 2);
+        let mut tail = TraceTail::open(torn.as_bytes()).expect("open");
+        assert_eq!(tail.refresh().expect("refresh"), (2, false));
+        assert_eq!(
+            tail.trace().tick_count(),
+            3,
+            "tick 2's rows wait behind ready"
+        );
     }
 
     #[test]
@@ -1158,11 +1042,10 @@ mod tests {
         // Recorded traces declare `# ticks`; tailing one sees the whole
         // thing — including trailing zero-demand ticks — as complete.
         let t = short_trace(5);
-        let parsed = DemandTrace::parse_csv_tail(&t.to_csv()).expect("tail parse");
-        assert!(parsed.is_complete);
-        assert_eq!(parsed.partial_tick, None);
-        assert_eq!(parsed.complete_ticks(), 120);
-        assert_eq!(parsed.trace, t);
+        let (ready, complete, trace) = one_shot(t.to_csv().as_bytes()).expect("tail read");
+        assert!(complete);
+        assert_eq!(ready, 120);
+        assert_eq!(trace, t);
     }
 
     #[test]
@@ -1170,11 +1053,10 @@ mod tests {
         // The torn row names tick 5: ticks 3-4 emitted no rows (zero
         // demand) but the writer provably moved past them.
         let torn = format!("{},1,2,3\n5,0", torn_csv());
-        let parsed = DemandTrace::parse_csv_tail(&torn).expect("tail parse");
-        assert_eq!(parsed.partial_tick, Some(5));
-        assert_eq!(parsed.trace.tick_count(), 5);
-        assert!(parsed.trace.flows[3][0].is_empty());
-        assert_eq!(parsed.complete_ticks(), 5);
+        let (ready, complete, trace) = one_shot(torn.as_bytes()).expect("tail read");
+        assert_eq!((ready, complete), (5, false));
+        assert_eq!(trace.tick_count(), 5);
+        assert!(trace.flows[3][0].is_empty());
     }
 
     /// A trace with one good row at tick 0, then `row` as its last line.
@@ -1186,18 +1068,21 @@ mod tests {
         )
     }
 
-    /// Every parser — strict, tail-tolerant and the incremental tail
-    /// reader `pamdc serve` feeds — rejects `csv` with an error on its
-    /// last line that mentions `what`.
+    /// Both public ways into the reader — the strict `parse_csv` and a
+    /// `TailSource` opened on the file — reject `csv`.
+    fn rejections(csv: &str) -> [TraceError; 2] {
+        [
+            DemandTrace::parse_csv(csv).map(|_| ()),
+            tail_source(csv).map(|_| ()),
+        ]
+        .map(|r| r.expect_err("must be rejected"))
+    }
+
+    /// Both public entry points reject `csv` with an error on its last
+    /// line that mentions `what`.
     fn assert_rejected(csv: &str, what: &str) {
         let line = format!("line {}: ", csv.lines().count());
-        let errors = [
-            DemandTrace::parse_csv(csv).map(|_| ()),
-            DemandTrace::parse_csv_tail(csv).map(|_| ()),
-            TraceTail::open(csv.as_bytes()).map(|_| ()),
-        ];
-        for e in errors {
-            let e = e.expect_err("must be rejected");
+        for e in rejections(csv) {
             assert!(e.0.contains(&line) && e.0.contains(what), "{e}");
         }
     }
@@ -1244,14 +1129,8 @@ mod tests {
         let huge = "# ticks = 99999999999\n";
         assert_rejected(&ending_in(huge, "50000000000,0,1,1,1,1,1"), "jumps");
         // ...nor may it pad that far past the rows itself.
-        let padded = ending_in(huge, "1,0,1,1,1,1,1");
         let what = "'# ticks = 99999999999' declares more than 10080 rowless ticks";
-        for err in [
-            DemandTrace::parse_csv(&padded).map(|_| ()),
-            DemandTrace::parse_csv_tail(&padded).map(|_| ()),
-            TraceTail::open(padded.as_bytes()).and_then(|mut t| t.refresh().map(|_| ())),
-        ] {
-            let err = err.expect_err("must be rejected");
+        for err in rejections(&ending_in(huge, "1,0,1,1,1,1,1")) {
             assert!(err.0.contains(what), "{err}");
         }
     }
@@ -1266,9 +1145,10 @@ mod tests {
         let edge = format!("{},0,1,1,1,1,1", 1 + MAX_TICK_GAP);
         let parsed = DemandTrace::parse_csv(&ending_in("", &edge)).expect("at the limit");
         assert_eq!(parsed.tick_count(), 2 + MAX_TICK_GAP);
-        // A torn row naming the tick is held to the same bound.
+        // A torn row naming the tick is held to the same bound, whether
+        // it is on disk at open or arrives with a later feed.
         let torn = ending_in("", "").trim_end().to_string() + "\n99999999999,0";
-        let err = DemandTrace::parse_csv_tail(&torn).expect_err("torn tail");
+        let err = tail_source(&torn).expect_err("torn tail");
         assert!(err.0.contains("line 6: tick 99999999999 jumps"), "{err}");
         let mut tail = TraceTail::open(ending_in("", "").trim_end().as_bytes()).expect("open");
         tail.feed(b"\n99999999999,0").expect("feed");
@@ -1287,5 +1167,119 @@ mod tests {
                           tick,service,region,rps,kb_in_per_req,kb_out_per_req,cpu_ms_per_req\n\
                           0,0,5,1.0,1.0,1.0,1.0\n";
         assert!(DemandTrace::parse_csv(bad_region).is_err());
+    }
+
+    /// A TailSource's life over `bytes` growing through `cuts`: open
+    /// retried until the header block reads, then one feed per cut.
+    /// Each cut reports what a one-shot read of the same prefix
+    /// reports; the first error after open ends the feed.
+    fn assert_chunked_reads_match_one_shot(bytes: &[u8], cuts: &[usize]) {
+        let mut live: Option<TraceTail> = None;
+        for &cut in cuts {
+            let was_live = live.is_some();
+            let chunked = match live.take() {
+                None => TraceTail::open(&bytes[..cut]).and_then(|mut tail| {
+                    let r = report(&mut tail)?;
+                    live = Some(tail);
+                    Ok(r)
+                }),
+                Some(mut tail) => {
+                    let from = tail.fed_bytes() as usize;
+                    let r = tail
+                        .feed(&bytes[from..cut])
+                        .and_then(|()| report(&mut tail));
+                    live = Some(tail);
+                    r
+                }
+            };
+            assert_eq!(chunked, one_shot(&bytes[..cut]), "at byte {cut}");
+            if was_live && chunked.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Feeding `text` in the chunks `cuts` delimit, then finishing,
+    /// equals the strict one-shot [`DemandTrace::parse_csv`].
+    fn assert_chunked_finish_matches_parse_csv(text: &str, cuts: &[usize]) {
+        let mut tail = TraceTail::new();
+        let mut from = 0;
+        let chunked = cuts
+            .iter()
+            .try_for_each(|&cut| {
+                let r = tail.feed(&text.as_bytes()[from..cut]);
+                from = cut;
+                r
+            })
+            .and_then(|()| tail.finish());
+        assert_eq!(chunked, DemandTrace::parse_csv(text));
+    }
+
+    /// Bytes a fuzz edit writes: mostly the ones the grammar turns on,
+    /// plus a stray UTF-8 lead byte and an invalid one.
+    const EDIT_BYTES: &[u8] = b"0123456789,.-#\n\r e=\xc3\xff";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one reader over a recorded trace — kept as recorded,
+        /// stripped of `# ticks` like a live feed, or closed with
+        /// `# end`, then corrupted by up to three random byte edits and
+        /// cut at random points — reports at every cut what a one-shot
+        /// read of the same bytes reports (same `Ok`/`Err` and message,
+        /// ready ticks, completeness, ready prefix), finishes to what
+        /// `parse_csv` returns, and never panics. The shim does not
+        /// shrink, so a failure prints the case's inputs and bytes.
+        #[test]
+        fn chunked_feeds_match_one_shot_reads(
+            seed in 0u64..1_000,
+            layout in 0u8..3,
+            edits in proptest::collection::vec((0.0f64..1.0, 0u8..3, 0usize..EDIT_BYTES.len()), 0..4),
+            cut_points in proptest::collection::vec(0.0f64..1.0, 1..8),
+        ) {
+            let w = libcn::multi_dc(2, 90.0, seed);
+            let recorded =
+                DemandTrace::record(&w, SimDuration::from_mins(8), SimDuration::from_mins(1))
+                    .to_csv();
+            let mut bytes: Vec<u8> = match layout {
+                0 => recorded,
+                _ => recorded
+                    .lines()
+                    .filter(|l| !l.starts_with("# ticks"))
+                    .map(|l| format!("{l}\n"))
+                    .chain((layout == 2).then(|| "# end\n".to_string()))
+                    .collect(),
+            }
+            .into_bytes();
+            for &(at, op, byte) in &edits {
+                let at = (at * bytes.len() as f64) as usize;
+                match op {
+                    0 if at < bytes.len() => bytes[at] = EDIT_BYTES[byte],
+                    1 => bytes.insert(at, EDIT_BYTES[byte]),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let mut cuts: Vec<usize> = cut_points
+                .iter()
+                .map(|&c| (c * bytes.len() as f64) as usize)
+                .chain([bytes.len()])
+                .collect();
+            cuts.sort_unstable();
+            let case = std::panic::catch_unwind(|| {
+                assert_chunked_reads_match_one_shot(&bytes, &cuts);
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    assert_chunked_finish_matches_parse_csv(text, &cuts);
+                }
+            });
+            if case.is_err() {
+                panic!(
+                    "seed {seed}, layout {layout}, edits {edits:?}, cuts {cuts:?}, bytes:\n{}",
+                    String::from_utf8_lossy(&bytes)
+                );
+            }
+        }
     }
 }
