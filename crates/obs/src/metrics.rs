@@ -310,7 +310,10 @@ impl Collector {
 
     pub(crate) fn record_span(&self, path: String, elapsed_ns: u64) {
         let mut spans = self.spans.lock().expect("span map poisoned");
-        let stat = spans.entry(path).or_default();
+        let stat = match spans.get_mut(path.as_str()) {
+            Some(stat) => stat,
+            None => spans.entry(path).or_default(),
+        };
         stat.count += 1;
         stat.total_ns += elapsed_ns;
     }

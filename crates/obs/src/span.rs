@@ -3,9 +3,12 @@
 //! A span is a named interval: `let _s = obs::span!("plan");` opens it,
 //! dropping the guard closes it, and nesting is positional — the span's
 //! full path is the slash-join of every open span on the thread
-//! (`tick/plan/hier/intra/dc3`). Stats accumulate per path in the
-//! installed [`Collector`](crate::Collector) and are drained per tick
-//! by the simulation loop into the JSONL trace.
+//! (`tick/plan/hier/intra/dc3`). Each stack frame holds its span's full
+//! path, built once on entry from the parent frame's, so closing a span
+//! moves its path into the collector without re-joining the stack.
+//! Stats accumulate per path in the installed
+//! [`Collector`](crate::Collector) and are drained per tick by the
+//! simulation loop into the JSONL trace.
 //!
 //! **Replay safety:** guards are complete no-ops unless the installed
 //! collector has timing enabled (only traced runs do), so wall-clock is
@@ -22,8 +25,8 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 thread_local! {
-    // Open span names, innermost last. Workers spawned while tracing
-    // seed element 0 with the spawning thread's joined path (see
+    // Full paths of the open spans, innermost last. Workers spawned
+    // while tracing seed element 0 with the spawning thread's path (see
     // `seed_prefix`), so worker-side paths nest under the spawn site.
     static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
@@ -41,7 +44,7 @@ pub fn enter(name: &'static str) -> SpanGuard {
         return SpanGuard { open: None };
     }
     let start = Instant::now();
-    enter_owned(name.to_string(), start)
+    open(name, start)
 }
 
 /// Opens a span with a lazily formatted name (per-DC shards and other
@@ -51,17 +54,28 @@ pub fn enter_dyn(f: impl FnOnce() -> String) -> SpanGuard {
         return SpanGuard { open: None };
     }
     let start = Instant::now();
-    enter_owned(f(), start)
+    open(&f(), start)
 }
 
-fn enter_owned(name: String, start: Instant) -> SpanGuard {
+/// Pushes the frame of span `name`: its parent's path plus `name`.
+fn open(name: &str, start: Instant) -> SpanGuard {
     debug_assert!(
         !name.contains('/'),
         "span names are path segments; '/' is the separator: {name:?}"
     );
     let depth = STACK.with(|s| {
         let mut s = s.borrow_mut();
-        s.push(name);
+        let path = match s.last() {
+            Some(parent) => {
+                let mut path = String::with_capacity(parent.len() + 1 + name.len());
+                path.push_str(parent);
+                path.push('/');
+                path.push_str(name);
+                path
+            }
+            None => name.to_string(),
+        };
+        s.push(path);
         s.len() - 1
     });
     SpanGuard {
@@ -69,20 +83,13 @@ fn enter_owned(name: String, start: Instant) -> SpanGuard {
     }
 }
 
-/// The joined path of currently open spans, if any — captured at
+/// The path of the innermost open span, if any — captured at
 /// `parallel_map` spawn time as the workers' prefix.
 pub fn current_path() -> Option<String> {
-    STACK.with(|s| {
-        let s = s.borrow();
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.join("/"))
-        }
-    })
+    STACK.with(|s| s.borrow().last().cloned())
 }
 
-/// Seeds this thread's stack with an already-joined prefix (worker
+/// Seeds this thread's stack with a spawn site's path (worker
 /// startup). `None` clears it.
 pub fn seed_prefix(prefix: Option<String>) {
     STACK.with(|s| {
@@ -97,10 +104,10 @@ pub fn seed_prefix(prefix: Option<String>) {
 /// Closes its span on drop. Obtain via [`crate::span!`], [`enter`] or
 /// [`enter_dyn`].
 ///
-/// A span's interval covers its own bookkeeping (naming, the stack push
-/// and the path join) but not the wait for the collector's span map, so
-/// a parent's time splits into its children's with little left between
-/// them.
+/// A span's interval covers its own bookkeeping (naming, building its
+/// path and the stack push) but not the wait for the collector's span
+/// map, so a parent's time splits into its children's with little left
+/// between them.
 pub struct SpanGuard {
     /// Stack depth and start time; `None` when timing is off.
     open: Option<(usize, Instant)>,
@@ -118,9 +125,8 @@ impl Drop for SpanGuard {
                 // (unbalanced drop order) — nothing left to close.
                 return None;
             }
-            let path = s[..=depth].join("/");
-            s.truncate(depth);
-            Some(path)
+            s.truncate(depth + 1);
+            s.pop()
         });
         // Read before the collector's span map is locked: the map is
         // shared with worker threads, and waiting for it is not the span's.

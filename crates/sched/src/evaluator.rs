@@ -19,12 +19,17 @@
 //!
 //! So a candidate move is scored by visiting the two affected hosts'
 //! residents — O(occupancy) instead of O(V·H) — and scoring allocates
-//! nothing. Committing a move updates the cached state in place the same
-//! way. The invariant, enforced by `debug_assert!` and by the
-//! `evaluator_equivalence` proptest suite: the tracked decomposition
-//! always matches what a fresh [`crate::profit::evaluate_schedule`] of
-//! the same assignment would produce, to within float-accumulation noise
-//! (≪ 1e-9 relative).
+//! nothing. The source half of that work does not depend on the
+//! destination: [`ScheduleEvaluator::leave`] prices it once per VM as a
+//! [`Departure`] (the co-residents' revenue change and the source
+//! host's energy change), and [`ScheduleEvaluator::move_gain`] adds the
+//! destination half to it. A departure reads only its VM's own host, so
+//! a caller may keep it until a move touches that host. Committing a
+//! move updates the cached state in place the same way. The invariant,
+//! enforced by `debug_assert!` and by the `evaluator_equivalence`
+//! proptest suite: the tracked decomposition always matches what a
+//! fresh [`crate::profit::evaluate_schedule`] of the same assignment
+//! would produce, to within float-accumulation noise (≪ 1e-9 relative).
 
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
@@ -244,24 +249,41 @@ impl<'a> ScheduleEvaluator<'a> {
             <= self.problem.hosts[to].capacity.mem_mb + EPS
     }
 
-    /// Profit change if `vi` were relocated to `to` (no state change,
-    /// no allocation). `to` must differ from the VM's current host.
-    pub fn move_gain(&self, vi: usize, to: usize) -> f64 {
+    /// The source-host half of relocating `vi`: how its current host's
+    /// co-residents' revenue and the host's energy bill change once it
+    /// leaves. It reads only that host, so it stays valid until a move
+    /// touches the host (no state change, no allocation).
+    pub fn leave(&self, vi: usize) -> Departure {
         let from = self.host_of[vi];
-        debug_assert_ne!(from, to, "move_gain requires an actual relocation");
-
         let (from_total, from_count) = self.host_totals_after(from, vi, Removed);
-        let (to_total, to_count) = self.host_totals_after(to, vi, Added);
-
-        // Revenue deltas for every VM whose host total changed.
-        let mut delta = 0.0;
+        let mut revenue = 0.0;
         for &w in &self.vms_on[from] {
             if w == vi {
                 continue;
             }
             let sla = self.vm_sla(w, from, &from_total);
-            delta += self.vm_revenue(sla, from) - self.revenue[w];
+            revenue += self.vm_revenue(sla, from) - self.revenue[w];
         }
+        let energy = self.host_energy(from, &from_total, from_count) - self.energy[from];
+        Departure { revenue, energy }
+    }
+
+    /// Profit change if `vi` were relocated to `to` (no state change,
+    /// no allocation), given its departure from [`Self::leave`]. `to`
+    /// must differ from the VM's current host. The terms accumulate in
+    /// one fixed order — departure revenue, destination residents, the
+    /// moved VM, its migration and network charges, source energy, then
+    /// destination energy — so a cached departure scores bit-identically
+    /// to a fresh one.
+    pub fn move_gain(&self, vi: usize, to: usize, departure: &Departure) -> f64 {
+        debug_assert_ne!(
+            self.host_of[vi], to,
+            "move_gain requires an actual relocation"
+        );
+        let (to_total, to_count) = self.host_totals_after(to, vi, Added);
+
+        // Revenue deltas for every VM whose host total changed.
+        let mut delta = departure.revenue;
         for &w in &self.vms_on[to] {
             let sla = self.vm_sla(w, to, &to_total);
             delta += self.vm_revenue(sla, to) - self.revenue[w];
@@ -274,7 +296,7 @@ impl<'a> ScheduleEvaluator<'a> {
         delta -= (mig - self.migration[vi]) + (net - self.network[vi]);
 
         // Source and destination energy.
-        delta -= self.host_energy(from, &from_total, from_count) - self.energy[from];
+        delta -= departure.energy;
         delta -= self.host_energy(to, &to_total, to_count) - self.energy[to];
         delta
     }
@@ -407,6 +429,24 @@ impl<'a> ScheduleEvaluator<'a> {
     }
 }
 
+/// The destination-independent half of a relocation's gain: see
+/// [`ScheduleEvaluator::leave`].
+#[derive(Clone, Copy, Debug)]
+pub struct Departure {
+    /// Co-residents' revenue change, summed from 0 in resident order.
+    revenue: f64,
+    /// Source host's energy change.
+    energy: f64,
+}
+
+impl Departure {
+    /// True when both terms carry identical bits.
+    pub(crate) fn same_bits(&self, other: &Departure) -> bool {
+        self.revenue.to_bits() == other.revenue.to_bits()
+            && self.energy.to_bits() == other.energy.to_bits()
+    }
+}
+
 /// Direction of a tentative single-VM adjustment on one host.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum MoveDir {
@@ -451,26 +491,47 @@ mod tests {
 
     #[test]
     fn move_gain_matches_full_reevaluation() {
-        let p = problem(4, 6, 150.0);
-        let o = TrueOracle::new();
+        // Every (VM, host) pair, scored from one departure per VM, under
+        // the true and the learned oracle. Destinations of every shape:
+        // plain empty hosts (3, 6), host 4 as VM 1's original host (no
+        // migration term there), host 5 holding fixed residents only and
+        // host 1 holding fixed residents beside round VMs. VM 2 is
+        // homeless.
+        let mut p = problem(5, 7, 150.0);
+        p.vms[1].current_pm = Some(PmId(4));
+        p.vms[1].current_location = Some(p.hosts[4].location);
+        p.vms[2].current_pm = None;
+        p.vms[2].current_location = None;
+        for hi in [1, 5] {
+            p.hosts[hi].fixed_demand = Resources::new(30.0, 256.0, 0.0, 0.0);
+            p.hosts[hi].fixed_vm_count = 2;
+            p.hosts[hi].powered_on = true;
+            p.hosts[hi].boot_penalty = SimDuration::ZERO;
+        }
         let s = Schedule {
-            assignment: vec![PmId(0), PmId(0), PmId(1), PmId(2)],
+            assignment: vec![PmId(0), PmId(0), PmId(1), PmId(1), PmId(2)],
         };
-        let inc = ScheduleEvaluator::new(&p, &o, &s);
-        let base = evaluate_schedule(&p, &o, &s).profit_eur;
-        for vi in 0..4 {
-            for hi in 0..6 {
-                if inc.host_of(vi) == hi {
-                    continue;
+        let ml = crate::oracle::MlOracle::new(crate::problem::synthetic::ml_suite());
+        let oracles: [&dyn QosOracle; 2] = [&TrueOracle::new(), &ml];
+        for o in oracles {
+            let inc = ScheduleEvaluator::new(&p, o, &s);
+            let base = evaluate_schedule(&p, o, &s).profit_eur;
+            for vi in 0..p.vms.len() {
+                let departure = inc.leave(vi);
+                for hi in 0..p.hosts.len() {
+                    if inc.host_of(vi) == hi {
+                        continue;
+                    }
+                    let mut moved = s.clone();
+                    moved.assignment[vi] = p.hosts[hi].id;
+                    let full_gain = evaluate_schedule(&p, o, &moved).profit_eur - base;
+                    let inc_gain = inc.move_gain(vi, hi, &departure);
+                    assert!(
+                        close(inc_gain, full_gain),
+                        "{}: vm {vi} -> host {hi}: incremental {inc_gain} vs full {full_gain}",
+                        o.name()
+                    );
                 }
-                let mut moved = s.clone();
-                moved.assignment[vi] = p.hosts[hi].id;
-                let full_gain = evaluate_schedule(&p, &o, &moved).profit_eur - base;
-                let inc_gain = inc.move_gain(vi, hi);
-                assert!(
-                    close(inc_gain, full_gain),
-                    "vm {vi} -> host {hi}: incremental {inc_gain} vs full {full_gain}"
-                );
             }
         }
     }
@@ -488,7 +549,7 @@ mod tests {
             if inc.host_of(vi) == hi {
                 continue;
             }
-            let predicted = inc.profit_eur() + inc.move_gain(vi, hi);
+            let predicted = inc.profit_eur() + inc.move_gain(vi, hi, &inc.leave(vi));
             inc.apply_move(vi, hi);
             assert!(close(inc.profit_eur(), predicted));
             let full = evaluate_schedule(&p, &o, &inc.schedule()).profit_eur;

@@ -21,7 +21,13 @@
 //! re-scores only (1) VMs resident on the two touched hosts (their
 //! cached revenue changed, so every gain of theirs is stale), (2) other
 //! VMs' candidates *toward* the touched hosts, and (3) VMs whose stored
-//! best aimed at a touched host. Per-VM rescans shortlist destinations
+//! best aimed at a touched host. Every score starts from the VM's cached
+//! [`Departure`] (the source-host half of its gain): the pass prices all
+//! departures once per round and, after each accepted move, re-prices
+//! only those of the two touched hosts' residents, before their rescans
+//! — a departure reads only its VM's own host, and a move changes only
+//! those two. Debug builds check every cached departure against a fresh
+//! one after each move. Per-VM rescans shortlist destinations
 //! through the bucketed [`crate::index::CandidateIndex`] instead of
 //! scanning all hosts: groups failing the (group-uniform) memory and
 //! headroom guards are skipped wholesale with one check, and empty
@@ -29,7 +35,7 @@
 //! full-rescan loop lives in [`crate::reference`], the oracle
 //! `tests/localsearch_equivalence.rs` holds this module to.
 
-use crate::evaluator::ScheduleEvaluator;
+use crate::evaluator::{Departure, ScheduleEvaluator};
 use crate::index::{CandidateIndex, IndexMode};
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
@@ -97,12 +103,16 @@ pub fn improve_schedule(
     let mut index = CandidateIndex::new(problem, eval.raw_demands(), eval.counts(), mode);
     let mut stats = IncStats::default();
 
+    // departures[vi] = the source half of every move of `vi`, priced
+    // once here and refreshed only when a move touches the VM's host.
+    let mut departures: Vec<Departure> = (0..n_vms).map(|vi| eval.leave(vi)).collect();
+
     // best[vi] = the VM's best qualifying move (destination, gain):
     // passes the memory and headroom guards, clears the gain threshold,
     // ties broken toward the lowest host index — exactly the candidate
     // the reference scan would keep for that VM.
     let mut best: Vec<Option<(usize, f64)>> = (0..n_vms)
-        .map(|vi| rescan_vm(problem, &eval, &index, cfg, vi, &mut stats))
+        .map(|vi| rescan_vm(problem, &eval, &index, cfg, vi, &departures[vi], &mut stats))
         .collect();
 
     let mut moves = 0usize;
@@ -126,12 +136,23 @@ pub fn improve_schedule(
         stats.index_updates += 2;
 
         // (1) VMs now resident on the touched hosts (including the moved
-        // one): their cached revenue changed, so all their gains are
-        // stale — rebuild their shortlists.
+        // one): their cached revenue changed, so their departures and all
+        // their gains are stale — re-price the departures, then rebuild
+        // their shortlists. No other departure reads a touched host.
         let mut touched: Vec<usize> = eval.residents(from).to_vec();
         touched.extend_from_slice(eval.residents(to));
         for &w in &touched {
-            best[w] = rescan_vm(problem, &eval, &index, cfg, w, &mut stats);
+            departures[w] = eval.leave(w);
+        }
+        debug_assert!(
+            departures
+                .iter()
+                .enumerate()
+                .all(|(w, d)| d.same_bits(&eval.leave(w))),
+            "a cached departure went stale"
+        );
+        for &w in &touched {
+            best[w] = rescan_vm(problem, &eval, &index, cfg, w, &departures[w], &mut stats);
         }
 
         // (2) Every other VM: only its candidates *toward* the touched
@@ -147,13 +168,15 @@ pub fn improve_schedule(
             }
             if let Some((bh, _)) = *slot {
                 if bh == from || bh == to {
-                    *slot = rescan_vm(problem, &eval, &index, cfg, w, &mut stats);
+                    *slot = rescan_vm(problem, &eval, &index, cfg, w, &departures[w], &mut stats);
                     continue;
                 }
             }
             for h in [from, to] {
                 if h != wh {
-                    if let Some(g) = qualified_gain(problem, &eval, cfg, w, h, &mut stats) {
+                    if let Some(g) =
+                        qualified_gain(problem, &eval, cfg, w, h, &departures[w], &mut stats)
+                    {
                         merge(slot, h, g);
                     }
                 }
@@ -205,6 +228,7 @@ fn qualified_gain(
     cfg: &LocalSearchConfig,
     vi: usize,
     hi: usize,
+    departure: &Departure,
     stats: &mut IncStats,
 ) -> Option<f64> {
     if !eval.move_fits_memory(vi, hi) {
@@ -217,7 +241,7 @@ fn qualified_gain(
     if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
         return None;
     }
-    gain_only(eval, cfg, vi, hi, stats)
+    gain_only(eval, cfg, vi, hi, departure, stats)
 }
 
 /// The gain threshold alone — for destinations whose guards were already
@@ -227,10 +251,11 @@ fn gain_only(
     cfg: &LocalSearchConfig,
     vi: usize,
     hi: usize,
+    departure: &Departure,
     stats: &mut IncStats,
 ) -> Option<f64> {
     stats.rescored += 1;
-    let gain = eval.move_gain(vi, hi);
+    let gain = eval.move_gain(vi, hi, departure);
     if gain > cfg.min_gain_eur {
         stats.cleared += 1;
         Some(gain)
@@ -250,6 +275,7 @@ fn rescan_vm(
     index: &CandidateIndex,
     cfg: &LocalSearchConfig,
     vi: usize,
+    departure: &Departure,
     stats: &mut IncStats,
 ) -> Option<(usize, f64)> {
     stats.vm_rescans += 1;
@@ -294,13 +320,13 @@ fn rescan_vm(
                     // except the VM's original host (no migration term).
                     // `from` holds the VM, so it is never in this group.
                     if let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != orig) {
-                        if let Some(g) = gain_only(eval, cfg, vi, rep, stats) {
+                        if let Some(g) = gain_only(eval, cfg, vi, rep, departure, stats) {
                             merge(&mut best, rep, g);
                         }
                     }
                     if let Some(oh) = orig {
                         if members.binary_search(&oh).is_ok() {
-                            if let Some(g) = gain_only(eval, cfg, vi, oh, stats) {
+                            if let Some(g) = gain_only(eval, cfg, vi, oh, departure, stats) {
                                 merge(&mut best, oh, g);
                             }
                         }
@@ -313,7 +339,7 @@ fn rescan_vm(
                         if hi == from {
                             continue;
                         }
-                        if let Some(g) = gain_only(eval, cfg, vi, hi, stats) {
+                        if let Some(g) = gain_only(eval, cfg, vi, hi, departure, stats) {
                             merge(&mut best, hi, g);
                         }
                     }
@@ -324,7 +350,7 @@ fn rescan_vm(
                 // guards, bounded to the first `top_k` members.
                 stats.near_groups += 1;
                 for &hi in members.iter().filter(|&&hi| hi != from).take(top_k) {
-                    if let Some(g) = qualified_gain(problem, eval, cfg, vi, hi, stats) {
+                    if let Some(g) = qualified_gain(problem, eval, cfg, vi, hi, departure, stats) {
                         merge(&mut best, hi, g);
                     }
                 }

@@ -163,7 +163,7 @@ pub fn improve_schedule_reference(
                 if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
                     continue;
                 }
-                let gain = eval.move_gain(vi, hi);
+                let gain = eval.move_gain(vi, hi, &eval.leave(vi));
                 if gain > cfg.min_gain_eur {
                     cleared += 1;
                     if best.as_ref().is_none_or(|&(_, _, bg)| gain > bg) {

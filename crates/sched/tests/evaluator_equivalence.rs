@@ -50,7 +50,7 @@ fn check_move_sequence(
             continue;
         }
         // The scored gain must predict the committed state exactly.
-        let predicted = inc.profit_eur() + inc.move_gain(vi, hi);
+        let predicted = inc.profit_eur() + inc.move_gain(vi, hi, &inc.leave(vi));
         inc.apply_move(vi, hi);
         assert_close(inc.profit_eur(), predicted, "gain vs applied profit");
 

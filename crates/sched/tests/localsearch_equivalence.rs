@@ -6,8 +6,11 @@
 //! reference steepest ascent move for move on any fleet: mixed machine
 //! classes, memory-constrained profiles, scattered and homeless
 //! residency, loose and tight headroom caps (including caps above 1.0,
-//! which disable the bucket range prefilter), and long move sequences —
-//! each under every production oracle. The near-equivalence index is
+//! which disable the bucket range prefilter), occupied destinations
+//! below the cap (scored member by member), binding move caps and long
+//! move sequences — each under every production oracle. The shim does
+//! not shrink, so `assert_bit_identical` puts each case's seed and
+//! sizes in its failure messages. The near-equivalence index is
 //! exercised at `top_k = usize::MAX`, where its shortlist provably
 //! covers every candidate and the answer must still be exact.
 
@@ -17,11 +20,14 @@ use pamdc_infra::ids::PmId;
 use pamdc_infra::pm::MachineSpec;
 use pamdc_perf::demand::{required_resources, VmPerfProfile};
 use pamdc_sched::bestfit::best_fit;
+use pamdc_sched::evaluator::ScheduleEvaluator;
 use pamdc_sched::index::IndexMode;
 use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
+use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
 use pamdc_sched::profit::evaluate_schedule;
 use pamdc_sched::reference::{best_fit_full_scan, improve_schedule_reference};
+use pamdc_simcore::rng::RngStream;
 use proptest::prelude::*;
 
 const UNBOUNDED_NEAR: IndexMode = IndexMode::Near { top_k: usize::MAX };
@@ -76,14 +82,102 @@ fn spread_start(p: &Problem) -> Schedule {
     }
 }
 
-fn assert_bit_identical(p: &Problem, cfg: &LocalSearchConfig, start: Schedule) {
+/// An all-Xeon fleet of light VMs packed about three deep onto a
+/// seed-shuffled third of its hosts, so occupied hosts sit around a
+/// quarter to a third of dominant share — below the default headroom
+/// cap, where the incremental path scores occupied destinations member
+/// by member. The seed also picks each VM's original host (some
+/// homeless) and which hosts start powered.
+fn below_cap_fleet(vms: usize, hosts: usize, rps: f64, seed: u64) -> (Problem, Schedule) {
+    let mut rng = RngStream::root(seed);
+    let mut p = synthetic::problem(vms, hosts, rps);
+    let xeon = MachineSpec::xeon();
+    for host in &mut p.hosts {
+        host.capacity = xeon.capacity;
+        host.power = xeon.power.clone();
+        host.virt_overhead_cpu_per_vm = xeon.virt_overhead_cpu_per_vm;
+        if rng.chance(0.3) {
+            host.powered_on = true;
+            host.boot_penalty = pamdc_simcore::time::SimDuration::ZERO;
+        }
+    }
+    for vm in &mut p.vms {
+        if rng.chance(0.2) {
+            vm.current_pm = None;
+            vm.current_location = None;
+        } else {
+            let hi = rng.index(hosts);
+            vm.current_pm = Some(PmId::from_index(hi));
+            vm.current_location = Some(p.hosts[hi].location);
+        }
+    }
+    let mut order: Vec<usize> = (0..hosts).collect();
+    rng.shuffle(&mut order);
+    let occupied = &order[..vms.div_ceil(3).min(hosts)];
+    let start = Schedule {
+        assignment: (0..vms)
+            .map(|vi| PmId::from_index(occupied[vi % occupied.len()]))
+            .collect(),
+    };
+    (p, start)
+}
+
+/// Number of (VM, occupied destination) pairs in `start` that pass the
+/// memory and headroom guards under the true oracle — the candidates
+/// the member-by-member path scores.
+fn occupied_candidates(p: &Problem, cfg: &LocalSearchConfig, start: &Schedule) -> usize {
+    let o = TrueOracle::new();
+    let eval = ScheduleEvaluator::new(p, &o, start);
+    let mut occupied: Vec<usize> = (0..p.vms.len()).map(|vi| eval.host_of(vi)).collect();
+    occupied.sort_unstable();
+    occupied.dedup();
+    let mut pairs = 0;
+    for vi in 0..p.vms.len() {
+        for &hi in &occupied {
+            if hi == eval.host_of(vi) || !eval.move_fits_memory(vi, hi) {
+                continue;
+            }
+            let host = &p.hosts[hi];
+            let mut after = eval.host_total(hi);
+            after += *eval.demand(vi);
+            after.cpu += host.virt_overhead_cpu_per_vm;
+            if after.dominant_share(&host.capacity) <= cfg.max_util_after_move {
+                pairs += 1;
+            }
+        }
+    }
+    pairs
+}
+
+/// Runs the reference and the exact incremental search under every
+/// oracle, asserts they agree and returns the reference's move counts
+/// (one per oracle). `case` names the seed and sizes for the message.
+fn assert_bit_identical(
+    p: &Problem,
+    cfg: &LocalSearchConfig,
+    start: Schedule,
+    case: &str,
+) -> Vec<usize> {
+    let mut moves = Vec::new();
     for o in common::oracles() {
         let o = o.as_ref();
         let (ref_sched, ref_moves) = improve_schedule_reference(p, o, start.clone(), cfg);
         let (inc_sched, inc_moves) = improve_schedule(p, o, start.clone(), cfg, IndexMode::Exact);
-        assert_eq!(ref_moves, inc_moves, "{}: move counts diverged", o.name());
-        assert_eq!(ref_sched, inc_sched, "{}: schedules diverged", o.name());
+        assert_eq!(
+            ref_moves,
+            inc_moves,
+            "{}: move counts diverged ({case})",
+            o.name()
+        );
+        assert_eq!(
+            ref_sched,
+            inc_sched,
+            "{}: schedules diverged ({case})",
+            o.name()
+        );
+        moves.push(ref_moves);
     }
+    moves
 }
 
 proptest! {
@@ -101,7 +195,49 @@ proptest! {
         let p = mixed_fleet(vms, hosts, rps, mem_heavy_bit == 1);
         let cfg = LocalSearchConfig { max_moves, ..Default::default() };
         let start = spread_start(&p);
-        assert_bit_identical(&p, &cfg, start);
+        let case = format!("vms {vms}, hosts {hosts}, rps {rps}, mem_heavy {mem_heavy_bit}");
+        assert_bit_identical(&p, &cfg, start, &case);
+    }
+
+    /// Occupied destinations below the headroom cap: the path the
+    /// hierarchical scheduler's fleets take, where each occupied host
+    /// passes the group guards and is scored member by member.
+    #[test]
+    fn incremental_matches_reference_below_the_cap(
+        vms in 6usize..30,
+        hosts in 6usize..40,
+        rps in 20.0f64..110.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (p, start) = below_cap_fleet(vms, hosts, rps, seed);
+        let cfg = LocalSearchConfig { max_moves: 24, ..Default::default() };
+        let case = format!("seed {seed}, vms {vms}, hosts {hosts}, rps {rps}");
+        prop_assert!(
+            occupied_candidates(&p, &cfg, &start) > 0,
+            "no occupied destination sits below the cap ({case})"
+        );
+        assert_bit_identical(&p, &cfg, start, &case);
+    }
+
+    /// Binding move caps: the search stops with improving moves left,
+    /// so the per-VM bests and cached departures must be exact after
+    /// every one of the few moves it makes.
+    #[test]
+    fn incremental_matches_reference_when_max_moves_binds(
+        vms in 8usize..30,
+        hosts in 8usize..40,
+        rps in 10.0f64..60.0,
+        max_moves in 1usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (p, _) = below_cap_fleet(vms, hosts, rps, seed);
+        let cfg = LocalSearchConfig { max_moves, ..Default::default() };
+        let case = format!("seed {seed}, vms {vms}, hosts {hosts}, rps {rps}, max_moves {max_moves}");
+        let moves = assert_bit_identical(&p, &cfg, spread_start(&p), &case);
+        prop_assert!(
+            moves.iter().all(|&m| m == max_moves),
+            "the cap must bind under every oracle: {moves:?} ({case})"
+        );
     }
 
     /// Memory-constrained fleets under a relaxed (>1.0) headroom cap:
@@ -122,7 +258,8 @@ proptest! {
             ..Default::default()
         };
         let start = spread_start(&p);
-        assert_bit_identical(&p, &cfg, start);
+        let case = format!("vms {vms}, hosts {hosts}, rps {rps}, max_util {max_util}");
+        assert_bit_identical(&p, &cfg, start, &case);
     }
 
     /// Long move sequences: a high move cap forces the search to run to

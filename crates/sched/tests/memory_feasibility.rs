@@ -134,7 +134,7 @@ proptest! {
             if inc.host_of(vi) == hi {
                 continue;
             }
-            let predicted = inc.profit_eur() + inc.move_gain(vi, hi);
+            let predicted = inc.profit_eur() + inc.move_gain(vi, hi, &inc.leave(vi));
             inc.apply_move(vi, hi);
             assert_close(inc.profit_eur(), predicted, "gain vs applied profit");
             let full = evaluate_schedule(&p, &o, &inc.schedule());
