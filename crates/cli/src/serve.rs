@@ -404,4 +404,155 @@ mod tests {
         assert_eq!(recorded_fidelity(5, &d, &t), RoundFidelity::Trimmed);
         assert_eq!(recorded_fidelity(7, &d, &t), RoundFidelity::Full);
     }
+
+    use pamdc_scenario::registry;
+    use pamdc_simcore::time::SimDuration;
+
+    /// A fresh directory for one test's files.
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pamdc-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        dir
+    }
+
+    fn resilience() -> ScenarioSpec {
+        registry::find("resilience").expect("builtin").spec
+    }
+
+    /// The resilience world at 40 VMs on 16 hosts: rounds slow enough
+    /// that a 1 ms budget pushes some of them down the ladder.
+    fn busy() -> ScenarioSpec {
+        let mut spec = resilience();
+        spec.workload.vms = 40;
+        spec.topology.pms_per_dc = 16;
+        spec
+    }
+
+    /// An hour of the resilience world's demand written as a closed
+    /// live feed (no `# ticks` header, ended by `# end`), plus the trace.
+    fn finished_feed(dir: &Path, spec: &ScenarioSpec) -> (PathBuf, DemandTrace) {
+        let world = build::build_scenario(spec, Path::new(".")).expect("world");
+        let tick = SimDuration::from_secs(spec.run.tick_secs);
+        let trace = DemandTrace::record(&world.workload, SimDuration::from_hours(1), tick);
+        let mut csv: String = trace
+            .to_csv()
+            .lines()
+            .filter(|l| !l.starts_with("# ticks"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        csv.push_str("# end\n");
+        let path = dir.join("feed.csv");
+        std::fs::write(&path, csv).expect("feed");
+        (path, trace)
+    }
+
+    fn serve(
+        spec: &ScenarioSpec,
+        feed: &Path,
+        session: &Path,
+        max_ticks: Option<u64>,
+        budget_ms: u64,
+    ) -> SpecReport {
+        let cfg = ServeConfig {
+            feed: feed.to_path_buf(),
+            session: session.to_path_buf(),
+            max_ticks,
+            poll_ms: 1,
+            budget_ms: Some(budget_ms),
+        };
+        cmd_serve(spec.clone(), &cfg).expect("serve")
+    }
+
+    fn replay(session: &Path) -> SpecReport {
+        cmd_replay_manifest(&session.join("session.json")).expect("replay --manifest")
+    }
+
+    /// Two reports of the same run: equal text and metrics bit for bit
+    /// (only the report name tells live from replayed).
+    fn assert_same_run(a: &SpecReport, b: &SpecReport) {
+        assert_eq!(a.text, b.text, "{} vs {}", a.name, b.name);
+        assert_eq!(a.metrics.len(), b.metrics.len());
+        for ((ka, va), (kb, vb)) in a.metrics.iter().zip(&b.metrics) {
+            assert_eq!(ka, kb);
+            assert_eq!(va.to_bits(), vb.to_bits(), "{ka}: {va} vs {vb}");
+        }
+    }
+
+    fn metric(report: &SpecReport, key: &str) -> f64 {
+        report
+            .metrics
+            .iter()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("metric {key} missing"))
+            .1
+    }
+
+    #[test]
+    fn a_finished_feed_served_in_one_leg_or_two_replays_bit_for_bit() {
+        // Budget 1 ms lets overrunning rounds land in the manifest's
+        // trimmed/degraded lists; which ones depends on the machine, so
+        // only live == replay is asserted there.
+        for (spec, budget_ms) in [(resilience(), 0), (busy(), 1)] {
+            let dir = test_dir(&format!("legs-{budget_ms}"));
+            let (feed, _) = finished_feed(&dir, &spec);
+
+            let two_legs = dir.join("two-legs");
+            let first = serve(&spec, &feed, &two_legs, Some(20), budget_ms);
+            assert_same_run(&first, &replay(&two_legs));
+            let restarted = serve(&spec, &feed, &two_legs, None, budget_ms);
+            assert_same_run(&restarted, &replay(&two_legs));
+            assert_eq!(metric(&restarted, "obs.sim.ticks"), 60.0);
+
+            let one_leg = dir.join("one-leg");
+            let straight = serve(&spec, &feed, &one_leg, None, budget_ms);
+            assert_same_run(&straight, &replay(&one_leg));
+            if budget_ms == 0 {
+                assert_same_run(&restarted, &straight);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn replaying_a_manifest_steps_each_tick_at_its_recorded_rung() {
+        let dir = test_dir("rungs");
+        let spec = resilience();
+        let (_, trace) = finished_feed(&dir, &spec);
+        std::fs::write(dir.join("spec.toml"), spec.emit()).expect("spec");
+        std::fs::write(dir.join("recorded.csv"), trace.to_csv()).expect("recording");
+        std::fs::write(
+            dir.join("session.json"),
+            "{\"v\":1,\"name\":\"resilience\",\"consumed\":60,\"tick_ms\":60000,\
+             \"degraded_ticks\":[19,39],\"trimmed_ticks\":[9,29,49]}\n",
+        )
+        .expect("manifest");
+        let replayed = replay(&dir);
+
+        let rung = |t: usize| match t {
+            19 | 39 => RoundFidelity::BestFitOnly,
+            9 | 29 | 49 => RoundFidelity::Trimmed,
+            _ => RoundFidelity::Full,
+        };
+        let scenario =
+            build::build_scenario_with_demand(&spec, TraceSource::new(trace.clone()).into())
+                .expect("world");
+        let policy = build::build_policy(&spec, None).expect("policy");
+        let run_cfg = build::run_config(&spec);
+        let tick = run_cfg.tick;
+        let mut controller = Controller::with(scenario, policy, run_cfg, None);
+        for (t, flows) in trace.flows.iter().enumerate() {
+            controller.step_with_fidelity(StepDemand::Flows(flows), rung(t));
+        }
+        let (outcome, _) = controller.finish(tick * trace.tick_count() as u64);
+        let stepped = SpecReport {
+            name: "stepped".into(),
+            text: render_outcome(&outcome),
+            metrics: outcome_metrics("", &outcome),
+        };
+        assert_same_run(&replayed, &stepped);
+        assert_eq!(metric(&replayed, "obs.serve.trimmed_rounds"), 3.0);
+        assert_eq!(metric(&replayed, "obs.serve.degraded_rounds"), 2.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
