@@ -27,10 +27,11 @@
 //! tick and degraded round, and `replay --manifest` re-executes the
 //! session bit-for-bit (docs/SERVE.md).
 
+use pamdc_core::simulation::RunOutcome;
 use pamdc_scenario::campaign::{self, Campaign};
 use pamdc_scenario::output::{reports_csv, reports_json};
 use pamdc_scenario::registry;
-use pamdc_scenario::runner::{run_spec, SpecReport};
+use pamdc_scenario::runner::{outcome_metrics, render_outcome, run_spec, SpecReport};
 use pamdc_scenario::spec::{ScenarioSpec, TraceReplaySpec};
 use pamdc_simcore::time::SimDuration;
 use pamdc_workload::tail::TailSource;
@@ -445,6 +446,16 @@ fn load_spec_in(arg: &str, base_dir: &Path) -> Result<(ScenarioSpec, PathBuf), S
     ))
 }
 
+/// The report of one controller-driven run (replay, serve, session
+/// replay): the generic summary table and its metrics.
+fn outcome_report(name: String, outcome: &RunOutcome) -> SpecReport {
+    SpecReport {
+        name,
+        text: render_outcome(outcome),
+        metrics: outcome_metrics("", outcome),
+    }
+}
+
 fn write_outputs(reports: &[SpecReport], opts: &Opts) -> Result<(), String> {
     if let Some(path) = &opts.csv {
         std::fs::write(path, reports_csv(reports))
@@ -702,7 +713,6 @@ fn cmd_replay(
             _ => return Err(format!("{}: {err}", trace_path.display())),
         },
     };
-    let services = trace.service_count();
     // Validate transforms up front: bad flags get an error message, not
     // a panic backtrace from the replayer's asserts.
     if !(rate_scale.is_finite() && rate_scale >= 0.0) {
@@ -722,43 +732,33 @@ fn cmd_replay(
     let source =
         pamdc_scenario::build::trace_source(trace, &replay, trace_path).map_err(|e| e.0)?;
 
-    let (mut spec, base) = match spec_arg {
-        Some(arg) => load_spec(arg)?,
-        None => (ScenarioSpec::default(), PathBuf::from(".")),
+    // The trace path is as given (cwd-relative), not spec-relative.
+    let mut spec = match spec_arg {
+        Some(arg) => load_spec(arg)?.0,
+        None => ScenarioSpec::default(),
     };
-    spec.workload.vms = services;
-    spec.workload.trace = None; // the world is built around the parsed source below
     if let Some(hours) = opts.hours {
         spec.run.hours = hours;
     }
-    let _ = base; // the trace path is as-given (cwd-relative), not spec-relative
-    let scenario = pamdc_scenario::build::build_scenario_with_demand(&spec, source.into())
-        .map_err(|e| e.to_string())?;
-    let suite = pamdc_scenario::build::trained_suite(&spec);
-    let policy = pamdc_scenario::build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
+    spec.profile.progress |= opts.progress;
     let trace_out = resolve_trace_out(opts, &spec);
     let tracing = install_trace(trace_out.as_ref())?;
-    let mut cfg = pamdc_scenario::build::run_config(&spec);
-    cfg.trace = tracing;
-    cfg.progress = cfg.progress || opts.progress;
-    let (mut outcome, _) = pamdc_core::engine::Controller::with(scenario, policy, cfg, None)
-        .run_for(SimDuration::from_hours(if opts.quick {
-            spec.run.hours.min(3)
-        } else {
-            spec.run.hours
-        }));
+    let controller =
+        pamdc_scenario::build::session(&mut spec, source.into()).map_err(|e| e.to_string())?;
+    let hours = if opts.quick {
+        spec.run.hours.min(3)
+    } else {
+        spec.run.hours
+    };
+    let (mut outcome, _) = controller.run_for(SimDuration::from_hours(hours));
     if tracing {
-        // This path drives the runner directly (no experiment pipeline),
-        // so it flushes the run's buffered lines itself.
+        // This path drives the controller directly (no experiment
+        // pipeline), so it flushes the run's buffered lines itself.
         pamdc_obs::trace::write_lines(&outcome.trace_lines);
         outcome.trace_lines.clear();
         finish_trace(trace_out.as_ref().expect("tracing implies a path"))?;
     }
-    let report = SpecReport {
-        name: format!("replay[{}]", trace_path.display()),
-        text: pamdc_scenario::runner::render_outcome(&outcome),
-        metrics: pamdc_scenario::runner::outcome_metrics("", &outcome),
-    };
+    let report = outcome_report(format!("replay[{}]", trace_path.display()), &outcome);
     println!("{}", report.text);
     write_outputs(std::slice::from_ref(&report), opts)
 }

@@ -16,21 +16,20 @@
 //!   bestfit-only).
 //! - `status.jsonl` — one `serve_tick` line per live tick.
 //!
-//! A restarted daemon re-executes `recorded.csv` through the same
-//! `step` path — with the recorded per-tick fidelity — before touching
-//! the feed, so it resumes bit-identical to a never-killed run.
-//! `pamdc replay --manifest session.json` does the same offline and
+//! A restarted daemon reads the session back ([`Session::read`]) and
+//! re-steps it at its recorded rungs before touching the feed, so it
+//! resumes bit-identical to a never-killed run. `pamdc replay
+//! --manifest session.json` runs the same re-step loop offline and
 //! reproduces the live session's final report exactly.
 
+use crate::outcome_report;
 use pamdc_core::prelude::*;
 use pamdc_obs::trace as obstrace;
 use pamdc_obs::Counter;
 use pamdc_scenario::build;
-use pamdc_scenario::runner::{outcome_metrics, render_outcome, SpecReport};
+use pamdc_scenario::runner::SpecReport;
 use pamdc_scenario::spec::ScenarioSpec;
-use pamdc_workload::generator::FlowSample;
 use pamdc_workload::prelude::{DemandTrace, TailSource, TraceSource};
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -47,6 +46,103 @@ pub struct ServeConfig {
     pub poll_ms: u64,
     /// Wall-clock round budget override (else `[serve] budget_ms`).
     pub budget_ms: Option<u64>,
+}
+
+/// A served session: the consumed ticks, and the rung each tick's round
+/// planned at (`Full` on ticks that end no round).
+struct Session {
+    trace: DemandTrace,
+    rungs: Vec<RoundFidelity>,
+}
+
+impl Session {
+    /// Reads a session back from its manifest and the sibling
+    /// `recorded.csv`. A tick listed as both trimmed and degraded takes
+    /// the deeper rung. List entries at or past the recording's tick
+    /// count are ignored: a checkpoint writes the manifest first, so a
+    /// daemon killed between the two writes leaves a manifest that runs
+    /// ahead of its recording.
+    fn read(manifest_path: &Path) -> Result<Session, String> {
+        let manifest = read_file(manifest_path)?;
+        let line = manifest.lines().next().unwrap_or("");
+        if obstrace::field_u64(line, "v") != Some(1) {
+            return Err(format!(
+                "{}: not a v1 session manifest",
+                manifest_path.display()
+            ));
+        }
+        let rec_path = manifest_path.with_file_name("recorded.csv");
+        let trace = DemandTrace::parse_csv(&read_file(&rec_path)?)
+            .map_err(|e| format!("{}: {}", rec_path.display(), e.0))?;
+        let mut rungs = vec![RoundFidelity::Full; trace.tick_count()];
+        for (key, rung) in [
+            ("trimmed_ticks", RoundFidelity::Trimmed),
+            ("degraded_ticks", RoundFidelity::BestFitOnly),
+        ] {
+            let ticks = tick_list(line, key)
+                .map_err(|e| format!("{}: {key}: {e}", manifest_path.display()))?;
+            for tick in ticks {
+                if let Some(slot) = rungs.get_mut(tick) {
+                    *slot = (*slot).max(rung);
+                }
+            }
+        }
+        Ok(Session { trace, rungs })
+    }
+
+    /// Re-steps every recorded tick at its recorded rung.
+    fn restep(&self, controller: &mut Controller) {
+        for (flows, &rung) in self.trace.flows.iter().zip(&self.rungs) {
+            controller.step_with_fidelity(StepDemand::Flows(flows), rung);
+        }
+    }
+
+    /// Checkpoints the session into `dir`: the manifest, then the
+    /// recording, each written atomically.
+    fn write(&self, dir: &Path, name: &str) -> Result<(), String> {
+        let ticks_at = |rung: RoundFidelity| {
+            let ticks: Vec<String> = (0..self.rungs.len())
+                .filter(|&t| self.rungs[t] == rung)
+                .map(|t| t.to_string())
+                .collect();
+            ticks.join(",")
+        };
+        let manifest = format!(
+            "{{\"v\":1,\"name\":\"{}\",\"consumed\":{},\"tick_ms\":{},\"degraded_ticks\":[{}],\
+             \"trimmed_ticks\":[{}]}}\n",
+            obstrace::escape_json(name),
+            self.rungs.len(),
+            self.trace.tick.as_millis(),
+            ticks_at(RoundFidelity::BestFitOnly),
+            ticks_at(RoundFidelity::Trimmed),
+        );
+        write_atomic(&dir.join("session.json"), &manifest)?;
+        write_atomic(&dir.join("recorded.csv"), &self.trace.to_csv())
+    }
+}
+
+/// The tick indices listed under `key` in a manifest line. An absent key
+/// reads as an empty list (manifests from before the three-rung ladder
+/// carry no `trimmed_ticks`); an entry that is not a tick index is an
+/// error.
+fn tick_list(line: &str, key: &str) -> Result<Vec<usize>, String> {
+    let needle = format!("\"{key}\":[");
+    let Some(start) = line.find(&needle) else {
+        return Ok(Vec::new());
+    };
+    let rest = &line[start + needle.len()..];
+    let list = rest[..rest.find(']').ok_or("the list is not closed")?].trim();
+    if list.is_empty() {
+        return Ok(Vec::new());
+    }
+    list.split(',')
+        .map(|entry| {
+            let entry = entry.trim();
+            entry
+                .parse()
+                .map_err(|_| format!("{entry:?} is not a tick index"))
+        })
+        .collect()
 }
 
 /// Runs the serve daemon to completion (feed ends, or `--max-ticks`).
@@ -84,56 +180,47 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
             spec.run.tick_secs
         ));
     }
-    spec.workload.vms = tail.trace().service_count();
-    spec.workload.trace = None;
-    spec.workload.import = None;
     let budget_ms = cfg.budget_ms.unwrap_or(spec.serve.budget_ms);
-
-    let scenario =
-        build::build_scenario_with_demand(&spec, tail.clone().into()).map_err(|e| e.to_string())?;
-    let suite = build::trained_suite(&spec);
-    let policy = build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
-    let run_cfg = build::run_config(&spec);
-    let tick = run_cfg.tick;
-    let mut controller = Controller::with(scenario, policy, run_cfg, None);
+    let mut controller =
+        build::session(&mut spec, tail.clone().into()).map_err(|e| e.to_string())?;
     let obs = controller.collector();
 
     // Persist the exact spec driving this session so replay and
-    // restart need no guesswork about fixups applied above.
+    // restart need no guesswork about the feed fixups `build::session`
+    // applied.
     write_atomic(&cfg.session.join("spec.toml"), &spec.emit())?;
 
-    let rec_path = cfg.session.join("recorded.csv");
-    let manifest_path = cfg.session.join("session.json");
-    let mut recorded: Vec<Vec<Vec<FlowSample>>> = Vec::new();
-    let mut degraded_ticks: Vec<u64> = Vec::new();
-    let mut trimmed_ticks: Vec<u64> = Vec::new();
+    let feed = tail.trace();
+    let mut session = Session {
+        trace: DemandTrace {
+            tick: feed.tick,
+            regions: feed.regions,
+            classes: feed.classes.clone(),
+            mem_mb_per_inflight: feed.mem_mb_per_inflight.clone(),
+            flows: Vec::new(),
+        },
+        rungs: Vec::new(),
+    };
 
-    // Restart without amnesia: re-execute the recorded session (with
-    // its recorded per-tick fidelity) before consuming new feed ticks.
-    if rec_path.is_file() {
-        let text = std::fs::read_to_string(&rec_path)
-            .map_err(|e| format!("cannot read {}: {e}", rec_path.display()))?;
-        let prior = DemandTrace::parse_csv(&text)
-            .map_err(|e| format!("{}: {}", rec_path.display(), e.0))?;
-        if prior.tick != tail.trace().tick || prior.classes != tail.trace().classes {
+    // Restart without amnesia: re-step the recorded session at its
+    // recorded rungs before consuming new feed ticks.
+    let manifest_path = cfg.session.join("session.json");
+    if cfg.session.join("recorded.csv").is_file() {
+        let prior = Session::read(&manifest_path)?;
+        if prior.trace.tick != feed.tick || prior.trace.classes != feed.classes {
             return Err(format!(
                 "session {} was recorded from a different feed shape; start a fresh session dir",
                 cfg.session.display()
             ));
         }
-        (degraded_ticks, trimmed_ticks) = read_manifest_ticks(&manifest_path);
-        let dset: BTreeSet<u64> = degraded_ticks.iter().copied().collect();
-        let tset: BTreeSet<u64> = trimmed_ticks.iter().copied().collect();
-        for (t, flows) in prior.flows.iter().enumerate() {
-            let fidelity = recorded_fidelity(t as u64, &dset, &tset);
-            controller.step_with_fidelity(StepDemand::Flows(flows), fidelity);
-        }
+        prior.restep(&mut controller);
         pamdc_obs::info!(
             "restored session {}: {} ticks re-applied",
             cfg.session.display(),
-            prior.flows.len()
+            prior.rungs.len()
         );
-        recorded = prior.flows;
+        session.trace.flows = prior.trace.flows;
+        session.rungs = prior.rungs;
     }
 
     let status_path = spec
@@ -150,14 +237,14 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
 
     let mut governor = DeadlineGovernor::new(budget_ms);
     let snapshot_every = spec.serve.snapshot_every.max(1);
-    let mut consumed = recorded.len() as u64;
     let mut since_snapshot = 0u64;
 
     loop {
-        if cfg.max_ticks.is_some_and(|m| consumed >= m) {
+        let consumed = session.rungs.len();
+        if cfg.max_ticks.is_some_and(|m| consumed as u64 >= m) {
             break;
         }
-        if tail.ready_ticks() as u64 <= consumed {
+        if tail.ready_ticks() <= consumed {
             if tail.is_complete() {
                 break;
             }
@@ -167,21 +254,24 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
             continue;
         }
 
-        // Clone the tick out of the tail so recorded.csv round-trips
+        // Copy the tick out of the tail so recorded.csv round-trips
         // the exact flows the controller saw.
-        let flows = tail.trace().flows[consumed as usize].clone();
-        let fidelity = governor.plan_fidelity();
+        session
+            .trace
+            .flows
+            .push(tail.trace().flows[consumed].clone());
+        let demand = StepDemand::Flows(&session.trace.flows[consumed]);
         let wall_start = std::time::Instant::now();
-        let outcome = controller.step_with_fidelity(StepDemand::Flows(&flows), fidelity);
+        let outcome = controller.step_with_fidelity(demand, governor.plan_fidelity());
         let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-        if let Some(round) = &outcome.round {
-            governor.record_round(wall_ms, round.fidelity);
-            match round.fidelity {
-                RoundFidelity::Full => {}
-                RoundFidelity::Trimmed => trimmed_ticks.push(consumed),
-                RoundFidelity::BestFitOnly => degraded_ticks.push(consumed),
+        let rung = match &outcome.round {
+            Some(round) => {
+                governor.record_round(wall_ms, round.fidelity);
+                round.fidelity
             }
-        }
+            None => RoundFidelity::Full,
+        };
+        session.rungs.push(rung);
         let line = obstrace::serve_tick_line(
             outcome.tick_idx,
             outcome.mean_sla,
@@ -189,7 +279,7 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
             outcome.active_pms,
             outcome.rps,
             outcome.round.is_some(),
-            outcome.round.as_ref().is_some_and(|r| r.degraded),
+            rung == RoundFidelity::BestFitOnly,
             outcome.round.as_ref().map_or(0, |r| r.migrations),
             wall_ms as u64,
         );
@@ -197,133 +287,47 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
             .and_then(|_| status.flush())
             .map_err(|e| format!("status stream write failed: {e}"))?;
 
-        recorded.push(flows);
-        consumed += 1;
         since_snapshot += 1;
         if since_snapshot >= snapshot_every {
-            write_session(
-                cfg,
-                tail.trace(),
-                &recorded,
-                &degraded_ticks,
-                &trimmed_ticks,
-                &spec.name,
-            )?;
+            session.write(&cfg.session, &spec.name)?;
             obs.add(Counter::ServeSnapshots, 1);
             since_snapshot = 0;
         }
     }
 
-    write_session(
-        cfg,
-        tail.trace(),
-        &recorded,
-        &degraded_ticks,
-        &trimmed_ticks,
-        &spec.name,
-    )?;
+    session.write(&cfg.session, &spec.name)?;
     obs.add(Counter::ServeSnapshots, 1);
-    let (outcome, _) = controller.finish(tick * consumed);
-    Ok(SpecReport {
-        name: format!("serve[{}]", spec.name),
-        text: render_outcome(&outcome),
-        metrics: outcome_metrics("", &outcome),
-    })
+    let span = controller.config().tick * session.rungs.len() as u64;
+    let (outcome, _) = controller.finish(span);
+    Ok(outcome_report(format!("serve[{}]", spec.name), &outcome))
 }
 
 /// Replays a recorded serve session (`session.json` + its sibling
-/// `spec.toml` / `recorded.csv`) bit-for-bit, degraded rounds
+/// `spec.toml` / `recorded.csv`) bit-for-bit, sub-full rounds
 /// included, and returns the same report the live daemon rendered.
 pub fn cmd_replay_manifest(manifest_path: &Path) -> Result<SpecReport, String> {
+    let session = Session::read(manifest_path)?;
     let dir = manifest_path.parent().unwrap_or(Path::new("."));
-    let text = std::fs::read_to_string(manifest_path)
-        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let line = text.lines().next().unwrap_or("");
-    if obstrace::field_u64(line, "v") != Some(1) {
-        return Err(format!(
-            "{}: not a v1 session manifest",
-            manifest_path.display()
-        ));
-    }
-    let degraded: BTreeSet<u64> = parse_tick_list(line, "degraded_ticks")
-        .into_iter()
-        .collect();
-    let trimmed: BTreeSet<u64> = parse_tick_list(line, "trimmed_ticks").into_iter().collect();
-
-    let spec_path = dir.join("spec.toml");
-    let spec_text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-    let mut spec = ScenarioSpec::parse(&spec_text).map_err(|e| e.to_string())?;
-
-    let rec_path = dir.join("recorded.csv");
-    let rec_text = std::fs::read_to_string(&rec_path)
-        .map_err(|e| format!("cannot read {}: {e}", rec_path.display()))?;
-    let trace = DemandTrace::parse_csv(&rec_text)
-        .map_err(|e| format!("{}: {}", rec_path.display(), e.0))?;
-    let ticks = trace.tick_count() as u64;
+    let ticks = session.rungs.len() as u64;
     if ticks == 0 {
         return Err(format!(
             "{}: session recorded no ticks; nothing to replay",
             dir.display()
         ));
     }
-
-    spec.workload.vms = trace.service_count();
-    spec.workload.trace = None;
-    spec.workload.import = None;
-    let source = TraceSource::new(trace.clone());
-    let scenario =
-        build::build_scenario_with_demand(&spec, source.into()).map_err(|e| e.to_string())?;
-    let suite = build::trained_suite(&spec);
-    let policy = build::build_policy(&spec, suite).map_err(|e| e.to_string())?;
-    let run_cfg = build::run_config(&spec);
-    let tick = run_cfg.tick;
-    let mut controller = Controller::with(scenario, policy, run_cfg, None);
+    let spec_text = read_file(&dir.join("spec.toml"))?;
+    let mut spec = ScenarioSpec::parse(&spec_text).map_err(|e| e.to_string())?;
+    let source = TraceSource::new(session.trace.clone());
+    let mut controller = build::session(&mut spec, source.into()).map_err(|e| e.to_string())?;
     controller.set_progress_total(Some(ticks));
-    for (t, flows) in trace.flows.iter().enumerate() {
-        let fidelity = recorded_fidelity(t as u64, &degraded, &trimmed);
-        controller.step_with_fidelity(StepDemand::Flows(flows), fidelity);
-    }
-    let (outcome, _) = controller.finish(tick * ticks);
-    Ok(SpecReport {
-        name: format!("session[{}]", spec.name),
-        text: render_outcome(&outcome),
-        metrics: outcome_metrics("", &outcome),
-    })
+    session.restep(&mut controller);
+    let span = controller.config().tick * ticks;
+    let (outcome, _) = controller.finish(span);
+    Ok(outcome_report(format!("session[{}]", spec.name), &outcome))
 }
 
-/// Checkpoints the session: recorded trace + manifest, atomically.
-fn write_session(
-    cfg: &ServeConfig,
-    template: &DemandTrace,
-    flows: &[Vec<Vec<FlowSample>>],
-    degraded_ticks: &[u64],
-    trimmed_ticks: &[u64],
-    name: &str,
-) -> Result<(), String> {
-    let trace = DemandTrace {
-        tick: template.tick,
-        regions: template.regions,
-        classes: template.classes.clone(),
-        mem_mb_per_inflight: template.mem_mb_per_inflight.clone(),
-        flows: flows.to_vec(),
-    };
-    write_atomic(&cfg.session.join("recorded.csv"), &trace.to_csv())?;
-    let manifest = format!(
-        "{{\"v\":1,\"name\":\"{}\",\"consumed\":{},\"tick_ms\":{},\"degraded_ticks\":[{}],\
-         \"trimmed_ticks\":[{}]}}\n",
-        obstrace::escape_json(name),
-        flows.len(),
-        template.tick.as_millis(),
-        join_ticks(degraded_ticks),
-        join_ticks(trimmed_ticks),
-    );
-    write_atomic(&cfg.session.join("session.json"), &manifest)
-}
-
-fn join_ticks(ticks: &[u64]) -> String {
-    let list: Vec<String> = ticks.iter().map(u64::to_string).collect();
-    list.join(",")
+fn read_file(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
 /// Write-then-rename so a killed daemon never leaves a torn snapshot.
@@ -333,80 +337,33 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::rename(&tmp, path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))
 }
 
-fn read_manifest_ticks(path: &Path) -> (Vec<u64>, Vec<u64>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return (Vec::new(), Vec::new());
-    };
-    let line = text.lines().next().unwrap_or("");
-    (
-        parse_tick_list(line, "degraded_ticks"),
-        parse_tick_list(line, "trimmed_ticks"),
-    )
-}
-
-/// Pulls a keyed tick array (`degraded_ticks` / `trimmed_ticks`) out of
-/// a manifest line. The manifest is our own flat emission, so a
-/// substring scan suffices. Manifests from before the three-rung
-/// ladder carry no `trimmed_ticks` key; that reads as an empty list.
-fn parse_tick_list(line: &str, key: &str) -> Vec<u64> {
-    let needle = format!("\"{key}\":[");
-    let Some(start) = line.find(&needle) else {
-        return Vec::new();
-    };
-    let rest = &line[start + needle.len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect()
-}
-
-/// Maps a restored tick index back to the fidelity it recorded at.
-fn recorded_fidelity(
-    tick: u64,
-    degraded: &BTreeSet<u64>,
-    trimmed: &BTreeSet<u64>,
-) -> RoundFidelity {
-    if degraded.contains(&tick) {
-        RoundFidelity::BestFitOnly
-    } else if trimmed.contains(&tick) {
-        RoundFidelity::Trimmed
-    } else {
-        RoundFidelity::Full
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pamdc_scenario::registry;
+    use pamdc_simcore::time::SimDuration;
 
     #[test]
     fn fidelity_tick_lists_round_trip_through_the_manifest() {
         let manifest = "{\"v\":1,\"name\":\"x\",\"consumed\":40,\"tick_ms\":60000,\
                         \"degraded_ticks\":[9,19,39],\"trimmed_ticks\":[4,14]}";
-        assert_eq!(parse_tick_list(manifest, "degraded_ticks"), vec![9, 19, 39]);
-        assert_eq!(parse_tick_list(manifest, "trimmed_ticks"), vec![4, 14]);
-        assert!(parse_tick_list("{\"v\":1,\"degraded_ticks\":[]}", "degraded_ticks").is_empty());
-        assert!(parse_tick_list("{\"v\":1}", "degraded_ticks").is_empty());
+        assert_eq!(tick_list(manifest, "degraded_ticks"), Ok(vec![9, 19, 39]));
+        assert_eq!(tick_list(manifest, "trimmed_ticks"), Ok(vec![4, 14]));
+        assert_eq!(
+            tick_list("{\"v\":1,\"degraded_ticks\":[]}", "degraded_ticks"),
+            Ok(vec![])
+        );
+        assert_eq!(tick_list("{\"v\":1}", "degraded_ticks"), Ok(vec![]));
         // Pre-ladder manifests carry no trimmed_ticks key at all.
         let old = "{\"v\":1,\"name\":\"x\",\"consumed\":2,\"tick_ms\":1000,\"degraded_ticks\":[1]}";
-        assert_eq!(parse_tick_list(old, "degraded_ticks"), vec![1]);
-        assert!(parse_tick_list(old, "trimmed_ticks").is_empty());
+        assert_eq!(tick_list(old, "degraded_ticks"), Ok(vec![1]));
+        assert_eq!(tick_list(old, "trimmed_ticks"), Ok(vec![]));
+        // A damaged entry or list is an error, never a dropped rung.
+        let err = tick_list("{\"v\":1,\"degraded_ticks\":[3,x9]}", "degraded_ticks");
+        assert!(err.unwrap_err().contains("\"x9\""));
+        assert!(tick_list("{\"v\":1,\"degraded_ticks\":[3,,4]}", "degraded_ticks").is_err());
+        assert!(tick_list("{\"v\":1,\"degraded_ticks\":[3", "degraded_ticks").is_err());
     }
-
-    #[test]
-    fn recorded_fidelity_prefers_the_deeper_rung() {
-        let d: BTreeSet<u64> = [3].into_iter().collect();
-        let t: BTreeSet<u64> = [3, 5].into_iter().collect();
-        assert_eq!(recorded_fidelity(3, &d, &t), RoundFidelity::BestFitOnly);
-        assert_eq!(recorded_fidelity(5, &d, &t), RoundFidelity::Trimmed);
-        assert_eq!(recorded_fidelity(7, &d, &t), RoundFidelity::Full);
-    }
-
-    use pamdc_scenario::registry;
-    use pamdc_simcore::time::SimDuration;
 
     /// A fresh directory for one test's files.
     fn test_dir(name: &str) -> PathBuf {
@@ -429,8 +386,8 @@ mod tests {
         spec
     }
 
-    /// An hour of the resilience world's demand written as a closed
-    /// live feed (no `# ticks` header, ended by `# end`), plus the trace.
+    /// An hour of `spec`'s demand written as a closed live feed (no
+    /// `# ticks` header, ended by `# end`), plus the trace.
     fn finished_feed(dir: &Path, spec: &ScenarioSpec) -> (PathBuf, DemandTrace) {
         let world = build::build_scenario(spec, Path::new(".")).expect("world");
         let tick = SimDuration::from_secs(spec.run.tick_secs);
@@ -447,13 +404,24 @@ mod tests {
         (path, trace)
     }
 
-    fn serve(
+    /// The first `rungs.len()` ticks of `trace`, at `rungs`.
+    fn session_of(trace: &DemandTrace, rungs: &[RoundFidelity]) -> Session {
+        Session {
+            trace: DemandTrace {
+                flows: trace.flows[..rungs.len()].to_vec(),
+                ..trace.clone()
+            },
+            rungs: rungs.to_vec(),
+        }
+    }
+
+    fn try_serve(
         spec: &ScenarioSpec,
         feed: &Path,
         session: &Path,
         max_ticks: Option<u64>,
         budget_ms: u64,
-    ) -> SpecReport {
+    ) -> Result<SpecReport, String> {
         let cfg = ServeConfig {
             feed: feed.to_path_buf(),
             session: session.to_path_buf(),
@@ -461,11 +429,38 @@ mod tests {
             poll_ms: 1,
             budget_ms: Some(budget_ms),
         };
-        cmd_serve(spec.clone(), &cfg).expect("serve")
+        cmd_serve(spec.clone(), &cfg)
+    }
+
+    fn serve(
+        spec: &ScenarioSpec,
+        feed: &Path,
+        session: &Path,
+        max_ticks: Option<u64>,
+        budget_ms: u64,
+    ) -> SpecReport {
+        try_serve(spec, feed, session, max_ticks, budget_ms).expect("serve")
     }
 
     fn replay(session: &Path) -> SpecReport {
         cmd_replay_manifest(&session.join("session.json")).expect("replay --manifest")
+    }
+
+    /// A controller over `spec`'s session world stepped through every
+    /// tick of `trace`, each round at `rung(tick)`.
+    fn stepped(
+        spec: &ScenarioSpec,
+        trace: &DemandTrace,
+        rung: impl Fn(usize) -> RoundFidelity,
+    ) -> SpecReport {
+        let source = TraceSource::new(trace.clone()).into();
+        let mut controller = build::session(&mut spec.clone(), source).expect("controller");
+        for (t, flows) in trace.flows.iter().enumerate() {
+            controller.step_with_fidelity(StepDemand::Flows(flows), rung(t));
+        }
+        let span = controller.config().tick * trace.tick_count() as u64;
+        let (outcome, _) = controller.finish(span);
+        outcome_report("stepped".into(), &outcome)
     }
 
     /// Two reports of the same run: equal text and metrics bit for bit
@@ -486,6 +481,32 @@ mod tests {
             .find(|(k, _)| k == key)
             .unwrap_or_else(|| panic!("metric {key} missing"))
             .1
+    }
+
+    #[test]
+    fn recorded_fidelity_prefers_the_deeper_rung() {
+        let dir = test_dir("read");
+        let (_, trace) = finished_feed(&dir, &resilience());
+        let mut rungs = vec![RoundFidelity::Full; 10];
+        rungs[3] = RoundFidelity::BestFitOnly;
+        rungs[5] = RoundFidelity::Trimmed;
+        let session = session_of(&trace, &rungs);
+        session.write(&dir, "x").expect("checkpoint");
+        let back = Session::read(&dir.join("session.json")).expect("read");
+        assert_eq!(back.rungs, rungs);
+        assert_eq!(back.trace, session.trace);
+
+        // Tick 3 in both lists plans at the deeper rung; tick 12 lies
+        // past the 10 recorded ticks and is ignored.
+        std::fs::write(
+            dir.join("session.json"),
+            "{\"v\":1,\"name\":\"x\",\"consumed\":13,\"tick_ms\":60000,\
+             \"degraded_ticks\":[3,12],\"trimmed_ticks\":[3,5]}\n",
+        )
+        .expect("manifest");
+        let back = Session::read(&dir.join("session.json")).expect("read");
+        assert_eq!(back.rungs, rungs);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -534,25 +555,88 @@ mod tests {
             9 | 29 | 49 => RoundFidelity::Trimmed,
             _ => RoundFidelity::Full,
         };
-        let scenario =
-            build::build_scenario_with_demand(&spec, TraceSource::new(trace.clone()).into())
-                .expect("world");
-        let policy = build::build_policy(&spec, None).expect("policy");
-        let run_cfg = build::run_config(&spec);
-        let tick = run_cfg.tick;
-        let mut controller = Controller::with(scenario, policy, run_cfg, None);
-        for (t, flows) in trace.flows.iter().enumerate() {
-            controller.step_with_fidelity(StepDemand::Flows(flows), rung(t));
-        }
-        let (outcome, _) = controller.finish(tick * trace.tick_count() as u64);
-        let stepped = SpecReport {
-            name: "stepped".into(),
-            text: render_outcome(&outcome),
-            metrics: outcome_metrics("", &outcome),
-        };
-        assert_same_run(&replayed, &stepped);
+        assert_same_run(&replayed, &stepped(&spec, &trace, rung));
         assert_eq!(metric(&replayed, "obs.serve.trimmed_rounds"), 3.0);
         assert_eq!(metric(&replayed, "obs.serve.degraded_rounds"), 2.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_cut_between_its_two_writes_restarts_at_the_recorded_rungs() {
+        let spec = resilience();
+        let dir = test_dir("cut");
+        let (feed, trace) = finished_feed(&dir, &spec);
+        // The rungs a daemon planned its first 40 ticks at.
+        let planned: Vec<RoundFidelity> = (0..40)
+            .map(|t| match t {
+                9 | 39 => RoundFidelity::Trimmed,
+                19 | 29 => RoundFidelity::BestFitOnly,
+                _ => RoundFidelity::Full,
+            })
+            .collect();
+        // A directory where either file's temp copy goes fails the
+        // checkpoint at tick 40 on that write.
+        for blocked in ["session.json", "recorded.csv"] {
+            let sess = dir.join(format!("blocked-{blocked}"));
+            std::fs::create_dir_all(&sess).expect("session dir");
+            session_of(&trace, &planned[..20])
+                .write(&sess, &spec.name)
+                .expect("checkpoint at tick 20");
+            let tmp = sess.join(blocked).with_extension("tmp");
+            std::fs::create_dir(&tmp).expect("block");
+            let err = session_of(&trace, &planned)
+                .write(&sess, &spec.name)
+                .expect_err("blocked checkpoint");
+            assert!(err.contains(blocked.split('.').next().unwrap()), "{err}");
+            std::fs::remove_dir(&tmp).expect("unblock");
+
+            let recorded = std::fs::read_to_string(sess.join("recorded.csv")).expect("recording");
+            let recorded = DemandTrace::parse_csv(&recorded)
+                .expect("trace")
+                .tick_count();
+            let live = serve(&spec, &feed, &sess, None, 0);
+            let want = stepped(&spec, &trace, |t| {
+                if t < recorded {
+                    planned[t]
+                } else {
+                    RoundFidelity::Full
+                }
+            });
+            assert_same_run(&live, &want);
+            assert_same_run(&live, &replay(&sess));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_or_missing_manifest_is_an_error_naming_the_file_and_the_key() {
+        let spec = resilience();
+        let dir = test_dir("damaged");
+        let (feed, _) = finished_feed(&dir, &spec);
+        let sess = dir.join("sess");
+        serve(&spec, &feed, &sess, Some(20), 0);
+        let manifest = sess.join("session.json");
+        std::fs::write(
+            &manifest,
+            "{\"v\":1,\"name\":\"resilience\",\"consumed\":20,\"tick_ms\":60000,\
+             \"degraded_ticks\":[3,x9],\"trimmed_ticks\":[]}\n",
+        )
+        .expect("damage");
+        let restart = try_serve(&spec, &feed, &sess, None, 0).expect_err("restart");
+        let replayed = cmd_replay_manifest(&manifest).expect_err("replay");
+        for err in [restart, replayed] {
+            assert!(
+                err.contains("session.json") && err.contains("degraded_ticks"),
+                "{err}"
+            );
+        }
+
+        std::fs::remove_file(&manifest).expect("remove manifest");
+        let err = try_serve(&spec, &feed, &sess, None, 0).expect_err("restart");
+        assert!(
+            err.contains("cannot read") && err.contains("session.json"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

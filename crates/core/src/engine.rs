@@ -3,12 +3,16 @@
 //! [`Controller`] owns the whole per-run state of the simulation loop
 //! (world, RNG streams, gateways, monitors, ledgers) and exposes it as a
 //! stepper: `step()` advances exactly one tick and returns a
-//! [`TickOutcome`], `snapshot()`/`restore()` freeze and resume the
-//! mutable state mid-run, and `finish()` folds everything into the same
+//! [`TickOutcome`], and `finish()` folds everything into the same
 //! [`RunOutcome`] the batch path always produced. The batch path,
 //! [`Controller::run_for`], is a thin `for _ in 0..ticks {
 //! controller.step(..) }` loop, so every experiment arm and the `pamdc
-//! serve` daemon run the identical loop body — bit for bit.
+//! serve` daemon run the identical loop body — bit for bit. A round
+//! plans through [`PlacementPolicy::decide_at`] at the rung the caller
+//! passes to [`Controller::step_with_fidelity`] (`step` plans in full).
+//! There is no in-memory checkpoint: the run is deterministic, so
+//! re-stepping its recorded demand at its recorded rungs is the
+//! restore (docs/SERVE.md).
 
 use crate::policy::PlacementPolicy;
 use crate::scenario::Scenario;
@@ -44,29 +48,19 @@ pub enum StepDemand<'a> {
 /// How much work a scheduling round is allowed: the serve daemon's
 /// three-rung degradation ladder. Placement itself is never skipped —
 /// the rungs only shave the consolidation pass, cheapest first.
+///
+/// Every rung plans through [`PlacementPolicy::decide_at`]; the rungs
+/// are ordered shallow to deep, so `max` picks the deeper one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RoundFidelity {
-    /// The policy's full plan ([`PlacementPolicy::decide`]).
-    ///
-    /// [`PlacementPolicy::decide`]: crate::policy::PlacementPolicy::decide
+    /// The policy's full plan (what [`PlacementPolicy::decide`] does).
     Full,
     /// Middle rung: consolidation still runs but on a shrunken
-    /// move budget ([`PlacementPolicy::decide_trimmed`]).
-    ///
-    /// [`PlacementPolicy::decide_trimmed`]: crate::policy::PlacementPolicy::decide_trimmed
+    /// move budget.
     Trimmed,
-    /// Bottom rung: placement only, no consolidation at all
-    /// ([`PlacementPolicy::decide_degraded`]).
-    ///
-    /// [`PlacementPolicy::decide_degraded`]: crate::policy::PlacementPolicy::decide_degraded
+    /// Bottom rung: placement only, no consolidation at all (the
+    /// status stream's `degraded` rounds).
     BestFitOnly,
-}
-
-impl RoundFidelity {
-    /// Whether this rung is the legacy "degraded" (bestfit-only) mode.
-    pub fn is_degraded(self) -> bool {
-        matches!(self, RoundFidelity::BestFitOnly)
-    }
 }
 
 /// What one `step` did — the per-tick slice of the run report.
@@ -94,51 +88,8 @@ pub struct TickOutcome {
 pub struct RoundOutcome {
     /// Migrations started by this round.
     pub migrations: u64,
-    /// True when the round ran the degraded (bestfit-only) plan —
-    /// `fidelity == BestFitOnly`, kept as a field for status emitters.
-    pub degraded: bool,
     /// The ladder rung the round actually planned at.
     pub fidelity: RoundFidelity,
-}
-
-/// Frozen mutable state of a [`Controller`] — everything `step` writes.
-///
-/// Restoring a snapshot into a controller built from the same scenario,
-/// policy and config resumes the run bit-identically (run-constant state
-/// — RNG bases, SLA tables, shared network/billing handles — is rebuilt
-/// from the scenario and never drifts). Observability counters are *not*
-/// part of the snapshot: metrics never influence decisions, so a resumed
-/// run re-counts only what it re-executes. Policies with interior state
-/// (the random exploration policy) and attached training collectors sit
-/// outside the snapshot too.
-#[derive(Clone, Debug)]
-pub struct ControllerSnapshot {
-    tick_idx: u64,
-    scenario: Scenario,
-    monitor_rng: RngStream,
-    gateway: Gateway,
-    windows: Vec<SlidingWindow>,
-    ledger: ProfitLedger,
-    series: SeriesSet,
-    sla_stats: OnlineStats,
-    watts_stats: OnlineStats,
-    active_stats: OnlineStats,
-    migrations: u64,
-    total_wh: f64,
-    served_total: f64,
-    last_migration_tick: Vec<Option<u64>>,
-    energy_breakdown: EnergyBreakdown,
-    dc_draw_w: Vec<f64>,
-    next_fault: usize,
-    next_profile_change: usize,
-}
-
-impl ControllerSnapshot {
-    /// The tick index the snapshot was taken at (the next `step` after
-    /// a restore executes this tick).
-    pub fn tick_idx(&self) -> u64 {
-        self.tick_idx
-    }
 }
 
 /// Reusable per-tick buffers for the per-host contention loop. One
@@ -185,7 +136,7 @@ pub struct Controller {
     /// heartbeat's `tick N/total` rendering.
     progress_total: Option<u64>,
 
-    // Mutable run state (the snapshot set).
+    // Mutable run state.
     tick_idx: u64,
     monitor_rng: RngStream,
     gateway: Gateway,
@@ -360,53 +311,6 @@ impl Controller {
     pub fn next_step_is_round(&self) -> bool {
         let every = self.config.round_every_ticks;
         every > 0 && self.tick_idx % every == every - 1
-    }
-
-    /// Freezes the mutable run state.
-    pub fn snapshot(&self) -> ControllerSnapshot {
-        ControllerSnapshot {
-            tick_idx: self.tick_idx,
-            scenario: self.scenario.clone(),
-            monitor_rng: self.monitor_rng.clone(),
-            gateway: self.gateway.clone(),
-            windows: self.windows.clone(),
-            ledger: self.ledger.clone(),
-            series: self.series.clone(),
-            sla_stats: self.sla_stats.clone(),
-            watts_stats: self.watts_stats.clone(),
-            active_stats: self.active_stats.clone(),
-            migrations: self.migrations,
-            total_wh: self.total_wh,
-            served_total: self.served_total,
-            last_migration_tick: self.last_migration_tick.clone(),
-            energy_breakdown: self.energy_breakdown,
-            dc_draw_w: self.dc_draw_w.clone(),
-            next_fault: self.next_fault,
-            next_profile_change: self.next_profile_change,
-        }
-    }
-
-    /// Rewinds (or fast-forwards) to a snapshot taken from a controller
-    /// built over the same scenario, policy and config.
-    pub fn restore(&mut self, snap: ControllerSnapshot) {
-        self.tick_idx = snap.tick_idx;
-        self.scenario = snap.scenario;
-        self.monitor_rng = snap.monitor_rng;
-        self.gateway = snap.gateway;
-        self.windows = snap.windows;
-        self.ledger = snap.ledger;
-        self.series = snap.series;
-        self.sla_stats = snap.sla_stats;
-        self.watts_stats = snap.watts_stats;
-        self.active_stats = snap.active_stats;
-        self.migrations = snap.migrations;
-        self.total_wh = snap.total_wh;
-        self.served_total = snap.served_total;
-        self.last_migration_tick = snap.last_migration_tick;
-        self.energy_breakdown = snap.energy_breakdown;
-        self.dc_draw_w = snap.dc_draw_w;
-        self.next_fault = snap.next_fault;
-        self.next_profile_change = snap.next_profile_change;
     }
 
     /// Advances one tick with the full (non-degraded) planner.
@@ -792,11 +696,7 @@ impl Controller {
                 round_net,
                 round_billing,
             );
-            let schedule = match fidelity {
-                RoundFidelity::Full => policy.decide(&problem),
-                RoundFidelity::Trimmed => policy.decide_trimmed(&problem),
-                RoundFidelity::BestFitOnly => policy.decide_degraded(&problem),
-            };
+            let schedule = policy.decide_at(&problem, fidelity);
             schedule.validate(&problem);
             drop(plan_span);
             let execute_span = pamdc_obs::span!("execute");
@@ -836,7 +736,6 @@ impl Controller {
             drop(execute_span);
             round_outcome = Some(RoundOutcome {
                 migrations: *migrations - round_migrations_before,
-                degraded: fidelity.is_degraded(),
                 fidelity,
             });
         }
@@ -1073,12 +972,6 @@ impl DeadlineGovernor {
         }
     }
 
-    /// Should the upcoming round plan at the bottom (bestfit-only)
-    /// rung? Binary view of [`DeadlineGovernor::plan_fidelity`].
-    pub fn plan_degraded(&self) -> bool {
-        self.plan_fidelity().is_degraded()
-    }
-
     /// Report a completed round's wall time and the rung it ran at.
     pub fn record_round(&mut self, wall_ms: f64, ran: RoundFidelity) {
         if self.budget_ms == 0 {
@@ -1115,7 +1008,7 @@ mod tests {
         ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build()
     }
 
-    fn outcome_bits(o: &TickOutcome) -> (u64, [u64; 4], usize, Option<(u64, bool)>) {
+    fn outcome_bits(o: &TickOutcome) -> (u64, [u64; 4], usize, Option<(u64, RoundFidelity)>) {
         (
             o.tick_idx,
             [
@@ -1125,7 +1018,7 @@ mod tests {
                 o.rps.to_bits(),
             ],
             o.active_pms,
-            o.round.as_ref().map(|r| (r.migrations, r.degraded)),
+            o.round.as_ref().map(|r| (r.migrations, r.fidelity)),
         )
     }
 
@@ -1147,66 +1040,6 @@ mod tests {
             stepped.profit.profit_eur().to_bits()
         );
         assert_eq!(batch.obs_metrics, stepped.obs_metrics);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        let policy = || Box::new(BestFitPolicy::new(TrueOracle::new()));
-        let ticks = 60u64;
-        let snap_at = 23u64;
-
-        let mut straight = Controller::new(scenario(), policy());
-        let reference: Vec<TickOutcome> = (0..ticks)
-            .map(|_| straight.step(StepDemand::Source))
-            .collect();
-
-        let mut ctl = Controller::new(scenario(), policy());
-        for _ in 0..snap_at {
-            ctl.step(StepDemand::Source);
-        }
-        let snap = ctl.snapshot();
-        assert_eq!(snap.tick_idx(), snap_at);
-        // Run ahead, then rewind.
-        for _ in snap_at..ticks {
-            ctl.step(StepDemand::Source);
-        }
-        ctl.restore(snap);
-        let resumed: Vec<TickOutcome> = (snap_at..ticks)
-            .map(|_| ctl.step(StepDemand::Source))
-            .collect();
-        for (a, b) in reference[snap_at as usize..].iter().zip(&resumed) {
-            assert_eq!(outcome_bits(a), outcome_bits(b));
-        }
-    }
-
-    #[test]
-    fn restore_into_fresh_controller_resumes_bit_identically() {
-        // Restart-without-amnesia: a brand-new controller built from
-        // the same scenario/policy/config continues a peer's snapshot.
-        let policy = || Box::new(HierarchicalPolicy::new(TrueOracle::new()));
-        let ticks = 40u64;
-        let snap_at = 17u64;
-
-        let mut straight = Controller::new(scenario(), policy());
-        let reference: Vec<TickOutcome> = (0..ticks)
-            .map(|_| straight.step(StepDemand::Source))
-            .collect();
-
-        let mut first = Controller::new(scenario(), policy());
-        for _ in 0..snap_at {
-            first.step(StepDemand::Source);
-        }
-        let snap = first.snapshot();
-        drop(first);
-
-        let mut second = Controller::new(scenario(), policy());
-        second.restore(snap);
-        let resumed: Vec<TickOutcome> = (snap_at..ticks)
-            .map(|_| second.step(StepDemand::Source))
-            .collect();
-        for (a, b) in reference[snap_at as usize..].iter().zip(&resumed) {
-            assert_eq!(outcome_bits(a), outcome_bits(b));
-        }
     }
 
     #[test]
@@ -1250,7 +1083,7 @@ mod tests {
                 let out = ctl.step_with_fidelity(StepDemand::Source, fidelity);
                 if is_round {
                     let r = out.round.expect("round tick must report a round");
-                    assert_eq!(r.degraded, degraded);
+                    assert_eq!(r.fidelity, fidelity);
                     rounds += 1;
                 }
             }
@@ -1327,14 +1160,12 @@ mod tests {
             RoundFidelity::Trimmed,
             "first overrun only trims the move budget"
         );
-        assert!(!g.plan_degraded(), "trimmed is not the bestfit-only rung");
         g.record_round(150.0, RoundFidelity::Trimmed);
         assert_eq!(
             g.plan_fidelity(),
             RoundFidelity::BestFitOnly,
             "second overrun drops consolidation entirely"
         );
-        assert!(g.plan_degraded());
         g.record_round(150.0, RoundFidelity::BestFitOnly);
         assert_eq!(
             g.plan_fidelity(),
@@ -1384,7 +1215,6 @@ mod tests {
             RoundFidelity::Full,
             "zero budget never degrades"
         );
-        assert!(!unlimited.plan_degraded());
     }
 
     #[test]
@@ -1398,7 +1228,6 @@ mod tests {
                 if is_round {
                     let r = out.round.expect("round tick must report a round");
                     assert_eq!(r.fidelity, fidelity);
-                    assert_eq!(r.degraded, fidelity == RoundFidelity::BestFitOnly);
                 }
             }
             let (outcome, _) = ctl.finish(SimDuration::from_mins(60));

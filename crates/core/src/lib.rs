@@ -20,8 +20,7 @@ pub mod training;
 pub mod prelude {
     pub use crate::energy::EnergyEnvironment;
     pub use crate::engine::{
-        Controller, ControllerSnapshot, DeadlineGovernor, RoundFidelity, RoundOutcome, StepDemand,
-        TickOutcome,
+        Controller, DeadlineGovernor, RoundFidelity, RoundOutcome, StepDemand, TickOutcome,
     };
     pub use crate::experiment::{outcome_metrics, Arm, ExperimentReport, ExperimentRun};
     pub use crate::policy::{

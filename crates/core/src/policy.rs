@@ -3,7 +3,11 @@
 //! A [`PlacementPolicy`] turns one scheduling-round [`Problem`] into a
 //! [`Schedule`]. Every policy the paper evaluates (and every baseline it
 //! compares against) is expressed through this one trait, so experiment
-//! drivers swap policies without touching the simulation loop.
+//! drivers swap policies without touching the simulation loop. The
+//! engine plans every round through
+//! [`decide_at`](PlacementPolicy::decide_at) at the round's
+//! [`RoundFidelity`] rung; only policies with a consolidation pass plan
+//! differently below full fidelity.
 
 use crate::engine::RoundFidelity;
 use pamdc_sched::baselines;
@@ -48,24 +52,17 @@ fn local_search_at(
 
 /// The Plan stage: problem in, schedule out.
 pub trait PlacementPolicy: Send + Sync {
-    /// Decides this round's schedule.
+    /// Decides this round's schedule at full fidelity.
     fn decide(&self, problem: &Problem) -> Schedule;
 
-    /// Decides under *mild* deadline pressure — the middle rung of the
-    /// serve degradation ladder. Policies with an expensive
-    /// consolidation pass keep it but shrink its move budget (a quarter
-    /// of the configured moves, floor 1); everything else plans exactly
-    /// as [`decide`](PlacementPolicy::decide).
-    fn decide_trimmed(&self, problem: &Problem) -> Schedule {
-        self.decide(problem)
-    }
-
-    /// Decides under deadline pressure: a cheaper plan the online
-    /// controller can fall back to when the wall-clock budget nears.
-    /// Placement is never skipped — policies with an expensive
-    /// consolidation pass drop only that pass; everything else plans
-    /// exactly as [`decide`](PlacementPolicy::decide).
-    fn decide_degraded(&self, problem: &Problem) -> Schedule {
+    /// Decides at a rung of the serve degradation ladder. Placement is
+    /// never skipped: policies with a consolidation pass shrink it to a
+    /// quarter of its move budget (floor 1) on
+    /// [`RoundFidelity::Trimmed`] and drop it on
+    /// [`RoundFidelity::BestFitOnly`]. Every other policy, and any
+    /// policy that implements only [`decide`](PlacementPolicy::decide),
+    /// plans as `decide` at every rung.
+    fn decide_at(&self, problem: &Problem, _rung: RoundFidelity) -> Schedule {
         self.decide(problem)
     }
 
@@ -130,26 +127,19 @@ impl<O: QosOracle> BestFitPolicy<O> {
             index_mode: IndexMode::Exact,
         }
     }
+}
 
+impl<O: QosOracle> PlacementPolicy for BestFitPolicy<O> {
+    fn decide(&self, problem: &Problem) -> Schedule {
+        self.decide_at(problem, RoundFidelity::Full)
+    }
     /// Best-Fit, then the consolidation pass `rung` keeps.
-    fn plan(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
+    fn decide_at(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
         let schedule = best_fit(problem, &self.oracle, self.index_mode).schedule;
         match local_search_at(self.refine.as_ref(), rung) {
             Some(cfg) => improve_schedule(problem, &self.oracle, schedule, &cfg, self.index_mode).0,
             None => schedule,
         }
-    }
-}
-
-impl<O: QosOracle> PlacementPolicy for BestFitPolicy<O> {
-    fn decide(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::Full)
-    }
-    fn decide_trimmed(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::Trimmed)
-    }
-    fn decide_degraded(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::BestFitOnly)
     }
     fn name(&self) -> String {
         format!(
@@ -176,27 +166,20 @@ impl<O: QosOracle> HierarchicalPolicy<O> {
             config: HierarchicalConfig::default(),
         }
     }
+}
 
+impl<O: QosOracle> PlacementPolicy for HierarchicalPolicy<O> {
+    fn decide(&self, problem: &Problem) -> Schedule {
+        self.decide_at(problem, RoundFidelity::Full)
+    }
     /// Both layers place at every rung; only the consolidation pass
     /// shrinks.
-    fn plan(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
+    fn decide_at(&self, problem: &Problem, rung: RoundFidelity) -> Schedule {
         let cfg = HierarchicalConfig {
             local_search: local_search_at(self.config.local_search.as_ref(), rung),
             ..self.config.clone()
         };
         hierarchical_round(problem, &self.oracle, &cfg).0
-    }
-}
-
-impl<O: QosOracle> PlacementPolicy for HierarchicalPolicy<O> {
-    fn decide(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::Full)
-    }
-    fn decide_trimmed(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::Trimmed)
-    }
-    fn decide_degraded(&self, problem: &Problem) -> Schedule {
-        self.plan(problem, RoundFidelity::BestFitOnly)
     }
     fn name(&self) -> String {
         format!(

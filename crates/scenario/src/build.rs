@@ -2,7 +2,9 @@
 //! [`RunConfig`] from a [`ScenarioSpec`].
 //!
 //! The spec is the only world builder: every experiment arm and every
-//! generic run is built here from its spec. `tests/spec_vs_builder.rs`
+//! generic run is built here from its spec, and [`session`] builds the
+//! one controller `pamdc replay` and `pamdc serve` drive around an
+//! in-memory demand source. `tests/spec_vs_builder.rs`
 //! pins spec-built worlds bit-identical to the equivalent
 //! `ScenarioBuilder` presets (the fig4 and fig6 setups).
 
@@ -10,6 +12,7 @@ use crate::spec::{
     ImportSpec, MachineClass, OracleKind, PolicyKind, ScenarioSpec, SpecError, TopologyPreset,
     TraceReplaySpec, TrainingSpec, WorkloadPreset,
 };
+use pamdc_core::engine::Controller;
 use pamdc_core::experiments::table1::{self, Table1Config};
 use pamdc_core::policy::{
     BestFitPolicy, CheapestEnergyPolicy, FollowLoadPolicy, HierarchicalPolicy, PlacementPolicy,
@@ -26,6 +29,7 @@ use pamdc_sched::oracle::{MlOracle, MonitorOracle, TrueOracle};
 use pamdc_simcore::time::{SimDuration, SimTime};
 use pamdc_workload::import::{self, ImportOptions, TraceFormat};
 use pamdc_workload::libcn;
+use pamdc_workload::source::Demand;
 use pamdc_workload::trace::{DemandTrace, TraceSource};
 use std::path::Path;
 use std::sync::Arc;
@@ -155,20 +159,28 @@ pub fn build_scenario(spec: &ScenarioSpec, base_dir: &Path) -> Result<Scenario, 
     build_scenario_inner(spec, base_dir, None)
 }
 
-/// Builds the spec's world around an already-constructed demand source
-/// (e.g. a trace parsed from stdin or memory). The source's service
-/// count must match `workload.vms`.
-pub fn build_scenario_with_demand(
-    spec: &ScenarioSpec,
-    demand: pamdc_workload::source::Demand,
-) -> Result<Scenario, SpecError> {
-    build_scenario_inner(spec, Path::new("."), Some(demand))
+/// Builds the controller of one session over an in-memory demand
+/// source (a parsed trace, a live feed): the spec's world around
+/// `demand`, its policy (Table I trained first when the oracle is `ml`)
+/// and its run config, tracing when a trace sink is installed. The
+/// source dictates the service roster, so `workload.vms` is set from it
+/// and the spec's own trace and import tables are cleared; `spec` is
+/// left as the session runs it.
+pub fn session(spec: &mut ScenarioSpec, demand: Demand) -> Result<Controller, SpecError> {
+    spec.workload.vms = demand.service_count();
+    spec.workload.trace = None;
+    spec.workload.import = None;
+    let scenario = build_scenario_inner(spec, Path::new("."), Some(demand))?;
+    let policy = build_policy(spec, trained_suite(spec))?;
+    let mut config = run_config(spec);
+    config.trace = pamdc_obs::trace::enabled();
+    Ok(Controller::with(scenario, policy, config, None))
 }
 
 fn build_scenario_inner(
     spec: &ScenarioSpec,
     base_dir: &Path,
-    demand_override: Option<pamdc_workload::source::Demand>,
+    demand: Option<Demand>,
 ) -> Result<Scenario, SpecError> {
     spec.validate()?;
     let w = &spec.workload;
@@ -199,14 +211,7 @@ fn build_scenario_inner(
     if let Some(mult) = w.flash_crowd {
         builder = builder.flash_crowd(mult);
     }
-    if let Some(demand) = demand_override {
-        if demand.service_count() != w.vms {
-            return Err(SpecError(format!(
-                "demand source carries {} services but the spec hosts {} VMs",
-                demand.service_count(),
-                w.vms
-            )));
-        }
+    if let Some(demand) = demand {
         builder = builder.demand(demand);
     } else if let Some(replay) = &w.trace {
         let path = base_dir.join(&replay.path);
@@ -350,8 +355,8 @@ pub fn build_policy(
 
 /// The [`RunConfig`] a spec's `[run]`/`[policy]`/`[profile]` sections
 /// describe. (`trace` stays false here: [`pamdc_core::experiment::execute`]
-/// flips it per arm from the installed sink, so specs and CLI flags
-/// converge on one switch.)
+/// flips it per arm, and [`session`] once, from the installed sink, so
+/// specs and CLI flags converge on one switch.)
 pub fn run_config(spec: &ScenarioSpec) -> RunConfig {
     RunConfig {
         tick: SimDuration::from_secs(spec.run.tick_secs),
@@ -559,6 +564,23 @@ mod tests {
             err.0.contains("workload.trace.region_map target 7"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_session_takes_its_roster_from_the_demand_source() {
+        let w = libcn::multi_dc(4, 100.0, 1);
+        let trace = DemandTrace::record(&w, SimDuration::from_mins(5), SimDuration::from_mins(1));
+        let mut spec = ScenarioSpec::default();
+        spec.workload.vms = 9;
+        spec.workload.trace = Some(TraceReplaySpec {
+            path: "never-read.csv".into(),
+            ..TraceReplaySpec::default()
+        });
+        let controller = session(&mut spec, TraceSource::new(trace).into()).expect("session");
+        assert_eq!(spec.workload.vms, 4);
+        assert!(spec.workload.trace.is_none() && spec.workload.import.is_none());
+        assert_eq!(controller.scenario().cluster.vm_count(), 4);
+        assert!(!controller.config().trace, "no trace sink is installed");
     }
 
     #[test]
