@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the simulation substrate: tick throughput of the
-//! full MAPE loop, the event queue, and the RT ground-truth model.
+//! full MAPE loop and the RT ground-truth model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pamdc_core::engine::Controller;
@@ -46,20 +46,6 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.finish();
-
-    c.bench_function("event_queue/schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.schedule(SimTime::from_millis((i * 7919) % 100_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = q.pop_next() {
-                acc = acc.wrapping_add(e);
-            }
-            black_box(acc)
-        })
-    });
 
     let load = OfferedLoad {
         rps: 150.0,

@@ -713,16 +713,6 @@ fn cmd_replay(
             _ => return Err(format!("{}: {err}", trace_path.display())),
         },
     };
-    // Validate transforms up front: bad flags get an error message, not
-    // a panic backtrace from the replayer's asserts.
-    if !(rate_scale.is_finite() && rate_scale >= 0.0) {
-        return Err(format!(
-            "--rate-scale must be finite and >= 0, got {rate_scale}"
-        ));
-    }
-    if !(stretch.is_finite() && stretch > 0.0) {
-        return Err(format!("--stretch must be finite and > 0, got {stretch}"));
-    }
     let replay = TraceReplaySpec {
         path: trace_path.display().to_string(),
         rate_scale,
@@ -1338,6 +1328,27 @@ mod tests {
         let err = cmd_replay(Some(&path), None, None, 1.0, 1.0, &[0, 1], &opts)
             .expect_err("map covers 2 of 4 regions");
         assert!(err.contains("region_map lists 2 regions"), "{err}");
+        // So are bad --rate-scale and --stretch values.
+        for (rate_scale, stretch, what) in [
+            (f64::NAN, 1.0, "rate_scale must be finite"),
+            (-1.0, 1.0, "rate_scale must be finite"),
+            (1.0, 0.0, "time_stretch must be finite"),
+            (1.0, f64::INFINITY, "time_stretch must be finite"),
+        ] {
+            let err = cmd_replay(Some(&path), None, None, rate_scale, stretch, &[], &opts)
+                .expect_err(what);
+            assert!(err.contains(what), "{err}");
+        }
+        // A spec whose flash crowd cannot apply to a trace is an error
+        // naming the key, not a builder panic.
+        let (mut spec, _) = load_spec("resilience").expect("builtin");
+        spec.workload.flash_crowd = Some(4.0);
+        let spec_path = dir.join("flash-crowd.toml");
+        std::fs::write(&spec_path, spec.emit()).expect("spec");
+        let spec_arg = spec_path.display().to_string();
+        let err = cmd_replay(Some(&path), None, Some(&spec_arg), 1.0, 1.0, &[], &opts)
+            .expect_err("flash crowd over a trace");
+        assert!(err.contains("workload.flash_crowd"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! `pamdc serve` — run the MAPE loop live off a tailed demand feed.
 //!
-//! The daemon wraps [`Controller`] around a [`TailSource`]: every poll
-//! that surfaces a fully-written tick is consumed with one `step`, a
-//! JSONL status line is appended, and — on the snapshot cadence — the
-//! whole session is checkpointed to disk. Because no serialization
-//! library is available, the durable snapshot *is* a replayable log:
+//! The daemon polls the feed through a [`TailSource`] and builds its
+//! [`Controller`] over the feed's header shape (a [`DemandTrace`] with
+//! no flows, replayed through [`TraceSource::new`]), so the controller
+//! never samples demand itself. Every poll that surfaces a fully-written
+//! tick is consumed with one `step` on that tick's flows
+//! (`StepDemand::Flows`), a JSONL status line is appended, and — on the
+//! snapshot cadence — the whole session is checkpointed to disk.
+//! Because no serialization library is available, the durable snapshot
+//! *is* a replayable log:
 //!
 //! - `recorded.csv` — every consumed tick, in the strict trace schema
 //!   (with `# ticks`), so the session can be re-executed offline.
@@ -19,8 +23,9 @@
 //! A restarted daemon reads the session back ([`Session::read`]) and
 //! re-steps it at its recorded rungs before touching the feed, so it
 //! resumes bit-identical to a never-killed run. `pamdc replay
-//! --manifest session.json` runs the same re-step loop offline and
-//! reproduces the live session's final report exactly.
+//! --manifest session.json` builds its controller the same way, runs
+//! the same re-step loop offline and reproduces the live session's
+//! final report exactly.
 
 use crate::outcome_report;
 use pamdc_core::prelude::*;
@@ -56,6 +61,27 @@ struct Session {
 }
 
 impl Session {
+    /// An empty session over a feed's header shape.
+    fn new(feed: &DemandTrace) -> Session {
+        Session {
+            trace: DemandTrace {
+                tick: feed.tick,
+                regions: feed.regions,
+                classes: feed.classes.clone(),
+                mem_mb_per_inflight: feed.mem_mb_per_inflight.clone(),
+                flows: Vec::new(),
+            },
+            rungs: Vec::new(),
+        }
+    }
+
+    /// The session's controller: `spec`'s world built over the
+    /// session's header shape. Ticks enter as flows, never by sampling.
+    fn controller(&self, spec: &mut ScenarioSpec) -> Result<Controller, String> {
+        let shape = Session::new(&self.trace).trace;
+        build::session(spec, TraceSource::new(shape).into()).map_err(|e| e.to_string())
+    }
+
     /// Reads a session back from its manifest and the sibling
     /// `recorded.csv`. A tick listed as both trimmed and degraded takes
     /// the deeper rung. List entries at or past the recording's tick
@@ -181,26 +207,15 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
         ));
     }
     let budget_ms = cfg.budget_ms.unwrap_or(spec.serve.budget_ms);
-    let mut controller =
-        build::session(&mut spec, tail.clone().into()).map_err(|e| e.to_string())?;
+    let feed = tail.trace();
+    let mut session = Session::new(feed);
+    let mut controller = session.controller(&mut spec)?;
     let obs = controller.collector();
 
     // Persist the exact spec driving this session so replay and
     // restart need no guesswork about the feed fixups `build::session`
     // applied.
     write_atomic(&cfg.session.join("spec.toml"), &spec.emit())?;
-
-    let feed = tail.trace();
-    let mut session = Session {
-        trace: DemandTrace {
-            tick: feed.tick,
-            regions: feed.regions,
-            classes: feed.classes.clone(),
-            mem_mb_per_inflight: feed.mem_mb_per_inflight.clone(),
-            flows: Vec::new(),
-        },
-        rungs: Vec::new(),
-    };
 
     // Restart without amnesia: re-step the recorded session at its
     // recorded rungs before consuming new feed ticks.
@@ -317,8 +332,7 @@ pub fn cmd_replay_manifest(manifest_path: &Path) -> Result<SpecReport, String> {
     }
     let spec_text = read_file(&dir.join("spec.toml"))?;
     let mut spec = ScenarioSpec::parse(&spec_text).map_err(|e| e.to_string())?;
-    let source = TraceSource::new(session.trace.clone());
-    let mut controller = build::session(&mut spec, source.into()).map_err(|e| e.to_string())?;
+    let mut controller = session.controller(&mut spec)?;
     controller.set_progress_total(Some(ticks));
     session.restep(&mut controller);
     let span = controller.config().tick * ticks;
@@ -605,6 +619,17 @@ mod tests {
             assert_same_run(&live, &want);
             assert_same_run(&live, &replay(&sess));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serving_a_spec_with_a_flash_crowd_is_an_error_naming_the_key() {
+        let dir = test_dir("flash");
+        let (feed, _) = finished_feed(&dir, &resilience());
+        let mut spec = resilience();
+        spec.workload.flash_crowd = Some(4.0);
+        let err = try_serve(&spec, &feed, &dir.join("sess"), None, 0).expect_err("flash crowd");
+        assert!(err.contains("workload.flash_crowd"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,8 +36,8 @@ use std::sync::Arc;
 /// Where one tick's demand comes from.
 #[derive(Clone, Copy)]
 pub enum StepDemand<'a> {
-    /// Sample the scenario's own [`DemandSource`](pamdc_workload::source::DemandSource)
-    /// (`scenario.workload.sample(vm, now)`) — the batch path.
+    /// Sample the scenario's own [`Demand`](pamdc_workload::source::Demand)
+    /// (`scenario.workload.sample_into(vm, now, ..)`) — the batch path.
     Source,
     /// Explicit per-service flow samples for this tick (`flows[vm]`),
     /// e.g. one complete tick ingested from a live feed. Must hold one
@@ -92,9 +92,10 @@ pub struct RoundOutcome {
     pub fidelity: RoundFidelity,
 }
 
-/// Reusable per-tick buffers for the per-host contention loop. One
-/// instance lives across the whole run, so steady-state ticks allocate
-/// nothing: every `Vec` is cleared and refilled in place.
+/// Reusable per-tick buffers for demand sampling and the per-host
+/// contention loop. One instance lives across the whole run, so
+/// steady-state ticks allocate nothing: every `Vec` is cleared and
+/// refilled in place.
 #[derive(Default)]
 struct TickScratch {
     /// VMs hosted on the PM being processed.
@@ -107,6 +108,8 @@ struct TickScratch {
     granted: Vec<Resources>,
     /// Work-conserving burst capacity per serving VM.
     burst: Vec<Resources>,
+    /// One VM's flows sampled from the scenario's demand (monitor phase).
+    sampled: Vec<FlowSample>,
 }
 
 /// The MAPE loop as a stepper: Monitor, Analyze, Plan, Execute — one
@@ -407,11 +410,10 @@ impl Controller {
         // ---------------- Load sampling ----------------
         let mut rps_total = 0.0;
         for vm in 0..n_vms {
-            let sampled;
             let samples: &[FlowSample] = match demand {
                 StepDemand::Source => {
-                    sampled = scenario.workload.sample(vm, now);
-                    &sampled
+                    scenario.workload.sample_into(vm, now, &mut scratch.sampled);
+                    &scratch.sampled
                 }
                 StepDemand::Flows(per_vm) => &per_vm[vm],
             };
@@ -1060,8 +1062,13 @@ mod tests {
         let mut by_flows = Controller::new(sc.clone(), policy());
         for t in 0..ticks {
             let now = SimTime::ZERO + tick * t;
-            let per_vm: Vec<Vec<FlowSample>> =
-                (0..n_vms).map(|vm| sc.workload.sample(vm, now)).collect();
+            let per_vm: Vec<Vec<FlowSample>> = (0..n_vms)
+                .map(|vm| {
+                    let mut flows = Vec::new();
+                    sc.workload.sample_into(vm, now, &mut flows);
+                    flows
+                })
+                .collect();
             let got = by_flows.step(StepDemand::Flows(&per_vm));
             assert_eq!(outcome_bits(&reference[t as usize]), outcome_bits(&got));
         }

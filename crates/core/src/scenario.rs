@@ -447,9 +447,9 @@ impl ScenarioBuilder {
                     (Demand::Synthetic(w), Some(mult)) => Demand::Synthetic(w.with_flash_crowd(
                         pamdc_workload::flashcrowd::FlashCrowd::paper_fig6(mult),
                     )),
-                    (Demand::Trace(_) | Demand::Tail(_), Some(_)) => panic!(
-                        "a flash crowd cannot be applied to a trace or feed demand — it \
-                         already carries its demand; bake the crowd into the recording"
+                    (Demand::Trace(_), Some(_)) => panic!(
+                        "a flash crowd cannot be applied to a trace demand — it already \
+                         carries its demand; bake the crowd into the recording"
                     ),
                     (demand, None) => demand,
                 }
@@ -575,10 +575,9 @@ mod tests {
             .build();
         assert_eq!(s.name, "custom");
         assert_eq!(s.cluster.pm_count(), 8);
-        let workload = s
-            .workload
-            .synthetic()
-            .expect("preset workloads are synthetic");
+        let Demand::Synthetic(workload) = &s.workload else {
+            panic!("preset workloads are synthetic");
+        };
         assert_eq!(workload.flash_crowds.len(), 1);
         assert_eq!(s.seed, 99);
         // Load scale doubles the nominal scale.
@@ -639,7 +638,9 @@ mod tests {
             .vms(3)
             .workload(libcn::uniform_multi_dc(3, 150.0, 9))
             .build();
-        let w = s.workload.synthetic().unwrap();
+        let Demand::Synthetic(w) = &s.workload else {
+            panic!("the override is synthetic");
+        };
         assert_eq!(w.service_count(), 3);
         assert!(
             (w.services[0].scale_rps - 150.0).abs() < 1e-12,
@@ -649,21 +650,22 @@ mod tests {
 
     #[test]
     fn trace_demand_builds_profiles_from_trace_classes() {
-        use pamdc_workload::source::DemandSource;
         use pamdc_workload::trace::{DemandTrace, TraceSource};
 
         let w = libcn::multi_dc(3, 120.0, 4);
-        let trace = DemandTrace::record(&w, SimDuration::from_hours(1), SimDuration::from_mins(1));
+        let classes: Vec<_> = w.services.iter().map(|s| s.class).collect();
+        let trace = DemandTrace::record(
+            &Demand::from(w),
+            SimDuration::from_hours(1),
+            SimDuration::from_mins(1),
+        );
         let s = ScenarioBuilder::paper_multi_dc()
             .vms(3)
             .demand(TraceSource::new(trace))
             .build();
-        assert!(s.workload.trace().is_some());
-        for i in 0..3 {
-            assert_eq!(
-                s.workload.service_class(i),
-                DemandSource::service_class(&w, i)
-            );
+        assert!(matches!(s.workload, Demand::Trace(_)));
+        for (i, &class) in classes.iter().enumerate() {
+            assert_eq!(s.workload.service_class(i), class);
         }
     }
 
@@ -720,7 +722,7 @@ mod tests {
     fn imported_memory_profile_reaches_perf_profiles() {
         use pamdc_workload::trace::{DemandTrace, TraceSource};
 
-        let w = libcn::multi_dc(2, 120.0, 4);
+        let w = Demand::from(libcn::multi_dc(2, 120.0, 4));
         let mut trace =
             DemandTrace::record(&w, SimDuration::from_hours(1), SimDuration::from_mins(1));
         trace.mem_mb_per_inflight = vec![Some(48.0), None];
@@ -736,7 +738,6 @@ mod tests {
             s.workload.service_class(1).mem_mb_per_inflight()
         );
         // An explicit service spec outranks the trace's measurement.
-        let w = libcn::multi_dc(2, 120.0, 4);
         let mut trace =
             DemandTrace::record(&w, SimDuration::from_hours(1), SimDuration::from_mins(1));
         trace.mem_mb_per_inflight = vec![Some(48.0), Some(48.0)];

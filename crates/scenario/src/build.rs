@@ -113,9 +113,9 @@ pub fn import_trace(import: &ImportSpec, base_dir: &Path) -> Result<DemandTrace,
 }
 
 /// Replays `trace` (read from `path`) under a `[workload.trace]`
-/// table's transforms. A trace with no ticks, or a region map that does
-/// not send every recorded region to a recorded region, is an error
-/// naming the file or the key rather than a replayer panic.
+/// table's transforms. A trace with no ticks is an error naming the
+/// file; a transform [`TraceSource::replay`] rejects is an error naming
+/// the file and the key.
 pub fn trace_source(
     trace: DemandTrace,
     replay: &TraceReplaySpec,
@@ -127,30 +127,13 @@ pub fn trace_source(
             path.display()
         )));
     }
-    let (map, regions) = (&replay.region_map, trace.regions);
-    if !map.is_empty() && map.len() != regions {
-        return Err(SpecError(format!(
-            "workload.trace.region_map lists {} regions but {} records {regions} (need one \
-             target per recorded region)",
-            map.len(),
-            path.display()
-        )));
-    }
-    if let Some(bad) = map.iter().find(|&&r| r >= regions) {
-        return Err(SpecError(format!(
-            "workload.trace.region_map target {bad} is out of range ({} records {regions} \
-             regions)",
-            path.display()
-        )));
-    }
-    let source = TraceSource::new(trace)
-        .with_rate_scale(replay.rate_scale)
-        .with_time_stretch(replay.time_stretch);
-    Ok(if map.is_empty() {
-        source
-    } else {
-        source.with_region_map(map.clone())
-    })
+    TraceSource::replay(
+        trace,
+        replay.rate_scale,
+        replay.time_stretch,
+        replay.region_map.clone(),
+    )
+    .map_err(|e| SpecError(format!("{}: workload.trace.{}", path.display(), e.0)))
 }
 
 /// Builds the scenario a spec describes. `base_dir` anchors relative
@@ -165,8 +148,16 @@ pub fn build_scenario(spec: &ScenarioSpec, base_dir: &Path) -> Result<Scenario, 
 /// and its run config, tracing when a trace sink is installed. The
 /// source dictates the service roster, so `workload.vms` is set from it
 /// and the spec's own trace and import tables are cleared; `spec` is
-/// left as the session runs it.
+/// left as the session runs it. A `workload.flash_crowd` is an error:
+/// the source already carries its demand.
 pub fn session(spec: &mut ScenarioSpec, demand: Demand) -> Result<Controller, SpecError> {
+    if spec.workload.flash_crowd.is_some() {
+        return Err(SpecError(
+            "workload.flash_crowd cannot be applied to a replayed trace or served feed — it \
+             already carries its demand; remove the key or bake the crowd into the recording"
+                .into(),
+        ));
+    }
     spec.workload.vms = demand.service_count();
     spec.workload.trace = None;
     spec.workload.import = None;
@@ -494,7 +485,9 @@ mod tests {
             ..crate::spec::ImportSpec::default()
         });
         let s = build_scenario(&spec, &dir).expect("build");
-        let trace = s.workload.trace().expect("trace demand");
+        let Demand::Trace(trace) = &s.workload else {
+            panic!("an import builds a trace demand");
+        };
         assert_eq!(trace.trace().service_count(), 2);
         assert_eq!(trace.trace().tick_count(), 2);
         // A VM-count mismatch is a clear error, not a panic.
@@ -524,7 +517,7 @@ mod tests {
 
     /// The header block of a recorded 4-service, 4-region trace.
     fn header_block() -> String {
-        let w = libcn::multi_dc(4, 100.0, 1);
+        let w = Demand::from(libcn::multi_dc(4, 100.0, 1));
         DemandTrace::record(&w, SimDuration::from_mins(2), SimDuration::from_mins(1))
             .to_csv()
             .lines()
@@ -545,7 +538,7 @@ mod tests {
 
     #[test]
     fn a_region_map_that_misses_recorded_regions_is_an_error_naming_the_key() {
-        let w = libcn::multi_dc(4, 100.0, 1);
+        let w = Demand::from(libcn::multi_dc(4, 100.0, 1));
         let trace = DemandTrace::record(&w, SimDuration::from_mins(5), SimDuration::from_mins(1));
         assert_eq!(trace.regions, 4);
         let (mut spec, dir) = trace_spec("four-regions.csv", &trace.to_csv());
@@ -564,11 +557,17 @@ mod tests {
             err.0.contains("workload.trace.region_map target 7"),
             "{err}"
         );
+        // A scale the schema lets through is still an error, not a panic.
+        let replay = spec.workload.trace.as_mut().expect("trace table");
+        replay.region_map = Vec::new();
+        replay.rate_scale = f64::INFINITY;
+        let err = build_scenario(&spec, &dir).expect_err("infinite rate scale");
+        assert!(err.0.contains("rate_scale"), "{err}");
     }
 
     #[test]
     fn a_session_takes_its_roster_from_the_demand_source() {
-        let w = libcn::multi_dc(4, 100.0, 1);
+        let w = Demand::from(libcn::multi_dc(4, 100.0, 1));
         let trace = DemandTrace::record(&w, SimDuration::from_mins(5), SimDuration::from_mins(1));
         let mut spec = ScenarioSpec::default();
         spec.workload.vms = 9;
@@ -576,11 +575,19 @@ mod tests {
             path: "never-read.csv".into(),
             ..TraceReplaySpec::default()
         });
-        let controller = session(&mut spec, TraceSource::new(trace).into()).expect("session");
+        let source = TraceSource::new(trace);
+        let controller = session(&mut spec, source.clone().into()).expect("session");
         assert_eq!(spec.workload.vms, 4);
         assert!(spec.workload.trace.is_none() && spec.workload.import.is_none());
         assert_eq!(controller.scenario().cluster.vm_count(), 4);
         assert!(!controller.config().trace, "no trace sink is installed");
+        // The source carries its demand: a flash crowd is an error
+        // naming the key, not a builder panic.
+        spec.workload.flash_crowd = Some(4.0);
+        let err = session(&mut spec, source.into())
+            .err()
+            .expect("flash crowd");
+        assert!(err.0.contains("workload.flash_crowd"), "{err}");
     }
 
     #[test]

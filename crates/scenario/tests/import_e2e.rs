@@ -10,7 +10,6 @@
 use pamdc_scenario::runner::run_spec;
 use pamdc_scenario::spec::{HostClassSpec, ImportSpec, MachineClass, ScenarioSpec};
 use pamdc_workload::import::{import_path, ImportOptions, TraceFormat};
-use pamdc_workload::source::DemandSource;
 use pamdc_workload::trace::{DemandTrace, TraceSource};
 use std::path::{Path, PathBuf};
 
@@ -70,12 +69,13 @@ fn check_format(format: TraceFormat) {
     assert_eq!(trace, reparsed, "{name}: csv round-trip must be exact");
     assert_eq!(trace.to_csv(), reparsed.to_csv());
     let replay = TraceSource::new(reparsed);
+    let mut sampled = Vec::new();
     for tick in 0..trace.tick_count() {
         let t = pamdc_simcore::time::SimTime::ZERO + trace.tick * tick as u64;
         for s in 0..trace.service_count() {
+            replay.sample_into(s, t, &mut sampled);
             assert_eq!(
-                DemandSource::sample(&replay, s, t),
-                trace.flows[tick][s],
+                sampled, trace.flows[tick][s],
                 "{name}: tick {tick} service {s} must replay verbatim"
             );
         }

@@ -77,11 +77,29 @@ fn traces_are_byte_identical_modulo_wall_ns() {
     }
 }
 
+/// Tick wall-clock the coverage check measures over, at least: one
+/// 10 ms preemption between phase spans then moves coverage by under
+/// one point.
+const COVERAGE_MIN_ROOT_NS: u64 = 1_000_000_000;
+
+/// Upper bound on the traced runs the coverage check repeats to reach
+/// [`COVERAGE_MIN_ROOT_NS`].
+const COVERAGE_MAX_RUNS: usize = 200;
+
 #[test]
 fn named_phases_cover_95_percent_of_root_wall_clock() {
     let _guard = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let (_, lines) = traced_run("fig4");
-    let summary = pamdc_obs::trace::summarize(&lines).expect("summarize");
+    // One fig4 quick run ticks for only tens of milliseconds, where a
+    // single preemption moves the ratio by points; repeat it until the
+    // traced ticks total a second.
+    let mut lines = Vec::new();
+    let summary = loop {
+        lines.extend(traced_run("fig4").1);
+        let summary = pamdc_obs::trace::summarize(&lines).expect("summarize");
+        if summary.root_ns() >= COVERAGE_MIN_ROOT_NS || summary.runs >= COVERAGE_MAX_RUNS {
+            break summary;
+        }
+    };
     assert!(summary.runs >= 1, "run_start recorded");
     assert!(summary.ticks > 0, "run_end carries the tick count");
     let phases: Vec<&str> = summary
@@ -96,8 +114,10 @@ fn named_phases_cover_95_percent_of_root_wall_clock() {
     let coverage = summary.coverage().expect("root spans present");
     assert!(
         coverage >= 0.95,
-        "phases cover {:.1}% of the tick wall-clock (< 95%)",
-        100.0 * coverage
+        "phases cover {:.1}% of the {:.0} ms tick wall-clock over {} runs (< 95%)",
+        100.0 * coverage,
+        summary.root_ns() as f64 / 1e6,
+        summary.runs
     );
     // The machine-readable counter stream reached the trace too.
     assert!(

@@ -10,6 +10,7 @@ use pamdc_scenario::build::build_scenario;
 use pamdc_scenario::registry;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::SimDuration;
+use pamdc_workload::source::Demand;
 use std::path::Path;
 
 /// Drives a scenario under a fixed reference policy for two hours.
@@ -26,10 +27,9 @@ fn assert_bit_identical(a: Scenario, b: Scenario, label: &str) {
     assert_eq!(a.cluster.pm_count(), b.cluster.pm_count(), "{label}: PMs");
     assert_eq!(a.cluster.vm_count(), b.cluster.vm_count(), "{label}: VMs");
     assert_eq!(a.seed, b.seed, "{label}: seed");
-    let (wa, wb) = (
-        a.workload.synthetic().unwrap(),
-        b.workload.synthetic().unwrap(),
-    );
+    let (Demand::Synthetic(wa), Demand::Synthetic(wb)) = (&a.workload, &b.workload) else {
+        panic!("{label}: preset worlds are synthetic");
+    };
     assert_eq!(wa.services.len(), wb.services.len());
     for (sa, sb) in wa.services.iter().zip(&wb.services) {
         assert_eq!(

@@ -2,17 +2,14 @@
 //!
 //! The lowest layer of the `pamdc` workspace: a simulation clock
 //! ([`time::SimTime`]), deterministic named RNG streams
-//! ([`rng::RngStream`]), a future-event queue ([`event::EventQueue`]),
-//! numerically-stable online statistics ([`stats`]) and timestamped series
-//! recording ([`series`]).
+//! ([`rng::RngStream`]), numerically-stable online statistics
+//! ([`stats`]) and timestamped series recording ([`series`]).
 //!
 //! Nothing in this crate knows about datacenters; it is the generic
-//! discrete-time/discrete-event toolkit the rest of the workspace builds
-//! on. Everything is deterministic given a master seed, which is what lets
+//! discrete-time toolkit the rest of the workspace builds on. Everything is deterministic given a master seed, which is what lets
 //! the experiment harness reproduce each table and figure of the paper
 //! bit-for-bit across runs and across parallel/sequential execution.
 
-pub mod event;
 pub mod par;
 pub mod rng;
 pub mod series;
@@ -21,7 +18,6 @@ pub mod time;
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::event::EventQueue;
     pub use crate::par::{join, parallel_map};
     pub use crate::rng::RngStream;
     pub use crate::series::{SeriesSet, TimeSeries};

@@ -65,26 +65,6 @@ proptest! {
         prop_assert!(p_lo >= min - 1e-12 && p_hi <= max + 1e-12);
     }
 
-    /// The event queue always pops in (time, insertion) order.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &s) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(s), i);
-        }
-        let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while let Some(p) = q.pop_next() {
-            popped.push(p);
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
-            }
-        }
-    }
-
     /// SimTime arithmetic is consistent: (t + d) - t == d.
     #[test]
     fn time_add_sub_consistent(t in 0u64..1_000_000, d in 0u64..1_000_000) {

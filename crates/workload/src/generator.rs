@@ -130,12 +130,13 @@ impl Workload {
         s.scale_rps * w * r.population * shape * flash
     }
 
-    /// Samples the realized demand for one service at one tick: one
-    /// [`FlowSample`] per region with nonzero expected rate.
-    pub fn sample(&self, service: usize, t: SimTime) -> Vec<FlowSample> {
+    /// Samples the realized demand for one service at one tick into
+    /// `out` (cleared first): one [`FlowSample`] per region with nonzero
+    /// expected rate.
+    pub fn sample_into(&self, service: usize, t: SimTime, out: &mut Vec<FlowSample>) {
+        out.clear();
         let mut rng = self.stream(service, t);
         let class = self.services[service].class;
-        let mut out = Vec::with_capacity(self.regions.len());
         for region in 0..self.regions.len() {
             let expected = self.expected_rps(service, region, t);
             if expected <= 0.0 {
@@ -162,7 +163,6 @@ impl Workload {
                 cpu_ms_per_req: class.sample_cpu_ms(&mut rng),
             });
         }
-        out
     }
 
     /// Total expected rate over all regions for a service at `t`.
@@ -200,6 +200,12 @@ mod tests {
             .collect()
     }
 
+    fn sampled(w: &Workload, service: usize, t: SimTime) -> Vec<FlowSample> {
+        let mut out = Vec::new();
+        w.sample_into(service, t, &mut out);
+        out
+    }
+
     fn simple_workload(seed: u64) -> Workload {
         let svc = ServiceWorkload {
             class: ServiceClass::Blog,
@@ -215,14 +221,14 @@ mod tests {
         let w1 = simple_workload(9);
         let w2 = simple_workload(9);
         let t = SimTime::from_mins(345);
-        assert_eq!(w1.sample(0, t), w2.sample(0, t));
+        assert_eq!(sampled(&w1, 0, t), sampled(&w2, 0, t));
     }
 
     #[test]
     fn different_ticks_differ() {
         let w = simple_workload(9);
-        let a = w.sample(0, SimTime::from_mins(1));
-        let b = w.sample(0, SimTime::from_mins(2));
+        let a = sampled(&w, 0, SimTime::from_mins(1));
+        let b = sampled(&w, 0, SimTime::from_mins(2));
         assert_ne!(a, b);
     }
 
@@ -265,8 +271,8 @@ mod tests {
             .with_rate_noise(0.0)
             .with_flash_crowd(crate::flashcrowd::FlashCrowd::paper_fig6(8.0));
         let t = SimTime::from_mins(80);
-        let calm: f64 = base.sample(0, t).iter().map(|f| f.rps).sum();
-        let burst: f64 = crowded.sample(0, t).iter().map(|f| f.rps).sum();
+        let calm: f64 = sampled(&base, 0, t).iter().map(|f| f.rps).sum();
+        let burst: f64 = sampled(&crowded, 0, t).iter().map(|f| f.rps).sum();
         assert!(burst > 6.0 * calm, "burst {burst} calm {calm}");
     }
 

@@ -498,7 +498,6 @@ pub fn import_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::DemandSource;
     use crate::trace::TraceSource;
 
     const AZURE: &str = "\
@@ -537,16 +536,12 @@ timestamp,vm id,min cpu,max cpu,avg cpu
         assert_eq!(t, reparsed);
         assert_eq!(csv, reparsed.to_csv(), "emission is a fixed point");
         let replay = TraceSource::new(reparsed);
+        let mut sampled = Vec::new();
         for tick in 0..3u64 {
             for s in 0..2 {
-                assert_eq!(
-                    DemandSource::sample(
-                        &replay,
-                        s,
-                        pamdc_simcore::time::SimTime::ZERO + t.tick * tick
-                    ),
-                    t.flows[tick as usize][s],
-                );
+                let now = pamdc_simcore::time::SimTime::ZERO + t.tick * tick;
+                replay.sample_into(s, now, &mut sampled);
+                assert_eq!(sampled, t.flows[tick as usize][s]);
             }
         }
     }

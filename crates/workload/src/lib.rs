@@ -9,7 +9,9 @@
 //! scenarios matching each of the paper's experiments live in [`libcn`].
 //!
 //! Sampling is a pure function of `(seed, service, tick)`, so traces are
-//! reproducible and safe to generate from parallel workers.
+//! reproducible and safe to generate from parallel workers. Demand
+//! reaches the engine through one surface, [`source::Demand`]: the
+//! synthetic generator or a recorded [`trace::TraceSource`] replay.
 //!
 //! Real-world demand enters through [`import`]: streaming parsers for
 //! the Azure VM trace and Alibaba cluster-trace schemas that normalize
@@ -34,7 +36,7 @@ pub mod prelude {
     pub use crate::libcn;
     pub use crate::profile::{DayPeak, DiurnalProfile};
     pub use crate::service::ServiceClass;
-    pub use crate::source::{Demand, DemandSource};
+    pub use crate::source::Demand;
     pub use crate::tail::TailSource;
     pub use crate::trace::{DemandTrace, TraceSource};
 }

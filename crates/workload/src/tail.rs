@@ -16,22 +16,17 @@
 //! writer restarting into the same path is an error, not a silent
 //! rewind.
 //!
-//! Between polls a `TailSource` is a pure function of `(self, service,
-//! t)` like every other [`DemandSource`]: sampling beyond the ready
-//! prefix yields no flows (the future hasn't been written yet) rather
-//! than wrapping the way a [`TraceSource`](crate::trace::TraceSource)
-//! replay does.
+//! A `TailSource` is a poller, not a demand source: a consumer reads
+//! the ready prefix through [`TailSource::ready_ticks`] and
+//! [`TailSource::trace`] and steps each tick's flows itself (`pamdc
+//! serve` does, as `StepDemand::Flows`).
 
-use crate::generator::FlowSample;
-use crate::service::ServiceClass;
-use crate::source::DemandSource;
 use crate::trace::{DemandTrace, TraceError, TraceTail};
-use pamdc_simcore::time::SimTime;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Streams demand from an append-only trace CSV a live writer grows.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TailSource {
     path: PathBuf,
     /// Incremental parser state + the materialized feed prefix.
@@ -144,80 +139,14 @@ impl TailSource {
     pub fn trace(&self) -> &DemandTrace {
         self.tail.trace()
     }
-
-    /// The feed's tick index covering simulated time `t` — unlike a
-    /// replay, a live feed never wraps.
-    fn tick_index(&self, t: SimTime) -> usize {
-        (t.as_millis() / self.trace().tick.as_millis().max(1)) as usize
-    }
-}
-
-impl DemandSource for TailSource {
-    fn service_count(&self) -> usize {
-        self.trace().service_count()
-    }
-
-    fn region_count(&self) -> usize {
-        self.trace().regions
-    }
-
-    fn service_class(&self, service: usize) -> ServiceClass {
-        self.trace()
-            .classes
-            .get(service)
-            .copied()
-            .unwrap_or(ServiceClass::Blog)
-    }
-
-    fn mem_mb_per_inflight(&self, service: usize) -> Option<f64> {
-        self.trace()
-            .mem_mb_per_inflight
-            .get(service)
-            .copied()
-            .flatten()
-    }
-
-    fn sample(&self, service: usize, t: SimTime) -> Vec<FlowSample> {
-        let idx = self.tick_index(t);
-        if idx >= self.ready {
-            return Vec::new();
-        }
-        self.trace()
-            .flows
-            .get(idx)
-            .and_then(|services| services.get(service))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    fn expected_rps(&self, service: usize, region: usize, t: SimTime) -> f64 {
-        let idx = self.tick_index(t);
-        if idx >= self.ready {
-            return 0.0;
-        }
-        self.trace()
-            .flows
-            .get(idx)
-            .and_then(|services| services.get(service))
-            .into_iter()
-            .flatten()
-            .filter(|f| f.region == region)
-            .map(|f| f.rps)
-            .sum()
-    }
-
-    fn horizon(&self) -> Option<SimTime> {
-        // A finished feed ends where its data does; a live one is
-        // open-ended — more ticks may arrive on the next poll.
-        self.complete
-            .then(|| SimTime::ZERO + self.trace().tick * self.ready as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::FlowSample;
     use crate::libcn;
+    use crate::service::ServiceClass;
     use crate::source::Demand;
     use pamdc_simcore::time::SimDuration;
 
@@ -229,7 +158,7 @@ mod tests {
 
     /// A 6-tick recorded CSV split into (header+first ticks, rest).
     fn recorded_halves() -> (String, String) {
-        let w = libcn::multi_dc(2, 90.0, 21);
+        let w = Demand::from(libcn::multi_dc(2, 90.0, 21));
         let trace = DemandTrace::record(&w, SimDuration::from_mins(6), SimDuration::from_mins(1));
         let csv = trace.to_csv();
         // Strip the `# ticks` foreknowledge a live writer lacks.
@@ -251,18 +180,16 @@ mod tests {
         // Ticks 0..2 are on disk; tick 2 may still be growing.
         assert_eq!(tail.ready_ticks(), 2);
         assert!(!tail.is_complete());
-        assert!(tail.horizon().is_none(), "live feed is open-ended");
-        assert!(!DemandSource::sample(&tail, 0, SimTime::from_mins(1)).is_empty());
-        assert!(
-            DemandSource::sample(&tail, 0, SimTime::from_mins(5)).is_empty(),
-            "beyond the ready prefix there is no demand yet"
-        );
-        // The writer catches up and closes the feed.
+        let flows = &tail.trace().flows;
+        assert!(flows.len() >= 2 && !flows[1][0].is_empty());
+        let early = flows[..2].to_vec();
+        // The writer catches up and closes the feed: the ready prefix
+        // grows without rewriting the ticks already handed out.
         std::fs::write(&path, format!("{head}{rest}# end\n")).expect("append");
         assert_eq!(tail.poll().expect("poll"), 6);
         assert!(tail.is_complete());
-        assert_eq!(tail.horizon(), Some(SimTime::from_mins(6)));
-        assert!(!DemandSource::sample(&tail, 0, SimTime::from_mins(5)).is_empty());
+        assert_eq!(tail.trace().flows[..2], early[..]);
+        assert!(!tail.trace().flows[5][0].is_empty());
     }
 
     #[test]
@@ -381,16 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn demand_enum_carries_tail_sources() {
-        let path = feed_path("enum.csv");
+    fn a_finished_feed_exposes_its_whole_recording() {
+        let path = feed_path("finished.csv");
         let (head, rest) = recorded_halves();
         std::fs::write(&path, format!("{head}{rest}# end\n")).expect("write");
         let tail = TailSource::open(&path).expect("open");
-        let d = Demand::from(tail);
-        assert_eq!(d.service_count(), 2);
-        assert!(d.tail().is_some());
-        assert!(d.synthetic().is_none() && d.trace().is_none());
-        assert_eq!(d.horizon(), Some(SimTime::from_mins(6)));
-        assert!(!d.sample(0, SimTime::from_mins(2)).is_empty());
+        assert!(tail.is_complete());
+        assert_eq!(tail.ready_ticks(), 6);
+        let w = Demand::from(libcn::multi_dc(2, 90.0, 21));
+        let recorded =
+            DemandTrace::record(&w, SimDuration::from_mins(6), SimDuration::from_mins(1));
+        assert_eq!(tail.trace().service_count(), 2);
+        assert_eq!(tail.trace().flows[..tail.ready_ticks()], recorded.flows[..]);
     }
 }

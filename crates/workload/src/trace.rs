@@ -1,9 +1,9 @@
 //! Demand traces: record any run's demand to CSV, replay it later.
 //!
 //! A [`DemandTrace`] is the materialized per-tick output of a
-//! [`DemandSource`]: every `(tick, service,
-//! region)` flow, plus the header metadata needed to rebuild performance
-//! profiles (service classes) and validate transforms (region count).
+//! [`Demand`]: every `(tick, service, region)` flow, plus the header
+//! metadata needed to rebuild performance profiles (service classes)
+//! and validate transforms (region count).
 //! The CSV form is deliberately dumb — one row per flow, floats printed
 //! in shortest round-trip form — so `parse(emit(trace))` is
 //! **bit-identical** and a replayed run reproduces the recorded run's
@@ -24,12 +24,14 @@
 //! * **region-remap** — relabel client regions (move a trace recorded
 //!   against Barcelona clients to Boston).
 //!
-//! Queries past the end of the trace wrap around, so one recorded day
-//! can drive arbitrarily long scenarios.
+//! [`TraceSource::replay`] checks the transforms once and returns an
+//! error rather than panicking. Queries past the end of the trace wrap
+//! around, so one recorded day can drive arbitrarily long scenarios; an
+//! empty trace samples no flows.
 
 use crate::generator::FlowSample;
 use crate::service::ServiceClass;
-use crate::source::DemandSource;
+use crate::source::Demand;
 use pamdc_simcore::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -73,15 +75,20 @@ pub struct DemandTrace {
 }
 
 impl DemandTrace {
-    /// Records `horizon` of demand from any source at cadence `tick`.
-    pub fn record<S: DemandSource>(source: &S, horizon: SimDuration, tick: SimDuration) -> Self {
+    /// Records `horizon` of demand at cadence `tick`.
+    pub fn record(source: &Demand, horizon: SimDuration, tick: SimDuration) -> Self {
         assert!(tick > SimDuration::ZERO, "tick must be positive");
         let services = source.service_count();
         let ticks = horizon.ticks(tick);
         let mut flows = Vec::with_capacity(ticks as usize);
+        let mut buf = Vec::new();
         for tick_idx in 0..ticks {
             let now = SimTime::ZERO + tick * tick_idx;
-            flows.push((0..services).map(|s| source.sample(s, now)).collect());
+            let sampled = (0..services).map(|s| {
+                source.sample_into(s, now, &mut buf);
+                buf.clone()
+            });
+            flows.push(sampled.collect());
         }
         DemandTrace {
             tick,
@@ -185,7 +192,7 @@ type Flows = Vec<Vec<Vec<FlowSample>>>;
 
 /// Line-by-line trace-CSV parser: the header state and row cracking
 /// of the [`TraceTail`] reader.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct CsvParser {
     tick_ms: Option<u64>,
     ticks: Option<usize>,
@@ -398,7 +405,7 @@ impl CsvParser {
 /// the carry buffer as raw bytes until a later feed terminates it. The
 /// rows of the tick it names that *are* already stored stay there,
 /// hidden behind the `ready` count [`TraceTail::refresh`] computes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct TraceTail {
     parser: CsvParser,
     /// The shape [`TraceTail::freeze_shape`] validated (placeholders
@@ -642,7 +649,8 @@ fn utf8_prefix(bytes: &[u8]) -> &str {
     }
 }
 
-/// Replays a [`DemandTrace`], optionally transformed.
+/// Replays a [`DemandTrace`], optionally transformed. Sampling past the
+/// end of the trace wraps around; an empty trace samples no flows.
 #[derive(Clone, Debug)]
 pub struct TraceSource {
     trace: Arc<DemandTrace>,
@@ -651,58 +659,64 @@ pub struct TraceSource {
     /// Playback slowdown: simulated time `t` reads trace time
     /// `t / time_stretch` (2.0 plays a 24 h trace over 48 h).
     time_stretch: f64,
-    /// `region_map[recorded_region] = replayed_region`.
-    region_map: Option<Vec<usize>>,
+    /// `region_map[recorded_region] = replayed_region` (empty =
+    /// identity).
+    region_map: Vec<usize>,
 }
 
 impl TraceSource {
     /// A verbatim replayer over a trace.
     pub fn new(trace: DemandTrace) -> Self {
-        assert!(trace.tick_count() > 0, "cannot replay an empty trace");
         TraceSource {
             trace: Arc::new(trace),
             rate_scale: 1.0,
             time_stretch: 1.0,
-            region_map: None,
+            region_map: Vec::new(),
         }
     }
 
-    /// Multiplies every arrival rate by `k`.
-    pub fn with_rate_scale(mut self, k: f64) -> Self {
-        assert!(
-            k.is_finite() && k >= 0.0,
-            "rate scale must be finite and >= 0"
-        );
-        self.rate_scale = k;
-        self
-    }
-
-    /// Plays the trace `f`× slower (`f > 1` stretches, `f < 1`
-    /// compresses).
-    pub fn with_time_stretch(mut self, f: f64) -> Self {
-        assert!(
-            f.is_finite() && f > 0.0,
-            "time stretch must be finite and > 0"
-        );
-        self.time_stretch = f;
-        self
-    }
-
-    /// Relabels regions: recorded region `i` replays as `map[i]`.
-    pub fn with_region_map(mut self, map: Vec<usize>) -> Self {
-        assert_eq!(
-            map.len(),
-            self.trace.regions,
-            "region map must cover every recorded region"
-        );
-        for &to in &map {
-            assert!(
-                to < self.trace.regions,
-                "region map target {to} out of range"
-            );
+    /// A replayer under the playback transforms: every arrival rate
+    /// times `rate_scale`, played `time_stretch`× slower (`> 1`
+    /// stretches, `< 1` compresses), recorded region `i` relabelled as
+    /// `region_map[i]` (empty = identity). The one place these rules are
+    /// checked: a negative or non-finite scale, a stretch that is not
+    /// finite and positive, or a map that does not send every recorded
+    /// region to a recorded region is an error.
+    pub fn replay(
+        trace: DemandTrace,
+        rate_scale: f64,
+        time_stretch: f64,
+        region_map: Vec<usize>,
+    ) -> Result<Self, TraceError> {
+        if !(rate_scale.is_finite() && rate_scale >= 0.0) {
+            return Err(TraceError(format!(
+                "rate_scale must be finite and >= 0, got {rate_scale}"
+            )));
         }
-        self.region_map = Some(map);
-        self
+        if !(time_stretch.is_finite() && time_stretch > 0.0) {
+            return Err(TraceError(format!(
+                "time_stretch must be finite and > 0, got {time_stretch}"
+            )));
+        }
+        let regions = trace.regions;
+        if !region_map.is_empty() && region_map.len() != regions {
+            return Err(TraceError(format!(
+                "region_map lists {} regions but the trace records {regions} (need one target \
+                 per recorded region)",
+                region_map.len()
+            )));
+        }
+        if let Some(bad) = region_map.iter().find(|&&r| r >= regions) {
+            return Err(TraceError(format!(
+                "region_map target {bad} is out of range (the trace records {regions} regions)"
+            )));
+        }
+        Ok(TraceSource {
+            trace: Arc::new(trace),
+            rate_scale,
+            time_stretch,
+            region_map,
+        })
     }
 
     /// The underlying trace.
@@ -710,80 +724,26 @@ impl TraceSource {
         &self.trace
     }
 
-    /// The trace tick index simulated time `t` reads (wraps at the end
-    /// of the trace).
-    fn tick_index(&self, t: SimTime) -> usize {
+    /// Samples one service's replayed flows at simulated time `t` into
+    /// `out` (cleared first), transforms applied.
+    pub fn sample_into(&self, service: usize, t: SimTime, out: &mut Vec<FlowSample>) {
+        out.clear();
+        let ticks = self.trace.tick_count();
+        if ticks == 0 {
+            return;
+        }
+        // The trace tick `t` reads, wrapping at the end of the trace.
         let tick_ms = self.trace.tick.as_millis() as f64;
         let virt_ms = t.as_millis() as f64 / self.time_stretch;
-        let idx = (virt_ms / tick_ms).floor() as usize;
-        idx % self.trace.tick_count()
-    }
-
-    fn mapped_region(&self, region: usize) -> usize {
-        match &self.region_map {
-            // pamdc-lint: allow(no-panic-parser) -- with_region_map asserts the map covers every recorded region
-            Some(map) => map[region],
-            None => region,
-        }
-    }
-}
-
-impl DemandSource for TraceSource {
-    fn service_count(&self) -> usize {
-        self.trace.service_count()
-    }
-
-    fn region_count(&self) -> usize {
-        self.trace.regions
-    }
-
-    fn service_class(&self, service: usize) -> ServiceClass {
-        self.trace
-            .classes
-            .get(service)
-            .copied()
-            .unwrap_or(ServiceClass::Blog)
-    }
-
-    fn mem_mb_per_inflight(&self, service: usize) -> Option<f64> {
-        self.trace
-            .mem_mb_per_inflight
-            .get(service)
-            .copied()
-            .flatten()
-    }
-
-    fn sample(&self, service: usize, t: SimTime) -> Vec<FlowSample> {
-        let idx = self.tick_index(t);
-        // pamdc-lint: allow(no-panic-parser) -- tick_index wraps modulo tick_count; service bounded by the DemandSource contract
-        self.trace.flows[idx][service]
-            .iter()
-            .map(|f| FlowSample {
-                region: self.mapped_region(f.region),
-                rps: f.rps * self.rate_scale,
-                ..*f
-            })
-            .collect()
-    }
-
-    fn expected_rps(&self, service: usize, region: usize, t: SimTime) -> f64 {
-        // A trace is its own expectation: the recorded (already noisy)
-        // rate is the best estimate available at replay time.
-        let idx = self.tick_index(t);
-        // pamdc-lint: allow(no-panic-parser) -- tick_index wraps modulo tick_count; service bounded by the DemandSource contract
-        self.trace.flows[idx][service]
-            .iter()
-            .filter(|f| self.mapped_region(f.region) == region)
-            .map(|f| f.rps * self.rate_scale)
-            .sum()
-    }
-
-    fn horizon(&self) -> Option<SimTime> {
-        // The end of the recorded data under the playback transform;
-        // sampling past it wraps back to the start.
-        let ms =
-            self.trace.tick.as_millis() as f64 * self.trace.tick_count() as f64 * self.time_stretch;
-        Some(SimTime::ZERO + SimDuration::from_millis(ms.round() as u64))
+        let idx = (virt_ms / tick_ms).floor() as usize % ticks;
+        let Some(flows) = self.trace.flows.get(idx).and_then(|tick| tick.get(service)) else {
+            return;
+        };
+        out.extend(flows.iter().map(|f| FlowSample {
+            region: self.region_map.get(f.region).copied().unwrap_or(f.region),
+            rps: f.rps * self.rate_scale,
+            ..*f
+        }));
     }
 }
 
@@ -791,10 +751,9 @@ impl DemandSource for TraceSource {
 mod tests {
     use super::*;
     use crate::libcn;
-    use crate::source::Demand;
 
     fn short_trace(seed: u64) -> DemandTrace {
-        let w = libcn::multi_dc(3, 120.0, seed);
+        let w = Demand::from(libcn::multi_dc(3, 120.0, seed));
         DemandTrace::record(&w, SimDuration::from_hours(2), SimDuration::from_mins(1))
     }
 
@@ -815,38 +774,48 @@ mod tests {
         assert_eq!(t.to_csv(), parsed.to_csv());
     }
 
+    /// One service's sampled flows at `t`.
+    fn sampled(d: &Demand, service: usize, t: SimTime) -> Vec<FlowSample> {
+        let mut out = Vec::new();
+        d.sample_into(service, t, &mut out);
+        out
+    }
+
     #[test]
     fn verbatim_replay_matches_source() {
-        let w = libcn::multi_dc(2, 100.0, 3);
+        let w = Demand::from(libcn::multi_dc(2, 100.0, 3));
         let trace = DemandTrace::record(&w, SimDuration::from_hours(1), SimDuration::from_mins(1));
-        let replay = TraceSource::new(trace);
+        let replay = Demand::from(TraceSource::new(trace));
         for m in 0..60 {
             let t = SimTime::from_mins(m);
             for s in 0..2 {
-                assert_eq!(
-                    DemandSource::sample(&replay, s, t),
-                    w.sample(s, t),
-                    "minute {m}"
-                );
+                assert_eq!(sampled(&replay, s, t), sampled(&w, s, t), "minute {m}");
             }
         }
     }
 
     #[test]
     fn replay_wraps_past_the_end() {
-        let replay = TraceSource::new(short_trace(5));
-        let a = DemandSource::sample(&replay, 0, SimTime::from_mins(10));
-        let b = DemandSource::sample(&replay, 0, SimTime::from_mins(130)); // 120-tick trace
+        let replay = Demand::from(TraceSource::new(short_trace(5)));
+        let a = sampled(&replay, 0, SimTime::from_mins(10));
+        let b = sampled(&replay, 0, SimTime::from_mins(130)); // 120-tick trace
         assert_eq!(a, b);
+    }
+
+    /// `short_trace(5)` replayed under the given transforms.
+    fn replayed(rate_scale: f64, time_stretch: f64, region_map: Vec<usize>) -> Demand {
+        TraceSource::replay(short_trace(5), rate_scale, time_stretch, region_map)
+            .expect("valid transforms")
+            .into()
     }
 
     #[test]
     fn rate_scale_scales_rates_only() {
-        let replay = TraceSource::new(short_trace(5));
-        let scaled = replay.clone().with_rate_scale(2.5);
+        let replay = replayed(1.0, 1.0, Vec::new());
+        let scaled = replayed(2.5, 1.0, Vec::new());
         let t = SimTime::from_mins(33);
-        let base = DemandSource::sample(&replay, 1, t);
-        let boosted = DemandSource::sample(&scaled, 1, t);
+        let base = sampled(&replay, 1, t);
+        let boosted = sampled(&scaled, 1, t);
         assert_eq!(base.len(), boosted.len());
         for (a, b) in base.iter().zip(&boosted) {
             assert_eq!(b.rps, a.rps * 2.5);
@@ -857,36 +826,117 @@ mod tests {
 
     #[test]
     fn time_stretch_slows_playback() {
-        let replay = TraceSource::new(short_trace(5));
-        let slow = replay.clone().with_time_stretch(2.0);
+        let replay = replayed(1.0, 1.0, Vec::new());
+        let slow = replayed(1.0, 2.0, Vec::new());
         // Minute 40 of the stretched replay reads minute 20 of the trace.
         assert_eq!(
-            DemandSource::sample(&slow, 0, SimTime::from_mins(40)),
-            DemandSource::sample(&replay, 0, SimTime::from_mins(20)),
+            sampled(&slow, 0, SimTime::from_mins(40)),
+            sampled(&replay, 0, SimTime::from_mins(20)),
         );
     }
 
     #[test]
     fn region_map_relabels() {
-        let replay = TraceSource::new(short_trace(5)).with_region_map(vec![3, 2, 1, 0]);
+        let remapped = replayed(1.0, 1.0, vec![3, 2, 1, 0]);
+        let orig = replayed(1.0, 1.0, Vec::new());
         let t = SimTime::from_mins(7);
-        for f in DemandSource::sample(&replay, 0, t) {
-            assert!(f.region < 4);
+        let (got, want) = (sampled(&remapped, 0, t), sampled(&orig, 0, t));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.region, 3 - w.region);
+            assert_eq!(
+                FlowSample {
+                    region: w.region,
+                    ..*g
+                },
+                *w
+            );
         }
-        // Expected rate moved with the relabelling.
-        let orig = TraceSource::new(short_trace(5));
-        assert_eq!(
-            DemandSource::expected_rps(&replay, 0, 3, t),
-            DemandSource::expected_rps(&orig, 0, 0, t),
-        );
+    }
+
+    #[test]
+    fn invalid_transforms_are_errors_not_panics() {
+        for (rate_scale, time_stretch, region_map, what) in [
+            (
+                f64::NAN,
+                1.0,
+                vec![],
+                "rate_scale must be finite and >= 0, got NaN",
+            ),
+            (
+                -1.0,
+                1.0,
+                vec![],
+                "rate_scale must be finite and >= 0, got -1",
+            ),
+            (
+                1.0,
+                0.0,
+                vec![],
+                "time_stretch must be finite and > 0, got 0",
+            ),
+            (
+                1.0,
+                f64::INFINITY,
+                vec![],
+                "time_stretch must be finite and > 0, got inf",
+            ),
+            (
+                1.0,
+                1.0,
+                vec![0, 1],
+                "region_map lists 2 regions but the trace records 4",
+            ),
+            (
+                1.0,
+                1.0,
+                vec![0, 1, 2, 7],
+                "region_map target 7 is out of range",
+            ),
+        ] {
+            let err = TraceSource::replay(short_trace(5), rate_scale, time_stretch, region_map)
+                .expect_err(what);
+            assert!(err.0.contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_empty_trace_samples_no_flows() {
+        let empty = DemandTrace {
+            tick: SimDuration::from_mins(1),
+            regions: 4,
+            classes: vec![ServiceClass::Blog; 2],
+            mem_mb_per_inflight: vec![None; 2],
+            flows: Vec::new(),
+        };
+        let d = Demand::from(TraceSource::new(empty));
+        assert_eq!(d.service_count(), 2);
+        let mut out = vec![FlowSample {
+            region: 0,
+            rps: 1.0,
+            kb_in_per_req: 1.0,
+            kb_out_per_req: 1.0,
+            cpu_ms_per_req: 1.0,
+        }];
+        for m in [0, 1, 59, 10_000] {
+            d.sample_into(1, SimTime::from_mins(m), &mut out);
+            assert!(out.is_empty(), "minute {m}");
+        }
+        // A service past the roster samples nothing either.
+        d.sample_into(5, SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn demand_enum_replays_traces() {
-        let d = Demand::from(TraceSource::new(short_trace(9)));
+        let mut t = short_trace(9);
+        t.mem_mb_per_inflight = vec![Some(12.5), None, None];
+        let d = Demand::from(TraceSource::new(t));
         assert_eq!(d.service_count(), 3);
-        assert!(d.trace().is_some());
-        assert!(!d.sample(0, SimTime::from_mins(50)).is_empty());
+        assert_eq!(d.region_count(), 4);
+        assert_eq!(d.mem_mb_per_inflight(0), Some(12.5));
+        assert_eq!(d.mem_mb_per_inflight(1), None);
+        assert!(!sampled(&d, 0, SimTime::from_mins(50)).is_empty());
     }
 
     #[test]
@@ -904,7 +954,8 @@ mod tests {
         assert_eq!(parsed, empty);
         assert_eq!(parsed.tick_count(), 60);
         let replay = TraceSource::new(parsed);
-        assert!(DemandSource::sample(&replay, 0, SimTime::from_mins(30)).is_empty());
+        let replay = Demand::from(replay);
+        assert!(sampled(&replay, 0, SimTime::from_mins(30)).is_empty());
         // And a partially-quiet tail keeps its wrap-around period.
         let mut tail_quiet = short_trace(5);
         let n = tail_quiet.tick_count();
@@ -1237,7 +1288,7 @@ mod tests {
             edits in proptest::collection::vec((0.0f64..1.0, 0u8..3, 0usize..EDIT_BYTES.len()), 0..4),
             cut_points in proptest::collection::vec(0.0f64..1.0, 1..8),
         ) {
-            let w = libcn::multi_dc(2, 90.0, seed);
+            let w = Demand::from(libcn::multi_dc(2, 90.0, seed));
             let recorded =
                 DemandTrace::record(&w, SimDuration::from_mins(8), SimDuration::from_mins(1))
                     .to_csv();

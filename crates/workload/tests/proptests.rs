@@ -1,8 +1,15 @@
 //! Property-based tests for the workload generator.
 
 use pamdc_simcore::time::SimTime;
+use pamdc_workload::generator::{FlowSample, Workload};
 use pamdc_workload::libcn;
 use proptest::prelude::*;
+
+fn sampled(w: &Workload, service: usize, t: SimTime) -> Vec<FlowSample> {
+    let mut out = Vec::new();
+    w.sample_into(service, t, &mut out);
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -13,7 +20,7 @@ proptest! {
         let w1 = libcn::multi_dc(5, 150.0, seed);
         let w2 = libcn::multi_dc(5, 150.0, seed);
         let t = SimTime::from_mins(minute);
-        prop_assert_eq!(w1.sample(svc, t), w2.sample(svc, t));
+        prop_assert_eq!(sampled(&w1, svc, t), sampled(&w2, svc, t));
     }
 
     /// Rates are always finite and non-negative; flows reference valid
@@ -22,7 +29,7 @@ proptest! {
     fn samples_well_formed(seed in 0u64..10_000, minute in 0u64..2880) {
         let w = libcn::multi_dc(4, 200.0, seed);
         for svc in 0..4 {
-            for f in w.sample(svc, SimTime::from_mins(minute)) {
+            for f in sampled(&w, svc, SimTime::from_mins(minute)) {
                 prop_assert!(f.rps.is_finite() && f.rps >= 0.0);
                 prop_assert!(f.kb_in_per_req > 0.0 && f.kb_out_per_req > 0.0);
                 prop_assert!(f.cpu_ms_per_req > 0.0);
@@ -40,7 +47,7 @@ proptest! {
         let mut expected = 0.0;
         for minute in (0..1440).step_by(10) {
             let t = SimTime::from_mins(minute);
-            realized += w.sample(0, t).iter().map(|f| f.rps).sum::<f64>();
+            realized += sampled(&w, 0, t).iter().map(|f| f.rps).sum::<f64>();
             expected += w.expected_total_rps(0, t);
         }
         prop_assert!(expected > 0.0);

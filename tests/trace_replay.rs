@@ -8,7 +8,7 @@ use pamdc_core::scenario::ScenarioBuilder;
 use pamdc_core::simulation::RunOutcome;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::SimDuration;
-use pamdc_workload::source::DemandSource;
+use pamdc_workload::generator::FlowSample;
 use pamdc_workload::trace::{DemandTrace, TraceSource};
 
 fn run(scenario: pamdc_core::scenario::Scenario, hierarchical: bool) -> RunOutcome {
@@ -101,24 +101,22 @@ fn transformed_replay_differs_predictably() {
         SimDuration::from_hours(3),
         SimDuration::from_mins(1),
     );
-    let doubled = TraceSource::new(trace.clone()).with_rate_scale(2.0);
+    let verbatim = TraceSource::new(trace.clone());
+    let doubled = TraceSource::replay(trace.clone(), 2.0, 1.0, Vec::new()).expect("scale");
+    let sampled = |source: &TraceSource, s: usize, m: u64| -> Vec<FlowSample> {
+        let mut out = Vec::new();
+        source.sample_into(s, pamdc_simcore::time::SimTime::from_mins(m), &mut out);
+        out
+    };
     // Offered load doubles sample-for-sample.
     for m in [0u64, 45, 119] {
-        let t = pamdc_simcore::time::SimTime::from_mins(m);
         for s in 0..3 {
-            let raw: f64 = TraceSource::new(trace.clone())
-                .sample(s, t)
-                .iter()
-                .map(|f| f.rps)
-                .sum();
-            let scaled: f64 = doubled.sample(s, t).iter().map(|f| f.rps).sum();
+            let raw: f64 = sampled(&verbatim, s, m).iter().map(|f| f.rps).sum();
+            let scaled: f64 = sampled(&doubled, s, m).iter().map(|f| f.rps).sum();
             assert_eq!(scaled.to_bits(), (raw * 2.0).to_bits());
         }
     }
     // And a stretched replay serves the early-trace demand later.
-    let stretched = TraceSource::new(trace.clone()).with_time_stretch(3.0);
-    assert_eq!(
-        stretched.sample(0, pamdc_simcore::time::SimTime::from_mins(90)),
-        TraceSource::new(trace).sample(0, pamdc_simcore::time::SimTime::from_mins(30)),
-    );
+    let stretched = TraceSource::replay(trace, 1.0, 3.0, Vec::new()).expect("stretch");
+    assert_eq!(sampled(&stretched, 0, 90), sampled(&verbatim, 0, 30));
 }
