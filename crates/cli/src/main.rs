@@ -36,10 +36,36 @@ use pamdc_scenario::spec::{ScenarioSpec, TraceReplaySpec};
 use pamdc_simcore::time::SimDuration;
 use pamdc_workload::tail::TailSource;
 use pamdc_workload::trace::DemandTrace;
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod serve;
+
+/// `println!` to standard output through [`write_stdout`], returning
+/// its error from the enclosing function instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(
+            &mut std::io::stdout().lock(),
+            format_args!("{}\n", format_args!($($arg)*)),
+        )?
+    };
+}
+
+/// Writes command output to `w` (standard output). A reader that stops
+/// early (`pamdc ... | head`) closes the pipe: the rest of the output is
+/// dropped and the command finishes normally. Any other write failure
+/// is an error.
+fn write_stdout(w: &mut impl Write, args: fmt::Arguments) -> Result<(), String> {
+    match w.write_fmt(args) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to standard output: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
 
 const USAGE: &str = "\
 pamdc — power-aware multi-DC scenario engine (Berral, Gavaldà & Torres, ICPP 2013)
@@ -497,23 +523,24 @@ fn finish_trace(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list(names_only: bool) {
+fn cmd_list(names_only: bool) -> Result<(), String> {
     if names_only {
         for b in registry::builtins() {
-            println!("{}", b.name);
+            outln!("{}", b.name);
         }
-        return;
+        return Ok(());
     }
-    println!("built-in scenarios ({}):\n", registry::builtins().len());
+    outln!("built-in scenarios ({}):\n", registry::builtins().len());
     let width = registry::builtins()
         .iter()
         .map(|b| b.name.len())
         .max()
         .unwrap_or(0);
     for b in registry::builtins() {
-        println!("  {:width$}  {}", b.name, b.title);
+        outln!("  {:width$}  {}", b.name, b.title);
     }
-    println!("\nrun one with `pamdc run <name>`; inspect with `pamdc show <name>`.");
+    outln!("\nrun one with `pamdc run <name>`; inspect with `pamdc show <name>`.");
+    Ok(())
 }
 
 fn cmd_run(spec_arg: &str, opts: &Opts) -> Result<(), String> {
@@ -527,7 +554,7 @@ fn cmd_run(spec_arg: &str, opts: &Opts) -> Result<(), String> {
     let trace_out = resolve_trace_out(opts, &spec);
     let tracing = install_trace(trace_out.as_ref())?;
     let report = run_spec(&spec, &base, opts.quick).map_err(|e| e.to_string())?;
-    println!("{}", report.text);
+    outln!("{}", report.text);
     if tracing {
         finish_trace(trace_out.as_ref().expect("tracing implies a path"))?;
     }
@@ -596,7 +623,7 @@ fn cmd_sweep(spec_arg: &str, params: &[(String, Vec<String>)], opts: &Opts) -> R
     for r in reports {
         ok.push(r?);
     }
-    println!("{}", reports_csv(&ok));
+    outln!("{}", reports_csv(&ok));
     write_outputs(&ok, opts)
 }
 
@@ -644,9 +671,9 @@ fn cmd_campaign(file: &Path, opts: &Opts) -> Result<(), String> {
         ok.push(r?);
     }
     for report in &ok {
-        println!("# {}\n{}", report.name, report.text);
+        outln!("# {}\n{}", report.name, report.text);
     }
-    println!("{}", reports_csv(&ok));
+    outln!("{}", reports_csv(&ok));
     write_outputs(&ok, opts)
 }
 
@@ -688,7 +715,7 @@ fn cmd_replay(
             );
         }
         let report = serve::cmd_replay_manifest(manifest)?;
-        println!("{}", report.text);
+        outln!("{}", report.text);
         return write_outputs(std::slice::from_ref(&report), opts);
     }
     let trace_path = trace_path.expect("parse_args requires a trace when --manifest is absent");
@@ -749,7 +776,7 @@ fn cmd_replay(
         finish_trace(trace_out.as_ref().expect("tracing implies a path"))?;
     }
     let report = outcome_report(format!("replay[{}]", trace_path.display()), &outcome);
-    println!("{}", report.text);
+    outln!("{}", report.text);
     write_outputs(std::slice::from_ref(&report), opts)
 }
 
@@ -778,7 +805,7 @@ fn cmd_serve_entry(
             budget_ms,
         },
     )?;
-    println!("{}", report.text);
+    outln!("{}", report.text);
     write_outputs(std::slice::from_ref(&report), opts)
 }
 
@@ -848,7 +875,7 @@ fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
             share,
         ]);
     }
-    println!(
+    outln!(
         "{}: {} run(s), {} tick(s)\n\n{}",
         file.display(),
         summary.runs,
@@ -856,7 +883,7 @@ fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
         spans.render()
     );
     if let Some(coverage) = summary.coverage() {
-        println!(
+        outln!(
             "phase coverage: {:.1}% of root span wall-clock is under named phases",
             100.0 * coverage
         );
@@ -866,7 +893,7 @@ fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
         for (name, value) in &summary.counters {
             counters.row(vec![name.clone(), value.to_string()]);
         }
-        println!("\n{}", counters.render());
+        outln!("\n{}", counters.render());
     }
     Ok(())
 }
@@ -874,8 +901,10 @@ fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
 fn cmd_show(name: &str) -> Result<(), String> {
     let builtin = registry::find(name)
         .ok_or_else(|| format!("no built-in named {name:?} (try `pamdc list`)"))?;
-    print!("{}", builtin.spec.emit());
-    Ok(())
+    write_stdout(
+        &mut std::io::stdout().lock(),
+        format_args!("{}", builtin.spec.emit()),
+    )
 }
 
 fn main() -> ExitCode {
@@ -901,10 +930,7 @@ fn main() -> ExitCode {
         }
     }
     let result = match &cmd {
-        Cmd::List { names_only } => {
-            cmd_list(*names_only);
-            Ok(())
-        }
+        Cmd::List { names_only } => cmd_list(*names_only),
         Cmd::Show { name } => cmd_show(name),
         Cmd::Run { spec, opts } => cmd_run(spec, opts),
         Cmd::Sweep { spec, params, opts } => cmd_sweep(spec, params, opts),
@@ -981,6 +1007,33 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer whose reader is gone, or that fails some other way.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn closed_stdout_ends_output_quietly() {
+        let mut out = Vec::new();
+        write_stdout(&mut out, format_args!("{} {}\n", "a", 1)).unwrap();
+        assert_eq!(out, b"a 1\n");
+        let mut closed = Failing(ErrorKind::BrokenPipe);
+        for _ in 0..3 {
+            assert_eq!(write_stdout(&mut closed, format_args!("line\n")), Ok(()));
+        }
+        let err = write_stdout(&mut Failing(ErrorKind::PermissionDenied), format_args!("x"));
+        assert!(err
+            .unwrap_err()
+            .starts_with("cannot write to standard output"));
+    }
 
     fn parse(args: &[&str]) -> Result<Cmd, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())

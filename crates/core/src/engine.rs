@@ -108,6 +108,8 @@ struct TickScratch {
     granted: Vec<Resources>,
     /// Work-conserving burst capacity per serving VM.
     burst: Vec<Resources>,
+    /// Migration blackout fraction of this tick per VM (VM-indexed).
+    blackout: Vec<f64>,
     /// One VM's flows sampled from the scenario's demand (monitor phase).
     sampled: Vec<FlowSample>,
 }
@@ -479,6 +481,15 @@ impl Controller {
         let mut tick_sla_n = 0usize;
         let mut tick_watts = 0.0;
         dc_tick_watts.fill(0.0);
+        // Per-VM migration blackout fraction of this tick (1.0 = dark
+        // all tick). A migration completing mid-tick lets the VM serve
+        // the remaining fraction. Filled back to front, so a VM's first
+        // in-flight migration decides.
+        scratch.blackout.clear();
+        scratch.blackout.resize(n_vms, 0.0);
+        for m in scenario.cluster.in_flight().iter().rev() {
+            scratch.blackout[m.vm.index()] = m.blackout_fraction(now, tick_end);
+        }
         for pm_idx in 0..scenario.cluster.pm_count() {
             let pm_id = PmId::from_index(pm_idx);
             scratch.hosted.clear();
@@ -488,20 +499,13 @@ impl Controller {
             let host_on = scenario.cluster.pm(pm_id).is_on();
             let location = scenario.cluster.location_of_pm(pm_id);
 
-            // Per-VM blackout fraction of this tick (1.0 = fully
-            // dark). A migration completing mid-tick lets the VM
-            // serve the remaining fraction.
+            // A host that is off blacks out everything on it.
             let blackout = |v: VmId| -> f64 {
-                if !host_on {
-                    return 1.0;
+                if host_on {
+                    scratch.blackout[v.index()]
+                } else {
+                    1.0
                 }
-                scenario
-                    .cluster
-                    .in_flight()
-                    .iter()
-                    .find(|m| m.vm == v)
-                    .map(|m| m.blackout_fraction(now, tick_end))
-                    .unwrap_or(0.0)
             };
             // Serving VMs: host on and not dark for the whole tick.
             scratch.serving.clear();

@@ -22,11 +22,11 @@ pub mod sla;
 /// Common imports.
 pub mod prelude {
     pub use crate::contention::{
-        oversubscription, share_proportionally, share_proportionally_into, share_work_conserving,
-        share_work_conserving_into,
+        oversubscription, share_proportionally_into, share_work_conserving_into, ProportionalShare,
+        WorkConservingShare,
     };
     pub use crate::demand::{cpu_demand_pct, required_resources, OfferedLoad, VmPerfProfile};
     pub use crate::queueing::{drain_time, little_l, ps_sojourn_time, utilization};
-    pub use crate::rt::{evaluate, PerfOutcome, RtModelConfig};
+    pub use crate::rt::{evaluate, rt_core, PerfOutcome, RtCore, RtModelConfig};
     pub use crate::sla::SlaFunction;
 }

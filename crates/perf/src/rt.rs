@@ -68,20 +68,24 @@ pub struct PerfOutcome {
     pub capacity_rps: f64,
 }
 
-/// Evaluates the model for one VM on one tick.
-///
-/// * `required` — demand from [`crate::demand::required_resources`];
-/// * `granted` — the space-shared allocation
-///   ([`crate::contention::share_proportionally`]); memory pressure comes
-///   from here;
-/// * `burst` — the work-conserving capacity share
-///   ([`crate::contention::share_work_conserving`]); CPU and network rates
-///   come from here;
-/// * `drain_secs` — tick length, over which backlog drains;
-/// * `rng` — jitter source; `None` forces determinism regardless of
-///   config.
-#[allow(clippy::too_many_arguments)] // the model's natural arity
-pub fn evaluate(
+/// The deterministic part of [`evaluate`]: the response time before
+/// jitter, and the capacity and offered rate it came from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RtCore {
+    /// Requests offered this tick, per second (arrivals plus backlog drain).
+    pub offered_rps: f64,
+    /// Requests the VM could serve at most, per second.
+    pub capacity_rps: f64,
+    /// Mean processing response time without jitter, seconds.
+    pub rt_process_secs: f64,
+}
+
+/// The response-time arithmetic of the model, without jitter and
+/// without the served/used bookkeeping: base service time, capacity per
+/// resource axis, memory thrash, utilisation, the processor-sharing
+/// sojourn time and the thrash multiplier. Arguments as for
+/// [`evaluate`], which is this plus jitter plus usage.
+pub fn rt_core(
     load: &OfferedLoad,
     profile: &VmPerfProfile,
     required: &Resources,
@@ -89,8 +93,7 @@ pub fn evaluate(
     burst: &Resources,
     cfg: &RtModelConfig,
     drain_secs: f64,
-    rng: Option<&mut RngStream>,
-) -> PerfOutcome {
+) -> RtCore {
     let offered = load.total_rps(drain_secs);
 
     // Base service time: CPU plus I/O waits plus dispatch.
@@ -126,13 +129,48 @@ pub fn evaluate(
     let slow = 1.0 / (1.0 + 2.0 * thrash.min(10.0));
 
     let mu = mu_cpu.min(mu_in).min(mu_out) * slow;
-    let served = offered.min(mu);
     let rho = utilization(offered, mu);
 
     let mut rt = ps_sojourn_time(s0, rho, cfg.max_rt_secs);
     if thrash > 0.0 {
         rt = (rt * (1.0 + cfg.thrash_sharpness * thrash.min(10.0))).min(cfg.max_rt_secs);
     }
+    RtCore {
+        offered_rps: offered,
+        capacity_rps: mu,
+        rt_process_secs: rt,
+    }
+}
+
+/// Evaluates the model for one VM on one tick.
+///
+/// * `required` — demand from [`crate::demand::required_resources`];
+/// * `granted` — the space-shared allocation
+///   ([`crate::contention::ProportionalShare`]); memory pressure comes
+///   from here;
+/// * `burst` — the work-conserving capacity share
+///   ([`crate::contention::WorkConservingShare`]); CPU and network rates
+///   come from here;
+/// * `drain_secs` — tick length, over which backlog drains;
+/// * `rng` — jitter source; `None` forces determinism regardless of
+///   config.
+#[allow(clippy::too_many_arguments)] // the model's natural arity
+pub fn evaluate(
+    load: &OfferedLoad,
+    profile: &VmPerfProfile,
+    required: &Resources,
+    granted: &Resources,
+    burst: &Resources,
+    cfg: &RtModelConfig,
+    drain_secs: f64,
+    rng: Option<&mut RngStream>,
+) -> PerfOutcome {
+    let RtCore {
+        offered_rps: offered,
+        capacity_rps: mu,
+        rt_process_secs: mut rt,
+    } = rt_core(load, profile, required, granted, burst, cfg, drain_secs);
+    let served = offered.min(mu);
     if let Some(rng) = rng {
         if cfg.jitter_sigma > 0.0 {
             rt = (rt * rng.lognormal(0.0, cfg.jitter_sigma)).clamp(0.0, cfg.max_rt_secs);
@@ -243,15 +281,15 @@ mod tests {
         let p = VmPerfProfile::default();
         let load = blog_load(480.0);
         let req = required_resources(&load, &p, 60.0);
-        let demands = vec![req, req];
-        let granted = crate::contention::share_proportionally(&demands, ATOM);
-        let burst = crate::contention::share_work_conserving(&demands, ATOM);
+        let total = req + req;
+        let granted = crate::contention::ProportionalShare::new(&total, &ATOM).grant(&req);
+        let burst = crate::contention::WorkConservingShare::new(&total, &ATOM).burst(&req);
         let shared = evaluate(
             &load,
             &p,
             &req,
-            &granted[0],
-            &burst[0],
+            &granted,
+            &burst,
             &RtModelConfig::deterministic(),
             60.0,
             None,

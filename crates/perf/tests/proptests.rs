@@ -6,6 +6,91 @@ use proptest::prelude::*;
 
 const ATOM: Resources = Resources::new(400.0, 4096.0, 64_000.0, 64_000.0);
 
+/// A component that is zero about a quarter of the time.
+fn arb_component(max: f64) -> impl Strategy<Value = f64> {
+    (0u32..4, 0.0..max).prop_map(|(k, x)| if k == 0 { 0.0 } else { x })
+}
+
+fn arb_resources(cpu: f64, mem: f64, net: f64) -> impl Strategy<Value = Resources> {
+    (
+        arb_component(cpu),
+        arb_component(mem),
+        arb_component(net),
+        arb_component(net),
+    )
+        .prop_map(|(c, m, i, o)| Resources::new(c, m, i, o))
+}
+
+/// Up to eight VM demands with zero components, and a host capacity
+/// that each axis's total overloads about half the time.
+fn arb_host() -> impl Strategy<Value = (Vec<Resources>, Resources)> {
+    (
+        proptest::collection::vec(arb_resources(400.0, 4096.0, 1000.0), 1..8),
+        arb_resources(1600.0, 16384.0, 4000.0),
+    )
+}
+
+/// The proportional rule as one pass over the host's demands: the
+/// arithmetic the per-demand form must reproduce.
+fn proportional_reference(demands: &[Resources], cap: Resources) -> Vec<Resources> {
+    let total: Resources = demands.iter().copied().sum();
+    let factor = |cap: f64, tot: f64| {
+        if tot > cap && tot > 0.0 {
+            cap / tot
+        } else {
+            1.0
+        }
+    };
+    let (fc, fm) = (factor(cap.cpu, total.cpu), factor(cap.mem_mb, total.mem_mb));
+    let (fi, fo) = (
+        factor(cap.net_in_kbps, total.net_in_kbps),
+        factor(cap.net_out_kbps, total.net_out_kbps),
+    );
+    demands
+        .iter()
+        .map(|d| {
+            Resources::new(
+                d.cpu * fc,
+                d.mem_mb * fm,
+                d.net_in_kbps * fi,
+                d.net_out_kbps * fo,
+            )
+        })
+        .collect()
+}
+
+/// The work-conserving rule as one pass over the host's demands.
+fn work_conserving_reference(demands: &[Resources], cap: Resources) -> Vec<Resources> {
+    let total: Resources = demands.iter().copied().sum();
+    let factor = |cap: f64, tot: f64| if tot > 0.0 { cap / tot } else { f64::INFINITY };
+    let (fc, fi, fo) = (
+        factor(cap.cpu, total.cpu),
+        factor(cap.net_in_kbps, total.net_in_kbps),
+        factor(cap.net_out_kbps, total.net_out_kbps),
+    );
+    let scale = |d: f64, f: f64| if d <= 0.0 { f64::INFINITY } else { d * f };
+    demands
+        .iter()
+        .map(|d| {
+            Resources::new(
+                scale(d.cpu, fc),
+                d.mem_mb,
+                scale(d.net_in_kbps, fi),
+                scale(d.net_out_kbps, fo),
+            )
+        })
+        .collect()
+}
+
+fn bits(r: &Resources) -> [u64; 4] {
+    [
+        r.cpu.to_bits(),
+        r.mem_mb.to_bits(),
+        r.net_in_kbps.to_bits(),
+        r.net_out_kbps.to_bits(),
+    ]
+}
+
 fn arb_load() -> impl Strategy<Value = OfferedLoad> {
     (
         0.0f64..800.0,
@@ -84,7 +169,8 @@ proptest! {
             1..8,
         )
     ) {
-        let granted = share_proportionally(&demands, ATOM);
+        let mut granted = Vec::new();
+        share_proportionally_into(&demands, ATOM, &mut granted);
         let total: Resources = granted.iter().copied().sum();
         prop_assert!(total.cpu <= ATOM.cpu + 1e-6);
         prop_assert!(total.mem_mb <= ATOM.mem_mb + 1e-6);
@@ -101,11 +187,58 @@ proptest! {
             1..8,
         )
     ) {
-        let granted = share_proportionally(&demands, ATOM);
-        let burst = share_work_conserving(&demands, ATOM);
+        let (mut granted, mut burst) = (Vec::new(), Vec::new());
+        share_proportionally_into(&demands, ATOM, &mut granted);
+        share_work_conserving_into(&demands, ATOM, &mut burst);
         for (g, b) in granted.iter().zip(&burst) {
             prop_assert!(b.cpu >= g.cpu - 1e-9, "burst {} < grant {}", b.cpu, g.cpu);
         }
+    }
+
+    /// Both forms of each share rule give the one-pass arithmetic bit
+    /// for bit: the slice form over the host's demands, and the
+    /// per-demand form built from their total.
+    #[test]
+    fn share_forms_are_bit_identical((demands, cap) in arb_host()) {
+        let want_granted = proportional_reference(&demands, cap);
+        let want_burst = work_conserving_reference(&demands, cap);
+        let (mut granted, mut burst) = (Vec::new(), Vec::new());
+        share_proportionally_into(&demands, cap, &mut granted);
+        share_work_conserving_into(&demands, cap, &mut burst);
+        let total: Resources = demands.iter().copied().sum();
+        let proportional = ProportionalShare::new(&total, &cap);
+        let work_conserving = WorkConservingShare::new(&total, &cap);
+        prop_assert_eq!(granted.len(), demands.len());
+        prop_assert_eq!(burst.len(), demands.len());
+        for (i, d) in demands.iter().enumerate() {
+            prop_assert_eq!(bits(&granted[i]), bits(&want_granted[i]));
+            prop_assert_eq!(bits(&proportional.grant(d)), bits(&want_granted[i]));
+            prop_assert_eq!(bits(&burst[i]), bits(&want_burst[i]));
+            prop_assert_eq!(bits(&work_conserving.burst(d)), bits(&want_burst[i]));
+        }
+    }
+
+    /// The RT core is `evaluate` without jitter, bit for bit, on
+    /// contended shares with zero components and unbounded bursts.
+    #[test]
+    fn rt_core_matches_deterministic_evaluate(
+        load in arb_load(),
+        (demands, cap) in arb_host(),
+        jitter in (0u32..2, 0.01f64..0.3).prop_map(|(k, s)| if k == 0 { 0.0 } else { s }),
+    ) {
+        let profile = VmPerfProfile::default();
+        let required = required_resources(&load, &profile, 60.0);
+        let mut all = demands;
+        all[0] = required;
+        let (mut granted, mut burst) = (Vec::new(), Vec::new());
+        share_proportionally_into(&all, cap, &mut granted);
+        share_work_conserving_into(&all, cap, &mut burst);
+        let cfg = RtModelConfig { jitter_sigma: jitter, ..RtModelConfig::default() };
+        let core = rt_core(&load, &profile, &required, &granted[0], &burst[0], &cfg, 60.0);
+        let full = evaluate(&load, &profile, &required, &granted[0], &burst[0], &cfg, 60.0, None);
+        prop_assert_eq!(core.rt_process_secs.to_bits(), full.rt_process_secs.to_bits());
+        prop_assert_eq!(core.capacity_rps.to_bits(), full.capacity_rps.to_bits());
+        prop_assert_eq!(core.offered_rps.min(core.capacity_rps).to_bits(), full.served_rps.to_bits());
     }
 
     /// Demand is monotone in every load dimension.

@@ -17,9 +17,9 @@
 use crate::problem::{HostInfo, VmInfo};
 use pamdc_infra::resources::Resources;
 use pamdc_ml::predictors::{PredictionTarget, PredictorSuite};
-use pamdc_perf::contention::{share_proportionally, share_work_conserving};
+use pamdc_perf::contention::{ProportionalShare, WorkConservingShare};
 use pamdc_perf::demand::required_resources;
-use pamdc_perf::rt::{evaluate, RtModelConfig};
+use pamdc_perf::rt::{rt_core, RtModelConfig};
 use std::sync::{Arc, Mutex};
 
 /// A scheduler's belief system: demand estimates and SLA forecasts.
@@ -305,22 +305,28 @@ impl QosOracle for TrueOracle {
         host_total_demand: &Resources,
         transport_secs: f64,
     ) -> f64 {
+        // The VM's share of a host holding two demands, the VM and
+        // everyone else, as the tick loop's share rules compute it; only
+        // the VM's own grant and burst are built. The total is the sum
+        // of that pair, not `host_total_demand`: `rest` saturates at
+        // zero, so the two differ when the total is below the VM's own
+        // demand.
         let required = self.demand(vm);
         let rest = host_total_demand.saturating_sub(&required);
-        let demands = [required, rest];
-        let granted = share_proportionally(&demands, host.capacity);
-        let burst = share_work_conserving(&demands, host.capacity);
-        let outcome = evaluate(
+        let total: Resources = [required, rest].into_iter().sum();
+        let granted = ProportionalShare::new(&total, &host.capacity).grant(&required);
+        let burst = WorkConservingShare::new(&total, &host.capacity).burst(&required);
+        let rt = rt_core(
             &vm.load,
             &vm.perf,
             &required,
-            &granted[0],
-            &burst[0],
+            &granted,
+            &burst,
             &self.rt_cfg,
             self.drain_secs,
-            None,
-        );
-        vm.sla.fulfillment(outcome.rt_process_secs + transport_secs)
+        )
+        .rt_process_secs;
+        vm.sla.fulfillment(rt + transport_secs)
     }
 
     fn name(&self) -> &'static str {
@@ -383,6 +389,93 @@ mod tests {
         let crushed = Resources::new(1600.0, 8192.0, 100.0, 400.0);
         let bad = o.sla(&p.vms[0], host, &crushed, 0.01);
         assert!(bad < good, "contention must reduce SLA: {bad} vs {good}");
+    }
+
+    /// The SLA answer as `TrueOracle::sla` composed it from the
+    /// whole-host share rules and the full tick model: both shares of
+    /// the pair [vm, everyone else] into vectors, then `evaluate`.
+    fn composed_true_sla(
+        oracle: &TrueOracle,
+        vm: &VmInfo,
+        host: &HostInfo,
+        total: &Resources,
+        transport_secs: f64,
+    ) -> f64 {
+        use pamdc_perf::contention::{share_proportionally_into, share_work_conserving_into};
+        let required = oracle.demand(vm);
+        let demands = [required, total.saturating_sub(&required)];
+        let (mut granted, mut burst) = (Vec::new(), Vec::new());
+        share_proportionally_into(&demands, host.capacity, &mut granted);
+        share_work_conserving_into(&demands, host.capacity, &mut burst);
+        let outcome = pamdc_perf::rt::evaluate(
+            &vm.load,
+            &vm.perf,
+            &required,
+            &granted[0],
+            &burst[0],
+            &oracle.rt_cfg,
+            oracle.drain_secs,
+            None,
+        );
+        vm.sla.fulfillment(outcome.rt_process_secs + transport_secs)
+    }
+
+    #[test]
+    fn true_oracle_matches_composed_model_bit_for_bit() {
+        let mut p = problem(12, 2, 50.0);
+        for (i, vm) in p.vms.iter_mut().enumerate() {
+            vm.load.rps = 5.0 + 40.0 * i as f64;
+            vm.load.backlog = 100.0 * (i % 3) as f64;
+            if i % 4 == 3 {
+                // A VM with no network demand: unbounded burst there.
+                vm.load.kb_in_per_req = 0.0;
+                vm.load.kb_out_per_req = 0.0;
+            }
+        }
+        let cap = p.hosts[0].capacity;
+        let mut cases = [0usize; 4];
+        // A jittery model config must not leak into the oracle's answer.
+        for rt_cfg in [RtModelConfig::deterministic(), RtModelConfig::default()] {
+            let o = TrueOracle {
+                rt_cfg,
+                drain_secs: 600.0,
+            };
+            for vm in &p.vms {
+                let d = o.demand(vm);
+                let totals = [
+                    // Under capacity, with the VM's own demand inside.
+                    d + Resources::new(0.2 * cap.cpu, 0.2 * cap.mem_mb, 10.0, 10.0),
+                    // CPU overcommitted.
+                    d + Resources::new(1.5 * cap.cpu, 0.1 * cap.mem_mb, 10.0, 10.0),
+                    // Memory overcommitted.
+                    d + Resources::new(0.1 * cap.cpu, 2.0 * cap.mem_mb, 10.0, 10.0),
+                    // Below the VM's own demand: the rest saturates at zero.
+                    d * 0.5,
+                    Resources::ZERO,
+                ];
+                for total in totals {
+                    for transport in [0.0, 0.05, 0.3] {
+                        let want = composed_true_sla(&o, vm, &p.hosts[0], &total, transport);
+                        let got = o.sla(vm, &p.hosts[0], &total, transport);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "vm {:?} total {total:?}",
+                            vm.id
+                        );
+                    }
+                    let sum = d + total.saturating_sub(&d);
+                    cases[0] += usize::from(sum.fits_within(&cap));
+                    cases[1] += usize::from(sum.cpu > cap.cpu);
+                    cases[2] += usize::from(sum.mem_mb > cap.mem_mb);
+                    cases[3] += usize::from(!d.fits_within(&total));
+                }
+            }
+        }
+        assert!(
+            cases.iter().all(|&n| n > 0),
+            "every regime is covered: {cases:?}"
+        );
     }
 
     /// The SLA answer as `MlOracle::sla` computed it before the memo:
