@@ -94,27 +94,31 @@ USAGE:
                                      daemon: tail a live demand feed, one MAPE
                                      step per consumed tick, periodic snapshots
                                      and a JSONL status stream (docs/SERVE.md)
-  pamdc replay --manifest <session.json> [opts]
+  pamdc replay --manifest <session.json> [--csv ...] [--json ...]
                                      re-execute a recorded serve session
                                      bit-for-bit, degraded rounds included
   pamdc trace summarize <trace.jsonl>
                                      per-phase wall-clock breakdown of a
                                      JSONL run trace (docs/OBSERVABILITY.md)
 
-OPTIONS:
-  --quick          use each experiment's quick preset (CI smoke)
-  --csv <path>     write run metrics as CSV
-  --json <path>    write run metrics as JSON
-  --hours <n>      override the simulated horizon
+OPTIONS (a command refuses any option it does not read):
+  --quick          use each experiment's quick preset (CI smoke; run,
+                   sweep, campaign, replay)
+  --csv <path>     write run metrics as CSV (run, sweep, campaign,
+                   replay, serve)
+  --json <path>    write run metrics as JSON (as --csv)
+  --hours <n>      override the simulated horizon (run, sweep, campaign,
+                   record, replay)
   --jobs <n>       cap concurrent runs (sweep, campaign; default: one
                    per hardware thread) — results are identical at any
                    budget
   --out <path>     output path (record, import)
   --names          machine-readable listing: names only (list)
   --trace-out <p>  stream a JSONL trace of the run (run, replay)
-  --progress       heartbeat to stderr every simulated hour
-  --quiet          only warnings and errors on stderr (PAMDC_LOG also
-                   sets the level: error|warn|info|debug)
+  --progress       heartbeat to stderr every simulated hour (run, sweep,
+                   campaign, replay)
+  --quiet          only warnings and errors on stderr, any command
+                   (PAMDC_LOG also sets the level: error|warn|info|debug)
 ";
 
 /// A parsed invocation.
@@ -197,14 +201,57 @@ struct Opts {
     trace_out: Option<PathBuf>,
     /// Hourly stderr heartbeat.
     progress: bool,
-    /// Lower the stderr level to warnings and errors.
-    quiet: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Cmd, String> {
+/// The options each command reads, `replay --manifest` apart from a
+/// trace replay. `--quiet` is accepted by every command; any other
+/// option is an error naming it and the command.
+const COMMAND_OPTIONS: &[(&str, &str)] = &[
+    ("list", "--names"),
+    ("show", ""),
+    ("run", "--quick --csv --json --hours --trace-out --progress"),
+    (
+        "sweep",
+        "--param --quick --csv --json --hours --jobs --progress",
+    ),
+    ("campaign", "--quick --csv --json --hours --jobs --progress"),
+    ("record", "--out --hours"),
+    (
+        "replay",
+        "--spec --rate-scale --stretch --remap --quick --csv --json --hours --trace-out \
+         --progress",
+    ),
+    ("replay --manifest", "--manifest --csv --json"),
+    (
+        "serve",
+        "--feed --session --max-ticks --poll-ms --budget-ms --csv --json",
+    ),
+    (
+        "import",
+        "--format --out --tick-secs --regions --rate-scale --stretch --remap --max-services \
+         --max-ticks",
+    ),
+    ("trace", ""),
+];
+
+/// Parses a command line into the command and whether `--quiet` was
+/// given.
+fn parse_args(args: &[String]) -> Result<(Cmd, bool), String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or_else(|| "missing command".to_string())?;
     let rest: Vec<&String> = it.collect();
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Err(String::new());
+    }
+    let usage = if cmd == "replay" && rest.iter().any(|a| *a == "--manifest") {
+        "replay --manifest"
+    } else {
+        cmd.as_str()
+    };
+    let (_, accepted) = COMMAND_OPTIONS
+        .iter()
+        .find(|(name, _)| *name == usage)
+        .ok_or_else(|| format!("unknown command {cmd:?}"))?;
 
     // Pull `--flag [value]` pairs out; positionals remain.
     let mut positional: Vec<String> = Vec::new();
@@ -226,10 +273,14 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
     let mut poll_ms: u64 = 200;
     let mut budget_ms: Option<u64> = None;
     let mut manifest: Option<PathBuf> = None;
+    let mut quiet = false;
 
     let mut i = 0;
     while i < rest.len() {
         let arg = rest[i].as_str();
+        if arg.starts_with("--") && arg != "--quiet" && !accepted.split(' ').any(|a| a == arg) {
+            return Err(format!("`pamdc {usage}` takes no option {arg}"));
+        }
         let mut value = |name: &str| -> Result<String, String> {
             i += 1;
             rest.get(i)
@@ -262,7 +313,7 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
             "--names" => names_only = true,
             "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--progress" => opts.progress = true,
-            "--quiet" => opts.quiet = true,
+            "--quiet" => quiet = true,
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--spec" => spec_flag = Some(value("--spec")?),
             "--rate-scale" => {
@@ -326,7 +377,6 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
                 )
             }
             "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
-            other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
         }
         i += 1;
@@ -340,19 +390,16 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
         }
     };
 
-    match cmd.as_str() {
-        "list" => Ok(Cmd::List { names_only }),
-        "show" => Ok(Cmd::Show {
+    let cmd = match cmd.as_str() {
+        "list" => Cmd::List { names_only },
+        "show" => Cmd::Show {
             name: one_positional("built-in name")?,
-        }),
-        "run" => Ok(Cmd::Run {
+        },
+        "run" => Cmd::Run {
             spec: one_positional("spec path or built-in name")?,
             opts,
-        }),
+        },
         "sweep" => {
-            if opts.trace_out.is_some() {
-                return Err("--trace-out only applies to single runs (run, replay)".into());
-            }
             let spec = one_positional("spec path or built-in name")?;
             if params.is_empty() {
                 return Err("sweep needs --param key=v1,v2,... (repeatable)".into());
@@ -376,26 +423,21 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
                 }
                 parsed.push((key, values));
             }
-            Ok(Cmd::Sweep {
+            Cmd::Sweep {
                 spec,
                 params: parsed,
                 opts,
-            })
-        }
-        "campaign" => {
-            if opts.trace_out.is_some() {
-                return Err("--trace-out only applies to single runs (run, replay)".into());
             }
-            Ok(Cmd::Campaign {
-                file: PathBuf::from(one_positional("campaign file")?),
-                opts,
-            })
         }
-        "record" => Ok(Cmd::Record {
+        "campaign" => Cmd::Campaign {
+            file: PathBuf::from(one_positional("campaign file")?),
+            opts,
+        },
+        "record" => Cmd::Record {
             spec: one_positional("spec path or built-in name")?,
             out: out.ok_or("record needs --out <trace.csv>")?,
             hours: opts.hours,
-        }),
+        },
         "replay" => {
             let trace = match (&manifest, positional.as_slice()) {
                 (Some(_), []) => None,
@@ -404,7 +446,7 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
                 }
                 (None, _) => Some(PathBuf::from(one_positional("trace path (or --manifest)")?)),
             };
-            Ok(Cmd::Replay {
+            Cmd::Replay {
                 trace,
                 manifest,
                 spec: spec_flag,
@@ -412,9 +454,9 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
                 stretch,
                 remap,
                 opts,
-            })
+            }
         }
-        "serve" => Ok(Cmd::Serve {
+        "serve" => Cmd::Serve {
             spec: one_positional("spec path or built-in name")?,
             feed: feed.ok_or("serve needs --feed <feed.csv>")?,
             session,
@@ -422,8 +464,8 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
             poll_ms,
             budget_ms,
             opts,
-        }),
-        "import" => Ok(Cmd::Import {
+        },
+        "import" => Cmd::Import {
             file: PathBuf::from(one_positional("dataset path")?),
             format: format.ok_or("import needs --format azure|alibaba")?,
             out: out.ok_or("import needs --out <trace.csv>")?,
@@ -434,16 +476,16 @@ fn parse_args(args: &[String]) -> Result<Cmd, String> {
             remap,
             max_services,
             max_ticks,
-        }),
-        "trace" => match positional.as_slice() {
-            [sub, file] if sub == "summarize" => Ok(Cmd::TraceSummarize {
-                file: PathBuf::from(file),
-            }),
-            _ => Err("trace usage: pamdc trace summarize <trace.jsonl>".into()),
         },
-        "help" | "--help" | "-h" => Err(String::new()),
-        other => Err(format!("unknown command {other:?}")),
-    }
+        "trace" => match positional.as_slice() {
+            [sub, file] if sub == "summarize" => Cmd::TraceSummarize {
+                file: PathBuf::from(file),
+            },
+            _ => return Err("trace usage: pamdc trace summarize <trace.jsonl>".into()),
+        },
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    Ok((cmd, quiet))
 }
 
 /// Resolves a spec argument: file path first, then built-in name.
@@ -707,13 +749,6 @@ fn cmd_replay(
     opts: &Opts,
 ) -> Result<(), String> {
     if let Some(manifest) = manifest {
-        if spec_arg.is_some() || rate_scale != 1.0 || stretch != 1.0 || !remap.is_empty() {
-            return Err(
-                "--manifest replays the recorded session verbatim; --spec/--rate-scale/\
-                 --stretch/--remap do not apply"
-                    .into(),
-            );
-        }
         let report = serve::cmd_replay_manifest(manifest)?;
         outln!("{}", report.text);
         return write_outputs(std::slice::from_ref(&report), opts);
@@ -909,8 +944,8 @@ fn cmd_show(name: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match parse_args(&args) {
-        Ok(cmd) => cmd,
+    let (cmd, quiet) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
@@ -919,15 +954,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Cmd::Run { opts, .. }
-    | Cmd::Sweep { opts, .. }
-    | Cmd::Campaign { opts, .. }
-    | Cmd::Replay { opts, .. }
-    | Cmd::Serve { opts, .. } = &cmd
-    {
-        if opts.quiet {
-            pamdc_obs::log::set_level(pamdc_obs::log::Level::Warn);
-        }
+    if quiet {
+        pamdc_obs::log::set_level(pamdc_obs::log::Level::Warn);
     }
     let result = match &cmd {
         Cmd::List { names_only } => cmd_list(*names_only),
@@ -1036,7 +1064,7 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> Result<Cmd, String> {
-        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map(|(cmd, _)| cmd)
     }
 
     #[test]
@@ -1304,20 +1332,20 @@ mod tests {
 
     #[test]
     fn parses_observability_flags() {
-        let cmd = parse(&[
+        let args = [
             "run",
             "fig4",
             "--trace-out",
             "t.jsonl",
             "--progress",
             "--quiet",
-        ])
-        .unwrap();
+        ];
+        let (cmd, quiet) = parse_args(&args.map(String::from)).unwrap();
         match cmd {
             Cmd::Run { opts, .. } => {
                 assert_eq!(opts.trace_out, Some(PathBuf::from("t.jsonl")));
                 assert!(opts.progress);
-                assert!(opts.quiet);
+                assert!(quiet);
             }
             other => panic!("{other:?}"),
         }
@@ -1331,9 +1359,138 @@ mod tests {
             "t.jsonl",
         ])
         .unwrap_err();
-        assert!(err.contains("single runs"), "{err}");
+        assert_eq!(err, "`pamdc sweep` takes no option --trace-out");
         let err = parse(&["campaign", "c.toml", "--trace-out", "t.jsonl"]).unwrap_err();
-        assert!(err.contains("single runs"), "{err}");
+        assert_eq!(err, "`pamdc campaign` takes no option --trace-out");
+    }
+
+    #[test]
+    fn refuses_options_the_command_does_not_read() {
+        for (args, option, usage) in [
+            (
+                &["run", "fig4", "--rate-scale", "2"][..],
+                "--rate-scale",
+                "run",
+            ),
+            (&["run", "fig4", "--jobs", "2"], "--jobs", "run"),
+            (
+                &["record", "fig4", "--out", "t.csv", "--csv", "x"],
+                "--csv",
+                "record",
+            ),
+            (
+                &[
+                    "import", "a.csv", "--format", "azure", "--out", "t.csv", "--hours", "3",
+                ],
+                "--hours",
+                "import",
+            ),
+            (&["list", "--feed", "f"], "--feed", "list"),
+            (&["show", "fig4", "--quick"], "--quick", "show"),
+            (
+                &["serve", "fig4", "--feed", "f.csv", "--quick"],
+                "--quick",
+                "serve",
+            ),
+            (
+                &["replay", "t.csv", "--manifest-dir", "x"],
+                "--manifest-dir",
+                "replay",
+            ),
+            (
+                &["replay", "--manifest", "m.json", "--spec", "fig4"],
+                "--spec",
+                "replay --manifest",
+            ),
+            (
+                &["replay", "--manifest", "m.json", "--hours", "2"],
+                "--hours",
+                "replay --manifest",
+            ),
+            (
+                &["trace", "summarize", "t.jsonl", "--json", "x"],
+                "--json",
+                "trace",
+            ),
+        ] {
+            let err = parse(args).expect_err(option);
+            assert_eq!(err, format!("`pamdc {usage}` takes no option {option}"));
+        }
+        // `--quiet` is global.
+        for args in [
+            &["list", "--quiet"][..],
+            &["show", "fig4", "--quiet"],
+            &["record", "fig4", "--out", "t.csv", "--quiet"],
+            &[
+                "import", "a.csv", "--format", "azure", "--out", "t.csv", "--quiet",
+            ],
+            &["replay", "--manifest", "m.json", "--quiet"],
+            &["trace", "summarize", "t.jsonl", "--quiet"],
+        ] {
+            let parsed = parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+            assert!(parsed.expect("--quiet is accepted").1, "{args:?}");
+        }
+    }
+
+    /// The `pamdc` command lines of a shell text: the words after
+    /// `prefix`, found anywhere on a line (`anywhere`) or at its start.
+    /// Continuations are joined; comments, redirections, pipes and
+    /// command substitutions end a command.
+    fn command_lines(text: &str, prefix: &str, anywhere: bool) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        for line in text.replace("\\\n", " ").lines() {
+            let line = line.trim_start();
+            let tail = match line.find(prefix) {
+                Some(at) if anywhere || at == 0 => &line[at + prefix.len()..],
+                _ => continue,
+            };
+            let end = [" #", " 2>", " >", " |", ")", ";"]
+                .iter()
+                .filter_map(|stop| tail.find(stop))
+                .min()
+                .unwrap_or(tail.len());
+            let words = tail[..end]
+                .split_whitespace()
+                .map(|w| w.trim_matches('"').to_string())
+                .collect();
+            out.push(words);
+        }
+        out
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+        let mut lines = command_lines(&ci, "target/release/pamdc ", true);
+        let ci_count = lines.len();
+        let mut docs: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
+            .expect("docs/")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "md"))
+            .collect();
+        docs.sort();
+        for doc in docs {
+            let text = std::fs::read_to_string(&doc).expect("doc");
+            // Only fenced code blocks hold whole command lines.
+            for block in text.split("```").skip(1).step_by(2) {
+                lines.extend(command_lines(block, "pamdc ", false));
+            }
+        }
+        assert!(ci_count >= 20, "found {ci_count} CI command lines");
+        assert!(
+            lines.len() > ci_count + 10,
+            "found {} command lines",
+            lines.len()
+        );
+        for words in &lines {
+            assert!(
+                parse_args(words).is_ok(),
+                "pamdc {}: {:?}",
+                words.join(" "),
+                parse_args(words)
+            );
+        }
     }
 
     #[test]

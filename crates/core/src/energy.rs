@@ -53,30 +53,6 @@ impl EnergyEnvironment {
         }
     }
 
-    /// Installs solar at every DC, sized as `capacity_per_pm_w` ×
-    /// the DC's host count, phased to the DC's local noon. `min_sky`
-    /// sets the worst-day cloud attenuation.
-    pub fn with_solar_everywhere(
-        mut self,
-        cluster: &Cluster,
-        capacity_per_pm_w: f64,
-        min_sky: f64,
-        days: u64,
-        seed: u64,
-    ) -> Self {
-        for (i, dc) in cluster.dcs().iter().enumerate() {
-            let offset = City::ALL
-                .iter()
-                .find(|c| c.location() == dc.location)
-                .map(|c| c.utc_offset_hours())
-                .unwrap_or(0.0);
-            let capacity = capacity_per_pm_w * dc.pms().len() as f64;
-            let farm = SolarFarm::new(capacity, offset, days, min_sky, seed ^ ((i as u64) << 8));
-            self.sites[i] = self.sites[i].clone().with_solar(farm);
-        }
-        self
-    }
-
     /// Installs solar at one DC, phased to its local noon.
     pub fn with_solar_at(
         mut self,
@@ -107,12 +83,6 @@ impl EnergyEnvironment {
     /// Replaces one DC's grid tariff.
     pub fn with_tariff(mut self, dc_idx: usize, tariff: Tariff) -> Self {
         self.sites[dc_idx] = self.sites[dc_idx].clone().with_tariff(tariff);
-        self
-    }
-
-    /// Replaces one DC's whole site.
-    pub fn with_site(mut self, dc_idx: usize, site: SiteEnergy) -> Self {
-        self.sites[dc_idx] = site;
         self
     }
 
@@ -161,6 +131,13 @@ mod tests {
         c
     }
 
+    /// 200 W of solar at each one-host DC, one `with_solar_at` per DC.
+    fn solar_everywhere(cluster: &Cluster) -> EnergyEnvironment {
+        (0..cluster.dc_count()).fold(EnergyEnvironment::paper_default(cluster), |env, i| {
+            env.with_solar_at(cluster, i, 200.0, 1.0, 7, 5)
+        })
+    }
+
     #[test]
     fn paper_default_matches_table2() {
         let cluster = four_city_cluster();
@@ -186,8 +163,7 @@ mod tests {
     #[test]
     fn solar_everywhere_discounts_local_noon() {
         let cluster = four_city_cluster();
-        let env = EnergyEnvironment::paper_default(&cluster)
-            .with_solar_everywhere(&cluster, 200.0, 1.0, 7, 5);
+        let env = solar_everywhere(&cluster);
         // 02:00 UTC = Brisbane noon: its quoted price collapses to the
         // green marginal while Barcelona (03:00 local) stays brown.
         let t = SimTime::from_hours(2);
@@ -203,9 +179,7 @@ mod tests {
     #[test]
     fn price_blind_hides_the_discount() {
         let cluster = four_city_cluster();
-        let env = EnergyEnvironment::paper_default(&cluster)
-            .with_solar_everywhere(&cluster, 200.0, 1.0, 7, 5)
-            .price_blind();
+        let env = solar_everywhere(&cluster).price_blind();
         let t = SimTime::from_hours(2);
         let brs = env.quoted_price_eur_kwh(0, t, 0.0, 50.0);
         assert!(

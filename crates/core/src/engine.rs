@@ -294,11 +294,6 @@ impl Controller {
         &self.config
     }
 
-    /// Ticks executed so far (== the next tick index `step` will run).
-    pub fn ticks_done(&self) -> u64 {
-        self.tick_idx
-    }
-
     /// Migrations started so far.
     pub fn migrations(&self) -> u64 {
         self.migrations
@@ -801,8 +796,8 @@ impl Controller {
     /// Folds the run into a [`RunOutcome`] (and hands back the training
     /// collector, if one was attached). `duration` is the span the
     /// outcome reports over — the batch path passes its requested
-    /// duration; an open-ended serve session passes
-    /// `config.tick * ticks_done()`.
+    /// duration; an open-ended serve session passes `config.tick` times
+    /// the ticks it stepped.
     pub fn finish(self, duration: SimDuration) -> (RunOutcome, Option<TrainingCollector>) {
         let obs = &self.obs;
         let cfg = &self.config;

@@ -2,7 +2,6 @@
 //! experiment driver.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// The one metric-key sanitizer, shared by the experiment pipeline, the
 /// CLI's CSV/JSON emitters and the bench harness: keeps ASCII
@@ -79,11 +78,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Convenience: formats mixed cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -145,16 +139,6 @@ impl TextTable {
         }
         out
     }
-}
-
-/// Writes a string artifact under `dir`, creating the directory. Returns
-/// the path written. Failures are soft (benches must not die on a
-/// read-only filesystem): an `Err` carries the message.
-pub fn write_artifact(dir: &Path, name: &str, content: &str) -> Result<std::path::PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let path = dir.join(name);
-    std::fs::write(&path, content).map_err(|e| e.to_string())?;
-    Ok(path)
 }
 
 /// Formats a float with fixed decimals (report helper).

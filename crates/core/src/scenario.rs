@@ -148,7 +148,6 @@ pub struct ScenarioBuilder {
     load_scale: f64,
     flash_crowd_multiplier: Option<f64>,
     monitor: MonitorConfig,
-    rt_cfg: RtModelConfig,
     billing: BillingPolicy,
     faults: Vec<pamdc_infra::pm::FaultEvent>,
     profile_changes: Vec<ProfileChange>,
@@ -178,7 +177,6 @@ impl ScenarioBuilder {
             load_scale: 1.0,
             flash_crowd_multiplier: None,
             monitor: MonitorConfig::default(),
-            rt_cfg: RtModelConfig::default(),
             billing: BillingPolicy::default(),
             faults: Vec::new(),
             profile_changes: Vec::new(),
@@ -204,7 +202,6 @@ impl ScenarioBuilder {
             load_scale: 1.0,
             flash_crowd_multiplier: None,
             monitor: MonitorConfig::default(),
-            rt_cfg: RtModelConfig::default(),
             billing: BillingPolicy::default(),
             faults: Vec::new(),
             profile_changes: Vec::new(),
@@ -262,12 +259,6 @@ impl ScenarioBuilder {
     /// Overrides monitor distortion.
     pub fn monitor(mut self, cfg: MonitorConfig) -> Self {
         self.monitor = cfg;
-        self
-    }
-
-    /// Overrides the ground-truth RT model config.
-    pub fn rt_config(mut self, cfg: RtModelConfig) -> Self {
-        self.rt_cfg = cfg;
         self
     }
 
@@ -514,7 +505,7 @@ impl ScenarioBuilder {
             workload: demand,
             perf_profiles,
             monitor: self.monitor,
-            rt_cfg: self.rt_cfg,
+            rt_cfg: RtModelConfig::default(),
             billing: self.billing,
             energy,
             faults,

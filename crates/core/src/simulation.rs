@@ -188,8 +188,10 @@ mod tests {
         let run = |solar: bool| {
             let mut builder = ScenarioBuilder::paper_intra_dc().vms(3).seed(5);
             if solar {
-                builder = builder
-                    .energy(|cluster, env| env.with_solar_everywhere(cluster, 100.0, 1.0, 2, 9));
+                builder = builder.energy(|cluster, env| {
+                    let pms = cluster.dcs()[0].pms().len() as f64;
+                    env.with_solar_at(cluster, 0, 100.0 * pms, 1.0, 2, 9)
+                });
             }
             let scenario = builder.build();
             let policy = Box::new(StaticPolicy(TrueOracle::new()));

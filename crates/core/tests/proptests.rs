@@ -9,9 +9,25 @@ use pamdc_core::scenario::ScenarioBuilder;
 use pamdc_core::simulation::RunConfig;
 use pamdc_green::solar::SolarFarm;
 use pamdc_green::tariff::Tariff;
+use pamdc_infra::cluster::Cluster;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Solar at every DC through `with_solar_at`, sized `w_per_pm` × the
+/// DC's host count.
+fn solar_everywhere(
+    cluster: &Cluster,
+    w_per_pm: f64,
+    min_sky: f64,
+    days: u64,
+    seed: u64,
+) -> EnergyEnvironment {
+    (0..cluster.dc_count()).fold(EnergyEnvironment::paper_default(cluster), |env, i| {
+        let capacity = w_per_pm * cluster.dcs()[i].pms().len() as f64;
+        env.with_solar_at(cluster, i, capacity, min_sky, days, seed)
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -29,8 +45,7 @@ proptest! {
         seed in 0_u64..100,
     ) {
         let scenario = ScenarioBuilder::paper_multi_dc().vms(1).seed(1).build();
-        let env = EnergyEnvironment::paper_default(&scenario.cluster)
-            .with_solar_everywhere(&scenario.cluster, solar_w, min_sky, 4, seed);
+        let env = solar_everywhere(&scenario.cluster, solar_w, min_sky, 4, seed);
         let q = env.quoted_price_eur_kwh(dc, SimTime::from_hours(hour), draw, host_w);
         let lo = env.sites[dc].green_marginal_eur_kwh;
         let hi = 0.1513_f64; // dearest Table II tariff
@@ -89,8 +104,7 @@ proptest! {
         seed in 0_u64..50,
     ) {
         let mut scenario = ScenarioBuilder::paper_intra_dc().vms(2).seed(seed).build();
-        scenario.energy = EnergyEnvironment::paper_default(&scenario.cluster)
-            .with_solar_everywhere(&scenario.cluster, solar_w, 1.0, 2, seed);
+        scenario.energy = solar_everywhere(&scenario.cluster, solar_w, 1.0, 2, seed);
         let farm_capacity: f64 = scenario.cluster.dcs().len() as f64
             * solar_w
             * scenario.cluster.pms().len() as f64;
@@ -110,12 +124,10 @@ fn zero_capacity_solar_is_identity() {
     let run = |with_farm: bool| {
         let mut scenario = ScenarioBuilder::paper_intra_dc().vms(2).seed(3).build();
         if with_farm {
-            let env = EnergyEnvironment::paper_default(&scenario.cluster).with_site(
-                0,
-                scenario.energy.sites[0]
-                    .clone()
-                    .with_solar(SolarFarm::new(0.0, 1.0, 2, 0.5, 7)),
-            );
+            let mut env = EnergyEnvironment::paper_default(&scenario.cluster);
+            env.sites[0] = scenario.energy.sites[0]
+                .clone()
+                .with_solar(SolarFarm::new(0.0, 1.0, 2, 0.5, 7));
             scenario.energy = env;
         }
         Controller::with(

@@ -64,18 +64,6 @@ impl LinkLoad {
         debug_assert!(i < self.n && j < self.n);
         self.gbps[i * self.n + j]
     }
-
-    /// Total client traffic crossing any link, Gbps (each pair counted
-    /// once).
-    pub fn total_gbps(&self) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                sum += self.gbps[i * self.n + j];
-            }
-        }
-        sum
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +82,13 @@ mod tests {
         assert!((l.client_gbps(A, B) - 2.0).abs() < 1e-12);
         assert!((l.client_gbps(B, A) - 2.0).abs() < 1e-12);
         assert_eq!(l.client_gbps(A, C), 0.0);
-        assert!((l.total_gbps() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn same_location_is_ignored() {
         let mut l = LinkLoad::new(2);
         l.add_client_gbps(A, A, 5.0);
-        assert_eq!(l.total_gbps(), 0.0);
+        assert_eq!(l.client_gbps(A, A), 0.0);
     }
 
     #[test]

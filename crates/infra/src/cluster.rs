@@ -12,7 +12,6 @@ use crate::ids::{DcId, LocationId, PmId, VmId};
 use crate::migration::Migration;
 use crate::network::NetworkModel;
 use crate::pm::{MachineSpec, PhysicalMachine};
-use crate::resources::Resources;
 use crate::vm::{VirtualMachine, VmSpec};
 use pamdc_simcore::time::SimTime;
 
@@ -121,11 +120,6 @@ impl Cluster {
         &self.pms[id.index()]
     }
 
-    /// One host, mutably (power management).
-    pub fn pm_mut(&mut self, id: PmId) -> &mut PhysicalMachine {
-        &mut self.pms[id.index()]
-    }
-
     /// One VM.
     pub fn vm(&self, id: VmId) -> &VirtualMachine {
         &self.vms[id.index()]
@@ -151,11 +145,6 @@ impl Cluster {
         self.placement[vm.index()]
     }
 
-    /// The full placement map, indexed by VM.
-    pub fn placement_map(&self) -> &[Option<PmId>] {
-        &self.placement
-    }
-
     /// Datacenter of a host.
     pub fn dc_of_pm(&self, pm: PmId) -> DcId {
         self.pms[pm.index()].dc
@@ -164,11 +153,6 @@ impl Cluster {
     /// Location of a host (its DC's location).
     pub fn location_of_pm(&self, pm: PmId) -> LocationId {
         self.dcs[self.pms[pm.index()].dc.index()].location
-    }
-
-    /// Energy price billed to a host, €/kWh.
-    pub fn energy_price_of_pm(&self, pm: PmId) -> f64 {
-        self.dcs[self.pms[pm.index()].dc.index()].energy_price_eur_kwh
     }
 
     /// Location of the VM's current host, if placed.
@@ -286,11 +270,6 @@ impl Cluster {
         done
     }
 
-    /// Powers on a host (no-op if already on/booting).
-    pub fn ensure_on(&mut self, pm: PmId, now: SimTime) {
-        self.pms[pm.index()].power_on(now);
-    }
-
     /// Requests shutdown of every empty, on host **except** those listed
     /// in `keep` (e.g. one warm spare per DC). Returns how many shutdowns
     /// were issued.
@@ -308,22 +287,6 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Capacity accounting
     // ------------------------------------------------------------------
-
-    /// Aggregate demand on a host: the sum of `demand_of` over hosted VMs
-    /// plus the hypervisor CPU overhead.
-    pub fn pm_used(&self, pm: PmId, demand_of: impl Fn(VmId) -> Resources) -> Resources {
-        let host = &self.pms[pm.index()];
-        let mut used: Resources = host.hosted().iter().map(|&v| demand_of(v)).sum();
-        used.cpu += host.virt_overhead_cpu();
-        used
-    }
-
-    /// Free capacity on a host under the given demand function (clamped
-    /// at zero component-wise).
-    pub fn pm_free(&self, pm: PmId, demand_of: impl Fn(VmId) -> Resources) -> Resources {
-        let cap = self.pms[pm.index()].spec.capacity;
-        cap.saturating_sub(&self.pm_used(pm, demand_of))
-    }
 
     // ------------------------------------------------------------------
     // Invariants
@@ -414,7 +377,6 @@ mod tests {
             c.location_of_vm(VmId(2)),
             Some(crate::network::City::Barcelona.location())
         );
-        assert!((c.energy_price_of_pm(PmId(1)) - 0.1120).abs() < 1e-12);
         c.check_invariants();
     }
 
@@ -468,24 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn used_and_free_capacity() {
-        let c = fixture();
-        let demand = |_vm: VmId| Resources::new(50.0, 256.0, 5.0, 10.0);
-        let used = c.pm_used(PmId(0), demand);
-        // 2 VMs * 50 cpu + 2 * 6.0 overhead.
-        assert!((used.cpu - 112.0).abs() < 1e-9);
-        assert!((used.mem_mb - 512.0).abs() < 1e-9);
-        let free = c.pm_free(PmId(0), demand);
-        assert!((free.cpu - (400.0 - 112.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn power_off_idle_respects_keep_list() {
         let mut c = fixture();
         let now = SimTime::from_mins(20);
         // Bring the two empty hosts (pm1, pm3) online first.
-        c.ensure_on(PmId(1), SimTime::from_mins(10));
-        c.ensure_on(PmId(3), SimTime::from_mins(10));
+        c.pms[1].power_on(SimTime::from_mins(10));
+        c.pms[3].power_on(SimTime::from_mins(10));
         c.tick(now);
         let n = c.power_off_idle(now, &[PmId(1)]);
         assert_eq!(n, 1, "only pm3 should be shut down");
@@ -501,7 +451,7 @@ mod tests {
         // deploy() powered pm0 and pm2 only; pm1 and pm3 stay off.
         assert_eq!(c.powered_pm_count(), 2);
         let now = SimTime::from_mins(20);
-        c.ensure_on(PmId(1), now);
+        c.pms[1].power_on(now);
         assert_eq!(c.powered_pm_count(), 3);
         c.tick(now + SimDuration::from_mins(5));
         assert_eq!(c.powered_pm_count(), 3);

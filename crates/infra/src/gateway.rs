@@ -61,14 +61,6 @@ impl Gateway {
         }
     }
 
-    /// Grows tracking when VMs are added after construction.
-    pub fn ensure_capacity(&mut self, vm_count: usize) {
-        if vm_count > self.backlog.len() {
-            self.backlog.resize(vm_count, 0.0);
-            self.dropped_total.resize(vm_count, 0.0);
-        }
-    }
-
     /// Pending requests for a VM.
     pub fn backlog(&self, vm: VmId) -> f64 {
         self.backlog[vm.index()]
@@ -184,13 +176,6 @@ mod tests {
         g.settle(VmId(0), 80.0, 0.0);
         g.clear(VmId(0));
         assert_eq!(g.backlog(VmId(0)), 0.0);
-    }
-
-    #[test]
-    fn ensure_capacity_grows() {
-        let mut g = Gateway::new(1, 10.0);
-        g.ensure_capacity(3);
-        assert_eq!(g.backlog(VmId(2)), 0.0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use crate::monitor::{observe, MonitorConfig, SlidingWindow};
     pub use crate::network::{City, LatencyMatrix, NetworkModel};
     pub use crate::pm::{FaultEvent, MachineSpec, PhysicalMachine, PmState};
-    pub use crate::power::{EnergyMeter, PowerModel};
+    pub use crate::power::PowerModel;
     pub use crate::resources::Resources;
     pub use crate::vm::{VirtualMachine, VmSpec, VmState};
 }

@@ -45,19 +45,6 @@ impl Default for MonitorConfig {
     }
 }
 
-impl MonitorConfig {
-    /// A noiseless monitor (for ablations isolating observation error).
-    pub fn perfect() -> Self {
-        MonitorConfig {
-            noise_frac: 0.0,
-            spike_prob: 0.0,
-            spike_cpu_pct: 0.0,
-            window_len: 1,
-            dropout_prob: 0.0,
-        }
-    }
-}
-
 /// Applies monitor distortion to one true usage sample.
 pub fn observe(truth: &Resources, cfg: &MonitorConfig, rng: &mut RngStream) -> Resources {
     let jitter = |x: f64, rng: &mut RngStream| {
@@ -134,11 +121,6 @@ impl SlidingWindow {
         self.buf.iter().fold(Resources::ZERO, |acc, r| acc.max(r))
     }
 
-    /// The newest sample, if any.
-    pub fn latest(&self) -> Option<Resources> {
-        self.buf.back().copied()
-    }
-
     /// Drops all samples (e.g. after a migration invalidates history).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -154,11 +136,21 @@ mod tests {
         Resources::new(cpu, 512.0, 10.0, 20.0)
     }
 
+    fn noiseless() -> MonitorConfig {
+        MonitorConfig {
+            noise_frac: 0.0,
+            spike_prob: 0.0,
+            spike_cpu_pct: 0.0,
+            window_len: 1,
+            dropout_prob: 0.0,
+        }
+    }
+
     #[test]
-    fn perfect_monitor_is_identity() {
+    fn noiseless_monitor_is_identity() {
         let mut rng = RngStream::root(1);
         let truth = r(123.0);
-        let obs = observe(&truth, &MonitorConfig::perfect(), &mut rng);
+        let obs = observe(&truth, &noiseless(), &mut rng);
         assert_eq!(obs, truth);
     }
 
@@ -186,7 +178,7 @@ mod tests {
             noise_frac: 0.0,
             spike_prob: 1.0,
             spike_cpu_pct: 50.0,
-            ..MonitorConfig::perfect()
+            ..noiseless()
         };
         let truth = r(100.0);
         let obs = observe(&truth, &cfg, &mut rng);
@@ -220,7 +212,6 @@ mod tests {
         w.push(r(40.0)); // evicts 10
         assert_eq!(w.len(), 3);
         assert!((w.mean().cpu - 30.0).abs() < 1e-9);
-        assert_eq!(w.latest().unwrap().cpu, 40.0);
         assert_eq!(w.peak().cpu, 40.0);
         w.clear();
         assert!(w.is_empty());

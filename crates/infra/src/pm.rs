@@ -187,11 +187,6 @@ impl PhysicalMachine {
         matches!(self.state, PmState::On | PmState::Booting { .. })
     }
 
-    /// True when the host has crashed and awaits repair.
-    pub fn is_failed(&self) -> bool {
-        matches!(self.state, PmState::Failed { .. })
-    }
-
     /// Crashes the host: immediate power loss, repair completing after
     /// `repair_after`. Any state may fail, including `Off` (a dead PSU
     /// discovered on the next boot attempt). Hosted VMs stay attached
@@ -423,7 +418,7 @@ mod tests {
 
         // Crash at t=10, 20-minute repair.
         m.fail(SimTime::from_mins(10), SimDuration::from_mins(20));
-        assert!(m.is_failed());
+        assert!(matches!(m.state(), PmState::Failed { .. }));
         assert!(!m.is_on() && !m.is_schedulable());
         assert_eq!(m.facility_watts(100.0), 0.0, "a dead host draws nothing");
         assert_eq!(
@@ -434,7 +429,7 @@ mod tests {
 
         // Power commands are ignored while failed.
         m.power_on(SimTime::from_mins(15));
-        assert!(m.is_failed());
+        assert!(matches!(m.state(), PmState::Failed { .. }));
 
         // Repair completes at t=30: auto-restart pays the boot time.
         m.tick_state(SimTime::from_mins(30));
@@ -447,9 +442,12 @@ mod tests {
     fn failure_from_off_keeps_it_dark() {
         let mut m = pm();
         m.fail(SimTime::ZERO, SimDuration::from_mins(5));
-        assert!(m.is_failed());
+        assert!(matches!(m.state(), PmState::Failed { .. }));
         m.power_on(SimTime::from_mins(1));
-        assert!(m.is_failed(), "a failed host cannot be booted");
+        assert!(
+            matches!(m.state(), PmState::Failed { .. }),
+            "a failed host cannot be booted"
+        );
         m.tick_state(SimTime::from_mins(5));
         assert!(matches!(m.state(), PmState::Booting { .. }));
     }

@@ -10,9 +10,6 @@
 //! with linear interpolation inside a core (CPU% between core counts), an
 //! idle floor for a switched-on-but-empty host, full draw while booting
 //! (machines burn power before they serve), and the cooling multiplier.
-//! [`EnergyMeter`] integrates watts over simulated time into watt-hours.
-
-use pamdc_simcore::time::SimDuration;
 
 /// Power curve of a physical machine.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,44 +90,6 @@ impl PowerModel {
     }
 }
 
-/// Accumulates energy (watt-hours) and its monetary value over time.
-#[derive(Clone, Debug, Default)]
-pub struct EnergyMeter {
-    wh: f64,
-    cost_eur: f64,
-}
-
-impl EnergyMeter {
-    /// A zeroed meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Integrates `watts` held constant for `dt`, billed at
-    /// `eur_per_kwh`.
-    pub fn accumulate(&mut self, watts: f64, dt: SimDuration, eur_per_kwh: f64) {
-        let wh = watts * dt.as_hours_f64();
-        self.wh += wh;
-        self.cost_eur += wh / 1000.0 * eur_per_kwh;
-    }
-
-    /// Total watt-hours so far.
-    pub fn watt_hours(&self) -> f64 {
-        self.wh
-    }
-
-    /// Total energy cost so far, euro.
-    pub fn cost_eur(&self) -> f64 {
-        self.cost_eur
-    }
-
-    /// Merges another meter (parallel runs).
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.wh += other.wh;
-        self.cost_eur += other.cost_eur;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,18 +146,6 @@ mod tests {
         let p = PowerModel::atom_4core();
         assert!((p.facility_watts(100.0) - 29.1 * 1.5).abs() < 1e-9);
         assert!((p.transition_watts() - 29.1 * 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn meter_integrates() {
-        let mut m = EnergyMeter::new();
-        m.accumulate(100.0, SimDuration::from_mins(30), 0.2);
-        assert!((m.watt_hours() - 50.0).abs() < 1e-9);
-        assert!((m.cost_eur() - 0.05 * 0.2).abs() < 1e-9);
-        let mut m2 = EnergyMeter::new();
-        m2.accumulate(100.0, SimDuration::from_mins(30), 0.2);
-        m.merge(&m2);
-        assert!((m.watt_hours() - 100.0).abs() < 1e-9);
     }
 
     #[test]

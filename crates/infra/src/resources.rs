@@ -92,11 +92,6 @@ impl Resources {
         }
     }
 
-    /// Component-wise clamp of `self` into `[ZERO, cap]`.
-    pub fn clamp_to(&self, cap: &Resources) -> Resources {
-        self.max(&Resources::ZERO).min(cap)
-    }
-
     /// The largest utilisation fraction across components, given a
     /// capacity; this "dominant share" drives bin-packing order in the
     /// Best-Fit scheduler. Components with zero capacity are skipped.
@@ -246,15 +241,6 @@ mod tests {
         let cap = r(400.0, 0.0, 0.0, 0.0);
         let d = r(200.0, 50.0, 1.0, 1.0);
         assert!((d.dominant_share(&cap) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clamp_to_bounds() {
-        let cap = r(400.0, 4096.0, 100.0, 100.0);
-        let wild = r(900.0, -5.0, 50.0, 101.0);
-        let c = wild.clamp_to(&cap);
-        assert_eq!(c, r(400.0, 0.0, 50.0, 100.0));
-        assert!(c.is_valid());
     }
 
     #[test]

@@ -34,17 +34,6 @@ impl VmSpec {
             alpha: 10.0,
         }
     }
-
-    /// A heavier service variant (bigger image, more base memory) used in
-    /// heterogeneous-fleet tests.
-    pub fn heavy_service() -> Self {
-        VmSpec {
-            image_size_mb: 8192.0,
-            base_mem_mb: 512.0,
-            rt0_secs: 0.1,
-            alpha: 10.0,
-        }
-    }
 }
 
 /// VM runtime state.
@@ -153,6 +142,5 @@ mod tests {
         let s = VmSpec::web_service();
         assert!((s.rt0_secs - 0.1).abs() < 1e-12);
         assert!((s.alpha - 10.0).abs() < 1e-12);
-        assert!(VmSpec::heavy_service().image_size_mb > s.image_size_mb);
     }
 }

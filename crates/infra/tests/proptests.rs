@@ -45,19 +45,6 @@ proptest! {
         prop_assert!(p.it_watts(lo) >= 27.0 - 1e-12);
     }
 
-    /// Energy integration is additive over time splits.
-    #[test]
-    fn energy_additive(watts in 0.0f64..500.0, mins_a in 1u64..600, mins_b in 1u64..600) {
-        let price = 0.15;
-        let mut whole = EnergyMeter::new();
-        whole.accumulate(watts, SimDuration::from_mins(mins_a + mins_b), price);
-        let mut split = EnergyMeter::new();
-        split.accumulate(watts, SimDuration::from_mins(mins_a), price);
-        split.accumulate(watts, SimDuration::from_mins(mins_b), price);
-        prop_assert!((whole.watt_hours() - split.watt_hours()).abs() < 1e-9);
-        prop_assert!((whole.cost_eur() - split.cost_eur()).abs() < 1e-12);
-    }
-
     /// Migration blackout fraction is within [0,1] and proportional to
     /// overlap.
     #[test]

@@ -74,6 +74,10 @@ pub struct Report {
     pub allows: Vec<Allow>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// [`SourceFile::non_test_lines`] summed over the production
+    /// sources: `src/` and every `crates/*/src/` except the
+    /// `crates/shims/` stand-ins for registry crates.
+    pub non_test_lines: usize,
 }
 
 /// Where each rule applies, as workspace-relative path prefixes.
@@ -163,6 +167,9 @@ pub fn run(root: &Path, profile: &Profile) -> Result<Report, String> {
         let text =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
         let sf = SourceFile::parse(rel.clone(), &text);
+        if is_production_source(rel) {
+            report.non_test_lines += sf.non_test_lines();
+        }
         allows.extend(parse_allows(&sf, &mut raw));
 
         let allowlisted = profile.wall_clock_allow.iter().any(|p| rel.starts_with(p));
@@ -220,6 +227,15 @@ pub fn run(root: &Path, profile: &Profile) -> Result<Report, String> {
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+/// `src/**` or `crates/<crate>/src/**`, shims left out.
+fn is_production_source(rel: &str) -> bool {
+    match rel.split('/').collect::<Vec<_>>().as_slice() {
+        ["src", ..] => true,
+        ["crates", name, "src", ..] => *name != "shims",
+        _ => false,
+    }
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), String> {
@@ -308,8 +324,8 @@ fn parse_allows(sf: &SourceFile, bad: &mut Vec<Violation>) -> Vec<Allow> {
 pub fn to_json(report: &Report) -> String {
     let mut out = String::from("{\n  \"v\": 1,\n");
     out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"violations\": [",
-        report.files_scanned
+        "  \"files_scanned\": {},\n  \"non_test_lines\": {},\n  \"violations\": [",
+        report.files_scanned, report.non_test_lines
     ));
     for (i, v) in report.violations.iter().enumerate() {
         if i > 0 {
@@ -403,6 +419,21 @@ mod tests {
     }
 
     #[test]
+    fn production_sources_leave_out_shims_tests_and_benches() {
+        for (rel, counted) in [
+            ("src/lib.rs", true),
+            ("crates/core/src/engine.rs", true),
+            ("crates/bench/src/bin/perf_gate.rs", true),
+            ("crates/shims/rand/src/lib.rs", false),
+            ("crates/core/tests/proptests.rs", false),
+            ("crates/bench/benches/solver_scaling.rs", false),
+            ("crates/lint/fixtures/violating/src/a.rs", false),
+        ] {
+            assert_eq!(is_production_source(rel), counted, "{rel}");
+        }
+    }
+
+    #[test]
     fn json_escapes_and_shape() {
         let report = Report {
             violations: vec![Violation {
@@ -414,10 +445,12 @@ mod tests {
             suppressed: vec![],
             allows: vec![],
             files_scanned: 1,
+            non_test_lines: 7,
         };
         let json = to_json(&report);
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("x\\ny"));
         assert!(json.contains("\"files_scanned\": 1"));
+        assert!(json.contains("\"non_test_lines\": 7"));
     }
 }

@@ -60,11 +60,13 @@ fn run() -> Result<bool, String> {
     }
     if !quiet {
         eprintln!(
-            "pamdc-lint: {} violation(s), {} suppressed, {} allow directive(s), {} files",
+            "pamdc-lint: {} violation(s), {} suppressed, {} allow directive(s), {} files, \
+             {} non-test lines",
             report.violations.len(),
             report.suppressed.len(),
             report.allows.len(),
-            report.files_scanned
+            report.files_scanned,
+            report.non_test_lines
         );
     }
     Ok(report.violations.is_empty())

@@ -47,6 +47,19 @@ impl SourceFile {
             in_test,
         }
     }
+
+    /// Lines that are neither blank, nor `//` comments (doc comments
+    /// included), nor inside a `#[cfg(test)]` item.
+    pub fn non_test_lines(&self) -> usize {
+        self.lines
+            .iter()
+            .zip(&self.in_test)
+            .filter(|(line, &test)| {
+                let text = line.raw.trim_start();
+                !test && !text.is_empty() && !text.starts_with("//")
+            })
+            .count()
+    }
 }
 
 /// Lexer state carried across lines (strings and block comments span
@@ -333,5 +346,14 @@ mod tests {
         let text = "#[cfg(test)]\nfn helper() {\n    boom();\n}\nfn live() {}\n";
         let flags = test_flags(&classify(text));
         assert_eq!(flags, vec![true, true, true, true, false]);
+    }
+
+    #[test]
+    fn non_test_lines_skip_blanks_comments_and_tests() {
+        let text =
+            "//! Crate doc.\n\n/// Item doc.\nfn live() {\n    // note\n    go(); // tail\n}\n\
+                    #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let sf = SourceFile::parse("x.rs".into(), text);
+        assert_eq!(sf.non_test_lines(), 3, "fn line, call, closing brace");
     }
 }

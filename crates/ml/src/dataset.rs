@@ -190,13 +190,6 @@ impl Standardizer {
         }
     }
 
-    /// Scales one row into a fresh vector.
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; row.len()];
-        self.transform_into(row, &mut out);
-        out
-    }
-
     /// Scales one row into `out` (same length): the allocation-free
     /// path k-NN prediction uses.
     pub fn transform_into(&self, row: &[f64], out: &mut [f64]) {
@@ -294,9 +287,10 @@ mod tests {
     fn standardizer_zero_mean_unit_var() {
         let d = toy();
         let sc = Standardizer::fit(&d);
-        let transformed: Vec<Vec<f64>> = d.rows().map(|r| sc.transform(r)).collect();
         let mut s0 = OnlineStats::new();
-        for r in &transformed {
+        let mut r = [0.0; 2];
+        for row in d.rows() {
+            sc.transform_into(row, &mut r);
             s0.push(r[0]);
         }
         assert!(s0.mean().abs() < 1e-9);
@@ -310,7 +304,9 @@ mod tests {
             d.push(&[5.0], 1.0);
         }
         let sc = Standardizer::fit(&d);
-        assert_eq!(sc.transform(&[5.0]), vec![0.0]);
+        let mut r = [f64::NAN];
+        sc.transform_into(&[5.0], &mut r);
+        assert_eq!(r, [0.0]);
     }
 
     #[test]

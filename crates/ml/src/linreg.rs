@@ -77,7 +77,7 @@ impl LinearRegression {
 
     /// Number of effectively non-zero parameters (for M5's complexity
     /// penalty).
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         1 + self.weights.iter().filter(|w| w.abs() > 1e-12).count()
     }
 }

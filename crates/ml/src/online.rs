@@ -148,11 +148,6 @@ where
         self.refit_count
     }
 
-    /// Buffered examples.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     fn refit(&mut self) {
         let mut d = Dataset::new(self.feature_names.clone());
         for (x, y) in &self.buffer {
@@ -281,7 +276,7 @@ mod tests {
         for i in 0..1000 {
             l.observe(vec![i as f64], i as f64);
         }
-        assert_eq!(l.buffered(), 30);
+        assert_eq!(l.buffer.len(), 30);
         assert!(l.refit_count() > 10);
     }
 

@@ -11,9 +11,14 @@ use proptest::prelude::*;
 /// vector, full distances, a capped max-heap re-sorted on each insert.
 fn reference_predict(data: &Dataset, k: usize, distance_weighted: bool, features: &[f64]) -> f64 {
     let scaler = Standardizer::fit(data);
-    let points: Vec<Vec<f64>> = data.rows().map(|r| scaler.transform(r)).collect();
+    let scale = |row: &[f64]| {
+        let mut out = vec![0.0; row.len()];
+        scaler.transform_into(row, &mut out);
+        out
+    };
+    let points: Vec<Vec<f64>> = data.rows().map(scale).collect();
     let targets = data.targets();
-    let q = scaler.transform(features);
+    let q = scale(features);
     let k = k.min(points.len());
     let mut heap: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
     for (i, p) in points.iter().enumerate() {

@@ -26,7 +26,7 @@ pub mod prelude {
         WorkConservingShare,
     };
     pub use crate::demand::{cpu_demand_pct, required_resources, OfferedLoad, VmPerfProfile};
-    pub use crate::queueing::{drain_time, little_l, ps_sojourn_time, utilization};
+    pub use crate::queueing::{ps_sojourn_time, utilization};
     pub use crate::rt::{evaluate, rt_core, PerfOutcome, RtCore, RtModelConfig};
     pub use crate::sla::SlaFunction;
 }

@@ -39,25 +39,6 @@ pub fn ps_sojourn_time(s: f64, rho: f64, max_rt: f64) -> f64 {
     (s / denom).min(max_rt)
 }
 
-/// Little's law: mean number in system for arrival rate `lambda` and
-/// sojourn time `w`.
-pub fn little_l(lambda: f64, w: f64) -> f64 {
-    (lambda * w).max(0.0)
-}
-
-/// Time to drain a backlog of `q` requests at net drain rate
-/// `mu - lambda` (infinite when not draining).
-pub fn drain_time(q: f64, lambda: f64, mu: f64) -> f64 {
-    let net = mu - lambda;
-    if q <= 0.0 {
-        0.0
-    } else if net <= 0.0 {
-        f64::INFINITY
-    } else {
-        q / net
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,18 +77,5 @@ mod tests {
     #[test]
     fn zero_service_time_is_instant() {
         assert_eq!(ps_sojourn_time(0.0, 0.9, 20.0), 0.0);
-    }
-
-    #[test]
-    fn littles_law() {
-        assert_eq!(little_l(100.0, 0.05), 5.0);
-        assert_eq!(little_l(0.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn drain_time_cases() {
-        assert_eq!(drain_time(0.0, 10.0, 5.0), 0.0);
-        assert_eq!(drain_time(100.0, 50.0, 100.0), 2.0);
-        assert_eq!(drain_time(100.0, 100.0, 100.0), f64::INFINITY);
     }
 }

@@ -46,18 +46,6 @@ impl SlaFunction {
             1.0 - (rt_secs - self.rt0_secs) / ((self.alpha - 1.0) * self.rt0_secs)
         }
     }
-
-    /// The response time at which fulfillment first reaches 0.
-    pub fn cutoff_secs(&self) -> f64 {
-        self.alpha * self.rt0_secs
-    }
-
-    /// Inverse on the degrading segment: the RT that yields a given
-    /// fulfillment level (clamped to `[0, 1]`).
-    pub fn rt_for_fulfillment(&self, level: f64) -> f64 {
-        let level = level.clamp(0.0, 1.0);
-        self.rt0_secs + (1.0 - level) * (self.alpha - 1.0) * self.rt0_secs
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +61,6 @@ mod tests {
         assert_eq!(s.fulfillment(5.0), 0.0);
         // Midpoint of the degrading band: RT = 0.55 -> 0.5.
         assert!((s.fulfillment(0.55) - 0.5).abs() < 1e-12);
-        assert!((s.cutoff_secs() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -96,15 +83,6 @@ mod tests {
             assert!(f <= last + 1e-12);
             assert!((0.0..=1.0).contains(&f));
             last = f;
-        }
-    }
-
-    #[test]
-    fn inverse_roundtrips_on_degrading_segment() {
-        let s = SlaFunction::paper();
-        for &level in &[0.0, 0.25, 0.5, 0.75, 1.0] {
-            let rt = s.rt_for_fulfillment(level);
-            assert!((s.fulfillment(rt) - level).abs() < 1e-9, "level {level}");
         }
     }
 

@@ -98,22 +98,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The array payload, when this is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The table payload, when this is one.
-    pub fn as_table(&self) -> Option<&Table> {
-        match self {
-            Value::Table(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 /// Parses a document into its root table.
@@ -511,13 +495,20 @@ pm = 1
             t["list"],
             Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
-        let run = t["run"].as_table().unwrap();
-        assert_eq!(run["hours"], Value::Int(24));
-        let inner = t["policy"].as_table().unwrap()["inner"].as_table().unwrap();
+        fn table(v: &Value) -> &Table {
+            match v {
+                Value::Table(t) => t,
+                other => panic!("not a table: {other:?}"),
+            }
+        }
+        assert_eq!(table(&t["run"])["hours"], Value::Int(24));
+        let inner = table(&table(&t["policy"])["inner"]);
         assert_eq!(inner["kind"], Value::Str("bestfit".into()));
-        let faults = t["faults"].as_array().unwrap();
+        let Value::Array(faults) = &t["faults"] else {
+            panic!("[[faults]] is an array")
+        };
         assert_eq!(faults.len(), 2);
-        assert_eq!(faults[0].as_table().unwrap()["at_min"], Value::Float(30.5));
+        assert_eq!(table(&faults[0])["at_min"], Value::Float(30.5));
     }
 
     #[test]
@@ -577,6 +568,6 @@ at_min = 30
     #[test]
     fn empty_sections_materialize() {
         let t = parse("[empty]\n[other]\nx = 1").unwrap();
-        assert!(t["empty"].as_table().unwrap().is_empty());
+        assert!(matches!(&t["empty"], Value::Table(e) if e.is_empty()));
     }
 }

@@ -16,7 +16,6 @@ use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
 use crate::profit::PlacementState;
 use pamdc_infra::gateway::weighted_transport_secs;
-use pamdc_infra::resources::Resources;
 
 /// Keep every VM where it is. VMs without a current host (entering the
 /// system) are first-fit placed near their heaviest load source.
@@ -126,15 +125,6 @@ pub fn cheapest_energy(problem: &Problem, oracle: &dyn QosOracle) -> Schedule {
     Schedule { assignment }
 }
 
-/// The believed total demand per host of a schedule, for tests.
-pub fn packed_demand(
-    problem: &Problem,
-    oracle: &dyn QosOracle,
-    schedule: &Schedule,
-) -> Vec<Resources> {
-    schedule.demand_per_host(problem, |vm| oracle.demand(vm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +176,7 @@ mod tests {
         }
         let o = TrueOracle::new();
         let s = follow_the_load(&p, &o);
-        let per_host = packed_demand(&p, &o, &s);
+        let per_host = s.demand_per_host(&p, |vm| o.demand(vm));
         // At most one host may be overloaded (the final fallback), and
         // only if nothing fit.
         let overloaded = per_host

@@ -6,8 +6,8 @@
 //!   window and guesses SLA from fit + client latency only. Under
 //!   contention the window under-reports true demand (a starved VM shows
 //!   the usage it got), so this oracle over-consolidates.
-//! * [`OverbookOracle`] — BF-OB: the same, but books `factor ×` the
-//!   observation (the paper uses 2×) to absorb surprises — safe but
+//! * [`MonitorOracle::overbooked`] — BF-OB: the same, but books twice
+//!   the observation (the paper's 2×) to absorb surprises — safe but
 //!   wasteful.
 //! * [`MlOracle`] — BF-ML: predicts demand and SLA with the Table-I
 //!   models from load characteristics, which *do* reflect true demand.
@@ -102,9 +102,6 @@ impl QosOracle for MonitorOracle {
     }
 }
 
-/// BF-OB: the overbooking variant (type alias of convenience).
-pub type OverbookOracle = MonitorOracle;
-
 /// Slots in [`MlOracle`]'s SLA memo (a power of two).
 const SLA_MEMO_SLOTS: usize = 4096;
 
@@ -164,11 +161,6 @@ impl MlOracle {
             suite,
             memo: Mutex::new(SlaMemo::new()),
         }
-    }
-
-    /// Wraps an owned suite.
-    pub fn from_suite(suite: PredictorSuite) -> Self {
-        MlOracle::new(Arc::new(suite))
     }
 
     /// Borrow the underlying suite (e.g. to print Table I).

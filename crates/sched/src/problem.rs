@@ -78,13 +78,6 @@ pub struct HostInfo {
     pub boot_penalty: SimDuration,
 }
 
-impl HostInfo {
-    /// Capacity still uncommitted after the fixed residents.
-    pub fn free_after_fixed(&self) -> Resources {
-        self.capacity.saturating_sub(&self.fixed_demand)
-    }
-}
-
 /// Lazily built dense `PmId → hosts-index` map. Every consumer of
 /// [`Problem::host_index`] (schedule validation, per-VM current-host
 /// resolution in Best-Fit, believed-totals construction) used to pay a
@@ -150,11 +143,6 @@ impl Problem {
             map
         });
         map.get(pm.index()).copied().filter(|&hi| hi != usize::MAX)
-    }
-
-    /// Index of a VM by id.
-    pub fn vm_index(&self, vm: VmId) -> Option<usize> {
-        self.vms.iter().position(|v| v.id == vm)
     }
 }
 
@@ -346,7 +334,6 @@ mod tests {
         let p = problem(3, 4, 50.0);
         assert_eq!(p.host_index(PmId(2)), Some(2));
         assert_eq!(p.host_index(PmId(99)), None);
-        assert_eq!(p.vm_index(VmId(1)), Some(1));
     }
 
     #[test]
@@ -413,14 +400,5 @@ mod tests {
             assignment: vec![PmId(9)],
         }
         .validate(&p);
-    }
-
-    #[test]
-    fn free_after_fixed_clamps() {
-        let mut p = problem(1, 1, 50.0);
-        p.hosts[0].fixed_demand = Resources::new(1000.0, 0.0, 0.0, 0.0);
-        let free = p.hosts[0].free_after_fixed();
-        assert_eq!(free.cpu, 0.0);
-        assert!(free.mem_mb > 0.0);
     }
 }

@@ -103,11 +103,6 @@ impl PlacementState {
         d
     }
 
-    /// Number of round-VMs assigned to a host so far.
-    pub fn assigned_count(&self, host_idx: usize) -> usize {
-        self.vm_counts[host_idx]
-    }
-
     /// Whether the host would be running anything after the assignments
     /// so far (fixed residents or newly assigned VMs).
     pub fn host_active(&self, problem: &Problem, host_idx: usize) -> bool {
@@ -426,11 +421,6 @@ pub fn evaluate_schedule(
     }
 }
 
-/// Convenience: the believed-demand closure most schedulers need.
-pub fn demand_fn<'a>(oracle: &'a dyn QosOracle) -> impl Fn(&VmInfo) -> Resources + 'a {
-    move |vm| oracle.demand(vm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,7 +606,7 @@ mod tests {
         assert!(state.fits(&p, 0, &big));
         state.assign(&p, 0, big);
         assert!(!state.fits(&p, 0, &big), "second giant VM cannot fit");
-        assert_eq!(state.assigned_count(0), 1);
+        assert_eq!(state.vm_counts[0], 1);
     }
 
     #[test]

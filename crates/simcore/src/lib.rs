@@ -23,7 +23,7 @@ pub mod prelude {
     pub use crate::series::{SeriesSet, TimeSeries};
     pub use crate::stats::{
         error_std_dev, mean_absolute_error, pearson, percentile, root_mean_squared_error,
-        weighted_mean, Correlation, Histogram, OnlineStats,
+        weighted_mean, Correlation, OnlineStats,
     };
-    pub use crate::time::{SimDuration, SimTime, TickIter};
+    pub use crate::time::{SimDuration, SimTime};
 }

@@ -111,34 +111,6 @@ impl TimeSeries {
         s.mean()
     }
 
-    /// Time-weighted mean: each sample holds until the next one; the final
-    /// sample holds until `end`. This is the right average for step
-    /// signals such as instantaneous power draw.
-    pub fn time_weighted_mean(&self, end: SimTime) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        let mut dur = 0.0;
-        for i in 0..self.len() {
-            let t0 = self.times[i];
-            let t1 = if i + 1 < self.len() {
-                self.times[i + 1]
-            } else {
-                end.max(t0)
-            };
-            let dt = (t1 - t0).as_secs_f64();
-            acc += self.values[i] * dt;
-            dur += dt;
-        }
-        if dur <= 0.0 {
-            // All samples share one timestamp; fall back to plain mean.
-            self.mean()
-        } else {
-            acc / dur
-        }
-    }
-
     /// Downsamples to one mean value per `bucket` of time, returning
     /// `(bucket_start, mean)` pairs. Used to shrink per-tick traces before
     /// printing figure data.
@@ -284,15 +256,6 @@ mod tests {
         }
         assert!((ts.mean_in_window(t(2), t(5)) - 3.0).abs() < 1e-12);
         assert_eq!(ts.mean_in_window(t(50), t(60)), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_signal() {
-        let mut ts = TimeSeries::new("power");
-        ts.record(t(0), 100.0); // holds 10 min
-        ts.record(t(10), 0.0); // holds 10 min
-        let twm = ts.time_weighted_mean(t(20));
-        assert!((twm - 50.0).abs() < 1e-9);
     }
 
     #[test]

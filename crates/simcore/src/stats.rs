@@ -79,26 +79,10 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance, n−1 denominator (0 with fewer than 2 samples).
-    #[inline]
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     #[inline]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    #[inline]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation (+inf if empty).
@@ -199,15 +183,6 @@ impl Correlation {
             0.0
         } else {
             (self.co / denom).clamp(-1.0, 1.0)
-        }
-    }
-
-    /// Covariance (population).
-    pub fn covariance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.co / self.n as f64
         }
     }
 
@@ -318,64 +293,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range clamping,
-/// used for load and RT distribution reports.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram: hi must exceed lo");
-        assert!(bins > 0, "histogram: need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample; values outside the range land in the edge bins.
-    pub fn push(&mut self, x: f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let idx = ((x - self.lo) / w).floor();
-        let idx = idx.clamp(0.0, (self.bins.len() - 1) as f64) as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of samples in bucket `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / self.total as f64
-        }
-    }
-
-    /// Midpoint of bucket `i` (useful for plotting).
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,19 +383,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert!((percentile(&v, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_clamps_and_counts() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-1.0); // clamps to first bin
-        h.push(0.5);
-        h.push(9.9);
-        h.push(100.0); // clamps to last bin
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[4], 2);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.fraction(0) - 0.5).abs() < 1e-12);
     }
 }

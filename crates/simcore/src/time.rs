@@ -98,13 +98,6 @@ impl SimTime {
     pub const fn day_index(self) -> u64 {
         self.0 / MILLIS_PER_DAY
     }
-
-    /// Duration elapsed since `earlier`. Saturates at zero rather than
-    /// panicking so that monitors sampling "around" an event stay total.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -308,53 +301,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// Iterator over the tick boundaries of a closed-open interval
-/// `[start, end)` with a fixed step; the workhorse of the time-stepped
-/// simulation loop.
-#[derive(Clone, Debug)]
-pub struct TickIter {
-    next: SimTime,
-    end: SimTime,
-    step: SimDuration,
-}
-
-impl TickIter {
-    /// Ticks from `start` (inclusive) to `end` (exclusive) every `step`.
-    pub fn new(start: SimTime, end: SimTime, step: SimDuration) -> Self {
-        assert!(!step.is_zero(), "tick step must be positive");
-        TickIter {
-            next: start,
-            end,
-            step,
-        }
-    }
-}
-
-impl Iterator for TickIter {
-    type Item = SimTime;
-
-    fn next(&mut self) -> Option<SimTime> {
-        if self.next >= self.end {
-            return None;
-        }
-        let t = self.next;
-        self.next += self.step;
-        Some(t)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = if self.next >= self.end {
-            0
-        } else {
-            ((self.end.as_millis() - self.next.as_millis()).div_ceil(self.step.as_millis()))
-                as usize
-        };
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for TickIter {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,8 +324,7 @@ mod tests {
         let early = SimTime::from_secs(1);
         let late = SimTime::from_secs(5);
         assert_eq!(early - late, SimDuration::ZERO);
-        assert_eq!(early.since(late), SimDuration::ZERO);
-        assert_eq!(late.since(early), SimDuration::from_secs(4));
+        assert_eq!(late - early, SimDuration::from_secs(4));
     }
 
     #[test]
@@ -403,30 +348,6 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_mins(30));
         assert_eq!(d / 2, SimDuration::from_mins(5));
         assert_eq!(d * 0.5, SimDuration::from_mins(5));
-    }
-
-    #[test]
-    fn tick_iter_covers_interval() {
-        let ticks: Vec<_> = TickIter::new(
-            SimTime::ZERO,
-            SimTime::from_mins(5),
-            SimDuration::from_mins(1),
-        )
-        .collect();
-        assert_eq!(ticks.len(), 5);
-        assert_eq!(ticks[0], SimTime::ZERO);
-        assert_eq!(ticks[4], SimTime::from_mins(4));
-    }
-
-    #[test]
-    fn tick_iter_size_hint_exact() {
-        let it = TickIter::new(
-            SimTime::from_secs(0),
-            SimTime::from_secs(10),
-            SimDuration::from_secs(3),
-        );
-        assert_eq!(it.len(), 4); // 0,3,6,9
-        assert_eq!(it.count(), 4);
     }
 
     #[test]

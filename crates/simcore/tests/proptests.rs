@@ -74,16 +74,6 @@ proptest! {
         prop_assert!((t0 + dur).as_millis() >= t0.as_millis());
     }
 
-    /// Tick iterator lengths agree with SimDuration::ticks.
-    #[test]
-    fn tick_iter_len_matches(dur_mins in 1u64..2000, step_mins in 1u64..120) {
-        let end = SimTime::from_mins(dur_mins);
-        let step = SimDuration::from_mins(step_mins);
-        let n = TickIter::new(SimTime::ZERO, end, step).count() as u64;
-        let expect = dur_mins.div_ceil(step_mins);
-        prop_assert_eq!(n, expect);
-    }
-
     /// Derived RNG streams are deterministic functions of (seed, name).
     #[test]
     fn rng_streams_deterministic(seed in 0u64..u64::MAX, name in "[a-z]{1,12}") {

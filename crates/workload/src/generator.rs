@@ -89,12 +89,6 @@ impl Workload {
         self
     }
 
-    /// Overrides the per-tick rate noise.
-    pub fn with_rate_noise(mut self, noise: f64) -> Self {
-        self.rate_noise = noise.max(0.0);
-        self
-    }
-
     /// Number of services.
     pub fn service_count(&self) -> usize {
         self.services.len()
@@ -171,18 +165,6 @@ impl Workload {
             .map(|r| self.expected_rps(service, r, t))
             .sum()
     }
-
-    /// The region contributing the most expected load to `service` at
-    /// `t` — the "main source load" the paper's Figure 5 VM chases.
-    pub fn dominant_region(&self, service: usize, t: SimTime) -> usize {
-        (0..self.regions.len())
-            .max_by(|&a, &b| {
-                self.expected_rps(service, a, t)
-                    .partial_cmp(&self.expected_rps(service, b, t))
-                    .expect("rates are finite")
-            })
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -233,21 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn dominant_region_rotates_with_the_sun() {
-        let w = simple_workload(1);
-        let mut dominants = Vec::new();
-        for h in 0..24 {
-            dominants.push(w.dominant_region(0, SimTime::from_hours(h)));
-        }
-        dominants.dedup();
-        // Over a day, at least three different regions must lead.
-        let mut uniq = dominants.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert!(uniq.len() >= 3, "dominant sequence {dominants:?}");
-    }
-
-    #[test]
     fn expected_rps_respects_weights() {
         let mut svc = ServiceWorkload {
             class: ServiceClass::Blog,
@@ -256,7 +223,7 @@ mod tests {
             region_weights: vec![3.0, 1.0, 0.0, 0.0],
         };
         svc.profile = DiurnalProfile::flat();
-        let w = Workload::new(four_regions(), vec![svc], 0).with_rate_noise(0.0);
+        let w = Workload::new(four_regions(), vec![svc], 0);
         let t = SimTime::from_hours(5);
         let r0 = w.expected_rps(0, 0, t);
         let r1 = w.expected_rps(0, 1, t);
@@ -266,9 +233,10 @@ mod tests {
 
     #[test]
     fn flash_crowd_scales_sampled_load() {
-        let base = simple_workload(3).with_rate_noise(0.0);
-        let crowded = simple_workload(3)
-            .with_rate_noise(0.0)
+        let mut base = simple_workload(3);
+        base.rate_noise = 0.0;
+        let crowded = base
+            .clone()
             .with_flash_crowd(crate::flashcrowd::FlashCrowd::paper_fig6(8.0));
         let t = SimTime::from_mins(80);
         let calm: f64 = sampled(&base, 0, t).iter().map(|f| f.rps).sum();

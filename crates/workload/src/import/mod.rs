@@ -59,7 +59,7 @@ pub mod azure;
 
 use crate::generator::FlowSample;
 use crate::service::ServiceClass;
-use crate::trace::DemandTrace;
+use crate::trace::{check_transforms, DemandTrace};
 use pamdc_simcore::time::SimDuration;
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -165,33 +165,13 @@ impl ImportOptions {
         if self.regions == 0 {
             return Err(ImportError("regions must be >= 1".into()));
         }
-        if !(self.rate_scale.is_finite() && self.rate_scale >= 0.0) {
-            return Err(ImportError(format!(
-                "rate_scale must be finite and >= 0, got {}",
-                self.rate_scale
-            )));
-        }
-        if !(self.time_stretch.is_finite() && self.time_stretch > 0.0) {
-            return Err(ImportError(format!(
-                "time_stretch must be finite and > 0, got {}",
-                self.time_stretch
-            )));
-        }
-        if !self.region_map.is_empty() {
-            if self.region_map.len() != self.regions {
-                return Err(ImportError(format!(
-                    "region_map lists {} regions but the import targets {}",
-                    self.region_map.len(),
-                    self.regions
-                )));
-            }
-            if let Some(&bad) = self.region_map.iter().find(|&&r| r >= self.regions) {
-                return Err(ImportError(format!(
-                    "region_map target {bad} is out of range ({} regions)",
-                    self.regions
-                )));
-            }
-        }
+        check_transforms(
+            self.rate_scale,
+            self.time_stretch,
+            &self.region_map,
+            self.regions,
+        )
+        .map_err(ImportError)?;
         if let Some(t) = self.tick {
             if t <= SimDuration::ZERO {
                 return Err(ImportError("tick must be positive".into()));
@@ -475,15 +455,6 @@ pub fn import<R: BufRead>(
     rows_to_trace(rows, &opts)
 }
 
-/// Imports a trace from in-memory text.
-pub fn import_str(
-    format: TraceFormat,
-    text: &str,
-    opts: &ImportOptions,
-) -> Result<DemandTrace, ImportError> {
-    import(format, text.as_bytes(), opts)
-}
-
 /// Imports a trace from a file on disk.
 pub fn import_path(
     format: TraceFormat,
@@ -511,7 +482,12 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn azure_import_normalizes_shape() {
-        let t = import_str(TraceFormat::Azure, AZURE, &ImportOptions::default()).expect("import");
+        let t = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .expect("import");
         assert_eq!(t.service_count(), 2);
         assert_eq!(t.tick_count(), 3);
         assert_eq!(t.regions, 4);
@@ -530,7 +506,12 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn import_round_trips_and_replays_bit_identically() {
-        let t = import_str(TraceFormat::Azure, AZURE, &ImportOptions::default()).expect("import");
+        let t = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .expect("import");
         let csv = t.to_csv();
         let reparsed = DemandTrace::parse_csv(&csv).expect("reparse");
         assert_eq!(t, reparsed);
@@ -554,8 +535,13 @@ timestamp,vm id,min cpu,max cpu,avg cpu
             region_map: vec![3, 2, 1, 0],
             ..ImportOptions::default()
         };
-        let base = import_str(TraceFormat::Azure, AZURE, &ImportOptions::default()).unwrap();
-        let t = import_str(TraceFormat::Azure, AZURE, &opts).unwrap();
+        let base = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).unwrap();
         assert_eq!(t.tick, SimDuration::from_secs(900), "stretched cadence");
         let (b, f) = (&base.flows[0][0][0], &t.flows[0][0][0]);
         assert!((f.rps - 2.0 * b.rps).abs() < 1e-12);
@@ -573,7 +559,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
             max_ticks: Some(2),
             ..ImportOptions::default()
         };
-        let t = import_str(TraceFormat::Azure, AZURE, &opts).expect("import");
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).expect("import");
         assert_eq!(t.service_count(), 1);
         assert_eq!(t.tick_count(), 2);
     }
@@ -584,7 +570,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
             tick: Some(SimDuration::from_secs(600)),
             ..ImportOptions::default()
         };
-        let t = import_str(TraceFormat::Azure, AZURE, &opts).expect("import");
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).expect("import");
         assert_eq!(t.tick_count(), 2);
         // vm-a's 20% and 10% samples average to 15% in tick 0.
         let f = &t.flows[0][0][0];
@@ -593,32 +579,95 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn bad_options_rejected() {
-        let t = |opts| import_str(TraceFormat::Azure, AZURE, &opts);
+        let t = |opts| import(TraceFormat::Azure, AZURE.as_bytes(), &opts);
         assert!(t(ImportOptions {
             regions: 0,
             ..ImportOptions::default()
         })
         .is_err());
-        assert!(t(ImportOptions {
-            rate_scale: -1.0,
-            ..ImportOptions::default()
-        })
-        .is_err());
-        assert!(t(ImportOptions {
-            time_stretch: 0.0,
-            ..ImportOptions::default()
-        })
-        .is_err());
-        assert!(t(ImportOptions {
-            region_map: vec![0, 1],
-            ..ImportOptions::default()
-        })
-        .is_err());
-        assert!(t(ImportOptions {
-            region_map: vec![9, 0, 1, 2],
-            ..ImportOptions::default()
-        })
-        .is_err());
+    }
+
+    #[test]
+    fn replay_and_import_share_the_transform_rules() {
+        let base = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .expect("import");
+        assert_eq!(base.regions, ImportOptions::default().regions);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (rate_scale, time_stretch, region_map, refusal) in [
+            (
+                -1.0,
+                1.0,
+                vec![],
+                "rate_scale must be finite and >= 0, got -1",
+            ),
+            (
+                nan,
+                1.0,
+                vec![],
+                "rate_scale must be finite and >= 0, got NaN",
+            ),
+            (
+                inf,
+                1.0,
+                vec![],
+                "rate_scale must be finite and >= 0, got inf",
+            ),
+            (
+                1.0,
+                0.0,
+                vec![],
+                "time_stretch must be finite and > 0, got 0",
+            ),
+            (
+                1.0,
+                -2.0,
+                vec![],
+                "time_stretch must be finite and > 0, got -2",
+            ),
+            (
+                1.0,
+                nan,
+                vec![],
+                "time_stretch must be finite and > 0, got NaN",
+            ),
+            (
+                1.0,
+                1.0,
+                vec![0, 1],
+                "region_map lists 2 regions but there are 4",
+            ),
+            (
+                1.0,
+                1.0,
+                vec![0, 1, 2, 4],
+                "region_map target 4 is out of range (4 regions)",
+            ),
+            (0.0, 1.0, vec![], ""),
+            (1.0, 1.0, vec![0, 1, 2, 3], ""),
+        ] {
+            let opts = ImportOptions {
+                rate_scale,
+                time_stretch,
+                region_map: region_map.clone(),
+                ..ImportOptions::default()
+            };
+            let imported = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).map_err(|e| e.0);
+            let replayed = TraceSource::replay(base.clone(), rate_scale, time_stretch, region_map)
+                .map_err(|e| e.0);
+            for (path, result) in [("import", imported.err()), ("replay", replayed.err())] {
+                match result {
+                    Some(err) => assert!(
+                        !refusal.is_empty() && err.contains(refusal),
+                        "{path}: {err}"
+                    ),
+                    None => assert!(refusal.is_empty(), "{path} accepted: {refusal}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -628,19 +677,38 @@ timestamp,vm id,min cpu,max cpu,avg cpu
         // first) — both importers must strip it, including on a final
         // line with no terminator at all.
         let azure_crlf = AZURE.replace('\n', "\r\n");
-        let lf = import_str(TraceFormat::Azure, AZURE, &ImportOptions::default()).unwrap();
-        let crlf = import_str(TraceFormat::Azure, &azure_crlf, &ImportOptions::default()).unwrap();
+        let lf = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
+        let crlf = import(
+            TraceFormat::Azure,
+            azure_crlf.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
         assert_eq!(lf, crlf, "azure CRLF must normalize identically");
         let unterminated = azure_crlf.trim_end_matches('\n').to_string(); // ends "...0.0\r"
-        let tail = import_str(TraceFormat::Azure, &unterminated, &ImportOptions::default());
+        let tail = import(
+            TraceFormat::Azure,
+            unterminated.as_bytes(),
+            &ImportOptions::default(),
+        );
         assert_eq!(lf, tail.expect("lone trailing \\r"));
 
         let alibaba = "c_1,m_1,10,25.0,40.2,1.1,0.4,0.02,120.0,350.0,5.0\n\
                        c_2,m_1,10,50.0,60.0,,,,,,\n";
-        let lf = import_str(TraceFormat::Alibaba, alibaba, &ImportOptions::default()).unwrap();
-        let crlf = import_str(
+        let lf = import(
             TraceFormat::Alibaba,
-            &alibaba.replace('\n', "\r\n"),
+            alibaba.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
+        let crlf = import(
+            TraceFormat::Alibaba,
+            alibaba.replace('\n', "\r\n").as_bytes(),
             &ImportOptions::default(),
         )
         .unwrap();
@@ -653,7 +721,12 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn azure_has_no_memory_columns_so_profiles_stay_unmeasured() {
-        let t = import_str(TraceFormat::Azure, AZURE, &ImportOptions::default()).unwrap();
+        let t = import(
+            TraceFormat::Azure,
+            AZURE.as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap();
         assert_eq!(t.mem_mb_per_inflight, vec![None, None]);
         // ...and the emitted CSV carries no memory header, keeping
         // pre-PR azure trace files byte-identical.
@@ -662,10 +735,15 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn empty_input_is_an_error_not_a_panic() {
-        let err = import_str(TraceFormat::Azure, "", &ImportOptions::default()).unwrap_err();
+        let err = import(TraceFormat::Azure, "".as_bytes(), &ImportOptions::default()).unwrap_err();
         assert!(err.0.contains("no usable"), "{err}");
         let header_only = "timestamp,vm id,min cpu,max cpu,avg cpu\n";
-        assert!(import_str(TraceFormat::Azure, header_only, &ImportOptions::default()).is_err());
+        assert!(import(
+            TraceFormat::Azure,
+            header_only.as_bytes(),
+            &ImportOptions::default()
+        )
+        .is_err());
     }
 
     #[test]

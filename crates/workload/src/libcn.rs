@@ -7,7 +7,6 @@
 //! These constructors build the synthetic equivalents used by every
 //! experiment driver.
 
-use crate::flashcrowd::FlashCrowd;
 use crate::generator::{Region, ServiceWorkload, Workload};
 use crate::profile::DiurnalProfile;
 use crate::service::ServiceClass;
@@ -117,17 +116,6 @@ pub fn uniform_multi_dc(vms: usize, peak_rps: f64, seed: u64) -> Workload {
     Workload::new(paper_regions(), services, seed)
 }
 
-/// The Figure 6 workload: `multi_dc` plus the paper's minute-70–90 flash
-/// crowd exceeding system capacity.
-pub fn multi_dc_with_flash_crowd(
-    vms: usize,
-    peak_rps: f64,
-    multiplier: f64,
-    seed: u64,
-) -> Workload {
-    multi_dc(vms, peak_rps, seed).with_flash_crowd(FlashCrowd::paper_fig6(multiplier))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,20 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_preset_extends_workload() {
-        let w = multi_dc_with_flash_crowd(5, 150.0, 8.0, 2);
-        assert_eq!(w.flash_crowds.len(), 1);
-        let calm = w.expected_total_rps(0, SimTime::from_mins(30));
-        let burst = w.expected_total_rps(0, SimTime::from_mins(80));
-        assert!(burst > 4.0 * calm);
-    }
-
-    #[test]
     fn follow_the_sun_rotates() {
         let w = follow_the_sun(100.0, 3);
         let mut leaders = std::collections::BTreeSet::new();
         for h in 0..24 {
-            leaders.insert(w.dominant_region(0, SimTime::from_hours(h)));
+            let t = SimTime::from_hours(h);
+            let rps = |r: usize| w.expected_rps(0, r, t);
+            leaders.insert((0..4).max_by(|&a, &b| rps(a).total_cmp(&rps(b))));
         }
         assert!(leaders.len() >= 3, "leaders {leaders:?}");
     }

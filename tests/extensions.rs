@@ -17,9 +17,12 @@ fn kitchen_sink(seed: u64) -> RunOutcome {
         .seed(seed)
         .fault(2, SimTime::from_hours(3), SimDuration::from_hours(2))
         .build();
-    scenario.energy = EnergyEnvironment::paper_default(&scenario.cluster)
-        .with_solar_everywhere(&scenario.cluster, 100.0, 0.6, 2, seed)
-        .with_tariff(2, Tariff::spot(0.1513, 0.1, 0.2, 2, seed));
+    let cluster = &scenario.cluster;
+    let env = (0..cluster.dc_count()).fold(EnergyEnvironment::paper_default(cluster), |env, i| {
+        let capacity = 100.0 * cluster.dcs()[i].pms().len() as f64;
+        env.with_solar_at(cluster, i, capacity, 0.6, 2, seed)
+    });
+    scenario.energy = env.with_tariff(2, Tariff::spot(0.1513, 0.1, 0.2, 2, seed));
     scenario.cluster.net.eur_per_gb_interdc = 0.02;
     scenario.monitor.dropout_prob = 0.05;
 
@@ -85,10 +88,7 @@ fn green_quote_steers_hierarchical_scheduler() {
             .build();
         let mut env = EnergyEnvironment::paper_default(&scenario.cluster);
         // Brisbane: 24/7 wind farm covering any draw, nearly free.
-        env = env.with_site(
-            0,
-            SiteEnergy::flat(0.1314, 850.0).with_wind(WindFarm::new(5000.0, 14.0, 2, 3)),
-        );
+        env.sites[0] = SiteEnergy::flat(0.1314, 850.0).with_wind(WindFarm::new(5000.0, 14.0, 2, 3));
         if !aware {
             env = env.price_blind();
         }
