@@ -57,7 +57,6 @@ fn bench(c: &mut Criterion) {
     let profile = VmPerfProfile::default();
     let req = required_resources(&load, &profile, 60.0);
     let cap = pamdc_infra::resources::Resources::new(400.0, 4096.0, 64000.0, 64000.0);
-    let cfg = RtModelConfig::deterministic();
     c.bench_function("perf/rt_evaluate", |b| {
         b.iter(|| {
             black_box(evaluate(
@@ -66,7 +65,6 @@ fn bench(c: &mut Criterion) {
                 &req,
                 &req,
                 &cap,
-                &cfg,
                 60.0,
                 None,
             ))

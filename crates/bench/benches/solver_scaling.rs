@@ -10,7 +10,7 @@ use pamdc_core::experiments::solver_scaling;
 use pamdc_sched::bestfit::best_fit;
 use pamdc_sched::exact::branch_and_bound;
 use pamdc_sched::index::IndexMode;
-use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig};
+use pamdc_sched::localsearch::{improve_schedule, LocalSearchConfig, MIN_GAIN_EUR};
 use pamdc_sched::oracle::{QosOracle, TrueOracle};
 use pamdc_sched::problem::{synthetic, Problem, Schedule};
 use pamdc_sched::profit::evaluate_schedule;
@@ -53,7 +53,7 @@ fn improve_schedule_full_reference(
                 let mut candidate = current.clone();
                 candidate.assignment[vi] = host.id;
                 let p = evaluate_schedule(problem, oracle, &candidate).profit_eur;
-                if p > current_profit + cfg.min_gain_eur
+                if p > current_profit + MIN_GAIN_EUR
                     && best.as_ref().is_none_or(|&(_, _, bp)| p > bp)
                 {
                     best = Some((vi, hi, p));

@@ -22,7 +22,7 @@ use pamdc_econ::billing::ProfitLedger;
 use pamdc_green::carbon::EnergyBreakdown;
 use pamdc_infra::gateway::{weighted_transport_secs, FlowDemand, Gateway};
 use pamdc_infra::ids::{PmId, VmId};
-use pamdc_infra::monitor::{observe, SlidingWindow};
+use pamdc_infra::monitor::{observe, SlidingWindow, WINDOW_LEN};
 use pamdc_infra::resources::Resources;
 use pamdc_perf::contention::{share_proportionally_into, share_work_conserving_into};
 use pamdc_perf::demand::{required_resources, OfferedLoad};
@@ -32,6 +32,9 @@ use pamdc_sched::problem::{HostInfo, Problem, VmInfo};
 use pamdc_simcore::prelude::*;
 use pamdc_workload::generator::FlowSample;
 use std::sync::Arc;
+
+/// Per-VM gateway queue bound, requests.
+const MAX_BACKLOG: f64 = 3000.0;
 
 /// Where one tick's demand comes from.
 #[derive(Clone, Copy)]
@@ -206,10 +209,9 @@ impl Controller {
         let monitor_rng = root.derive("monitor");
         let rt_rng = root.derive("rt-jitter");
 
-        let gateway = Gateway::new(n_vms, cfg.max_backlog);
-        let windows: Vec<SlidingWindow> = (0..n_vms)
-            .map(|_| SlidingWindow::new(scenario.monitor.window_len))
-            .collect();
+        let gateway = Gateway::new(n_vms, MAX_BACKLOG);
+        let windows: Vec<SlidingWindow> =
+            (0..n_vms).map(|_| SlidingWindow::new(WINDOW_LEN)).collect();
 
         let n_dcs = scenario.cluster.dc_count();
         let slas: Vec<SlaFunction> = (0..n_vms)
@@ -538,7 +540,6 @@ impl Controller {
                     &required[vm],
                     &granted[slot],
                     &burst[slot],
-                    &scenario.rt_cfg,
                     tick_secs,
                     Some(&mut jitter),
                 );
@@ -555,15 +556,9 @@ impl Controller {
                 gateway.settle(vm_id, arrived, served);
                 *served_total += served;
 
-                // Monitoring. A dropped sample never reaches the
-                // scheduler's sizing window (the short-circuit keeps
-                // the RNG stream untouched when dropout is off).
-                let obs = observe(&outcome.used, &scenario.monitor, monitor_rng);
-                let dropped = scenario.monitor.dropout_prob > 0.0
-                    && monitor_rng.chance(scenario.monitor.dropout_prob);
-                if !dropped {
-                    windows[vm].push(obs);
-                }
+                // Monitoring.
+                let obs = observe(&outcome.used, monitor_rng);
+                windows[vm].push(obs);
                 pm_cpu_used += outcome.used.cpu;
                 pm_sum_vm_cpu_obs += obs.cpu;
                 pm_sum_rps += loads[vm].rps;
@@ -628,12 +623,8 @@ impl Controller {
 
             if let Some(col) = collector.as_mut() {
                 if !serving.is_empty() {
-                    let pm_cpu_obs = observe(
-                        &Resources::new(pm_cpu_used, 0.0, 0.0, 0.0),
-                        &scenario.monitor,
-                        monitor_rng,
-                    )
-                    .cpu;
+                    let pm_cpu_obs =
+                        observe(&Resources::new(pm_cpu_used, 0.0, 0.0, 0.0), monitor_rng).cpu;
                     col.record_pm_tick(serving.len(), pm_sum_vm_cpu_obs, pm_sum_rps, pm_cpu_obs);
                 }
             }

@@ -154,7 +154,7 @@ impl<O: QosOracle> PlacementPolicy for BestFitPolicy<O> {
 pub struct HierarchicalPolicy<O: QosOracle> {
     /// The belief source.
     pub oracle: O,
-    /// Filtering thresholds.
+    /// Consolidation pass and candidate-index grouping.
     pub config: HierarchicalConfig,
 }
 

@@ -15,12 +15,10 @@ use pamdc_econ::billing::BillingPolicy;
 use pamdc_econ::prices::paper_energy_price;
 use pamdc_infra::cluster::Cluster;
 use pamdc_infra::ids::{PmId, VmId};
-use pamdc_infra::monitor::MonitorConfig;
 use pamdc_infra::network::{City, NetworkModel};
 use pamdc_infra::pm::MachineSpec;
 use pamdc_infra::vm::VmSpec;
 use pamdc_perf::demand::VmPerfProfile;
-use pamdc_perf::rt::RtModelConfig;
 use pamdc_simcore::time::{SimDuration, SimTime};
 use pamdc_workload::generator::Workload;
 use pamdc_workload::libcn;
@@ -40,10 +38,6 @@ pub struct Scenario {
     pub workload: Demand,
     /// Per-VM performance constants (indexing matches VM ids).
     pub perf_profiles: Vec<VmPerfProfile>,
-    /// Monitor distortion.
-    pub monitor: MonitorConfig,
-    /// Ground-truth RT model tunables.
-    pub rt_cfg: RtModelConfig,
     /// Pricing.
     pub billing: BillingPolicy,
     /// Per-DC energy supply (tariffs, renewables, carbon). Defaults to
@@ -147,7 +141,6 @@ pub struct ScenarioBuilder {
     peak_rps: f64,
     load_scale: f64,
     flash_crowd_multiplier: Option<f64>,
-    monitor: MonitorConfig,
     billing: BillingPolicy,
     faults: Vec<pamdc_infra::pm::FaultEvent>,
     profile_changes: Vec<ProfileChange>,
@@ -176,7 +169,6 @@ impl ScenarioBuilder {
             peak_rps: 240.0,
             load_scale: 1.0,
             flash_crowd_multiplier: None,
-            monitor: MonitorConfig::default(),
             billing: BillingPolicy::default(),
             faults: Vec::new(),
             profile_changes: Vec::new(),
@@ -201,7 +193,6 @@ impl ScenarioBuilder {
             peak_rps: 170.0,
             load_scale: 1.0,
             flash_crowd_multiplier: None,
-            monitor: MonitorConfig::default(),
             billing: BillingPolicy::default(),
             faults: Vec::new(),
             profile_changes: Vec::new(),
@@ -253,12 +244,6 @@ impl ScenarioBuilder {
     /// Adds the paper's minute-70–90 flash crowd.
     pub fn flash_crowd(mut self, multiplier: f64) -> Self {
         self.flash_crowd_multiplier = Some(multiplier);
-        self
-    }
-
-    /// Overrides monitor distortion.
-    pub fn monitor(mut self, cfg: MonitorConfig) -> Self {
-        self.monitor = cfg;
         self
     }
 
@@ -504,8 +489,6 @@ impl ScenarioBuilder {
             cluster,
             workload: demand,
             perf_profiles,
-            monitor: self.monitor,
-            rt_cfg: RtModelConfig::default(),
             billing: self.billing,
             energy,
             faults,

@@ -25,8 +25,6 @@ pub struct RunConfig {
     pub tick: SimDuration,
     /// Scheduling round cadence, in ticks (the paper: every 10 minutes).
     pub round_every_ticks: u64,
-    /// Per-VM gateway queue bound, requests.
-    pub max_backlog: f64,
     /// Record full time series (disable for throughput-oriented sweeps).
     pub keep_series: bool,
     /// Minimum ticks between two migrations of the same VM (anti-thrash
@@ -55,7 +53,6 @@ impl Default for RunConfig {
         RunConfig {
             tick: SimDuration::from_mins(1),
             round_every_ticks: 10,
-            max_backlog: 3000.0,
             keep_series: true,
             migration_cooldown_ticks: 10,
             plan_horizon_ticks: None,
@@ -243,24 +240,6 @@ mod tests {
             dynamic.mean_sla,
             frozen.mean_sla
         );
-    }
-
-    #[test]
-    fn monitor_dropout_defaults_off_and_preserves_determinism() {
-        // dropout_prob = 0 must not consume RNG draws: identical to the
-        // baseline run bit for bit.
-        let a = short_run(Box::new(BestFitPolicy::new(TrueOracle::new())));
-        let mut scenario = ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build();
-        scenario.monitor.dropout_prob = 0.0;
-        let (b, _) = Controller::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
-            .run_for(SimDuration::from_hours(2));
-        assert_eq!(a.mean_sla.to_bits(), b.mean_sla.to_bits());
-        // With heavy dropout the run still completes sanely.
-        let mut scenario = ScenarioBuilder::paper_intra_dc().vms(3).seed(5).build();
-        scenario.monitor.dropout_prob = 0.5;
-        let (c, _) = Controller::new(scenario, Box::new(BestFitPolicy::new(TrueOracle::new())))
-            .run_for(SimDuration::from_hours(2));
-        assert!(c.mean_sla > 0.0 && c.mean_sla <= 1.0);
     }
 
     #[test]

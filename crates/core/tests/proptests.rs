@@ -1,6 +1,6 @@
 //! Property tests for the core layer: energy quoting stays bounded for
 //! arbitrary environments, and the simulation's accounting identities
-//! hold under randomized fault plans, tariffs and dropout.
+//! hold under randomized fault plans and tariffs.
 
 use pamdc_core::energy::EnergyEnvironment;
 use pamdc_core::engine::Controller;
@@ -52,14 +52,13 @@ proptest! {
         prop_assert!(q >= lo - 1e-12 && q <= hi + 1e-12, "quote {q} outside [{lo}, {hi}]");
     }
 
-    /// Short simulations under randomized fault plans, dropout and a
-    /// stepped tariff keep every accounting identity intact.
+    /// Short simulations under randomized fault plans and a stepped
+    /// tariff keep every accounting identity intact.
     #[test]
     fn simulation_identities_hold_under_chaos(
         fault_pm in 0_usize..4,
         fault_at_min in 5_u64..100,
         repair_mins in 5_u64..180,
-        dropout in 0.0_f64..0.4,
         spike in 1.0_f64..10.0,
         seed in 0_u64..50,
     ) {
@@ -68,7 +67,6 @@ proptest! {
             .seed(seed)
             .fault(fault_pm, SimTime::from_mins(fault_at_min), SimDuration::from_mins(repair_mins))
             .build();
-        scenario.monitor.dropout_prob = dropout;
         scenario.energy = EnergyEnvironment::paper_default(&scenario.cluster)
             .with_tariff(0, Tariff::Step {
                 initial_eur: 0.1513,

@@ -36,7 +36,7 @@ pub mod prelude {
     };
     pub use crate::ids::{DcId, LocationId, PmId, VmId};
     pub use crate::migration::Migration;
-    pub use crate::monitor::{observe, MonitorConfig, SlidingWindow};
+    pub use crate::monitor::{observe, SlidingWindow};
     pub use crate::network::{City, LatencyMatrix, NetworkModel};
     pub use crate::pm::{FaultEvent, MachineSpec, PhysicalMachine, PmState};
     pub use crate::power::PowerModel;

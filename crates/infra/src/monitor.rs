@@ -14,54 +14,31 @@ use crate::resources::Resources;
 use pamdc_simcore::rng::RngStream;
 use std::collections::VecDeque;
 
-/// Monitor distortion parameters.
-#[derive(Clone, Debug)]
-pub struct MonitorConfig {
-    /// Multiplicative Gaussian noise (fractional σ) on every component.
-    pub noise_frac: f64,
-    /// Probability per sample that the monitor itself spikes the CPU
-    /// reading (the paper's "up to 50% of an Atom thread" observation).
-    pub spike_prob: f64,
-    /// Size of the CPU spike when it happens, percent-of-core.
-    pub spike_cpu_pct: f64,
-    /// Number of recent samples the sliding window averages over (the
-    /// paper's schedulers look at "the last 10 minutes").
-    pub window_len: usize,
-    /// Probability per sample that the reading is lost entirely (agent
-    /// crash, collection timeout) and never reaches the scheduler's
-    /// sizing window.
-    pub dropout_prob: f64,
-}
+/// Multiplicative Gaussian noise (fractional σ) on every component.
+const NOISE_FRAC: f64 = 0.05;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            noise_frac: 0.05,
-            spike_prob: 0.02,
-            spike_cpu_pct: 50.0,
-            window_len: 10,
-            dropout_prob: 0.0,
-        }
-    }
-}
+/// Probability per sample that the monitor itself spikes the CPU
+/// reading (the paper's "up to 50% of an Atom thread" observation).
+const SPIKE_PROB: f64 = 0.02;
+
+/// Largest CPU spike the monitor adds, percent-of-core.
+const SPIKE_CPU_PCT: f64 = 50.0;
+
+/// Number of recent samples the sliding window averages over (the
+/// paper's schedulers look at "the last 10 minutes").
+pub const WINDOW_LEN: usize = 10;
 
 /// Applies monitor distortion to one true usage sample.
-pub fn observe(truth: &Resources, cfg: &MonitorConfig, rng: &mut RngStream) -> Resources {
-    let jitter = |x: f64, rng: &mut RngStream| {
-        if cfg.noise_frac <= 0.0 {
-            x
-        } else {
-            (x * (1.0 + rng.normal(0.0, cfg.noise_frac))).max(0.0)
-        }
-    };
+pub fn observe(truth: &Resources, rng: &mut RngStream) -> Resources {
+    let jitter = |x: f64, rng: &mut RngStream| (x * (1.0 + rng.normal(0.0, NOISE_FRAC))).max(0.0);
     let mut obs = Resources {
         cpu: jitter(truth.cpu, rng),
         mem_mb: jitter(truth.mem_mb, rng),
         net_in_kbps: jitter(truth.net_in_kbps, rng),
         net_out_kbps: jitter(truth.net_out_kbps, rng),
     };
-    if cfg.spike_prob > 0.0 && rng.chance(cfg.spike_prob) {
-        obs.cpu += rng.uniform_range(0.0, cfg.spike_cpu_pct);
+    if rng.chance(SPIKE_PROB) {
+        obs.cpu += rng.uniform_range(0.0, SPIKE_CPU_PCT);
     }
     obs
 }
@@ -136,65 +113,39 @@ mod tests {
         Resources::new(cpu, 512.0, 10.0, 20.0)
     }
 
-    fn noiseless() -> MonitorConfig {
-        MonitorConfig {
-            noise_frac: 0.0,
-            spike_prob: 0.0,
-            spike_cpu_pct: 0.0,
-            window_len: 1,
-            dropout_prob: 0.0,
-        }
-    }
-
-    #[test]
-    fn noiseless_monitor_is_identity() {
-        let mut rng = RngStream::root(1);
-        let truth = r(123.0);
-        let obs = observe(&truth, &noiseless(), &mut rng);
-        assert_eq!(obs, truth);
+    /// Mean of `n` observations of `truth`.
+    fn mean_observation(truth: &Resources, n: usize, seed: u64) -> Resources {
+        let mut rng = RngStream::root(seed);
+        let sum: Resources = (0..n).map(|_| observe(truth, &mut rng)).sum();
+        sum * (1.0 / n as f64)
     }
 
     #[test]
     fn noisy_monitor_is_unbiased_on_average() {
-        let mut rng = RngStream::root(2);
-        let cfg = MonitorConfig {
-            noise_frac: 0.1,
-            spike_prob: 0.0,
-            ..Default::default()
-        };
+        // Memory never spikes, so its mean is the truth's.
         let truth = r(200.0);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| observe(&truth, &cfg, &mut rng).cpu)
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 200.0).abs() < 2.0, "mean {mean}");
+        let mean = mean_observation(&truth, 20_000, 2);
+        assert!((mean.mem_mb - 512.0).abs() < 2.0, "mean {mean:?}");
+        assert!((mean.net_out_kbps - 20.0).abs() < 0.1, "mean {mean:?}");
     }
 
     #[test]
     fn spikes_inflate_cpu_only() {
-        let mut rng = RngStream::root(3);
-        let cfg = MonitorConfig {
-            noise_frac: 0.0,
-            spike_prob: 1.0,
-            spike_cpu_pct: 50.0,
-            ..noiseless()
-        };
+        // A uniform spike up to SPIKE_CPU_PCT on SPIKE_PROB of the
+        // samples lifts the mean CPU by their product over two; the
+        // noise averages out (σ of the mean: 100 × 0.05 / √20000).
         let truth = r(100.0);
-        let obs = observe(&truth, &cfg, &mut rng);
-        assert!(obs.cpu > 100.0);
-        assert_eq!(obs.mem_mb, truth.mem_mb);
+        let mean = mean_observation(&truth, 20_000, 3);
+        let lift = SPIKE_PROB * SPIKE_CPU_PCT / 2.0;
+        assert!((mean.cpu - 100.0 - lift).abs() < 0.2, "mean {mean:?}");
+        assert!((mean.mem_mb - 512.0).abs() < 2.0, "mean {mean:?}");
     }
 
     #[test]
     fn observations_never_negative() {
         let mut rng = RngStream::root(4);
-        let cfg = MonitorConfig {
-            noise_frac: 2.0,
-            ..Default::default()
-        };
         for _ in 0..1000 {
-            let obs = observe(&r(1.0), &cfg, &mut rng);
+            let obs = observe(&r(1.0), &mut rng);
             assert!(obs.is_valid(), "{obs:?}");
         }
     }

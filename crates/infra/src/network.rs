@@ -133,27 +133,33 @@ impl LatencyMatrix {
     }
 }
 
-/// Bandwidth and latency model for the whole provider network.
+/// Inter-DC link bandwidth, Gbps (paper assumes 10).
+const INTERDC_BANDWIDTH_GBPS: f64 = 10.0;
+
+/// Intra-DC (same-rack/fabric) bandwidth, Gbps.
+const INTRADC_BANDWIDTH_GBPS: f64 = 10.0;
+
+/// Last-mile latency from a client population to its local DC access
+/// point, ms.
+const LOCAL_ACCESS_MS: f64 = 10.0;
+
+/// Fixed freeze + restore overhead added to every migration.
+const MIGRATION_OVERHEAD: SimDuration = SimDuration::from_secs(8);
+
+/// Floor on the bandwidth share a migration always gets, as a fraction
+/// of the link (reserved so bulk client traffic can never starve
+/// migrations entirely).
+const MIGRATION_MIN_SHARE: f64 = 0.1;
+
+/// Latency and pricing model for the whole provider network; link
+/// bandwidths and migration overheads are the paper's constants above.
 #[derive(Clone, Debug)]
 pub struct NetworkModel {
     /// Location-to-location latency, ms.
     pub latency: LatencyMatrix,
-    /// Inter-DC link bandwidth, Gbps (paper assumes 10).
-    pub interdc_bandwidth_gbps: f64,
-    /// Intra-DC (same-rack/fabric) bandwidth, Gbps.
-    pub intradc_bandwidth_gbps: f64,
-    /// Last-mile latency from a client population to its local DC access
-    /// point, ms.
-    pub local_access_ms: f64,
-    /// Fixed freeze + restore overhead added to every migration.
-    pub migration_overhead: SimDuration,
     /// Inter-DC transfer price, €/GB (0 = the paper's free network; the
     /// networking-costs extension sets a commercial transit price).
     pub eur_per_gb_interdc: f64,
-    /// Floor on the bandwidth share a migration always gets, as a
-    /// fraction of the link (reserved so bulk client traffic can never
-    /// starve migrations entirely).
-    pub migration_min_share: f64,
 }
 
 impl NetworkModel {
@@ -162,12 +168,7 @@ impl NetworkModel {
     pub fn paper() -> Self {
         NetworkModel {
             latency: LatencyMatrix::paper_table2(),
-            interdc_bandwidth_gbps: 10.0,
-            intradc_bandwidth_gbps: 10.0,
-            local_access_ms: 10.0,
-            migration_overhead: SimDuration::from_secs(8),
             eur_per_gb_interdc: 0.0,
-            migration_min_share: 0.1,
         }
     }
 
@@ -184,7 +185,7 @@ impl NetworkModel {
     /// at `src` to a VM hosted at `dst`: last mile plus, when the VM is
     /// remote, the provider-network hop.
     pub fn transport_secs(&self, src: LocationId, dst: LocationId) -> f64 {
-        (self.local_access_ms + self.latency.get(src, dst)) / 1000.0
+        (LOCAL_ACCESS_MS + self.latency.get(src, dst)) / 1000.0
     }
 
     /// Wall-clock duration of migrating an image of `image_mb` megabytes
@@ -203,7 +204,7 @@ impl NetworkModel {
     /// with `concurrent` total migrations on the same DC pair (≥ 1,
     /// including this one) and with `client_gbps` of background client
     /// traffic. Client traffic is served first but migrations always
-    /// keep [`NetworkModel::migration_min_share`] of the raw link; the
+    /// keep a tenth of the raw link (`MIGRATION_MIN_SHARE`); the
     /// remainder splits evenly among the concurrent transfers.
     ///
     /// The effective rate is fixed at departure (no retroactive speed-up
@@ -221,16 +222,16 @@ impl NetworkModel {
         debug_assert!(concurrent >= 1, "the migration itself counts");
         debug_assert!(client_gbps >= 0.0);
         let raw = if from == to {
-            self.intradc_bandwidth_gbps
+            INTRADC_BANDWIDTH_GBPS
         } else {
-            self.interdc_bandwidth_gbps
+            INTERDC_BANDWIDTH_GBPS
         };
-        let after_clients = (raw - client_gbps).max(raw * self.migration_min_share);
+        let after_clients = (raw - client_gbps).max(raw * MIGRATION_MIN_SHARE);
         let gbps = after_clients / concurrent.max(1) as f64;
         // MB -> megabits, then / (Gbps -> Mbps).
         let transfer_secs = image_mb * 8.0 / (gbps * 1000.0);
         let prop_secs = self.latency.get(from, to) / 1000.0;
-        self.migration_overhead + SimDuration::from_secs_f64(transfer_secs + prop_secs)
+        MIGRATION_OVERHEAD + SimDuration::from_secs_f64(transfer_secs + prop_secs)
     }
 
     /// Euros charged for shipping `gb` across DCs (zero for intra-DC

@@ -27,6 +27,6 @@ pub mod prelude {
     };
     pub use crate::demand::{cpu_demand_pct, required_resources, OfferedLoad, VmPerfProfile};
     pub use crate::queueing::{ps_sojourn_time, utilization};
-    pub use crate::rt::{evaluate, rt_core, PerfOutcome, RtCore, RtModelConfig};
+    pub use crate::rt::{evaluate, rt_core, PerfOutcome, RtCore};
     pub use crate::sla::SlaFunction;
 }

@@ -21,39 +21,18 @@ use crate::queueing::{ps_sojourn_time, utilization};
 use pamdc_infra::resources::Resources;
 use pamdc_simcore::rng::RngStream;
 
-/// Tunables of the ground-truth model.
-#[derive(Clone, Debug)]
-pub struct RtModelConfig {
-    /// RT ceiling, seconds (paper's Table I tops out at 19.35 s).
-    pub max_rt_secs: f64,
-    /// Fixed dispatch/network-stack overhead inside the DC, seconds.
-    pub dispatch_overhead_secs: f64,
-    /// Strength of the memory-thrash RT multiplier.
-    pub thrash_sharpness: f64,
-    /// Log-normal σ of multiplicative RT noise (0 = deterministic).
-    pub jitter_sigma: f64,
-}
+/// RT ceiling, seconds (paper's Table I tops out at 19.35 s).
+pub const MAX_RT_SECS: f64 = 20.0;
 
-impl Default for RtModelConfig {
-    fn default() -> Self {
-        RtModelConfig {
-            max_rt_secs: 20.0,
-            dispatch_overhead_secs: 0.015,
-            thrash_sharpness: 3.0,
-            jitter_sigma: 0.08,
-        }
-    }
-}
+/// Fixed dispatch/network-stack overhead inside the DC, seconds.
+const DISPATCH_OVERHEAD_SECS: f64 = 0.015;
 
-impl RtModelConfig {
-    /// A deterministic variant for tests and analytical experiments.
-    pub fn deterministic() -> Self {
-        RtModelConfig {
-            jitter_sigma: 0.0,
-            ..Default::default()
-        }
-    }
-}
+/// Strength of the memory-thrash RT multiplier.
+const THRASH_SHARPNESS: f64 = 3.0;
+
+/// Log-normal σ of the multiplicative RT noise [`evaluate`] applies
+/// when given a jitter stream.
+const JITTER_SIGMA: f64 = 0.08;
 
 /// What one VM did during one tick.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,14 +70,12 @@ pub fn rt_core(
     required: &Resources,
     granted: &Resources,
     burst: &Resources,
-    cfg: &RtModelConfig,
     drain_secs: f64,
 ) -> RtCore {
     let offered = load.total_rps(drain_secs);
 
     // Base service time: CPU plus I/O waits plus dispatch.
-    let s0 =
-        load.cpu_ms_per_req / 1000.0 * (1.0 + profile.io_wait_factor) + cfg.dispatch_overhead_secs;
+    let s0 = load.cpu_ms_per_req / 1000.0 * (1.0 + profile.io_wait_factor) + DISPATCH_OVERHEAD_SECS;
 
     // Capacity in requests/second per resource axis.
     let mu_cpu = if load.cpu_ms_per_req > 0.0 {
@@ -131,9 +108,9 @@ pub fn rt_core(
     let mu = mu_cpu.min(mu_in).min(mu_out) * slow;
     let rho = utilization(offered, mu);
 
-    let mut rt = ps_sojourn_time(s0, rho, cfg.max_rt_secs);
+    let mut rt = ps_sojourn_time(s0, rho, MAX_RT_SECS);
     if thrash > 0.0 {
-        rt = (rt * (1.0 + cfg.thrash_sharpness * thrash.min(10.0))).min(cfg.max_rt_secs);
+        rt = (rt * (1.0 + THRASH_SHARPNESS * thrash.min(10.0))).min(MAX_RT_SECS);
     }
     RtCore {
         offered_rps: offered,
@@ -152,16 +129,14 @@ pub fn rt_core(
 ///   ([`crate::contention::WorkConservingShare`]); CPU and network rates
 ///   come from here;
 /// * `drain_secs` — tick length, over which backlog drains;
-/// * `rng` — jitter source; `None` forces determinism regardless of
-///   config.
-#[allow(clippy::too_many_arguments)] // the model's natural arity
+/// * `rng` — jitter source; `None` leaves the response time
+///   deterministic.
 pub fn evaluate(
     load: &OfferedLoad,
     profile: &VmPerfProfile,
     required: &Resources,
     granted: &Resources,
     burst: &Resources,
-    cfg: &RtModelConfig,
     drain_secs: f64,
     rng: Option<&mut RngStream>,
 ) -> PerfOutcome {
@@ -169,12 +144,10 @@ pub fn evaluate(
         offered_rps: offered,
         capacity_rps: mu,
         rt_process_secs: mut rt,
-    } = rt_core(load, profile, required, granted, burst, cfg, drain_secs);
+    } = rt_core(load, profile, required, granted, burst, drain_secs);
     let served = offered.min(mu);
     if let Some(rng) = rng {
-        if cfg.jitter_sigma > 0.0 {
-            rt = (rt * rng.lognormal(0.0, cfg.jitter_sigma)).clamp(0.0, cfg.max_rt_secs);
-        }
+        rt = (rt * rng.lognormal(0.0, JITTER_SIGMA)).clamp(0.0, MAX_RT_SECS);
     }
 
     // True usage: what the VM actually consumed serving `served` rps.
@@ -230,16 +203,7 @@ mod tests {
         let p = VmPerfProfile::default();
         let req = required_resources(load, &p, 60.0);
         // Alone on the host: granted = demand (fits), burst = whole host.
-        evaluate(
-            load,
-            &p,
-            &req,
-            &req,
-            &ATOM,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        )
+        evaluate(load, &p, &req, &req, &ATOM, 60.0, None)
     }
 
     #[test]
@@ -284,16 +248,7 @@ mod tests {
         let total = req + req;
         let granted = crate::contention::ProportionalShare::new(&total, &ATOM).grant(&req);
         let burst = crate::contention::WorkConservingShare::new(&total, &ATOM).burst(&req);
-        let shared = evaluate(
-            &load,
-            &p,
-            &req,
-            &granted,
-            &burst,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let shared = evaluate(&load, &p, &req, &granted, &burst, 60.0, None);
         let alone = solo(&load);
         assert!(
             shared.rt_process_secs > 2.0 * alone.rt_process_secs,
@@ -312,31 +267,13 @@ mod tests {
         let p = VmPerfProfile::default();
         let load = blog_load(100.0);
         let req = required_resources(&load, &p, 60.0);
-        let healthy = evaluate(
-            &load,
-            &p,
-            &req,
-            &req,
-            &ATOM,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let healthy = evaluate(&load, &p, &req, &req, &ATOM, 60.0, None);
         // Grant only 60% of the needed memory.
         let starved_mem = Resources {
             mem_mb: req.mem_mb * 0.6,
             ..req
         };
-        let starved = evaluate(
-            &load,
-            &p,
-            &req,
-            &starved_mem,
-            &ATOM,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let starved = evaluate(&load, &p, &req, &starved_mem, &ATOM, 60.0, None);
         assert!(starved.rt_process_secs > 2.0 * healthy.rt_process_secs);
         assert!(
             starved.capacity_rps < healthy.capacity_rps,
@@ -357,16 +294,7 @@ mod tests {
             backlog: 0.0,
         };
         let req = required_resources(&load, &p, 60.0);
-        let o = evaluate(
-            &load,
-            &p,
-            &req,
-            &req,
-            &ATOM,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let o = evaluate(&load, &p, &req, &req, &ATOM, 60.0, None);
         assert!(o.served_rps < 25.0, "served {}", o.served_rps);
         assert!(o.used.net_out_kbps <= 64_000.0 + 1e-6);
     }
@@ -379,16 +307,7 @@ mod tests {
         let load = blog_load(400.0); // needs ~200% cpu
         let req = required_resources(&load, &p, 60.0);
         let small_burst = Resources { cpu: 100.0, ..ATOM };
-        let o = evaluate(
-            &load,
-            &p,
-            &req,
-            &req,
-            &small_burst,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let o = evaluate(&load, &p, &req, &req, &small_burst, 60.0, None);
         assert!(req.cpu > 195.0, "true demand ~2 cores: {}", req.cpu);
         assert!(
             o.used.cpu <= 100.0 + 1e-9,
@@ -404,16 +323,7 @@ mod tests {
         let calm = solo(&load);
         load.backlog = 6000.0; // +100 rps over a minute
         let req = required_resources(&load, &p, 60.0);
-        let pressured = evaluate(
-            &load,
-            &p,
-            &req,
-            &req,
-            &ATOM,
-            &RtModelConfig::deterministic(),
-            60.0,
-            None,
-        );
+        let pressured = evaluate(&load, &p, &req, &req, &ATOM, 60.0, None);
         assert!(pressured.rt_process_secs > calm.rt_process_secs);
     }
 
@@ -422,13 +332,12 @@ mod tests {
         let p = VmPerfProfile::default();
         let load = blog_load(100.0);
         let req = required_resources(&load, &p, 60.0);
-        let cfg = RtModelConfig::default();
         let mut r1 = RngStream::root(7).derive("rt");
         let mut r2 = RngStream::root(7).derive("rt");
-        let a = evaluate(&load, &p, &req, &req, &ATOM, &cfg, 60.0, Some(&mut r1));
-        let b = evaluate(&load, &p, &req, &req, &ATOM, &cfg, 60.0, Some(&mut r2));
+        let a = evaluate(&load, &p, &req, &req, &ATOM, 60.0, Some(&mut r1));
+        let b = evaluate(&load, &p, &req, &req, &ATOM, 60.0, Some(&mut r2));
         assert_eq!(a, b, "same stream, same outcome");
-        assert!(a.rt_process_secs <= cfg.max_rt_secs);
+        assert!(a.rt_process_secs <= MAX_RT_SECS);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use pamdc_infra::resources::Resources;
 use pamdc_perf::prelude::*;
+use pamdc_perf::rt::MAX_RT_SECS;
 use proptest::prelude::*;
 
 const ATOM: Resources = Resources::new(400.0, 4096.0, 64_000.0, 64_000.0);
@@ -130,10 +131,9 @@ proptest! {
     fn rt_model_outputs_physical(load in arb_load()) {
         let profile = VmPerfProfile::default();
         let req = required_resources(&load, &profile, 60.0);
-        let cfg = RtModelConfig::deterministic();
-        let o = evaluate(&load, &profile, &req, &req, &ATOM, &cfg, 60.0, None);
+        let o = evaluate(&load, &profile, &req, &req, &ATOM, 60.0, None);
         prop_assert!(o.rt_process_secs.is_finite());
-        prop_assert!((0.0..=cfg.max_rt_secs + 1e-9).contains(&o.rt_process_secs));
+        prop_assert!((0.0..=MAX_RT_SECS + 1e-9).contains(&o.rt_process_secs));
         prop_assert!(o.served_rps >= 0.0);
         prop_assert!(o.served_rps <= load.total_rps(60.0) + 1e-9);
         prop_assert!(o.used.is_valid());
@@ -145,13 +145,12 @@ proptest! {
     #[test]
     fn rt_monotone_in_rps(base in arb_load(), extra in 1.0f64..200.0) {
         let profile = VmPerfProfile::default();
-        let cfg = RtModelConfig::deterministic();
         let mut heavier = base;
         heavier.rps += extra;
         let req_a = required_resources(&base, &profile, 60.0);
         let req_b = required_resources(&heavier, &profile, 60.0);
-        let a = evaluate(&base, &profile, &req_a, &req_a, &ATOM, &cfg, 60.0, None);
-        let b = evaluate(&heavier, &profile, &req_b, &req_b, &ATOM, &cfg, 60.0, None);
+        let a = evaluate(&base, &profile, &req_a, &req_a, &ATOM, 60.0, None);
+        let b = evaluate(&heavier, &profile, &req_b, &req_b, &ATOM, 60.0, None);
         prop_assert!(
             b.rt_process_secs >= a.rt_process_secs - 1e-9,
             "more load cannot speed things up: {} vs {}",
@@ -224,7 +223,6 @@ proptest! {
     fn rt_core_matches_deterministic_evaluate(
         load in arb_load(),
         (demands, cap) in arb_host(),
-        jitter in (0u32..2, 0.01f64..0.3).prop_map(|(k, s)| if k == 0 { 0.0 } else { s }),
     ) {
         let profile = VmPerfProfile::default();
         let required = required_resources(&load, &profile, 60.0);
@@ -233,9 +231,8 @@ proptest! {
         let (mut granted, mut burst) = (Vec::new(), Vec::new());
         share_proportionally_into(&all, cap, &mut granted);
         share_work_conserving_into(&all, cap, &mut burst);
-        let cfg = RtModelConfig { jitter_sigma: jitter, ..RtModelConfig::default() };
-        let core = rt_core(&load, &profile, &required, &granted[0], &burst[0], &cfg, 60.0);
-        let full = evaluate(&load, &profile, &required, &granted[0], &burst[0], &cfg, 60.0, None);
+        let core = rt_core(&load, &profile, &required, &granted[0], &burst[0], 60.0);
+        let full = evaluate(&load, &profile, &required, &granted[0], &burst[0], 60.0, None);
         prop_assert_eq!(core.rt_process_secs.to_bits(), full.rt_process_secs.to_bits());
         prop_assert_eq!(core.capacity_rps.to_bits(), full.capacity_rps.to_bits());
         prop_assert_eq!(core.offered_rps.min(core.capacity_rps).to_bits(), full.served_rps.to_bits());

@@ -15,35 +15,20 @@ use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::ids::{LocationId, PmId};
 use pamdc_infra::resources::Resources;
 
-/// Filter thresholds.
-#[derive(Clone, Debug)]
-pub struct FilterConfig {
-    /// VMs whose estimated SLA on their current host is at least this
-    /// are "performing well" and left alone by the global round.
-    pub sla_keep_threshold: f64,
-    /// A flagged VM escalates only when some other host is believed to
-    /// improve its SLA by at least this much — the paper's "could
-    /// improve its QoS if moved" condition. Prevents latency-limited VMs
-    /// (whose SLA is capped by client geography everywhere) from being
-    /// reshuffled forever.
-    pub min_improvement: f64,
-    /// Hosts whose believed free capacity (dominant-share headroom)
-    /// falls below this fraction are "almost full" and not offered.
-    pub min_headroom_frac: f64,
-    /// Deduplicate empty hosts per (DC, capacity signature).
-    pub dedupe_empty: bool,
-}
+/// VMs whose estimated SLA on their current host is at least this are
+/// "performing well" and left alone by the global round.
+const SLA_KEEP_THRESHOLD: f64 = 0.95;
 
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            sla_keep_threshold: 0.95,
-            min_improvement: 0.02,
-            min_headroom_frac: 0.10,
-            dedupe_empty: true,
-        }
-    }
-}
+/// A flagged VM escalates only when some other host is believed to
+/// improve its SLA by at least this much — the paper's "could improve
+/// its QoS if moved" condition. Prevents latency-limited VMs (whose SLA
+/// is capped by client geography everywhere) from being reshuffled
+/// forever.
+const MIN_IMPROVEMENT: f64 = 0.02;
+
+/// Hosts whose believed free capacity (dominant-share headroom) falls
+/// below this fraction are "almost full" and not offered.
+const MIN_HEADROOM_FRAC: f64 = 0.10;
 
 /// VM indices whose estimated SLA *in place* is below the keep
 /// threshold — the candidates a DC offers to the global scheduler —
@@ -55,7 +40,6 @@ impl Default for FilterConfig {
 pub fn vms_needing_attention(
     problem: &Problem,
     oracle: &dyn QosOracle,
-    cfg: &FilterConfig,
     believed: &BelievedTotals,
     current_host: &[Option<usize>],
 ) -> Vec<usize> {
@@ -74,7 +58,7 @@ pub fn vms_needing_attention(
                     let host = &problem.hosts[hi];
                     let transport = weighted_transport_secs(&vm.flows, host.location, &problem.net);
                     let current = oracle.sla(vm, host, &totals[hi], transport);
-                    if current >= cfg.sla_keep_threshold {
+                    if current >= SLA_KEEP_THRESHOLD {
                         return false;
                     }
                     // "Could improve its QoS if moved": check the best
@@ -91,7 +75,7 @@ pub fn vms_needing_attention(
                             oracle.sla(vm, alt, &total, tr)
                         })
                         .fold(0.0f64, f64::max);
-                    best_alt >= current + cfg.min_improvement
+                    best_alt >= current + MIN_IMPROVEMENT
                 }
             }
         })
@@ -101,11 +85,7 @@ pub fn vms_needing_attention(
 /// Host indices worth offering: enough believed headroom, with identical
 /// empty hosts deduplicated (one representative per DC + capacity
 /// signature).
-pub fn hosts_worth_offering(
-    problem: &Problem,
-    cfg: &FilterConfig,
-    believed: &BelievedTotals,
-) -> Vec<usize> {
+pub fn hosts_worth_offering(problem: &Problem, believed: &BelievedTotals) -> Vec<usize> {
     // Headroom is judged on raw believed totals (no hypervisor
     // overhead), matching the original filter's accounting.
     let totals = &believed.raw;
@@ -115,11 +95,10 @@ pub fn hosts_worth_offering(
     let mut out = Vec::new();
     for (hi, host) in problem.hosts.iter().enumerate() {
         let headroom = 1.0 - totals[hi].dominant_share(&host.capacity);
-        if headroom < cfg.min_headroom_frac {
+        if headroom < MIN_HEADROOM_FRAC {
             continue; // almost full
         }
-        let empty = counts[hi] == 0 && host.fixed_vm_count == 0;
-        if empty && cfg.dedupe_empty {
+        if counts[hi] == 0 && host.fixed_vm_count == 0 {
             let sig = capacity_signature(host);
             if seen_empty.contains(&(host.dc.0, sig)) {
                 continue; // identical empty twin already offered
@@ -229,13 +208,7 @@ mod tests {
 
     fn attention(p: &Problem) -> Vec<usize> {
         let (believed, host_of) = in_place(p);
-        vms_needing_attention(
-            p,
-            &TrueOracle::new(),
-            &FilterConfig::default(),
-            &believed,
-            &host_of,
-        )
+        vms_needing_attention(p, &TrueOracle::new(), &believed, &host_of)
     }
 
     #[test]
@@ -278,7 +251,7 @@ mod tests {
         for vm in &mut p.vms {
             vm.current_pm = Some(PmId(0));
         }
-        let offered = hosts_worth_offering(&p, &FilterConfig::default(), &in_place(&p).0);
+        let offered = hosts_worth_offering(&p, &in_place(&p).0);
         assert!(!offered.contains(&0), "crushed host must not be offered");
         // Empty twins: host 4 shares DC0 with host 0; hosts 1..4 (powered
         // off, empty) each get one representative; their twins 5,6,7 are

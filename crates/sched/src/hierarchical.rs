@@ -28,7 +28,7 @@
 //! only in the global pass over the shard summaries, exactly as before.
 
 use crate::bestfit::best_fit;
-use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention, FilterConfig};
+use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention};
 use crate::index::IndexMode;
 use crate::localsearch::{improve_schedule, LocalSearchConfig};
 use crate::oracle::QosOracle;
@@ -41,8 +41,6 @@ use std::collections::BTreeMap;
 /// Hierarchical scheduler configuration.
 #[derive(Clone, Debug)]
 pub struct HierarchicalConfig {
-    /// Candidate/offer filtering thresholds.
-    pub filter: FilterConfig,
     /// Whole-schedule consolidation pass (None disables it). This is the
     /// global manager's final word: single-VM relocations accepted only
     /// when the full objective — including idle hosts emptied and
@@ -56,7 +54,6 @@ pub struct HierarchicalConfig {
 impl Default for HierarchicalConfig {
     fn default() -> Self {
         HierarchicalConfig {
-            filter: FilterConfig::default(),
             local_search: Some(LocalSearchConfig::default()),
             index_mode: IndexMode::Exact,
         }
@@ -166,14 +163,14 @@ pub fn hierarchical_round(
     // ------------------------------------------------------------------
     let interface_span = pamdc_obs::span!("interface");
     let believed = BelievedTotals::from_placement(problem, demands.clone(), &eff_host);
-    let mut candidates = vms_needing_attention(problem, oracle, &cfg.filter, &believed, &eff_host);
+    let mut candidates = vms_needing_attention(problem, oracle, &believed, &eff_host);
     for vi in homeless {
         if !candidates.contains(&vi) {
             candidates.push(vi);
         }
     }
     candidates.sort_unstable();
-    let offers = hosts_worth_offering(problem, &cfg.filter, &believed);
+    let offers = hosts_worth_offering(problem, &believed);
     drop(interface_span);
 
     let stats = RoundStats {

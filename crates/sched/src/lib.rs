@@ -37,9 +37,7 @@ pub mod prelude {
     pub use crate::exact::{
         branch_and_bound, branch_and_bound_with_budget, ExactOutcome, ExactResult,
     };
-    pub use crate::filter::{
-        hosts_worth_offering, reduced_problem, vms_needing_attention, FilterConfig,
-    };
+    pub use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention};
     pub use crate::hierarchical::{hierarchical_round, HierarchicalConfig, RoundStats};
     pub use crate::index::{CandidateIndex, IndexMode};
     pub use crate::localsearch::{improve_schedule, LocalSearchConfig};

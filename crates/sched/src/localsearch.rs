@@ -40,15 +40,16 @@ use crate::index::{CandidateIndex, IndexMode};
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
 
+/// Minimum € gain for a move to be accepted (keeps estimate noise from
+/// triggering an exchange).
+pub const MIN_GAIN_EUR: f64 = 1e-6;
+
 /// Local-search knobs.
 #[derive(Clone, Debug)]
 pub struct LocalSearchConfig {
     /// Upper bound on accepted moves per round (safety valve; the search
     /// almost always converges earlier).
     pub max_moves: usize,
-    /// Minimum € gain for a move to be accepted (keeps estimate noise
-    /// from triggering an exchange).
-    pub min_gain_eur: f64,
     /// Consolidation headroom: reject moves that push the destination
     /// host's believed utilisation (dominant share) above this. The
     /// schedule holds for a whole round while load drifts and jitters;
@@ -61,7 +62,6 @@ impl Default for LocalSearchConfig {
     fn default() -> Self {
         LocalSearchConfig {
             max_moves: 16,
-            min_gain_eur: 1e-6,
             max_util_after_move: 0.45,
         }
     }
@@ -241,14 +241,13 @@ fn qualified_gain(
     if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
         return None;
     }
-    gain_only(eval, cfg, vi, hi, departure, stats)
+    gain_only(eval, vi, hi, departure, stats)
 }
 
 /// The gain threshold alone — for destinations whose guards were already
 /// settled group-wide.
 fn gain_only(
     eval: &ScheduleEvaluator,
-    cfg: &LocalSearchConfig,
     vi: usize,
     hi: usize,
     departure: &Departure,
@@ -256,7 +255,7 @@ fn gain_only(
 ) -> Option<f64> {
     stats.rescored += 1;
     let gain = eval.move_gain(vi, hi, departure);
-    if gain > cfg.min_gain_eur {
+    if gain > MIN_GAIN_EUR {
         stats.cleared += 1;
         Some(gain)
     } else {
@@ -320,13 +319,13 @@ fn rescan_vm(
                     // except the VM's original host (no migration term).
                     // `from` holds the VM, so it is never in this group.
                     if let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != orig) {
-                        if let Some(g) = gain_only(eval, cfg, vi, rep, departure, stats) {
+                        if let Some(g) = gain_only(eval, vi, rep, departure, stats) {
                             merge(&mut best, rep, g);
                         }
                     }
                     if let Some(oh) = orig {
                         if members.binary_search(&oh).is_ok() {
-                            if let Some(g) = gain_only(eval, cfg, vi, oh, departure, stats) {
+                            if let Some(g) = gain_only(eval, vi, oh, departure, stats) {
                                 merge(&mut best, oh, g);
                             }
                         }
@@ -339,7 +338,7 @@ fn rescan_vm(
                         if hi == from {
                             continue;
                         }
-                        if let Some(g) = gain_only(eval, cfg, vi, hi, departure, stats) {
+                        if let Some(g) = gain_only(eval, vi, hi, departure, stats) {
                             merge(&mut best, hi, g);
                         }
                     }

@@ -19,7 +19,7 @@ use pamdc_infra::resources::Resources;
 use pamdc_ml::predictors::{PredictionTarget, PredictorSuite};
 use pamdc_perf::contention::{ProportionalShare, WorkConservingShare};
 use pamdc_perf::demand::required_resources;
-use pamdc_perf::rt::{rt_core, RtModelConfig};
+use pamdc_perf::rt::rt_core;
 use std::sync::{Arc, Mutex};
 
 /// A scheduler's belief system: demand estimates and SLA forecasts.
@@ -44,7 +44,7 @@ pub trait QosOracle: Send + Sync {
 }
 
 /// Plain Best-Fit beliefs: last monitoring window + latency.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct MonitorOracle {
     /// Optional multiplier on the observation (1.0 = plain BF).
     pub booking_factor: f64,
@@ -266,28 +266,25 @@ impl QosOracle for MlOracle {
     }
 }
 
-/// Ground-truth beliefs (ablation upper bound).
+/// Horizon over which [`TrueOracle`] drains a VM's backlog when sizing
+/// its demand, seconds: one 10-minute scheduling round.
+const DRAIN_SECS: f64 = 600.0;
+
+/// Ground-truth beliefs (ablation upper bound): the deterministic RT
+/// model, without jitter, over a 10-minute horizon.
 #[derive(Clone, Debug, Default)]
-pub struct TrueOracle {
-    /// RT model configuration (deterministic recommended).
-    pub rt_cfg: RtModelConfig,
-    /// Horizon seconds used for backlog drain in demand computation.
-    pub drain_secs: f64,
-}
+pub struct TrueOracle;
 
 impl TrueOracle {
-    /// A deterministic true oracle with a 10-minute horizon.
+    /// The true oracle.
     pub fn new() -> Self {
-        TrueOracle {
-            rt_cfg: RtModelConfig::deterministic(),
-            drain_secs: 600.0,
-        }
+        TrueOracle
     }
 }
 
 impl QosOracle for TrueOracle {
     fn demand(&self, vm: &VmInfo) -> Resources {
-        required_resources(&vm.load, &vm.perf, self.drain_secs)
+        required_resources(&vm.load, &vm.perf, DRAIN_SECS)
     }
 
     fn sla(
@@ -308,16 +305,8 @@ impl QosOracle for TrueOracle {
         let total: Resources = [required, rest].into_iter().sum();
         let granted = ProportionalShare::new(&total, &host.capacity).grant(&required);
         let burst = WorkConservingShare::new(&total, &host.capacity).burst(&required);
-        let rt = rt_core(
-            &vm.load,
-            &vm.perf,
-            &required,
-            &granted,
-            &burst,
-            &self.rt_cfg,
-            self.drain_secs,
-        )
-        .rt_process_secs;
+        let rt =
+            rt_core(&vm.load, &vm.perf, &required, &granted, &burst, DRAIN_SECS).rt_process_secs;
         vm.sla.fulfillment(rt + transport_secs)
     }
 
@@ -405,8 +394,7 @@ mod tests {
             &required,
             &granted[0],
             &burst[0],
-            &oracle.rt_cfg,
-            oracle.drain_secs,
+            DRAIN_SECS,
             None,
         );
         vm.sla.fulfillment(outcome.rt_process_secs + transport_secs)
@@ -426,42 +414,36 @@ mod tests {
         }
         let cap = p.hosts[0].capacity;
         let mut cases = [0usize; 4];
-        // A jittery model config must not leak into the oracle's answer.
-        for rt_cfg in [RtModelConfig::deterministic(), RtModelConfig::default()] {
-            let o = TrueOracle {
-                rt_cfg,
-                drain_secs: 600.0,
-            };
-            for vm in &p.vms {
-                let d = o.demand(vm);
-                let totals = [
-                    // Under capacity, with the VM's own demand inside.
-                    d + Resources::new(0.2 * cap.cpu, 0.2 * cap.mem_mb, 10.0, 10.0),
-                    // CPU overcommitted.
-                    d + Resources::new(1.5 * cap.cpu, 0.1 * cap.mem_mb, 10.0, 10.0),
-                    // Memory overcommitted.
-                    d + Resources::new(0.1 * cap.cpu, 2.0 * cap.mem_mb, 10.0, 10.0),
-                    // Below the VM's own demand: the rest saturates at zero.
-                    d * 0.5,
-                    Resources::ZERO,
-                ];
-                for total in totals {
-                    for transport in [0.0, 0.05, 0.3] {
-                        let want = composed_true_sla(&o, vm, &p.hosts[0], &total, transport);
-                        let got = o.sla(vm, &p.hosts[0], &total, transport);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "vm {:?} total {total:?}",
-                            vm.id
-                        );
-                    }
-                    let sum = d + total.saturating_sub(&d);
-                    cases[0] += usize::from(sum.fits_within(&cap));
-                    cases[1] += usize::from(sum.cpu > cap.cpu);
-                    cases[2] += usize::from(sum.mem_mb > cap.mem_mb);
-                    cases[3] += usize::from(!d.fits_within(&total));
+        let o = TrueOracle::new();
+        for vm in &p.vms {
+            let d = o.demand(vm);
+            let totals = [
+                // Under capacity, with the VM's own demand inside.
+                d + Resources::new(0.2 * cap.cpu, 0.2 * cap.mem_mb, 10.0, 10.0),
+                // CPU overcommitted.
+                d + Resources::new(1.5 * cap.cpu, 0.1 * cap.mem_mb, 10.0, 10.0),
+                // Memory overcommitted.
+                d + Resources::new(0.1 * cap.cpu, 2.0 * cap.mem_mb, 10.0, 10.0),
+                // Below the VM's own demand: the rest saturates at zero.
+                d * 0.5,
+                Resources::ZERO,
+            ];
+            for total in totals {
+                for transport in [0.0, 0.05, 0.3] {
+                    let want = composed_true_sla(&o, vm, &p.hosts[0], &total, transport);
+                    let got = o.sla(vm, &p.hosts[0], &total, transport);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "vm {:?} total {total:?}",
+                        vm.id
+                    );
                 }
+                let sum = d + total.saturating_sub(&d);
+                cases[0] += usize::from(sum.fits_within(&cap));
+                cases[1] += usize::from(sum.cpu > cap.cpu);
+                cases[2] += usize::from(sum.mem_mb > cap.mem_mb);
+                cases[3] += usize::from(!d.fits_within(&total));
             }
         }
         assert!(

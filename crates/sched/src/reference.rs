@@ -12,7 +12,7 @@
 
 use crate::bestfit::{descending_order, flush_overflow_counters, zero_scores, BestFitResult};
 use crate::evaluator::ScheduleEvaluator;
-use crate::localsearch::LocalSearchConfig;
+use crate::localsearch::{LocalSearchConfig, MIN_GAIN_EUR};
 use crate::oracle::QosOracle;
 use crate::problem::{Problem, Schedule};
 use crate::profit::{marginal_profit, PlacementScore, PlacementState};
@@ -164,7 +164,7 @@ pub fn improve_schedule_reference(
                     continue;
                 }
                 let gain = eval.move_gain(vi, hi, &eval.leave(vi));
-                if gain > cfg.min_gain_eur {
+                if gain > MIN_GAIN_EUR {
                     cleared += 1;
                     if best.as_ref().is_none_or(|&(_, _, bg)| gain > bg) {
                         best = Some((vi, hi, gain));

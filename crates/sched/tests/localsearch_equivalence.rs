@@ -255,7 +255,6 @@ proptest! {
         let cfg = LocalSearchConfig {
             max_moves: 24,
             max_util_after_move: max_util,
-            ..Default::default()
         };
         let start = spread_start(&p);
         let case = format!("vms {vms}, hosts {hosts}, rps {rps}, max_util {max_util}");

@@ -190,6 +190,23 @@ mod tests {
     }
 
     #[test]
+    fn derived_kb_above_the_demand_ceiling_is_refused() {
+        // 1e-6% of a core is 3.3e-6 req/s, so 1e9 KB/s in is 3e14 KB
+        // per request.
+        let err = import(
+            TraceFormat::Alibaba,
+            "c_1,m_1,10,1e-6,,,,,1e9,1.0,\n".as_bytes(),
+            &ImportOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            err.0
+                .contains("tick 0, service 0: kb_in must be at most the demand ceiling of 1e9"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn mem_util_percent_becomes_a_per_service_memory_profile() {
         // c_1 (file-hosting, 3 ms/req) at 50% CPU = 166.67 req/s,
         // in-flight = 166.67 x 0.0048 s = 0.8; 8% of 4096 MB = 327.68,

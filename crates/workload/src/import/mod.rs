@@ -59,7 +59,7 @@ pub mod azure;
 
 use crate::generator::FlowSample;
 use crate::service::ServiceClass;
-use crate::trace::{check_transforms, DemandTrace};
+use crate::trace::{check_ceiling, check_transforms, scaled_rate, DemandTrace};
 use pamdc_simcore::time::SimDuration;
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -386,13 +386,14 @@ pub(crate) fn rows_to_trace(
     for ((tick_idx, service), acc) in entries {
         let class = class_for(service);
         let cpu_pct = acc.cpu / acc.n as f64;
-        let rps = rps_from_cpu(cpu_pct, class) * opts.rate_scale;
+        let raw_rps = rps_from_cpu(cpu_pct, class);
+        let cell_err = |e: String| ImportError(format!("tick {tick_idx}, service {service}: {e}"));
+        let rps = scaled_rate(raw_rps, opts.rate_scale).map_err(cell_err)?;
         if rps <= 0.0 {
             continue; // idle sample: no flow this tick (like the recorder)
         }
         // Unscaled rate converts KB/s columns to per-request KB; the
         // scale then multiplies arrivals without inflating volume/req.
-        let raw_rps = rps_from_cpu(cpu_pct, class);
         let kb_in = if acc.n_in > 0 && raw_rps > 0.0 {
             (acc.net_in / acc.n_in as f64) / raw_rps
         } else {
@@ -403,6 +404,8 @@ pub(crate) fn rows_to_trace(
         } else {
             class_kb_out_mean(class)
         };
+        check_ceiling("kb_in", kb_in).map_err(cell_err)?;
+        check_ceiling("kb_out", kb_out).map_err(cell_err)?;
         let home = service % opts.regions;
         let region = if opts.region_map.is_empty() {
             home
@@ -646,6 +649,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
                 vec![0, 1, 2, 4],
                 "region_map target 4 is out of range (4 regions)",
             ),
+            (1e306, 1.0, vec![], "rps, above the demand ceiling of 1e9"),
             (0.0, 1.0, vec![], ""),
             (1.0, 1.0, vec![0, 1, 2, 3], ""),
         ] {

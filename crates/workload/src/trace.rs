@@ -43,6 +43,18 @@ use std::sync::Arc;
 /// error, not a request for terabytes.
 const MAX_TICK_GAP: usize = 7 * 24 * 60;
 
+/// Largest value a trace's demand columns may hold, replay transforms
+/// included: 1e9 requests/s on one flow, 1e9 KB (a terabyte) per request
+/// each way, 1e9 ms (11½ days) of CPU per request. Recorded, imported
+/// and benchmark traces stay below 1e5 in every column. Under the
+/// ceiling the engine's largest products stay finite: a tick's client
+/// transfer, `rps × (kb_in + kb_out) × tick_secs`, is at most 2e18 KB/s
+/// times the tick, and the quadratic CPU demand of
+/// `pamdc_perf::demand::cpu_demand_pct` at most about 1.2e30 % of a
+/// core. Without it a transfer that overflows to infinity, priced at
+/// 0 €/GB, makes the profit NaN.
+pub const MAX_DEMAND: f64 = 1e9;
+
 /// Trace format errors (line-numbered where possible).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceError(pub String);
@@ -288,8 +300,9 @@ impl CsvParser {
         let region: usize = c_region
             .parse()
             .map_err(|_| err(format!("bad region {c_region:?}")))?;
-        // Demand must be a finite non-negative quantity: NaN or a negative
-        // rate would poison the engine's accounting downstream.
+        // Demand must be a finite non-negative quantity under the
+        // ceiling: NaN, a negative rate or an overflowing product would
+        // poison the engine's accounting downstream.
         let num = |column: &str, text: &str| -> Result<f64, TraceError> {
             let v: f64 = text
                 .parse()
@@ -299,6 +312,7 @@ impl CsvParser {
                     "{column} must be finite and non-negative, got {text:?}"
                 )));
             }
+            check_ceiling(column, v).map_err(err)?;
             Ok(v)
         };
         if service >= self.classes.len() {
@@ -664,6 +678,33 @@ pub struct TraceSource {
     region_map: Vec<usize>,
 }
 
+/// `Err` naming `what` unless `v` is at most [`MAX_DEMAND`].
+pub(crate) fn check_ceiling(what: &str, v: f64) -> Result<(), String> {
+    if v <= MAX_DEMAND {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} must be at most the demand ceiling of {MAX_DEMAND:e}, got {v:e}"
+        ))
+    }
+}
+
+/// A recorded rate of `rps` under `rate_scale`, checked against
+/// [`MAX_DEMAND`]: the rate half of the transform rules, applied by
+/// [`TraceSource::replay`] to the trace's peak rate and by the importers
+/// to every rate they emit.
+pub(crate) fn scaled_rate(rps: f64, rate_scale: f64) -> Result<f64, String> {
+    let scaled = rps * rate_scale;
+    if scaled <= MAX_DEMAND {
+        Ok(scaled)
+    } else {
+        Err(format!(
+            "rate_scale {rate_scale:e} lifts a {rps:.6e} rps flow to {scaled:.6e} rps, above \
+             the demand ceiling of {MAX_DEMAND:e}"
+        ))
+    }
+}
+
 /// The one check of the replay transforms, shared by
 /// [`TraceSource::replay`] and the importers' `ImportOptions::validate`:
 /// a negative or non-finite scale, a stretch that is not finite and
@@ -714,7 +755,8 @@ impl TraceSource {
     /// times `rate_scale`, played `time_stretch`× slower (`> 1`
     /// stretches, `< 1` compresses), recorded region `i` relabelled as
     /// `region_map[i]` (empty = identity), checked by
-    /// [`check_transforms`] over the trace's regions.
+    /// [`check_transforms`] over the trace's regions, with the peak
+    /// scaled rate at most [`MAX_DEMAND`].
     pub fn replay(
         trace: DemandTrace,
         rate_scale: f64,
@@ -723,6 +765,8 @@ impl TraceSource {
     ) -> Result<Self, TraceError> {
         check_transforms(rate_scale, time_stretch, &region_map, trace.regions)
             .map_err(TraceError)?;
+        let flows = trace.flows.iter().flatten().flatten();
+        scaled_rate(flows.map(|f| f.rps).fold(0.0, f64::max), rate_scale).map_err(TraceError)?;
         Ok(TraceSource {
             trace: Arc::new(trace),
             rate_scale,
@@ -1133,6 +1177,17 @@ mod tests {
     fn negative_demand_is_rejected() {
         for csv in each_demand_column("-1e9") {
             assert_rejected(&csv, "must be finite and non-negative, got \"-1e9\"");
+        }
+    }
+
+    #[test]
+    fn demand_above_the_ceiling_is_rejected() {
+        for csv in each_demand_column("1.5e9") {
+            assert_rejected(&csv, "must be at most the demand ceiling of 1e9, got 1.5e9");
+        }
+        for csv in each_demand_column("1e9") {
+            assert!(DemandTrace::parse_csv(&csv).is_ok(), "{csv}");
+            assert!(tail_source(&csv).is_ok(), "{csv}");
         }
     }
 

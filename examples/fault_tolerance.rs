@@ -1,8 +1,8 @@
 //! Failure injection: crash the busiest host mid-run and watch the
 //! reactive scheduler evacuate its VMs while the static baseline leaves
-//! them dark until the repair. Also demonstrates monitor dropout and
-//! bandwidth-shared migrations — the operational realities around the
-//! paper's clean testbed.
+//! them dark until the repair. Also demonstrates bandwidth-shared
+//! migrations — an operational reality around the paper's clean
+//! testbed.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance

@@ -1,15 +1,15 @@
 //! Integration tests for the future-work extensions, driven through the
-//! public facade: green energy, dynamic tariffs, priced networks,
-//! failure injection and monitor dropout composing with the paper's
-//! schedulers in one world.
+//! public facade: green energy, dynamic tariffs, priced networks and
+//! failure injection composing with the paper's schedulers in one
+//! world.
 
 use pamdc::manager::energy::EnergyEnvironment;
 use pamdc::prelude::*;
 use pamdc_sched::oracle::TrueOracle;
 
 /// A world exercising every extension at once: solar everywhere, a spot
-/// tariff in Barcelona, a priced network, one host crash and lossy
-/// monitors — the run must stay deterministic and account consistently.
+/// tariff in Barcelona, a priced network and one host crash — the run
+/// must stay deterministic and account consistently.
 fn kitchen_sink(seed: u64) -> RunOutcome {
     let mut scenario = ScenarioBuilder::paper_multi_dc()
         .vms(5)
@@ -24,7 +24,6 @@ fn kitchen_sink(seed: u64) -> RunOutcome {
     });
     scenario.energy = env.with_tariff(2, Tariff::spot(0.1513, 0.1, 0.2, 2, seed));
     scenario.cluster.net.eur_per_gb_interdc = 0.02;
-    scenario.monitor.dropout_prob = 0.05;
 
     let policy = Box::new(HierarchicalPolicy::new(TrueOracle::new()));
     Controller::new(scenario, policy)
