@@ -110,7 +110,15 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new("exact_bnb", format!("{vms}x{hosts}")),
                 &p,
-                |b, p| b.iter(|| black_box(branch_and_bound(p, &oracle).nodes_expanded)),
+                |b, p| {
+                    b.iter(|| {
+                        black_box(
+                            branch_and_bound(p, &oracle, u64::MAX)
+                                .expect_optimal()
+                                .nodes_expanded,
+                        )
+                    })
+                },
             );
         }
     }

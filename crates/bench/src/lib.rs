@@ -27,11 +27,10 @@ pub fn metric_id(raw: &str) -> String {
 /// Runs the builtin spec `name` with `params` (`--param`-style
 /// overrides) applied, in quick or full mode.
 pub fn run_builtin(name: &str, quick: bool, params: &[(&str, &str)]) -> SpecReport {
-    let spec = params
-        .iter()
-        .try_fold(registry::find(name).expect("builtin").spec, |s, (k, v)| {
-            s.with_param(k, v)
-        })
+    let spec = registry::find(name)
+        .expect("builtin")
+        .spec
+        .with_params(params)
         .expect("valid override");
     run_spec(&spec, Path::new("."), quick).expect("builtin runs")
 }

@@ -1,38 +1,28 @@
 //! `pamdc` — the scenario-engine command line.
 //!
-//! ```text
-//! pamdc list [--names]
-//! pamdc show fig4
-//! pamdc run  <spec.toml | builtin> [--quick] [--csv out.csv] [--json out.json]
-//! pamdc sweep <spec.toml | builtin> --param a=1,2 [--param b=x,y ...]
-//!             [--quick] [--csv ...] [--json ...]
-//! pamdc campaign <campaign.toml> [--quick] [--csv ...] [--json ...]
-//! pamdc record <spec.toml | builtin> --out trace.csv [--hours N]
-//! pamdc replay <trace.csv> [--spec <spec|builtin>] [--hours N] [--rate-scale K]
-//!              [--stretch F] [--remap 3,2,1,0] [--quick] [--csv ...] [--json ...]
-//! pamdc import <dataset.csv> --format azure|alibaba --out trace.csv
-//!              [--tick-secs N] [--regions N] [--rate-scale K] [--stretch F]
-//!              [--remap 3,2,1,0] [--max-services N] [--max-ticks N]
-//! pamdc serve <spec> --feed <feed.csv> [--session <dir>] [--budget-ms N]
-//!             [--poll-ms N] [--max-ticks N]
-//! pamdc replay --manifest <session.json>
-//! pamdc trace summarize <trace.jsonl>
-//! ```
+//! Two tables declare the whole command line: `COMMANDS` (each
+//! command's name, arguments and handler) and `OPTIONS` (each option's
+//! flag, the commands that read it, what it takes, its help line and,
+//! for an option that restates a spec key, that key). Parsing, the
+//! per-command refusal of an option it does not read and the `pamdc
+//! help` text all read them. A keyed option is applied to the spec
+//! through `ScenarioSpec::with_params`, so its parsing, range check and
+//! error text are the key's own, as in a spec file.
 //!
 //! Specs resolve as a file path first, then as a built-in registry name.
 //! Everything is deterministic: sweeps and campaigns fan out via
 //! `simcore::par` and every run derives its randomness from the spec's
-//! seed. Repeating `--param` sweeps the full cartesian product. Even
-//! the live daemon (`serve`) is replayable: it records every consumed
-//! tick and degraded round, and `replay --manifest` re-executes the
-//! session bit-for-bit (docs/SERVE.md).
+//! seed. Even the live daemon (`serve`) is replayable: it records every
+//! consumed tick and degraded round, and a session replay re-executes
+//! it bit-for-bit (docs/SERVE.md).
 
 use pamdc_core::simulation::RunOutcome;
 use pamdc_scenario::campaign::{self, Campaign};
 use pamdc_scenario::output::{reports_csv, reports_json};
-use pamdc_scenario::registry;
 use pamdc_scenario::runner::{outcome_metrics, render_outcome, run_spec, SpecReport};
-use pamdc_scenario::spec::{ScenarioSpec, TraceReplaySpec};
+use pamdc_scenario::spec::ScenarioSpec;
+use pamdc_scenario::toml::{emit_scalar, Value};
+use pamdc_scenario::{build, registry, schema};
 use pamdc_simcore::time::SimDuration;
 use pamdc_workload::tail::TailSource;
 use pamdc_workload::trace::DemandTrace;
@@ -67,425 +57,446 @@ fn write_stdout(w: &mut impl Write, args: fmt::Arguments) -> Result<(), String> 
     }
 }
 
-const USAGE: &str = "\
-pamdc — power-aware multi-DC scenario engine (Berral, Gavaldà & Torres, ICPP 2013)
-
-USAGE:
-  pamdc list [--names]               list built-in paper scenarios
-  pamdc show <builtin>               print a built-in spec as TOML
-  pamdc run <spec> [opts]            run a spec (file path or built-in name)
-  pamdc sweep <spec> --param k=a,b,c [--param k2=x,y ...] [opts]
-                                     run the cartesian product, in parallel
-  pamdc campaign <file> [opts]       run every spec a campaign file lists,
-                                     merged into one CSV/JSON
-  pamdc record <spec> --out <trace.csv> [--hours N]
-                                     dump the spec's synthetic demand to a trace
-  pamdc replay <trace.csv> [--spec <spec>] [--rate-scale K] [--stretch F]
-               [--remap 3,2,1,0] [opts]
-                                     drive a simulation from a recorded trace
-  pamdc import <dataset.csv> --format azure|alibaba --out <trace.csv>
-               [--tick-secs N] [--regions N] [--rate-scale K] [--stretch F]
-               [--remap 3,2,1,0] [--max-services N] [--max-ticks N]
-                                     normalize a public dataset (Azure VM
-                                     trace / Alibaba cluster trace) into a
-                                     replayable pamdc trace (docs/TRACES.md)
-  pamdc serve <spec> --feed <feed.csv> [--session <dir>] [--budget-ms N]
-              [--poll-ms N] [--max-ticks N] [opts]
-                                     daemon: tail a live demand feed, one MAPE
-                                     step per consumed tick, periodic snapshots
-                                     and a JSONL status stream (docs/SERVE.md)
-  pamdc replay --manifest <session.json> [--csv ...] [--json ...]
-                                     re-execute a recorded serve session
-                                     bit-for-bit, degraded rounds included
-  pamdc trace summarize <trace.jsonl>
-                                     per-phase wall-clock breakdown of a
-                                     JSONL run trace (docs/OBSERVABILITY.md)
-
-OPTIONS (a command refuses any option it does not read):
-  --quick          use each experiment's quick preset (CI smoke; run,
-                   sweep, campaign, replay)
-  --csv <path>     write run metrics as CSV (run, sweep, campaign,
-                   replay, serve)
-  --json <path>    write run metrics as JSON (as --csv)
-  --hours <n>      override the simulated horizon (run, sweep, campaign,
-                   record, replay)
-  --jobs <n>       cap concurrent runs (sweep, campaign; default: one
-                   per hardware thread) — results are identical at any
-                   budget
-  --out <path>     output path (record, import)
-  --names          machine-readable listing: names only (list)
-  --trace-out <p>  stream a JSONL trace of the run (run, replay)
-  --progress       heartbeat to stderr every simulated hour (run, sweep,
-                   campaign, replay)
-  --quiet          only warnings and errors on stderr, any command
-                   (PAMDC_LOG also sets the level: error|warn|info|debug)
-";
-
-/// A parsed invocation.
-#[derive(Clone, Debug, PartialEq)]
-enum Cmd {
-    List {
-        names_only: bool,
-    },
-    Show {
-        name: String,
-    },
-    Run {
-        spec: String,
-        opts: Opts,
-    },
-    Sweep {
-        spec: String,
-        /// `(key, values)` per `--param`, in flag order; the sweep runs
-        /// the full cartesian product (later params vary fastest).
-        params: Vec<(String, Vec<String>)>,
-        opts: Opts,
-    },
-    Campaign {
-        file: PathBuf,
-        opts: Opts,
-    },
-    Record {
-        spec: String,
-        out: PathBuf,
-        hours: Option<u64>,
-    },
-    Replay {
-        /// Trace to replay; `None` when `--manifest` drives instead.
-        trace: Option<PathBuf>,
-        /// Serve-session manifest (`session.json`) to re-execute.
-        manifest: Option<PathBuf>,
-        spec: Option<String>,
-        rate_scale: f64,
-        stretch: f64,
-        remap: Vec<usize>,
-        opts: Opts,
-    },
-    Serve {
-        spec: String,
-        feed: PathBuf,
-        session: Option<PathBuf>,
-        max_ticks: Option<usize>,
-        poll_ms: u64,
-        budget_ms: Option<u64>,
-        opts: Opts,
-    },
-    Import {
-        file: PathBuf,
-        format: String,
-        out: PathBuf,
-        tick_secs: Option<u64>,
-        regions: Option<usize>,
-        rate_scale: f64,
-        stretch: f64,
-        remap: Vec<usize>,
-        max_services: Option<usize>,
-        max_ticks: Option<usize>,
-    },
-    TraceSummarize {
-        file: PathBuf,
-    },
+/// One command.
+#[derive(Debug)]
+struct Command {
+    /// Its name; `replay --manifest` is `replay` given that option.
+    name: &'static str,
+    /// Its arguments: `<placeholder>`s and literal words.
+    args: &'static [&'static str],
+    /// The spec key its placeholder argument sets (`""`: none).
+    arg_key: &'static str,
+    /// What it does, one or more help lines.
+    help: &'static str,
+    /// Runs it.
+    run: fn(&Args) -> Result<(), String>,
 }
 
-/// Options shared by run/sweep/replay.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct Opts {
-    quick: bool,
-    csv: Option<PathBuf>,
-    json: Option<PathBuf>,
-    hours: Option<u64>,
-    /// Parallel budget for sweep/campaign fan-outs (`None` = one
-    /// worker per hardware thread).
-    jobs: Option<usize>,
-    /// JSONL trace destination (run, replay).
-    trace_out: Option<PathBuf>,
-    /// Hourly stderr heartbeat.
-    progress: bool,
+const fn command(
+    name: &'static str,
+    args: &'static [&'static str],
+    help: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+) -> Command {
+    Command {
+        name,
+        args,
+        arg_key: "",
+        help,
+        run,
+    }
 }
 
-/// The options each command reads, `replay --manifest` apart from a
-/// trace replay. `--quiet` is accepted by every command; any other
-/// option is an error naming it and the command.
-const COMMAND_OPTIONS: &[(&str, &str)] = &[
-    ("list", "--names"),
-    ("show", ""),
-    ("run", "--quick --csv --json --hours --trace-out --progress"),
-    (
-        "sweep",
-        "--param --quick --csv --json --hours --jobs --progress",
-    ),
-    ("campaign", "--quick --csv --json --hours --jobs --progress"),
-    ("record", "--out --hours"),
-    (
-        "replay",
-        "--spec --rate-scale --stretch --remap --quick --csv --json --hours --trace-out \
-         --progress",
-    ),
-    ("replay --manifest", "--manifest --csv --json"),
-    (
-        "serve",
-        "--feed --session --max-ticks --poll-ms --budget-ms --csv --json",
-    ),
-    (
-        "import",
-        "--format --out --tick-secs --regions --rate-scale --stretch --remap --max-services \
-         --max-ticks",
-    ),
-    ("trace", ""),
+/// Every command. A name holding an option (`replay --manifest`) comes
+/// after the plain name it refines and is chosen when that option is
+/// given.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    command("help", &[], "print this text", cmd_help),
+    command("list", &[], "list built-in paper scenarios", cmd_list),
+    command("show", &["<builtin>"], "print a built-in spec as TOML", cmd_show),
+    command("run", &["<spec>"], "run a spec (file path or built-in name)", cmd_run),
+    command("sweep", &["<spec>"], "run every combination of the axes, in parallel", cmd_sweep),
+    command("campaign", &["<file>"], "run every spec a campaign file lists, merged\ninto one CSV/JSON", cmd_campaign),
+    command("record", &["<spec>"], "dump the spec's synthetic demand to a trace", cmd_record),
+    Command { arg_key: "workload.trace.path", ..command("replay", &["<trace.csv>"], "drive a simulation from a recorded trace", cmd_replay) },
+    command("replay --manifest", &[], "re-execute a recorded serve session\nbit-for-bit, degraded rounds included", cmd_replay_manifest),
+    Command { arg_key: "workload.import.path", ..command("import", &["<dataset.csv>"], "normalize a public dataset (Azure VM trace /\nAlibaba cluster trace) into a replayable\npamdc trace (docs/TRACES.md)", cmd_import) },
+    command("serve", &["<spec>"], "daemon: tail a live demand feed, one MAPE\nstep per consumed tick, periodic snapshots\nand a JSONL status stream (docs/SERVE.md)", cmd_serve),
+    command("trace", &["summarize", "<trace.jsonl>"], "per-phase wall-clock breakdown of a JSONL\nrun trace (docs/OBSERVABILITY.md)", cmd_trace_summarize),
 ];
 
-/// Parses a command line into the command and whether `--quiet` was
-/// given.
-fn parse_args(args: &[String]) -> Result<(Cmd, bool), String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| "missing command".to_string())?;
-    let rest: Vec<&String> = it.collect();
-    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        return Err(String::new());
-    }
-    let usage = if cmd == "replay" && rest.iter().any(|a| *a == "--manifest") {
-        "replay --manifest"
-    } else {
-        cmd.as_str()
-    };
-    let (_, accepted) = COMMAND_OPTIONS
-        .iter()
-        .find(|(name, _)| *name == usage)
-        .ok_or_else(|| format!("unknown command {cmd:?}"))?;
+/// What an option takes after its flag.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Takes {
+    /// Nothing: a switch (`true` for the key it sets).
+    Switch,
+    /// A string: a path or a name.
+    Text,
+    /// A spec key's value, parsed by the key's row.
+    Value,
+    /// A comma list: a spec key's array.
+    List,
+    /// An integer of at least this much.
+    Int(u64),
+    /// A sweep axis, `key=v1,v2,...`; an axis key at most once.
+    Axis,
+}
 
-    // Pull `--flag [value]` pairs out; positionals remain.
-    let mut positional: Vec<String> = Vec::new();
-    let mut opts = Opts::default();
-    let mut params: Vec<String> = Vec::new();
-    let mut out: Option<PathBuf> = None;
-    let mut spec_flag: Option<String> = None;
-    let mut names_only = false;
-    let mut rate_scale = 1.0f64;
-    let mut stretch = 1.0f64;
-    let mut remap: Vec<usize> = Vec::new();
-    let mut format: Option<String> = None;
-    let mut tick_secs: Option<u64> = None;
-    let mut regions: Option<usize> = None;
-    let mut max_services: Option<usize> = None;
-    let mut max_ticks: Option<usize> = None;
-    let mut feed: Option<PathBuf> = None;
-    let mut session: Option<PathBuf> = None;
-    let mut poll_ms: u64 = 200;
-    let mut budget_ms: Option<u64> = None;
-    let mut manifest: Option<PathBuf> = None;
-    let mut quiet = false;
+/// A given option's value.
+#[derive(Clone, Debug, PartialEq)]
+enum Val {
+    On,
+    Text(String),
+    Int(u64),
+    Axis(String, Vec<String>),
+}
 
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i].as_str();
-        if arg.starts_with("--") && arg != "--quiet" && !accepted.split(' ').any(|a| a == arg) {
-            return Err(format!("`pamdc {usage}` takes no option {arg}"));
-        }
-        let mut value = |name: &str| -> Result<String, String> {
-            i += 1;
-            rest.get(i)
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg {
-            "--quick" => opts.quick = true,
-            "--csv" => opts.csv = Some(PathBuf::from(value("--csv")?)),
-            "--json" => opts.json = Some(PathBuf::from(value("--json")?)),
-            "--hours" => {
-                opts.hours = Some(
-                    value("--hours")?
-                        .parse()
-                        .ok()
-                        .filter(|&h| h >= 1)
-                        .ok_or("--hours needs an integer >= 1")?,
-                )
-            }
-            "--param" => params.push(value("--param")?),
-            "--jobs" => {
-                let jobs: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?;
-                if jobs == 0 {
-                    return Err("--jobs must be >= 1".into());
-                }
-                opts.jobs = Some(jobs);
-            }
-            "--names" => names_only = true,
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--progress" => opts.progress = true,
-            "--quiet" => quiet = true,
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--spec" => spec_flag = Some(value("--spec")?),
-            "--rate-scale" => {
-                rate_scale = value("--rate-scale")?
-                    .parse()
-                    .map_err(|_| "--rate-scale needs a number".to_string())?
-            }
-            "--stretch" => {
-                stretch = value("--stretch")?
-                    .parse()
-                    .map_err(|_| "--stretch needs a number".to_string())?
-            }
-            "--remap" => {
-                remap = value("--remap")?
-                    .split(',')
-                    .map(|p| p.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| "--remap needs comma-separated region indices".to_string())?
-            }
-            "--format" => format = Some(value("--format")?),
-            "--tick-secs" => {
-                tick_secs = Some(
-                    value("--tick-secs")?
-                        .parse()
-                        .map_err(|_| "--tick-secs needs an integer".to_string())?,
-                )
-            }
-            "--regions" => {
-                regions = Some(
-                    value("--regions")?
-                        .parse()
-                        .map_err(|_| "--regions needs an integer".to_string())?,
-                )
-            }
-            "--max-services" => {
-                max_services = Some(
-                    value("--max-services")?
-                        .parse()
-                        .map_err(|_| "--max-services needs an integer".to_string())?,
-                )
-            }
-            "--max-ticks" => {
-                max_ticks = Some(
-                    value("--max-ticks")?
-                        .parse()
-                        .map_err(|_| "--max-ticks needs an integer".to_string())?,
-                )
-            }
-            "--feed" => feed = Some(PathBuf::from(value("--feed")?)),
-            "--session" => session = Some(PathBuf::from(value("--session")?)),
-            "--poll-ms" => {
-                poll_ms = value("--poll-ms")?
-                    .parse()
-                    .map_err(|_| "--poll-ms needs an integer".to_string())?
-            }
-            "--budget-ms" => {
-                budget_ms = Some(
-                    value("--budget-ms")?
-                        .parse()
-                        .map_err(|_| "--budget-ms needs an integer".to_string())?,
-                )
-            }
-            "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
-            other => positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-
-    let one_positional = |what: &str| -> Result<String, String> {
-        match positional.as_slice() {
-            [one] => Ok(one.clone()),
-            [] => Err(format!("missing {what}")),
-            more => Err(format!("unexpected extra arguments {more:?}")),
-        }
-    };
-
-    let cmd = match cmd.as_str() {
-        "list" => Cmd::List { names_only },
-        "show" => Cmd::Show {
-            name: one_positional("built-in name")?,
-        },
-        "run" => Cmd::Run {
-            spec: one_positional("spec path or built-in name")?,
-            opts,
-        },
-        "sweep" => {
-            let spec = one_positional("spec path or built-in name")?;
-            if params.is_empty() {
-                return Err("sweep needs --param key=v1,v2,... (repeatable)".into());
-            }
-            let mut parsed: Vec<(String, Vec<String>)> = Vec::with_capacity(params.len());
-            for param in &params {
-                let (key, values) = param
+impl Takes {
+    /// Reads the text that follows `flag`.
+    fn read(self, flag: &str, text: &str) -> Result<Val, String> {
+        match self {
+            Takes::Int(min) => text
+                .parse()
+                .ok()
+                .filter(|&n| n >= min)
+                .map(Val::Int)
+                .ok_or_else(|| format!("{flag} needs an integer >= {min}, got {text:?}")),
+            Takes::Axis => {
+                let (key, values) = text
                     .split_once('=')
-                    .ok_or("--param must look like key=v1,v2,...")?;
+                    .ok_or_else(|| format!("{flag} must look like key=v1,v2,..."))?;
+                let key = key.trim();
                 let values: Vec<String> = values
                     .split(',')
                     .map(|v| v.trim().to_string())
                     .filter(|v| !v.is_empty())
                     .collect();
                 if values.is_empty() {
-                    return Err(format!("--param {key} needs at least one value"));
+                    return Err(format!("{flag} {key} needs at least one value"));
                 }
-                let key = key.trim().to_string();
-                if parsed.iter().any(|(k, _)| *k == key) {
-                    return Err(format!("--param {key} given twice"));
-                }
-                parsed.push((key, values));
+                Ok(Val::Axis(key.into(), values))
             }
-            Cmd::Sweep {
-                spec,
-                params: parsed,
-                opts,
-            }
+            _ => Ok(Val::Text(text.into())),
         }
-        "campaign" => Cmd::Campaign {
-            file: PathBuf::from(one_positional("campaign file")?),
-            opts,
-        },
-        "record" => Cmd::Record {
-            spec: one_positional("spec path or built-in name")?,
-            out: out.ok_or("record needs --out <trace.csv>")?,
-            hours: opts.hours,
-        },
-        "replay" => {
-            let trace = match (&manifest, positional.as_slice()) {
-                (Some(_), []) => None,
-                (Some(_), _) => {
-                    return Err("replay takes either a trace file or --manifest, not both".into())
-                }
-                (None, _) => Some(PathBuf::from(one_positional("trace path (or --manifest)")?)),
-            };
-            Cmd::Replay {
-                trace,
-                manifest,
-                spec: spec_flag,
-                rate_scale,
-                stretch,
-                remap,
-                opts,
-            }
+    }
+
+    /// The TOML text of `text` as the value of a spec key.
+    fn toml(self, text: &str) -> String {
+        match self {
+            Takes::Switch => "true".into(),
+            Takes::Text => emit_scalar(&Value::Str(text.into())),
+            Takes::List => format!("[{text}]"),
+            _ => text.into(),
         }
-        "serve" => Cmd::Serve {
-            spec: one_positional("spec path or built-in name")?,
-            feed: feed.ok_or("serve needs --feed <feed.csv>")?,
-            session,
-            max_ticks,
-            poll_ms,
-            budget_ms,
-            opts,
-        },
-        "import" => Cmd::Import {
-            file: PathBuf::from(one_positional("dataset path")?),
-            format: format.ok_or("import needs --format azure|alibaba")?,
-            out: out.ok_or("import needs --out <trace.csv>")?,
-            tick_secs,
-            regions,
-            rate_scale,
-            stretch,
-            remap,
-            max_services,
-            max_ticks,
-        },
-        "trace" => match positional.as_slice() {
-            [sub, file] if sub == "summarize" => Cmd::TraceSummarize {
-                file: PathBuf::from(file),
-            },
-            _ => return Err("trace usage: pamdc trace summarize <trace.jsonl>".into()),
-        },
-        other => return Err(format!("unknown command {other:?}")),
+    }
+}
+
+/// One option row.
+#[derive(Debug)]
+struct Opt {
+    /// `--name`.
+    flag: &'static str,
+    /// The commands that read it.
+    cmds: &'static [&'static str],
+    /// What follows the flag.
+    takes: Takes,
+    /// Its placeholder in the help text (`""` for a switch).
+    value: &'static str,
+    /// The spec key it sets (`""`: the command reads it itself).
+    key: &'static str,
+    /// Whether its commands need it.
+    required: bool,
+    /// Its help line (a keyed option's is the key's own doc line).
+    help: &'static str,
+}
+
+/// A command-local option.
+const fn opt(
+    flag: &'static str,
+    cmds: &'static [&'static str],
+    takes: Takes,
+    value: &'static str,
+    help: &'static str,
+) -> Opt {
+    Opt {
+        flag,
+        cmds,
+        takes,
+        value,
+        key: "",
+        required: false,
+        help,
+    }
+}
+
+/// An option that restates the spec key `key`.
+const fn sets(
+    flag: &'static str,
+    cmds: &'static [&'static str],
+    takes: Takes,
+    value: &'static str,
+    key: &'static str,
+) -> Opt {
+    Opt {
+        key,
+        ..opt(flag, cmds, takes, value, "")
+    }
+}
+
+impl Opt {
+    /// This row, needed by its commands.
+    const fn required(self) -> Opt {
+        Opt {
+            required: true,
+            ..self
+        }
+    }
+
+    /// Whether `command` reads this option.
+    fn reads(&self, command: &str) -> bool {
+        self.cmds == ANY || self.cmds.contains(&command)
+    }
+
+    /// The flag and its placeholder.
+    fn synopsis(&self) -> String {
+        match self.value {
+            "" => self.flag.into(),
+            value => format!("{} {value}", self.flag),
+        }
+    }
+}
+
+const ANY: &[&str] = &["any command"];
+const RUNS: &[&str] = &["run", "sweep", "campaign", "replay"];
+const HORIZON: &[&str] = &["run", "sweep", "campaign", "record", "replay"];
+const REPORTS: &[&str] = &[
+    "run",
+    "sweep",
+    "campaign",
+    "replay",
+    "replay --manifest",
+    "serve",
+];
+const REPLAY: &[&str] = &["replay"];
+const IMPORT: &[&str] = &["import"];
+const SERVE: &[&str] = &["serve"];
+
+/// Declares each option row as a constant, and `OPTIONS` as every row
+/// in help-text order.
+macro_rules! options {
+    ($($id:ident = $row:expr;)*) => {
+        $(const $id: Opt = $row;)*
+        /// Every option, one row per flag and meaning: `--rate-scale`
+        /// sets one key for `replay` and another for `import`.
+        static OPTIONS: &[Opt] = &[$($id),*];
     };
-    Ok((cmd, quiet))
+}
+
+options! {
+    QUICK = opt("--quick", RUNS, Takes::Switch, "", "use each experiment's quick preset (CI smoke)");
+    CSV = opt("--csv", REPORTS, Takes::Text, "<path>", "write run metrics as CSV");
+    JSON = opt("--json", REPORTS, Takes::Text, "<path>", "write run metrics as JSON");
+    HOURS = sets("--hours", HORIZON, Takes::Value, "<n>", "run.hours");
+    JOBS = opt("--jobs", &["sweep", "campaign"], Takes::Int(1), "<n>", "cap concurrent runs (default: one per hardware\nthread); results are identical at any budget");
+    PARAM = opt("--param", &["sweep"], Takes::Axis, "<key=a,b,...>", "a sweep axis, repeatable: the full cartesian\nproduct runs, later axes varying fastest").required();
+    OUT = opt("--out", &["record", "import"], Takes::Text, "<trace.csv>", "the trace to write").required();
+    NAMES = opt("--names", &["list"], Takes::Switch, "", "machine-readable listing: names only");
+    TRACE_OUT = sets("--trace-out", &["run", "replay"], Takes::Text, "<path>", "profile.trace_out");
+    PROGRESS = sets("--progress", RUNS, Takes::Switch, "", "profile.progress");
+    QUIET = opt("--quiet", ANY, Takes::Switch, "", "only warnings and errors on stderr (PAMDC_LOG\nalso sets the level: error|warn|info|debug)");
+    SPEC = opt("--spec", REPLAY, Takes::Text, "<spec>", "the world to replay in (default: the paper's\nmulti-DC world); the trace replaces its demand");
+    RATE_SCALE = sets("--rate-scale", REPLAY, Takes::Value, "<k>", "workload.trace.rate_scale");
+    STRETCH = sets("--stretch", REPLAY, Takes::Value, "<f>", "workload.trace.time_stretch");
+    REMAP = sets("--remap", REPLAY, Takes::List, "<3,2,1,0>", "workload.trace.region_map");
+    MANIFEST = opt("--manifest", &["replay --manifest"], Takes::Text, "<session.json>", "the serve session to re-execute");
+    FEED = opt("--feed", SERVE, Takes::Text, "<feed.csv>", "the append-only demand feed to tail").required();
+    SESSION = opt("--session", SERVE, Takes::Text, "<dir>", "session directory (default: the feed path with\nthe extension .session)");
+    MAX_TICKS = opt("--max-ticks", SERVE, Takes::Int(0), "<n>", "stop after this many consumed ticks, restored\nticks included");
+    POLL_MS = opt("--poll-ms", SERVE, Takes::Int(0), "<ms>", "feed poll interval while idle (default 200)");
+    BUDGET_MS = sets("--budget-ms", SERVE, Takes::Value, "<ms>", "serve.budget_ms");
+    FORMAT = sets("--format", IMPORT, Takes::Text, "<azure|alibaba>", "workload.import.format").required();
+    TICK_SECS = sets("--tick-secs", IMPORT, Takes::Value, "<n>", "workload.import.tick_secs");
+    REGIONS = sets("--regions", IMPORT, Takes::Value, "<n>", "workload.import.regions");
+    IMPORT_RATE_SCALE = sets("--rate-scale", IMPORT, Takes::Value, "<k>", "workload.import.rate_scale");
+    IMPORT_STRETCH = sets("--stretch", IMPORT, Takes::Value, "<f>", "workload.import.time_stretch");
+    IMPORT_REMAP = sets("--remap", IMPORT, Takes::List, "<3,2,1,0>", "workload.import.region_map");
+    MAX_SERVICES = sets("--max-services", IMPORT, Takes::Value, "<n>", "workload.import.max_services");
+    IMPORT_MAX_TICKS = sets("--max-ticks", IMPORT, Takes::Value, "<n>", "workload.import.max_ticks");
+}
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    command: &'static Command,
+    /// Its arguments, as [`Command::args`] lists them.
+    positional: Vec<String>,
+    /// Every option given, in order.
+    given: Vec<(&'static Opt, Val)>,
+}
+
+impl Args {
+    /// The value of `opt`, the last one when it is given twice.
+    fn get(&self, opt: &Opt) -> Option<&Val> {
+        let mut given = self.given.iter().rev();
+        given.find(|(o, _)| o.flag == opt.flag).map(|(_, v)| v)
+    }
+
+    fn on(&self, opt: &Opt) -> bool {
+        self.get(opt).is_some()
+    }
+
+    fn text(&self, opt: &Opt) -> Option<&str> {
+        match self.get(opt) {
+            Some(Val::Text(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn path(&self, opt: &Opt) -> Option<PathBuf> {
+        self.text(opt).map(PathBuf::from)
+    }
+
+    fn int(&self, opt: &Opt) -> Option<u64> {
+        match self.get(opt) {
+            Some(Val::Int(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The sweep axes, in flag order.
+    fn axes(&self) -> Vec<(String, Vec<String>)> {
+        let axis = |(_, v): &(&Opt, Val)| match v {
+            Val::Axis(key, values) => Some((key.clone(), values.clone())),
+            _ => None,
+        };
+        self.given.iter().filter_map(axis).collect()
+    }
+
+    /// `spec` with the spec keys this command line sets, in order, each
+    /// parsed and checked by the key's row.
+    fn apply(&self, spec: &ScenarioSpec) -> Result<ScenarioSpec, String> {
+        let arg = self.positional.first();
+        let arg = arg.map(|a| (self.command.arg_key, Takes::Text.toml(a)));
+        let options = self.given.iter().map(|(o, v)| match v {
+            Val::Text(text) => (o.key, o.takes.toml(text)),
+            _ => (o.key, o.takes.toml("")),
+        });
+        let keys: Vec<(&str, String)> = arg.into_iter().chain(options).collect();
+        let pairs: Vec<(&str, &str)> = (keys.iter())
+            .filter(|(key, _)| !key.is_empty())
+            .map(|(k, v)| (*k, v.as_str()))
+            .collect();
+        spec.with_params(&pairs).map_err(|e| e.to_string())
+    }
+}
+
+/// Parses a command line into the command and whether `--quiet` was
+/// given.
+fn parse_args(args: &[String]) -> Result<(Args, bool), String> {
+    let (first, rest) = args.split_first().ok_or("missing command")?;
+    let name = match first.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let command = COMMANDS
+        .iter()
+        .rev()
+        .find(|c| {
+            let mut words = c.name.split(' ');
+            words.next() == Some(name) && words.all(|w| rest.iter().any(|a| a == w))
+        })
+        .ok_or_else(|| format!("unknown command {first:?}"))?;
+    let mut parsed = Args {
+        command,
+        positional: Vec::new(),
+        given: Vec::new(),
+    };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            parsed.positional.push(arg.clone());
+            continue;
+        }
+        let opt = OPTIONS
+            .iter()
+            .find(|o| o.flag == arg && o.reads(command.name))
+            .ok_or_else(|| format!("`pamdc {}` takes no option {arg}", command.name))?;
+        let val = match opt.takes {
+            Takes::Switch => Val::On,
+            takes => takes.read(arg, rest.next().ok_or(format!("{arg} needs a value"))?)?,
+        };
+        if let Val::Axis(key, _) = &val {
+            if parsed.axes().iter().any(|(k, _)| k == key) {
+                return Err(format!("{arg} {key} given twice"));
+            }
+        }
+        parsed.given.push((opt, val));
+    }
+    let fits = parsed.positional.len() == command.args.len()
+        && (command.args.iter().zip(&parsed.positional)).all(|(w, a)| w.starts_with('<') || w == a);
+    if !fits {
+        return Err(format!(
+            "`pamdc {}` takes {}, got {:?}",
+            command.name,
+            match command.args {
+                [] => "no arguments".to_string(),
+                args => args.join(" "),
+            },
+            parsed.positional
+        ));
+    }
+    if let Some(opt) = OPTIONS
+        .iter()
+        .find(|o| o.required && o.reads(command.name) && !parsed.on(o))
+    {
+        return Err(format!("`pamdc {}` needs {}", command.name, opt.synopsis()));
+    }
+    let quiet = parsed.on(&QUIET);
+    Ok((parsed, quiet))
+}
+
+/// The help text, rendered from [`COMMANDS`] and [`OPTIONS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "pamdc — power-aware multi-DC scenario engine (Berral, Gavaldà & Torres, ICPP 2013)\n\n\
+         USAGE:\n",
+    );
+    for c in COMMANDS {
+        let name = c.name.split(' ').map(|word| {
+            let opt = OPTIONS.iter().find(|o| o.flag == word);
+            opt.map_or(word.to_string(), Opt::synopsis)
+        });
+        let required = OPTIONS
+            .iter()
+            .filter(|o| o.required && o.reads(c.name))
+            .map(Opt::synopsis);
+        let words: Vec<String> = name
+            .chain(c.args.iter().map(|a| a.to_string()))
+            .chain(required)
+            .collect();
+        push_row(
+            &mut out,
+            &format!("pamdc {} [opts]", words.join(" ")),
+            c.help,
+        );
+    }
+    out.push_str(
+        "\nOPTIONS (a command refuses any option it does not read; an option that sets a\n\
+         spec key is parsed and range-checked as that key is in a spec file):\n",
+    );
+    let keys = schema::keys::<ScenarioSpec>("");
+    for o in OPTIONS {
+        let mut help = o.help.to_string();
+        if let Some(key) = keys.iter().find(|k| k.path == o.key) {
+            let accepts = key.check.describe();
+            help = format!("{}\nsets {}", key.doc, o.key);
+            if !accepts.is_empty() {
+                help.push_str(&format!(", {accepts}"));
+            }
+        }
+        push_row(
+            &mut out,
+            &o.synopsis(),
+            &format!("{help}\n({})", o.cmds.join(", ")),
+        );
+    }
+    out
+}
+
+/// Appends `left` and the lines of `right` as two columns; `right`
+/// starts on a line of its own when `left` is too wide.
+fn push_row(out: &mut String, left: &str, right: &str) {
+    const WIDTH: usize = 34;
+    let mut lines = right.lines();
+    if left.len() < WIDTH {
+        out.push_str(&format!("  {left:WIDTH$} {}\n", lines.next().unwrap_or("")));
+    } else {
+        out.push_str(&format!("  {left}\n"));
+    }
+    for line in lines {
+        out.push_str(&format!("  {:WIDTH$} {line}\n", ""));
+    }
 }
 
 /// Resolves a spec argument: file path first, then built-in name.
@@ -524,39 +535,34 @@ fn outcome_report(name: String, outcome: &RunOutcome) -> SpecReport {
     }
 }
 
-fn write_outputs(reports: &[SpecReport], opts: &Opts) -> Result<(), String> {
-    if let Some(path) = &opts.csv {
-        std::fs::write(path, reports_csv(reports))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        pamdc_obs::info!("wrote {}", path.display());
-    }
-    if let Some(path) = &opts.json {
-        std::fs::write(path, reports_json(reports))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        pamdc_obs::info!("wrote {}", path.display());
+/// Prints `report` and writes it where the command line asks.
+fn report_one(report: &SpecReport, args: &Args) -> Result<(), String> {
+    outln!("{}", report.text);
+    write_outputs(std::slice::from_ref(report), args)
+}
+
+fn write_outputs(reports: &[SpecReport], args: &Args) -> Result<(), String> {
+    // Each format is rendered only when its file is asked for.
+    let csv = reports_csv as fn(&[SpecReport]) -> String;
+    for (opt, emit) in [(&CSV, csv), (&JSON, reports_json)] {
+        if let Some(path) = args.path(opt) {
+            std::fs::write(&path, emit(reports))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            pamdc_obs::info!("wrote {}", path.display());
+        }
     }
     Ok(())
 }
 
-/// The trace destination a run resolves to: the `--trace-out` flag wins,
-/// then the spec's `[profile] trace_out` (relative to the invoking cwd).
-fn resolve_trace_out(opts: &Opts, spec: &ScenarioSpec) -> Option<PathBuf> {
-    opts.trace_out
-        .clone()
-        .or_else(|| spec.profile.trace_out.as_ref().map(PathBuf::from))
-}
-
-/// Installs the JSONL file sink when a destination is set. The returned
-/// flag tells the caller to [`pamdc_obs::trace::finish`] afterwards.
-fn install_trace(path: Option<&PathBuf>) -> Result<bool, String> {
-    match path {
-        None => Ok(false),
-        Some(path) => {
-            pamdc_obs::trace::install_file(path)
-                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-            Ok(true)
-        }
-    }
+/// Installs the JSONL file sink `[profile] trace_out` names, if any, and
+/// returns its path for [`finish_trace`].
+fn install_trace(spec: &ScenarioSpec) -> Result<Option<PathBuf>, String> {
+    let Some(path) = spec.profile.trace_out.as_ref().map(PathBuf::from) else {
+        return Ok(None);
+    };
+    pamdc_obs::trace::install_file(&path)
+        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+    Ok(Some(path))
 }
 
 fn finish_trace(path: &Path) -> Result<(), String> {
@@ -565,8 +571,12 @@ fn finish_trace(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list(names_only: bool) -> Result<(), String> {
-    if names_only {
+fn cmd_help(_: &Args) -> Result<(), String> {
+    write_stdout(&mut std::io::stdout().lock(), format_args!("{}", usage()))
+}
+
+fn cmd_list(args: &Args) -> Result<(), String> {
+    if args.on(&NAMES) {
         for b in registry::builtins() {
             outln!("{}", b.name);
         }
@@ -585,37 +595,40 @@ fn cmd_list(names_only: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(spec_arg: &str, opts: &Opts) -> Result<(), String> {
-    let (mut spec, base) = load_spec(spec_arg)?;
-    if let Some(hours) = opts.hours {
-        spec.run.hours = hours;
-    }
-    if opts.progress {
-        spec.profile.progress = true;
-    }
-    let trace_out = resolve_trace_out(opts, &spec);
-    let tracing = install_trace(trace_out.as_ref())?;
-    let report = run_spec(&spec, &base, opts.quick).map_err(|e| e.to_string())?;
-    outln!("{}", report.text);
-    if tracing {
-        finish_trace(trace_out.as_ref().expect("tracing implies a path"))?;
-    }
-    write_outputs(std::slice::from_ref(&report), opts)
+fn cmd_show(args: &Args) -> Result<(), String> {
+    let name = &args.positional[0];
+    let builtin = registry::find(name)
+        .ok_or_else(|| format!("no built-in named {name:?} (try `pamdc list`)"))?;
+    write_stdout(
+        &mut std::io::stdout().lock(),
+        format_args!("{}", builtin.spec.emit()),
+    )
 }
 
-/// Expands the cartesian product of every `--param` axis. Each variant
-/// carries its override suffix (`k1=v1,k2=v2`); later params vary
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let (spec, base) = load_spec(&args.positional[0])?;
+    let spec = args.apply(&spec)?;
+    let trace_out = install_trace(&spec)?;
+    let report = run_spec(&spec, &base, args.on(&QUICK)).map_err(|e| e.to_string())?;
+    if let Some(path) = trace_out {
+        finish_trace(&path)?;
+    }
+    report_one(&report, args)
+}
+
+/// Expands the cartesian product of every sweep axis. Each variant
+/// carries its override suffix (`k1=v1,k2=v2`); later axes vary
 /// fastest, so rows group by the first axis.
 fn cartesian(
     base_spec: &ScenarioSpec,
-    params: &[(String, Vec<String>)],
+    axes: &[(String, Vec<String>)],
 ) -> Result<Vec<(String, ScenarioSpec)>, String> {
     let mut variants: Vec<(String, ScenarioSpec)> = vec![(String::new(), base_spec.clone())];
-    for (key, values) in params {
+    for (key, values) in axes {
         let mut next = Vec::with_capacity(variants.len() * values.len());
         for (suffix, spec) in &variants {
             for value in values {
-                let v = spec.with_param(key, value).map_err(|e| {
+                let v = spec.with_params(&[(key, value)]).map_err(|e| {
                     let hints = pamdc_scenario::spec::sweep_hints();
                     format!("{e}\nsweepable keys include: {}", hints.join(", "))
                 })?;
@@ -632,101 +645,93 @@ fn cartesian(
     Ok(variants)
 }
 
-fn cmd_sweep(spec_arg: &str, params: &[(String, Vec<String>)], opts: &Opts) -> Result<(), String> {
-    let (mut base_spec, base) = load_spec(spec_arg)?;
-    if let Some(hours) = opts.hours {
-        base_spec.run.hours = hours;
-    }
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let (spec, base) = load_spec(&args.positional[0])?;
+    // The command line's own keys set the base, under every axis.
+    let base_spec = args.apply(&spec)?;
+    let axes = args.axes();
     // Build every variant up front so a bad value fails before any work.
-    let mut variants = cartesian(&base_spec, params)?;
+    let mut variants = cartesian(&base_spec, &axes)?;
     for (suffix, spec) in &mut variants {
         spec.name = format!("{}[{suffix}]", base_spec.name);
-        if opts.progress {
-            spec.profile.progress = true;
-        }
     }
-    let axes: Vec<String> = params
+    let described: Vec<String> = axes
         .iter()
         .map(|(k, vs)| format!("{k} ({} values)", vs.len()))
         .collect();
     pamdc_obs::info!(
         "sweeping {} -> {} variants...",
-        axes.join(" x "),
+        described.join(" x "),
         variants.len()
     );
-    let quick = opts.quick;
-    let base_dir = base.clone();
+    let quick = args.on(&QUICK);
+    let jobs = args
+        .int(&JOBS)
+        .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
     let reports: Vec<Result<SpecReport, String>> =
-        pamdc_simcore::par::parallel_map_bounded(variants, opts.jobs, move |(suffix, spec)| {
-            run_spec(&spec, &base_dir, quick).map_err(|e| format!("{suffix}: {e}"))
+        pamdc_simcore::par::parallel_map_bounded(variants, jobs, move |(suffix, spec)| {
+            run_spec(&spec, &base, quick).map_err(|e| format!("{suffix}: {e}"))
         });
     // `parallel_map` preserves input order, so rows line up with values.
-    let mut ok = Vec::with_capacity(reports.len());
-    for r in reports {
-        ok.push(r?);
-    }
+    let ok = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
     outln!("{}", reports_csv(&ok));
-    write_outputs(&ok, opts)
+    write_outputs(&ok, args)
 }
 
-fn cmd_campaign(file: &Path, opts: &Opts) -> Result<(), String> {
+fn cmd_campaign(args: &Args) -> Result<(), String> {
+    let file = Path::new(&args.positional[0]);
     let text = std::fs::read_to_string(file)
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
     let campaign = Campaign::parse(&text).map_err(|e| format!("{}: {e}", file.display()))?;
     let campaign_dir = file.parent().unwrap_or(Path::new("")).to_path_buf();
 
-    // Resolve and override every entry up front: a typo in run 7 fails
-    // before run 1 burns any compute.
-    let mut jobs: Vec<(ScenarioSpec, PathBuf)> = Vec::with_capacity(campaign.runs.len());
+    // Resolve every entry up front, its overrides first and the command
+    // line's keys over them: a typo in run 7 fails before run 1 burns
+    // any compute.
+    let mut runs: Vec<(ScenarioSpec, PathBuf)> = Vec::with_capacity(campaign.runs.len());
     for run in &campaign.runs {
         let (spec, base_dir) = load_spec_in(&run.spec, &campaign_dir)?;
-        let mut spec =
+        let spec =
             campaign::apply_overrides(&spec, run).map_err(|e| format!("{}: {e}", run.spec))?;
-        if let Some(hours) = opts.hours {
-            spec.run.hours = hours;
-        }
-        if opts.progress {
-            spec.profile.progress = true;
-        }
-        jobs.push((spec, base_dir));
+        runs.push((args.apply(&spec)?, base_dir));
     }
-    match opts.jobs {
-        Some(budget) => pamdc_obs::info!(
-            "campaign '{}': {} runs, at most {budget} in parallel...",
-            campaign.name,
-            jobs.len()
-        ),
-        None => pamdc_obs::info!(
-            "campaign '{}': {} runs, in parallel...",
-            campaign.name,
-            jobs.len()
-        ),
-    }
-    let quick = opts.quick;
+    let jobs = args
+        .int(&JOBS)
+        .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    let budget = jobs.map_or(String::new(), |n| format!("at most {n} "));
+    pamdc_obs::info!(
+        "campaign '{}': {} runs, {budget}in parallel...",
+        campaign.name,
+        runs.len()
+    );
+    let quick = args.on(&QUICK);
     let reports: Vec<Result<SpecReport, String>> =
-        pamdc_simcore::par::parallel_map_bounded(jobs, opts.jobs, move |(spec, base_dir)| {
+        pamdc_simcore::par::parallel_map_bounded(runs, jobs, move |(spec, base_dir)| {
             let name = spec.name.clone();
             run_spec(&spec, &base_dir, quick).map_err(|e| format!("{name}: {e}"))
         });
-    let mut ok = Vec::with_capacity(reports.len());
-    for r in reports {
-        ok.push(r?);
-    }
+    let ok = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
     for report in &ok {
         outln!("# {}\n{}", report.name, report.text);
     }
     outln!("{}", reports_csv(&ok));
-    write_outputs(&ok, opts)
+    write_outputs(&ok, args)
 }
 
-fn cmd_record(spec_arg: &str, out: &Path, hours: Option<u64>) -> Result<(), String> {
-    let (spec, base) = load_spec(spec_arg)?;
-    let scenario =
-        pamdc_scenario::build::build_scenario(&spec, &base).map_err(|e| e.to_string())?;
-    let horizon = SimDuration::from_hours(hours.unwrap_or(spec.run.hours));
+/// The path of an option [`parse_args`] requires.
+fn required_path(args: &Args, opt: &Opt) -> PathBuf {
+    args.path(opt).expect("parse_args checks required options")
+}
+
+fn cmd_record(args: &Args) -> Result<(), String> {
+    let (spec, base) = load_spec(&args.positional[0])?;
+    let spec = args.apply(&spec)?;
+    let out = required_path(args, &OUT);
+    let scenario = build::build_scenario(&spec, &base).map_err(|e| e.to_string())?;
+    let horizon = SimDuration::from_hours(spec.run.hours);
     let tick = SimDuration::from_secs(spec.run.tick_secs);
     let trace = DemandTrace::record(&scenario.workload, horizon, tick);
-    std::fs::write(out, trace.to_csv())
+    std::fs::write(&out, trace.to_csv())
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     pamdc_obs::info!(
         "recorded {} ticks x {} services ({} regions) -> {}",
@@ -738,22 +743,18 @@ fn cmd_record(spec_arg: &str, out: &Path, hours: Option<u64>) -> Result<(), Stri
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // one flag each, mirrored from Cmd::Replay
-fn cmd_replay(
-    trace_path: Option<&Path>,
-    manifest: Option<&Path>,
-    spec_arg: Option<&str>,
-    rate_scale: f64,
-    stretch: f64,
-    remap: &[usize],
-    opts: &Opts,
-) -> Result<(), String> {
-    if let Some(manifest) = manifest {
-        let report = serve::cmd_replay_manifest(manifest)?;
-        outln!("{}", report.text);
-        return write_outputs(std::slice::from_ref(&report), opts);
-    }
-    let trace_path = trace_path.expect("parse_args requires a trace when --manifest is absent");
+fn cmd_replay(args: &Args) -> Result<(), String> {
+    let mut spec = match args.text(&SPEC) {
+        Some(arg) => load_spec(arg)?.0,
+        None => ScenarioSpec::default(),
+    };
+    // The replayed file replaces the spec's own demand source; like
+    // the trace path, it is as given (cwd-relative), not spec-relative.
+    spec.workload.trace = None;
+    spec.workload.import = None;
+    let mut spec = args.apply(&spec)?;
+    let replay = spec.workload.trace.clone().expect("the trace sets it");
+    let trace_path = Path::new(&replay.path);
     let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {}: {e}", trace_path.display()))?;
     // A torn final row (a recorder killed mid-append) degrades to a
@@ -775,110 +776,61 @@ fn cmd_replay(
             _ => return Err(format!("{}: {err}", trace_path.display())),
         },
     };
-    let replay = TraceReplaySpec {
-        path: trace_path.display().to_string(),
-        rate_scale,
-        time_stretch: stretch,
-        region_map: remap.to_vec(),
-    };
-    let source =
-        pamdc_scenario::build::trace_source(trace, &replay, trace_path).map_err(|e| e.0)?;
-
-    // The trace path is as given (cwd-relative), not spec-relative.
-    let mut spec = match spec_arg {
-        Some(arg) => load_spec(arg)?.0,
-        None => ScenarioSpec::default(),
-    };
-    if let Some(hours) = opts.hours {
-        spec.run.hours = hours;
-    }
-    spec.profile.progress |= opts.progress;
-    let trace_out = resolve_trace_out(opts, &spec);
-    let tracing = install_trace(trace_out.as_ref())?;
-    let controller =
-        pamdc_scenario::build::session(&mut spec, source.into()).map_err(|e| e.to_string())?;
-    let hours = if opts.quick {
+    let source = build::trace_source(trace, &replay, trace_path).map_err(|e| e.0)?;
+    let trace_out = install_trace(&spec)?;
+    let controller = build::session(&mut spec, source.into()).map_err(|e| e.to_string())?;
+    let hours = if args.on(&QUICK) {
         spec.run.hours.min(3)
     } else {
         spec.run.hours
     };
     let (mut outcome, _) = controller.run_for(SimDuration::from_hours(hours));
-    if tracing {
+    if let Some(path) = trace_out {
         // This path drives the controller directly (no experiment
         // pipeline), so it flushes the run's buffered lines itself.
         pamdc_obs::trace::write_lines(&outcome.trace_lines);
         outcome.trace_lines.clear();
-        finish_trace(trace_out.as_ref().expect("tracing implies a path"))?;
+        finish_trace(&path)?;
     }
-    let report = outcome_report(format!("replay[{}]", trace_path.display()), &outcome);
-    outln!("{}", report.text);
-    write_outputs(std::slice::from_ref(&report), opts)
+    report_one(
+        &outcome_report(format!("replay[{}]", trace_path.display()), &outcome),
+        args,
+    )
+}
+
+fn cmd_replay_manifest(args: &Args) -> Result<(), String> {
+    let manifest = args.path(&MANIFEST).expect("the command is chosen by it");
+    report_one(&serve::cmd_replay_manifest(&manifest)?, args)
 }
 
 /// `pamdc serve` — resolve the spec and session directory, then hand
 /// off to the daemon loop (docs/SERVE.md).
-fn cmd_serve_entry(
-    spec_arg: &str,
-    feed: &Path,
-    session: Option<&Path>,
-    max_ticks: Option<usize>,
-    poll_ms: u64,
-    budget_ms: Option<u64>,
-    opts: &Opts,
-) -> Result<(), String> {
-    let (spec, _base) = load_spec(spec_arg)?;
-    let session = session
-        .map(Path::to_path_buf)
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let spec = args.apply(&load_spec(&args.positional[0])?.0)?;
+    let feed = required_path(args, &FEED);
+    let session = args
+        .path(&SESSION)
         .unwrap_or_else(|| feed.with_extension("session"));
-    let report = serve::cmd_serve(
-        spec,
-        &serve::ServeConfig {
-            feed: feed.to_path_buf(),
-            session,
-            max_ticks: max_ticks.map(|n| n as u64),
-            poll_ms,
-            budget_ms,
-        },
-    )?;
-    outln!("{}", report.text);
-    write_outputs(std::slice::from_ref(&report), opts)
+    let cfg = serve::ServeConfig {
+        feed,
+        session,
+        max_ticks: args.int(&MAX_TICKS),
+        poll_ms: args.int(&POLL_MS).unwrap_or(200),
+    };
+    report_one(&serve::cmd_serve(spec, &cfg)?, args)
 }
 
-#[allow(clippy::too_many_arguments)] // one flag each, mirrored from Cmd::Import
-fn cmd_import(
-    file: &Path,
-    format: &str,
-    out: &Path,
-    tick_secs: Option<u64>,
-    regions: Option<usize>,
-    rate_scale: f64,
-    stretch: f64,
-    remap: &[usize],
-    max_services: Option<usize>,
-    max_ticks: Option<usize>,
-) -> Result<(), String> {
-    let format = pamdc_workload::import::TraceFormat::from_name(format)
-        .ok_or_else(|| format!("unknown --format {format:?} (azure | alibaba)"))?;
-    let mut opts = pamdc_workload::import::ImportOptions {
-        tick: tick_secs.map(SimDuration::from_secs),
-        rate_scale,
-        time_stretch: stretch,
-        region_map: remap.to_vec(),
-        max_services,
-        max_ticks,
-        ..pamdc_workload::import::ImportOptions::default()
-    };
-    if let Some(regions) = regions {
-        opts.regions = regions;
-    }
-    let trace = pamdc_workload::import::import_path(format, file, &opts)
-        .map_err(|e| format!("{}: {e}", file.display()))?;
-    std::fs::write(out, trace.to_csv())
+fn cmd_import(args: &Args) -> Result<(), String> {
+    let spec = args.apply(&ScenarioSpec::default())?;
+    let import = spec.workload.import.as_ref().expect("the dataset sets it");
+    let trace = build::import_trace(import, Path::new("")).map_err(|e| e.0)?;
+    let out = required_path(args, &OUT);
+    std::fs::write(&out, trace.to_csv())
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     pamdc_obs::info!(
         "imported {} ({}): {} ticks x {} services ({} regions, tick {}s) -> {}",
-        file.display(),
-        format.name(),
+        import.path,
+        import.format,
         trace.tick_count(),
         trace.service_count(),
         trace.regions,
@@ -890,7 +842,8 @@ fn cmd_import(
 
 /// `pamdc trace summarize <trace.jsonl>` — the per-phase wall-clock
 /// breakdown of a recorded trace, plus final counters.
-fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
+fn cmd_trace_summarize(args: &Args) -> Result<(), String> {
+    let file = Path::new(&args.positional[1]);
     let text = std::fs::read_to_string(file)
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
     let summary = pamdc_obs::trace::summarize(text.lines())
@@ -933,97 +886,19 @@ fn cmd_trace_summarize(file: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_show(name: &str) -> Result<(), String> {
-    let builtin = registry::find(name)
-        .ok_or_else(|| format!("no built-in named {name:?} (try `pamdc list`)"))?;
-    write_stdout(
-        &mut std::io::stdout().lock(),
-        format_args!("{}", builtin.spec.emit()),
-    )
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, quiet) = match parse_args(&args) {
+    let (args, quiet) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprint!("{USAGE}");
+            eprint!("error: {msg}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
     if quiet {
         pamdc_obs::log::set_level(pamdc_obs::log::Level::Warn);
     }
-    let result = match &cmd {
-        Cmd::List { names_only } => cmd_list(*names_only),
-        Cmd::Show { name } => cmd_show(name),
-        Cmd::Run { spec, opts } => cmd_run(spec, opts),
-        Cmd::Sweep { spec, params, opts } => cmd_sweep(spec, params, opts),
-        Cmd::Campaign { file, opts } => cmd_campaign(file, opts),
-        Cmd::Record { spec, out, hours } => cmd_record(spec, out, *hours),
-        Cmd::Replay {
-            trace,
-            manifest,
-            spec,
-            rate_scale,
-            stretch,
-            remap,
-            opts,
-        } => cmd_replay(
-            trace.as_deref(),
-            manifest.as_deref(),
-            spec.as_deref(),
-            *rate_scale,
-            *stretch,
-            remap,
-            opts,
-        ),
-        Cmd::Serve {
-            spec,
-            feed,
-            session,
-            max_ticks,
-            poll_ms,
-            budget_ms,
-            opts,
-        } => cmd_serve_entry(
-            spec,
-            feed,
-            session.as_deref(),
-            *max_ticks,
-            *poll_ms,
-            *budget_ms,
-            opts,
-        ),
-        Cmd::Import {
-            file,
-            format,
-            out,
-            tick_secs,
-            regions,
-            rate_scale,
-            stretch,
-            remap,
-            max_services,
-            max_ticks,
-        } => cmd_import(
-            file,
-            format,
-            out,
-            *tick_secs,
-            *regions,
-            *rate_scale,
-            *stretch,
-            remap,
-            *max_services,
-            *max_ticks,
-        ),
-        Cmd::TraceSummarize { file } => cmd_trace_summarize(file),
-    };
-    match result {
+    match (args.command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             pamdc_obs::error!("{msg}");
@@ -1063,48 +938,54 @@ mod tests {
             .starts_with("cannot write to standard output"));
     }
 
-    fn parse(args: &[&str]) -> Result<Cmd, String> {
-        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map(|(cmd, _)| cmd)
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map(|(args, _)| args)
+    }
+
+    /// Parses and runs a command line, as `main` does.
+    fn run(args: &[&str]) -> Result<(), String> {
+        let args = parse(args)?;
+        (args.command.run)(&args)
+    }
+
+    /// The spec a command line's keys make of the default spec.
+    fn applied(args: &[&str]) -> ScenarioSpec {
+        parse(args)
+            .unwrap()
+            .apply(&ScenarioSpec::default())
+            .unwrap()
     }
 
     #[test]
     fn parses_run_with_options() {
-        let cmd = parse(&["run", "fig4", "--quick", "--json", "out.json"]).unwrap();
-        match cmd {
-            Cmd::Run { spec, opts } => {
-                assert_eq!(spec, "fig4");
-                assert!(opts.quick);
-                assert_eq!(opts.json, Some(PathBuf::from("out.json")));
-                assert_eq!(opts.csv, None);
-            }
-            other => panic!("{other:?}"),
-        }
+        let args = parse(&["run", "fig4", "--quick", "--json", "out.json"]).unwrap();
+        assert_eq!(args.command.name, "run");
+        assert_eq!(args.positional, vec!["fig4"]);
+        assert!(args.on(&QUICK));
+        assert_eq!(args.path(&JSON), Some(PathBuf::from("out.json")));
+        assert_eq!(args.path(&CSV), None);
     }
 
     #[test]
     fn parses_sweep_params() {
-        let cmd = parse(&[
+        let args = parse(&[
             "sweep",
             "fig6",
             "--param",
             "workload.load_scale=0.5,1.0,1.5",
         ])
         .unwrap();
-        match cmd {
-            Cmd::Sweep { params, .. } => {
-                assert_eq!(params.len(), 1);
-                assert_eq!(params[0].0, "workload.load_scale");
-                assert_eq!(params[0].1, vec!["0.5", "1.0", "1.5"]);
-            }
-            other => panic!("{other:?}"),
-        }
+        let axes = args.axes();
+        assert_eq!(axes.len(), 1);
+        assert_eq!(axes[0].0, "workload.load_scale");
+        assert_eq!(axes[0].1, vec!["0.5", "1.0", "1.5"]);
         assert!(parse(&["sweep", "fig6"]).is_err());
         assert!(parse(&["sweep", "fig6", "--param", "novalues"]).is_err());
     }
 
     #[test]
     fn parses_cartesian_sweep_axes() {
-        let cmd = parse(&[
+        let args = parse(&[
             "sweep",
             "fig6",
             "--param",
@@ -1113,14 +994,10 @@ mod tests {
             "workload.vms=4,5",
         ])
         .unwrap();
-        match cmd {
-            Cmd::Sweep { params, .. } => {
-                assert_eq!(params.len(), 2);
-                assert_eq!(params[0].0, "seed");
-                assert_eq!(params[1].0, "workload.vms");
-            }
-            other => panic!("{other:?}"),
-        }
+        let axes = args.axes();
+        assert_eq!(axes.len(), 2);
+        assert_eq!(axes[0].0, "seed");
+        assert_eq!(axes[1].0, "workload.vms");
         // The same axis twice is a user error, not a silent override.
         assert!(parse(&["sweep", "fig6", "--param", "seed=1", "--param", "seed=2"]).is_err());
     }
@@ -1156,38 +1033,28 @@ mod tests {
 
     #[test]
     fn parses_campaign_command() {
-        let cmd = parse(&["campaign", "c.toml", "--quick", "--csv", "out.csv"]).unwrap();
-        match cmd {
-            Cmd::Campaign { file, opts } => {
-                assert_eq!(file, PathBuf::from("c.toml"));
-                assert!(opts.quick);
-                assert_eq!(opts.csv, Some(PathBuf::from("out.csv")));
-                assert_eq!(opts.jobs, None, "unbounded by default");
-            }
-            other => panic!("{other:?}"),
-        }
+        let args = parse(&["campaign", "c.toml", "--quick", "--csv", "out.csv"]).unwrap();
+        assert_eq!(args.command.name, "campaign");
+        assert_eq!(args.positional, vec!["c.toml"]);
+        assert!(args.on(&QUICK));
+        assert_eq!(args.path(&CSV), Some(PathBuf::from("out.csv")));
+        assert_eq!(args.int(&JOBS), None, "unbounded by default");
         assert!(parse(&["campaign"]).is_err(), "campaign needs a file");
     }
 
     #[test]
     fn parses_jobs_budget() {
-        let cmd = parse(&["campaign", "c.toml", "--jobs", "2"]).unwrap();
-        match cmd {
-            Cmd::Campaign { opts, .. } => assert_eq!(opts.jobs, Some(2)),
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse(&["sweep", "fig6", "--param", "seed=1,2", "--jobs", "1"]).unwrap();
-        match cmd {
-            Cmd::Sweep { opts, .. } => assert_eq!(opts.jobs, Some(1)),
-            other => panic!("{other:?}"),
-        }
+        let args = parse(&["campaign", "c.toml", "--jobs", "2"]).unwrap();
+        assert_eq!(args.int(&JOBS), Some(2));
+        let args = parse(&["sweep", "fig6", "--param", "seed=1,2", "--jobs", "1"]).unwrap();
+        assert_eq!(args.int(&JOBS), Some(1));
         assert!(parse(&["campaign", "c.toml", "--jobs", "0"]).is_err());
         assert!(parse(&["campaign", "c.toml", "--jobs", "many"]).is_err());
     }
 
     #[test]
     fn parses_replay_transforms() {
-        let cmd = parse(&[
+        let spec = applied(&[
             "replay",
             "t.csv",
             "--stretch",
@@ -1196,37 +1063,20 @@ mod tests {
             "1.5",
             "--remap",
             "3,2,1,0",
-        ])
-        .unwrap();
-        match cmd {
-            Cmd::Replay {
-                trace,
-                stretch,
-                rate_scale,
-                remap,
-                ..
-            } => {
-                assert_eq!(trace, Some(PathBuf::from("t.csv")));
-                assert_eq!(stretch, 2.0);
-                assert_eq!(rate_scale, 1.5);
-                assert_eq!(remap, vec![3, 2, 1, 0]);
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        let replay = spec.workload.trace.expect("the trace sets workload.trace");
+        assert_eq!(replay.path, "t.csv");
+        assert_eq!(replay.time_stretch, 2.0);
+        assert_eq!(replay.rate_scale, 1.5);
+        assert_eq!(replay.region_map, vec![3, 2, 1, 0]);
     }
 
     #[test]
     fn parses_replay_manifest() {
-        let cmd = parse(&["replay", "--manifest", "s/session.json"]).unwrap();
-        match cmd {
-            Cmd::Replay {
-                trace, manifest, ..
-            } => {
-                assert_eq!(trace, None);
-                assert_eq!(manifest, Some(PathBuf::from("s/session.json")));
-            }
-            other => panic!("{other:?}"),
-        }
+        let args = parse(&["replay", "--manifest", "s/session.json"]).unwrap();
+        assert_eq!(args.command.name, "replay --manifest");
+        assert!(args.positional.is_empty());
+        assert_eq!(args.path(&MANIFEST), Some(PathBuf::from("s/session.json")));
         assert!(
             parse(&["replay", "t.csv", "--manifest", "m.json"]).is_err(),
             "a trace and a manifest are mutually exclusive"
@@ -1236,7 +1086,7 @@ mod tests {
 
     #[test]
     fn parses_serve_flags() {
-        let cmd = parse(&[
+        let line = [
             "serve",
             "fig4",
             "--feed",
@@ -1249,33 +1099,20 @@ mod tests {
             "50",
             "--max-ticks",
             "40",
-        ])
-        .unwrap();
-        match cmd {
-            Cmd::Serve {
-                spec,
-                feed,
-                session,
-                max_ticks,
-                poll_ms,
-                budget_ms,
-                ..
-            } => {
-                assert_eq!(spec, "fig4");
-                assert_eq!(feed, PathBuf::from("feed.csv"));
-                assert_eq!(session, Some(PathBuf::from("s")));
-                assert_eq!(max_ticks, Some(40));
-                assert_eq!(poll_ms, 50);
-                assert_eq!(budget_ms, Some(250));
-            }
-            other => panic!("{other:?}"),
-        }
+        ];
+        let args = parse(&line).unwrap();
+        assert_eq!(args.positional, vec!["fig4"]);
+        assert_eq!(args.path(&FEED), Some(PathBuf::from("feed.csv")));
+        assert_eq!(args.path(&SESSION), Some(PathBuf::from("s")));
+        assert_eq!(args.int(&MAX_TICKS), Some(40));
+        assert_eq!(args.int(&POLL_MS), Some(50));
+        assert_eq!(applied(&line).serve.budget_ms, 250);
         assert!(parse(&["serve", "fig4"]).is_err(), "--feed is required");
     }
 
     #[test]
     fn parses_import_options() {
-        let cmd = parse(&[
+        let line = [
             "import",
             "azure.csv",
             "--format",
@@ -1290,29 +1127,18 @@ mod tests {
             "8",
             "--remap",
             "1,0,3,2",
-        ])
-        .unwrap();
-        match cmd {
-            Cmd::Import {
-                file,
-                format,
-                out,
-                tick_secs,
-                regions,
-                max_services,
-                remap,
-                ..
-            } => {
-                assert_eq!(file, PathBuf::from("azure.csv"));
-                assert_eq!(format, "azure");
-                assert_eq!(out, PathBuf::from("t.csv"));
-                assert_eq!(tick_secs, Some(600));
-                assert_eq!(regions, Some(4));
-                assert_eq!(max_services, Some(8));
-                assert_eq!(remap, vec![1, 0, 3, 2]);
-            }
-            other => panic!("{other:?}"),
-        }
+        ];
+        assert_eq!(
+            parse(&line).unwrap().path(&OUT),
+            Some(PathBuf::from("t.csv"))
+        );
+        let import = applied(&line).workload.import.expect("import table");
+        assert_eq!(import.path, "azure.csv");
+        assert_eq!(import.format, "azure");
+        assert_eq!(import.tick_secs, Some(600));
+        assert_eq!(import.regions, 4);
+        assert_eq!(import.max_services, Some(8));
+        assert_eq!(import.region_map, vec![1, 0, 3, 2]);
         assert!(
             parse(&["import", "a.csv", "--out", "t.csv"]).is_err(),
             "--format is required"
@@ -1340,15 +1166,11 @@ mod tests {
             "--progress",
             "--quiet",
         ];
-        let (cmd, quiet) = parse_args(&args.map(String::from)).unwrap();
-        match cmd {
-            Cmd::Run { opts, .. } => {
-                assert_eq!(opts.trace_out, Some(PathBuf::from("t.jsonl")));
-                assert!(opts.progress);
-                assert!(quiet);
-            }
-            other => panic!("{other:?}"),
-        }
+        let (_, quiet) = parse_args(&args.map(String::from)).unwrap();
+        assert!(quiet);
+        let spec = applied(&args);
+        assert_eq!(spec.profile.trace_out.as_deref(), Some("t.jsonl"));
+        assert!(spec.profile.progress);
         // Parallel fan-outs would interleave arms in one file.
         let err = parse(&[
             "sweep",
@@ -1432,6 +1254,111 @@ mod tests {
         }
     }
 
+    /// The options each command reads, besides the global `--quiet`.
+    const ACCEPTED: &[(&str, &str)] = &[
+        ("help", ""),
+        ("list", "--names"),
+        ("show", ""),
+        ("run", "--quick --csv --json --hours --trace-out --progress"),
+        (
+            "sweep",
+            "--param --quick --csv --json --hours --jobs --progress",
+        ),
+        ("campaign", "--quick --csv --json --hours --jobs --progress"),
+        ("record", "--out --hours"),
+        (
+            "replay",
+            "--spec --rate-scale --stretch --remap --quick --csv --json --hours --trace-out \
+             --progress",
+        ),
+        ("replay --manifest", "--manifest --csv --json"),
+        (
+            "serve",
+            "--feed --session --max-ticks --poll-ms --budget-ms --csv --json",
+        ),
+        (
+            "import",
+            "--format --out --tick-secs --regions --rate-scale --stretch --remap --max-services \
+             --max-ticks",
+        ),
+        ("trace", ""),
+    ];
+
+    #[test]
+    fn each_command_reads_exactly_its_options_one_row_each() {
+        assert_eq!(COMMANDS.len(), ACCEPTED.len());
+        for (name, options) in ACCEPTED {
+            let mut want: Vec<&str> = options.split_whitespace().collect();
+            want.push("--quiet");
+            want.sort_unstable();
+            let mut got: Vec<&str> = OPTIONS
+                .iter()
+                .filter(|o| o.reads(name))
+                .map(|o| o.flag)
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{name}");
+        }
+        // A keyed row names a key of the spec schema.
+        let keys = schema::keys::<ScenarioSpec>("");
+        for o in OPTIONS.iter().filter(|o| !o.key.is_empty()) {
+            assert!(
+                keys.iter().any(|k| k.path == o.key),
+                "{}: {}",
+                o.flag,
+                o.key
+            );
+        }
+    }
+
+    #[test]
+    fn help_is_a_command_and_the_usage_text_covers_both_tables() {
+        for first in ["help", "--help", "-h"] {
+            let (args, _) = parse_args(&[first.to_string()]).expect(first);
+            assert_eq!(args.command.name, "help", "{first}");
+        }
+        assert!(parse(&["run", "fig4", "--help"]).is_err());
+        let text = usage();
+        for c in COMMANDS {
+            assert!(text.contains(&format!("pamdc {}", c.name)), "{}", c.name);
+        }
+        for o in OPTIONS {
+            assert!(text.contains(&o.synopsis()), "{}", o.flag);
+            assert!(text.contains(o.key), "{}", o.key);
+        }
+        assert!(text.contains("sets run.hours, in [1, 8760]"), "{text}");
+    }
+
+    #[test]
+    fn spec_key_options_are_checked_by_the_key_row() {
+        let dir = std::env::temp_dir().join(format!("pamdc-cli-keys-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let out = dir.join("x.csv");
+        let out = out.to_str().expect("utf-8 path");
+        let err = run(&["record", "resilience", "--out", out, "--hours", "8761"])
+            .expect_err("a horizon past a year");
+        assert!(err.contains("run.hours must be in [1, 8760]"), "{err}");
+        assert!(!Path::new(out).exists(), "refused before recording");
+        for line in [
+            &["run", "fig4", "--hours", "0"][..],
+            &["run", "fig4", "--hours", "2.5"],
+            &["sweep", "fig6", "--param", "seed=1,2", "--hours", "0"],
+        ] {
+            let err = run(line).expect_err("refused before any run");
+            assert!(err.contains("run.hours"), "{line:?}: {err}");
+        }
+        let err = run(&["serve", "fig4", "--feed", out, "--budget-ms", "-1"])
+            .expect_err("a negative budget");
+        assert!(err.contains("serve.budget_ms"), "{err}");
+        let err = run(&["import", "a.csv", "--format", "csv", "--out", out])
+            .expect_err("an unknown format");
+        assert!(
+            err.contains("workload.import.format must be azure | alibaba"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The `pamdc` command lines of a shell text: the words after
     /// `prefix`, found anywhere on a line (`anywhere`) or at its start.
     /// Continuations are joined; comments, redirections, pipes and
@@ -1495,13 +1422,9 @@ mod tests {
 
     #[test]
     fn parses_trace_summarize() {
-        let cmd = parse(&["trace", "summarize", "out.jsonl"]).unwrap();
-        assert_eq!(
-            cmd,
-            Cmd::TraceSummarize {
-                file: PathBuf::from("out.jsonl")
-            }
-        );
+        let args = parse(&["trace", "summarize", "out.jsonl"]).unwrap();
+        assert_eq!(args.command.name, "trace");
+        assert_eq!(args.positional, vec!["summarize", "out.jsonl"]);
         assert!(parse(&["trace"]).is_err());
         assert!(parse(&["trace", "frobnicate", "x"]).is_err());
     }
@@ -1517,12 +1440,13 @@ mod tests {
              tick,service,region,rps,kb_in_per_req,kb_out_per_req,cpu_ms_per_req\n",
         )
         .expect("fixture");
-        let opts = Opts {
-            quick: true,
-            ..Opts::default()
+        let trace = path.to_str().expect("utf-8 path");
+        let replay = |options: &[&str]| {
+            let mut line = vec!["replay", trace, "--quick"];
+            line.extend(options);
+            run(&line)
         };
-        let err = cmd_replay(Some(&path), None, None, 1.0, 1.0, &[], &opts)
-            .expect_err("nothing to replay");
+        let err = replay(&[]).expect_err("nothing to replay");
         assert!(
             err.contains("header-only.csv") && err.contains("no ticks"),
             "{err}"
@@ -1535,19 +1459,40 @@ mod tests {
              0,0,1,1,1,1,1\n",
         )
         .expect("fixture");
-        let err = cmd_replay(Some(&path), None, None, 1.0, 1.0, &[0, 1], &opts)
-            .expect_err("map covers 2 of 4 regions");
+        let err = replay(&["--remap", "0,1"]).expect_err("map covers 2 of 4 regions");
         assert!(err.contains("region_map lists 2 regions"), "{err}");
-        // So are bad --rate-scale and --stretch values.
-        for (rate_scale, stretch, what) in [
-            (f64::NAN, 1.0, "rate_scale must be finite"),
-            (-1.0, 1.0, "rate_scale must be finite"),
-            (1.0, 0.0, "time_stretch must be finite"),
-            (1.0, f64::INFINITY, "time_stretch must be finite"),
+        // So are bad --rate-scale, --stretch and --remap values, by the
+        // keys' rows in the spec schema.
+        for (option, value, key) in [
+            (
+                "--rate-scale",
+                "NaN",
+                "workload.trace.rate_scale must be a number",
+            ),
+            (
+                "--rate-scale",
+                "nan",
+                "workload.trace.rate_scale must be a finite number",
+            ),
+            (
+                "--rate-scale",
+                "-1",
+                "workload.trace.rate_scale must be >= 0",
+            ),
+            ("--stretch", "0", "workload.trace.time_stretch must be > 0"),
+            (
+                "--stretch",
+                "inf",
+                "workload.trace.time_stretch must be a finite number",
+            ),
+            (
+                "--remap",
+                "a,b",
+                "workload.trace.region_map must be an array",
+            ),
         ] {
-            let err = cmd_replay(Some(&path), None, None, rate_scale, stretch, &[], &opts)
-                .expect_err(what);
-            assert!(err.contains(what), "{err}");
+            let err = replay(&[option, value]).expect_err(key);
+            assert!(err.contains(key), "{option} {value}: {err}");
         }
         // A spec whose flash crowd cannot apply to a trace is an error
         // naming the key, not a builder panic.
@@ -1556,9 +1501,18 @@ mod tests {
         let spec_path = dir.join("flash-crowd.toml");
         std::fs::write(&spec_path, spec.emit()).expect("spec");
         let spec_arg = spec_path.display().to_string();
-        let err = cmd_replay(Some(&path), None, Some(&spec_arg), 1.0, 1.0, &[], &opts)
-            .expect_err("flash crowd over a trace");
+        let err = replay(&["--spec", &spec_arg]).expect_err("flash crowd over a trace");
         assert!(err.contains("workload.flash_crowd"), "{err}");
+        // A spec's own demand source gives way to the replayed file: the
+        // run gets as far as the trace's region map.
+        spec.workload.flash_crowd = None;
+        spec.workload.import = Some(pamdc_scenario::spec::ImportSpec {
+            path: "never-read.csv".into(),
+            ..Default::default()
+        });
+        std::fs::write(&spec_path, spec.emit()).expect("spec");
+        let err = replay(&["--spec", &spec_arg, "--remap", "0,1"]).expect_err("map");
+        assert!(err.contains("region_map lists 2 regions"), "{err}");
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub struct ServeConfig {
     pub max_ticks: Option<u64>,
     /// Feed poll interval while idle, milliseconds.
     pub poll_ms: u64,
-    /// Wall-clock round budget override (else `[serve] budget_ms`).
-    pub budget_ms: Option<u64>,
 }
 
 /// A served session: the consumed ticks, and the rung each tick's round
@@ -206,7 +204,6 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
             spec.run.tick_secs
         ));
     }
-    let budget_ms = cfg.budget_ms.unwrap_or(spec.serve.budget_ms);
     let feed = tail.trace();
     let mut session = Session::new(feed);
     let mut controller = session.controller(&mut spec)?;
@@ -250,7 +247,7 @@ pub fn cmd_serve(mut spec: ScenarioSpec, cfg: &ServeConfig) -> Result<SpecReport
         .open(&status_path)
         .map_err(|e| format!("cannot open status stream {}: {e}", status_path.display()))?;
 
-    let mut governor = DeadlineGovernor::new(budget_ms);
+    let mut governor = DeadlineGovernor::new(spec.serve.budget_ms);
     let snapshot_every = spec.serve.snapshot_every.max(1);
     let mut since_snapshot = 0u64;
 
@@ -441,9 +438,10 @@ mod tests {
             session: session.to_path_buf(),
             max_ticks,
             poll_ms: 1,
-            budget_ms: Some(budget_ms),
         };
-        cmd_serve(spec.clone(), &cfg)
+        let mut spec = spec.clone();
+        spec.serve.budget_ms = budget_ms;
+        cmd_serve(spec, &cfg)
     }
 
     fn serve(

@@ -10,7 +10,7 @@ use crate::experiment::ExperimentReport;
 use crate::report::TextTable;
 use pamdc_obs::clock::Stopwatch;
 use pamdc_sched::bestfit::best_fit;
-use pamdc_sched::exact::{branch_and_bound_with_budget, ExactOutcome};
+use pamdc_sched::exact::{branch_and_bound, ExactOutcome};
 use pamdc_sched::index::IndexMode;
 use pamdc_sched::oracle::TrueOracle;
 use pamdc_sched::problem::synthetic;
@@ -93,8 +93,7 @@ pub fn run(cfg: &ScalingConfig) -> Vec<ScalingPoint> {
             let (exact_us, exact_nodes, profit_gap, exact_budget_exhausted) =
                 if vms <= cfg.exact_vm_cap {
                     let t0 = Stopwatch::start();
-                    let outcome =
-                        branch_and_bound_with_budget(&problem, &oracle, cfg.exact_node_budget);
+                    let outcome = branch_and_bound(&problem, &oracle, cfg.exact_node_budget);
                     let us = t0.elapsed_us();
                     let gap_of = |profit: f64| {
                         if profit.abs() > 1e-12 {

@@ -18,7 +18,7 @@ use crate::simulation::RunConfig;
 use pamdc_infra::resources::Resources;
 use pamdc_ml::dataset::Dataset;
 use pamdc_ml::metrics::EvalReport;
-use pamdc_ml::predictors::{PredictionTarget, PredictorSuite, TrainedPredictor};
+use pamdc_ml::predictors::{PredictionTarget, PredictorSuite, TrainedPredictor, MIN_EXAMPLES};
 use pamdc_perf::demand::OfferedLoad;
 use pamdc_simcore::rng::RngStream;
 use pamdc_simcore::time::SimDuration;
@@ -178,8 +178,14 @@ const LOAD_FEATURES: [&str; 5] = [
 /// Builds the four demand datasets (from unsaturated ticks only) and the
 /// PM CPU dataset. The four demand datasets share one feature matrix.
 pub fn build_stage1_datasets(collector: &TrainingCollector) -> Vec<(PredictionTarget, Dataset)> {
-    // A starved VM's usage is not its demand.
-    let unsaturated = collector.vm_ticks.iter().filter(|s| !s.saturated);
+    // A starved VM's usage is not its demand. When the collection runs
+    // starved nearly every VM (a load scale far past the fleet), the
+    // starved samples are all there is to learn from.
+    let starved = collector.vm_ticks.iter().filter(|s| !s.saturated).count() < MIN_EXAMPLES;
+    let unsaturated = collector
+        .vm_ticks
+        .iter()
+        .filter(|s| starved || !s.saturated);
     let rows = unsaturated.clone().count();
     let mut cpu = Dataset::with_features(&LOAD_FEATURES);
     cpu.reserve(rows);

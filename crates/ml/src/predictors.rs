@@ -112,6 +112,9 @@ impl PredictionTarget {
     }
 }
 
+/// The fewest examples a predictor trains on.
+pub const MIN_EXAMPLES: usize = 8;
+
 /// One trained predictor with its validation report.
 pub struct TrainedPredictor {
     /// Which target this predicts.
@@ -126,8 +129,8 @@ impl TrainedPredictor {
     /// Trains on `data` with the paper's 66/34 split protocol.
     pub fn train(target: PredictionTarget, data: &Dataset, rng: &mut RngStream) -> Self {
         assert!(
-            data.len() >= 8,
-            "{}: need at least 8 examples, got {}",
+            data.len() >= MIN_EXAMPLES,
+            "{}: need at least {MIN_EXAMPLES} examples, got {}",
             target.paper_name(),
             data.len()
         );

@@ -18,7 +18,7 @@
 //! `spec` resolves like the CLI's positional spec argument: a file path
 //! (relative to the campaign file's directory) first, then a built-in
 //! registry name. `params` entries apply in order via
-//! [`ScenarioSpec::with_param`], so later overrides win.
+//! [`ScenarioSpec::with_params`], so later overrides win.
 
 use crate::schema::{at_least, check_record, fields, read_record, Check, Field, Record, REQ};
 use crate::spec::{ScenarioSpec, SpecError};
@@ -87,11 +87,12 @@ impl Campaign {
 
 /// Applies one run's overrides to its loaded base spec.
 pub fn apply_overrides(base: &ScenarioSpec, run: &CampaignRun) -> Result<ScenarioSpec, SpecError> {
-    let mut spec = base.clone();
-    for p in &run.params {
-        let (key, value) = p.split_once('=').expect("validated at parse");
-        spec = spec.with_param(key.trim(), value.trim())?;
-    }
+    // Every entry holds a `=`: the `params` row checks it.
+    let params: Vec<(&str, &str)> = (run.params.iter())
+        .filter_map(|p| p.split_once('='))
+        .map(|(key, value)| (key.trim(), value.trim()))
+        .collect();
+    let mut spec = base.with_params(&params)?;
     if let Some(hours) = run.hours {
         spec.run.hours = hours;
     }

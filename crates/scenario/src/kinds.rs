@@ -13,7 +13,7 @@
 //!
 //! Quick mode is data: [`quick_spec`] applies the shared
 //! [`TRAINING_QUICK`] rows and then the entry's own `quick` rows
-//! through [`ScenarioSpec::with_param`]; every other value stays the
+//! through [`ScenarioSpec::with_params`]; every other value stays the
 //! spec's.
 //!
 //! This table is the **only** place a kind is wired up: `pamdc
@@ -78,10 +78,8 @@ pub const TRAINING_QUICK: &[(&str, &str)] = &[
 
 /// The spec's quick-mode form under `entry`.
 pub fn quick_spec(spec: &ScenarioSpec, entry: &KindEntry) -> Result<ScenarioSpec, SpecError> {
-    TRAINING_QUICK
-        .iter()
-        .chain(entry.quick)
-        .try_fold(spec.clone(), |s, (key, value)| s.with_param(key, value))
+    let rows: Vec<(&str, &str)> = TRAINING_QUICK.iter().chain(entry.quick).copied().collect();
+    spec.with_params(&rows)
 }
 
 /// An arm running `spec` under `kind` with `oracle`.

@@ -92,10 +92,19 @@ impl Check {
             Check::Num { lo, open, hi } => (if open { x > lo } else { x >= lo }) && x <= hi,
             _ => true,
         };
+        // Far from 1, a number reads in scientific notation, not as
+        // hundreds of digits.
+        let got = match x.abs() {
+            a if a == 0.0 || (1e-6..1e16).contains(&a) => format!("{x}"),
+            _ => format!("{x:e}"),
+        };
         match (x.is_finite(), in_range) {
             (true, true) => Ok(()),
-            (true, false) => Err(bad(format!("{path} must be {}, got {x}", self.describe()))),
-            (false, _) => Err(bad(format!("{path} must be a finite number, got {x}"))),
+            (true, false) => Err(bad(format!(
+                "{path} must be {}, got {got}",
+                self.describe()
+            ))),
+            (false, _) => Err(bad(format!("{path} must be a finite number, got {got}"))),
         }
     }
 

@@ -675,6 +675,23 @@ const HOSTS: Check = within(1.0, 10_000.0);
 /// Simulated hours: at most a year.
 const HOURS: Check = within(1.0, 8_760.0);
 
+/// Synthetic demand stays under the trace ceiling
+/// (`pamdc_workload::trace::MAX_DEMAND`, 1e9 rps on one flow). The
+/// generator's largest rate is `peak_rps × load scale × flash crowd`
+/// times at most 1.2 (the largest Li-BCN service weight, 0.8 + 0.1 × 4),
+/// 1.876 (the highest diurnal intensity, the evening shape's
+/// (0.3 + 1.2 + 0.4 e^-7.03) × 1.25 weekend peak) and 4.01 (rate noise
+/// 1 + 0.08 σ at the normal sampler's 37.6 σ extreme): 9.03 in all.
+/// At these ceilings that is 1e4 × 100 × 100 × 9.03 = 9.03e8 rps. Table
+/// I's collection runs scale a 240 rps peak by at most [`LOAD`].
+const PEAK_RPS: Check = Check::Num {
+    lo: 0.0,
+    open: true,
+    hi: 1e4,
+};
+/// A load scale or flash-crowd multiplier (see [`PEAK_RPS`]).
+const LOAD: Check = within(0.0, 100.0);
+
 /// A path key: any non-empty string.
 const PATH: Check = Check::Text(|s| !s.is_empty(), "a non-empty path");
 
@@ -703,9 +720,9 @@ impl Record for ScenarioSpec {
         "topology" "deploy_all_in" => topology.deploy_all_in: Check::Any, 0, "Deploy every VM into this DC index first (unset = home region).";
         "workload" "preset" => workload.preset: Check::Any, 0, then intra_dc_peak, "Synthetic demand (ignored under a trace or an import).";
         "workload" "vms" => workload.vms: VMS, SWEEP, "Hosted services, one VM each.";
-        "workload" "peak_rps" => workload.peak_rps: above(0.0), SWEEP, "Nominal peak request rate per service (240 under the intra-dc preset).";
-        "workload" "load_scale" => workload.load_scale: at_least(0.0), SWEEP, "Global load multiplier (Figure 8's sweep axis).";
-        "workload" "flash_crowd" => workload.flash_crowd: at_least(0.0), SWEEP, "Minute 70-90 flash-crowd multiplier (Figure 6).";
+        "workload" "peak_rps" => workload.peak_rps: PEAK_RPS, SWEEP, "Nominal peak request rate per service (240 under the intra-dc preset).";
+        "workload" "load_scale" => workload.load_scale: LOAD, SWEEP, "Global load multiplier (Figure 8's sweep axis).";
+        "workload" "flash_crowd" => workload.flash_crowd: LOAD, SWEEP, "Minute 70-90 flash-crowd multiplier (Figure 6).";
         "workload" "services" => workload.services: Check::Any, SPARSE, "Per-service VM sizing; counts sum to `vms`.";
         "workload" "trace" => workload.trace: Check::Any, 0, "Replay a recorded demand trace.";
         "workload" "import" => workload.import: Check::Any, 0, "Import a public dataset as the demand source.";
@@ -734,7 +751,7 @@ impl Record for ScenarioSpec {
         "" "faults" => faults: Check::Any, SPARSE, "Scheduled host crashes.";
         "" "profile_changes" => profile_changes: Check::Any, SPARSE, "Scheduled ground-truth performance changes.";
         "training" "vms" => training.vms: VMS, 0, "VMs in the Table-I collection runs.";
-        "training" "scales" => training.scales: at_least(0.0), 0, "Load scales the collection runs visit.";
+        "training" "scales" => training.scales: LOAD, 0, "Load scales the collection runs visit.";
         "training" "hours_per_scale" => training.hours_per_scale: HOURS, 0, "Simulated hours per scale.";
         "training" "seed" => training.seed: Check::Any, 0, "Training seed.";
         "" "experiment" => experiment: Check::Any, 0, "Bind the spec to a registered experiment kind.";
@@ -952,7 +969,7 @@ impl Record for ExperimentSpec {
     const FIELDS: &'static [Field<Self>] = fields! {
         "" "kind" => kind: Check::Any, REQ, "Registered kind (`pamdc list`).";
         "" "true_arm" => true_arm: Check::Any, 0, "Include the BF-True upper-bound arm (fig4).";
-        "" "load_scales" => load_scales: at_least(0.0), SPARSE, "Load-scale sweep axis (fig8; empty = the spec's `load_scale`).";
+        "" "load_scales" => load_scales: LOAD, SPARSE, "Load-scale sweep axis (fig8; empty = the spec's `load_scale`).";
         "" "pms_levels" => pms_levels: HOSTS, SPARSE, "Hosts-per-DC sweep axis (fig8; empty = the spec's `pms_per_dc`).";
         "" "spreads" => spreads: at_least(0.0), SPARSE, "Tariff-spread multipliers (heterogeneity; empty = x1 only).";
         "" "spike_factor" => spike_factor: above(0.0), SPARSE, "Midpoint tariff-spike multiplier (price-adaptation).";
@@ -1022,6 +1039,11 @@ impl ScenarioSpec {
                     self.workload.vms
                 )));
             }
+        }
+        if self.training.scales.is_empty() {
+            return Err(bad(
+                "training.scales must list at least one load scale for Table I to learn from",
+            ));
         }
         if self.workload.preset == WorkloadPreset::FollowTheSun {
             if self.topology.preset != TopologyPreset::MultiDc {
@@ -1094,15 +1116,18 @@ impl ScenarioSpec {
         toml::emit(&crate::schema::write_record(self))
     }
 
-    /// Applies one `--param path.key=value` override to the spec by
-    /// editing its emitted TOML form and re-parsing. The value text is
-    /// parsed as a TOML scalar (so `policy.kind=static` needs quoting by
-    /// the caller: strings are auto-quoted when a bare parse fails).
-    pub fn with_param(&self, path: &str, value: &str) -> Result<ScenarioSpec, SpecError> {
+    /// Applies `path.key = value` overrides (`--param` syntax), in
+    /// order, by editing the spec's emitted TOML form and re-parsing it
+    /// once: keys a table requires together (`[workload.import]`'s path
+    /// and format) can be set in one call. Each value text is parsed as
+    /// a TOML scalar or array; a string that does not parse bare is
+    /// taken as is (`policy.kind=static` needs no quotes).
+    pub fn with_params(&self, params: &[(&str, &str)]) -> Result<ScenarioSpec, SpecError> {
         let mut root = toml::parse(&self.emit())?;
-        set_path(&mut root, path, value)?;
-        let spec = ScenarioSpec::parse(&toml::emit(&root))?;
-        Ok(spec)
+        for (path, value) in params {
+            set_path(&mut root, path, value)?;
+        }
+        ScenarioSpec::parse(&toml::emit(&root))
     }
 }
 
@@ -1120,7 +1145,7 @@ fn index_in(
 }
 
 /// Sets `a.b.c = value` inside a parsed tree; the value is parsed as a
-/// TOML scalar, falling back to a quoted string.
+/// TOML scalar or array, falling back to the text as a string.
 fn set_path(root: &mut Table, path: &str, value: &str) -> Result<(), SpecError> {
     let parts: Vec<&str> = path.split('.').collect();
     let (last, parents) = parts
@@ -1136,16 +1161,14 @@ fn set_path(root: &mut Table, path: &str, value: &str) -> Result<(), SpecError> 
             _ => return Err(bad(format!("--param path segment {part:?} is not a table"))),
         };
     }
-    // Try the raw text as a scalar document; fall back to quoting.
-    let parsed = toml::parse(&format!("x = {value}"))
-        .or_else(|_| toml::parse(&format!("x = \"{value}\"")))
-        .map_err(|e| bad(format!("cannot parse --param value {value:?}: {e}")))?;
-    let v = parsed
-        .into_iter()
-        .next()
-        .map(|(_, v)| v)
-        .expect("one key parsed");
-    table.insert(last.to_string(), v);
+    let v = match toml::parse(&format!("x = {value}")) {
+        Ok(parsed) => parsed.into_iter().next().map(|(_, v)| v),
+        Err(_) => None,
+    };
+    table.insert(
+        last.to_string(),
+        v.unwrap_or_else(|| Value::Str(value.to_string())),
+    );
     Ok(())
 }
 
@@ -1603,13 +1626,31 @@ mod tests {
     }
 
     #[test]
-    fn with_param_overrides() {
+    fn with_params_overrides() {
         let spec = ScenarioSpec::default();
-        let swept = spec.with_param("workload.load_scale", "1.5").unwrap();
+        let swept = spec.with_params(&[("workload.load_scale", "1.5")]).unwrap();
         assert_eq!(swept.workload.load_scale, 1.5);
-        let policy = spec.with_param("policy.kind", "static").unwrap();
+        let policy = spec.with_params(&[("policy.kind", "static")]).unwrap();
         assert_eq!(policy.kind_name(), "static");
-        assert!(spec.with_param("workload.nonsense", "1").is_err());
+        assert!(spec.with_params(&[("workload.nonsense", "1")]).is_err());
+        // Keys a table requires together land in one call.
+        let import = spec
+            .with_params(&[
+                ("workload.import.path", "a \"quoted\" path.csv"),
+                ("workload.import.format", "alibaba"),
+                ("workload.import.region_map", "[1, 0, 3, 2]"),
+            ])
+            .unwrap();
+        let import = import.workload.import.expect("import table");
+        assert_eq!(import.path, "a \"quoted\" path.csv");
+        assert_eq!(import.region_map, vec![1, 0, 3, 2]);
+        let err = spec
+            .with_params(&[("workload.import.path", "a.csv")])
+            .unwrap_err();
+        assert!(
+            err.0.contains("workload.import.format is required"),
+            "{err}"
+        );
     }
 
     impl ScenarioSpec {

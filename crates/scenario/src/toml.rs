@@ -413,7 +413,9 @@ fn emit_table(out: &mut String, table: &Table, path: &mut Vec<String>) {
     }
 }
 
-pub(crate) fn emit_scalar(value: &Value) -> String {
+/// One value in wire form: a string quoted and escaped, an array on
+/// one line. Tables are emitted as sections, never as scalars.
+pub fn emit_scalar(value: &Value) -> String {
     match value {
         Value::Str(s) => {
             let mut out = String::with_capacity(s.len() + 2);

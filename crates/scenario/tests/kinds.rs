@@ -126,11 +126,10 @@ fn analysis_kinds_reject_world_tables() {
 
 /// A quick builtin run with `params` applied first.
 fn quick_report(name: &str, params: &[(&str, &str)]) -> SpecReport {
-    let spec = params
-        .iter()
-        .try_fold(registry::find(name).expect("builtin").spec, |s, (k, v)| {
-            s.with_param(k, v)
-        })
+    let spec = registry::find(name)
+        .expect("builtin")
+        .spec
+        .with_params(params)
         .expect("override");
     run_spec(&spec, Path::new("."), true).expect("run")
 }

@@ -7,7 +7,7 @@
 //! * [`follow_the_load`] — the Figure 5 sanity check: profit reduced to
 //!   client proximity only, so each VM chases its dominant load source
 //!   around the planet.
-//! * [`first_fit`] / [`round_robin`] — classic packing baselines.
+//! * [`round_robin`] — a deliberately bad spread-everything baseline.
 //! * [`cheapest_energy`] — consolidate everything toward the lowest
 //!   tariff (the degenerate "energy-only" policy, the opposite sanity
 //!   check the paper mentions).
@@ -73,21 +73,6 @@ fn nearest_feasible_host(
                 .then(a.cmp(&b))
         })
         .expect("at least one host")
-}
-
-/// First-Fit: VMs in problem order onto the first host with room.
-pub fn first_fit(problem: &Problem, oracle: &dyn QosOracle) -> Schedule {
-    let mut state = PlacementState::new(problem);
-    let mut assignment = Vec::with_capacity(problem.vms.len());
-    for vm in &problem.vms {
-        let demand = oracle.demand(vm);
-        let host_idx = (0..problem.hosts.len())
-            .find(|&hi| state.fits(problem, hi, &demand))
-            .unwrap_or(0);
-        state.assign(problem, host_idx, demand);
-        assignment.push(problem.hosts[host_idx].id);
-    }
-    Schedule { assignment }
 }
 
 /// Round-robin across hosts, ignoring capacity (a deliberately bad
@@ -185,13 +170,6 @@ mod tests {
             .filter(|(d, h)| !d.fits_within(&h.capacity))
             .count();
         assert!(overloaded <= 1, "spill must respect capacity: {overloaded}");
-    }
-
-    #[test]
-    fn first_fit_fills_in_order() {
-        let p = problem(3, 4, 50.0);
-        let s = first_fit(&p, &TrueOracle::new());
-        assert_eq!(s.assignment, vec![PmId(0); 3]);
     }
 
     #[test]

@@ -66,22 +66,17 @@ impl ExactOutcome {
     }
 }
 
-/// Exhaustive branch-and-bound over all `hosts^vms` assignments.
+/// Exhaustive branch-and-bound over all `hosts^vms` assignments, with a
+/// hard cap on expanded search nodes (`u64::MAX` for none).
 ///
 /// Feasibility (believed demand within capacity) is enforced during the
 /// search; when the whole instance is infeasible the solver falls back to
-/// allowing overflow placements so constraint 1 still holds.
-pub fn branch_and_bound(problem: &Problem, oracle: &dyn QosOracle) -> ExactResult {
-    branch_and_bound_with_budget(problem, oracle, u64::MAX).expect_optimal()
-}
-
-/// [`branch_and_bound`] with a hard cap on expanded search nodes.
-///
-/// The budget spans the entire call, including the overflow re-run on
-/// infeasible instances. When it runs out the search stops immediately
-/// and the best complete schedule seen so far (if any) is returned as a
-/// non-optimal incumbent.
-pub fn branch_and_bound_with_budget(
+/// allowing overflow placements so constraint 1 still holds. The budget
+/// spans the entire call, including that overflow re-run. When it runs
+/// out the search stops immediately and the best complete schedule seen
+/// so far (if any) is returned as a non-optimal incumbent; callers that
+/// need the optimum call [`ExactOutcome::expect_optimal`].
+pub fn branch_and_bound(
     problem: &Problem,
     oracle: &dyn QosOracle,
     node_budget: u64,
@@ -259,7 +254,7 @@ mod tests {
         for (vms, hosts, rps) in [(3, 3, 120.0), (4, 3, 300.0), (2, 4, 500.0)] {
             let p = problem(vms, hosts, rps);
             let o = TrueOracle::new();
-            let exact = branch_and_bound(&p, &o);
+            let exact = branch_and_bound(&p, &o, u64::MAX).expect_optimal();
             let heur = best_fit(&p, &o, crate::index::IndexMode::Exact);
             let heur_eval = evaluate_schedule(&p, &o, &heur.schedule);
             assert!(
@@ -276,7 +271,7 @@ mod tests {
         // 2 VMs × 2 hosts = 4 assignments; brute-force check.
         let p = problem(2, 2, 200.0);
         let o = TrueOracle::new();
-        let exact = branch_and_bound(&p, &o);
+        let exact = branch_and_bound(&p, &o, u64::MAX).expect_optimal();
         let mut best = f64::NEG_INFINITY;
         for a in 0..2 {
             for b in 0..2 {
@@ -293,7 +288,7 @@ mod tests {
     fn infeasible_instance_still_places_all() {
         let p = problem(6, 1, 700.0);
         let o = TrueOracle::new();
-        let exact = branch_and_bound(&p, &o);
+        let exact = branch_and_bound(&p, &o, u64::MAX).expect_optimal();
         assert_eq!(exact.schedule.assignment.len(), 6);
     }
 
@@ -301,10 +296,10 @@ mod tests {
     fn budget_exhaustion_is_loud_and_carries_the_incumbent() {
         let p = problem(6, 4, 150.0);
         let o = TrueOracle::new();
-        let full = branch_and_bound(&p, &o);
+        let full = branch_and_bound(&p, &o, u64::MAX).expect_optimal();
         assert!(full.nodes_expanded > 50, "want a non-trivial search");
         // A budget far below the full search must report exhaustion.
-        match branch_and_bound_with_budget(&p, &o, full.nodes_expanded / 2) {
+        match branch_and_bound(&p, &o, full.nodes_expanded / 2) {
             ExactOutcome::BudgetExhausted {
                 nodes_expanded,
                 incumbent,
@@ -318,7 +313,7 @@ mod tests {
             ExactOutcome::Optimal(_) => panic!("half the nodes cannot prove optimality"),
         }
         // A generous budget reproduces the unbudgeted answer exactly.
-        match branch_and_bound_with_budget(&p, &o, full.nodes_expanded * 2) {
+        match branch_and_bound(&p, &o, full.nodes_expanded * 2) {
             ExactOutcome::Optimal(r) => assert_eq!(r.schedule, full.schedule),
             ExactOutcome::BudgetExhausted { .. } => panic!("budget was sufficient"),
         }
@@ -331,7 +326,7 @@ mod tests {
         // rather than panicking or fabricating a schedule.
         let p = problem(6, 1, 700.0);
         let o = TrueOracle::new();
-        match branch_and_bound_with_budget(&p, &o, 3) {
+        match branch_and_bound(&p, &o, 3) {
             ExactOutcome::BudgetExhausted { incumbent, .. } => assert!(incumbent.is_none()),
             ExactOutcome::Optimal(_) => panic!("3 nodes cannot solve 6 VMs"),
         }
@@ -340,8 +335,8 @@ mod tests {
     #[test]
     fn node_count_grows_with_instance_size() {
         let o = TrueOracle::new();
-        let small = branch_and_bound(&problem(3, 3, 150.0), &o);
-        let large = branch_and_bound(&problem(6, 4, 150.0), &o);
+        let small = branch_and_bound(&problem(3, 3, 150.0), &o, u64::MAX).expect_optimal();
+        let large = branch_and_bound(&problem(6, 4, 150.0), &o, u64::MAX).expect_optimal();
         assert!(
             large.nodes_expanded > small.nodes_expanded,
             "{} vs {}",

@@ -29,14 +29,10 @@ pub mod reference;
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::baselines::{
-        cheapest_energy, first_fit, follow_the_load, round_robin, static_schedule,
-    };
+    pub use crate::baselines::{cheapest_energy, follow_the_load, round_robin, static_schedule};
     pub use crate::bestfit::{best_fit, BestFitResult};
     pub use crate::evaluator::ScheduleEvaluator;
-    pub use crate::exact::{
-        branch_and_bound, branch_and_bound_with_budget, ExactOutcome, ExactResult,
-    };
+    pub use crate::exact::{branch_and_bound, ExactOutcome, ExactResult};
     pub use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention};
     pub use crate::hierarchical::{hierarchical_round, HierarchicalConfig, RoundStats};
     pub use crate::index::{CandidateIndex, IndexMode};

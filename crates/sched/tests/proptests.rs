@@ -23,7 +23,6 @@ proptest! {
             best_fit(&p, &oracle, IndexMode::Exact).schedule,
             static_schedule(&p, &oracle),
             follow_the_load(&p, &oracle),
-            first_fit(&p, &oracle),
             round_robin(&p),
             cheapest_energy(&p, &oracle),
             hierarchical_round(&p, &oracle, &Default::default()).0,
@@ -94,7 +93,7 @@ proptest! {
     fn exact_dominates_heuristic(vms in 1usize..5, hosts in 1usize..5, rps in 50.0f64..400.0) {
         let p = synthetic::problem(vms, hosts, rps);
         let oracle = TrueOracle::new();
-        let exact = branch_and_bound(&p, &oracle);
+        let exact = branch_and_bound(&p, &oracle, u64::MAX).expect_optimal();
         let heur = best_fit(&p, &oracle, IndexMode::Exact).schedule;
         let heur_profit = evaluate_schedule(&p, &oracle, &heur).profit_eur;
         prop_assert!(

@@ -58,7 +58,7 @@ repair_after_min = 240
         .iter()
         .map(|k| {
             let mut v = spec
-                .with_param("workload.load_scale", &k.to_string())
+                .with_params(&[("workload.load_scale", &k.to_string())])
                 .unwrap();
             v.name = format!("example[load={k}]");
             run_spec(&v, Path::new("."), false).expect("run")

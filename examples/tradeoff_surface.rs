@@ -18,11 +18,13 @@ fn main() {
     let mut spec = registry::find("fig8").expect("builtin").spec;
     if full {
         spec = spec
-            .with_param(
-                "experiment.load_scales",
-                "[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]",
-            )
-            .and_then(|s| s.with_param("run.hours", "8"))
+            .with_params(&[
+                (
+                    "experiment.load_scales",
+                    "[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]",
+                ),
+                ("run.hours", "8"),
+            ])
             .expect("valid overrides");
     }
     let axes = spec.experiment.clone().expect("bound");
