@@ -38,9 +38,18 @@ impl Default for BillingPolicy {
 
 impl BillingPolicy {
     /// Revenue earned by one VM over `dt` at SLA level `sla`.
+    ///
+    /// At the linear γ = 1 every builtin uses, `sla^1` is `sla` itself,
+    /// so the schedulers' scoring loops skip the `powf` (tens of
+    /// nanoseconds a call) and read the same bits.
     pub fn revenue(&self, sla: f64, dt: SimDuration) -> f64 {
         let sla = sla.clamp(0.0, 1.0);
-        self.vm_eur_per_hour * sla.powf(self.sla_gamma) * dt.as_hours_f64()
+        let earned = if self.sla_gamma == 1.0 {
+            sla
+        } else {
+            sla.powf(self.sla_gamma)
+        };
+        self.vm_eur_per_hour * earned * dt.as_hours_f64()
     }
 }
 

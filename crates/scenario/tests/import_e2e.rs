@@ -7,9 +7,10 @@
 //! 3. drive a full quick-mode run on a `[[topology.classes]]` fleet,
 //!    deterministically.
 
+use pamdc_scenario::build;
 use pamdc_scenario::runner::run_spec;
 use pamdc_scenario::spec::{HostClassSpec, ImportSpec, MachineClass, ScenarioSpec};
-use pamdc_workload::import::{import_path, ImportOptions, TraceFormat};
+use pamdc_workload::import::{import_path, TraceFormat};
 use pamdc_workload::trace::{DemandTrace, TraceSource};
 use std::path::{Path, PathBuf};
 
@@ -61,8 +62,12 @@ fn check_format(format: TraceFormat) {
 
     // 1-2: import, then prove the CSV round-trip is bit-identical and
     // the replayer reproduces the imported flows verbatim.
-    let trace = import_path(format, &path, &ImportOptions::default())
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let trace = import_path(
+        format,
+        &path,
+        &build::import_options(&ImportSpec::default()),
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(trace.service_count(), 4, "{name} fixture hosts 4 services");
     assert!(trace.tick_count() > 1);
     let reparsed = DemandTrace::parse_csv(&trace.to_csv()).expect("reparse");

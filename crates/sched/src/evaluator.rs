@@ -32,8 +32,10 @@
 //! would produce, to within float-accumulation noise (≪ 1e-9 relative).
 
 use crate::oracle::QosOracle;
-use crate::problem::{Problem, Schedule};
+use crate::problem::{Problem, Schedule, VmInfo};
+use crate::profit::{client_traffic_eur, move_cost};
 use pamdc_infra::gateway::weighted_transport_secs;
+use pamdc_infra::ids::LocationId;
 use pamdc_infra::resources::Resources;
 use pamdc_simcore::time::SimDuration;
 
@@ -53,14 +55,15 @@ pub struct ScheduleEvaluator<'a> {
     raw_demand: Vec<Resources>,
     /// Round-VMs assigned per host.
     counts: Vec<usize>,
-    /// Transport latency per (vm, location) pair, vm-major. Transport
-    /// depends on the host only through its location, so caching per
-    /// location instead of per host keeps construction O(V·locations)
-    /// rather than O(V·H) — the bits read back are identical.
-    transport: Vec<f64>,
-    /// Location slot per host (index into a VM's `transport` row).
+    /// Location-dependent terms per (vm, location) pair, vm-major.
+    /// Transport latency and move costs depend on the host only through
+    /// its location, so pricing them once per location instead of per
+    /// candidate keeps construction O(V·locations) and scoring free of
+    /// them — the bits read back are identical.
+    at_location: Vec<AtLocation>,
+    /// Location slot per host (index into a VM's `at_location` row).
     loc_slot: Vec<usize>,
-    /// Width of one VM's `transport` row (max location index + 1).
+    /// Width of one VM's `at_location` row (max location index + 1).
     n_loc_slots: usize,
     /// Revenue-earning span per host (horizon minus boot blackout).
     available: Vec<SimDuration>,
@@ -101,7 +104,7 @@ impl<'a> ScheduleEvaluator<'a> {
             counts[hi] += 1;
         }
 
-        // One transport latency per (vm, location present in the fleet);
+        // One set of terms per (vm, location present in the fleet);
         // absent location slots stay NaN and are never read.
         let loc_slot: Vec<usize> = problem.hosts.iter().map(|h| h.location.index()).collect();
         let n_loc_slots = loc_slot.iter().max().map_or(1, |&m| m + 1);
@@ -109,13 +112,13 @@ impl<'a> ScheduleEvaluator<'a> {
         for host in &problem.hosts {
             loc_at_slot[host.location.index()] = Some(host.location);
         }
-        let transport: Vec<f64> = problem
+        let at_location: Vec<AtLocation> = problem
             .vms
             .iter()
             .flat_map(|vm| {
                 loc_at_slot.iter().map(|slot| match slot {
-                    Some(loc) => weighted_transport_secs(&vm.flows, *loc, &problem.net),
-                    None => f64::NAN,
+                    Some(loc) => AtLocation::price(problem, vm, *loc),
+                    None => AtLocation::ABSENT,
                 })
             })
             .collect();
@@ -133,7 +136,7 @@ impl<'a> ScheduleEvaluator<'a> {
             vms_on,
             raw_demand,
             counts,
-            transport,
+            at_location,
             loc_slot,
             n_loc_slots,
             available,
@@ -351,13 +354,19 @@ impl<'a> ScheduleEvaluator<'a> {
     // Term computation (each mirrors one clause of `evaluate_schedule`).
     // ------------------------------------------------------------------
 
+    /// `vi`'s location-dependent terms at host `hi`'s location.
+    #[inline]
+    fn at_location(&self, vi: usize, hi: usize) -> &AtLocation {
+        &self.at_location[vi * self.n_loc_slots + self.loc_slot[hi]]
+    }
+
     #[inline]
     fn vm_sla(&self, vi: usize, hi: usize, host_total: &Resources) -> f64 {
         self.oracle.sla(
             &self.problem.vms[vi],
             &self.problem.hosts[hi],
             host_total,
-            self.transport[vi * self.n_loc_slots + self.loc_slot[hi]],
+            self.at_location(vi, hi).transport,
         )
     }
 
@@ -367,36 +376,16 @@ impl<'a> ScheduleEvaluator<'a> {
     }
 
     /// Migration penalty and network charges of hosting `vi` on `hi` —
-    /// independent of co-location, so a pure (vm, host) function.
+    /// independent of co-location, read from the per-location table.
+    /// The VM's current host is the one host there that moves nothing.
+    #[inline]
     fn vm_move_costs(&self, vi: usize, hi: usize) -> (f64, f64) {
-        let problem = self.problem;
-        let vm = &problem.vms[vi];
-        let host = &problem.hosts[hi];
-        let mut network =
-            crate::profit::client_traffic_eur(vm, host.location, &problem.net, problem.horizon);
-        let mut migration = 0.0;
-        if let (Some(cur), Some(cur_loc)) = (vm.current_pm, vm.current_location) {
-            if cur != host.id {
-                let blackout =
-                    problem
-                        .net
-                        .migration_duration(vm.image_size_mb, cur_loc, host.location);
-                let lost = problem.billing.revenue(1.0, blackout.min(problem.horizon));
-                let queue_debt = if vm.load.rps > 0.0 {
-                    (vm.load.backlog / (vm.load.rps * blackout.as_secs_f64().max(1.0))).min(3.0)
-                } else {
-                    0.0
-                };
-                migration = lost * (1.0 + queue_debt) + problem.billing.migration_fee_eur;
-                network += crate::profit::image_transfer_eur(
-                    vm.image_size_mb,
-                    cur_loc,
-                    host.location,
-                    &problem.net,
-                );
-            }
+        let at = self.at_location(vi, hi);
+        if self.problem.vms[vi].current_pm == Some(self.problem.hosts[hi].id) {
+            (0.0, at.traffic)
+        } else {
+            at.moved
         }
-        (migration, network)
     }
 
     /// Energy cost of `hi` at the given believed total and resident
@@ -426,6 +415,39 @@ impl<'a> ScheduleEvaluator<'a> {
         };
         raw.cpu += host.virt_overhead_cpu_per_vm * count as f64;
         (raw, count)
+    }
+}
+
+/// One VM's terms that depend on its host only through the host's
+/// location, priced once per location at construction.
+#[derive(Clone, Copy, Debug)]
+struct AtLocation {
+    /// Weighted transport latency from the VM's clients, s.
+    transport: f64,
+    /// Client-traffic charges over the horizon, €.
+    traffic: f64,
+    /// `(migration, network)` charges of a move onto a host here.
+    moved: (f64, f64),
+}
+
+impl AtLocation {
+    /// A location slot no host occupies; never read.
+    const ABSENT: AtLocation = AtLocation {
+        transport: f64::NAN,
+        traffic: f64::NAN,
+        moved: (f64::NAN, f64::NAN),
+    };
+
+    fn price(problem: &Problem, vm: &VmInfo, loc: LocationId) -> Self {
+        let traffic = client_traffic_eur(vm, loc, &problem.net, problem.horizon);
+        AtLocation {
+            transport: weighted_transport_secs(&vm.flows, loc, &problem.net),
+            traffic,
+            moved: match move_cost(problem, vm, loc) {
+                Some(cost) => (cost.migration_eur, traffic + cost.image_eur),
+                None => (0.0, traffic),
+            },
+        }
     }
 }
 

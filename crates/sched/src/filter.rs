@@ -48,6 +48,15 @@ pub fn vms_needing_attention(
     let totals: Vec<Resources> = (0..problem.hosts.len())
         .map(|hi| believed.with_overhead(problem, hi))
         .collect();
+    // A VM's transport latency depends on a host only through its
+    // location: price it once per (flagged VM, location) on first use.
+    let n_loc_slots = problem
+        .hosts
+        .iter()
+        .map(|h| h.location.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut transport_at: Vec<Option<f64>> = vec![None; n_loc_slots];
 
     (0..problem.vms.len())
         .filter(|&vi| {
@@ -61,21 +70,22 @@ pub fn vms_needing_attention(
                     if current >= SLA_KEEP_THRESHOLD {
                         return false;
                     }
-                    // "Could improve its QoS if moved": check the best
-                    // believed alternative before escalating.
+                    // "Could improve its QoS if moved": escalate at the
+                    // first believed alternative that clears the bar.
+                    let bar = current + MIN_IMPROVEMENT;
+                    transport_at.fill(None);
+                    transport_at[host.location.index()] = Some(transport);
                     let demand = believed.demands[vi];
-                    let best_alt = (0..problem.hosts.len())
-                        .filter(|&hj| hj != hi)
-                        .map(|hj| {
-                            let alt = &problem.hosts[hj];
-                            let mut total = totals[hj];
-                            total += demand;
-                            total.cpu += alt.virt_overhead_cpu_per_vm;
-                            let tr = weighted_transport_secs(&vm.flows, alt.location, &problem.net);
-                            oracle.sla(vm, alt, &total, tr)
-                        })
-                        .fold(0.0f64, f64::max);
-                    best_alt >= current + MIN_IMPROVEMENT
+                    (0..problem.hosts.len()).filter(|&hj| hj != hi).any(|hj| {
+                        let alt = &problem.hosts[hj];
+                        let mut total = totals[hj];
+                        total += demand;
+                        total.cpu += alt.virt_overhead_cpu_per_vm;
+                        let tr = *transport_at[alt.location.index()].get_or_insert_with(|| {
+                            weighted_transport_secs(&vm.flows, alt.location, &problem.net)
+                        });
+                        oracle.sla(vm, alt, &total, tr) >= bar
+                    })
                 }
             }
         })

@@ -42,15 +42,44 @@ pub fn client_traffic_eur(
         .sum()
 }
 
-/// Transfer charge for shipping a VM image from `from` to `to` (zero
-/// intra-DC and on the paper's free network).
-pub fn image_transfer_eur(
-    image_size_mb: f64,
-    from: LocationId,
-    to: LocationId,
-    net: &NetworkModel,
-) -> f64 {
-    net.transfer_cost_eur(image_size_mb / 1000.0, from, to)
+/// What moving a VM off its current host costs on top of hosting it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct MoveCost {
+    /// Revenue blacked out while the image moves, scaled by the queue
+    /// debt the blackout leaves, plus the fixed migration fee, €.
+    pub(crate) migration_eur: f64,
+    /// Transfer charge for shipping the image (zero intra-DC and on the
+    /// paper's free network), €.
+    pub(crate) image_eur: f64,
+}
+
+/// The cost of moving `vm` from its current host to a host at `to`, or
+/// `None` when it has no current host (a homeless VM has nothing to
+/// move). It reads the destination only through its location; whether
+/// a placement moves the VM at all (it does not on its current host) is
+/// the caller's test.
+pub(crate) fn move_cost(problem: &Problem, vm: &VmInfo, to: LocationId) -> Option<MoveCost> {
+    let (Some(_), Some(from)) = (vm.current_pm, vm.current_location) else {
+        return None;
+    };
+    // The VM earns nothing while frozen (§IV-A); the destination's
+    // unavailability is priced with its revenue, not here.
+    let blackout = problem.net.migration_duration(vm.image_size_mb, from, to);
+    let lost = problem.billing.revenue(1.0, blackout.min(problem.horizon));
+    // Every request arriving during the blackout queues and must be
+    // drained later at degraded SLA; a VM already dragging a backlog
+    // compounds that debt. Scale the penalty accordingly.
+    let queue_debt = if vm.load.rps > 0.0 {
+        (vm.load.backlog / (vm.load.rps * blackout.as_secs_f64().max(1.0))).min(3.0)
+    } else {
+        0.0
+    };
+    Some(MoveCost {
+        migration_eur: lost * (1.0 + queue_debt) + problem.billing.migration_fee_eur,
+        image_eur: problem
+            .net
+            .transfer_cost_eur(vm.image_size_mb / 1000.0, from, to),
+    })
 }
 
 /// Mutable accumulation of a partial assignment during a round.
@@ -258,28 +287,6 @@ pub fn marginal_profit(
     let available = problem.horizon - host.boot_penalty.min(problem.horizon);
     let revenue_eur = problem.billing.revenue(sla, available);
 
-    // Migration penalty: revenue blacked out while the image moves,
-    // plus any fixed fee. The VM earns nothing while frozen (§IV-A);
-    // the destination's unavailability is already priced above.
-    let migration_eur = match (vm.current_pm, vm.current_location) {
-        (Some(cur), Some(cur_loc)) if cur != host.id => {
-            let blackout = problem
-                .net
-                .migration_duration(vm.image_size_mb, cur_loc, host.location);
-            let lost = problem.billing.revenue(1.0, blackout.min(problem.horizon));
-            // Every request arriving during the blackout queues and must
-            // be drained later at degraded SLA; a VM already dragging a
-            // backlog compounds that debt. Scale the penalty accordingly.
-            let queue_debt = if vm.load.rps > 0.0 {
-                (vm.load.backlog / (vm.load.rps * blackout.as_secs_f64().max(1.0))).min(3.0)
-            } else {
-                0.0
-            };
-            lost * (1.0 + queue_debt) + problem.billing.migration_fee_eur
-        }
-        _ => 0.0,
-    };
-
     // Marginal energy: facility draw after minus before, billed at the
     // host's tariff for the horizon. A cold, empty host starts at 0 W —
     // powering it on is exactly what the marginal cost captures (the
@@ -294,13 +301,15 @@ pub fn marginal_profit(
     let delta_w = (watts_after - watts_before).max(0.0);
     let energy_eur = delta_w * problem.horizon.as_hours_f64() / 1000.0 * host.energy_eur_kwh;
 
-    // Network charges: remote client traffic over the horizon, plus the
-    // image shipment if this placement migrates the VM.
+    // Network charges: remote client traffic over the horizon. A
+    // placement that migrates the VM adds the image shipment, and its
+    // migration penalty is the revenue blacked out plus any fee.
     let mut network_eur = client_traffic_eur(vm, host.location, &problem.net, problem.horizon);
-    if let (Some(cur), Some(cur_loc)) = (vm.current_pm, vm.current_location) {
-        if cur != host.id {
-            network_eur +=
-                image_transfer_eur(vm.image_size_mb, cur_loc, host.location, &problem.net);
+    let mut migration_eur = 0.0;
+    if vm.current_pm != Some(host.id) {
+        if let Some(cost) = move_cost(problem, vm, host.location) {
+            migration_eur = cost.migration_eur;
+            network_eur += cost.image_eur;
         }
     }
 
@@ -378,21 +387,10 @@ pub fn evaluate_schedule(
         let available = problem.horizon - host.boot_penalty.min(problem.horizon);
         revenue += problem.billing.revenue(sla, available);
         network += client_traffic_eur(vm, host.location, &problem.net, problem.horizon);
-        if let (Some(cur), Some(cur_loc)) = (vm.current_pm, vm.current_location) {
-            if cur != host.id {
-                let blackout =
-                    problem
-                        .net
-                        .migration_duration(vm.image_size_mb, cur_loc, host.location);
-                let lost = problem.billing.revenue(1.0, blackout.min(problem.horizon));
-                let queue_debt = if vm.load.rps > 0.0 {
-                    (vm.load.backlog / (vm.load.rps * blackout.as_secs_f64().max(1.0))).min(3.0)
-                } else {
-                    0.0
-                };
-                migration += lost * (1.0 + queue_debt) + problem.billing.migration_fee_eur;
-                network +=
-                    image_transfer_eur(vm.image_size_mb, cur_loc, host.location, &problem.net);
+        if vm.current_pm != Some(host.id) {
+            if let Some(cost) = move_cost(problem, vm, host.location) {
+                migration += cost.migration_eur;
+                network += cost.image_eur;
             }
         }
     }

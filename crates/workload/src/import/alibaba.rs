@@ -115,14 +115,14 @@ pub(crate) fn parse_rows<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::import::{class_kb_out_mean, import, TraceFormat};
+    use crate::import::{class_kb_out_mean, import, test_options, TraceFormat};
     use crate::service::ServiceClass;
 
     const ROW_A: &str = "c_1,m_1,10,25.0,40.2,1.1,0.4,0.02,120.0,350.0,5.0";
     const ROW_B: &str = "c_2,m_1,10,50.0,60.0,,,,,,";
 
     fn parse(text: &str) -> Result<Vec<UsageRow>, ImportError> {
-        parse_rows(text.as_bytes(), &ImportOptions::default())
+        parse_rows(text.as_bytes(), &test_options())
     }
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
         let t = import(
             TraceFormat::Alibaba,
             format!("{ROW_A}\n{ROW_B}\n").as_bytes(),
-            &ImportOptions::default(),
+            &test_options(),
         )
         .expect("import");
         assert_eq!(t.tick, pamdc_simcore::time::SimDuration::from_secs(10));
@@ -196,7 +196,7 @@ mod tests {
         let err = import(
             TraceFormat::Alibaba,
             "c_1,m_1,10,1e-6,,,,,1e9,1.0,\n".as_bytes(),
-            &ImportOptions::default(),
+            &test_options(),
         )
         .unwrap_err();
         assert!(
@@ -213,12 +213,7 @@ mod tests {
         // minus the 256 MB floor = 71.68 MB excess; 71.68 / 0.8 =
         // 89.6 MB per in-flight request (docs/TRACES.md rules).
         let text = "c_1,m_1,10,50.0,8.0,,,,,,\nc_2,m_1,10,30.0,,,,,,,\n";
-        let t = import(
-            TraceFormat::Alibaba,
-            text.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let t = import(TraceFormat::Alibaba, text.as_bytes(), &test_options()).unwrap();
         let m = t.mem_mb_per_inflight[0].expect("measured");
         assert!((m - 89.6).abs() < 1e-9, "per-inflight {m}");
         assert_eq!(
@@ -231,21 +226,11 @@ mod tests {
         // A huge resident set against a tiny rate clamps at the
         // documented ceiling instead of going to infinity.
         let big = "c_1,m_1,10,0.5,90.0,,,,,,\n";
-        let t = import(
-            TraceFormat::Alibaba,
-            big.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let t = import(TraceFormat::Alibaba, big.as_bytes(), &test_options()).unwrap();
         assert_eq!(t.mem_mb_per_inflight[0], Some(1024.0));
         // Memory below the VM floor measures as no excess -> unmeasured.
         let idle = "c_1,m_1,10,50.0,2.0,,,,,,\n";
-        let t = import(
-            TraceFormat::Alibaba,
-            idle.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let t = import(TraceFormat::Alibaba, idle.as_bytes(), &test_options()).unwrap();
         assert_eq!(t.mem_mb_per_inflight[0], None);
     }
 

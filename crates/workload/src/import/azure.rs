@@ -89,10 +89,10 @@ pub(crate) fn parse_rows<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::import::{import, TraceFormat};
+    use crate::import::{import, test_options, TraceFormat};
 
     fn parse(text: &str) -> Result<Vec<UsageRow>, ImportError> {
-        parse_rows(text.as_bytes(), &ImportOptions::default())
+        parse_rows(text.as_bytes(), &test_options())
     }
 
     #[test]
@@ -128,12 +128,7 @@ mod tests {
     #[test]
     fn unsorted_timestamps_rebase_to_the_minimum() {
         let text = "900,a,0,0,10.0\n300,a,0,0,20.0\n600,a,0,0,30.0\n";
-        let t = import(
-            TraceFormat::Azure,
-            text.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .expect("import");
+        let t = import(TraceFormat::Azure, text.as_bytes(), &test_options()).expect("import");
         assert_eq!(t.tick_count(), 3, "ticks rebase to the earliest row");
         assert!(t.flows[0][0][0].rps > t.flows[2][0][0].rps);
     }

@@ -136,17 +136,18 @@ pub struct ImportOptions {
     pub max_ticks: Option<usize>,
 }
 
-impl Default for ImportOptions {
-    fn default() -> Self {
-        ImportOptions {
-            tick: None,
-            regions: 4,
-            rate_scale: 1.0,
-            time_stretch: 1.0,
-            region_map: Vec::new(),
-            max_services: None,
-            max_ticks: None,
-        }
+/// The options of a `[workload.import]` table that sets no key — where
+/// the importers' unit tests start.
+#[cfg(test)]
+pub(crate) fn test_options() -> ImportOptions {
+    ImportOptions {
+        tick: None,
+        regions: 4,
+        rate_scale: 1.0,
+        time_stretch: 1.0,
+        region_map: Vec::new(),
+        max_services: None,
+        max_ticks: None,
     }
 }
 
@@ -478,12 +479,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn azure_import_normalizes_shape() {
-        let t = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .expect("import");
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).expect("import");
         assert_eq!(t.service_count(), 2);
         assert_eq!(t.tick_count(), 3);
         assert_eq!(t.regions, 4);
@@ -502,12 +498,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn import_round_trips_and_replays_bit_identically() {
-        let t = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .expect("import");
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).expect("import");
         let csv = t.to_csv();
         let reparsed = DemandTrace::parse_csv(&csv).expect("reparse");
         assert_eq!(t, reparsed);
@@ -529,14 +520,9 @@ timestamp,vm id,min cpu,max cpu,avg cpu
             rate_scale: 2.0,
             time_stretch: 3.0,
             region_map: vec![3, 2, 1, 0],
-            ..ImportOptions::default()
+            ..test_options()
         };
-        let base = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let base = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).unwrap();
         let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).unwrap();
         assert_eq!(t.tick, SimDuration::from_secs(900), "stretched cadence");
         let (b, f) = (&base.flows[0][0][0], &t.flows[0][0][0]);
@@ -553,7 +539,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
         let opts = ImportOptions {
             max_services: Some(1),
             max_ticks: Some(2),
-            ..ImportOptions::default()
+            ..test_options()
         };
         let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).expect("import");
         assert_eq!(t.service_count(), 1);
@@ -564,7 +550,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
     fn coarser_tick_averages_samples() {
         let opts = ImportOptions {
             tick: Some(SimDuration::from_secs(600)),
-            ..ImportOptions::default()
+            ..test_options()
         };
         let t = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).expect("import");
         assert_eq!(t.tick_count(), 2);
@@ -578,20 +564,15 @@ timestamp,vm id,min cpu,max cpu,avg cpu
         let t = |opts| import(TraceFormat::Azure, AZURE.as_bytes(), &opts);
         assert!(t(ImportOptions {
             regions: 0,
-            ..ImportOptions::default()
+            ..test_options()
         })
         .is_err());
     }
 
     #[test]
     fn replay_and_import_share_the_transform_rules() {
-        let base = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .expect("import");
-        assert_eq!(base.regions, ImportOptions::default().regions);
+        let base = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).expect("import");
+        assert_eq!(base.regions, test_options().regions);
         let (nan, inf) = (f64::NAN, f64::INFINITY);
         for (rate_scale, time_stretch, region_map, refusal) in [
             (
@@ -650,7 +631,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
                 rate_scale,
                 time_stretch,
                 region_map: region_map.clone(),
-                ..ImportOptions::default()
+                ..test_options()
             };
             let imported = import(TraceFormat::Azure, AZURE.as_bytes(), &opts).map_err(|e| e.0);
             let replayed = TraceSource::replay(base.clone(), rate_scale, time_stretch, region_map)
@@ -674,39 +655,20 @@ timestamp,vm id,min cpu,max cpu,avg cpu
         // first) — both importers must strip it, including on a final
         // line with no terminator at all.
         let azure_crlf = AZURE.replace('\n', "\r\n");
-        let lf = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
-        let crlf = import(
-            TraceFormat::Azure,
-            azure_crlf.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let lf = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).unwrap();
+        let crlf = import(TraceFormat::Azure, azure_crlf.as_bytes(), &test_options()).unwrap();
         assert_eq!(lf, crlf, "azure CRLF must normalize identically");
         let unterminated = azure_crlf.trim_end_matches('\n').to_string(); // ends "...0.0\r"
-        let tail = import(
-            TraceFormat::Azure,
-            unterminated.as_bytes(),
-            &ImportOptions::default(),
-        );
+        let tail = import(TraceFormat::Azure, unterminated.as_bytes(), &test_options());
         assert_eq!(lf, tail.expect("lone trailing \\r"));
 
         let alibaba = "c_1,m_1,10,25.0,40.2,1.1,0.4,0.02,120.0,350.0,5.0\n\
                        c_2,m_1,10,50.0,60.0,,,,,,\n";
-        let lf = import(
-            TraceFormat::Alibaba,
-            alibaba.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let lf = import(TraceFormat::Alibaba, alibaba.as_bytes(), &test_options()).unwrap();
         let crlf = import(
             TraceFormat::Alibaba,
             alibaba.replace('\n', "\r\n").as_bytes(),
-            &ImportOptions::default(),
+            &test_options(),
         )
         .unwrap();
         assert_eq!(lf, crlf, "alibaba CRLF must normalize identically");
@@ -718,12 +680,7 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn azure_has_no_memory_columns_so_profiles_stay_unmeasured() {
-        let t = import(
-            TraceFormat::Azure,
-            AZURE.as_bytes(),
-            &ImportOptions::default(),
-        )
-        .unwrap();
+        let t = import(TraceFormat::Azure, AZURE.as_bytes(), &test_options()).unwrap();
         assert_eq!(t.mem_mb_per_inflight, vec![None, None]);
         // ...and the emitted CSV carries no memory header, keeping
         // pre-PR azure trace files byte-identical.
@@ -732,15 +689,10 @@ timestamp,vm id,min cpu,max cpu,avg cpu
 
     #[test]
     fn empty_input_is_an_error_not_a_panic() {
-        let err = import(TraceFormat::Azure, "".as_bytes(), &ImportOptions::default()).unwrap_err();
+        let err = import(TraceFormat::Azure, "".as_bytes(), &test_options()).unwrap_err();
         assert!(err.0.contains("no usable"), "{err}");
         let header_only = "timestamp,vm id,min cpu,max cpu,avg cpu\n";
-        assert!(import(
-            TraceFormat::Azure,
-            header_only.as_bytes(),
-            &ImportOptions::default()
-        )
-        .is_err());
+        assert!(import(TraceFormat::Azure, header_only.as_bytes(), &test_options()).is_err());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! This facade crate re-exports every subsystem under a single name:
 //!
-//! * [`simcore`] — simulation clock, event queue, deterministic RNG streams,
-//!   online statistics.
+//! * [`simcore`] — simulation clock, deterministic RNG streams, online
+//!   statistics, time-series recording and a deterministic parallel map.
 //! * [`infra`] — physical machines, virtual machines, datacenters, the
 //!   measured Atom power curve, the inter-DC network, migrations, monitors
 //!   and the client gateway.
