@@ -8,7 +8,10 @@
 //! The ratio is **recorded, never gated**: CI runners make no core
 //! count promises, so a gate on parallel speedup would flake. What IS
 //! asserted (and exits non-zero on failure) is determinism — the round
-//! must produce bit-identical schedules at any worker count. The JSON
+//! must produce bit-identical schedules and equal `RoundStats` at any
+//! worker count. The 2000-VM round runs every fan-out the round has:
+//! the intra-DC shards, the interface filter's VM chunks, and the
+//! consolidation pass's seeding and per-move upkeep chunks. The JSON
 //! record deliberately carries no `"id"` key, so the perf gate's
 //! scanner never picks it up even when the file is concatenated with
 //! gated emissions.
@@ -64,27 +67,35 @@ fn run() -> Result<String, String> {
     let cfg = HierarchicalConfig::default();
 
     // Best-of-N wall time per worker budget. The env cap is read by
-    // `pamdc_simcore::par::parallel_map_bounded` inside the round's
-    // shard fan-out; everything else in the round is sequential.
+    // `pamdc_simcore::par::parallel_map_bounded` in each of the round's
+    // fan-outs: the intra-DC shards, the interface filter
+    // (`vms_needing_attention`) and the consolidation pass
+    // (`improve_schedule`: seeding and the upkeep after every move).
+    // The global and fallback Best-Fit passes are sequential.
     let mut timed = Vec::new();
     for workers in [1usize, 2] {
         std::env::set_var("PAMDC_PAR_WORKERS", workers.to_string());
         let mut best_ns = u128::MAX;
-        let mut schedule = None;
+        let mut outcome = None;
         for _ in 0..rounds {
             let t = Instant::now();
-            let (s, _) = hierarchical_round(&p, &oracle, &cfg);
+            let round = hierarchical_round(&p, &oracle, &cfg);
             best_ns = best_ns.min(t.elapsed().as_nanos());
-            schedule = Some(s);
+            outcome = Some(round);
         }
-        timed.push((workers, best_ns, schedule.expect("rounds >= 1")));
+        timed.push((best_ns, outcome.expect("rounds >= 1")));
     }
     std::env::remove_var("PAMDC_PAR_WORKERS");
 
-    let (_, ns_1, ref sched_1) = timed[0];
-    let (_, ns_2, ref sched_2) = timed[1];
+    let (ns_1, (ref sched_1, ref stats_1)) = timed[0];
+    let (ns_2, (ref sched_2, ref stats_2)) = timed[1];
     if sched_1 != sched_2 {
         return Err("hierarchical_round diverged between 1 and 2 workers".into());
+    }
+    if stats_1 != stats_2 {
+        return Err(format!(
+            "hierarchical_round stats diverged between 1 and 2 workers: {stats_1:?} vs {stats_2:?}"
+        ));
     }
     let ratio = ns_1 as f64 / (ns_2 as f64).max(1.0);
     let cores = std::thread::available_parallelism()

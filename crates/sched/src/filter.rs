@@ -8,12 +8,14 @@
 //!   considering almost full hosts that cannot accommodate additional
 //!   VM's".
 
+use crate::localsearch::VMS_PER_CHUNK;
 use crate::oracle::QosOracle;
 use crate::problem::{HostInfo, Problem, VmInfo};
 use crate::profit::BelievedTotals;
 use pamdc_infra::gateway::weighted_transport_secs;
 use pamdc_infra::ids::{LocationId, PmId};
 use pamdc_infra::resources::Resources;
+use pamdc_simcore::par::map_chunks;
 
 /// VMs whose estimated SLA on their current host is at least this are
 /// "performing well" and left alone by the global round.
@@ -56,40 +58,48 @@ pub fn vms_needing_attention(
         .map(|h| h.location.index() + 1)
         .max()
         .unwrap_or(0);
-    let mut transport_at: Vec<Option<f64>> = vec![None; n_loc_slots];
 
-    (0..problem.vms.len())
-        .filter(|&vi| {
-            let vm = &problem.vms[vi];
-            match current_host[vi] {
-                None => true, // unplaced or hosted off-round: must be handled
-                Some(hi) => {
-                    let host = &problem.hosts[hi];
-                    let transport = weighted_transport_secs(&vm.flows, host.location, &problem.net);
-                    let current = oracle.sla(vm, host, &totals[hi], transport);
-                    if current >= SLA_KEEP_THRESHOLD {
-                        return false;
+    // Each VM's verdict reads only shared state, so the VMs fan out in
+    // chunks, each with its own transport buffer; chunks come back in
+    // ascending VM order.
+    let flagged = map_chunks(problem.vms.len(), VMS_PER_CHUNK, |range| {
+        let mut transport_at: Vec<Option<f64>> = vec![None; n_loc_slots];
+        range
+            .filter(|&vi| {
+                let vm = &problem.vms[vi];
+                match current_host[vi] {
+                    None => true, // unplaced or hosted off-round: must be handled
+                    Some(hi) => {
+                        let host = &problem.hosts[hi];
+                        let transport =
+                            weighted_transport_secs(&vm.flows, host.location, &problem.net);
+                        let current = oracle.sla(vm, host, &totals[hi], transport);
+                        if current >= SLA_KEEP_THRESHOLD {
+                            return false;
+                        }
+                        // "Could improve its QoS if moved": escalate at
+                        // the first believed alternative that clears the
+                        // bar.
+                        let bar = current + MIN_IMPROVEMENT;
+                        transport_at.fill(None);
+                        transport_at[host.location.index()] = Some(transport);
+                        let demand = believed.demands[vi];
+                        (0..problem.hosts.len()).filter(|&hj| hj != hi).any(|hj| {
+                            let alt = &problem.hosts[hj];
+                            let mut total = totals[hj];
+                            total += demand;
+                            total.cpu += alt.virt_overhead_cpu_per_vm;
+                            let tr = *transport_at[alt.location.index()].get_or_insert_with(|| {
+                                weighted_transport_secs(&vm.flows, alt.location, &problem.net)
+                            });
+                            oracle.sla(vm, alt, &total, tr) >= bar
+                        })
                     }
-                    // "Could improve its QoS if moved": escalate at the
-                    // first believed alternative that clears the bar.
-                    let bar = current + MIN_IMPROVEMENT;
-                    transport_at.fill(None);
-                    transport_at[host.location.index()] = Some(transport);
-                    let demand = believed.demands[vi];
-                    (0..problem.hosts.len()).filter(|&hj| hj != hi).any(|hj| {
-                        let alt = &problem.hosts[hj];
-                        let mut total = totals[hj];
-                        total += demand;
-                        total.cpu += alt.virt_overhead_cpu_per_vm;
-                        let tr = *transport_at[alt.location.index()].get_or_insert_with(|| {
-                            weighted_transport_secs(&vm.flows, alt.location, &problem.net)
-                        });
-                        oracle.sla(vm, alt, &total, tr) >= bar
-                    })
                 }
-            }
-        })
-        .collect()
+            })
+            .collect::<Vec<usize>>()
+    });
+    flagged.concat()
 }
 
 /// Host indices worth offering: enough believed headroom, with identical

@@ -26,6 +26,9 @@
 //! DC order and each shard's Best-Fit is deterministic, so a round is
 //! bit-identical at any worker count — cross-DC delocation still happens
 //! only in the global pass over the shard summaries, exactly as before.
+//! The interface filter (step 2) and the consolidation pass fan their
+//! per-VM scans out the same way, in fixed chunks of VMs merged in VM
+//! order.
 
 use crate::bestfit::best_fit;
 use crate::filter::{hosts_worth_offering, reduced_problem, vms_needing_attention};
@@ -62,7 +65,7 @@ impl Default for HierarchicalConfig {
 
 /// Statistics of one hierarchical round (for the paper's scalability
 /// discussion).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundStats {
     /// VMs handled purely intra-DC.
     pub intra_vms: usize,

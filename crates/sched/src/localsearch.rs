@@ -67,8 +67,24 @@ impl Default for LocalSearchConfig {
     }
 }
 
+/// VMs per chunk of every per-VM fan-out in the planner: consolidation
+/// seeding, per-move upkeep and the interface filter
+/// ([`crate::filter::vms_needing_attention`]), each mapped through
+/// [`pamdc_simcore::par::map_chunks`].
+///
+/// Derived from two costs on a 2-core Intel Xeon: a `thread::scope`
+/// with two spawns and joins costs 50–80 µs (one spawn, which is what a
+/// two-worker map needs, 30–65 µs), and one seeding rescan on a 400-VM,
+/// 128-host fleet (four DCs of 32 Xeon hosts) about 21 µs. A chunk of
+/// 64 such rescans is about 1.3 ms of work, so the fan-out costs at
+/// most about 6% of what it splits. A problem of at most 64 VMs is one
+/// chunk, which runs on the calling thread with no spawn — exactly the
+/// sequential loop.
+pub(crate) const VMS_PER_CHUNK: usize = 64;
+
 /// Work tallies of one incremental run, flushed into the metrics
-/// registry once at the end.
+/// registry once at the end. Each chunk of a fan-out tallies its own,
+/// summed after the join, so the totals match a sequential run.
 #[derive(Default)]
 struct IncStats {
     /// `move_gain` evaluations.
@@ -83,6 +99,31 @@ struct IncStats {
     near_groups: u64,
 }
 
+impl IncStats {
+    fn absorb(&mut self, other: IncStats) {
+        self.rescored += other.rescored;
+        self.cleared += other.cleared;
+        self.vm_rescans += other.vm_rescans;
+        self.index_updates += other.index_updates;
+        self.near_groups += other.near_groups;
+    }
+}
+
+/// A VM's best qualifying move: (destination host, gain).
+type Best = Option<(usize, f64)>;
+
+/// Everything a per-VM scan reads. It is shared read-only by every
+/// chunk of a fan-out; a chunk writes only its own [`IncStats`], so the
+/// answers cannot depend on how chunks land on threads.
+struct Scan<'s, 'a> {
+    problem: &'s Problem,
+    eval: &'s ScheduleEvaluator<'a>,
+    index: &'s CandidateIndex,
+    cfg: &'s LocalSearchConfig,
+    /// departures[vi] = the source half of every move of `vi`.
+    departures: &'s [Departure],
+}
+
 /// Steepest-ascent single-VM relocation until no move clears the gain
 /// threshold. Returns the improved schedule and the number of moves
 /// applied. In [`IndexMode::Exact`] the result is bit-identical to
@@ -90,6 +131,11 @@ struct IncStats {
 /// (property-tested; the work counters differ because the paths do
 /// different work). [`IndexMode::Near`] shortlists up to `top_k`
 /// members per coarse group — approximate.
+///
+/// The per-VM scans (seeding and the upkeep after each move) fan out
+/// over the cores in chunks of `VMS_PER_CHUNK` VMs; the winner pick and
+/// every write to the evaluator, index and departures stay on the
+/// calling thread.
 pub fn improve_schedule(
     problem: &Problem,
     oracle: &dyn QosOracle,
@@ -107,13 +153,20 @@ pub fn improve_schedule(
     // once here and refreshed only when a move touches the VM's host.
     let mut departures: Vec<Departure> = (0..n_vms).map(|vi| eval.leave(vi)).collect();
 
-    // best[vi] = the VM's best qualifying move (destination, gain):
-    // passes the memory and headroom guards, clears the gain threshold,
-    // ties broken toward the lowest host index — exactly the candidate
-    // the reference scan would keep for that VM.
-    let mut best: Vec<Option<(usize, f64)>> = (0..n_vms)
-        .map(|vi| rescan_vm(problem, &eval, &index, cfg, vi, &departures[vi], &mut stats))
-        .collect();
+    // best[vi] = the VM's best qualifying move: passes the memory and
+    // headroom guards, clears the gain threshold, ties broken toward the
+    // lowest host index — exactly the candidate the reference scan would
+    // keep for that VM.
+    let mut best: Vec<Best> = {
+        let scan = Scan {
+            problem,
+            eval: &eval,
+            index: &index,
+            cfg,
+            departures: &departures,
+        };
+        scan.per_vm(&mut stats, |vi, st| scan.rescan_vm(vi, st))
+    };
 
     let mut moves = 0usize;
     while moves < cfg.max_moves {
@@ -135,13 +188,11 @@ pub fn improve_schedule(
         index.update_host(problem, to, eval.raw_demands()[to], eval.counts()[to]);
         stats.index_updates += 2;
 
-        // (1) VMs now resident on the touched hosts (including the moved
-        // one): their cached revenue changed, so their departures and all
-        // their gains are stale — re-price the departures, then rebuild
-        // their shortlists. No other departure reads a touched host.
-        let mut touched: Vec<usize> = eval.residents(from).to_vec();
-        touched.extend_from_slice(eval.residents(to));
-        for &w in &touched {
+        // VMs now resident on the touched hosts (including the moved
+        // one) have a stale cached revenue: re-price their departures
+        // before any scan reads them. No other departure reads a
+        // touched host.
+        for &w in eval.residents(from).iter().chain(eval.residents(to)) {
             departures[w] = eval.leave(w);
         }
         debug_assert!(
@@ -151,37 +202,14 @@ pub fn improve_schedule(
                 .all(|(w, d)| d.same_bits(&eval.leave(w))),
             "a cached departure went stale"
         );
-        for &w in &touched {
-            best[w] = rescan_vm(problem, &eval, &index, cfg, w, &departures[w], &mut stats);
-        }
-
-        // (2) Every other VM: only its candidates *toward* the touched
-        // hosts changed. A stored best on an untouched host is still the
-        // exact maximum over untouched destinations (their gains are
-        // bit-unchanged), so merging the two recomputed candidates keeps
-        // it exact; a stored best *on* a touched host leaves the
-        // untouched maximum unknown, forcing a full rescan.
-        for (w, slot) in best.iter_mut().enumerate() {
-            let wh = eval.host_of(w);
-            if wh == from || wh == to {
-                continue;
-            }
-            if let Some((bh, _)) = *slot {
-                if bh == from || bh == to {
-                    *slot = rescan_vm(problem, &eval, &index, cfg, w, &departures[w], &mut stats);
-                    continue;
-                }
-            }
-            for h in [from, to] {
-                if h != wh {
-                    if let Some(g) =
-                        qualified_gain(problem, &eval, cfg, w, h, &departures[w], &mut stats)
-                    {
-                        merge(slot, h, g);
-                    }
-                }
-            }
-        }
+        let scan = Scan {
+            problem,
+            eval: &eval,
+            index: &index,
+            cfg,
+            departures: &departures,
+        };
+        best = scan.per_vm(&mut stats, |w, st| scan.maintain(w, from, to, best[w], st));
     }
 
     pamdc_obs::metrics::add(pamdc_obs::Counter::LocalsearchMovesAccepted, moves as u64);
@@ -210,7 +238,7 @@ pub fn improve_schedule(
 /// Keeps `slot` holding the maximum-gain candidate, ties toward the
 /// lowest host index — the winner the reference's ascending strict-`>`
 /// scan keeps.
-fn merge(slot: &mut Option<(usize, f64)>, hi: usize, gain: f64) {
+fn merge(slot: &mut Best, hi: usize, gain: f64) {
     let replace = match slot {
         None => true,
         Some((bh, bg)) => gain > *bg || (gain == *bg && hi < *bh),
@@ -220,153 +248,190 @@ fn merge(slot: &mut Option<(usize, f64)>, hi: usize, gain: f64) {
     }
 }
 
-/// Full guard chain for one (VM, destination) pair, in the reference
-/// loop's order: memory, headroom, then the gain threshold.
-fn qualified_gain(
-    problem: &Problem,
-    eval: &ScheduleEvaluator,
-    cfg: &LocalSearchConfig,
-    vi: usize,
-    hi: usize,
-    departure: &Departure,
-    stats: &mut IncStats,
-) -> Option<f64> {
-    if !eval.move_fits_memory(vi, hi) {
-        return None;
+impl Scan<'_, '_> {
+    /// Runs `step` for every VM, fanned out in chunks of
+    /// `VMS_PER_CHUNK`, and returns the per-VM answers in VM order. Each
+    /// chunk tallies into its own stats, summed into `stats` after the
+    /// join.
+    fn per_vm(
+        &self,
+        stats: &mut IncStats,
+        step: impl Fn(usize, &mut IncStats) -> Best + Sync,
+    ) -> Vec<Best> {
+        let n_vms = self.problem.vms.len();
+        let chunks = pamdc_simcore::par::map_chunks(n_vms, VMS_PER_CHUNK, |range| {
+            let mut chunk_stats = IncStats::default();
+            let bests: Vec<Best> = range.map(|vi| step(vi, &mut chunk_stats)).collect();
+            (bests, chunk_stats)
+        });
+        let mut out = Vec::with_capacity(n_vms);
+        for (bests, chunk_stats) in chunks {
+            out.extend(bests);
+            stats.absorb(chunk_stats);
+        }
+        out
     }
-    let host = &problem.hosts[hi];
-    let mut after = eval.host_total(hi);
-    after += *eval.demand(vi);
-    after.cpu += host.virt_overhead_cpu_per_vm;
-    if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
-        return None;
+
+    /// VM `w`'s best after an accepted move `from → to`, given its best
+    /// `before` it. Only candidates touching a moved host changed. A VM
+    /// on a touched host has a stale revenue, so every gain of its is
+    /// stale, and a best *on* a touched host leaves the maximum over
+    /// the untouched destinations unknown: both rescan. Otherwise the
+    /// stored best is still the exact maximum over untouched
+    /// destinations (their gains are bit-unchanged), so merging the two
+    /// recomputed candidates keeps it exact.
+    fn maintain(
+        &self,
+        w: usize,
+        from: usize,
+        to: usize,
+        before: Best,
+        stats: &mut IncStats,
+    ) -> Best {
+        let touched = |h: usize| h == from || h == to;
+        if touched(self.eval.host_of(w)) || before.is_some_and(|(bh, _)| touched(bh)) {
+            return self.rescan_vm(w, stats);
+        }
+        let mut best = before;
+        for h in [from, to] {
+            if let Some(g) = self.qualified_gain(w, h, stats) {
+                merge(&mut best, h, g);
+            }
+        }
+        best
     }
-    gain_only(eval, vi, hi, departure, stats)
-}
 
-/// The gain threshold alone — for destinations whose guards were already
-/// settled group-wide.
-fn gain_only(
-    eval: &ScheduleEvaluator,
-    vi: usize,
-    hi: usize,
-    departure: &Departure,
-    stats: &mut IncStats,
-) -> Option<f64> {
-    stats.rescored += 1;
-    let gain = eval.move_gain(vi, hi, departure);
-    if gain > MIN_GAIN_EUR {
-        stats.cleared += 1;
-        Some(gain)
-    } else {
-        None
+    /// Full guard chain for one (VM, destination) pair, in the reference
+    /// loop's order: memory, headroom, then the gain threshold.
+    fn qualified_gain(&self, vi: usize, hi: usize, stats: &mut IncStats) -> Option<f64> {
+        let eval = self.eval;
+        if !eval.move_fits_memory(vi, hi) {
+            return None;
+        }
+        let host = &self.problem.hosts[hi];
+        let mut after = eval.host_total(hi);
+        after += *eval.demand(vi);
+        after.cpu += host.virt_overhead_cpu_per_vm;
+        if after.dominant_share(&host.capacity) > self.cfg.max_util_after_move {
+            return None;
+        }
+        self.gain_only(vi, hi, stats)
     }
-}
 
-/// Rebuilds one VM's best qualifying candidate through the index
-/// shortlist. Exact mode skips guard-failing groups with one check
-/// (memory fit, headroom and — for empty groups — the gain itself are
-/// group-uniform) and scores occupied groups member-by-member; near mode
-/// scores up to `top_k` members per group with per-member guards.
-fn rescan_vm(
-    problem: &Problem,
-    eval: &ScheduleEvaluator,
-    index: &CandidateIndex,
-    cfg: &LocalSearchConfig,
-    vi: usize,
-    departure: &Departure,
-    stats: &mut IncStats,
-) -> Option<(usize, f64)> {
-    stats.vm_rescans += 1;
-    let from = eval.host_of(vi);
-    // The one member whose gain differs within an empty group: the VM's
-    // original (pre-round) host carries no migration term. `None` when
-    // the VM is homeless or its home is off-problem — then no member is
-    // special.
-    let orig = problem.vms[vi]
-        .current_pm
-        .and_then(|pm| problem.host_index(pm));
-    let demand = eval.demand(vi);
-    let mut best: Option<(usize, f64)> = None;
+    /// The gain threshold alone — for destinations whose guards were
+    /// already settled group-wide.
+    fn gain_only(&self, vi: usize, hi: usize, stats: &mut IncStats) -> Option<f64> {
+        stats.rescored += 1;
+        let gain = self.eval.move_gain(vi, hi, &self.departures[vi]);
+        if gain > MIN_GAIN_EUR {
+            stats.cleared += 1;
+            Some(gain)
+        } else {
+            None
+        }
+    }
 
-    // The bucket range scan is only a sound prefilter while the headroom
-    // cap keeps destinations within capacity: a group is range-skipped
-    // only when the demand overflows its members' free capacity, which
-    // implies a dominant share above 1.0. A cap above 1.0 admits such
-    // destinations, so fall back to scanning every group.
-    let scan_all = cfg.max_util_after_move > 1.0;
+    /// Rebuilds one VM's best qualifying candidate through the index
+    /// shortlist. Exact mode skips guard-failing groups with one check
+    /// (memory fit, headroom and — for empty groups — the gain itself
+    /// are group-uniform) and scores occupied groups member-by-member;
+    /// near mode scores up to `top_k` members per group with per-member
+    /// guards.
+    fn rescan_vm(&self, vi: usize, stats: &mut IncStats) -> Best {
+        let (problem, eval, index, cfg) = (self.problem, self.eval, self.index, self.cfg);
+        stats.vm_rescans += 1;
+        let from = eval.host_of(vi);
+        // The one member whose gain differs within an empty group: the
+        // VM's original (pre-round) host carries no migration term.
+        // `None` when the VM is homeless or its home is off-problem —
+        // then no member is special.
+        let orig = problem.vms[vi]
+            .current_pm
+            .and_then(|pm| problem.host_index(pm));
+        let demand = eval.demand(vi);
+        let mut best: Best = None;
 
-    let mut scan = |members: &[usize]| {
-        match index.mode() {
-            IndexMode::Exact => {
-                // Guards are group-uniform (same class, count and demand
-                // bits): one check settles the whole group. `from` may
-                // serve as the probe — its guard answer matches its
-                // twins' — but is never a destination.
-                let probe = members[0];
-                if !eval.move_fits_memory(vi, probe) {
-                    return;
-                }
-                let host = &problem.hosts[probe];
-                let mut after = eval.host_total(probe);
-                after += *demand;
-                after.cpu += host.virt_overhead_cpu_per_vm;
-                if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
-                    return;
-                }
-                if eval.counts()[probe] == 0 && eval.residents(probe).is_empty() {
-                    // Empty group: every member's gain is the same bits,
-                    // except the VM's original host (no migration term).
-                    // `from` holds the VM, so it is never in this group.
-                    if let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != orig) {
-                        if let Some(g) = gain_only(eval, vi, rep, departure, stats) {
-                            merge(&mut best, rep, g);
-                        }
+        // The bucket range scan is only a sound prefilter while the
+        // headroom cap keeps destinations within capacity: a group is
+        // range-skipped only when the demand overflows its members' free
+        // capacity, which implies a dominant share above 1.0. A cap
+        // above 1.0 admits such destinations, so fall back to scanning
+        // every group.
+        let scan_all = cfg.max_util_after_move > 1.0;
+
+        let mut scan = |members: &[usize]| {
+            match index.mode() {
+                IndexMode::Exact => {
+                    // Guards are group-uniform (same class, count and
+                    // demand bits): one check settles the whole group.
+                    // `from` may serve as the probe — its guard answer
+                    // matches its twins' — but is never a destination.
+                    let probe = members[0];
+                    if !eval.move_fits_memory(vi, probe) {
+                        return;
                     }
-                    if let Some(oh) = orig {
-                        if members.binary_search(&oh).is_ok() {
-                            if let Some(g) = gain_only(eval, vi, oh, departure, stats) {
-                                merge(&mut best, oh, g);
+                    let host = &problem.hosts[probe];
+                    let mut after = eval.host_total(probe);
+                    after += *demand;
+                    after.cpu += host.virt_overhead_cpu_per_vm;
+                    if after.dominant_share(&host.capacity) > cfg.max_util_after_move {
+                        return;
+                    }
+                    if eval.counts()[probe] == 0 && eval.residents(probe).is_empty() {
+                        // Empty group: every member's gain is the same
+                        // bits, except the VM's original host (no
+                        // migration term). `from` holds the VM, so it is
+                        // never in this group.
+                        if let Some(rep) = members.iter().copied().find(|&hi| Some(hi) != orig) {
+                            if let Some(g) = self.gain_only(vi, rep, stats) {
+                                merge(&mut best, rep, g);
+                            }
+                        }
+                        if let Some(oh) = orig {
+                            if members.binary_search(&oh).is_ok() {
+                                if let Some(g) = self.gain_only(vi, oh, stats) {
+                                    merge(&mut best, oh, g);
+                                }
+                            }
+                        }
+                    } else {
+                        // Occupied group: the destination's residents
+                        // are re-scored inside `move_gain`, so gains
+                        // differ per member — score each.
+                        for &hi in members {
+                            if hi == from {
+                                continue;
+                            }
+                            if let Some(g) = self.gain_only(vi, hi, stats) {
+                                merge(&mut best, hi, g);
                             }
                         }
                     }
-                } else {
-                    // Occupied group: the destination's residents are
-                    // re-scored inside `move_gain`, so gains differ per
-                    // member — score each.
-                    for &hi in members {
-                        if hi == from {
-                            continue;
-                        }
-                        if let Some(g) = gain_only(eval, vi, hi, departure, stats) {
+                }
+                IndexMode::Near { top_k } => {
+                    // Members only share buckets, not bits: per-member
+                    // guards, bounded to the first `top_k` members.
+                    stats.near_groups += 1;
+                    for &hi in members.iter().filter(|&&hi| hi != from).take(top_k) {
+                        if let Some(g) = self.qualified_gain(vi, hi, stats) {
                             merge(&mut best, hi, g);
                         }
                     }
                 }
             }
-            IndexMode::Near { top_k } => {
-                // Members only share buckets, not bits: per-member
-                // guards, bounded to the first `top_k` members.
-                stats.near_groups += 1;
-                for &hi in members.iter().filter(|&&hi| hi != from).take(top_k) {
-                    if let Some(g) = qualified_gain(problem, eval, cfg, vi, hi, departure, stats) {
-                        merge(&mut best, hi, g);
-                    }
-                }
+        };
+
+        if scan_all {
+            for members in index.all_groups() {
+                scan(members);
+            }
+        } else {
+            for members in index.fitting_groups(demand) {
+                scan(members);
             }
         }
-    };
-
-    if scan_all {
-        for members in index.all_groups() {
-            scan(members);
-        }
-    } else {
-        for members in index.fitting_groups(demand) {
-            scan(members);
-        }
+        best
     }
-    best
 }
 
 #[cfg(test)]
@@ -409,6 +474,39 @@ mod tests {
         assert!(moves >= 1, "light VMs must consolidate");
         assert!(after.profit_eur > before.profit_eur);
         assert_eq!(after.active_hosts, 1);
+    }
+
+    #[test]
+    fn every_chunk_tallies_into_the_counters() {
+        // 200 VMs is four chunks of seeding and upkeep; a chunk whose
+        // tallies were dropped would lower the rescan count.
+        let (n_vms, n_hosts) = (200, 40);
+        let p = problem(n_vms, n_hosts, 10.0);
+        let o = TrueOracle::new();
+        let spread = Schedule {
+            assignment: (0..n_vms)
+                .map(|vi| PmId::from_index(vi % n_hosts))
+                .collect(),
+        };
+        for max_moves in [0, 24] {
+            let c = std::sync::Arc::new(pamdc_obs::Collector::new(false));
+            let guard = pamdc_obs::CollectorGuard::install(c.clone());
+            let cfg = LocalSearchConfig {
+                max_moves,
+                ..Default::default()
+            };
+            let (_, moves) = improve_schedule(&p, &o, spread.clone(), &cfg, IndexMode::Exact);
+            drop(guard);
+            let rescans = c.counter(pamdc_obs::Counter::LocalsearchVmRescans) as usize;
+            if max_moves == 0 {
+                assert_eq!(rescans, n_vms, "seeding rescans every VM once");
+            } else {
+                assert!(moves > 0, "light spread VMs must consolidate");
+                // Each move rescans at least the moved VM.
+                assert!(rescans >= n_vms + moves, "{rescans} rescans");
+            }
+            assert!(c.counter(pamdc_obs::Counter::LocalsearchCandidatesRescored) > 0);
+        }
     }
 
     #[test]

@@ -222,3 +222,39 @@ fn edge_slas_match_the_fold() {
         }
     }
 }
+
+/// VMs per chunk of the filter's fan-out (`VMS_PER_CHUNK` in
+/// `localsearch.rs`). The draws above stay within one chunk.
+const CHUNK: usize = 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Three to five chunks of VMs. The VMs on each side of the first
+    /// chunk boundary are homeless, and the fleet is loaded so that
+    /// placed VMs are flagged on both sides of it too.
+    #[test]
+    fn early_exit_filter_matches_the_fold_across_chunks(
+        hosts in 48usize..160,
+        loads in collection::vec(5.0f64..700.0, (2 * CHUNK + 1)..(4 * CHUNK + 4)),
+        mut slots in collection::vec(0usize..10_000, (4 * CHUNK + 4)..(4 * CHUNK + 5)),
+    ) {
+        slots[CHUNK - 1] = hosts;
+        slots[CHUNK] = hosts;
+        let (p, host_of) = drawn_problem(hosts, &loads, &slots);
+        let o = TrueOracle::new();
+        let demands = p.vms.iter().map(|vm| o.demand(vm)).collect();
+        let believed = BelievedTotals::from_placement(&p, demands, &host_of);
+        let flagged: Vec<usize> = reference_attention(&p, &o, &believed, &host_of)
+            .into_iter()
+            .filter(|&vi| host_of[vi].is_some())
+            .collect();
+        prop_assert!(
+            flagged.iter().any(|&vi| vi < CHUNK) && flagged.iter().any(|&vi| vi >= CHUNK),
+            "placed VMs must be flagged on both sides of the boundary: {flagged:?}"
+        );
+        for o in common::oracles() {
+            assert_same_candidates(&p, &host_of, o.as_ref());
+        }
+    }
+}

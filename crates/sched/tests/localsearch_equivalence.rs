@@ -357,3 +357,50 @@ proptest! {
         }
     }
 }
+
+/// VMs per chunk of the planner's per-VM fan-outs (`VMS_PER_CHUNK` in
+/// `localsearch.rs`). The suites above stay within one chunk, so they
+/// never split seeding or upkeep across threads.
+const CHUNK: usize = 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Three to five chunks of VMs below the cap, with the move cap
+    /// binding: seeding and every move's upkeep split over chunks, and
+    /// the per-VM bests must stay exact on both sides of each boundary.
+    #[test]
+    fn incremental_matches_reference_across_chunks(
+        vms in (2 * CHUNK + 1)..(4 * CHUNK + 4),
+        hosts in 16usize..48,
+        rps in 10.0f64..40.0,
+        max_moves in 1usize..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (p, start) = below_cap_fleet(vms, hosts, rps, seed);
+        let cfg = LocalSearchConfig { max_moves, ..Default::default() };
+        let case = format!("seed {seed}, vms {vms}, hosts {hosts}, rps {rps}, max_moves {max_moves}");
+        let moves = assert_bit_identical(&p, &cfg, start, &case);
+        prop_assert!(
+            moves[0] == max_moves,
+            "the cap must bind under the true oracle: {moves:?} ({case})"
+        );
+    }
+
+    /// Memory-bound fleets of three to five chunks under a relaxed
+    /// headroom cap: every group is scanned and RAM binds, across
+    /// chunk boundaries.
+    #[test]
+    fn incremental_matches_reference_when_memory_binds_across_chunks(
+        vms in (2 * CHUNK + 1)..(4 * CHUNK + 4),
+        hosts in 16usize..48,
+        rps in 20.0f64..150.0,
+        max_util in 0.8f64..4.0,
+    ) {
+        let p = mixed_fleet(vms, hosts, rps, true);
+        let cfg = LocalSearchConfig { max_moves: 24, max_util_after_move: max_util };
+        let case = format!("vms {vms}, hosts {hosts}, rps {rps}, max_util {max_util}");
+        let moves = assert_bit_identical(&p, &cfg, spread_start(&p), &case);
+        prop_assert!(moves[0] > 0, "the true oracle must move something: {moves:?} ({case})");
+    }
+}

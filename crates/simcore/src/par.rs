@@ -11,11 +11,13 @@
 //!    (a seed, a derived [`crate::rng::RngStream`]), so a parallel sweep
 //!    is bit-identical to a sequential one regardless of interleaving.
 //! 2. **Bounded threads, dynamic balancing** — at most
-//!    `available_parallelism` workers claim items one at a time from a
-//!    shared counter, so a 1000-point sweep does not spawn 1000 threads
-//!    and a sweep whose points grow in cost (the common
-//!    small-to-large-instance shape) does not strand all the expensive
-//!    work on one worker.
+//!    `available_parallelism` workers, the calling thread among them,
+//!    claim items one at a time from a shared counter, so a 1000-point
+//!    sweep does not spawn 1000 threads and a sweep whose points grow in
+//!    cost (the common small-to-large-instance shape) does not strand
+//!    all the expensive work on one worker. A one-item map spawns
+//!    nothing, which is what lets [`map_chunks`] fan a small problem out
+//!    as one chunk at no cost.
 //!
 //! Built on `std::thread::scope`; a worker panic propagates to the
 //! caller (same behaviour the previous `crossbeam::thread::scope` code
@@ -29,9 +31,10 @@
 //! up at `--jobs 1` — a determinism hole. [`register_worker_context`]
 //! lets exactly one interested crate install a *capture* function: it
 //! runs on the calling thread right before workers spawn, and the
-//! installer it returns runs once at the start of every worker (and of
-//! [`join`]'s spawned arm). The sequential fallbacks never capture —
-//! they already run on the calling thread with its context intact.
+//! installer it returns runs once at the start of every spawned worker
+//! (and of [`join`]'s spawned arm). Items the calling thread claims, and
+//! the sequential fallbacks, never need it — they run with the caller's
+//! context intact.
 
 /// Installs captured calling-thread context into a worker thread.
 pub type ContextInstaller = Box<dyn Fn() + Send + Sync>;
@@ -69,6 +72,20 @@ pub fn effective_workers(
         .min(env_cap.filter(|&c| c > 0).unwrap_or(usize::MAX))
 }
 
+/// The hardware thread budget, read once per process: on Linux,
+/// `available_parallelism` re-reads the cgroup quota files on every
+/// call, which costs more than a small fan-out's items.
+fn hardware_threads() -> usize {
+    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Read on every call: the `hier_jobs` bench and tests change it at
+/// run time.
 fn env_worker_cap() -> Option<usize> {
     std::env::var("PAMDC_PAR_WORKERS")
         .ok()
@@ -110,53 +127,57 @@ where
     if n <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let hardware = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let workers = effective_workers(n, hardware, max_workers, env_worker_cap());
+    let workers = effective_workers(n, hardware_threads(), max_workers, env_worker_cap());
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
 
-    // Each worker claims the next unprocessed index from a shared
-    // counter (dynamic balancing: a sweep ordered cheap-to-expensive
-    // still spreads its expensive tail across workers) and returns
-    // `(index, result)` pairs; results are then placed by index, so
-    // output order is input order regardless of scheduling.
+    // The calling thread and `workers - 1` spawned threads each claim
+    // the next unprocessed index from a shared counter (dynamic
+    // balancing: a sweep ordered cheap-to-expensive still spreads its
+    // expensive tail across workers) and collect `(index, result)`
+    // pairs; results are then placed by index, so output order is
+    // input order regardless of scheduling.
     let items: Vec<std::sync::Mutex<Option<T>>> = items
         .into_iter()
         .map(|t| std::sync::Mutex::new(Some(t)))
         .collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let claim = || {
+        let mut produced: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let item = items[i]
+                .lock()
+                .expect("item slot poisoned")
+                .take()
+                .expect("each item is claimed exactly once");
+            produced.push((i, f(item)));
+        }
+        produced
+    };
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
     let ctx = capture_worker_context();
     std::thread::scope(|scope| {
-        let (f, items, next, ctx) = (&f, &items, &next, &ctx);
-        let handles: Vec<_> = (0..workers)
+        let (claim, ctx) = (&claim, &ctx);
+        let handles: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(move || {
                     if let Some(install) = ctx {
                         install();
                     }
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let item = items[i]
-                            .lock()
-                            .expect("item slot poisoned")
-                            .take()
-                            .expect("each item is claimed exactly once");
-                        produced.push((i, f(item)));
-                    }
-                    produced
+                    claim()
                 })
             })
             .collect();
+        for (i, r) in claim() {
+            slots[i] = Some(r);
+        }
         for h in handles {
             for (i, r) in h.join().expect("parallel_map worker panicked") {
                 slots[i] = Some(r);
@@ -168,6 +189,23 @@ where
         .into_iter()
         .map(|s| s.expect("worker filled every slot"))
         .collect()
+}
+
+/// Maps `f` over `0..n` in consecutive index ranges of `chunk` items
+/// (the last one may be shorter) through [`parallel_map`], returning the
+/// per-range results in range order. A fixed grain keeps the fan-out
+/// free for small inputs: with `n <= chunk` there is one range, and it
+/// runs on the calling thread like a plain loop. Panics if `chunk` is 0.
+pub fn map_chunks<R, F>(n: usize, chunk: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(std::ops::Range<usize>) -> R + Sync,
+{
+    let ranges: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(chunk)
+        .map(|start| start..n.min(start + chunk))
+        .collect();
+    parallel_map(ranges, f)
 }
 
 /// Runs two independent computations on two threads and returns both
@@ -258,6 +296,23 @@ mod tests {
         let empty: Vec<i32> = Vec::new();
         assert!(parallel_map(empty, |x: i32| x).is_empty());
         assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn a_single_item_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = parallel_map(vec![()], |()| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+    }
+
+    #[test]
+    fn map_chunks_covers_the_range_in_order() {
+        let ranges = map_chunks(10, 4, |r| r);
+        assert_eq!(ranges, vec![0..4, 4..8, 8..10]);
+        assert_eq!(map_chunks(8, 4, |r| r), vec![0..4, 4..8]);
+        assert!(map_chunks(0, 4, |r| r).is_empty());
+        let flat: Vec<usize> = map_chunks(1000, 64, |r| r.collect::<Vec<_>>()).concat();
+        assert_eq!(flat, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
