@@ -3,10 +3,10 @@
 
 use std::fmt::Write as _;
 
-/// The one metric-key sanitizer, shared by the experiment pipeline, the
-/// CLI's CSV/JSON emitters and the bench harness: keeps ASCII
-/// alphanumerics and `_ . - /` (so bench ids like `group/bench/10x40`
-/// survive unchanged) and maps every other character — brackets, spaces,
+/// The one metric-key sanitizer, shared by the experiment pipeline and
+/// the CLI's CSV/JSON emitters: keeps ASCII alphanumerics and
+/// `_ . - /` (so path-like ids such as `group/bench/10x40` survive
+/// unchanged) and maps every other character — brackets, spaces,
 /// unicode — to `_`, so keys stay shell-, CSV- and JSON-friendly no
 /// matter which display name they were derived from.
 pub fn metric_key(raw: &str) -> String {
@@ -193,6 +193,15 @@ mod tests {
     #[test]
     fn float_helper() {
         assert_eq!(f(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn path_ids_survive_and_display_names_sanitize() {
+        assert_eq!(
+            metric_key("solver_scaling/bestfit/10x40"),
+            "solver_scaling/bestfit/10x40"
+        );
+        assert_eq!(metric_key("policy/bestfit[BF-OB]"), "policy/bestfit_BF-OB_");
     }
 
     #[test]

@@ -20,7 +20,6 @@ use pamdc_infra::pm::MachineSpec;
 use pamdc_infra::vm::VmSpec;
 use pamdc_perf::demand::VmPerfProfile;
 use pamdc_simcore::time::{SimDuration, SimTime};
-use pamdc_workload::generator::Workload;
 use pamdc_workload::libcn;
 use pamdc_workload::source::Demand;
 use std::sync::Arc;
@@ -260,18 +259,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the preset synthetic workload with an explicit one.
-    /// The workload is used as-is (no `peak_rps`/`load_scale` rescaling;
-    /// a configured flash crowd is still attached); its service count
-    /// must match [`ScenarioBuilder::vms`].
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.demand_override = Some(Demand::Synthetic(workload));
-        self
-    }
-
-    /// Replaces the demand source entirely — e.g. a recorded
+    /// Replaces the preset demand source entirely — an explicit
+    /// synthetic [`pamdc_workload::generator::Workload`], or a recorded
     /// [`pamdc_workload::trace::TraceSource`] replayed instead of the
-    /// synthetic generator. The source's service count must match
+    /// generator. The source is used as-is (no `peak_rps`/`load_scale`
+    /// rescaling; a configured flash crowd is still attached to a
+    /// synthetic one); its service count must match
     /// [`ScenarioBuilder::vms`].
     pub fn demand(mut self, demand: impl Into<Demand>) -> Self {
         self.demand_override = Some(demand.into());
@@ -610,7 +603,7 @@ mod tests {
     fn workload_override_replaces_preset() {
         let s = ScenarioBuilder::paper_multi_dc()
             .vms(3)
-            .workload(libcn::uniform_multi_dc(3, 150.0, 9))
+            .demand(libcn::uniform_multi_dc(3, 150.0, 9))
             .build();
         let Demand::Synthetic(w) = &s.workload else {
             panic!("the override is synthetic");
@@ -733,7 +726,7 @@ mod tests {
     fn mismatched_demand_override_panics() {
         let _ = ScenarioBuilder::paper_multi_dc()
             .vms(4)
-            .workload(libcn::uniform_multi_dc(2, 100.0, 1))
+            .demand(libcn::uniform_multi_dc(2, 100.0, 1))
             .build();
     }
 }

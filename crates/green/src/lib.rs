@@ -1,5 +1,5 @@
-//! Green-energy substrate: dynamic electricity tariffs, on-site renewable
-//! production (solar and wind) and carbon accounting.
+//! Green-energy substrate: dynamic electricity tariffs, on-site solar
+//! production and carbon accounting.
 //!
 //! The paper's future-work list includes *"the green energy into the
 //! scheme, not only to reduce energy costs but also environmental impact
@@ -12,10 +12,10 @@
 //!   (the paper's Table II), time-of-use bands, step changes (for the
 //!   price-adaptation experiment §V-B alludes to), and a mean-reverting
 //!   spot market.
-//! * [`solar::SolarFarm`] / [`wind::WindFarm`] — deterministic, seeded
-//!   production traces with the right diurnal / stochastic structure.
+//! * [`solar::SolarFarm`] — deterministic, seeded production traces with
+//!   a diurnal curve and seeded daily cloud cover.
 //! * [`site::SiteEnergy`] — one DC's complete energy picture: grid tariff
-//!   plus optional on-site renewables; splits any demand into green and
+//!   plus optional on-site solar; splits any demand into green and
 //!   brown watts and prices / carbon-rates the blend.
 //! * [`carbon::EnergyBreakdown`] — the run-level green/brown/CO₂ ledger.
 //!
@@ -29,7 +29,6 @@ pub mod carbon;
 pub mod site;
 pub mod solar;
 pub mod tariff;
-pub mod wind;
 
 /// One-stop imports.
 pub mod prelude {
@@ -37,5 +36,4 @@ pub mod prelude {
     pub use crate::site::{EnergySplit, SiteEnergy};
     pub use crate::solar::SolarFarm;
     pub use crate::tariff::Tariff;
-    pub use crate::wind::WindFarm;
 }

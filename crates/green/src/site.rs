@@ -1,7 +1,7 @@
 //! One datacenter's complete energy picture.
 //!
-//! A [`SiteEnergy`] combines the grid tariff with optional on-site solar
-//! and wind. Given a demand in watts at an instant it splits the demand
+//! A [`SiteEnergy`] combines the grid tariff with optional on-site
+//! solar. Given a demand in watts at an instant it splits the demand
 //! into green watts (covered by on-site production, priced at the
 //! marginal green cost — "very low cost once the production
 //! infrastructure is in place", §V-C) and brown watts (grid tariff,
@@ -13,7 +13,6 @@
 use crate::carbon::{EnergyBreakdown, GREEN_LIFECYCLE_G_PER_KWH};
 use crate::solar::SolarFarm;
 use crate::tariff::Tariff;
-use crate::wind::WindFarm;
 use pamdc_simcore::time::{SimDuration, SimTime};
 
 /// A demand split into green and brown watts.
@@ -34,8 +33,6 @@ pub struct SiteEnergy {
     pub green_marginal_eur_kwh: f64,
     /// On-site solar, if installed.
     pub solar: Option<SolarFarm>,
-    /// On-site wind, if installed.
-    pub wind: Option<WindFarm>,
     /// Grid carbon intensity, gCO₂e/kWh.
     pub grid_carbon_g_per_kwh: f64,
 }
@@ -49,7 +46,6 @@ impl SiteEnergy {
             grid: Tariff::Flat(eur_per_kwh),
             green_marginal_eur_kwh: 0.01,
             solar: None,
-            wind: None,
             grid_carbon_g_per_kwh,
         }
     }
@@ -60,22 +56,15 @@ impl SiteEnergy {
         self
     }
 
-    /// Installs wind.
-    pub fn with_wind(mut self, farm: WindFarm) -> Self {
-        self.wind = Some(farm);
-        self
-    }
-
     /// Replaces the grid tariff.
     pub fn with_tariff(mut self, tariff: Tariff) -> Self {
         self.grid = tariff;
         self
     }
 
-    /// Total on-site renewable production at `at`, watts.
+    /// On-site solar production at `at`, watts.
     pub fn green_watts(&self, at: SimTime) -> f64 {
         self.solar.as_ref().map_or(0.0, |s| s.watts(at))
-            + self.wind.as_ref().map_or(0.0, |w| w.watts(at))
     }
 
     /// Splits `demand_w` into green and brown watts at `at`. On-site
@@ -253,12 +242,5 @@ mod tests {
             s.marginal_price_eur_kwh(noon, 60.0, 0.0),
             s.effective_price_eur_kwh(noon, 60.0),
         );
-    }
-
-    #[test]
-    fn wind_adds_to_solar() {
-        let s = solar_site().with_wind(WindFarm::new(50.0, 12.0, 7, 8));
-        let noon = SimTime::from_hours(12);
-        assert!(s.green_watts(noon) >= solar_site().green_watts(noon));
     }
 }

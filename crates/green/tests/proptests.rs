@@ -59,19 +59,6 @@ proptest! {
         prop_assert!(w >= 0.0 && w <= cap + 1e-9, "watts {w} vs cap {cap}");
     }
 
-    /// Wind production is bounded by nameplate everywhere.
-    #[test]
-    fn wind_bounded(
-        cap in 0.0_f64..10_000.0,
-        mean in 0.0_f64..20.0,
-        seed in 0_u64..500,
-        hour in 0_u64..(14 * 24),
-    ) {
-        let farm = WindFarm::new(cap, mean, 14, seed);
-        let w = farm.watts(SimTime::from_hours(hour));
-        prop_assert!(w >= 0.0 && w <= cap + 1e-9);
-    }
-
     /// Splits conserve demand and never go negative; effective price
     /// stays between the green marginal and the brown price.
     #[test]
@@ -105,8 +92,7 @@ proptest! {
         hour in 0_u64..(7 * 24),
     ) {
         let site = SiteEnergy::flat(0.13, 500.0)
-            .with_solar(SolarFarm::new(800.0, 2.0, 7, 0.4, 17))
-            .with_wind(WindFarm::new(400.0, 8.0, 7, 18));
+            .with_solar(SolarFarm::new(800.0, 2.0, 7, 0.4, 17));
         let at = SimTime::from_hours(hour);
         let dt = SimDuration::from_mins(minutes);
         let mut ledger = EnergyBreakdown::new();

@@ -1,12 +1,14 @@
 //! Spec → world: build a [`Scenario`], a [`PlacementPolicy`] and a
 //! [`RunConfig`] from a [`ScenarioSpec`].
 //!
-//! The spec is the only world builder: every experiment arm and every
-//! generic run is built here from its spec, and [`session`] builds the
-//! one controller `pamdc replay` and `pamdc serve` drive around an
-//! in-memory demand source. `tests/spec_vs_builder.rs`
-//! pins spec-built worlds bit-identical to the equivalent
-//! `ScenarioBuilder` presets (the fig4 and fig6 setups).
+//! Every experiment arm and every generic run is built here from its
+//! spec, and [`session`] builds the one controller `pamdc replay` and
+//! `pamdc serve` drive around an in-memory demand source. The
+//! `ScenarioBuilder` this module fills is still public for the Table-I
+//! collection worlds (`pamdc_core::training`) and for perfbench's
+//! worlds. `tests/spec_vs_builder.rs` pins spec-built worlds
+//! bit-identical to the equivalent `ScenarioBuilder` presets (the fig4
+//! and fig6 setups).
 
 use crate::spec::{
     ImportSpec, MachineClass, OracleKind, PolicyKind, ScenarioSpec, SpecError, TopologyPreset,
@@ -234,7 +236,7 @@ fn build_scenario_inner(
     } else if w.preset == WorkloadPreset::Uniform {
         // Latency-neutral control workload (the green, heterogeneity
         // and price-adaptation builtins use it).
-        builder = builder.workload(libcn::uniform_multi_dc(
+        builder = builder.demand(libcn::uniform_multi_dc(
             w.vms,
             w.peak_rps * w.load_scale,
             spec.seed,

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `criterion` crate.
 //!
 //! Provides the API surface the workspace's benches use —
-//! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`],
+//! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_with_input`],
+//! [`BenchmarkGroup::finish`], [`BenchmarkId::new`], [`Bencher::iter`],
 //! [`criterion_group!`]/[`criterion_main!`] — backed by a small but real
 //! measuring harness: per-benchmark calibration, N timed samples, and a
 //! `median [min .. max]` report line.
@@ -18,10 +18,9 @@
 
 use std::fmt;
 use std::fs::OpenOptions;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
 
 /// Identifier for one benchmark within a group: `name/parameter`.
 #[derive(Clone, Debug)]
@@ -35,31 +34,6 @@ impl BenchmarkId {
         BenchmarkId {
             id: format!("{function_name}/{parameter}"),
         }
-    }
-
-    /// Id from a bare parameter.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id)
     }
 }
 
@@ -189,16 +163,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Runs one standalone benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        routine: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        run_benchmark(&self.settings, &id.into().id, routine);
-        self
-    }
-
     /// Opens a named group (`group/benchmark` ids).
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -215,36 +179,14 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for source compatibility; the shim sizes samples from
-    /// its time budget instead.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for source compatibility; unused.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Runs one benchmark within the group.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        routine: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let full = format!("{}/{}", self.name, id.into().id);
-        run_benchmark(&self.criterion.settings, &full, routine);
-        self
-    }
-
     /// Runs one parameterized benchmark within the group.
     pub fn bench_with_input<I: ?Sized>(
         &mut self,
-        id: impl Into<BenchmarkId>,
+        id: BenchmarkId,
         input: &I,
         mut routine: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        let full = format!("{}/{}", self.name, id.into().id);
+        let full = format!("{}/{}", self.name, id.id);
         run_benchmark(&self.criterion.settings, &full, |b| routine(b, input));
         self
     }
@@ -282,11 +224,10 @@ mod tests {
     fn harness_measures_and_reports() {
         std::env::set_var("PAMDC_BENCH_QUICK", "1");
         let mut c = Criterion::default();
-        c.bench_function("smoke/add", |b| {
-            b.iter(|| black_box(2u64) + black_box(3u64))
-        });
         let mut g = c.benchmark_group("grp");
-        g.sample_size(10);
+        g.bench_with_input(BenchmarkId::new("add", 2), &2u64, |b, &x| {
+            b.iter(|| black_box(x) + black_box(3u64))
+        });
         g.bench_with_input(BenchmarkId::new("sq", 7), &7u64, |b, &x| b.iter(|| x * x));
         g.finish();
     }

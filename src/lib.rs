@@ -18,7 +18,7 @@
 //! * [`ml`] — machine learning from scratch: M5 model trees, linear
 //!   regression, k-NN regression, datasets, validation metrics.
 //! * [`econ`] — the paper's Table II prices, revenue and penalty accounting.
-//! * [`green`] — dynamic tariffs, solar/wind production traces and carbon
+//! * [`green`] — dynamic tariffs, solar production traces and carbon
 //!   accounting (the paper's "follow the sun/wind" future-work direction).
 //! * [`sched`] — the Figure 3 mathematical model, the profit function,
 //!   Descending Best-Fit (Algorithm 1) and its BF / BF-OB / BF-ML variants,

@@ -77,7 +77,8 @@ fn kitchen_sink_is_deterministic() {
 fn green_quote_steers_hierarchical_scheduler() {
     // With enormous free solar in Brisbane only, a long-horizon
     // scheduler should host more VM-ticks there than the same scheduler
-    // quoted flat prices.
+    // quoted flat prices. The day is 24 h: over the first 12 the two
+    // arms tie.
     let run = |aware: bool| {
         let mut scenario = ScenarioBuilder::paper_multi_dc()
             .vms(4)
@@ -86,8 +87,9 @@ fn green_quote_steers_hierarchical_scheduler() {
             .seed(9)
             .build();
         let mut env = EnergyEnvironment::paper_default(&scenario.cluster);
-        // Brisbane: 24/7 wind farm covering any draw, nearly free.
-        env.sites[0] = SiteEnergy::flat(0.1314, 850.0).with_wind(WindFarm::new(5000.0, 14.0, 2, 3));
+        // Brisbane: a clear-sky solar farm covering any daytime draw,
+        // nearly free.
+        env = env.with_solar_at(&scenario.cluster, 0, 5000.0, 1.0, 2, 3);
         if !aware {
             env = env.price_blind();
         }
@@ -102,7 +104,7 @@ fn green_quote_steers_hierarchical_scheduler() {
             cfg,
             None,
         )
-        .run_for(SimDuration::from_hours(12))
+        .run_for(SimDuration::from_hours(24))
         .0
     };
     let aware = run(true);
